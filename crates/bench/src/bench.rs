@@ -27,7 +27,7 @@ use cnt_fields::solver::{Method, SolveWorkspace, SolverOptions, StencilSystem};
 use cnt_interconnect::benchmark::{
     delay_ratio_grid, FIG12_CHANNEL_COUNTS, FIG12_DIAMETERS_NM, FIG12_LENGTHS_UM,
 };
-use cnt_interconnect::experiments::format::json_string;
+use cnt_obs::json;
 use cnt_thermal::fin::SelfHeatingLine;
 use cnt_thermal::sthm::SthmInstrument;
 use cnt_thermal::via::ViaStack;
@@ -176,7 +176,7 @@ impl BenchReport {
         }
         if let Some(f) = &self.filter {
             out.push_str(",\"filter\":");
-            json_string(f, &mut out);
+            json::push_string(f, &mut out);
         }
         out.push_str(&format!(
             ",\"threads_available\":{},\"unix_time_s\":{},\"kernels\":[",
@@ -187,9 +187,9 @@ impl BenchReport {
                 out.push(',');
             }
             out.push_str("{\"id\":");
-            json_string(k.id, &mut out);
+            json::push_string(k.id, &mut out);
             out.push_str(",\"title\":");
-            json_string(k.title, &mut out);
+            json::push_string(k.title, &mut out);
             out.push_str(&format!(
                 ",\"warmup\":{},\"iterations\":{},\"min_s\":{},\"median_s\":{},\"p90_s\":{},\"mean_s\":{}",
                 k.warmup, k.iterations, k.min_s, k.median_s, k.p90_s, k.mean_s

@@ -501,7 +501,7 @@ fn run_profile_command(args: &[String]) -> ExitCode {
         OutputFormat::Json => {
             let mut out = String::with_capacity(256);
             out.push_str("{\"schema\":1,\"kind\":\"profile\",\"id\":");
-            experiments::format::json_string(id, &mut out);
+            cnt_obs::json::push_string(id, &mut out);
             out.push_str(&format!(",\"wall_s\":{wall_s},\"spans\":["));
             for (i, root) in roots.iter().enumerate() {
                 if i > 0 {
@@ -560,38 +560,24 @@ fn run_slo_command(args: &[String]) -> ExitCode {
             response.status
         ));
     }
-    let doc = match cnt_serve::json::parse(&response.body) {
+    let doc = match cnt_obs::json::parse(&response.body) {
         Ok(v) => v,
         Err(e) => return fail(&format!("slo: response is not valid JSON: {e}")),
     };
-    use cnt_serve::json::JsonValue;
-    let field = |obj: &JsonValue, key: &str| -> Option<JsonValue> {
-        match obj {
-            JsonValue::Object(pairs) => {
-                pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-            }
-            _ => None,
-        }
-    };
-    let as_str = |v: Option<JsonValue>| -> Option<String> {
-        match v {
-            Some(JsonValue::String(s)) => Some(s),
-            _ => None,
-        }
-    };
-    let Some(worst) = as_str(field(&doc, "state")) else {
+    use cnt_obs::json::JsonValue;
+    let Some(worst) = doc.get("state").and_then(JsonValue::as_str) else {
         return fail("slo: response has no top-level \"state\"");
     };
     match format {
         OutputFormat::Json => println!("{}", response.body.trim_end()),
         OutputFormat::Text => {
-            if let Some(JsonValue::Array(slos)) = field(&doc, "slos") {
-                for slo in &slos {
-                    let name = as_str(field(slo, "name")).unwrap_or_else(|| "?".to_string());
-                    let state = as_str(field(slo, "state")).unwrap_or_else(|| "?".to_string());
-                    let burn = |key: &str| match field(slo, key) {
-                        Some(JsonValue::Number(n)) => n,
-                        _ => "?".to_string(),
+            if let Some(JsonValue::Array(slos)) = doc.get("slos") {
+                for slo in slos {
+                    let name = slo.get("name").and_then(JsonValue::as_str).unwrap_or("?");
+                    let state = slo.get("state").and_then(JsonValue::as_str).unwrap_or("?");
+                    let burn = |key: &str| match slo.get(key) {
+                        Some(JsonValue::Number(n)) => n.as_str(),
+                        _ => "?",
                     };
                     println!(
                         "{name}: {state} (burn fast {}, slow {})",

@@ -11,7 +11,7 @@
 //! whatever core count the runner has, not single-kernel performance;
 //! they still participate in the structural diff.
 
-use cnt_serve::json::{parse, JsonValue};
+use cnt_obs::json::{self, JsonValue};
 
 /// One kernel of a parsed bench point.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,17 +47,6 @@ pub struct BenchPoint {
     pub kernels: Vec<KernelPoint>,
 }
 
-fn field<'a>(obj: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn number(v: Option<&JsonValue>) -> Option<f64> {
-    match v {
-        Some(JsonValue::Number(raw)) => raw.parse().ok(),
-        _ => None,
-    }
-}
-
 /// Parses one bench JSON document.
 ///
 /// # Errors
@@ -65,10 +54,12 @@ fn number(v: Option<&JsonValue>) -> Option<f64> {
 /// Returns a message naming what is malformed — a JSON syntax error, a
 /// wrong `kind`, or a kernel entry without an id/median.
 pub fn parse_point(text: &str) -> Result<BenchPoint, String> {
-    let JsonValue::Object(doc) = parse(text.trim())? else {
+    let doc = json::parse(text.trim()).map_err(|e| e.to_string())?;
+    if !matches!(doc, JsonValue::Object(_)) {
         return Err("bench point is not a JSON object".to_string());
-    };
-    match field(&doc, "kind") {
+    }
+    let number = |key: &str| doc.get(key).and_then(JsonValue::as_f64);
+    match doc.get("kind") {
         Some(JsonValue::String(kind)) if kind == "bench" => {}
         other => {
             return Err(format!(
@@ -80,7 +71,7 @@ pub fn parse_point(text: &str) -> Result<BenchPoint, String> {
     // and 2 (optional per-kernel peak_rss_bytes). Anything newer is a
     // hard error — silently dropping unknown semantics could let a
     // regression hide behind a format change.
-    match number(field(&doc, "schema")).map(|v| v as u64) {
+    match number("schema").map(|v| v as u64) {
         Some(1 | 2) => {}
         Some(v) => {
             return Err(format!(
@@ -89,31 +80,31 @@ pub fn parse_point(text: &str) -> Result<BenchPoint, String> {
         }
         None => return Err("bench point has no numeric \"schema\"".to_string()),
     }
-    let quick = matches!(field(&doc, "quick"), Some(JsonValue::Bool(true)));
-    let overridden =
-        field(&doc, "threads_override").is_some() || field(&doc, "iters_override").is_some();
-    let filtered = field(&doc, "filter").is_some();
-    let threads_available = number(field(&doc, "threads_available")).unwrap_or(0.0) as u64;
-    let unix_time_s = number(field(&doc, "unix_time_s")).unwrap_or(0.0) as u64;
-    let Some(JsonValue::Array(entries)) = field(&doc, "kernels") else {
+    let quick = matches!(doc.get("quick"), Some(JsonValue::Bool(true)));
+    let overridden = doc.get("threads_override").is_some() || doc.get("iters_override").is_some();
+    let filtered = doc.get("filter").is_some();
+    let threads_available = number("threads_available").unwrap_or(0.0) as u64;
+    let unix_time_s = number("unix_time_s").unwrap_or(0.0) as u64;
+    let Some(JsonValue::Array(entries)) = doc.get("kernels") else {
         return Err("bench point has no \"kernels\" array".to_string());
     };
     let mut kernels = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let JsonValue::Object(k) = entry else {
+    for k in entries {
+        if !matches!(k, JsonValue::Object(_)) {
             return Err("kernel entry is not an object".to_string());
-        };
-        let Some(JsonValue::String(id)) = field(k, "id") else {
+        }
+        let number = |key: &str| k.get(key).and_then(JsonValue::as_f64);
+        let Some(id) = k.get("id").and_then(JsonValue::as_str) else {
             return Err("kernel entry without an \"id\"".to_string());
         };
-        let Some(median_s) = number(field(k, "median_s")) else {
+        let Some(median_s) = number("median_s") else {
             return Err(format!("kernel '{id}' has no numeric \"median_s\""));
         };
         kernels.push(KernelPoint {
-            id: id.clone(),
+            id: id.to_string(),
             median_s,
-            solver_iterations: number(field(k, "solver_iterations")).map(|v| v as u64),
-            peak_rss_bytes: number(field(k, "peak_rss_bytes")).map(|v| v as u64),
+            solver_iterations: number("solver_iterations").map(|v| v as u64),
+            peak_rss_bytes: number("peak_rss_bytes").map(|v| v as u64),
         });
     }
     Ok(BenchPoint {
@@ -321,7 +312,6 @@ impl BenchDiff {
 
     /// The machine-readable diff (one line, `repro check-json`-valid).
     pub fn to_json(&self, a: &BenchPoint, b: &BenchPoint) -> String {
-        use cnt_interconnect::experiments::format::json_string;
         let mut out = String::with_capacity(256 + self.rows.len() * 96);
         out.push_str(&format!(
             "{{\"schema\":1,\"kind\":\"bench_diff\",\"a_unix_time_s\":{},\"b_unix_time_s\":{},\"kernels\":[",
@@ -332,7 +322,7 @@ impl BenchDiff {
                 out.push(',');
             }
             out.push_str("{\"id\":");
-            json_string(&r.id, &mut out);
+            json::push_string(&r.id, &mut out);
             out.push_str(&format!(
                 ",\"median_a_s\":{},\"median_b_s\":{},\"delta_pct\":{},\"gated\":{}}}",
                 r.median_a_s, r.median_b_s, r.delta_pct, r.gated
@@ -343,14 +333,14 @@ impl BenchDiff {
             if i > 0 {
                 out.push(',');
             }
-            json_string(id, &mut out);
+            json::push_string(id, &mut out);
         }
         out.push_str("],\"removed\":[");
         for (i, id) in self.removed.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json_string(id, &mut out);
+            json::push_string(id, &mut out);
         }
         out.push_str("]}");
         out

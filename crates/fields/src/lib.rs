@@ -55,7 +55,7 @@ pub mod prelude {
     };
     pub use crate::grid::Grid3;
     pub use crate::netlist::NetlistWriter;
-    pub use crate::solver::{IterationScheme, Method, SolverOptions};
+    pub use crate::solver::{Method, SolverOptions};
     pub use crate::structure::{Structure, StructureBuilder};
     pub use crate::Error;
 }

@@ -60,10 +60,6 @@ pub enum Method {
     },
 }
 
-/// Historical name of [`Method`], kept so existing call sites
-/// (`IterationScheme::ConjugateGradient`, …) read unchanged.
-pub type IterationScheme = Method;
-
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
@@ -712,7 +708,7 @@ mod tests {
         let cg = sys.solve(&SolverOptions::default()).unwrap();
         let sor = sys
             .solve(&SolverOptions {
-                scheme: IterationScheme::Sor { omega: 1.7 },
+                scheme: Method::Sor { omega: 1.7 },
                 max_iterations: 20_000,
                 tolerance: 1e-10,
             })
@@ -764,7 +760,7 @@ mod tests {
     fn no_convergence_is_reported() {
         let (_, sys) = linear_profile_system();
         let err = sys.solve(&SolverOptions {
-            scheme: IterationScheme::Sor { omega: 1.0 },
+            scheme: Method::Sor { omega: 1.0 },
             max_iterations: 2,
             tolerance: 1e-14,
         });
@@ -1012,7 +1008,7 @@ mod tests {
         let sor = sys
             .solve_with(
                 &SolverOptions {
-                    scheme: IterationScheme::Sor { omega: 1.7 },
+                    scheme: Method::Sor { omega: 1.7 },
                     max_iterations: 20_000,
                     tolerance: 1e-10,
                 },

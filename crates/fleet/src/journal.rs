@@ -23,20 +23,10 @@
 //! which survives process death; no fsync, so a *machine* crash may drop
 //! the tail — the same re-run-idempotent story covers that too.
 
+use cnt_sweep::seed::fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-
-/// FNV-1a, the workspace's standard content hash (same constants as the
-/// sweep-plan fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// A record payload may not exceed 16 MiB — far above any real job
 /// record, and a cheap guard against interpreting corrupt length prefixes

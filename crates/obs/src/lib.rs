@@ -2,7 +2,7 @@
 //!
 //! Every other layer (fields, sweep, serve, bench) records what it does
 //! through this crate; nothing here depends on anything else, so the
-//! instrumentation can sit below the whole stack. Three pieces:
+//! instrumentation can sit below the whole stack. Four pieces:
 //!
 //! * [`MetricRegistry`] — named atomic [`Counter`]s, [`Gauge`]s,
 //!   fixed-boundary log2-bucket [`Histogram`]s, and labeled families
@@ -22,6 +22,10 @@
 //!   format (`# HELP`/`# TYPE` coverage, duplicate series, histogram
 //!   bucket consistency), so CI can gate `/v1/metrics` output the same
 //!   way `repro check-json` gates JSON bodies.
+//! * [`json`] — the workspace's one JSON codec: the strict RFC 8259
+//!   parser (raw number tokens, bounded nesting) and the string and
+//!   number emitters every hand-rolled document goes through — reports,
+//!   sweep tables, served bodies, journal records and the renders here.
 //!
 //! On top of the core sit three distributed-observability layers:
 //!
@@ -60,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod promcheck;
 pub mod slo;

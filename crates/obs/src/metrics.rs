@@ -6,6 +6,7 @@
 //! never allocate. The registry itself takes a mutex only to register
 //! a new name or to render — both cold paths.
 
+use crate::json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -532,15 +533,15 @@ impl MetricRegistry {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            json_escape(name, &mut out);
+            json::push_string(name, &mut out);
             out.push_str(",\"type\":");
-            json_escape(entry.metric.kind(), &mut out);
+            json::push_string(entry.metric.kind(), &mut out);
             match &entry.metric {
                 Metric::Counter(c) => out.push_str(&format!(",\"value\":{}", c.get())),
-                Metric::Gauge(g) => out.push_str(&format!(",\"value\":{}", json_num(g.get()))),
+                Metric::Gauge(g) => out.push_str(&format!(",\"value\":{}", json::number(g.get()))),
                 Metric::CounterVec(v) => {
                     out.push_str(",\"label\":");
-                    json_escape(&v.label_key, &mut out);
+                    json::push_string(&v.label_key, &mut out);
                     if v.emit_base {
                         out.push_str(&format!(",\"value\":{}", v.base.get()));
                     }
@@ -549,7 +550,7 @@ impl MetricRegistry {
                         if j > 0 {
                             out.push(',');
                         }
-                        json_escape(value, &mut out);
+                        json::push_string(value, &mut out);
                         out.push_str(&format!(":{count}"));
                     }
                     out.push('}');
@@ -560,7 +561,7 @@ impl MetricRegistry {
                         if j > 0 {
                             out.push(',');
                         }
-                        json_escape(key, &mut out);
+                        json::push_string(key, &mut out);
                     }
                     out.push_str("],\"series\":[");
                     for (j, (values, value)) in v.snapshot().iter().enumerate() {
@@ -572,9 +573,9 @@ impl MetricRegistry {
                             if k > 0 {
                                 out.push(',');
                             }
-                            json_escape(label_value, &mut out);
+                            json::push_string(label_value, &mut out);
                         }
-                        out.push_str(&format!("],\"value\":{}}}", json_num(*value)));
+                        out.push_str(&format!("],\"value\":{}}}", json::number(*value)));
                     }
                     out.push(']');
                 }
@@ -583,7 +584,7 @@ impl MetricRegistry {
                     let total: u64 = counts.iter().sum();
                     out.push_str(&format!(
                         ",\"count\":{total},\"sum\":{},\"buckets\":[",
-                        json_num(h.sum())
+                        json::number(h.sum())
                     ));
                     let mut cum = 0u64;
                     for (j, c) in counts.iter().enumerate() {
@@ -597,7 +598,7 @@ impl MetricRegistry {
                             "+Inf".to_string()
                         };
                         out.push_str("{\"le\":");
-                        json_escape(&le, &mut out);
+                        json::push_string(&le, &mut out);
                         out.push_str(&format!(",\"count\":{cum}}}"));
                     }
                     out.push(']');
@@ -688,31 +689,6 @@ fn label_quote(v: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// A finite JSON number for an `f64` (`null` otherwise).
-pub(crate) fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-pub(crate) fn json_escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -955,5 +931,14 @@ mod tests {
         // Exactly one line: embedded newlines would break `check-json`
         // streaming consumers.
         assert_eq!(json.lines().count(), 1);
+        let doc = crate::json::parse(&json).expect("render_json must parse");
+        let Some(crate::json::JsonValue::Array(metrics)) = doc.get("metrics") else {
+            panic!("no metrics array: {json}");
+        };
+        assert_eq!(metrics.len(), 3);
+        assert_eq!(
+            metrics[0].get("name").and_then(|v| v.as_str()),
+            Some("t_by_id_total")
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! onset quickly; the slow window keeps a transient blip from paging),
 //! the standard multi-window multi-burn-rate alerting shape.
 
-use crate::metrics::{json_escape, json_num};
+use crate::json;
 use crate::timeseries::HistoryStore;
 
 /// What an SLO measures.
@@ -201,12 +201,12 @@ pub fn render_json(reports: &[SloReport]) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        json_escape(&r.name, &mut out);
+        json::push_string(&r.name, &mut out);
         out.push_str(&format!(
             ",\"state\":\"{}\",\"burn_fast\":{},\"burn_slow\":{}}}",
             r.state.label(),
-            json_num(r.burn_fast),
-            json_num(r.burn_slow)
+            json::number(r.burn_fast),
+            json::number(r.burn_slow)
         ));
     }
     out.push_str("]}\n");
@@ -377,6 +377,8 @@ mod tests {
         ];
         let json = render_json(&reports);
         assert_eq!(json.lines().count(), 1);
+        let doc = crate::json::parse(&json).expect("SLO JSON must parse");
+        assert_eq!(doc.get("state").and_then(|v| v.as_str()), Some("warn"));
         assert!(json.starts_with("{\"schema\":1,\"kind\":\"slo\",\"state\":\"warn\""));
         assert!(json.contains("\"name\":\"b\",\"state\":\"warn\""), "{json}");
         assert!(

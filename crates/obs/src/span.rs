@@ -18,6 +18,7 @@
 //!
 //! Guards are panic-safe: an unwinding scope still records and pops.
 
+use crate::json;
 use crate::metrics::Histogram;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -67,24 +68,20 @@ impl SpanNode {
     }
 
     /// Appends this node as a JSON object (single line, no trailing
-    /// newline): `{"name":…,"count":…,"total_s":…,"children":[…]}`.
+    /// newline): `{"name":…,"count":…,"total_s":…,"children":[…]}`. A
+    /// non-finite `total_s` renders as `0`.
     pub fn push_json(&self, out: &mut String) {
-        out.push_str("{\"name\":\"");
-        for c in self.name.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c => out.push(c),
-            }
-        }
+        out.push_str("{\"name\":");
+        json::push_string(&self.name, out);
         let total = if self.total_s.is_finite() {
             self.total_s
         } else {
             0.0
         };
         out.push_str(&format!(
-            "\",\"count\":{},\"total_s\":{}",
-            self.count, total
+            ",\"count\":{},\"total_s\":{}",
+            self.count,
+            json::number(total)
         ));
         out.push_str(",\"children\":[");
         for (i, child) in self.children.iter().enumerate() {
@@ -497,6 +494,25 @@ mod tests {
     }
 
     #[test]
+    fn span_names_with_control_characters_render_valid_json() {
+        let node = SpanNode {
+            name: "line\nbreak \"q\" \\ \u{1}".to_string(),
+            count: 2,
+            total_s: f64::NAN,
+            children: Vec::new(),
+        };
+        let mut out = String::new();
+        node.push_json(&mut out);
+        assert!(!out.contains('\n'), "{out}");
+        let doc = json::parse(&out).expect("span JSON must parse");
+        assert_eq!(
+            doc.get("name").and_then(|v| v.as_str()),
+            Some(node.name.as_str())
+        );
+        assert_eq!(doc.get("total_s").and_then(|v| v.as_f64()), Some(0.0));
+    }
+
+    #[test]
     fn attach_grafts_foreign_trees_under_the_open_span() {
         let worker_tree = vec![SpanNode {
             name: "sweep.job".to_string(),
@@ -582,6 +598,8 @@ mod tests {
         let json = profile.render_json();
         assert!(json.starts_with("{\"schema\":1,\"kind\":\"profile\",\"captures\":2,"));
         assert_eq!(json.lines().count(), 1);
+        let doc = crate::json::parse(&json).expect("profile JSON must parse");
+        assert_eq!(doc.get("captures").and_then(|v| v.as_f64()), Some(2.0));
         assert!(profile.folded().starts_with("serve.request "));
     }
 

@@ -18,7 +18,8 @@
 //! of Khoshnevisan–Levin: windowed extremes of a cumulative process
 //! carry long-range structure that an O(1) summary cannot).
 
-use crate::metrics::{json_escape, json_num, quantile_from_counts, MetricRegistry, MetricSnapshot};
+use crate::json;
+use crate::metrics::{quantile_from_counts, MetricRegistry, MetricSnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Instant, SystemTime};
@@ -296,14 +297,14 @@ impl HistoryStore {
         out.push_str(&format!(
             "{{\"schema\":1,\"kind\":\"metrics_history\",\"points_cap\":{},\"window_s\":{},\"series\":[",
             self.capacity,
-            json_num(window_s)
+            json::number(window_s)
         ));
         for (i, (name, entry)) in series.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            json_escape(name, &mut out);
+            json::push_string(name, &mut out);
             out.push_str(&format!(",\"type\":\"{}\",\"points\":[", entry.kind));
             match &entry.data {
                 SeriesData::Scalar(points) => {
@@ -311,7 +312,11 @@ impl HistoryStore {
                         if j > 0 {
                             out.push(',');
                         }
-                        out.push_str(&format!("[{},{}]", json_num(p.unix_s), json_num(p.value)));
+                        out.push_str(&format!(
+                            "[{},{}]",
+                            json::number(p.unix_s),
+                            json::number(p.value)
+                        ));
                     }
                     out.push(']');
                 }
@@ -322,9 +327,9 @@ impl HistoryStore {
                         }
                         out.push_str(&format!(
                             "[{},{},{}]",
-                            json_num(p.unix_s),
+                            json::number(p.unix_s),
                             p.counts.iter().sum::<u64>(),
-                            json_num(p.sum)
+                            json::number(p.sum)
                         ));
                     }
                     out.push(']');
@@ -357,9 +362,9 @@ fn series_window_json(entry: &Series, window_s: f64, out: &mut String) {
             }
             out.push_str(&format!(
                 ",\"window\":{{\"last\":{},\"min\":{},\"max\":{},\"points\":{n}",
-                json_num(newest.value),
-                json_num(min),
-                json_num(max)
+                json::number(newest.value),
+                json::number(min),
+                json::number(max)
             ));
             if entry.kind == "counter" {
                 let baseline = points.iter().rev().find(|p| p.at_s < cutoff);
@@ -368,7 +373,7 @@ fn series_window_json(entry: &Series, window_s: f64, out: &mut String) {
                 if span > 0.0 {
                     out.push_str(&format!(
                         ",\"rate_per_s\":{}",
-                        json_num(((newest.value - base_v) / span).max(0.0))
+                        json::number(((newest.value - base_v) / span).max(0.0))
                     ));
                 }
             }
@@ -393,11 +398,11 @@ fn series_window_json(entry: &Series, window_s: f64, out: &mut String) {
             let sum = (newest.sum - baseline.map_or(0.0, |b| b.sum)).max(0.0);
             out.push_str(&format!(
                 ",\"window\":{{\"count\":{total},\"sum\":{}",
-                json_num(sum)
+                json::number(sum)
             ));
             for (label, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
                 if let Some(v) = quantile_from_counts(bounds, &counts, q) {
-                    out.push_str(&format!(",\"{label}\":{}", json_num(v)));
+                    out.push_str(&format!(",\"{label}\":{}", json::number(v)));
                 }
             }
             out.push('}');
@@ -584,6 +589,8 @@ mod tests {
         store.sample(&registry);
         let json = store.render_json(60.0);
         assert_eq!(json.lines().count(), 1);
+        let doc = crate::json::parse(&json).expect("history JSON must parse");
+        assert_eq!(doc.get("points_cap").and_then(|v| v.as_f64()), Some(8.0));
         assert!(json.starts_with("{\"schema\":1,\"kind\":\"metrics_history\""));
         assert!(json.contains("\"name\":\"t_total\""), "{json}");
         assert!(json.contains("\"type\":\"histogram\""), "{json}");

@@ -11,7 +11,7 @@
 //! into one tree by linking each record's parent span id to the span
 //! id of the record that minted it.
 
-use crate::metrics::{json_escape, json_num};
+use crate::json;
 use crate::span::SpanNode;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -103,15 +103,15 @@ impl TraceRecord {
             out.push_str(&format!(",\"parent\":\"{}\"", id_hex(parent)));
         }
         out.push_str(",\"name\":");
-        json_escape(&self.name, out);
+        json::push_string(&self.name, out);
         out.push_str(",\"instance\":");
-        json_escape(&self.instance, out);
+        json::push_string(&self.instance, out);
         out.push_str(",\"request_id\":");
-        json_escape(&self.request_id, out);
+        json::push_string(&self.request_id, out);
         out.push_str(&format!(
             ",\"unix_s\":{},\"total_s\":{},\"status\":{},\"spans\":[",
-            json_num(self.unix_s),
-            json_num(self.total_s),
+            json::number(self.unix_s),
+            json::number(self.total_s),
             self.status
         ));
         for (i, root) in self.roots.iter().enumerate() {
@@ -334,6 +334,11 @@ mod tests {
         ];
         let json = render_trace_json(0xabc, &records);
         assert_eq!(json.lines().count(), 1);
+        let doc = crate::json::parse(&json).expect("trace JSON must parse");
+        assert_eq!(
+            doc.get("trace_id").and_then(|v| v.as_str()),
+            Some("0000000000000abc")
+        );
         assert!(
             json.starts_with("{\"schema\":1,\"kind\":\"trace\",\"trace_id\":\"0000000000000abc\"")
         );

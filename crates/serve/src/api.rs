@@ -1,20 +1,20 @@
 //! The JSON bodies of the `/v1` API, derived from the experiment
 //! registry, plus the `POST …/run` request-body decoder.
 //!
-//! Every body is hand-rolled through the same escaping helper the report
-//! serializer uses ([`format::json_string`]) and ends in a newline, so
-//! `curl … | repro check-json` works on every route.
+//! Every body is written and read through the workspace codec,
+//! [`cnt_obs::json`] — the same emitters the report serializer uses — and
+//! ends in a newline, so `curl … | repro check-json` works on every route.
 
-use crate::json::{self, JsonValue};
-use cnt_interconnect::experiments::format::{self, OutputFormat};
+use cnt_interconnect::experiments::format::OutputFormat;
 use cnt_interconnect::experiments::{registry, Experiment, ParamValue};
+use cnt_obs::json::{self, JsonValue};
 
 /// An `{"error": …}` body carrying the canonical error message (the same
 /// `Display` text the CLI prints).
 pub fn error_json(message: &str) -> String {
     let mut out = String::with_capacity(message.len() + 16);
     out.push_str("{\"error\":");
-    format::json_string(message, &mut out);
+    json::push_string(message, &mut out);
     out.push_str("}\n");
     out
 }
@@ -53,9 +53,9 @@ pub fn experiment_json(id: &str) -> Option<String> {
 
 fn push_experiment(exp: &dyn Experiment, out: &mut String) {
     out.push_str("{\"id\":");
-    format::json_string(exp.id(), out);
+    json::push_string(exp.id(), out);
     out.push_str(",\"title\":");
-    format::json_string(exp.title(), out);
+    json::push_string(exp.title(), out);
     out.push_str(&format!(
         ",\"sweep\":{},\"extra\":{},\"params\":[",
         exp.sweep().is_some(),
@@ -66,11 +66,11 @@ fn push_experiment(exp: &dyn Experiment, out: &mut String) {
             out.push(',');
         }
         out.push_str("{\"key\":");
-        format::json_string(def.key, out);
+        json::push_string(def.key, out);
         out.push_str(",\"kind\":");
-        format::json_string(def.default.kind(), out);
+        json::push_string(def.default.kind(), out);
         out.push_str(",\"doc\":");
-        format::json_string(def.doc, out);
+        json::push_string(def.doc, out);
         out.push_str(",\"default\":");
         push_param_value(&def.default, out);
         match def.default {
@@ -85,15 +85,15 @@ fn push_experiment(exp: &dyn Experiment, out: &mut String) {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        format::json_string(preset.name, out);
+        json::push_string(preset.name, out);
         out.push_str(",\"doc\":");
-        format::json_string(preset.doc, out);
+        json::push_string(preset.doc, out);
         out.push_str(",\"sets\":{");
         for (j, (key, value)) in preset.sets.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            format::json_string(key, out);
+            json::push_string(key, out);
             out.push(':');
             push_param_value(value, out);
         }
@@ -105,9 +105,8 @@ fn push_experiment(exp: &dyn Experiment, out: &mut String) {
 fn push_param_value(value: &ParamValue, out: &mut String) {
     match value {
         ParamValue::Int(v) => out.push_str(&v.to_string()),
-        ParamValue::Float(v) if v.is_finite() => out.push_str(&v.to_string()),
-        ParamValue::Float(_) => out.push_str("null"),
-        ParamValue::Text(v) => format::json_string(v, out),
+        ParamValue::Float(v) => out.push_str(&json::number(*v)),
+        ParamValue::Text(v) => json::push_string(v, out),
     }
 }
 
@@ -138,7 +137,7 @@ pub fn parse_run_request(body: &[u8]) -> Result<RunRequest, String> {
     if text.trim().is_empty() {
         return Ok(request);
     }
-    let JsonValue::Object(members) = json::parse(text)? else {
+    let JsonValue::Object(members) = json::parse(text).map_err(|e| e.to_string())? else {
         return Err("request body must be a JSON object".to_string());
     };
     for (name, value) in members {

@@ -34,8 +34,9 @@ use cnt_fleet::{
     journal, ChaosInjector, ChunkBoard, FleetConfig, FleetHealth, HashRing, JobBody, JobEntry,
     JobState, JobTable, PeerClient, PeerState, RetryPolicy, RouteMode, Transition,
 };
-use cnt_interconnect::experiments::format::{self, OutputFormat};
+use cnt_interconnect::experiments::format::OutputFormat;
 use cnt_interconnect::experiments::{self, Experiment, Params, Report, RunContext};
+use cnt_obs::json::{self, JsonValue};
 use cnt_obs::slo::{self, SloSpec};
 use cnt_obs::trace_store::{id_hex, parse_id, TraceContext, TraceRecord, TraceStore};
 use cnt_obs::{
@@ -1148,16 +1149,16 @@ fn access_log_line(log_format: AccessLogFormat, record: &AccessRecord<'_>) -> St
         AccessLogFormat::Json => {
             let mut out = String::with_capacity(200);
             out.push_str(&format!("{{\"ts\":{ts:.3},\"request_id\":"));
-            format::json_string(record.request_id, &mut out);
+            json::push_string(record.request_id, &mut out);
             out.push_str(",\"trace_id\":");
-            format::json_string(record.trace_id, &mut out);
+            json::push_string(record.trace_id, &mut out);
             out.push_str(",\"method\":");
-            format::json_string(record.method, &mut out);
+            json::push_string(record.method, &mut out);
             out.push_str(",\"path\":");
-            format::json_string(record.path, &mut out);
+            json::push_string(record.path, &mut out);
             if let Some(id) = record.experiment {
                 out.push_str(",\"experiment\":");
-                format::json_string(id, &mut out);
+                json::push_string(id, &mut out);
             }
             out.push_str(&format!(
                 ",\"status\":{},\"bytes\":{},\"duration_s\":{:.6}}}\n",
@@ -1694,27 +1695,7 @@ fn trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
 /// Anything malformed is skipped rather than failing the whole tree —
 /// a half-upgraded fleet still answers with what it can read.
 fn parse_peer_trace_records(body: &str) -> Vec<Arc<TraceRecord>> {
-    use crate::json::JsonValue;
-    let field = |members: &[(String, JsonValue)], name: &str| -> Option<JsonValue> {
-        members
-            .iter()
-            .find(|(key, _)| key == name)
-            .map(|(_, value)| value.clone())
-    };
-    let as_str = |v: Option<JsonValue>| -> Option<String> {
-        match v {
-            Some(JsonValue::String(s)) => Some(s),
-            _ => None,
-        }
-    };
-    let as_f64 = |v: Option<JsonValue>| -> Option<f64> {
-        match v {
-            Some(JsonValue::Number(raw)) => raw.parse().ok(),
-            _ => None,
-        }
-    };
-    fn span_node(v: &crate::json::JsonValue) -> Option<cnt_obs::SpanNode> {
-        use crate::json::JsonValue;
+    fn span_node(v: &JsonValue) -> Option<cnt_obs::SpanNode> {
         let JsonValue::Object(members) = v else {
             return None;
         };
@@ -1741,34 +1722,31 @@ fn parse_peer_trace_records(body: &str) -> Vec<Arc<TraceRecord>> {
         })
     }
 
-    let Ok(JsonValue::Object(top)) = crate::json::parse(body) else {
+    let Ok(top) = json::parse(body) else {
         return Vec::new();
     };
-    let Some(JsonValue::Array(items)) = field(&top, "records") else {
+    let Some(JsonValue::Array(items)) = top.get("records") else {
         return Vec::new();
     };
     items
-        .into_iter()
+        .iter()
         .filter_map(|item| {
-            let JsonValue::Object(members) = item else {
-                return None;
-            };
-            let roots = match field(&members, "spans") {
+            let text = |key: &str| item.get(key).and_then(JsonValue::as_str);
+            let number = |key: &str| item.get(key).and_then(JsonValue::as_f64);
+            let roots = match item.get("spans") {
                 Some(JsonValue::Array(spans)) => spans.iter().filter_map(span_node).collect(),
                 _ => Vec::new(),
             };
             Some(Arc::new(TraceRecord {
-                trace_id: parse_id(&as_str(field(&members, "trace_id"))?)?,
-                span_id: parse_id(&as_str(field(&members, "span_id"))?)?,
-                parent: as_str(field(&members, "parent"))
-                    .as_deref()
-                    .and_then(parse_id),
-                name: as_str(field(&members, "name"))?,
-                instance: as_str(field(&members, "instance")).unwrap_or_default(),
-                request_id: as_str(field(&members, "request_id")).unwrap_or_default(),
-                unix_s: as_f64(field(&members, "unix_s")).unwrap_or(0.0),
-                total_s: as_f64(field(&members, "total_s")).unwrap_or(0.0),
-                status: as_f64(field(&members, "status")).map_or(0, |s| s as u16),
+                trace_id: parse_id(text("trace_id")?)?,
+                span_id: parse_id(text("span_id")?)?,
+                parent: text("parent").and_then(parse_id),
+                name: text("name")?.to_string(),
+                instance: text("instance").unwrap_or_default().to_string(),
+                request_id: text("request_id").unwrap_or_default().to_string(),
+                unix_s: number("unix_s").unwrap_or(0.0),
+                total_s: number("total_s").unwrap_or(0.0),
+                status: number("status").map_or(0, |s| s as u16),
                 roots,
             }))
         })
@@ -2250,10 +2228,10 @@ fn local_chunk_lane(
 fn chunk_request_json(spec: &JobSpec, fingerprint: u64, range: &Range<usize>) -> String {
     let mut out = String::with_capacity(160);
     out.push_str("{\"experiment\":");
-    format::json_string(&spec.experiment, &mut out);
+    json::push_string(&spec.experiment, &mut out);
     if let Some(preset) = &spec.preset {
         out.push_str(",\"preset\":");
-        format::json_string(preset, &mut out);
+        json::push_string(preset, &mut out);
     }
     out.push_str(",\"sets\":[");
     for (i, (k, v)) in spec.sets.iter().enumerate() {
@@ -2261,9 +2239,9 @@ fn chunk_request_json(spec: &JobSpec, fingerprint: u64, range: &Range<usize>) ->
             out.push(',');
         }
         out.push('[');
-        format::json_string(k, &mut out);
+        json::push_string(k, &mut out);
         out.push(',');
-        format::json_string(v, &mut out);
+        json::push_string(v, &mut out);
         out.push(']');
     }
     out.push_str(&format!(
@@ -2284,9 +2262,8 @@ struct ChunkRequest {
 }
 
 fn parse_chunk_request(body: &[u8]) -> core::result::Result<ChunkRequest, String> {
-    use crate::json::JsonValue;
     let text = core::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))?;
-    let JsonValue::Object(members) = crate::json::parse(text)? else {
+    let JsonValue::Object(members) = json::parse(text).map_err(|e| e.to_string())? else {
         return Err("chunk request must be a JSON object".to_string());
     };
     let mut chunk = ChunkRequest {
@@ -2503,12 +2480,12 @@ fn job_result_route(rid: &str, shared: &Arc<Shared>, fan_out: bool) -> Response 
 fn submitted_record(spec: &JobSpec) -> String {
     let mut out = String::with_capacity(128);
     out.push_str("{\"event\":\"submitted\",\"job\":");
-    format::json_string(&spec.rid, &mut out);
+    json::push_string(&spec.rid, &mut out);
     out.push_str(",\"experiment\":");
-    format::json_string(&spec.experiment, &mut out);
+    json::push_string(&spec.experiment, &mut out);
     if let Some(preset) = &spec.preset {
         out.push_str(",\"preset\":");
-        format::json_string(preset, &mut out);
+        json::push_string(preset, &mut out);
     }
     out.push_str(",\"sets\":[");
     for (i, (k, v)) in spec.sets.iter().enumerate() {
@@ -2516,9 +2493,9 @@ fn submitted_record(spec: &JobSpec) -> String {
             out.push(',');
         }
         out.push('[');
-        format::json_string(k, &mut out);
+        json::push_string(k, &mut out);
         out.push(',');
-        format::json_string(v, &mut out);
+        json::push_string(v, &mut out);
         out.push(']');
     }
     out.push_str(&format!("],\"format\":\"{}\"}}", spec.format));
@@ -2531,7 +2508,7 @@ fn submitted_record(spec: &JobSpec) -> String {
 fn chunk_done_record(rid: &str, claim: &cnt_fleet::ChunkClaim) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"event\":\"chunk_done\",\"job\":");
-    format::json_string(rid, &mut out);
+    json::push_string(rid, &mut out);
     out.push_str(&format!(
         ",\"chunk\":{},\"lo\":{},\"hi\":{}}}",
         claim.index, claim.range.start, claim.range.end
@@ -2544,11 +2521,11 @@ fn chunk_done_record(rid: &str, claim: &cnt_fleet::ChunkClaim) -> String {
 fn job_done_record(rid: &str, content_type: &str, path: &Path, bytes: u64) -> String {
     let mut out = String::with_capacity(128);
     out.push_str("{\"event\":\"job_done\",\"job\":");
-    format::json_string(rid, &mut out);
+    json::push_string(rid, &mut out);
     out.push_str(",\"content_type\":");
-    format::json_string(content_type, &mut out);
+    json::push_string(content_type, &mut out);
     out.push_str(",\"path\":");
-    format::json_string(&path.to_string_lossy(), &mut out);
+    json::push_string(&path.to_string_lossy(), &mut out);
     out.push_str(&format!(",\"bytes\":{bytes}}}"));
     out
 }
@@ -2557,9 +2534,9 @@ fn job_done_record(rid: &str, content_type: &str, path: &Path, bytes: u64) -> St
 fn job_failed_record(rid: &str, status: u16, body: &str) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"event\":\"job_failed\",\"job\":");
-    format::json_string(rid, &mut out);
+    json::push_string(rid, &mut out);
     out.push_str(&format!(",\"status\":{status},\"body\":"));
-    format::json_string(body, &mut out);
+    json::push_string(body, &mut out);
     out.push('}');
     out
 }
@@ -2602,33 +2579,23 @@ impl RecoveredJob {
 /// Records that do not parse, reference unknown jobs, or carry unknown
 /// events are skipped — the journal is truncation-tolerant end to end.
 fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
-    use crate::json::JsonValue;
     let mut jobs: Vec<RecoveredJob> = Vec::new();
     let mut by_rid: HashMap<String, usize> = HashMap::new();
     for record in records {
-        let Ok(JsonValue::Object(members)) = crate::json::parse(record) else {
+        let Ok(doc) = json::parse(record) else {
             continue;
         };
-        let field = |name: &str| -> Option<&JsonValue> {
-            members.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-        };
-        let Some(JsonValue::String(event)) = field("event") else {
+        let text = |name: &str| doc.get(name).and_then(JsonValue::as_str);
+        let (Some(event), Some(rid)) = (text("event"), text("job")) else {
             continue;
         };
-        let Some(JsonValue::String(rid)) = field("job") else {
-            continue;
-        };
-        match event.as_str() {
+        match event {
             "submitted" => {
-                let Some(JsonValue::String(experiment)) = field("experiment") else {
+                let Some(experiment) = text("experiment") else {
                     continue;
                 };
-                let preset = match field("preset") {
-                    Some(JsonValue::String(p)) => Some(p.clone()),
-                    _ => None,
-                };
                 let mut sets = Vec::new();
-                if let Some(JsonValue::Array(items)) = field("sets") {
+                if let Some(JsonValue::Array(items)) = doc.get("sets") {
                     for item in items {
                         if let JsonValue::Array(pair) = item {
                             if let (Some(JsonValue::String(k)), Some(JsonValue::String(v))) =
@@ -2639,18 +2606,18 @@ fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
                         }
                     }
                 }
-                let format = match field("format") {
-                    Some(JsonValue::String(f)) if f == "csv" => OutputFormat::Csv,
-                    Some(JsonValue::String(f)) if f == "text" => OutputFormat::Text,
+                let format = match text("format") {
+                    Some("csv") => OutputFormat::Csv,
+                    Some("text") => OutputFormat::Text,
                     _ => OutputFormat::Json,
                 };
                 if !by_rid.contains_key(rid) {
-                    by_rid.insert(rid.clone(), jobs.len());
+                    by_rid.insert(rid.to_string(), jobs.len());
                     jobs.push(RecoveredJob {
                         spec: JobSpec {
-                            rid: rid.clone(),
-                            experiment: experiment.clone(),
-                            preset,
+                            rid: rid.to_string(),
+                            experiment: experiment.to_string(),
+                            preset: text("preset").map(str::to_string),
                             sets,
                             format,
                         },
@@ -2659,36 +2626,32 @@ fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
                 }
             }
             "job_done" => {
-                let (
-                    Some(index),
-                    Some(JsonValue::String(content_type)),
-                    Some(JsonValue::String(path)),
-                ) = (by_rid.get(rid), field("content_type"), field("path"))
+                let (Some(index), Some(content_type), Some(path)) =
+                    (by_rid.get(rid), text("content_type"), text("path"))
                 else {
                     continue;
                 };
-                let bytes = match field("bytes") {
+                let bytes = match doc.get("bytes") {
                     Some(JsonValue::Number(raw)) => raw.parse().unwrap_or(0),
                     _ => 0,
                 };
                 jobs[*index].outcome = Some(RecoveredOutcome::Done {
-                    content_type: content_type.clone(),
+                    content_type: content_type.to_string(),
                     path: PathBuf::from(path),
                     bytes,
                 });
             }
             "job_failed" => {
-                let (Some(index), Some(JsonValue::String(body))) = (by_rid.get(rid), field("body"))
-                else {
+                let (Some(index), Some(body)) = (by_rid.get(rid), text("body")) else {
                     continue;
                 };
-                let status = match field("status") {
+                let status = match doc.get("status") {
                     Some(JsonValue::Number(raw)) => raw.parse().unwrap_or(500),
                     _ => 500,
                 };
                 jobs[*index].outcome = Some(RecoveredOutcome::Failed {
                     status,
-                    body: body.clone(),
+                    body: body.to_string(),
                 });
             }
             // chunk_done and anything newer: progress markers, not state.

@@ -146,6 +146,14 @@ fn health_catalog_info_and_error_routes_have_canonical_shapes() {
     assert_eq!(status, 400);
     assert!(bad.contains("'nc'") && bad.contains("99"), "{bad}");
 
+    // A hostile, deeply nested body is a 400, not a stack overflow that
+    // takes the process down: the next request is still answered.
+    let (status, bad) = post(addr, "/v1/experiments/fig12/run", &"[".repeat(10_000));
+    assert_eq!(status, 400);
+    assert!(bad.contains("invalid JSON"), "{bad}");
+    let (status, _) = post(addr, "/v1/experiments/table1/run", "{}");
+    assert_eq!(status, 200);
+
     handle.shutdown();
     thread.join().unwrap();
 }

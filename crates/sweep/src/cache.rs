@@ -10,10 +10,8 @@
 //! On disk, entries live in a 256-way sharded layout keyed by the first
 //! byte of the content hash (`cache/ab/abcdef….json`), so lookups and
 //! `repro cache gc` scans never depend on one huge directory listing.
-//! Caches written before sharding (flat `cache/abcdef….json` files) keep
-//! hitting: lookups fall back to the flat path and transparently migrate
-//! entries into their shard on first touch, and both GC passes scan both
-//! layouts.
+//! Flat `cache/abcdef….json` files from before sharding are no longer
+//! read; both GC passes still scan and delete them.
 
 use crate::json;
 use crate::plan::SweepPlan;
@@ -113,47 +111,17 @@ impl ResultStore {
             .map(|d| d.join(&hex[..2]).join(format!("{hex}.json")))
     }
 
-    /// The pre-sharding flat location (`dir/abcdef….json`), still
-    /// consulted on lookup so existing caches keep hitting.
-    fn legacy_path_for(&self, key: &CacheKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.json", key.hex())))
-    }
-
-    /// Looks up a table, consulting memory, the sharded disk path, then
-    /// the legacy flat path. A disk hit is promoted into memory; a legacy
-    /// hit is transparently migrated to the sharded layout. Corrupt disk
-    /// entries are treated as misses (the next `put` overwrites them).
+    /// Looks up a table, consulting memory, then the disk mirror. A disk
+    /// hit is promoted into memory. Corrupt disk entries are treated as
+    /// misses (the next `put` overwrites them).
     pub fn get(&self, key: &CacheKey) -> Option<Table> {
         if let Some(hit) = self.mem.lock().expect("store poisoned").get(&key.hex()) {
             return Some(hit.clone());
         }
-        let sharded = self.path_for(key)?;
-        let (text, from_legacy) = match std::fs::read_to_string(&sharded) {
-            Ok(text) => (text, false),
-            Err(_) => {
-                let legacy = self.legacy_path_for(key)?;
-                (std::fs::read_to_string(&legacy).ok()?, true)
-            }
-        };
+        let text = std::fs::read_to_string(self.path_for(key)?).ok()?;
         let table = json::decode_table(&text).ok()?;
         if table.key != key.hex() {
             return None; // foreign or stale file under our name
-        }
-        if from_legacy {
-            // Best-effort migration: mirror into the sharded layout and
-            // drop the flat file. Failure just means the legacy path
-            // keeps serving hits.
-            if let Some(shard_dir) = sharded.parent() {
-                if std::fs::create_dir_all(shard_dir).is_ok()
-                    && std::fs::write(&sharded, &text).is_ok()
-                {
-                    if let Some(legacy) = self.legacy_path_for(key) {
-                        let _ = std::fs::remove_file(legacy);
-                    }
-                }
-            }
         }
         self.mem
             .lock()
@@ -557,37 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_entries_hit_and_migrate() {
-        let dir = tmp_dir("shard-migrate");
-        let key = CacheKey::derive(&plan(), 12, "v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Simulate a pre-sharding cache: a valid entry at the flat path.
-        let table = Table {
-            key: key.hex(),
-            columns: vec!["v".to_string()],
-            rows: vec![vec![2.5]],
-        };
-        let hex = key.hex();
-        let legacy = dir.join(format!("{hex}.json"));
-        std::fs::write(&legacy, json::encode_table(&table)).unwrap();
-
-        let store = ResultStore::on_disk(&dir);
-        let hit = store.get(&key).expect("legacy hit");
-        assert_eq!(hit.rows, vec![vec![2.5]]);
-        // The entry moved into its shard; the flat file is gone.
-        let sharded = dir.join(&hex[..2]).join(format!("{hex}.json"));
-        assert!(sharded.exists(), "legacy entry must migrate to its shard");
-        assert!(
-            !legacy.exists(),
-            "flat file must be dropped after migration"
-        );
-        // And a later store still hits (now through the sharded path).
-        let fresh = ResultStore::on_disk(&dir);
-        assert_eq!(fresh.get(&key).expect("sharded hit").rows, vec![vec![2.5]]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn gc_spans_flat_and_sharded_layouts() {
         let dir = tmp_dir("shard-gc");
         std::fs::create_dir_all(dir.join("ab")).unwrap();
@@ -630,9 +567,10 @@ mod tests {
     fn corrupt_disk_entry_is_a_miss() {
         let dir = tmp_dir("corrupt");
         let key = CacheKey::derive(&plan(), 9, "v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(format!("{}.json", key.hex())), "{not json").unwrap();
         let store = ResultStore::on_disk(&dir);
+        let path = store.path_for(&key).unwrap();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, "{not json").unwrap();
         assert!(store.get(&key).is_none());
         // And a key-mismatched (foreign) file is also a miss.
         let foreign = Table {
@@ -640,9 +578,18 @@ mod tests {
             columns: vec![],
             rows: vec![],
         };
+        std::fs::write(&path, json::encode_table(&foreign)).unwrap();
+        assert!(store.get(&key).is_none());
+        // A pre-sharding flat file is not read at all.
+        let flat = Table {
+            key: key.hex(),
+            columns: vec!["v".to_string()],
+            rows: vec![vec![2.5]],
+        };
+        std::fs::remove_file(&path).unwrap();
         std::fs::write(
             dir.join(format!("{}.json", key.hex())),
-            json::encode_table(&foreign),
+            json::encode_table(&flat),
         )
         .unwrap();
         assert!(store.get(&key).is_none());

@@ -1,28 +1,28 @@
-//! Minimal JSON encode/decode for cached sweep tables.
+//! The on-disk (and on-wire) JSON form of a cached sweep table.
 //!
-//! The workspace has no serde, so the on-disk cache format is a small,
-//! fully specified JSON subset written and read by this module: one object
-//! of string/array members, numbers emitted with Rust's shortest
-//! round-trip `Display` (so `encode ∘ decode` is the identity on every
-//! finite `f64`), non-finite values as `null`, strings with the standard
-//! escapes. The parser accepts exactly JSON — including input this module
-//! didn't produce — but only the shapes [`decode_table`] needs.
+//! One object, `{"key":…,"columns":[…],"rows":[[…],…]}`, written and read
+//! through the workspace codec, [`cnt_obs::json`]: numbers in Rust's
+//! shortest round-trip `Display` (so `encode ∘ decode` is the identity on
+//! every finite `f64`), non-finite values as `null` (read back as NaN).
+//! Decoding parses any JSON, then checks that the document has exactly
+//! this shape.
 
 use crate::cache::Table;
 use crate::{Error, Result};
+use cnt_obs::json::{self, JsonValue};
 
 /// Serializes a table to a JSON string (stable field order, no trailing
 /// newline).
 pub fn encode_table(table: &Table) -> String {
     let mut out = String::with_capacity(256 + table.rows.len() * 24);
     out.push_str("{\"key\":");
-    encode_string(&table.key, &mut out);
+    json::push_string(&table.key, &mut out);
     out.push_str(",\"columns\":[");
     for (i, c) in table.columns.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        encode_string(c, &mut out);
+        json::push_string(c, &mut out);
     }
     out.push_str("],\"rows\":[");
     for (i, row) in table.rows.iter().enumerate() {
@@ -34,7 +34,7 @@ pub fn encode_table(table: &Table) -> String {
             if j > 0 {
                 out.push(',');
             }
-            encode_number(*v, &mut out);
+            out.push_str(&json::number(*v));
         }
         out.push(']');
     }
@@ -42,278 +42,74 @@ pub fn encode_table(table: &Table) -> String {
     out
 }
 
-fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn encode_number(v: f64, out: &mut String) {
-    if v.is_finite() {
-        // Rust's Display for f64 is the shortest string that round-trips.
-        let s = format!("{v}");
-        out.push_str(&s);
-        // Bare integers like "3" are valid JSON already; keep them.
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Parses a table previously written by [`encode_table`].
 ///
 /// # Errors
 ///
-/// Returns [`Error::Parse`] with a byte offset on malformed input or a
-/// wrong shape.
+/// Returns [`Error::Parse`] on malformed JSON (with its byte offset) or a
+/// wrong shape (offset 0).
 pub fn decode_table(text: &str) -> Result<Table> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
+    let doc = json::parse(text).map_err(|e| Error::Parse {
+        message: e.message,
+        offset: e.offset,
+    })?;
+    let JsonValue::Object(members) = doc else {
+        return Err(shape("expected an object"));
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut key = None;
-    let mut columns = None;
-    let mut rows = None;
-    loop {
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-            break;
-        }
-        let name = p.parse_string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
+    let (mut key, mut columns, mut rows) = (None, None, None);
+    for (name, value) in members {
         match name.as_str() {
-            "key" => key = Some(p.parse_string()?),
-            "columns" => columns = Some(p.parse_string_array()?),
-            "rows" => rows = Some(p.parse_rows()?),
-            other => {
-                return Err(p.error(format!("unknown member '{other}'")));
-            }
+            "key" => key = Some(string(value)?),
+            "columns" => columns = Some(array(value, string)?),
+            "rows" => rows = Some(array(value, |row| array(row, number))?),
+            other => return Err(shape(format!("unknown member '{other}'"))),
         }
-        p.skip_ws();
-        match p.peek() {
-            Some(b',') => p.pos += 1,
-            Some(b'}') => {}
-            _ => return Err(p.error("expected ',' or '}'".to_string())),
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing input after table".to_string()));
     }
     let table = Table {
-        key: key.ok_or_else(|| p.error("missing 'key'".to_string()))?,
-        columns: columns.ok_or_else(|| p.error("missing 'columns'".to_string()))?,
-        rows: rows.ok_or_else(|| p.error("missing 'rows'".to_string()))?,
+        key: key.ok_or_else(|| shape("missing 'key'"))?,
+        columns: columns.ok_or_else(|| shape("missing 'columns'"))?,
+        rows: rows.ok_or_else(|| shape("missing 'rows'"))?,
     };
     for row in &table.rows {
         if row.len() != table.columns.len() {
-            return Err(Error::Parse {
-                message: format!(
-                    "row width {} disagrees with {} columns",
-                    row.len(),
-                    table.columns.len()
-                ),
-                offset: 0,
-            });
+            return Err(shape(format!(
+                "row width {} disagrees with {} columns",
+                row.len(),
+                table.columns.len()
+            )));
         }
     }
     Ok(table)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn shape(message: impl Into<String>) -> Error {
+    Error::Parse {
+        message: message.into(),
+        offset: 0,
+    }
 }
 
-impl Parser<'_> {
-    fn error(&self, message: String) -> Error {
-        Error::Parse {
-            message,
-            offset: self.pos,
-        }
+fn string(value: JsonValue) -> Result<String> {
+    match value {
+        JsonValue::String(s) => Ok(s),
+        _ => Err(shape("expected a string")),
     }
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+fn number(value: JsonValue) -> Result<f64> {
+    match value {
+        JsonValue::Null => Ok(f64::NAN),
+        JsonValue::Number(raw) => raw
+            .parse::<f64>()
+            .map_err(|e| shape(format!("bad number '{raw}': {e}"))),
+        _ => Err(shape("expected a number or null")),
     }
+}
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast-forward over plain UTF-8 runs.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                core::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| self.error(format!("invalid UTF-8: {e}")))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| self.error("unterminated escape".to_string()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.error("truncated \\u escape".to_string()));
-                            }
-                            let hex = core::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.error("bad \\u escape".to_string()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape".to_string()))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| {
-                                    self.error("non-scalar \\u escape".to_string())
-                                })?,
-                            );
-                        }
-                        other => {
-                            return Err(self.error(format!("unknown escape '\\{}'", other as char)))
-                        }
-                    }
-                }
-                _ => return Err(self.error("unterminated string".to_string())),
-            }
-        }
-    }
-
-    fn parse_string_array(&mut self) -> Result<Vec<String>> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.parse_string()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.error("expected ',' or ']'".to_string())),
-            }
-        }
-    }
-
-    fn parse_rows(&mut self) -> Result<Vec<Vec<f64>>> {
-        self.expect(b'[')?;
-        let mut rows = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(rows);
-        }
-        loop {
-            self.skip_ws();
-            rows.push(self.parse_number_array()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(rows);
-                }
-                _ => return Err(self.error("expected ',' or ']'".to_string())),
-            }
-        }
-    }
-
-    fn parse_number_array(&mut self) -> Result<Vec<f64>> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.parse_number()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.error("expected ',' or ']'".to_string())),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64> {
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(f64::NAN);
-        }
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text =
-            core::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII slice is UTF-8");
-        text.parse::<f64>()
-            .map_err(|e| self.error(format!("bad number '{text}': {e}")))
+fn array<T>(value: JsonValue, item: impl Fn(JsonValue) -> Result<T>) -> Result<Vec<T>> {
+    match value {
+        JsonValue::Array(items) => items.into_iter().map(item).collect(),
+        _ => Err(shape("expected an array")),
     }
 }
 

@@ -67,6 +67,15 @@ mod tests {
     }
 
     #[test]
+    fn fnv1a_matches_the_published_fnv_1a_64_vectors() {
+        // Cache keys, journal checksums and ring placement all depend on
+        // these exact bits.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
     fn fnv1a_distinguishes_content() {
         assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
         assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
