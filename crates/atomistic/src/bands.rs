@@ -90,6 +90,7 @@ impl BandStructure {
     /// Returns [`Error::TooFewSamples`] if `nk < 16` (mode counting would
     /// be unreliable).
     pub fn compute(chirality: Chirality, nk: usize) -> Result<Self> {
+        let _span = cnt_obs::span!("atomistic.bands");
         if nk < 16 {
             return Err(Error::TooFewSamples { got: nk, min: 16 });
         }
@@ -179,31 +180,11 @@ impl BandStructure {
     /// negative velocity). Energies in the valence band are handled by
     /// particle–hole symmetry. At exactly `E = 0` on a metallic tube the
     /// level is nudged by 1 µeV so that the touching point counts as the
-    /// physical two channels.
+    /// physical two channels. A grid point exactly on the level counts as
+    /// no crossing on either side. This is [`Self::mode_counts`] at one
+    /// energy.
     pub fn mode_count(&self, e_ev: f64) -> usize {
-        let e = e_ev.abs().max(1e-6);
-        let mut crossings = 0usize;
-        for (sb, &(lo, hi)) in self.subbands.iter().zip(&self.edges) {
-            // A level outside [min, max] cannot cross this subband.
-            if e < lo || e > hi {
-                continue;
-            }
-            let es = &sb.energy_ev;
-            for w in es.windows(2) {
-                let d0 = w[0] - e;
-                let d1 = w[1] - e;
-                if d0 == 0.0 {
-                    // Grid point exactly on the level: count as half a
-                    // crossing on each side; statistically negligible but
-                    // avoids double counting.
-                    continue;
-                }
-                if d0 * d1 < 0.0 {
-                    crossings += 1;
-                }
-            }
-        }
-        crossings / 2
+        self.mode_counts(std::slice::from_ref(&e_ev))[0]
     }
 
     /// Sorted van Hove (subband-edge) energies in eV, ascending, conduction
@@ -241,19 +222,27 @@ impl BandStructure {
             .collect())
     }
 
-    /// Energy-batched [`Self::mode_count`]: one pass over the band-structure
-    /// windows instead of one per energy.
+    /// [`Self::mode_count`] at a batch of energies, in one pass over the
+    /// band structure.
     ///
-    /// Per energy, [`Self::mode_count`] scans every `(k, k+1)` segment of
-    /// every subband — `O(subbands · nk)` work per level. Batched, each
-    /// segment instead locates the levels it crosses with two binary
-    /// searches over the sorted levels, so a whole spectrum costs
-    /// `O(subbands · nk · log n + crossings)`. The counting rule is the
-    /// same (a segment crosses a level strictly between its endpoint
-    /// energies; a level exactly on a grid point is skipped), so the
-    /// returned counts equal the per-energy ones exactly.
+    /// A `(k, k+1)` segment of a subband crosses exactly the levels
+    /// strictly inside its energy span, so a level on a grid point is
+    /// skipped. Each segment locates its levels with two binary searches
+    /// over the sorted levels, so a spectrum of `n` levels costs
+    /// `O(subbands · nk · log n + crossings)` instead of `n` full scans.
+    ///
+    /// Before any search, an exact prefilter drops the work that cannot
+    /// cross a level. A subband is skipped whole when its cached
+    /// `(min, max)` edges miss `[lowest level, highest level]`, and a
+    /// segment is skipped when its span misses that range. A segment's
+    /// span lies inside its subband's edges, so neither skip drops a
+    /// crossing. A narrow window such as the ±12 kT of a Landauer integral
+    /// thus searches only the few subbands near the Fermi level, not all
+    /// `subbands · nk` segments. The prefilter itself costs two
+    /// comparisons per subband and two per segment of a kept subband.
     pub fn mode_counts(&self, energies_ev: &[f64]) -> Vec<usize> {
-        // The per-energy path folds E and −E together and nudges 0.
+        // Levels fold E and −E together (particle–hole symmetry) and
+        // nudge 0 onto the metallic touching point.
         let levels: Vec<f64> = energies_ev.iter().map(|e| e.abs().max(1e-6)).collect();
         let mut order: Vec<usize> = (0..levels.len()).collect();
         order.sort_unstable_by(|&a, &b| {
@@ -262,19 +251,22 @@ impl BandStructure {
                 .expect("levels are finite")
         });
         let sorted: Vec<f64> = order.iter().map(|&i| levels[i]).collect();
+        let (Some(&lowest), Some(&highest)) = (sorted.first(), sorted.last()) else {
+            return Vec::new();
+        };
 
         let mut crossings = vec![0usize; levels.len()];
-        for sb in &self.subbands {
+        for (sb, &(min, max)) in self.subbands.iter().zip(&self.edges) {
+            if max <= lowest || min >= highest {
+                continue;
+            }
             for w in sb.energy_ev.windows(2) {
-                // A segment crosses exactly the levels strictly inside its
-                // energy span: d0·d1 < 0 means strictly between, and the
-                // per-energy d0 == 0 skip is the open lower/upper end.
                 let (lo, hi) = if w[0] < w[1] {
                     (w[0], w[1])
                 } else {
                     (w[1], w[0])
                 };
-                if lo == hi {
+                if lo == hi || hi <= lowest || lo >= highest {
                     continue;
                 }
                 let start = sorted.partition_point(|&e| e <= lo);
@@ -298,11 +290,36 @@ impl BandStructure {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn bs(n: i32, m: i32) -> BandStructure {
         BandStructure::compute(Chirality::new(n, m).unwrap(), 1201).unwrap()
+    }
+
+    /// The per-energy scan that `mode_count` ran before it became a
+    /// one-level [`BandStructure::mode_counts`]: every segment of every
+    /// subband whose edges bracket the level. The reference oracle for
+    /// the batched counts.
+    pub(crate) fn per_energy_mode_count(bands: &BandStructure, e_ev: f64) -> usize {
+        let e = e_ev.abs().max(1e-6);
+        let mut crossings = 0usize;
+        for (sb, &(lo, hi)) in bands.subbands.iter().zip(&bands.edges) {
+            if e < lo || e > hi {
+                continue;
+            }
+            for w in sb.energy_ev.windows(2) {
+                let d0 = w[0] - e;
+                let d1 = w[1] - e;
+                if d0 == 0.0 {
+                    continue;
+                }
+                if d0 * d1 < 0.0 {
+                    crossings += 1;
+                }
+            }
+        }
+        crossings / 2
     }
 
     #[test]
@@ -397,11 +414,49 @@ mod tests {
             energies.extend(b.subbands()[0].energy_ev.iter().take(3).copied());
             let batched = b.mode_counts(&energies);
             for (i, &e) in energies.iter().enumerate() {
-                assert_eq!(batched[i], b.mode_count(e), "({n},{m}) at E = {e}");
+                let want = per_energy_mode_count(&b, e);
+                assert_eq!(batched[i], want, "({n},{m}) at E = {e}");
+                assert_eq!(b.mode_count(e), want, "({n},{m}) single level E = {e}");
             }
             let grid = b.transmission_grid(&energies);
             for (i, &c) in batched.iter().enumerate() {
                 assert_eq!(grid[i], c as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn mode_counts_prefilter_edges_match_per_energy_scan() {
+        for &(n, m) in &[(7, 7), (13, 0), (10, 5)] {
+            let b = BandStructure::compute(Chirality::new(n, m).unwrap(), 301).unwrap();
+            assert!(b.mode_counts(&[]).is_empty());
+            let lowest = b.edges.iter().map(|e| e.0).fold(f64::INFINITY, f64::min);
+            let highest = b
+                .edges
+                .iter()
+                .map(|e| e.1)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let mut cases: Vec<Vec<f64>> = vec![
+                // At the 1 µeV nudge (below every semiconducting subband)
+                // and above every subband.
+                vec![0.0, -1e-9, 1e-7],
+                vec![highest, highest + 1.0, -(highest + 1e-3)],
+                vec![lowest, highest],
+            ];
+            // Levels exactly on each subband's min or max, alone and
+            // batched with a far level that widens the searched range.
+            for &(lo, hi) in &b.edges {
+                cases.push(vec![lo]);
+                cases.push(vec![hi]);
+                cases.push(vec![lo, hi, 9.0]);
+                cases.push(vec![-hi, 0.5 * (lo + hi)]);
+            }
+            for levels in &cases {
+                let batched = b.mode_counts(levels);
+                assert_eq!(batched.len(), levels.len());
+                for (&e, &got) in levels.iter().zip(&batched) {
+                    assert_eq!(got, per_energy_mode_count(&b, e), "({n},{m}) at E = {e}");
+                }
             }
         }
     }

@@ -21,8 +21,7 @@ use crate::bands::BandStructure;
 use crate::chirality::Chirality;
 use crate::transport;
 use crate::{Error, Result};
-use cnt_units::consts::{G0_SIEMENS, K_B_EV};
-use cnt_units::math::fermi_dirac_neg_derivative;
+use cnt_units::consts::G0_SIEMENS;
 use cnt_units::si::{Conductance, Temperature};
 
 /// A dopant-derived band contributing transport channels near the Fermi
@@ -196,29 +195,24 @@ impl DopedCnt {
         self.spec.fermi_shift_ev
     }
 
-    /// Total transport modes at energy `e_ev` in the **host** reference
-    /// frame: host modes plus dopant-band modes.
-    pub fn mode_count(&self, e_ev: f64) -> usize {
-        let host = self.bands.mode_count(e_ev);
-        let dopant: usize = self.spec.bands.iter().map(|b| b.modes_at(e_ev)).sum();
-        host + dopant
+    /// The undoped host tube's band structure.
+    pub fn host_bands(&self) -> &BandStructure {
+        &self.bands
     }
 
-    /// Finite-temperature ballistic conductance at the doped Fermi level.
+    /// Total transport modes at energy `e_ev` in the **host** reference
+    /// frame: host modes plus dopant-band modes ([`Self::transmission_grid`]
+    /// at one energy).
+    pub fn mode_count(&self, e_ev: f64) -> usize {
+        self.transmission_grid(std::slice::from_ref(&e_ev))[0] as usize
+    }
+
+    /// Finite-temperature ballistic conductance at the doped Fermi level:
+    /// the Landauer integral over the host-plus-dopant mode counts.
     pub fn conductance(&self, temperature: Temperature) -> Conductance {
-        let t = temperature.kelvin();
-        let ef = self.spec.fermi_shift_ev;
-        if t <= 0.0 {
-            return Conductance::from_siemens(G0_SIEMENS * self.mode_count(ef) as f64);
-        }
-        let kt = K_B_EV * t;
-        let g = cnt_units::math::integrate_simpson(
-            |e| self.mode_count(e) as f64 * fermi_dirac_neg_derivative(e - ef, t),
-            ef - 12.0 * kt,
-            ef + 12.0 * kt,
-            600,
-        );
-        Conductance::from_siemens(G0_SIEMENS * g)
+        transport::landauer_conductance(self.spec.fermi_shift_ev, temperature, |energies| {
+            self.transmission_grid(energies)
+        })
     }
 
     /// Conducting channels `Nc = G/G0` at `temperature` (paper Eq. 1).
@@ -248,11 +242,9 @@ impl DopedCnt {
         Ok(energies.into_iter().zip(ts).collect())
     }
 
-    /// Energy-batched transmission `T(E) = mode_count(E)` at arbitrary
-    /// energies: the host counts come from the batched
-    /// [`BandStructure::mode_counts`] pass, the dopant-band contribution is
-    /// added per energy. Counts equal per-energy [`Self::mode_count`]
-    /// exactly.
+    /// Energy-batched transmission `T(E)` at arbitrary energies: the host
+    /// counts come from one [`BandStructure::mode_counts`] pass, and the
+    /// dopant-band modes are added per energy.
     pub fn transmission_grid(&self, energies_ev: &[f64]) -> Vec<f64> {
         let host = self.bands.mode_counts(energies_ev);
         energies_ev
@@ -269,6 +261,15 @@ impl DopedCnt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bands::tests::per_energy_mode_count;
+    use crate::transport::tests::per_energy_landauer;
+
+    /// Per-energy host scan plus dopant-band modes: the reference for
+    /// the batched counts.
+    fn reference_modes(d: &DopedCnt, e: f64) -> usize {
+        let dopant: usize = d.spec.bands.iter().map(|b| b.modes_at(e)).sum();
+        per_energy_mode_count(d.host_bands(), e) + dopant
+    }
 
     fn t300() -> Temperature {
         Temperature::from_kelvin(300.0)
@@ -343,7 +344,9 @@ mod tests {
         let energies: Vec<f64> = (0..121).map(|i| -1.5 + 3.0 * i as f64 / 120.0).collect();
         let grid = d.transmission_grid(&energies);
         for (i, &e) in energies.iter().enumerate() {
-            assert_eq!(grid[i], d.mode_count(e) as f64, "E = {e}");
+            let want = reference_modes(&d, e);
+            assert_eq!(grid[i], want as f64, "E = {e}");
+            assert_eq!(d.mode_count(e), want, "single level E = {e}");
         }
         // The batched spectrum is what transmission_spectrum now returns.
         let spec = d.transmission_spectrum(-1.5, 1.5, 121).unwrap();
@@ -351,6 +354,38 @@ mod tests {
             assert_eq!(e.to_bits(), energies[i].to_bits());
             assert_eq!(*t, grid[i]);
         }
+    }
+
+    #[test]
+    fn conductance_matches_per_energy_integral_bit_for_bit() {
+        let host = Chirality::new(7, 7).unwrap();
+        for spec in [
+            DopingSpec::pristine(),
+            DopingSpec::iodine_internal(),
+            DopingSpec::ptcl4_external(),
+            DopingSpec::ptcl4_internal(),
+        ] {
+            let d = DopedCnt::new(host, spec).unwrap();
+            for kelvin in [0.0, 50.0, 300.0, 600.0] {
+                let temp = Temperature::from_kelvin(kelvin);
+                let want =
+                    per_energy_landauer(|e| reference_modes(&d, e), d.fermi_level_ev(), temp);
+                assert_eq!(
+                    d.conductance(temp).siemens().to_bits(),
+                    want.siemens().to_bits(),
+                    "{} at {kelvin} K",
+                    d.spec.label
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn host_bands_are_the_pristine_band_structure() {
+        let host = Chirality::new(7, 7).unwrap();
+        let d = DopedCnt::new(host, DopingSpec::iodine_internal()).unwrap();
+        let pristine = BandStructure::compute(host, transport::DEFAULT_NK).unwrap();
+        assert_eq!(d.host_bands(), &pristine);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::bands::BandStructure;
 use crate::chirality::Chirality;
 use crate::{Error, Result};
 use cnt_units::consts::{G0_SIEMENS, K_B_EV};
-use cnt_units::math::fermi_dirac_neg_derivative;
+use cnt_units::math::{fermi_dirac_neg_derivative, integrate_simpson_batch};
 use cnt_units::si::{Conductance, Temperature};
 
 /// Default longitudinal grid used when a band structure is computed
@@ -29,25 +29,48 @@ pub fn conductance_at_energy(bands: &BandStructure, e_f_ev: f64) -> Conductance 
 }
 
 /// Finite-temperature ballistic conductance at Fermi level `e_f_ev`
-/// (relative to the charge-neutrality point).
-///
-/// Integrates `M(E)·(−∂f/∂E)` over `E_F ± 12 kT` with Simpson quadrature;
-/// the window captures > 1 − 10⁻⁵ of the thermal kernel.
+/// (relative to the charge-neutrality point): [`landauer_conductance`]
+/// with the tube's batched mode counts as `T(E)`.
 pub fn conductance_at_temperature(
     bands: &BandStructure,
     e_f_ev: f64,
     temperature: Temperature,
 ) -> Conductance {
+    landauer_conductance(e_f_ev, temperature, |energies| {
+        bands.transmission_grid(energies)
+    })
+}
+
+/// The finite-temperature Landauer integral `G = G0 · ∫ T(E)·(−∂f/∂E) dE`
+/// at Fermi level `e_f_ev`, where `transmission` returns `T(E)` at a
+/// batch of energies.
+///
+/// Integrates over `E_F ± 12 kT` with 600-interval Simpson quadrature;
+/// the window captures > 1 − 10⁻⁵ of the thermal kernel. All 601 nodes
+/// go to `transmission` in one call, so a batched mode count serves the
+/// whole integral. At `T ≤ 0` the kernel is a delta: `G = G0 · T(E_F)`.
+pub fn landauer_conductance(
+    e_f_ev: f64,
+    temperature: Temperature,
+    transmission: impl FnOnce(&[f64]) -> Vec<f64>,
+) -> Conductance {
+    let _span = cnt_obs::span!("atomistic.landauer");
     let t = temperature.kelvin();
     if t <= 0.0 {
-        return conductance_at_energy(bands, e_f_ev);
+        return Conductance::from_siemens(G0_SIEMENS * transmission(&[e_f_ev])[0]);
     }
     let kt = K_B_EV * t;
     let half_window = 12.0 * kt;
     // Enough points that the step edges of M(E) are resolved well below kT.
     let n = 600;
-    let g = cnt_units::math::integrate_simpson(
-        |e| bands.mode_count(e) as f64 * fermi_dirac_neg_derivative(e - e_f_ev, t),
+    let g = integrate_simpson_batch(
+        |energies| {
+            transmission(energies)
+                .into_iter()
+                .zip(energies)
+                .map(|(modes, &e)| modes * fermi_dirac_neg_derivative(e - e_f_ev, t))
+                .collect()
+        },
         e_f_ev - half_window,
         e_f_ev + half_window,
         n,
@@ -150,11 +173,57 @@ pub fn conductance_per_area(chirality: Chirality, temperature: Temperature) -> f
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::bands::tests::per_energy_mode_count;
 
     fn t300() -> Temperature {
         Temperature::from_kelvin(300.0)
+    }
+
+    /// The Landauer integral as it ran before [`landauer_conductance`]:
+    /// one `modes(E)` call per Simpson node, summed in the same order.
+    /// The bit-exact reference for the batched helper.
+    pub(crate) fn per_energy_landauer(
+        modes: impl Fn(f64) -> usize,
+        e_f_ev: f64,
+        temperature: Temperature,
+    ) -> Conductance {
+        let t = temperature.kelvin();
+        if t <= 0.0 {
+            return Conductance::from_siemens(G0_SIEMENS * modes(e_f_ev) as f64);
+        }
+        let half_window = 12.0 * K_B_EV * t;
+        let (a, b, n) = (e_f_ev - half_window, e_f_ev + half_window, 600);
+        let f = |e: f64| modes(e) as f64 * fermi_dirac_neg_derivative(e - e_f_ev, t);
+        let h = (b - a) / n as f64;
+        let mut acc = f(a) + f(b);
+        for i in 1..n {
+            let w = if i % 2 == 1 { 4.0 } else { 2.0 };
+            acc += w * f(a + i as f64 * h);
+        }
+        Conductance::from_siemens(G0_SIEMENS * (acc * h / 3.0))
+    }
+
+    #[test]
+    fn batched_landauer_matches_per_energy_integral_bit_for_bit() {
+        // Every Fig. 8a tube, at both ends and the middle of the temp_k range.
+        let mut tubes = Chirality::zigzag_series(5, 26);
+        tubes.extend(Chirality::armchair_series(3, 15));
+        assert_eq!(tubes.len(), 35);
+        for tube in tubes {
+            let bands = BandStructure::compute(tube, DEFAULT_NK).unwrap();
+            for kelvin in [50.0, 300.0, 600.0] {
+                let temp = Temperature::from_kelvin(kelvin);
+                let want = per_energy_landauer(|e| per_energy_mode_count(&bands, e), 0.0, temp);
+                let got = conductance_at_temperature(&bands, 0.0, temp);
+                assert_eq!(
+                    got.siemens().to_bits(),
+                    want.siemens().to_bits(),
+                    "{tube:?} at {kelvin} K"
+                );
+            }
+        }
     }
 
     #[test]

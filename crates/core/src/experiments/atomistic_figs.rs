@@ -5,7 +5,6 @@ use super::params::{ParamSpec, RunContext};
 use super::registry::Entry;
 use super::Report;
 use crate::Result;
-use cnt_atomistic::bands::BandStructure;
 use cnt_atomistic::chirality::Chirality;
 use cnt_atomistic::doping::{DopedCnt, DopingSpec};
 use cnt_atomistic::geometry;
@@ -143,9 +142,8 @@ pub fn fig08c() -> Result<Report> {
 
 fn fig08c_with(ctx: &RunContext) -> Result<Report> {
     let temp = Temperature::from_kelvin(ctx.f64("temp_k"));
-    let tube = Chirality::new(7, 7)?;
-    let pristine_bands = BandStructure::compute(tube, transport::DEFAULT_NK)?;
-    let doped = DopedCnt::new(tube, DopingSpec::iodine_internal())?;
+    let doped = DopedCnt::new(Chirality::new(7, 7)?, DopingSpec::iodine_internal())?;
+    let pristine_bands = doped.host_bands();
 
     let mut rep =
         Report::new("fig08c", FIG08C_TITLE).with_columns(&["E_eV", "T_pristine", "T_doped"]);
@@ -179,7 +177,7 @@ fn fig08c_with(ctx: &RunContext) -> Result<Report> {
         rep.push_row(row.to_vec());
     }
 
-    let g_pristine = transport::conductance_at_temperature(&pristine_bands, 0.0, temp);
+    let g_pristine = transport::conductance_at_temperature(pristine_bands, 0.0, temp);
     let g_doped = doped.conductance(temp);
     rep.note(format!(
         "pristine G = {:.3} mS (paper: 0.155 mS)",

@@ -22,6 +22,33 @@ pub struct CapacitanceResult {
 }
 
 impl CapacitanceResult {
+    /// Assembles the Maxwell matrix of `structure` from its
+    /// [`capacitance_row`]s, row `i` being the excitation of conductor `i`.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::NotEnoughConductors`] if fewer than 2 conductors are
+    ///   painted;
+    /// * [`Error::IllPosed`] unless there is one row of one entry per
+    ///   conductor.
+    pub fn from_rows(structure: &Structure, rows: Vec<Vec<f64>>) -> Result<Self> {
+        check_conductor_count(structure)?;
+        let n_cond = structure.conductor_count();
+        if rows.len() != n_cond || rows.iter().any(|r| r.len() != n_cond) {
+            return Err(Error::IllPosed(
+                "capacitance rows must form a square matrix, one row per conductor",
+            ));
+        }
+        Ok(Self {
+            labels: structure
+                .conductor_labels()
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+            matrix: rows,
+        })
+    }
+
     /// Conductor labels in matrix order.
     pub fn labels(&self) -> Vec<&str> {
         self.labels.iter().map(String::as_str).collect()
@@ -102,7 +129,9 @@ impl CapacitanceResult {
     }
 }
 
-/// Extracts the full Maxwell capacitance matrix of `structure`.
+/// Extracts the full Maxwell capacitance matrix of `structure`: one
+/// [`capacitance_row`] per conductor, in order, assembled by
+/// [`CapacitanceResult::from_rows`].
 ///
 /// # Errors
 ///
@@ -112,43 +141,68 @@ pub fn extract_capacitance(
     structure: &Structure,
     options: &SolverOptions,
 ) -> Result<CapacitanceResult> {
-    let n_cond = structure.conductor_count();
-    if n_cond < 2 {
-        return Err(Error::NotEnoughConductors {
-            got: n_cond,
-            min: 2,
-        });
-    }
-    let grid = structure.grid();
-    let coeff = structure.permittivity_coefficients();
-    let node_cond = structure.node_conductor();
-
-    let mut matrix = vec![vec![0.0; n_cond]; n_cond];
+    check_conductor_count(structure)?;
     // One excitation per conductor: share the CG scratch buffers across
     // the whole loop instead of reallocating five grid vectors per solve.
     let mut workspace = SolveWorkspace::new();
-    for (drive, row) in matrix.iter_mut().enumerate() {
-        let dirichlet: Vec<Option<f64>> = node_cond
-            .iter()
-            .map(|c| c.map(|id| if id as usize == drive { 1.0 } else { 0.0 }))
-            .collect();
-        let sys = StencilSystem::assemble(grid, coeff, dirichlet);
-        let psi = sys.solve_with(options, &mut workspace)?;
-        let flux = sys.node_flux(&psi);
-        for (idx, c) in node_cond.iter().enumerate() {
-            if let Some(id) = c {
-                row[*id as usize] += flux[idx];
-            }
+    let rows = (0..structure.conductor_count())
+        .map(|drive| capacitance_row(structure, drive, options, &mut workspace))
+        .collect::<Result<Vec<_>>>()?;
+    CapacitanceResult::from_rows(structure, rows)
+}
+
+/// Row `drive` of the Maxwell capacitance matrix: conductor `drive` at
+/// 1 V and all others grounded; entry `j` is the Gauss flux collected by
+/// conductor `j`.
+///
+/// Each row is a fresh system assembly plus one solve, and `workspace`
+/// holds only scratch buffers, so a row has the same bits whichever
+/// workspace or thread computes it. Rows may thus be solved in parallel
+/// and assembled with [`CapacitanceResult::from_rows`].
+///
+/// # Errors
+///
+/// * [`Error::UnknownConductor`] if `drive` is not a conductor index;
+/// * [`Error::NoConvergence`] from the inner solver.
+pub fn capacitance_row(
+    structure: &Structure,
+    drive: usize,
+    options: &SolverOptions,
+    workspace: &mut SolveWorkspace,
+) -> Result<Vec<f64>> {
+    let n_cond = structure.conductor_count();
+    if drive >= n_cond {
+        return Err(Error::UnknownConductor {
+            label: format!("conductor #{drive}"),
+        });
+    }
+    let node_cond = structure.node_conductor();
+    let dirichlet: Vec<Option<f64>> = node_cond
+        .iter()
+        .map(|c| c.map(|id| if id as usize == drive { 1.0 } else { 0.0 }))
+        .collect();
+    let sys = StencilSystem::assemble(
+        structure.grid(),
+        structure.permittivity_coefficients(),
+        dirichlet,
+    );
+    let psi = sys.solve_with(options, workspace)?;
+    let flux = sys.node_flux(&psi);
+    let mut row = vec![0.0; n_cond];
+    for (idx, c) in node_cond.iter().enumerate() {
+        if let Some(id) = c {
+            row[*id as usize] += flux[idx];
         }
     }
-    Ok(CapacitanceResult {
-        labels: structure
-            .conductor_labels()
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        matrix,
-    })
+    Ok(row)
+}
+
+fn check_conductor_count(structure: &Structure) -> Result<()> {
+    let got = structure.conductor_count();
+    if got < 2 {
+        return Err(Error::NotEnoughConductors { got, min: 2 });
+    }
+    Ok(())
 }
 
 /// Location and magnitude of the peak current density.
@@ -344,6 +398,62 @@ mod tests {
             extract_capacitance(&s1, &opts()),
             Err(Error::NotEnoughConductors { .. })
         ));
+        assert!(matches!(
+            CapacitanceResult::from_rows(&s1, vec![vec![1.0]]),
+            Err(Error::NotEnoughConductors { .. })
+        ));
+    }
+
+    #[test]
+    fn rows_are_independent_of_workspace_and_order() {
+        let mut b = StructureBuilder::new([1.0, 1.0, 1.0]);
+        b.dielectric([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2.0);
+        b.conductor("a", [0.0, 0.0, 0.0], [1.0, 1.0, 0.2]);
+        b.conductor("b", [0.1, 0.1, 0.5], [0.3, 0.9, 0.6]);
+        b.conductor("c", [0.7, 0.1, 0.5], [0.9, 0.9, 0.6]);
+        let s = b.build([9, 7, 9]).unwrap();
+        let serial = extract_capacitance(&s, &opts()).unwrap();
+
+        // A fresh workspace per row, and reverse order through one
+        // workspace first sized by a different grid.
+        let mut other = StructureBuilder::new([1.0, 1.0, 1.0]);
+        other.dielectric([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.0);
+        other.conductor("x", [0.0, 0.0, 0.0], [1.0, 1.0, 0.25]);
+        other.conductor("y", [0.0, 0.0, 0.75], [1.0, 1.0, 1.0]);
+        let mut stale = SolveWorkspace::new();
+        capacitance_row(&other.build([5, 5, 5]).unwrap(), 1, &opts(), &mut stale).unwrap();
+        let mut reversed: Vec<Vec<f64>> = (0..3)
+            .rev()
+            .map(|drive| capacitance_row(&s, drive, &opts(), &mut stale).unwrap())
+            .collect();
+        reversed.reverse();
+        let fresh: Vec<Vec<f64>> = (0..3)
+            .map(|drive| capacitance_row(&s, drive, &opts(), &mut SolveWorkspace::new()).unwrap())
+            .collect();
+        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            m.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for rows in [reversed, fresh] {
+            let assembled = CapacitanceResult::from_rows(&s, rows).unwrap();
+            assert_eq!(assembled.labels(), serial.labels());
+            assert_eq!(bits(assembled.matrix()), bits(serial.matrix()));
+        }
+
+        assert!(matches!(
+            capacitance_row(&s, 3, &opts(), &mut SolveWorkspace::new()),
+            Err(Error::UnknownConductor { .. })
+        ));
+        for bad in [
+            vec![vec![0.0; 3]; 2],
+            vec![vec![0.0; 3], vec![0.0; 3], vec![0.0; 2]],
+        ] {
+            assert!(matches!(
+                CapacitanceResult::from_rows(&s, bad),
+                Err(Error::IllPosed(_))
+            ));
+        }
     }
 
     #[test]

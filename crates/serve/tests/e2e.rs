@@ -1238,3 +1238,31 @@ fn healthz_and_metrics_read_the_same_registry() {
     handle.shutdown();
     thread.join().unwrap();
 }
+
+#[test]
+fn metrics_scrape_exports_library_span_families() {
+    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+
+    // fig08c computes a band structure and two Landauer integrals; fig10
+    // runs its field solves. Their spans land in the global registry,
+    // which the scrape appends to the server's own families.
+    for id in ["fig08c", "fig10"] {
+        let (status, _) = post(addr, &format!("/v1/experiments/{id}/run"), "{}");
+        assert_eq!(status, 200, "{id}");
+    }
+    let (_, text) = get(addr, "/v1/metrics");
+    for family in [
+        "cnt_span_atomistic_bands_seconds",
+        "cnt_span_atomistic_landauer_seconds",
+        "cnt_span_fields_solve_seconds",
+        "cnt_span_sweep_job_seconds",
+    ] {
+        assert!(
+            text.contains(&format!("# TYPE {family} histogram")),
+            "{family} missing:\n{text}"
+        );
+    }
+
+    handle.shutdown();
+    thread.join().unwrap();
+}

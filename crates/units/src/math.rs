@@ -192,6 +192,26 @@ pub fn fermi_dirac_neg_derivative(e_ev: f64, t_kelvin: f64) -> f64 {
 ///
 /// Panics if `n == 0` or the interval is not finite.
 pub fn integrate_simpson(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {
+    integrate_simpson_batch(|xs| xs.iter().map(|&x| f(x)).collect(), a, b, n)
+}
+
+/// [`integrate_simpson`] with every node evaluated in one call: `f`
+/// receives the `n + 1` nodes in ascending order (exactly `a`, then
+/// `a + i·h`, then exactly `b`) and returns one value per node. The sum
+/// is `f(a) + f(b)` plus the weighted interior nodes in ascending order,
+/// so the result depends only on the node values, not on whether `f`
+/// computes them one by one or as a batch.
+///
+/// # Panics
+///
+/// Panics if `n == 0`, the interval is not finite, or `f` returns a
+/// different number of values than it was given nodes.
+pub fn integrate_simpson_batch(
+    f: impl FnOnce(&[f64]) -> Vec<f64>,
+    a: f64,
+    b: f64,
+    n: usize,
+) -> f64 {
     assert!(n > 0, "Simpson rule needs at least one interval");
     assert!(
         a.is_finite() && b.is_finite(),
@@ -199,10 +219,16 @@ pub fn integrate_simpson(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, n: usize
     );
     let n = if n.is_multiple_of(2) { n } else { n + 1 };
     let h = (b - a) / n as f64;
-    let mut acc = f(a) + f(b);
-    for i in 1..n {
+    let mut nodes = Vec::with_capacity(n + 1);
+    nodes.push(a);
+    nodes.extend((1..n).map(|i| a + i as f64 * h));
+    nodes.push(b);
+    let ys = f(&nodes);
+    assert_eq!(ys.len(), nodes.len(), "one value per Simpson node");
+    let mut acc = ys[0] + ys[n];
+    for (i, y) in ys.iter().enumerate().take(n).skip(1) {
         let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-        acc += w * f(a + i as f64 * h);
+        acc += w * y;
     }
     acc * h / 3.0
 }
@@ -334,6 +360,60 @@ mod tests {
         let v = integrate_simpson(|x| x * x * x - 2.0 * x + 1.0, 0.0, 2.0, 2);
         let exact = 2.0f64.powi(4) / 4.0 - 2.0f64.powi(2) + 2.0;
         assert!((v - exact).abs() < 1e-12);
+    }
+
+    /// The per-point composite Simpson loop the batch form replaced,
+    /// kept as the bit-exact reference.
+    fn simpson_reference(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {
+        let n = if n.is_multiple_of(2) { n } else { n + 1 };
+        let h = (b - a) / n as f64;
+        let mut acc = f(a) + f(b);
+        for i in 1..n {
+            let w = if i % 2 == 1 { 4.0 } else { 2.0 };
+            acc += w * f(a + i as f64 * h);
+        }
+        acc * h / 3.0
+    }
+
+    #[test]
+    fn simpson_forms_match_the_per_point_loop_bit_for_bit() {
+        let f = |x: f64| fermi_dirac_neg_derivative(x - 0.1, 300.0) * (1.0 + x.sin());
+        for n in [1, 2, 3, 7, 600, 601] {
+            for (a, b) in [(-0.31, 0.31), (0.0, 1.0), (2.5, -1.25)] {
+                let want = simpson_reference(f, a, b, n).to_bits();
+                assert_eq!(integrate_simpson(f, a, b, n).to_bits(), want, "n = {n}");
+                let batch =
+                    integrate_simpson_batch(|xs| xs.iter().map(|&x| f(x)).collect(), a, b, n);
+                assert_eq!(batch.to_bits(), want, "batch, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn simpson_batch_nodes_are_exact_at_both_ends() {
+        // Odd n rounds up to the next even count: 7 → 8 intervals.
+        let (a, b) = (0.1, 0.7);
+        integrate_simpson_batch(
+            |xs| {
+                assert_eq!(xs.len(), 9);
+                assert_eq!(xs[0].to_bits(), a.to_bits());
+                assert_eq!(xs[8].to_bits(), b.to_bits());
+                let h = (b - a) / 8.0;
+                for (i, x) in xs.iter().enumerate().take(8).skip(1) {
+                    assert_eq!(x.to_bits(), (a + i as f64 * h).to_bits());
+                }
+                vec![0.0; xs.len()]
+            },
+            a,
+            b,
+            7,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per Simpson node")]
+    fn simpson_batch_rejects_a_short_answer() {
+        integrate_simpson_batch(|xs| vec![0.0; xs.len() - 1], 0.0, 1.0, 4);
     }
 
     #[test]
