@@ -205,15 +205,6 @@ impl ChunkableSweep {
     pub fn finish(&self, per_job: Vec<Vec<f64>>) -> Result<SweepRun> {
         self.kernel.finish(per_job)
     }
-
-    /// The classic single-instance path (cache probe → run → reduce).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn run_local(&self) -> Result<SweepRun> {
-        self.kernel.run_local()
-    }
 }
 
 /// Opens a sweep id for chunked execution at the parameter point `ctx`

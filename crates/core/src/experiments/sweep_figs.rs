@@ -104,42 +104,6 @@ pub struct SweepRun {
     pub threads: usize,
 }
 
-/// Computes (or recalls) the table for `plan`, then renders it.
-///
-/// `salt_extra` threads per-experiment knobs into the cache salt (empty
-/// for the classic sweeps, which keeps their historical cache keys);
-/// parameterised sweeps append `key=value` terms so a moved knob is a
-/// different cached artefact even where the plan fingerprint alone would
-/// not separate the two.
-fn cached<F>(
-    id: &str,
-    plan: &SweepPlan,
-    opts: &SweepOpts,
-    salt_extra: &str,
-    columns: &[&str],
-    compute: F,
-) -> Result<(Table, bool, usize)>
-where
-    F: FnOnce(&SweepPlan) -> Result<Vec<Vec<f64>>>,
-{
-    let mut salt = format!("{SWEEP_SALT_VERSION}/{id}/trials={}", opts.trials);
-    if !salt_extra.is_empty() {
-        salt.push('/');
-        salt.push_str(salt_extra);
-    }
-    let key = CacheKey::derive(plan, opts.seed, &salt);
-    let store = match &opts.cache_dir {
-        Some(dir) => ResultStore::on_disk(dir),
-        None => ResultStore::in_memory(),
-    };
-    if let Some(hit) = store.get(&key) {
-        return Ok((hit, true, plan.len()));
-    }
-    let rows = compute(plan)?;
-    let table = store.put(&key, columns.iter().map(|c| c.to_string()).collect(), rows)?;
-    Ok((table, false, plan.len()))
-}
-
 /// Standard trailer note shared by every sweep report.
 fn provenance_note(rep: &mut Report, opts: &SweepOpts, jobs: usize) {
     rep.note(format!(
@@ -159,17 +123,22 @@ type RenderFn = Box<dyn Fn(&Table) -> Report + Send + Sync>;
 /// `Vec<f64>` per job), the cross-job reduce, and the report annotation
 /// step.
 ///
-/// [`SweepKernel::run_local`] is the classic single-process path every
-/// `repro sweep` takes; [`SweepKernel::run_range`] +
-/// [`SweepKernel::finish`] are the same computation split at a job-range
-/// seam for the fleet's distributed coordinator. Per-job generators are
-/// seeded by **global** job index (see `cnt_sweep::Executor::run_range`),
-/// so the two paths are byte-identical by construction — the tests below
-/// pin it.
+/// [`SweepKernel::run_local`] is the single-process path every
+/// `repro sweep` takes: [`SweepKernel::run_range`] over the whole job
+/// range fed to [`SweepKernel::finish`]. The fleet's distributed
+/// coordinator runs the same two steps split at job-range seams.
+/// Per-job generators are seeded by **global** job index (see
+/// `cnt_sweep::Executor::run_range`), so any split is byte-identical to
+/// the whole — the tests below pin it.
 pub(super) struct SweepKernel {
     id: &'static str,
     plan: SweepPlan,
     opts: SweepOpts,
+    /// Per-experiment knobs threaded into the cache salt: empty for the
+    /// classic sweeps (which keeps their historical cache keys);
+    /// parameterised sweeps append `key=value` terms so a moved knob is
+    /// a different cached artefact even where the plan fingerprint alone
+    /// would not separate the two.
     salt_extra: String,
     columns: Vec<&'static str>,
     job: JobFn,
@@ -204,6 +173,11 @@ impl SweepKernel {
             salt.push_str(&self.salt_extra);
         }
         salt
+    }
+
+    /// The content-hash identity of the finished table.
+    fn table_key(&self) -> CacheKey {
+        CacheKey::derive(&self.plan, self.opts.seed, &self.salt())
     }
 
     fn store(&self) -> ResultStore {
@@ -245,8 +219,7 @@ impl SweepKernel {
     /// Probes the full-table cache: `Some` recalls a finished run without
     /// touching the executor.
     pub(super) fn cached_run(&self) -> Option<SweepRun> {
-        let key = CacheKey::derive(&self.plan, self.opts.seed, &self.salt());
-        let table = self.store().get(&key)?;
+        let table = self.store().get(&self.table_key())?;
         Some(SweepRun {
             report: (self.render)(&table),
             cache_hit: true,
@@ -257,16 +230,10 @@ impl SweepKernel {
 
     /// Reduces per-job outputs (the full `0..jobs()` concatenation, chunk
     /// results already merged in index order) into the final table, stores
-    /// it under the same key a local run would use, and renders the
-    /// report.
+    /// it under [`SweepKernel::table_key`], and renders the report.
     pub(super) fn finish(&self, per_job: Vec<Vec<f64>>) -> Result<SweepRun> {
         let rows = (self.finalize)(per_job)?;
-        let key = CacheKey::derive(&self.plan, self.opts.seed, &self.salt());
-        let table = self.store().put(
-            &key,
-            self.columns.iter().map(|c| c.to_string()).collect(),
-            rows,
-        )?;
+        let table = self.store().put(&self.table_key(), self.columns(), rows)?;
         Ok(SweepRun {
             report: (self.render)(&table),
             cache_hit: false,
@@ -275,28 +242,13 @@ impl SweepKernel {
         })
     }
 
-    /// The single-instance path: cache probe, full executor run, reduce,
-    /// store, render.
+    /// The single-instance path: cache probe, else the whole job range
+    /// run, reduced, stored and rendered.
     pub(super) fn run_local(&self) -> Result<SweepRun> {
-        let (table, hit, jobs) = cached(
-            self.id,
-            &self.plan,
-            &self.opts,
-            &self.salt_extra,
-            &self.columns,
-            |plan| {
-                let per_job =
-                    Executor::new(self.opts.threads)
-                        .run(plan, self.opts.seed, |job, rng| (self.job)(job, rng))?;
-                (self.finalize)(per_job)
-            },
-        )?;
-        Ok(SweepRun {
-            report: (self.render)(&table),
-            cache_hit: hit,
-            jobs,
-            threads: self.threads(),
-        })
+        match self.cached_run() {
+            Some(run) => Ok(run),
+            None => self.finish(self.run_range(0, self.jobs())?),
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! mutexed map of `Arc` entries — because the interesting lifecycle lives
 //! *in* the entry: the HTTP thread creates it `Queued`, the pool worker
 //! flips it `Running` and eventually `Done`/`Failed`, and any number of
-//! poll requests read it concurrently through the shared [`Progress`]
-//! counters and the state mutex.
+//! poll requests read it concurrently through its [`Progress`] counters
+//! and the state mutex.
 //!
 //! Two guards keep a long-lived server healthy:
 //!
@@ -18,11 +18,53 @@
 //!   create or explicit [`JobTable::gc`], so results are pollable for a
 //!   grace window but never accumulate forever.
 
-use cnt_sweep::progress::Progress;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// A job's sweep progress, `done / total` in sweep jobs (the units
+/// `cnt_sweep::chunk_ranges` splits). Observation only: the sweep
+/// coordinator sets `total` when it opens the sweep and adds each chunk's
+/// length to `done` as the chunk lands, so polls never touch the
+/// deterministic result path.
+///
+/// `total` is set before any `done` is added, and [`Progress::add_done`]
+/// releases what [`Progress::done`] acquires: a reader that loads `done`
+/// first and `total` second never sees more done than total.
+#[derive(Debug, Default)]
+pub struct Progress {
+    done: AtomicU64,
+    total: AtomicU64,
+}
+
+impl Progress {
+    /// Fresh zeroed counters.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Announces the job's sweep size.
+    pub fn set_total(&self, n: u64) {
+        self.total.store(n, Ordering::Relaxed);
+    }
+
+    /// Records `n` more finished sweep jobs.
+    pub fn add_done(&self, n: u64) {
+        self.done.fetch_add(n, Ordering::Release);
+    }
+
+    /// Sweep jobs finished so far.
+    pub fn done(&self) -> u64 {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// Sweep jobs in the whole run (0 until the coordinator opens it).
+    pub fn total(&self) -> u64 {
+        self.total.load(Ordering::Relaxed)
+    }
+}
 
 /// Where a finished job's result bytes live.
 ///
@@ -115,8 +157,9 @@ pub struct JobEntry {
     pub id: String,
     /// Experiment the sweep runs.
     pub sweep_id: String,
-    /// Live trial counters fed by the sweep executor.
-    pub progress: Arc<Progress>,
+    /// Live sweep-job counters, advanced chunk by chunk by the sweep
+    /// coordinator.
+    pub progress: Progress,
     state: Mutex<JobState>,
 }
 
@@ -205,7 +248,7 @@ impl JobTable {
         let entry = Arc::new(JobEntry {
             id: id.to_string(),
             sweep_id: sweep_id.to_string(),
-            progress: Arc::new(Progress::new()),
+            progress: Progress::new(),
             state: Mutex::new(JobState::Queued),
         });
         jobs.insert(id.to_string(), Arc::clone(&entry));
@@ -280,6 +323,17 @@ mod tests {
     use super::*;
 
     #[test]
+    fn counters_accumulate() {
+        let p = Progress::new();
+        p.set_total(15);
+        p.add_done(2);
+        p.add_done(3);
+        assert_eq!((p.done(), p.total()), (5, 15));
+        p.set_total(15);
+        assert_eq!(p.total(), 15, "a repeated announcement does not add up");
+    }
+
+    #[test]
     fn lifecycle_queued_running_done() {
         let table = JobTable::new(4, Duration::from_secs(600));
         let job = table.create("j1", "fig12").unwrap();
@@ -288,9 +342,9 @@ mod tests {
 
         job.mark_running();
         assert_eq!(job.state().label(), "running");
-        job.progress.add_total(10);
-        job.progress.inc_done();
-        assert_eq!((job.progress.done(), job.progress.total()), (1, 10));
+        job.progress.set_total(10);
+        job.progress.add_done(4);
+        assert_eq!((job.progress.done(), job.progress.total()), (4, 10));
 
         job.complete("application/json", "{\"ok\":true}\n".to_string());
         let polled = table.get("j1").unwrap();
@@ -374,7 +428,7 @@ mod tests {
                 Arc::new(JobEntry {
                     id: id.to_string(),
                     sweep_id: "fig12".to_string(),
-                    progress: Arc::new(Progress::new()),
+                    progress: Progress::new(),
                     state: Mutex::new(JobState::Done {
                         content_type: "application/json".to_string(),
                         body: JobBody::Inline("{}\n".to_string()),

@@ -18,7 +18,7 @@
 //!
 //! Guards are panic-safe: an unwinding scope still records and pops.
 
-use crate::json;
+use crate::json::{self, JsonValue};
 use crate::metrics::Histogram;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -91,6 +91,37 @@ impl SpanNode {
             child.push_json(out);
         }
         out.push_str("]}");
+    }
+
+    /// Reads back a node [`SpanNode::push_json`] wrote: `None` unless
+    /// `value` is an object with a string `name`. A missing or malformed
+    /// `count` or `total_s` reads as zero; malformed children are
+    /// skipped.
+    pub fn from_json(value: &JsonValue) -> Option<SpanNode> {
+        let JsonValue::Object(members) = value else {
+            return None;
+        };
+        let mut name = None;
+        let mut count = 0u64;
+        let mut total_s = 0.0f64;
+        let mut children = Vec::new();
+        for (key, value) in members {
+            match (key.as_str(), value) {
+                ("name", JsonValue::String(s)) => name = Some(s.clone()),
+                ("count", JsonValue::Number(raw)) => count = raw.parse().unwrap_or(0),
+                ("total_s", JsonValue::Number(raw)) => total_s = raw.parse().unwrap_or(0.0),
+                ("children", JsonValue::Array(items)) => {
+                    children = items.iter().filter_map(SpanNode::from_json).collect();
+                }
+                _ => {}
+            }
+        }
+        Some(SpanNode {
+            name: name?,
+            count,
+            total_s,
+            children,
+        })
     }
 }
 

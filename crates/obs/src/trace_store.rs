@@ -11,7 +11,7 @@
 //! into one tree by linking each record's parent span id to the span
 //! id of the record that minted it.
 
-use crate::json;
+use crate::json::{self, JsonValue};
 use crate::span::SpanNode;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -122,6 +122,64 @@ impl TraceRecord {
         }
         out.push_str("]}");
     }
+
+    /// Reads back a record [`TraceRecord::push_json`] wrote: `None` when
+    /// `trace_id`, `span_id` or `name` is missing or malformed. Other
+    /// members default when absent (a non-finite time, written as
+    /// `null`, reads as zero), and malformed span nodes are skipped.
+    pub fn from_json(value: &JsonValue) -> Option<TraceRecord> {
+        let text = |key: &str| value.get(key).and_then(JsonValue::as_str);
+        let number = |key: &str| value.get(key).and_then(JsonValue::as_f64);
+        let roots = match value.get("spans") {
+            Some(JsonValue::Array(spans)) => spans.iter().filter_map(SpanNode::from_json).collect(),
+            _ => Vec::new(),
+        };
+        Some(TraceRecord {
+            trace_id: parse_id(text("trace_id")?)?,
+            span_id: parse_id(text("span_id")?)?,
+            parent: text("parent").and_then(parse_id),
+            name: text("name")?.to_string(),
+            instance: text("instance").unwrap_or_default().to_string(),
+            request_id: text("request_id").unwrap_or_default().to_string(),
+            unix_s: number("unix_s").unwrap_or(0.0),
+            total_s: number("total_s").unwrap_or(0.0),
+            status: number("status").map_or(0, |s| s as u16),
+            roots,
+        })
+    }
+}
+
+/// One instance's local share of a trace, as it travels between fleet
+/// peers (`GET /v1/_fleet/trace/{id}`): a `trace_records` envelope
+/// around the flat records, one line.
+pub fn render_records_json(records: &[Arc<TraceRecord>]) -> String {
+    let mut out = String::with_capacity(256);
+    out.push_str("{\"schema\":1,\"kind\":\"trace_records\",\"records\":[");
+    for (i, r) in records.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        r.push_json(&mut out);
+    }
+    out.push_str("]}\n");
+    out
+}
+
+/// Parses a [`render_records_json`] body back into records. Anything
+/// malformed is skipped rather than failing the whole set, so a
+/// half-upgraded fleet still answers with what it can read.
+pub fn parse_records_json(body: &str) -> Vec<Arc<TraceRecord>> {
+    let Ok(top) = json::parse(body) else {
+        return Vec::new();
+    };
+    let Some(JsonValue::Array(items)) = top.get("records") else {
+        return Vec::new();
+    };
+    items
+        .iter()
+        .filter_map(TraceRecord::from_json)
+        .map(Arc::new)
+        .collect()
 }
 
 struct StoredRecord {
@@ -355,6 +413,63 @@ mod tests {
             tree.contains("\"children\":[{\"trace_id\""),
             "ingress must have a child record: {tree}"
         );
+    }
+
+    #[test]
+    fn records_round_trip_through_the_peer_envelope() {
+        // With and without a parent, and a span tree two levels deep.
+        let mut nested = record(2, Some(1), "job fig12", "b:2");
+        nested.roots[0].children = vec![SpanNode {
+            name: "sweep.job".to_string(),
+            count: 75,
+            total_s: 0.125,
+            children: vec![SpanNode {
+                name: "process.sample".to_string(),
+                count: 300,
+                total_s: 0.0625,
+                children: Vec::new(),
+            }],
+        }];
+        let records = vec![
+            Arc::new(record(1, None, "POST /v1/sweeps/fig12", "a:1")),
+            Arc::new(nested),
+        ];
+        let body = render_records_json(&records);
+        assert!(
+            body.starts_with("{\"schema\":1,\"kind\":\"trace_records\",\"records\":[{")
+                && body.ends_with("]}\n"),
+            "{body}"
+        );
+        assert_eq!(parse_records_json(&body), records);
+        assert!(parse_records_json(&render_records_json(&[])).is_empty());
+
+        // Non-finite times cannot travel: the record writes `null`, the
+        // span node `0`, and both read back as zero.
+        let mut unbounded = record(3, None, "r", "a:1");
+        unbounded.total_s = f64::NAN;
+        unbounded.roots[0].total_s = f64::INFINITY;
+        let body = render_records_json(&[Arc::new(unbounded)]);
+        assert!(
+            body.contains("\"total_s\":null") && body.contains("\"total_s\":0,"),
+            "{body}"
+        );
+        let back = parse_records_json(&body);
+        assert_eq!(back.len(), 1);
+        assert_eq!((back[0].total_s, back[0].roots[0].total_s), (0.0, 0.0));
+    }
+
+    #[test]
+    fn malformed_records_are_skipped_not_fatal() {
+        let mut good = String::new();
+        record(1, None, "r", "a:1").push_json(&mut good);
+        let no_trace_id = good.replacen("\"trace_id\":\"0000000000000abc\",", "", 1);
+        assert!(!no_trace_id.contains("trace_id"), "{no_trace_id}");
+        let body = format!("{{\"records\":[{no_trace_id},{good},7]}}");
+        let parsed = parse_records_json(&body);
+        assert_eq!(parsed.len(), 1, "only the well-formed record survives");
+        assert_eq!(*parsed[0], record(1, None, "r", "a:1"));
+        assert!(parse_records_json("not json").is_empty());
+        assert!(parse_records_json("{\"records\":{}}").is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | `GET /v1/experiments/{id}` | one experiment (what `repro info` prints) |
 //! | `POST /v1/experiments/{id}/run` | run at a parameter point; body `{"params": {...}, "preset": "...", "format": "json"\|"csv"}` |
 //! | `POST /v1/sweeps/{id}` | enqueue the sweep variant asynchronously; `202` + job id immediately |
-//! | `GET /v1/jobs/{rid}` | poll job status (`queued\|running\|done\|failed`) with trial progress |
+//! | `GET /v1/jobs/{rid}` | poll job status (`queued\|running\|done\|failed`) with sweep-job progress (`done`/`total`) |
 //! | `GET /v1/jobs/{rid}/result` | the finished body (`202` + status while still in flight) |
 //! | `GET /v1/_fleet/cache/{hash}` | internal: this instance's cached body for a request hash |
 //! | `GET /v1/metrics/history` | windowed time-series rings fed by the self-scraper thread |

@@ -30,15 +30,17 @@
 use crate::cache::{CachedBody, LruCache};
 use crate::http::{self, Request, RequestError, Response};
 use crate::{api, net, signal, Error, Result};
+use cnt_fleet::jobs::Progress;
 use cnt_fleet::{
-    journal, ChaosInjector, ChunkBoard, FleetConfig, FleetHealth, HashRing, JobBody, JobEntry,
-    JobState, JobTable, PeerClient, PeerState, RetryPolicy, RouteMode, Transition,
+    journal, ChaosInjector, ChunkBoard, ChunkClaim, FleetConfig, FleetHealth, HashRing, JobBody,
+    JobEntry, JobState, JobTable, PeerClient, PeerError, PeerResponse, PeerState, RetryPolicy,
+    RouteMode, Transition,
 };
 use cnt_interconnect::experiments::format::OutputFormat;
 use cnt_interconnect::experiments::{self, Experiment, Params, Report, RunContext};
 use cnt_obs::json::{self, JsonValue};
 use cnt_obs::slo::{self, SloSpec};
-use cnt_obs::trace_store::{id_hex, parse_id, TraceContext, TraceRecord, TraceStore};
+use cnt_obs::trace_store::{self, id_hex, parse_id, TraceContext, TraceRecord, TraceStore};
 use cnt_obs::{
     Counter, CounterVec, Gauge, GaugeVec, Histogram, HistoryStore, MetricRegistry, Profile,
 };
@@ -438,18 +440,24 @@ impl FleetState {
         }
     }
 
-    /// Feeds a hot-path transport failure into the failure detector.
-    fn record_peer_failure(&self, index: usize) {
-        if let Some(transition) = self.health.record_failure(index, Instant::now()) {
+    /// Makes one hot-path call to peer `index` (`call` gets its
+    /// address) and feeds the outcome into the failure detector: any
+    /// parsed response is a success, a transport error a failure.
+    fn call_peer(
+        &self,
+        index: usize,
+        call: impl FnOnce(&str) -> core::result::Result<PeerResponse, PeerError>,
+    ) -> core::result::Result<PeerResponse, PeerError> {
+        let result = call(self.config.peer(index));
+        let transition = match &result {
+            Ok(_) => self.health.record_success(index),
+            Err(e) if e.is_transport() => self.health.record_failure(index, Instant::now()),
+            Err(_) => None,
+        };
+        if let Some(transition) = transition {
             self.apply_transition(&transition);
         }
-    }
-
-    /// Feeds a hot-path success (any parsed response) into the detector.
-    fn record_peer_success(&self, index: usize) {
-        if let Some(transition) = self.health.record_success(index) {
-            self.apply_transition(&transition);
-        }
+        result
     }
 }
 
@@ -1169,102 +1177,124 @@ fn access_log_line(log_format: AccessLogFormat, record: &AccessRecord<'_>) -> St
     }
 }
 
-/// The `/v1` router.
+/// A route's handler: the path's `{param}` segment (empty for a fixed
+/// path), the request, its scope and the shared state.
+type Handler = fn(&str, &Request, &RequestScope, &Arc<Shared>) -> Response;
+
+/// Every route: the one method it serves, a path prefix and suffix, and
+/// its handler. A prefix ending in `/` takes one `{param}` segment
+/// before the suffix; any other prefix is the whole path. No path fits
+/// two routes.
+static ROUTES: [(&str, &str, &str, Handler); 18] = [
+    ("GET", "/v1/healthz", "", |_, _, _, s| {
+        Response::json(200, healthz_json(s))
+    }),
+    ("GET", "/v1/metrics", "", |_, _, _, s| Response {
+        content_type: "text/plain; version=0.0.4",
+        ..Response::json(200, metrics_text(s))
+    }),
+    ("GET", "/v1/metrics/history", "", |_, _, _, s| {
+        Response::json(200, s.history.render_json(HISTORY_WINDOW_S))
+    }),
+    ("GET", "/v1/slo", "", |_, _, _, s| {
+        Response::json(
+            200,
+            slo::render_json(&slo::evaluate_all(&s.slos, &s.history)),
+        )
+    }),
+    ("GET", "/v1/profile", "", |_, _, _, s| {
+        Response::json(200, s.profile.render_json())
+    }),
+    ("GET", "/v1/profile/folded", "", |_, _, _, s| Response {
+        content_type: "text/plain; charset=utf-8",
+        ..Response::json(200, s.profile.folded())
+    }),
+    ("GET", "/v1/experiments", "", |_, _, _, _| {
+        Response::json(200, api::catalog_json())
+    }),
+    (
+        "GET",
+        "/v1/experiments/",
+        "",
+        |id, _, _, _| match api::experiment_json(id) {
+            Some(body) => Response::json(200, body),
+            None => Response::json(
+                404,
+                api::error_json(
+                    &cnt_interconnect::Error::UnknownExperiment(id.to_string()).to_string(),
+                ),
+            ),
+        },
+    ),
+    (
+        "POST",
+        "/v1/experiments/",
+        "/run",
+        |id, request, scope, s| {
+            traced(&request.path, scope, s, || run_route(id, request, scope, s))
+        },
+    ),
+    ("POST", "/v1/sweeps/", "", |id, request, scope, s| {
+        traced(&request.path, scope, s, || {
+            sweep_job_route(id, request, scope, s)
+        })
+    }),
+    ("GET", "/v1/jobs/", "", |rid, _, _, s| {
+        job_status_route(rid, s, true)
+    }),
+    ("GET", "/v1/jobs/", "/result", |rid, _, _, s| {
+        job_result_route(rid, s, true)
+    }),
+    ("GET", "/v1/trace/", "", |hex, _, _, s| trace_route(hex, s)),
+    ("GET", "/v1/_fleet/cache/", "", |hash, _, _, s| {
+        fleet_cache_route(hash, s)
+    }),
+    ("GET", "/v1/_fleet/trace/", "", |hex, _, _, s| {
+        fleet_trace_route(hex, s)
+    }),
+    ("POST", "/v1/_fleet/chunk", "", |_, request, _, s| {
+        fleet_chunk_route(request, s)
+    }),
+    // A peer polling on behalf of a client: local view only, never fans
+    // out further (no proxy loops).
+    ("GET", "/v1/_fleet/jobs/", "", |rid, _, _, s| {
+        job_status_route(rid, s, false)
+    }),
+    ("GET", "/v1/_fleet/jobs/", "/result", |rid, _, _, s| {
+        job_result_route(rid, s, false)
+    }),
+];
+
+/// The `/v1` router. The path resolves first, to the one route that
+/// serves it, and the method is checked second: a path no route serves
+/// is a `404` whatever the method, a routed path with the wrong method
+/// a `405`.
 fn route(request: &Request, scope: &RequestScope, shared: &Arc<Shared>) -> Response {
     let path = request.path.trim_end_matches('/');
     let method = request.method.as_str();
-    match (method, path) {
-        ("GET", "/v1/healthz") => Response::json(200, healthz_json(shared)),
-        ("GET", "/v1/metrics") => Response {
-            content_type: "text/plain; version=0.0.4",
-            ..Response::json(200, metrics_text(shared))
-        },
-        ("GET", "/v1/metrics/history") => {
-            Response::json(200, shared.history.render_json(HISTORY_WINDOW_S))
-        }
-        ("GET", "/v1/slo") => Response::json(
-            200,
-            slo::render_json(&slo::evaluate_all(&shared.slos, &shared.history)),
+    let resolved = ROUTES
+        .iter()
+        .find_map(|&(allowed, prefix, suffix, handler)| {
+            let param = path.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            let fits = if prefix.ends_with('/') {
+                !param.contains('/')
+            } else {
+                param.is_empty()
+            };
+            fits.then_some((allowed, param, handler))
+        });
+    match resolved {
+        None => Response::json(
+            404,
+            api::error_json(&format!(
+                "no such route {path} (see GET /v1/experiments for the catalog)"
+            )),
         ),
-        ("GET", "/v1/profile") => Response::json(200, shared.profile.render_json()),
-        ("GET", "/v1/profile/folded") => Response {
-            content_type: "text/plain; charset=utf-8",
-            ..Response::json(200, shared.profile.folded())
-        },
-        ("GET", "/v1/experiments") => Response::json(200, api::catalog_json()),
-        _ => {
-            if let Some(rest) = path.strip_prefix("/v1/experiments/") {
-                return match (method, rest.strip_suffix("/run")) {
-                    ("POST", Some(id)) if !id.contains('/') => {
-                        traced(&request.path, scope, shared, || {
-                            run_route(id, request, scope, shared)
-                        })
-                    }
-                    ("GET", None) if !rest.contains('/') => match api::experiment_json(rest) {
-                        Some(body) => Response::json(200, body),
-                        None => Response::json(
-                            404,
-                            api::error_json(
-                                &cnt_interconnect::Error::UnknownExperiment(rest.to_string())
-                                    .to_string(),
-                            ),
-                        ),
-                    },
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(hash) = path.strip_prefix("/v1/_fleet/cache/") {
-                return match method {
-                    "GET" if !hash.contains('/') => fleet_cache_route(hash, shared),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(hex) = path.strip_prefix("/v1/_fleet/trace/") {
-                return match method {
-                    "GET" if !hex.contains('/') => fleet_trace_route(hex, shared),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if path == "/v1/_fleet/chunk" {
-                return match method {
-                    "POST" => fleet_chunk_route(request, shared),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(rest) = path.strip_prefix("/v1/_fleet/jobs/") {
-                // A peer polling on behalf of a client: local view only,
-                // never fans out further (no proxy loops).
-                return match (method, rest.strip_suffix("/result")) {
-                    ("GET", Some(rid)) if !rid.contains('/') => {
-                        job_result_route(rid, shared, false)
-                    }
-                    ("GET", None) if !rest.contains('/') => job_status_route(rest, shared, false),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(hex) = path.strip_prefix("/v1/trace/") {
-                return match method {
-                    "GET" if !hex.contains('/') => trace_route(hex, shared),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(id) = path.strip_prefix("/v1/sweeps/") {
-                return match method {
-                    "POST" if !id.contains('/') => traced(&request.path, scope, shared, || {
-                        sweep_job_route(id, request, scope, shared)
-                    }),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(rest) = path.strip_prefix("/v1/jobs/") {
-                return match (method, rest.strip_suffix("/result")) {
-                    ("GET", Some(rid)) if !rid.contains('/') => job_result_route(rid, shared, true),
-                    ("GET", None) if !rest.contains('/') => job_status_route(rest, shared, true),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            method_or_route_miss(method, path)
-        }
+        Some((allowed, _, _)) if allowed != method => Response::json(
+            405,
+            api::error_json(&format!("method {method} not allowed on {path}")),
+        ),
+        Some((_, param, handler)) => handler(param, request, scope, shared),
     }
 }
 
@@ -1309,48 +1339,6 @@ fn traced(
     });
     shared.metrics.trace_records.inc();
     response
-}
-
-/// `405` for a known path with the wrong method, `404` otherwise.
-fn method_or_route_miss(method: &str, path: &str) -> Response {
-    let one_segment = |prefix: &str| {
-        path.strip_prefix(prefix)
-            .is_some_and(|rest| !rest.is_empty() && !rest.contains('/'))
-    };
-    let known = matches!(
-        path,
-        "/v1/healthz"
-            | "/v1/metrics"
-            | "/v1/metrics/history"
-            | "/v1/slo"
-            | "/v1/profile"
-            | "/v1/profile/folded"
-            | "/v1/experiments"
-    ) || (path.starts_with("/v1/experiments/")
-        && !path.trim_start_matches("/v1/experiments/").contains('/'))
-        || (path.starts_with("/v1/experiments/") && path.ends_with("/run"))
-        || path == "/v1/_fleet/chunk"
-        || one_segment("/v1/_fleet/cache/")
-        || one_segment("/v1/_fleet/trace/")
-        || one_segment("/v1/_fleet/jobs/")
-        || (path.starts_with("/v1/_fleet/jobs/") && path.ends_with("/result"))
-        || one_segment("/v1/trace/")
-        || one_segment("/v1/sweeps/")
-        || one_segment("/v1/jobs/")
-        || (path.starts_with("/v1/jobs/") && path.ends_with("/result"));
-    if known {
-        Response::json(
-            405,
-            api::error_json(&format!("method {method} not allowed on {path}")),
-        )
-    } else {
-        Response::json(
-            404,
-            api::error_json(&format!(
-                "no such route {path} (see GET /v1/experiments for the catalog)"
-            )),
-        )
-    }
 }
 
 /// `POST /v1/experiments/{id}/run`: fleet-route → validate → cache →
@@ -1523,7 +1511,6 @@ fn fleet_route(
         shared.metrics.route_total.with("degraded").inc();
         return None;
     }
-    let owner_addr = fleet.config.peer(owner);
     // Context propagation: the owner adopts our trace (we become the
     // parent span) and our request id, so its access log and trace
     // record join this request's.
@@ -1535,7 +1522,7 @@ fn fleet_route(
     match fleet.config.mode {
         RouteMode::Redirect => {
             shared.metrics.route_total.with("redirected").inc();
-            let target = format!("http://{owner_addr}{}", request.path);
+            let target = format!("http://{}{}", fleet.config.peer(owner), request.path);
             Some(Response {
                 location: Some(target.clone()),
                 ..Response::json(307, format!("{{\"location\":\"{target}\"}}\n"))
@@ -1545,51 +1532,43 @@ fn fleet_route(
             // Cheap cache-fill probe first: the owner usually holds hot
             // points already, so most cross-shard requests cost one
             // small GET instead of a full proxied run.
-            match fleet.fill.get_with(
-                owner_addr,
-                &format!("/v1/_fleet/cache/{key:016x}"),
-                &hop_headers,
-            ) {
+            let fill_path = format!("/v1/_fleet/cache/{key:016x}");
+            match fleet.call_peer(owner, |addr| {
+                fleet.fill.get_with(addr, &fill_path, &hop_headers)
+            }) {
                 Ok(peer) if peer.status == 200 => {
-                    fleet.record_peer_success(owner);
                     shared.metrics.peer_fill.with("hit").inc();
                     shared.metrics.route_total.with("proxied").inc();
                     Some(peer_response(&peer))
                 }
                 Ok(_) => {
-                    fleet.record_peer_success(owner);
                     shared.metrics.peer_fill.with("miss").inc();
                     let body = core::str::from_utf8(&request.body).unwrap_or("");
-                    match fleet.proxy.post_with(
-                        owner_addr,
-                        &request.path,
-                        "application/json",
-                        body,
-                        &hop_headers,
-                    ) {
+                    match fleet.call_peer(owner, |addr| {
+                        fleet.proxy.post_with(
+                            addr,
+                            &request.path,
+                            "application/json",
+                            body,
+                            &hop_headers,
+                        )
+                    }) {
                         Ok(peer) => {
-                            fleet.record_peer_success(owner);
                             shared.metrics.route_total.with("proxied").inc();
                             Some(peer_response(&peer))
                         }
-                        Err(e) => {
+                        Err(_) => {
                             // Owner died between probe and proxy:
                             // degrade to computing locally.
-                            if e.is_transport() {
-                                fleet.record_peer_failure(owner);
-                            }
                             shared.metrics.route_total.with("local").inc();
                             None
                         }
                     }
                 }
-                Err(e) => {
+                Err(_) => {
                     // Dead or stalled owner: the fill client already
                     // timed out fast (and closed its sockets); answer
                     // from here like a single instance would.
-                    if e.is_transport() {
-                        fleet.record_peer_failure(owner);
-                    }
                     shared.metrics.peer_fill.with("error").inc();
                     shared.metrics.route_total.with("local").inc();
                     None
@@ -1628,17 +1607,10 @@ fn fleet_trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
             api::error_json(&format!("bad trace id '{hex}' (want 16 hex chars)")),
         );
     };
-    let records = shared.traces.get(trace_id);
-    let mut body = String::with_capacity(256);
-    body.push_str("{\"schema\":1,\"kind\":\"trace_records\",\"records\":[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        r.push_json(&mut body);
-    }
-    body.push_str("]}\n");
-    Response::json(200, body)
+    Response::json(
+        200,
+        trace_store::render_records_json(&shared.traces.get(trace_id)),
+    )
 }
 
 /// `GET /v1/trace/{id}`: the assembled cross-instance trace tree —
@@ -1664,7 +1636,7 @@ fn trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
             }
             if let Ok(response) = fleet.fill.get(peer, &path) {
                 if response.status == 200 {
-                    records.extend(parse_peer_trace_records(&response.body));
+                    records.extend(trace_store::parse_records_json(&response.body));
                 }
             }
         }
@@ -1691,68 +1663,6 @@ fn trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
     )
 }
 
-/// Parses a peer's `/v1/_fleet/trace/{id}` body back into records.
-/// Anything malformed is skipped rather than failing the whole tree —
-/// a half-upgraded fleet still answers with what it can read.
-fn parse_peer_trace_records(body: &str) -> Vec<Arc<TraceRecord>> {
-    fn span_node(v: &JsonValue) -> Option<cnt_obs::SpanNode> {
-        let JsonValue::Object(members) = v else {
-            return None;
-        };
-        let mut name = None;
-        let mut count = 0u64;
-        let mut total_s = 0.0f64;
-        let mut children = Vec::new();
-        for (key, value) in members {
-            match (key.as_str(), value) {
-                ("name", JsonValue::String(s)) => name = Some(s.clone()),
-                ("count", JsonValue::Number(raw)) => count = raw.parse().unwrap_or(0),
-                ("total_s", JsonValue::Number(raw)) => total_s = raw.parse().unwrap_or(0.0),
-                ("children", JsonValue::Array(items)) => {
-                    children = items.iter().filter_map(span_node).collect();
-                }
-                _ => {}
-            }
-        }
-        Some(cnt_obs::SpanNode {
-            name: name?,
-            count,
-            total_s,
-            children,
-        })
-    }
-
-    let Ok(top) = json::parse(body) else {
-        return Vec::new();
-    };
-    let Some(JsonValue::Array(items)) = top.get("records") else {
-        return Vec::new();
-    };
-    items
-        .iter()
-        .filter_map(|item| {
-            let text = |key: &str| item.get(key).and_then(JsonValue::as_str);
-            let number = |key: &str| item.get(key).and_then(JsonValue::as_f64);
-            let roots = match item.get("spans") {
-                Some(JsonValue::Array(spans)) => spans.iter().filter_map(span_node).collect(),
-                _ => Vec::new(),
-            };
-            Some(Arc::new(TraceRecord {
-                trace_id: parse_id(text("trace_id")?)?,
-                span_id: parse_id(text("span_id")?)?,
-                parent: text("parent").and_then(parse_id),
-                name: text("name")?.to_string(),
-                instance: text("instance").unwrap_or_default().to_string(),
-                request_id: text("request_id").unwrap_or_default().to_string(),
-                unix_s: number("unix_s").unwrap_or(0.0),
-                total_s: number("total_s").unwrap_or(0.0),
-                status: number("status").map_or(0, |s| s as u16),
-                roots,
-            }))
-        })
-        .collect()
-}
-
 /// One accepted sweep job, as the journal and the worker task see it:
 /// everything needed to re-run the job deterministically after a crash.
 #[derive(Debug, Clone, PartialEq)]
@@ -1762,6 +1672,70 @@ struct JobSpec {
     preset: Option<String>,
     sets: Vec<(String, String)>,
     format: OutputFormat,
+}
+
+impl JobSpec {
+    /// Writes the members naming the job's parameter point —
+    /// `"experiment"`, an optional `"preset"` and the `"sets"` pairs —
+    /// as the journal's `submitted` record and the chunk request both
+    /// carry them.
+    fn push_point(&self, out: &mut String) {
+        out.push_str("\"experiment\":");
+        json::push_string(&self.experiment, out);
+        if let Some(preset) = &self.preset {
+            out.push_str(",\"preset\":");
+            json::push_string(preset, out);
+        }
+        out.push_str(",\"sets\":[");
+        for (i, (k, v)) in self.sets.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            json::push_string(k, out);
+            out.push(',');
+            json::push_string(v, out);
+            out.push(']');
+        }
+        out.push(']');
+    }
+
+    /// Reads [`JobSpec::push_point`]'s members back out of an object,
+    /// handing every other member — or one of these with the wrong JSON
+    /// type — to `other`, which may reject it. `sets` is strict: each
+    /// item must be a `[key, value]` pair of strings. The id and format
+    /// are left empty and JSON for the caller to fill in.
+    fn read_point(
+        members: &[(String, JsonValue)],
+        mut other: impl FnMut(&str, &JsonValue) -> core::result::Result<(), String>,
+    ) -> core::result::Result<JobSpec, String> {
+        let mut spec = JobSpec {
+            rid: String::new(),
+            experiment: String::new(),
+            preset: None,
+            sets: Vec::new(),
+            format: OutputFormat::Json,
+        };
+        for (name, value) in members {
+            match (name.as_str(), value) {
+                ("experiment", JsonValue::String(s)) => spec.experiment = s.clone(),
+                ("preset", JsonValue::String(s)) => spec.preset = Some(s.clone()),
+                ("sets", JsonValue::Array(items)) => {
+                    for item in items {
+                        let JsonValue::Array(pair) = item else {
+                            return Err("each set must be a [key, value] pair".to_string());
+                        };
+                        let [JsonValue::String(k), JsonValue::String(v)] = pair.as_slice() else {
+                            return Err("each set must be a [key, value] pair".to_string());
+                        };
+                        spec.sets.push((k.clone(), v.clone()));
+                    }
+                }
+                (name, value) => other(name, value)?,
+            }
+        }
+        Ok(spec)
+    }
 }
 
 /// `POST /v1/sweeps/{id}`: validate, register a job, journal the
@@ -1847,8 +1821,8 @@ fn sweep_job_route(
 
 /// Enqueues one accepted sweep job (fresh submission or journal
 /// recovery) on the worker pool. The task resolves everything from the
-/// spec, runs it (locally or fanned out across the fleet), and records
-/// the terminal state in the job table and the journal.
+/// spec, runs it through the chunk coordinator, and records the
+/// terminal state in the job table and the journal.
 fn spawn_sweep_job(
     shared: &Arc<Shared>,
     job: Arc<JobEntry>,
@@ -1861,14 +1835,11 @@ fn spawn_sweep_job(
         worker_shared.metrics.jobs_total.with("running").inc();
         let job_started = Instant::now();
         cnt_obs::Trace::begin();
-        // The executor reports into the job's progress counters via the
-        // thread-local scope; a panicking kernel fails the job instead
-        // of poisoning the pool worker.
+        // A panicking kernel fails the job instead of poisoning the
+        // pool worker.
         let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _span = cnt_obs::span!("serve.job");
-            cnt_sweep::progress::scoped(Arc::clone(&job.progress), || {
-                execute_sweep_job(&worker_shared, &spec)
-            })
+            execute_sweep_job(&worker_shared, &spec, &job.progress)
         }));
         let roots = cnt_obs::Trace::end();
         worker_shared.profile.add(&roots);
@@ -1943,117 +1914,108 @@ fn finish_job(
     job.complete(content_type, body);
 }
 
-/// Runs one sweep job to its rendered body: the classic single-instance
-/// path, or chunked execution when a fleet is configured (fan-out) or a
-/// data dir is (chunk-level crash resume, local lanes only).
+/// Runs one sweep job to its rendered body through the chunk
+/// coordinator, the one way a served sweep runs.
 fn execute_sweep_job(
     shared: &Arc<Shared>,
     spec: &JobSpec,
+    progress: &Progress,
 ) -> core::result::Result<(&'static str, String), (u16, String)> {
     let ctx =
         match experiments::resolve_context(&spec.experiment, spec.preset.as_deref(), &spec.sets) {
             Ok((_, ctx)) => ctx,
             Err(e) => return Err((400, api::error_json(&e.to_string()))),
         };
-    if shared.fleet.get().is_some() || shared.data_dir.is_some() {
-        return fanout_sweep(shared, spec, &ctx);
-    }
-    let sweep = match experiments::sweep_variant(&spec.experiment) {
-        Ok((_, sweep)) => sweep,
-        Err(e) => return Err((404, api::error_json(&e.to_string()))),
-    };
-    match sweep.run_sweep(&ctx) {
-        Ok(run) => Ok(render_report(&run.report, spec.format)),
-        Err(e) => Err((500, api::error_json(&e.to_string()))),
-    }
+    fanout_sweep(shared, spec, &ctx, progress)
 }
 
-/// Distributes one sweep across the fleet: deterministic chunk split,
-/// remote dispatch with re-dispatch on failure, local execution as the
-/// lane of last resort, and chunk-level crash resume through the
-/// content-hash chunk store. Per-job rows concatenate in global index
-/// order into the same [`ChunkableSweep::finish`] reduce a local run
+/// Runs one sweep as chunks: a deterministic chunk split, chunk-level
+/// crash resume through the content-hash chunk store, one dispatch lane
+/// per fleet peer with re-dispatch on failure, and the local lane as
+/// the lane of last resort. Per-job rows concatenate in global index
+/// order into the same [`ChunkableSweep::finish`] reduce `repro sweep`
 /// uses, so the merged report is byte-identical by construction.
+///
+/// The coordinator also owns the job's progress: `total` is the sweep's
+/// job count from the start, and every chunk adds its length to `done`
+/// exactly once, whichever lane lands it.
 ///
 /// [`ChunkableSweep::finish`]: experiments::ChunkableSweep::finish
 fn fanout_sweep(
     shared: &Arc<Shared>,
     spec: &JobSpec,
     ctx: &RunContext,
+    progress: &Progress,
 ) -> core::result::Result<(&'static str, String), (u16, String)> {
     let fleet = shared.fleet.get();
     let sweep = match experiments::chunkable_sweep(&spec.experiment, ctx) {
         Ok(sweep) => sweep,
         Err(e) => return Err((500, api::error_json(&e.to_string()))),
     };
+    let n_jobs = sweep.jobs();
+    progress.set_total(n_jobs as u64);
     // The full-table cache already holds this exact run — nothing to
     // fan out.
     if let Some(run) = sweep.cached_run() {
+        progress.add_done(n_jobs as u64);
         return Ok(render_report(&run.report, spec.format));
     }
-    let n_jobs = sweep.jobs();
     // Twice as many chunks as peers keeps every lane busy even when
     // peers run at different speeds; the split depends only on the
-    // topology and the plan (a fixed 8 when running chunked purely for
-    // durability), so a restarted coordinator derives the same
-    // boundaries — which is what keeps chunk cache keys stable across
-    // crashes.
+    // topology and the plan (a fixed 8 on a single instance), so a
+    // restarted coordinator derives the same boundaries — which is what
+    // keeps chunk cache keys stable across crashes.
     let slots = fleet.map_or(8, |f| f.config.peers.len() * 2);
     let ranges = chunk_ranges(n_jobs, slots.clamp(1, n_jobs.max(1)));
-    let store = shared.chunk_store();
-    let board = ChunkBoard::new(&ranges);
-    let results: Mutex<Vec<Option<Vec<Vec<f64>>>>> = Mutex::new(vec![None; ranges.len()]);
-    let abort: Mutex<Option<(u16, String)>> = Mutex::new(None);
+    let fanout = Fanout {
+        shared,
+        spec,
+        sweep: &sweep,
+        progress,
+        board: ChunkBoard::new(&ranges),
+        results: Mutex::new(vec![None; ranges.len()]),
+        abort: Mutex::new(None),
+        store: shared.chunk_store(),
+        deadline: fleet.map_or(Duration::from_secs(1), |f| {
+            f.config.proxy_timeout.max(Duration::from_secs(1))
+        }),
+    };
 
     // Resume pass: chunks a previous life of this coordinator finished
     // recall from the store — counted as sweep cache hits, the signal
     // the restart e2e asserts on — and are never dispatched at all.
     for (index, range) in ranges.iter().enumerate() {
         let key = sweep.chunk_key(range.start, range.end);
-        let probe = store.get_or_compute(&key, || {
+        let probe = fanout.store.get_or_compute(&key, || {
             Err(cnt_sweep::Error::Job {
                 index: range.start,
                 message: "chunk not computed yet".to_string(),
             })
         });
         if let Ok((table, _)) = probe {
-            results.lock().expect("results poisoned")[index] = Some(table.rows);
-            board.complete(index);
-            shared.metrics.chunks_total.with("resumed").inc();
+            fanout.land(index, range, table.rows, "resumed");
         }
     }
 
-    let deadline = fleet.map_or(Duration::from_secs(1), |f| {
-        f.config.proxy_timeout.max(Duration::from_secs(1))
-    });
     std::thread::scope(|scope| {
         if let Some(fleet) = fleet {
             for peer_index in 0..fleet.config.peers.len() {
-                if peer_index == fleet.config.self_index {
-                    continue;
+                if peer_index != fleet.config.self_index {
+                    let fanout = &fanout;
+                    scope.spawn(move || fanout.remote_lane(fleet, peer_index));
                 }
-                let (sweep, board, results, abort, store) =
-                    (&sweep, &board, &results, &abort, &store);
-                scope.spawn(move || {
-                    remote_chunk_lane(
-                        shared, fleet, spec, sweep, board, results, abort, store, peer_index,
-                        deadline,
-                    );
-                });
             }
         }
         // The coordinator's own lane runs on this thread — the reason a
         // job finishes even with every peer dead.
-        local_chunk_lane(
-            shared, spec, &sweep, &board, &results, &abort, &store, deadline,
-        );
+        fanout.local_lane();
     });
 
-    if let Some(failure) = abort.into_inner().expect("abort poisoned") {
+    if let Some(failure) = fanout.abort.into_inner().expect("abort poisoned") {
         return Err(failure);
     }
     let mut per_job = Vec::with_capacity(n_jobs);
-    for rows in results.into_inner().expect("results poisoned") {
+    for rows in fanout.results.into_inner().expect("results poisoned") {
         per_job.extend(rows.expect("all chunks done implies every chunk present"));
     }
     match sweep.finish(per_job) {
@@ -2069,183 +2031,166 @@ fn chunk_retry_delay(attempt: u32) -> Duration {
     Duration::from_millis(10u64 << attempt.min(5))
 }
 
-/// One peer's dispatch lane: claim a chunk, POST it to the peer, record
-/// the rows. Any failure requeues the chunk with a backoff so another
-/// lane (ultimately the local one) re-runs it; transport failures also
-/// feed the fleet failure detector, and a peer marked Down closes its
-/// lane entirely.
-#[allow(clippy::too_many_arguments)]
-fn remote_chunk_lane(
-    shared: &Arc<Shared>,
-    fleet: &FleetState,
-    spec: &JobSpec,
-    sweep: &experiments::ChunkableSweep,
-    board: &ChunkBoard,
-    results: &Mutex<Vec<Option<Vec<Vec<f64>>>>>,
-    abort: &Mutex<Option<(u16, String)>>,
-    store: &ResultStore,
-    peer_index: usize,
+/// One sweep's chunk coordinator: the board every lane claims from, the
+/// per-chunk rows, the first kernel failure, and the chunk store.
+struct Fanout<'a> {
+    shared: &'a Arc<Shared>,
+    spec: &'a JobSpec,
+    sweep: &'a experiments::ChunkableSweep,
+    progress: &'a Progress,
+    board: ChunkBoard,
+    results: Mutex<Vec<Option<Vec<Vec<f64>>>>>,
+    abort: Mutex<Option<(u16, String)>>,
+    store: ResultStore,
+    /// How long a dispatched chunk may stay out before another lane
+    /// steals it.
     deadline: Duration,
-) {
-    let addr = fleet.config.peer(peer_index);
-    loop {
-        if board.all_done() || abort.lock().expect("abort poisoned").is_some() {
+}
+
+impl Fanout<'_> {
+    /// The next chunk for a lane, waiting while none is claimable;
+    /// `None` once the board is done, the job aborted, or `open` says
+    /// the lane has closed.
+    fn next_claim(&self, open: impl Fn() -> bool) -> Option<ChunkClaim> {
+        loop {
+            if self.board.all_done()
+                || self.abort.lock().expect("abort poisoned").is_some()
+                || !open()
+            {
+                return None;
+            }
+            match self.board.claim(Instant::now(), self.deadline) {
+                Some(claim) => return Some(claim),
+                None => std::thread::sleep(Duration::from_millis(2)),
+            }
+        }
+    }
+
+    /// Records a chunk's rows. The first report of each chunk — from the
+    /// resume pass or any lane — counts its outcome and adds the chunk's
+    /// length to the job's progress; a stolen chunk's late duplicate
+    /// changes nothing.
+    fn land(&self, index: usize, range: &Range<usize>, rows: Vec<Vec<f64>>, outcome: &str) {
+        self.results.lock().expect("results poisoned")[index] = Some(rows);
+        if !self.board.complete(index) {
             return;
         }
+        // A chunk recalled from the store gets no new record: resume
+        // reads the store, not the journal.
+        if outcome != "resumed" {
+            self.shared
+                .journal_append(&chunk_done_record(&self.spec.rid, index, range));
+        }
+        self.shared.metrics.chunks_total.with(outcome).inc();
+        self.progress.add_done(range.len() as u64);
+    }
+
+    /// One peer's dispatch lane: claim a chunk, POST it to the peer,
+    /// record the rows. Any failure requeues the chunk with a backoff so
+    /// another lane (ultimately the local one) re-runs it.
+    fn remote_lane(&self, fleet: &FleetState, peer_index: usize) {
         // A Down peer closes its lane: the board's stealing rule hands
         // any in-flight chunk to someone else, and the background
         // prober brings the peer back for the *next* job.
-        if !fleet.health.is_routable(peer_index) {
-            return;
-        }
-        let Some(claim) = board.claim(Instant::now(), deadline) else {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        };
-        let key = sweep.chunk_key(claim.range.start, claim.range.end);
-        let body = chunk_request_json(spec, sweep.fingerprint(), &claim.range);
-        match fleet
-            .proxy
-            .post(addr, "/v1/_fleet/chunk", "application/json", &body)
-        {
-            Ok(peer) if peer.status == 200 => {
-                fleet.record_peer_success(peer_index);
-                match cnt_sweep::json::decode_table(&peer.body) {
+        while let Some(claim) = self.next_claim(|| fleet.health.is_routable(peer_index)) {
+            let requeue = || {
+                self.board.requeue(
+                    claim.index,
+                    Instant::now(),
+                    chunk_retry_delay(claim.attempt),
+                );
+                self.shared.metrics.chunks_total.with("requeued").inc();
+            };
+            let key = self.sweep.chunk_key(claim.range.start, claim.range.end);
+            let body = chunk_request_json(self.spec, self.sweep.fingerprint(), &claim.range);
+            match fleet.call_peer(peer_index, |addr| {
+                fleet
+                    .proxy
+                    .post(addr, "/v1/_fleet/chunk", "application/json", &body)
+            }) {
+                Ok(peer) if peer.status == 200 => match cnt_sweep::json::decode_table(&peer.body) {
                     Ok(table)
                         if table.key == key.hex() && table.rows.len() == claim.range.len() =>
                     {
                         // Persist before reporting done: a coordinator
                         // killed right after this line resumes the
                         // chunk from disk instead of re-fetching it.
-                        let _ = store.put(&key, table.columns.clone(), table.rows.clone());
-                        results.lock().expect("results poisoned")[claim.index] = Some(table.rows);
-                        if board.complete(claim.index) {
-                            shared.journal_append(&chunk_done_record(&spec.rid, &claim));
-                            shared.metrics.chunks_total.with("remote").inc();
-                        }
+                        let _ = self
+                            .store
+                            .put(&key, table.columns.clone(), table.rows.clone());
+                        self.land(claim.index, &claim.range, table.rows, "remote");
                     }
-                    _ => {
-                        // A 200 whose rows we cannot trust (foreign
-                        // build, wrong shape): requeue; only the health
-                        // detector decides this peer's fate.
-                        board.requeue(
-                            claim.index,
-                            Instant::now(),
-                            chunk_retry_delay(claim.attempt),
-                        );
-                        shared.metrics.chunks_total.with("requeued").inc();
+                    // A 200 whose rows we cannot trust (foreign build,
+                    // wrong shape): requeue; only the health detector
+                    // decides this peer's fate.
+                    _ => requeue(),
+                },
+                Ok(peer) => {
+                    requeue();
+                    // The peer answered but refused (fingerprint
+                    // mismatch, unknown experiment): retrying the same
+                    // peer cannot succeed, so the lane closes for this
+                    // job. A 503 is the one retryable refusal
+                    // (momentary overload).
+                    if peer.status != 503 {
+                        return;
                     }
                 }
+                Err(_) => requeue(),
             }
-            Ok(peer) => {
-                fleet.record_peer_success(peer_index);
-                board.requeue(
-                    claim.index,
-                    Instant::now(),
-                    chunk_retry_delay(claim.attempt),
-                );
-                shared.metrics.chunks_total.with("requeued").inc();
-                // The peer answered but refused (fingerprint mismatch,
-                // unknown experiment): retrying the same peer cannot
-                // succeed, so the lane closes for this job. A 503 is
-                // the one retryable refusal (momentary overload).
-                if peer.status != 503 {
+        }
+    }
+
+    /// The coordinator's local lane: runs claimed chunks through the
+    /// chunk store, so completed work is both crash-durable and never
+    /// recomputed after a resume.
+    fn local_lane(&self) {
+        while let Some(claim) = self.next_claim(|| true) {
+            match compute_chunk(&self.store, self.sweep, &claim.range) {
+                Ok((table, hit)) => {
+                    let outcome = if hit { "resumed" } else { "local" };
+                    self.land(claim.index, &claim.range, table.rows, outcome);
+                }
+                Err(e) => {
+                    // Kernel errors are deterministic — re-dispatching
+                    // the chunk would fail identically everywhere, so
+                    // the whole job aborts.
+                    *self.abort.lock().expect("abort poisoned") =
+                        Some((500, api::error_json(&e.to_string())));
                     return;
                 }
             }
-            Err(e) => {
-                if e.is_transport() {
-                    fleet.record_peer_failure(peer_index);
-                }
-                board.requeue(
-                    claim.index,
-                    Instant::now(),
-                    chunk_retry_delay(claim.attempt),
-                );
-                shared.metrics.chunks_total.with("requeued").inc();
-            }
         }
     }
 }
 
-/// The coordinator's local lane: runs claimed chunks through the chunk
-/// store ([`ResultStore::get_or_compute`]), so completed work is both
-/// crash-durable and never recomputed after a resume.
-#[allow(clippy::too_many_arguments)]
-fn local_chunk_lane(
-    shared: &Arc<Shared>,
-    spec: &JobSpec,
-    sweep: &experiments::ChunkableSweep,
-    board: &ChunkBoard,
-    results: &Mutex<Vec<Option<Vec<Vec<f64>>>>>,
-    abort: &Mutex<Option<(u16, String)>>,
+/// One chunk's rows through a chunk store
+/// ([`ResultStore::get_or_compute`]): recalled when the store holds
+/// them, else run and stored. The flag reports a recall.
+fn compute_chunk(
     store: &ResultStore,
-    deadline: Duration,
-) {
-    loop {
-        if board.all_done() || abort.lock().expect("abort poisoned").is_some() {
-            return;
-        }
-        let Some(claim) = board.claim(Instant::now(), deadline) else {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        };
-        let key = sweep.chunk_key(claim.range.start, claim.range.end);
-        let computed = store.get_or_compute(&key, || {
-            let rows = sweep
-                .run_range(claim.range.start, claim.range.end)
-                .map_err(|e| cnt_sweep::Error::Job {
-                    index: claim.range.start,
-                    message: e.to_string(),
-                })?;
-            Ok((sweep.columns(), rows))
-        });
-        match computed {
-            Ok((table, hit)) => {
-                results.lock().expect("results poisoned")[claim.index] = Some(table.rows);
-                if board.complete(claim.index) {
-                    shared.journal_append(&chunk_done_record(&spec.rid, &claim));
-                    shared
-                        .metrics
-                        .chunks_total
-                        .with(if hit { "resumed" } else { "local" })
-                        .inc();
-                }
-            }
-            Err(e) => {
-                // Kernel errors are deterministic — re-dispatching the
-                // chunk would fail identically everywhere, so the whole
-                // job aborts.
-                *abort.lock().expect("abort poisoned") =
-                    Some((500, api::error_json(&e.to_string())));
-                return;
-            }
-        }
-    }
+    sweep: &experiments::ChunkableSweep,
+    range: &Range<usize>,
+) -> cnt_sweep::Result<(cnt_sweep::Table, bool)> {
+    store.get_or_compute(&sweep.chunk_key(range.start, range.end), || {
+        let rows = sweep
+            .run_range(range.start, range.end)
+            .map_err(|e| cnt_sweep::Error::Job {
+                index: range.start,
+                message: e.to_string(),
+            })?;
+        Ok((sweep.columns(), rows))
+    })
 }
 
-/// The coordinator→worker chunk request body.
+/// The coordinator→worker chunk request body: the job's parameter point
+/// plus the job range and the plan fingerprint.
 fn chunk_request_json(spec: &JobSpec, fingerprint: u64, range: &Range<usize>) -> String {
     let mut out = String::with_capacity(160);
-    out.push_str("{\"experiment\":");
-    json::push_string(&spec.experiment, &mut out);
-    if let Some(preset) = &spec.preset {
-        out.push_str(",\"preset\":");
-        json::push_string(preset, &mut out);
-    }
-    out.push_str(",\"sets\":[");
-    for (i, (k, v)) in spec.sets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        json::push_string(k, &mut out);
-        out.push(',');
-        json::push_string(v, &mut out);
-        out.push(']');
-    }
+    out.push('{');
+    spec.push_point(&mut out);
     out.push_str(&format!(
-        "],\"lo\":{},\"hi\":{},\"fingerprint\":\"{fingerprint:016x}\"}}",
+        ",\"lo\":{},\"hi\":{},\"fingerprint\":\"{fingerprint:016x}\"}}",
         range.start, range.end
     ));
     out
@@ -2253,9 +2198,8 @@ fn chunk_request_json(spec: &JobSpec, fingerprint: u64, range: &Range<usize>) ->
 
 /// A parsed `/v1/_fleet/chunk` request.
 struct ChunkRequest {
-    experiment: String,
-    preset: Option<String>,
-    sets: Vec<(String, String)>,
+    /// The parameter point (no job id; the format is unused).
+    spec: JobSpec,
     lo: usize,
     hi: usize,
     fingerprint: u64,
@@ -2266,48 +2210,32 @@ fn parse_chunk_request(body: &[u8]) -> core::result::Result<ChunkRequest, String
     let JsonValue::Object(members) = json::parse(text).map_err(|e| e.to_string())? else {
         return Err("chunk request must be a JSON object".to_string());
     };
-    let mut chunk = ChunkRequest {
-        experiment: String::new(),
-        preset: None,
-        sets: Vec::new(),
-        lo: 0,
-        hi: 0,
-        fingerprint: 0,
-    };
-    for (name, value) in members {
-        match (name.as_str(), value) {
-            ("experiment", JsonValue::String(s)) => chunk.experiment = s,
-            ("preset", JsonValue::String(s)) => chunk.preset = Some(s),
-            ("sets", JsonValue::Array(items)) => {
-                for item in items {
-                    let JsonValue::Array(pair) = item else {
-                        return Err("each set must be a [key, value] pair".to_string());
-                    };
-                    match (pair.first(), pair.get(1), pair.len()) {
-                        (Some(JsonValue::String(k)), Some(JsonValue::String(v)), 2) => {
-                            chunk.sets.push((k.clone(), v.clone()));
-                        }
-                        _ => return Err("each set must be a [key, value] pair".to_string()),
-                    }
-                }
-            }
+    let (mut lo, mut hi, mut fingerprint) = (0, 0, 0);
+    let spec = JobSpec::read_point(&members, |name, value| {
+        match (name, value) {
             ("lo", JsonValue::Number(raw)) => {
-                chunk.lo = raw.parse().map_err(|_| format!("bad chunk lo '{raw}'"))?;
+                lo = raw.parse().map_err(|_| format!("bad chunk lo '{raw}'"))?;
             }
             ("hi", JsonValue::Number(raw)) => {
-                chunk.hi = raw.parse().map_err(|_| format!("bad chunk hi '{raw}'"))?;
+                hi = raw.parse().map_err(|_| format!("bad chunk hi '{raw}'"))?;
             }
             ("fingerprint", JsonValue::String(s)) => {
-                chunk.fingerprint = u64::from_str_radix(&s, 16)
+                fingerprint = u64::from_str_radix(s, 16)
                     .map_err(|_| format!("bad fingerprint '{s}' (want 16 hex chars)"))?;
             }
             (other, _) => return Err(format!("unknown chunk member '{other}'")),
         }
-    }
-    if chunk.experiment.is_empty() {
+        Ok(())
+    })?;
+    if spec.experiment.is_empty() {
         return Err("chunk request is missing 'experiment'".to_string());
     }
-    Ok(chunk)
+    Ok(ChunkRequest {
+        spec,
+        lo,
+        hi,
+        fingerprint,
+    })
 }
 
 /// `POST /v1/_fleet/chunk`: run one chunk of a fanned-out sweep and
@@ -2320,13 +2248,14 @@ fn fleet_chunk_route(request: &Request, shared: &Arc<Shared>) -> Response {
         Ok(chunk) => chunk,
         Err(message) => return Response::json(400, api::error_json(&message)),
     };
+    let point = &chunk.spec;
     let ctx =
-        match experiments::resolve_context(&chunk.experiment, chunk.preset.as_deref(), &chunk.sets)
+        match experiments::resolve_context(&point.experiment, point.preset.as_deref(), &point.sets)
         {
             Ok((_, ctx)) => ctx,
             Err(e) => return Response::json(400, api::error_json(&e.to_string())),
         };
-    let sweep = match experiments::chunkable_sweep(&chunk.experiment, &ctx) {
+    let sweep = match experiments::chunkable_sweep(&point.experiment, &ctx) {
         Ok(sweep) => sweep,
         Err(e) => return Response::json(400, api::error_json(&e.to_string())),
     };
@@ -2351,20 +2280,10 @@ fn fleet_chunk_route(request: &Request, shared: &Arc<Shared>) -> Response {
             )),
         );
     }
-    let key = sweep.chunk_key(chunk.lo, chunk.hi);
     // The worker's own chunk store: a re-dispatched chunk this instance
     // already ran answers from disk, and a worker that dies mid-chunk
     // leaves nothing to clean up.
-    let computed = shared.chunk_store().get_or_compute(&key, || {
-        let rows = sweep
-            .run_range(chunk.lo, chunk.hi)
-            .map_err(|e| cnt_sweep::Error::Job {
-                index: chunk.lo,
-                message: e.to_string(),
-            })?;
-        Ok((sweep.columns(), rows))
-    });
-    match computed {
+    match compute_chunk(&shared.chunk_store(), &sweep, &(chunk.lo..chunk.hi)) {
         Ok((table, _)) => Response::json(200, cnt_sweep::json::encode_table(&table)),
         Err(e) => Response::json(500, api::error_json(&e.to_string())),
     }
@@ -2382,29 +2301,22 @@ fn peer_job_lookup(shared: &Arc<Shared>, rid: &str, result: bool) -> Option<Resp
     } else {
         format!("/v1/_fleet/jobs/{rid}")
     };
-    for (index, addr) in fleet.config.peers.iter().enumerate() {
+    let client = if result { &fleet.proxy } else { &fleet.fill };
+    for index in 0..fleet.config.peers.len() {
         if index == fleet.config.self_index || !fleet.health.is_routable(index) {
             continue;
         }
-        let client = if result { &fleet.proxy } else { &fleet.fill };
-        match client.get(addr, &path) {
-            Ok(peer) if peer.status != 404 => {
-                fleet.record_peer_success(index);
-                return Some(peer_response(&peer));
-            }
-            Ok(_) => fleet.record_peer_success(index),
-            Err(e) => {
-                if e.is_transport() {
-                    fleet.record_peer_failure(index);
-                }
-            }
+        let answer = fleet.call_peer(index, |addr| client.get(addr, &path));
+        if let Some(peer) = answer.ok().filter(|peer| peer.status != 404) {
+            return Some(peer_response(&peer));
         }
     }
     None
 }
 
 /// The `GET /v1/jobs/{rid}` body: id, experiment, status, and the live
-/// trial-progress counters.
+/// sweep-job progress counters (`done` read first, so a poll never
+/// shows it above `total`).
 fn job_status_json(job: &cnt_fleet::JobEntry, state: &JobState) -> String {
     format!(
         "{{\"job\":\"{}\",\"experiment\":\"{}\",\"status\":\"{}\",\"done\":{},\"total\":{}}}\n",
@@ -2481,37 +2393,22 @@ fn submitted_record(spec: &JobSpec) -> String {
     let mut out = String::with_capacity(128);
     out.push_str("{\"event\":\"submitted\",\"job\":");
     json::push_string(&spec.rid, &mut out);
-    out.push_str(",\"experiment\":");
-    json::push_string(&spec.experiment, &mut out);
-    if let Some(preset) = &spec.preset {
-        out.push_str(",\"preset\":");
-        json::push_string(preset, &mut out);
-    }
-    out.push_str(",\"sets\":[");
-    for (i, (k, v)) in spec.sets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        json::push_string(k, &mut out);
-        out.push(',');
-        json::push_string(v, &mut out);
-        out.push(']');
-    }
-    out.push_str(&format!("],\"format\":\"{}\"}}", spec.format));
+    out.push(',');
+    spec.push_point(&mut out);
+    out.push_str(&format!(",\"format\":\"{}\"}}", spec.format));
     out
 }
 
 /// Progress marker appended when a chunk lands. Informational — resume
 /// reads finished chunks back from the content-hash chunk store, not
 /// from these — but it makes the journal a legible account of the run.
-fn chunk_done_record(rid: &str, claim: &cnt_fleet::ChunkClaim) -> String {
+fn chunk_done_record(rid: &str, index: usize, range: &Range<usize>) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"event\":\"chunk_done\",\"job\":");
     json::push_string(rid, &mut out);
     out.push_str(&format!(
-        ",\"chunk\":{},\"lo\":{},\"hi\":{}}}",
-        claim.index, claim.range.start, claim.range.end
+        ",\"chunk\":{index},\"lo\":{},\"hi\":{}}}",
+        range.start, range.end
     ));
     out
 }
@@ -2591,39 +2488,28 @@ fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
         };
         match event {
             "submitted" => {
-                let Some(experiment) = text("experiment") else {
+                let JsonValue::Object(members) = &doc else {
                     continue;
                 };
-                let mut sets = Vec::new();
-                if let Some(JsonValue::Array(items)) = doc.get("sets") {
-                    for item in items {
-                        if let JsonValue::Array(pair) = item {
-                            if let (Some(JsonValue::String(k)), Some(JsonValue::String(v))) =
-                                (pair.first(), pair.get(1))
-                            {
-                                sets.push((k.clone(), v.clone()));
-                            }
-                        }
-                    }
+                // A malformed point (say, a broken `sets` pair) would
+                // re-run the job somewhere else: skip the record.
+                let Ok(mut spec) = JobSpec::read_point(members, |_, _| Ok(())) else {
+                    continue;
+                };
+                if spec.experiment.is_empty() || by_rid.contains_key(rid) {
+                    continue;
                 }
-                let format = match text("format") {
+                spec.rid = rid.to_string();
+                spec.format = match text("format") {
                     Some("csv") => OutputFormat::Csv,
                     Some("text") => OutputFormat::Text,
                     _ => OutputFormat::Json,
                 };
-                if !by_rid.contains_key(rid) {
-                    by_rid.insert(rid.to_string(), jobs.len());
-                    jobs.push(RecoveredJob {
-                        spec: JobSpec {
-                            rid: rid.to_string(),
-                            experiment: experiment.to_string(),
-                            preset: text("preset").map(str::to_string),
-                            sets,
-                            format,
-                        },
-                        outcome: None,
-                    });
-                }
+                by_rid.insert(rid.to_string(), jobs.len());
+                jobs.push(RecoveredJob {
+                    spec,
+                    outcome: None,
+                });
             }
             "job_done" => {
                 let (Some(index), Some(content_type), Some(path)) =
@@ -3097,6 +2983,14 @@ mod tests {
             "{\"event\":\"job_done\",\"job\":\"never-submitted\"}".to_string(),
             "{\"event\":\"from_the_future\",\"job\":\"x\"}".to_string(),
             submitted_record(&spec("00aa-000002")),
+            // A malformed set would re-run the job at another parameter
+            // point: the whole submission is skipped instead.
+            "{\"event\":\"submitted\",\"job\":\"00aa-000003\",\"experiment\":\"fig12\",\
+             \"sets\":[[\"trials\",\"100\"],[\"nc\"]],\"format\":\"json\"}"
+                .to_string(),
+            "{\"event\":\"submitted\",\"job\":\"00aa-000004\",\"experiment\":\"fig12\",\
+             \"sets\":[[\"trials\",100]],\"format\":\"json\"}"
+                .to_string(),
             // chunk_done is informational: folded state ignores it.
             "{\"event\":\"chunk_done\",\"job\":\"00aa-000002\",\"chunk\":0,\"lo\":0,\"hi\":5}"
                 .to_string(),
@@ -3143,12 +3037,29 @@ mod tests {
     }
 
     #[test]
+    fn job_spec_records_keep_their_bytes() {
+        // Both documents carrying a job's parameter point, pinned
+        // byte for byte: journals written by older builds must replay,
+        // and mixed-version fleets must agree on chunk requests.
+        assert_eq!(
+            submitted_record(&spec("00aa-000001")),
+            "{\"event\":\"submitted\",\"job\":\"00aa-000001\",\"experiment\":\"fig12\",\
+             \"preset\":\"small\",\"sets\":[[\"trials\",\"100\"]],\"format\":\"csv\"}"
+        );
+        assert_eq!(
+            chunk_request_json(&spec("00aa-000001"), 0xdead_beef_1234_5678, &(10..20)),
+            "{\"experiment\":\"fig12\",\"preset\":\"small\",\"sets\":[[\"trials\",\"100\"]],\
+             \"lo\":10,\"hi\":20,\"fingerprint\":\"deadbeef12345678\"}"
+        );
+    }
+
+    #[test]
     fn chunk_request_json_round_trips() {
         let body = chunk_request_json(&spec("00aa-000001"), 0xdead_beef_1234_5678, &(10..20));
         let parsed = parse_chunk_request(body.as_bytes()).unwrap();
-        assert_eq!(parsed.experiment, "fig12");
-        assert_eq!(parsed.preset.as_deref(), Some("small"));
-        assert_eq!(parsed.sets, spec("x").sets);
+        assert_eq!(parsed.spec.experiment, "fig12");
+        assert_eq!(parsed.spec.preset.as_deref(), Some("small"));
+        assert_eq!(parsed.spec.sets, spec("x").sets);
         assert_eq!((parsed.lo, parsed.hi), (10, 20));
         assert_eq!(parsed.fingerprint, 0xdead_beef_1234_5678);
 

@@ -158,6 +158,185 @@ fn health_catalog_info_and_error_routes_have_canonical_shapes() {
     thread.join().unwrap();
 }
 
+/// The router's whole surface as a table of (method, path) → status and
+/// body: every route with its method, a wrong method on each, trailing
+/// slashes, and paths no route serves. A path that resolves to no route
+/// is a `404`; only a routed path with the wrong method is a `405`.
+#[test]
+fn every_method_and_path_answers_from_the_route_table() {
+    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let error = |message: &str| {
+        let mut body = "{\"error\":".to_string();
+        cnt_obs::json::push_string(message, &mut body);
+        body.push_str("}\n");
+        body
+    };
+    let unknown =
+        |id: &str| error(&cnt_interconnect::Error::UnknownExperiment(id.to_string()).to_string());
+    let no_job = |rid: &str| error(&format!("no such job '{rid}' (expired or never created)"));
+    let bad_id = |hex: &str| error(&format!("bad trace id '{hex}' (want 16 hex chars)"));
+
+    // (method, path, request body, status, expected body or its prefix).
+    let served: Vec<(&str, &str, &str, u16, String)> = vec![
+        ("GET", "/v1/healthz", "", 200, "{\"status\":\"ok\",".into()),
+        ("GET", "/v1/metrics", "", 200, "# HELP ".into()),
+        (
+            "GET",
+            "/v1/metrics/history",
+            "",
+            200,
+            "{\"schema\":1,\"kind\":\"metrics_history\"".into(),
+        ),
+        (
+            "GET",
+            "/v1/slo",
+            "",
+            200,
+            "{\"schema\":1,\"kind\":\"slo\"".into(),
+        ),
+        (
+            "GET",
+            "/v1/profile",
+            "",
+            200,
+            "{\"schema\":1,\"kind\":\"profile\"".into(),
+        ),
+        ("GET", "/v1/profile/folded", "", 200, String::new()),
+        (
+            "GET",
+            "/v1/experiments",
+            "",
+            200,
+            "{\"experiments\":[".into(),
+        ),
+        ("GET", "/v1/experiments/fig99", "", 404, unknown("fig99")),
+        (
+            "POST",
+            "/v1/experiments/fig99/run",
+            "{}",
+            404,
+            unknown("fig99"),
+        ),
+        ("POST", "/v1/sweeps/fig99", "{}", 404, unknown("fig99")),
+        ("GET", "/v1/jobs/nosuch", "", 404, no_job("nosuch")),
+        ("GET", "/v1/jobs/nosuch/result", "", 404, no_job("nosuch")),
+        ("GET", "/v1/trace/zz", "", 400, bad_id("zz")),
+        (
+            "GET",
+            "/v1/_fleet/cache/zz",
+            "",
+            400,
+            error("bad cache hash 'zz' (want 16 hex chars)"),
+        ),
+        ("GET", "/v1/_fleet/trace/zz", "", 400, bad_id("zz")),
+        (
+            "POST",
+            "/v1/_fleet/chunk",
+            "{}",
+            400,
+            error("chunk request is missing 'experiment'"),
+        ),
+        ("GET", "/v1/_fleet/jobs/nosuch", "", 404, no_job("nosuch")),
+        (
+            "GET",
+            "/v1/_fleet/jobs/nosuch/result",
+            "",
+            404,
+            no_job("nosuch"),
+        ),
+    ];
+    let mut table = Vec::new();
+    for (method, path, body, status, expected) in &served {
+        table.push((*method, *path, *body, *status, expected.clone()));
+        let wrong = if *method == "GET" { "POST" } else { "GET" };
+        let refusal = error(&format!("method {wrong} not allowed on {path}"));
+        table.push((wrong, *path, "{}", 405, refusal));
+    }
+    let no_route = |path: &str| {
+        error(&format!(
+            "no such route {path} (see GET /v1/experiments for the catalog)"
+        ))
+    };
+    table.extend([
+        // Multi-segment ids: no route serves these paths, whatever the method.
+        (
+            "POST",
+            "/v1/experiments/a/b/run",
+            "{}",
+            404,
+            no_route("/v1/experiments/a/b/run"),
+        ),
+        (
+            "GET",
+            "/v1/jobs/a/b/result",
+            "",
+            404,
+            no_route("/v1/jobs/a/b/result"),
+        ),
+        (
+            "GET",
+            "/v1/_fleet/jobs/a/b/result",
+            "",
+            404,
+            no_route("/v1/_fleet/jobs/a/b/result"),
+        ),
+        (
+            "GET",
+            "/v1/experiments/a/b",
+            "",
+            404,
+            no_route("/v1/experiments/a/b"),
+        ),
+        ("GET", "/v2/nope", "", 404, no_route("/v2/nope")),
+        (
+            "DELETE",
+            "/v1/jobs/nosuch",
+            "",
+            405,
+            error("method DELETE not allowed on /v1/jobs/nosuch"),
+        ),
+        // Trailing slashes are trimmed before the route resolves.
+        ("GET", "/v1/healthz/", "", 200, "{\"status\":\"ok\",".into()),
+        (
+            "POST",
+            "/v1/experiments/",
+            "{}",
+            405,
+            error("method POST not allowed on /v1/experiments"),
+        ),
+        ("GET", "/v1/jobs/nosuch/result/", "", 404, no_job("nosuch")),
+        (
+            "GET",
+            "/v1/experiments/a/b/",
+            "",
+            404,
+            no_route("/v1/experiments/a/b"),
+        ),
+        // An empty id still names the run route.
+        ("POST", "/v1/experiments//run", "{}", 404, unknown("")),
+        (
+            "GET",
+            "/v1/experiments//run",
+            "",
+            405,
+            error("method GET not allowed on /v1/experiments//run"),
+        ),
+    ]);
+
+    for (method, path, body, status, expected) in table {
+        let (got_status, _, got) = http(addr, method, path, body);
+        assert_eq!(got_status, status, "{method} {path}: {got}");
+        if status == 200 {
+            assert!(got.starts_with(&expected), "{method} {path}: {got}");
+        } else {
+            assert_eq!(got, expected, "{method} {path}");
+        }
+    }
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
 /// The acceptance gate: for every registry id, the served default-run JSON
 /// body is byte-identical to what `repro <id> --format json` prints, and
 /// presets/overrides/CSV behave exactly like their CLI spellings.
@@ -885,7 +1064,7 @@ fn async_sweep_jobs_run_to_a_byte_identical_result() {
         }
     };
 
-    // The terminal status carries the full trial progress.
+    // The terminal status carries the full sweep progress.
     let (status, polled) = get(addr, &format!("/v1/jobs/{rid}"));
     assert_eq!(status, 200);
     assert!(polled.contains("\"status\":\"done\""), "{polled}");
@@ -901,6 +1080,9 @@ fn async_sweep_jobs_run_to_a_byte_identical_result() {
         ("cache_dir".to_string(), String::new()),
     ];
     let (_, ctx) = experiments::resolve_context("fig12", None, &sets).unwrap();
+    // Progress counts the plan's jobs, chunk by chunk.
+    let jobs = experiments::chunkable_sweep("fig12", &ctx).unwrap().jobs();
+    assert_eq!(done, jobs as u64, "{polled}");
     let (_, sweep) = experiments::sweep_variant("fig12").unwrap();
     let direct = sweep.run_sweep(&ctx).unwrap();
     assert_eq!(result, format!("{}\n", direct.report.to_json()));

@@ -77,14 +77,40 @@ fn job_id(body: &str) -> String {
         .to_string()
 }
 
-/// Polls `/v1/jobs/{rid}/result` on `addr` until the job lands.
+/// The `(done, total)` counters of a job status body.
+fn counters(body: &str) -> (u64, u64) {
+    let doc = cnt_obs::json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    let count = |key: &str| {
+        doc.get(key)
+            .and_then(cnt_obs::json::JsonValue::as_f64)
+            .unwrap_or_else(|| panic!("no {key} in {body}")) as u64
+    };
+    (count("done"), count("total"))
+}
+
+/// A job's progress as `GET /v1/jobs/{rid}` on `addr` reports it.
+fn progress(addr: SocketAddr, rid: &str) -> (u64, u64) {
+    let (status, body) = get(addr, &format!("/v1/jobs/{rid}"));
+    assert_eq!(status, 200, "{body}");
+    counters(&body)
+}
+
+/// Polls `/v1/jobs/{rid}/result` on `addr` until the job lands. Every
+/// in-flight poll must show the whole sweep as its total (or nothing
+/// yet) and no more done than that.
 fn await_result(addr: SocketAddr, rid: &str) -> String {
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let jobs = sweep_jobs();
     loop {
         let (status, body) = get(addr, &format!("/v1/jobs/{rid}/result"));
         match status {
             200 => return body,
             202 => {
+                let (done, total) = counters(&body);
+                assert!(
+                    (total == 0 || total == jobs) && done <= total,
+                    "inconsistent progress: {body}"
+                );
                 assert!(
                     std::time::Instant::now() < deadline,
                     "job {rid} never finished: {body}"
@@ -160,6 +186,13 @@ fn sweep_sets() -> Vec<(String, String)> {
     ]
 }
 
+/// How many sweep jobs [`SWEEP_BODY`] flattens into: what a finished
+/// job's progress must read.
+fn sweep_jobs() -> u64 {
+    let (_, ctx) = experiments::resolve_context("fig12", None, &sweep_sets()).unwrap();
+    experiments::chunkable_sweep("fig12", &ctx).unwrap().jobs() as u64
+}
+
 /// The single-instance ground truth for [`SWEEP_BODY`], rendered the way
 /// the job result route renders JSON.
 fn expected_report() -> String {
@@ -181,6 +214,10 @@ fn fanned_out_sweep_is_byte_identical_and_readable_fleet_wide() {
         expected,
         "fanned-out merge drifted from the single-instance run"
     );
+    // Every chunk counts toward the job, whichever lane ran it.
+    let jobs = sweep_jobs();
+    assert_eq!(jobs, 75);
+    assert_eq!(progress(instances[0].addr, &rid), (jobs, jobs));
 
     // The coordinator really dispatched: with six chunks and three
     // concurrent lanes, every lane lands at least one.
@@ -268,6 +305,11 @@ fn a_worker_dying_mid_job_redispatches_to_survivors() {
         expected,
         "losing a worker changed the merged bytes"
     );
+    // A re-dispatched or stolen chunk counts once.
+    assert_eq!(
+        progress(instances[0].addr, &rid),
+        (sweep_jobs(), sweep_jobs())
+    );
 
     for instance in instances {
         instance.stop();
@@ -321,6 +363,11 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
         await_result(coordinator.addr, rid),
         expected,
         "resumed job drifted from the single-instance run"
+    );
+    // The resumed chunk counts toward the job like the computed ones.
+    assert_eq!(
+        progress(coordinator.addr, rid),
+        (n_jobs as u64, n_jobs as u64)
     );
 
     let metrics = scrape(coordinator.addr);

@@ -135,12 +135,6 @@ impl Executor {
         let (lo, hi) = (range.start, range.end);
         let n = hi - lo;
         let fingerprint = plan.fingerprint();
-        // Observe-only progress: capture the calling thread's sink once so
-        // pooled workers report into it too. Never touches results.
-        let progress = crate::progress::current();
-        if let Some(sink) = &progress {
-            sink.add_total(n as u64);
-        }
 
         // Serial fast path: no pool, no synchronization. (Unlike the
         // pooled path this one stops at the first failure, but that
@@ -155,9 +149,6 @@ impl Executor {
                     let _job_span = cnt_obs::span!("sweep.job");
                     work(&job, &mut rng)
                 };
-                if let Some(sink) = &progress {
-                    sink.inc_done();
-                }
                 out.push(result.map_err(|e| Error::Job {
                     index,
                     message: e.to_string(),
@@ -204,9 +195,6 @@ impl Executor {
                     if tracing {
                         *trace_slots[index - lo].lock().expect("trace slot poisoned") =
                             cnt_obs::Trace::end();
-                    }
-                    if let Some(sink) = &progress {
-                        sink.inc_done();
                     }
                     *slots[index - lo].lock().expect("result slot poisoned") = Some(result);
                 });
@@ -306,25 +294,6 @@ mod tests {
         let p = SweepPlan::new("empty");
         let r = Executor::new(2).run(&p, 0, |_, _| Ok::<f64, String>(0.0));
         assert_eq!(r.unwrap_err(), Error::EmptyPlan);
-    }
-
-    #[test]
-    fn progress_sink_sees_every_job_at_any_thread_count() {
-        use crate::progress::{scoped, Progress};
-        use std::sync::Arc;
-        let p = plan(4, 5); // 20 jobs
-        let work = |_: &Job, _: &mut StdRng| -> Result<f64> { Ok(1.0) };
-        for threads in [1, 4] {
-            let sink = Arc::new(Progress::new());
-            let out = scoped(Arc::clone(&sink), || {
-                Executor::new(threads).run(&p, 42, work)
-            })
-            .unwrap();
-            assert_eq!(out.len(), 20);
-            assert_eq!((sink.done(), sink.total()), (20, 20), "threads={threads}");
-        }
-        // Without a scope the executor reports nowhere and still works.
-        assert!(Executor::new(2).run(&p, 42, work).is_ok());
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub mod exec;
 pub mod json;
 pub mod plan;
 pub mod pool;
-pub mod progress;
 pub mod seed;
 
 pub use agg::{Histogram, OnlineStats, Summary};
@@ -61,7 +60,6 @@ pub use cache::{CacheKey, GcStats, ResultStore, Table};
 pub use exec::{chunk_ranges, Executor};
 pub use plan::{Job, SweepPlan};
 pub use pool::{PoolJob, WorkerPool};
-pub use progress::Progress;
 
 use core::fmt;
 
