@@ -1,13 +1,13 @@
 //! A bounded, TTL-garbage-collected table of asynchronous sweep jobs.
 //!
 //! `POST /v1/sweeps/{id}` must return immediately, so the serve layer
-//! parks the work on its `WorkerPool` and records a [`JobEntry`] here for
-//! the client to poll. The table is deliberately dumb shared state — a
-//! mutexed map of `Arc` entries — because the interesting lifecycle lives
-//! *in* the entry: the HTTP thread creates it `Queued`, the pool worker
-//! flips it `Running` and eventually `Done`/`Failed`, and any number of
-//! poll requests read it concurrently through its [`Progress`] counters
-//! and the state mutex.
+//! runs the work on a thread of its own and records a [`JobEntry`] here
+//! for the client to poll. The table is deliberately dumb shared state —
+//! a mutexed map of `Arc` entries — because the interesting lifecycle
+//! lives *in* the entry: the HTTP thread creates it `Queued`, the job's
+//! thread flips it `Running` once it holds a compute permit and
+//! eventually `Done`/`Failed`, and any number of poll requests read it
+//! concurrently through its [`Progress`] counters and the state mutex.
 //!
 //! Two guards keep a long-lived server healthy:
 //!
@@ -105,9 +105,9 @@ impl JobBody {
 /// Where a job is in its life, plus the terminal payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobState {
-    /// Accepted, waiting for a pool worker.
+    /// Accepted, waiting for a compute permit.
     Queued,
-    /// A worker is executing the sweep.
+    /// The job's thread holds a compute permit and executes the sweep.
     Running,
     /// Finished successfully; the body is the rendered report.
     Done {
@@ -150,7 +150,7 @@ impl JobState {
 }
 
 /// One asynchronous sweep job, shared between the HTTP threads and the
-/// pool worker executing it.
+/// job thread executing it.
 #[derive(Debug)]
 pub struct JobEntry {
     /// Job id (the request id of the submitting `POST`).
@@ -264,8 +264,8 @@ impl JobTable {
             .cloned()
     }
 
-    /// Withdraws a job (the submit-bounced path: a job whose work never
-    /// made it onto the pool must not linger `Queued` forever).
+    /// Withdraws a job (the submit-bounced path: a job whose thread never
+    /// started must not linger `Queued` forever).
     pub fn remove(&self, id: &str) -> Option<Arc<JobEntry>> {
         self.jobs.lock().expect("job table poisoned").remove(id)
     }

@@ -8,8 +8,8 @@
 //!
 //! | route | answer |
 //! |---|---|
-//! | `GET /v1/healthz` | liveness plus scheduler/cache counters (answered before queue admission) |
-//! | `GET /v1/metrics` | Prometheus exposition (also probe-lane exempt from admission) |
+//! | `GET /v1/healthz` | liveness plus scheduler/cache counters (never waits for a compute permit) |
+//! | `GET /v1/metrics` | Prometheus exposition (never waits for a compute permit either) |
 //! | `GET /v1/experiments` | the catalog with full parameter surfaces |
 //! | `GET /v1/experiments/{id}` | one experiment (what `repro info` prints) |
 //! | `POST /v1/experiments/{id}/run` | run at a parameter point; body `{"params": {...}, "preset": "...", "format": "json"\|"csv"}` |
@@ -39,15 +39,20 @@
 //! `--format csv`) at the same parameter point — both front ends sit on
 //! [`cnt_interconnect::experiments::run_to_json`].
 //!
-//! Behind the router, a request scheduler reuses the `cnt-sweep`
-//! [`WorkerPool`](cnt_sweep::WorkerPool): a bounded queue answers
-//! overload with `503` + `Retry-After` instead of unbounded latency,
-//! identical in-flight parameter points coalesce onto one computation,
-//! and finished bodies land in an LRU cache keyed by the same FNV-1a
-//! content-hash family as the on-disk sweep cache
+//! Every connection gets a small-stack thread of its own (up to a fixed
+//! cap), so an idle keep-alive socket holds a thread, never compute.
+//! Computation sits behind one compute gate of [`Config::workers`]
+//! permits: a run leader takes one and runs the kernel inline on its
+//! connection thread, a fleet chunk does the same, and each async sweep
+//! job waits for one on its own thread. At most
+//! [`Config::queue_capacity`] runs wait in the gate's line; beyond it
+//! overload is answered `503` + `Retry-After` instead of unbounded
+//! latency. Identical in-flight parameter points coalesce onto one
+//! computation, and finished bodies land in an LRU cache keyed by the
+//! same FNV-1a content-hash family as the on-disk sweep cache
 //! ([`Params::content_hash`](cnt_interconnect::experiments::Params::content_hash)).
 //! `SIGTERM`/ctrl-c (or a [`ShutdownHandle`]) stops intake and drains
-//! in-flight work before the process exits.
+//! in-flight requests and sweep jobs before the process exits.
 //!
 //! The server is plain `std::net` — no external dependencies, matching
 //! the offline-build constraint the `crates/compat` shims document.
@@ -68,6 +73,7 @@
 
 pub mod api;
 pub mod cache;
+mod gate;
 pub mod http;
 pub mod net;
 pub mod server;

@@ -1,12 +1,16 @@
 //! The server: listener, router, and the request scheduler.
 //!
-//! Connections are accepted on a non-blocking listener and handed to a
-//! `cnt-sweep` [`WorkerPool`] whose bounded queue *is* the admission
-//! control: when it is full the accept loop answers `503` +
-//! `Retry-After` itself and moves on, so overload degrades into fast
-//! rejections instead of unbounded latency. Run requests resolve through
-//! the same [`experiments::resolve_context`] gate as the CLI, then go
-//! through two layers that keep hot work cheap:
+//! Connections are accepted on a non-blocking listener, and each gets a
+//! small-stack thread of its own (up to a fixed connection cap; beyond
+//! it the accept loop answers `503` itself). The thread parses, routes
+//! and writes, so an idle keep-alive socket holds only that thread.
+//! Computation is what the compute gate bounds: a run leader takes a
+//! permit and runs the kernel inline on its connection thread, and when
+//! the gate's line is full the request is answered `503` +
+//! `Retry-After`, so overload degrades into fast rejections instead of
+//! unbounded latency. Run requests resolve through the same
+//! [`experiments::resolve_context`] gate as the CLI, then go through two
+//! layers that keep hot work cheap:
 //!
 //! 1. an **LRU body cache** keyed by the canonical request hash — repeat
 //!    requests never re-run a kernel;
@@ -28,6 +32,7 @@
 //! per-request log line (text or JSON) on stdout.
 
 use crate::cache::{CachedBody, LruCache};
+use crate::gate::{ComputeGate, LiveThreads};
 use crate::http::{self, Request, RequestError, Response};
 use crate::{api, net, signal, Error, Result};
 use cnt_fleet::jobs::Progress;
@@ -45,9 +50,9 @@ use cnt_obs::{
     Counter, CounterVec, Gauge, GaugeVec, Histogram, HistoryStore, MetricRegistry, Profile,
 };
 use cnt_sweep::seed::fnv1a;
-use cnt_sweep::{chunk_ranges, ResultStore, WorkerPool};
+use cnt_sweep::{chunk_ranges, ResultStore};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -59,8 +64,17 @@ use std::time::{Duration, Instant, SystemTime};
 const TRACE_CAPACITY: usize = 256;
 /// How long a stored trace record stays fetchable.
 const TRACE_TTL: Duration = Duration::from_secs(600);
+/// Most connections served at once; the accept loop answers any more
+/// with `503` itself.
+const MAX_CONNECTIONS: usize = 1024;
+/// Stack of a connection thread. Run leaders compute on it, so it must
+/// hold every registry kernel and the 128-deep JSON parse.
+const CONNECTION_STACK: usize = 256 * 1024;
+/// How often a connection waiting for a request's first byte checks for
+/// shutdown, so idle keep-alive connections close promptly on drain.
+const IDLE_POLL: Duration = Duration::from_millis(250);
 
-/// How a worker turns a resolved experiment + context into a report.
+/// How a run leader turns a resolved experiment + context into a report.
 /// Injectable so tests can slow computations down or fail them on
 /// purpose; production uses [`Experiment::run`].
 pub type Runner =
@@ -80,28 +94,31 @@ pub enum AccessLogFormat {
 pub struct Config {
     /// Bind address, e.g. `127.0.0.1:8080` (port 0 = ephemeral).
     pub addr: String,
-    /// Worker threads; `0` = all cores.
+    /// Compute permits: kernel runs, fleet chunks and sweep jobs that
+    /// may compute at once; `0` = all cores. Connections are not
+    /// counted here; each has its own thread.
     pub workers: usize,
-    /// Pending-connection queue capacity (beyond it: `503`). Every
-    /// *work* route shares this admission gate; `GET /v1/healthz` and
-    /// `GET /v1/metrics` ride a reserved probe lane answered on the
-    /// accept path itself, so load-balancer probes keep succeeding
-    /// while runs shed.
+    /// Runs and fleet chunks that may wait for a compute permit; one
+    /// more is answered `503` + `Retry-After`. Sweep jobs wait in the
+    /// same line but never shed there (the job table admits them).
+    /// Probes, job polls and LRU hits never take a permit, so they keep
+    /// answering while runs shed.
     pub queue_capacity: usize,
     /// LRU body-cache capacity, entries (`0` disables caching).
     pub cache_capacity: usize,
     /// Wall-clock budget for reading one request and (separately) for
     /// writing its response. A per-*request* deadline, not a per-read
-    /// socket timeout: a slow-drip client cannot pin a worker past it.
+    /// socket timeout: a slow-drip client cannot hold its thread past it.
     pub request_deadline: Duration,
     /// How long a kept-alive connection may sit idle between requests
-    /// before the worker closes it. Deliberately much shorter than
-    /// `request_deadline`: a parked connection occupies a pool worker, so
-    /// idle keep-alive must not become a slot leak.
+    /// before its thread closes it. A parked connection holds only its
+    /// own thread, never a compute permit; the window bounds how long
+    /// idle clients keep their slot under the connection cap.
     pub keep_alive_idle: Duration,
-    /// Requests served per connection before the server closes it anyway
-    /// (bounds how long one client can monopolize a worker). `0` disables
-    /// keep-alive entirely.
+    /// Requests served per connection before the server closes it
+    /// anyway. A connection holds no compute permit between requests,
+    /// so this is hygiene, not a fairness bound. `0` disables keep-alive
+    /// entirely.
     pub max_requests_per_connection: usize,
     /// Also stop on `SIGINT`/`SIGTERM` (the `repro serve` front end
     /// installs the handlers via [`signal::install`]).
@@ -204,8 +221,8 @@ impl Write for DeadlineStream {
 struct Metrics {
     registry: MetricRegistry,
     /// Family `cnt_serve_requests_total`: the unlabeled base sample
-    /// keeps the legacy meaning (requests a worker started parsing);
-    /// the `{status="…"}` children count every response sent,
+    /// keeps the legacy meaning (requests a connection thread started
+    /// parsing); the `{status="…"}` children count every response sent,
     /// including the `400`/`404`/`503` paths that previously went
     /// uncounted.
     requests: Arc<CounterVec>,
@@ -225,6 +242,8 @@ struct Metrics {
     serialize_seconds: Arc<Histogram>,
     write_seconds: Arc<Histogram>,
     cached_bodies: Arc<Gauge>,
+    /// Live connection threads.
+    connections: Arc<Gauge>,
     uptime_seconds: Arc<Gauge>,
     /// `cnt_fleet_route_total{outcome="local|proxied|redirected|degraded"}`:
     /// where each fleet-routed run request was answered from (`degraded`
@@ -258,7 +277,7 @@ impl Metrics {
         let r = MetricRegistry::new();
         let requests = r.counter_vec(
             "cnt_serve_requests_total",
-            "requests a worker started parsing (unlabeled) and responses sent by status",
+            "requests a connection started parsing (unlabeled) and responses sent by status",
             "status",
             true,
         );
@@ -281,7 +300,7 @@ impl Metrics {
             ),
             rejected: r.counter(
                 "cnt_serve_rejected_total",
-                "connections bounced with 503 because the queue was full",
+                "requests shed with 503: compute line or connection cap full",
             ),
             keepalive_reuses: r.counter(
                 "cnt_serve_keepalive_reuses_total",
@@ -295,7 +314,7 @@ impl Metrics {
             ),
             queue_wait_seconds: r.histogram(
                 "cnt_serve_queue_wait_seconds",
-                "time an accepted connection waited in the admission queue",
+                "time a run, fleet chunk or sweep job waited for a compute permit",
             ),
             request_seconds: r.histogram(
                 "cnt_serve_request_seconds",
@@ -311,6 +330,7 @@ impl Metrics {
             ),
             write_seconds: r.histogram("cnt_serve_write_seconds", "response write wall time"),
             cached_bodies: r.gauge("cnt_serve_cached_bodies", "bodies resident in the LRU"),
+            connections: r.gauge("cnt_serve_connections", "live connection threads"),
             uptime_seconds: r.gauge(
                 "cnt_serve_uptime_seconds",
                 "seconds since the server started",
@@ -379,11 +399,17 @@ impl Metrics {
         }
         metrics
             .registry
-            .gauge("cnt_serve_workers", "pool worker threads")
+            .gauge(
+                "cnt_serve_workers",
+                "compute permits (runs, fleet chunks and sweep jobs at once)",
+            )
             .set(workers as f64);
         metrics
             .registry
-            .gauge("cnt_serve_queue_capacity", "admission queue capacity")
+            .gauge(
+                "cnt_serve_queue_capacity",
+                "runs and fleet chunks that may wait for a permit before 503",
+            )
             .set(queue_capacity as f64);
         metrics
             .registry
@@ -461,22 +487,27 @@ impl FleetState {
     }
 }
 
-/// State shared between the accept loop and the pool workers.
+/// State shared between the accept loop, the connection threads and the
+/// sweep-job threads.
 struct Shared {
     metrics: Metrics,
     cache: Mutex<LruCache>,
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
     runner: Box<Runner>,
-    /// The same pool the accept loop dispatches connections to; async
-    /// sweep jobs share its bounded queue (so one saturation signal
-    /// covers both kinds of work).
-    pool: Arc<WorkerPool>,
+    /// The one bound on computation: run leaders, fleet chunks and sweep
+    /// jobs each hold a permit while they compute.
+    gate: ComputeGate,
+    /// Live connection threads, capped at [`MAX_CONNECTIONS`].
+    connections: Arc<LiveThreads>,
+    /// Live sweep-job threads (the job table bounds them).
+    job_threads: Arc<LiveThreads>,
+    /// Set by [`ShutdownHandle`], and by `serve()` once it stops
+    /// accepting: connection threads then close instead of idling.
+    stop: Arc<AtomicBool>,
     /// Async job registry behind `POST /v1/sweeps/{id}`.
     jobs: JobTable,
     /// Set once by [`Server::enable_fleet`]; `None` = single instance.
     fleet: OnceLock<FleetState>,
-    workers: usize,
-    queue_capacity: usize,
     request_deadline: Duration,
     keep_alive_idle: Duration,
     max_requests_per_connection: usize,
@@ -506,6 +537,61 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(
+        config: &Config,
+        runner: Box<Runner>,
+        rid_prefix: u32,
+        instance: String,
+        journal: Option<Mutex<journal::Journal>>,
+    ) -> Self {
+        let workers = match config.workers {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        };
+        let metrics = Metrics::new(workers, config.queue_capacity);
+        Self {
+            gate: ComputeGate::new(
+                workers,
+                config.queue_capacity,
+                Arc::clone(&metrics.queue_wait_seconds),
+            ),
+            metrics,
+            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            inflight: Mutex::new(HashMap::new()),
+            runner,
+            connections: LiveThreads::new(MAX_CONNECTIONS),
+            job_threads: LiveThreads::new(usize::MAX),
+            stop: Arc::new(AtomicBool::new(false)),
+            jobs: JobTable::new(config.jobs_capacity, config.job_ttl),
+            fleet: OnceLock::new(),
+            request_deadline: config.request_deadline,
+            keep_alive_idle: config.keep_alive_idle,
+            max_requests_per_connection: config.max_requests_per_connection,
+            access_log: config.access_log,
+            rid_prefix,
+            rid_seq: AtomicU64::new(0),
+            span_seq: AtomicU64::new(0),
+            history: HistoryStore::new(config.history_points),
+            slos: config.slos.clone(),
+            traces: TraceStore::new(TRACE_CAPACITY, TRACE_TTL),
+            profile: Profile::new(),
+            instance,
+            data_dir: config.data_dir.clone(),
+            journal,
+        }
+    }
+
+    /// A `503` shed of work that found the compute line (or the
+    /// connection cap) full: counted as a rejection, with a
+    /// `Retry-After` hint scaled to the line's length.
+    fn busy(&self, what: &str) -> Response {
+        self.metrics.rejected.inc();
+        Response {
+            retry_after: Some(retry_after_hint(self.gate.waiting(), self.gate.permits())),
+            ..Response::json(503, api::busy_json(what))
+        }
+    }
+
     fn next_request_id(&self) -> String {
         let seq = self.rid_seq.fetch_add(1, Ordering::Relaxed);
         format!("{:08x}-{seq:06x}", self.rid_prefix)
@@ -594,8 +680,6 @@ pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
     config: Config,
-    pool: Arc<WorkerPool>,
-    stop: Arc<AtomicBool>,
     shared: Arc<Shared>,
 }
 
@@ -642,7 +726,6 @@ impl Server {
         let local_addr = listener
             .local_addr()
             .map_err(|e| Error::io("local_addr", e))?;
-        let pool = Arc::new(WorkerPool::new(config.workers, config.queue_capacity));
         let rid_prefix = {
             let nanos = SystemTime::now()
                 .duration_since(SystemTime::UNIX_EPOCH)
@@ -666,37 +749,17 @@ impl Server {
             )),
             None => None,
         };
-        let shared = Arc::new(Shared {
-            metrics: Metrics::new(pool.threads(), config.queue_capacity),
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
-            inflight: Mutex::new(HashMap::new()),
-            runner: Box::new(runner),
-            pool: Arc::clone(&pool),
-            jobs: JobTable::new(config.jobs_capacity, config.job_ttl),
-            fleet: OnceLock::new(),
-            workers: pool.threads(),
-            queue_capacity: config.queue_capacity,
-            request_deadline: config.request_deadline,
-            keep_alive_idle: config.keep_alive_idle,
-            max_requests_per_connection: config.max_requests_per_connection,
-            access_log: config.access_log,
+        let shared = Arc::new(Shared::new(
+            &config,
+            Box::new(runner),
             rid_prefix,
-            rid_seq: AtomicU64::new(0),
-            span_seq: AtomicU64::new(0),
-            history: HistoryStore::new(config.history_points),
-            slos: config.slos.clone(),
-            traces: TraceStore::new(TRACE_CAPACITY, TRACE_TTL),
-            profile: Profile::new(),
-            instance: local_addr.to_string(),
-            data_dir: config.data_dir.clone(),
+            local_addr.to_string(),
             journal,
-        });
+        ));
         let server = Self {
             listener,
             local_addr,
             config,
-            pool,
-            stop: Arc::new(AtomicBool::new(false)),
             shared,
         };
         if let Some(fleet) = server.config.fleet.clone() {
@@ -704,8 +767,8 @@ impl Server {
         }
         // Crash recovery, step 2 (after the fleet joins, so recovered
         // jobs fan out like fresh ones): terminal jobs become pollable
-        // again, unfinished ones re-enter the queue — their completed
-        // chunks recall from the chunk store instead of recomputing.
+        // again, unfinished ones run again — their completed chunks
+        // recall from the chunk store instead of recomputing.
         for job in recovered {
             apply_recovered_job(&server.shared, job);
         }
@@ -769,7 +832,7 @@ impl Server {
         // One connection pool per instance: the fill and proxy clients
         // keep their own deadlines and retry ladders but share parked
         // sockets, so a relayed request leaves one keep-alive connection
-        // on the owner — not one per client, each pinning a peer worker.
+        // on the owner — not one per client, each holding a peer thread.
         let fill =
             PeerClient::new(fleet.connect_timeout, fleet.fill_timeout).with_chaos(chaos.clone());
         let proxy = PeerClient::new(fleet.connect_timeout, fleet.proxy_timeout)
@@ -782,7 +845,7 @@ impl Server {
             // The prober stays chaos-free: chaos models a sick request
             // path, and the prober is the recovery mechanism under test.
             // It closes its connections — a rare off-path probe must not
-            // park a socket (= pin a worker) on a freshly revived peer.
+            // park a socket (and its thread) on a freshly revived peer.
             prober: PeerClient::new(fleet.connect_timeout, fleet.fill_timeout)
                 .with_retry(RetryPolicy::one_shot())
                 .with_connection_close(),
@@ -802,14 +865,14 @@ impl Server {
         self.local_addr
     }
 
-    /// The resolved worker-thread count.
+    /// The resolved compute-permit count ([`Config::workers`]).
     pub fn workers(&self) -> usize {
-        self.pool.threads()
+        self.shared.gate.permits()
     }
 
     /// A handle for stopping [`Server::serve`] from another thread.
     pub fn handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.stop))
+        ShutdownHandle(Arc::clone(&self.shared.stop))
     }
 
     /// Accepts and serves requests until shutdown is requested (via
@@ -872,7 +935,7 @@ impl Server {
             })
         });
         loop {
-            if self.stop.load(Ordering::SeqCst)
+            if self.shared.stop.load(Ordering::SeqCst)
                 || (self.config.watch_signals && signal::triggered())
             {
                 break;
@@ -885,10 +948,13 @@ impl Server {
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
-        // Stop accepting, then drain: queued connections and in-flight
-        // computations all complete before serve() returns.
+        // Stop accepting, then drain: every connection finishes its
+        // in-flight request (idle ones close at their next poll), and
+        // every sweep job, queued ones included, runs to its end.
         drop(self.listener);
-        self.pool.shutdown();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.connections.wait_none_left();
+        self.shared.job_threads.wait_none_left();
         scraper_stop.store(true, Ordering::SeqCst);
         let _ = scraper.join();
         prober_stop.store(true, Ordering::SeqCst);
@@ -898,8 +964,8 @@ impl Server {
         Ok(())
     }
 
-    /// Hands one accepted connection to the pool, or bounces it with the
-    /// backpressure response when the queue is full.
+    /// Gives one accepted connection a thread of its own, or answers it
+    /// `503` on the accept path when the connection cap is reached.
     fn dispatch(&self, stream: TcpStream) {
         if stream.set_nonblocking(false).is_err() {
             return;
@@ -909,113 +975,64 @@ impl Server {
         // ACK (~40 ms per exchange on loopback, dwarfing the kernel time
         // on keep-alive round-trips).
         let _ = stream.set_nodelay(true);
-        // A dup'd handle stays usable for the 503 path if the original
-        // moves into a job the queue then refuses.
-        let fallback = stream.try_clone();
+        let Some(slot) = self.shared.connections.enter() else {
+            refuse(stream, &self.shared);
+            return;
+        };
         let shared = Arc::clone(&self.shared);
-        let queued_at = Instant::now();
-        let job = Box::new(move || handle_connection(stream, &shared, queued_at));
-        if let Err(job) = self.pool.submit(job) {
-            drop(job); // closes the moved-in stream handle
-            if let Ok(mut stream) = fallback {
-                // Drain the bytes the client already sent: closing with
-                // unread data turns into a TCP RST that can discard the
-                // response before the client reads it. One bounded read
-                // covers the small request bodies this API carries.
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-                let mut sink = [0u8; 8192];
-                let n = std::io::Read::read(&mut stream, &mut sink).unwrap_or(0);
-                // Reserved probe lane: health and metrics probes are
-                // answered right here on the accept path, before (and
-                // regardless of) queue admission — a saturated fleet
-                // member must still look alive to its load balancer.
-                let probe = probe_request(&sink[..n]);
-                let scope = scope_for(&self.shared, probe.as_ref());
-                let (response, method, path) = match &probe {
-                    Some(request) => (
-                        route(request, &scope, &self.shared),
-                        request.method.as_str(),
-                        request.path.as_str(),
-                    ),
-                    None => {
-                        self.shared.metrics.rejected.inc();
-                        (
-                            Response {
-                                retry_after: Some(retry_after_hint(
-                                    self.shared.pool.queued(),
-                                    self.shared.workers,
-                                )),
-                                ..Response::json(503, api::busy_json("request queue"))
-                            },
-                            "-",
-                            "-",
-                        )
-                    }
-                };
-                let trace_hex = id_hex(scope.trace.trace_id);
-                let response = Response {
-                    request_id: Some(scope.request_id.clone()),
-                    trace_id: Some(trace_hex.clone()),
-                    ..response
-                };
-                self.shared.metrics.count_response(response.status);
-                let bytes = response.content_length() as usize;
-                let _ = response.write_to(&mut stream);
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                if let Some(log_format) = self.shared.access_log {
-                    print!(
-                        "{}",
-                        access_log_line(
-                            log_format,
-                            &AccessRecord {
-                                request_id: &scope.request_id,
-                                trace_id: &trace_hex,
-                                method,
-                                path,
-                                experiment: experiment_of(path),
-                                status: response.status,
-                                bytes,
-                                duration_s: queued_at.elapsed().as_secs_f64(),
-                            },
-                        )
-                    );
-                }
-            } else {
-                self.shared.metrics.rejected.inc();
-                self.shared.metrics.count_response(503);
-            }
+        let spawned = std::thread::Builder::new()
+            .name("cnt-serve-conn".to_string())
+            .stack_size(CONNECTION_STACK)
+            .spawn(move || {
+                let _slot = slot;
+                handle_connection(stream, &shared);
+            });
+        if spawned.is_err() {
+            // The closure, stream and slot included, is already dropped.
+            self.shared.metrics.rejected.inc();
         }
     }
 }
 
-/// Parses the already-drained bytes of a shed connection and returns the
-/// request iff it is a probe (`GET /v1/healthz` or `GET /v1/metrics`)
-/// that may bypass admission control. Anything else — including a probe
-/// whose bytes did not all arrive in the drain read — stays on the
-/// normal shed path.
-fn probe_request(drained: &[u8]) -> Option<Request> {
-    let mut reader = BufReader::new(drained);
-    let request = http::read_request(&mut reader).ok()?;
-    let path = request.path.trim_end_matches('/');
-    (request.method == "GET" && (path == "/v1/healthz" || path == "/v1/metrics")).then_some(request)
+/// Answers a connection over the cap: `503` + `Retry-After`, then close.
+fn refuse(stream: TcpStream, shared: &Shared) {
+    let started = Instant::now();
+    let mut stream = DeadlineStream {
+        stream,
+        deadline: started + Duration::from_millis(100),
+    };
+    // Drain the bytes the client already sent: closing with unread data
+    // turns into a TCP RST that can discard the response before the
+    // client reads it. One bounded read covers the small request bodies
+    // this API carries.
+    let _ = stream.read(&mut [0u8; 8192]);
+    let scope = scope_for(shared, None);
+    let _ = send(
+        &mut stream,
+        shared.busy("connection table"),
+        &scope,
+        None,
+        false,
+        started,
+        shared,
+    );
+    let _ = stream.stream.shutdown(std::net::Shutdown::Write);
 }
 
-/// Serves one connection: requests back-to-back while the client keeps
-/// the connection alive, each under its own read/write deadline, until
-/// `Connection: close`, the per-connection request cap, an idle timeout,
-/// or a parse error ends it. Pipelined requests already sitting in the
-/// buffered reader are served without waiting.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queued_at: Instant) {
-    shared
-        .metrics
-        .queue_wait_seconds
-        .record_duration(queued_at.elapsed());
+/// Serves one connection on its own thread: requests back-to-back while
+/// the client keeps the connection alive, each under its own read/write
+/// deadline, until `Connection: close`, the per-connection request cap,
+/// an idle timeout, shutdown, or a parse error ends it. Pipelined
+/// requests already sitting in the buffered reader are served without
+/// waiting.
+fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut reader = BufReader::new(DeadlineStream {
         stream,
-        deadline: Instant::now() + shared.request_deadline,
+        deadline: Instant::now(),
     });
     let mut served = 0usize;
-    loop {
+    let mut first_byte_within = shared.request_deadline;
+    while request_arrives(&mut reader, first_byte_within, shared) {
         let started = Instant::now();
         let (scope, response, keep_alive, target) = match http::read_request(&mut reader) {
             Ok(request) => {
@@ -1023,14 +1040,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queued_at: Instant
                 if served > 0 {
                     shared.metrics.keepalive_reuses.inc();
                 }
-                // A kept-alive connection parks on a pool worker between
-                // requests, so reuse is bounded two ways: a short idle
-                // window and a hard per-connection request cap.
-                let keep =
-                    request.wants_keep_alive() && served + 1 < shared.max_requests_per_connection;
                 let target = (request.method.clone(), request.path.clone());
                 let scope = scope_for(shared, Some(&request));
                 let response = route(&request, &scope, shared);
+                // Decided after routing, so a response finished during a
+                // drain already tells the client the connection closes.
+                let keep = request.wants_keep_alive()
+                    && served + 1 < shared.max_requests_per_connection
+                    && !shared.stop.load(Ordering::SeqCst);
                 (scope, response, keep, Some(target))
             }
             Err(RequestError::Malformed(message)) => (
@@ -1045,66 +1062,109 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queued_at: Instant
                 false,
                 None,
             ),
-            Err(RequestError::Io(_)) => return, // died or idled out; nobody to answer
+            Err(RequestError::Io(_)) => return, // died or timed out; nobody to answer
         };
-        let trace_hex = id_hex(scope.trace.trace_id);
-        let response = Response {
-            request_id: Some(scope.request_id.clone()),
-            trace_id: Some(trace_hex.clone()),
-            ..response
-        };
-        shared.metrics.count_response(response.status);
-        // The computation does not count against the request's read
-        // budget: the response write gets a fresh deadline of its own.
-        let stream = reader.get_mut();
-        stream.deadline = Instant::now() + shared.request_deadline;
-        let write_started = Instant::now();
-        let write_result = response.write_to_with(stream, keep_alive);
-        let _ = stream.flush();
-        shared
-            .metrics
-            .write_seconds
-            .record_duration(write_started.elapsed());
+        let target = target.as_ref().map(|(m, p)| (m.as_str(), p.as_str()));
+        let written = send(
+            reader.get_mut(),
+            response,
+            &scope,
+            target,
+            keep_alive,
+            started,
+            shared,
+        );
         shared
             .metrics
             .request_seconds
             .record_duration(started.elapsed());
-        if let Some(log_format) = shared.access_log {
-            let (method, path) = target
-                .as_ref()
-                .map_or(("-", "-"), |(m, p)| (m.as_str(), p.as_str()));
-            print!(
-                "{}",
-                access_log_line(
-                    log_format,
-                    &AccessRecord {
-                        request_id: &scope.request_id,
-                        trace_id: &trace_hex,
-                        method,
-                        path,
-                        experiment: experiment_of(path),
-                        status: response.status,
-                        bytes: response.content_length() as usize,
-                        duration_s: started.elapsed().as_secs_f64(),
-                    },
-                )
-            );
-        }
-        if write_result.is_err() || !keep_alive {
+        if written.is_err() || !keep_alive {
             return;
         }
         served += 1;
-        // The short idle budget covers only the wait for the next
-        // request's first byte (pipelined bytes already buffered satisfy
-        // it immediately); once data is in hand, reading the request gets
-        // the full per-request deadline like the first one did.
-        reader.get_mut().deadline = Instant::now() + shared.keep_alive_idle;
+        first_byte_within = shared.keep_alive_idle;
+    }
+}
+
+/// Waits up to `within` for the first byte of the connection's next
+/// request (pipelined bytes already buffered count at once), checking
+/// for shutdown every [`IDLE_POLL`]. On `true` the read deadline is the
+/// full per-request budget; `false` means the client closed, died or
+/// stayed silent, or the server is draining.
+fn request_arrives(
+    reader: &mut BufReader<DeadlineStream>,
+    within: Duration,
+    shared: &Shared,
+) -> bool {
+    let until = Instant::now() + within;
+    loop {
+        reader.get_mut().deadline = until.min(Instant::now() + IDLE_POLL);
         match reader.fill_buf() {
-            Ok([]) => return, // client closed cleanly between requests
-            Ok(_) => reader.get_mut().deadline = Instant::now() + shared.request_deadline,
-            Err(_) => return, // idled out or died; nobody to answer
+            Ok([]) => return false, // closed cleanly between requests
+            Ok(_) => {
+                reader.get_mut().deadline = Instant::now() + shared.request_deadline;
+                return true;
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) && Instant::now() < until
+                    && !shared.stop.load(Ordering::SeqCst) => {}
+            Err(_) => return false,
         }
     }
+}
+
+/// Sends one response: stamps the scope's ids on it, counts it by
+/// status, writes it under a fresh deadline (the computation does not
+/// count against the request's read budget), and writes the access-log
+/// line.
+fn send(
+    stream: &mut DeadlineStream,
+    response: Response,
+    scope: &RequestScope,
+    target: Option<(&str, &str)>,
+    keep_alive: bool,
+    started: Instant,
+    shared: &Shared,
+) -> std::io::Result<()> {
+    let trace_hex = id_hex(scope.trace.trace_id);
+    let response = Response {
+        request_id: Some(scope.request_id.clone()),
+        trace_id: Some(trace_hex.clone()),
+        ..response
+    };
+    shared.metrics.count_response(response.status);
+    stream.deadline = Instant::now() + shared.request_deadline;
+    let write_started = Instant::now();
+    let written = response
+        .write_to_with(stream, keep_alive)
+        .and_then(|()| stream.flush());
+    shared
+        .metrics
+        .write_seconds
+        .record_duration(write_started.elapsed());
+    if let Some(log_format) = shared.access_log {
+        let (method, path) = target.unwrap_or(("-", "-"));
+        print!(
+            "{}",
+            access_log_line(
+                log_format,
+                &AccessRecord {
+                    request_id: &scope.request_id,
+                    trace_id: &trace_hex,
+                    method,
+                    path,
+                    experiment: experiment_of(path),
+                    status: response.status,
+                    bytes: response.content_length() as usize,
+                    duration_s: started.elapsed().as_secs_f64(),
+                },
+            )
+        );
+    }
+    written
 }
 
 /// One completed exchange, as the access log sees it.
@@ -1390,42 +1450,48 @@ fn run_route(id: &str, request: &Request, scope: &RequestScope, shared: &Arc<Sha
         while slot.is_none() {
             slot = flight.done.wait(slot).expect("flight poisoned");
         }
-        return match slot.as_ref().expect("just checked") {
-            Ok(body) => ok_response(body.clone()),
-            Err((status, body)) => Response::json(*status, body.clone()),
-        };
+        return flight_response(slot.as_ref().expect("just checked"), shared);
     }
 
-    shared.metrics.runs.inc();
-    // The leader must publish *some* outcome: if a kernel panicked and the
-    // flight were abandoned, every waiter (and every future request for
-    // this point) would park on the condvar forever — so catch the unwind
-    // and turn it into a 500 like any other run failure.
-    let run_started = Instant::now();
-    let run_result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (shared.runner)(exp, &ctx)));
-    shared
-        .metrics
-        .run_seconds
-        .record_duration(run_started.elapsed());
-    let outcome = match run_result {
-        Ok(Ok(report)) => {
-            let serialize_started = Instant::now();
-            let (content_type, body) = render_report(&report, run_request.format);
+    // The leader computes under a compute permit. When the gate's line
+    // is full it sheds instead, and so does every waiter on its flight.
+    let outcome = match shared.gate.try_acquire() {
+        Some(_permit) => {
+            shared.metrics.runs.inc();
+            // The leader must publish *some* outcome: if a kernel panicked
+            // and the flight were abandoned, every waiter (and every future
+            // request for this point) would park on the condvar forever —
+            // so catch the unwind and turn it into a 500 like any other run
+            // failure.
+            let run_started = Instant::now();
+            let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (shared.runner)(exp, &ctx)
+            }));
             shared
                 .metrics
-                .serialize_seconds
-                .record_duration(serialize_started.elapsed());
-            Ok(CachedBody {
-                content_type,
-                body: Arc::new(body),
-            })
+                .run_seconds
+                .record_duration(run_started.elapsed());
+            match run_result {
+                Ok(Ok(report)) => {
+                    let serialize_started = Instant::now();
+                    let (content_type, body) = render_report(&report, run_request.format);
+                    shared
+                        .metrics
+                        .serialize_seconds
+                        .record_duration(serialize_started.elapsed());
+                    Ok(CachedBody {
+                        content_type,
+                        body: Arc::new(body),
+                    })
+                }
+                Ok(Err(e)) => Err((500u16, api::error_json(&e.to_string()))),
+                Err(_) => Err((
+                    500u16,
+                    api::error_json(&format!("experiment '{id}' panicked during execution")),
+                )),
+            }
         }
-        Ok(Err(e)) => Err((500u16, api::error_json(&e.to_string()))),
-        Err(_) => Err((
-            500u16,
-            api::error_json(&format!("experiment '{id}' panicked during execution")),
-        )),
+        None => Err((503, api::busy_json("request queue"))),
     };
     if let Ok(body) = &outcome {
         shared
@@ -1435,7 +1501,7 @@ fn run_route(id: &str, request: &Request, scope: &RequestScope, shared: &Arc<Sha
             .put(key, body.clone());
     }
     // Publish to waiters, then retire the flight so later requests hit
-    // the cache (or recompute, for errors).
+    // the cache (or recompute, for errors and sheds).
     *flight.slot.lock().expect("flight poisoned") = Some(outcome.clone());
     flight.done.notify_all();
     shared
@@ -1443,9 +1509,19 @@ fn run_route(id: &str, request: &Request, scope: &RequestScope, shared: &Arc<Sha
         .lock()
         .expect("inflight poisoned")
         .remove(&key);
+    flight_response(&outcome, shared)
+}
+
+/// A flight's outcome as one request's response; a shed flight sheds
+/// each of its requests.
+fn flight_response(
+    outcome: &core::result::Result<CachedBody, (u16, String)>,
+    shared: &Shared,
+) -> Response {
     match outcome {
-        Ok(body) => ok_response(body),
-        Err((status, body)) => Response::json(status, body),
+        Ok(body) => ok_response(body.clone()),
+        Err((503, _)) => shared.busy("request queue"),
+        Err((status, body)) => Response::json(*status, body.clone()),
     }
 }
 
@@ -1739,8 +1815,8 @@ impl JobSpec {
 }
 
 /// `POST /v1/sweeps/{id}`: validate, register a job, journal the
-/// submission, enqueue the sweep on the worker pool, answer `202` + the
-/// job id immediately.
+/// submission, start the job's thread, answer `202` + the job id
+/// immediately.
 fn sweep_job_route(
     id: &str,
     request: &Request,
@@ -1771,7 +1847,10 @@ fn sweep_job_route(
     let rid = shared.next_request_id();
     let Ok(job) = shared.jobs.create(&rid, id) else {
         return Response {
-            retry_after: Some(retry_after_hint(shared.jobs.pending(), shared.workers)),
+            retry_after: Some(retry_after_hint(
+                shared.jobs.pending(),
+                shared.gate.permits(),
+            )),
             ..Response::json(503, api::busy_json("job table"))
         };
     };
@@ -1787,25 +1866,22 @@ fn sweep_job_route(
     // leaves, so a coordinator killed right after answering still
     // re-runs the job on restart.
     shared.journal_append(&submitted_record(&spec));
-    // The job runs on another pool worker after this request already
+    // The job runs on its own thread after this request already
     // answered 202 — it records its *own* trace record as a child of
     // this request's span, so `GET /v1/trace/{id}` shows the async work
     // hanging off the ingress hop that queued it.
     let job_ctx = scope.trace.child_of(shared.mint_id());
     if spawn_sweep_job(shared, job, spec, job_ctx).is_err() {
-        // The work never made it onto the queue; withdraw the job so it
-        // cannot sit `queued` forever (closing its journal entry too),
-        // and shed like any other overload.
+        // The job's thread never started; withdraw the job so it cannot
+        // sit `queued` forever (closing its journal entry too), and shed
+        // like any other overload.
         shared.jobs.remove(&rid);
         shared.journal_append(&job_failed_record(
             &rid,
             503,
             &api::busy_json("request queue"),
         ));
-        return Response {
-            retry_after: Some(retry_after_hint(shared.pool.queued(), shared.workers)),
-            ..Response::json(503, api::busy_json("request queue"))
-        };
+        return shared.busy("request queue");
     }
     shared
         .metrics
@@ -1819,24 +1895,32 @@ fn sweep_job_route(
     )
 }
 
-/// Enqueues one accepted sweep job (fresh submission or journal
-/// recovery) on the worker pool. The task resolves everything from the
-/// spec, runs it through the chunk coordinator, and records the
-/// terminal state in the job table and the journal.
+/// Starts one accepted sweep job (fresh submission or journal
+/// recovery) on a thread of its own, which waits in the compute gate's
+/// line for a permit: the job table already admitted the job, so it
+/// never sheds there. The task resolves everything from the spec, runs
+/// it through the chunk coordinator, and records the terminal state in
+/// the job table and the journal.
 fn spawn_sweep_job(
     shared: &Arc<Shared>,
     job: Arc<JobEntry>,
     spec: JobSpec,
     job_ctx: TraceContext,
-) -> core::result::Result<(), ()> {
+) -> std::io::Result<()> {
+    let slot = shared
+        .job_threads
+        .enter()
+        .expect("job threads have no cap of their own");
     let worker_shared = Arc::clone(shared);
-    let task = Box::new(move || {
+    let task = move || {
+        let _slot = slot;
+        let _permit = worker_shared.gate.acquire();
         job.mark_running();
         worker_shared.metrics.jobs_total.with("running").inc();
         let job_started = Instant::now();
         cnt_obs::Trace::begin();
-        // A panicking kernel fails the job instead of poisoning the
-        // pool worker.
+        // A panicking kernel fails the job instead of leaving it
+        // `running` forever.
         let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _span = cnt_obs::span!("serve.job");
             execute_sweep_job(&worker_shared, &spec, &job.progress)
@@ -1882,8 +1966,11 @@ fn spawn_sweep_job(
             .metrics
             .jobs_pending
             .set(worker_shared.jobs.pending() as f64);
-    });
-    shared.pool.submit(task).map_err(|_| ())
+    };
+    std::thread::Builder::new()
+        .name("cnt-serve-job".to_string())
+        .spawn(task)
+        .map(drop)
 }
 
 /// Publishes a finished job body: spilled to disk (streamed back at
@@ -2280,6 +2367,11 @@ fn fleet_chunk_route(request: &Request, shared: &Arc<Shared>) -> Response {
             )),
         );
     }
+    // A chunk computes under a permit like a run; its 503 is the
+    // coordinator's one retryable refusal.
+    let Some(_permit) = shared.gate.try_acquire() else {
+        return shared.busy("request queue");
+    };
     // The worker's own chunk store: a re-dispatched chunk this instance
     // already ran answers from disk, and a worker that dies mid-chunk
     // leaves nothing to clean up.
@@ -2589,6 +2681,15 @@ fn apply_recovered_job(shared: &Arc<Shared>, recovered: RecoveredJob) {
             path,
             bytes,
         }) => {
+            // The journal records no job count, but the spec derives it
+            // deterministically: the finished job reads done == total.
+            let spec = &recovered.spec;
+            let jobs =
+                experiments::resolve_context(&spec.experiment, spec.preset.as_deref(), &spec.sets)
+                    .and_then(|(_, ctx)| experiments::chunkable_sweep(&spec.experiment, &ctx))
+                    .map_or(0, |sweep| sweep.jobs() as u64);
+            job.progress.set_total(jobs);
+            job.progress.add_done(jobs);
             job.complete_spilled(static_content_type(content_type), path.clone(), *bytes);
         }
         Some(RecoveredOutcome::Failed { status, body }) => {
@@ -2634,8 +2735,8 @@ fn healthz_json(shared: &Shared) -> String {
     let mut body = format!(
         "{{\"status\":\"ok\",\"experiments\":{},\"workers\":{},\"queue_capacity\":{},\"cached_bodies\":{},\"requests\":{},\"runs\":{},\"cache_hits\":{},\"coalesced\":{},\"rejected\":{},\"jobs_pending\":{}",
         experiments::catalog().count(),
-        shared.workers,
-        shared.queue_capacity,
+        shared.gate.permits(),
+        shared.gate.capacity(),
         cached,
         m.requests.base().get(),
         m.runs.get(),
@@ -2676,12 +2777,8 @@ fn healthz_json(shared: &Shared) -> String {
 /// `cnt-fields`/`cnt-sweep` recorded in this process). Metric names are
 /// disjoint by prefix, so the concatenation stays a valid exposition.
 fn metrics_text(shared: &Shared) -> String {
-    let m = &shared.metrics;
-    m.cached_bodies
-        .set(shared.cache.lock().expect("cache poisoned").len() as f64);
-    m.jobs_pending.set(shared.jobs.pending() as f64);
-    m.uptime_seconds.set(m.started.elapsed().as_secs_f64());
-    let mut out = m.registry.render_prometheus();
+    refresh_gauges(shared);
+    let mut out = shared.metrics.registry.render_prometheus();
     out.push_str(&cnt_obs::global().render_prometheus());
     out
 }
@@ -2692,14 +2789,20 @@ fn metrics_text(shared: &Shared) -> String {
 /// because their metric-name prefixes are disjoint (`cnt_serve_*` /
 /// `cnt_fleet_*` vs `cnt_span_*` / library counters).
 fn sample_history(shared: &Shared) {
+    refresh_gauges(shared);
+    shared.metrics.history_scrapes.inc();
+    shared.history.sample(&shared.metrics.registry);
+    shared.history.sample(cnt_obs::global());
+}
+
+/// Sets the gauges that mirror live state, read at scrape time.
+fn refresh_gauges(shared: &Shared) {
     let m = &shared.metrics;
     m.cached_bodies
         .set(shared.cache.lock().expect("cache poisoned").len() as f64);
     m.jobs_pending.set(shared.jobs.pending() as f64);
+    m.connections.set(shared.connections.live() as f64);
     m.uptime_seconds.set(m.started.elapsed().as_secs_f64());
-    m.history_scrapes.inc();
-    shared.history.sample(&m.registry);
-    shared.history.sample(cnt_obs::global());
 }
 
 #[cfg(test)]
@@ -2781,34 +2884,20 @@ mod tests {
         assert_eq!(experiment_of("/v1/experiments/a/b/run"), None);
     }
 
+    /// A server's shared state with request-id prefix `00c0ffee`.
+    fn test_shared() -> Shared {
+        Shared::new(
+            &Config::default(),
+            Box::new(|exp, ctx| exp.run(ctx)),
+            0xc0ffee,
+            "127.0.0.1:0".to_string(),
+            None,
+        )
+    }
+
     #[test]
     fn scope_adopts_valid_headers_and_mints_otherwise() {
-        let m = Metrics::new(1, 1);
-        let shared = Shared {
-            metrics: m,
-            cache: Mutex::new(LruCache::new(1)),
-            inflight: Mutex::new(HashMap::new()),
-            runner: Box::new(|exp, ctx| exp.run(ctx)),
-            workers: 1,
-            queue_capacity: 1,
-            request_deadline: Duration::from_secs(1),
-            keep_alive_idle: Duration::from_secs(1),
-            max_requests_per_connection: 1,
-            access_log: None,
-            rid_prefix: 0xc0ffee,
-            rid_seq: AtomicU64::new(0),
-            span_seq: AtomicU64::new(0),
-            history: HistoryStore::new(8),
-            slos: slo::default_serve_slos(),
-            traces: TraceStore::new(8, Duration::from_secs(60)),
-            profile: Profile::new(),
-            instance: "127.0.0.1:0".to_string(),
-            pool: Arc::new(WorkerPool::new(1, 1)),
-            jobs: JobTable::new(1, Duration::from_secs(1)),
-            fleet: OnceLock::new(),
-            data_dir: None,
-            journal: None,
-        };
+        let shared = test_shared();
         let request = |headers: Vec<(&str, &str)>| Request {
             method: "POST".to_string(),
             path: "/v1/experiments/fig12/run".to_string(),
@@ -2886,32 +2975,7 @@ mod tests {
 
     #[test]
     fn request_ids_are_unique_per_server() {
-        let m = Metrics::new(1, 1);
-        let shared = Shared {
-            metrics: m,
-            cache: Mutex::new(LruCache::new(1)),
-            inflight: Mutex::new(HashMap::new()),
-            runner: Box::new(|exp, ctx| exp.run(ctx)),
-            workers: 1,
-            queue_capacity: 1,
-            request_deadline: Duration::from_secs(1),
-            keep_alive_idle: Duration::from_secs(1),
-            max_requests_per_connection: 1,
-            access_log: None,
-            rid_prefix: 0xc0ffee,
-            rid_seq: AtomicU64::new(0),
-            span_seq: AtomicU64::new(0),
-            history: HistoryStore::new(8),
-            slos: slo::default_serve_slos(),
-            traces: TraceStore::new(8, Duration::from_secs(60)),
-            profile: Profile::new(),
-            instance: "127.0.0.1:0".to_string(),
-            pool: Arc::new(WorkerPool::new(1, 1)),
-            jobs: JobTable::new(1, Duration::from_secs(1)),
-            fleet: OnceLock::new(),
-            data_dir: None,
-            journal: None,
-        };
+        let shared = test_shared();
         let a = shared.next_request_id();
         let b = shared.next_request_id();
         assert_ne!(a, b);

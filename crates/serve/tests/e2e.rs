@@ -1,7 +1,8 @@
 //! Socket-level integration: the server is exercised over real TCP with a
 //! minimal `TcpStream` client — route shapes, CLI byte-identity for every
 //! registry id, coalescing, LRU hot paths, 503 backpressure, determinism
-//! across server instances, and graceful shutdown draining.
+//! across server instances, graceful shutdown draining, and parked
+//! keep-alive connections that must not hold up anyone else's work.
 
 use cnt_interconnect::experiments::{self, registry};
 use cnt_serve::{Config, Server, ShutdownHandle};
@@ -563,18 +564,48 @@ fn a_full_queue_answers_503_with_retry_after() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_work() {
-    let server = Server::bind_with_runner(config(), |exp, ctx| {
-        std::thread::sleep(Duration::from_millis(300));
-        exp.run(ctx)
-    })
+    // One permit and a data dir: the slow run holds the permit, a sweep
+    // job queues behind it, and the journal tells afterwards whether the
+    // job finished before serve() returned.
+    let dir = std::env::temp_dir().join(format!("cnt-serve-drain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::bind_with_runner(
+        Config {
+            workers: 1,
+            data_dir: Some(dir.clone()),
+            ..config()
+        },
+        |exp, ctx| {
+            std::thread::sleep(Duration::from_millis(300));
+            exp.run(ctx)
+        },
+    )
     .unwrap();
     let (addr, handle, thread) = start(server);
 
+    // An idle keep-alive connection must not hold the drain up.
+    let mut parked = park(addr, "GET", "/v1/healthz", "");
     let client = std::thread::spawn(move || post(addr, "/v1/experiments/fig01/run", "{}"));
-    // Let the request reach a worker, then ask the server to stop.
+    // Let the run take the permit, queue a job behind it, then ask the
+    // server to stop.
     std::thread::sleep(Duration::from_millis(100));
+    let (status, submit) = post(
+        addr,
+        "/v1/sweeps/fig12",
+        r#"{"params": {"trials": 16, "cache_dir": ""}}"#,
+    );
+    assert_eq!(status, 202, "{submit}");
+    let rid = job_id(&submit);
+    let (_, polled) = get(addr, &format!("/v1/jobs/{rid}"));
+    assert!(polled.contains("\"status\":\"queued\""), "{polled}");
+    let stopping = std::time::Instant::now();
     handle.shutdown();
     thread.join().expect("serve() must return after shutdown");
+    assert!(
+        stopping.elapsed() < Duration::from_secs(3),
+        "the drain waited out the parked connection: {:?}",
+        stopping.elapsed()
+    );
     let (status, body) = client.join().expect("client");
     assert_eq!(status, 200, "in-flight work must drain, got: {body}");
     assert_eq!(
@@ -584,6 +615,20 @@ fn graceful_shutdown_drains_in_flight_work() {
             experiments::run_to_json("fig01", None, &[]).unwrap()
         )
     );
+    // The queued job ran to its end before serve() returned.
+    let journal = cnt_serve::fleet::journal::replay(&dir.join("journal.log")).unwrap();
+    assert!(
+        journal
+            .records
+            .iter()
+            .any(|r| r.contains("\"event\":\"job_done\"") && r.contains(&rid)),
+        "queued job never finished: {:?}",
+        journal.records
+    );
+    // The parked connection was closed, not left open.
+    let mut rest = String::new();
+    assert_eq!(parked.read_to_string(&mut rest).unwrap_or(0), 0, "{rest}");
+    let _ = std::fs::remove_dir_all(&dir);
     // The listener is really gone.
     assert!(
         TcpStream::connect(addr).is_err() || {
@@ -720,6 +765,233 @@ fn read_framed(reader: &mut std::io::BufReader<TcpStream>) -> (u16, Vec<(String,
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body).expect("read body");
     (status, headers, String::from_utf8(body).expect("utf-8"))
+}
+
+/// One keep-alive exchange on an open connection.
+fn exchange(
+    conn: &mut std::io::BufReader<TcpStream>,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, Vec<(String, String)>, String) {
+    write!(
+        conn.get_mut(),
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send request");
+    read_framed(conn)
+}
+
+/// Opens a connection, serves one keep-alive request on it, and returns
+/// it open and idle: a parked keep-alive connection.
+fn park(addr: SocketAddr, method: &str, path: &str, body: &str) -> std::io::BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut conn = std::io::BufReader::new(stream);
+    let (status, headers, _) = exchange(&mut conn, method, path, body);
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "connection"), Some("keep-alive"));
+    conn
+}
+
+#[test]
+fn parked_keep_alive_connections_do_not_stall_a_cached_run() {
+    let server = Server::bind(Config {
+        workers: 2,
+        ..config()
+    })
+    .unwrap();
+    let (addr, handle, thread) = start(server);
+
+    // As many parked connections as workers: one after a served run
+    // (which also caches fig12), one after a probe.
+    let run = "/v1/experiments/fig12/run";
+    let parked = [
+        park(addr, "POST", run, "{}"),
+        park(addr, "GET", "/v1/healthz", ""),
+    ];
+    let started = std::time::Instant::now();
+    let (status, body) = post(addr, run, "{}");
+    let took = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        took < Duration::from_secs(1),
+        "a cached run behind {} parked connections took {took:?}",
+        parked.len()
+    );
+
+    drop(parked);
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+#[test]
+fn a_job_polled_on_keep_alive_finishes_without_a_server_close() {
+    let server = Server::bind(Config {
+        workers: 2,
+        ..config()
+    })
+    .unwrap();
+    let (addr, handle, thread) = start(server);
+
+    let run = "/v1/experiments/fig12/run";
+    let _parked = [
+        park(addr, "POST", run, "{}"),
+        park(addr, "GET", "/v1/healthz", ""),
+    ];
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut conn = std::io::BufReader::new(stream);
+    let started = std::time::Instant::now();
+    let (status, headers, submit) = exchange(
+        &mut conn,
+        "POST",
+        "/v1/sweeps/fig12",
+        r#"{"params": {"trials": 16, "cache_dir": ""}}"#,
+    );
+    assert_eq!(status, 202, "{submit}");
+    assert_eq!(header(&headers, "connection"), Some("keep-alive"));
+    let result_path = format!("/v1/jobs/{}/result", job_id(&submit));
+    let mut polls = 0;
+    loop {
+        let (status, headers, body) = exchange(&mut conn, "GET", &result_path, "");
+        polls += 1;
+        assert_eq!(
+            header(&headers, "connection"),
+            Some("keep-alive"),
+            "the server closed the polling connection after {polls} polls"
+        );
+        match status {
+            200 => break,
+            202 => std::thread::sleep(Duration::from_millis(1)),
+            other => panic!("unexpected result status {other}: {body}"),
+        }
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "submit→result took {took:?} ({polls} polls)"
+    );
+
+    drop(conn);
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+#[test]
+fn two_hundred_parked_connections_leave_an_active_client_fast() {
+    let server = Server::bind(Config {
+        workers: 2,
+        ..config()
+    })
+    .unwrap();
+    let (addr, handle, thread) = start(server);
+
+    let run = "/v1/experiments/fig12/run";
+    let mut active = park(addr, "POST", run, "{}");
+    let parked: Vec<_> = (0..200)
+        .map(|_| park(addr, "GET", "/v1/healthz", ""))
+        .collect();
+    // Each parked connection is a live thread, exported as a gauge.
+    let (_, metrics) = get(addr, "/v1/metrics");
+    let live: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("cnt_serve_connections "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no connections gauge in {metrics}"));
+    assert!(live > parked.len() as u64, "{live} live connections");
+
+    for i in 0..50 {
+        let started = std::time::Instant::now();
+        let (status, _, body) = exchange(&mut active, "POST", run, "{}");
+        let took = started.elapsed();
+        assert_eq!(status, 200, "run {i}: {body}");
+        assert!(
+            took < Duration::from_secs(1),
+            "run {i} behind {} parked connections took {took:?}",
+            parked.len()
+        );
+    }
+
+    drop((active, parked));
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+#[test]
+fn runs_and_sweep_jobs_share_the_permits() {
+    // The runner counts kernels in flight. Eight distinct points and a
+    // sweep job arrive at once on a 2-permit server.
+    let (now, peak) = (
+        Arc::new(std::sync::atomic::AtomicUsize::new(0)),
+        Arc::new(std::sync::atomic::AtomicUsize::new(0)),
+    );
+    let server = {
+        let (now, peak) = (Arc::clone(&now), Arc::clone(&peak));
+        Server::bind_with_runner(
+            Config {
+                workers: 2,
+                ..config()
+            },
+            move |exp, ctx| {
+                use std::sync::atomic::Ordering::SeqCst;
+                peak.fetch_max(now.fetch_add(1, SeqCst) + 1, SeqCst);
+                std::thread::sleep(Duration::from_millis(50));
+                now.fetch_sub(1, SeqCst);
+                exp.run(ctx)
+            },
+        )
+        .unwrap()
+    };
+    let (addr, handle, thread) = start(server);
+
+    let (status, submit) = post(
+        addr,
+        "/v1/sweeps/fig12",
+        r#"{"params": {"trials": 16, "cache_dir": ""}}"#,
+    );
+    assert_eq!(status, 202, "{submit}");
+    let barrier = Arc::new(Barrier::new(8));
+    let statuses: Vec<u16> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..8)
+            .map(|i| {
+                let barrier = Arc::clone(&barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let body = format!("{{\"params\": {{\"seed\": {}}}}}", 400 + i);
+                    post(addr, "/v1/experiments/table1/run", &body).0
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    assert_eq!(statuses, [200; 8]);
+    let rid = job_id(&submit);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, polled) = get(addr, &format!("/v1/jobs/{rid}"));
+        if polled.contains("\"status\":\"done\"") {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "job stuck: {polled}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let peak = peak.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(peak <= 2, "{peak} kernels ran at once on 2 permits");
+    // Every computation took a permit: the 8 run leaders and the job.
+    let (_, metrics) = get(addr, "/v1/metrics");
+    assert!(
+        metrics.contains("cnt_serve_queue_wait_seconds_count 9\n"),
+        "{metrics}"
+    );
+
+    handle.shutdown();
+    thread.join().unwrap();
 }
 
 #[test]

@@ -415,6 +415,12 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     let (status, body) = get(coordinator.addr, &format!("/v1/jobs/{rid}/result"));
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, expected, "spill-served result drifted");
+    // The journal holds no job count; the replayed job derives it from
+    // its spec and reads finished, not 0/0.
+    assert_eq!(
+        progress(coordinator.addr, rid),
+        (n_jobs as u64, n_jobs as u64)
+    );
     let metrics = scrape(coordinator.addr);
     assert_eq!(sample(&metrics, "cnt_serve_journal_replayed_total"), 1);
     for outcome in ["local", "remote", "requeued", "resumed"] {

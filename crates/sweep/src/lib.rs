@@ -51,7 +51,6 @@ pub mod cache;
 pub mod exec;
 pub mod json;
 pub mod plan;
-pub mod pool;
 pub mod seed;
 
 pub use agg::{Histogram, OnlineStats, Summary};
@@ -59,7 +58,6 @@ pub use axis::Axis;
 pub use cache::{CacheKey, GcStats, ResultStore, Table};
 pub use exec::{chunk_ranges, Executor};
 pub use plan::{Job, SweepPlan};
-pub use pool::{PoolJob, WorkerPool};
 
 use core::fmt;
 
