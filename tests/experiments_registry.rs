@@ -130,7 +130,7 @@ fn overrides_change_results_and_defaults_do_not() {
 
 #[test]
 fn json_and_csv_goldens_are_byte_stable() {
-    for id in ["table1", "fig12"] {
+    for id in ["table1", "fig12", "fig10"] {
         let report = experiments::run(id).unwrap();
         let json = report.to_json();
         experiments::format::check_json_stream(&json).expect("golden JSON must be valid");
