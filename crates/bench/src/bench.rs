@@ -23,7 +23,7 @@
 
 use cnt_atomistic::negf::DisorderedChain;
 use cnt_fields::grid::Grid3;
-use cnt_fields::solver::{Method, SolveWorkspace, SolverOptions, StencilSystem};
+use cnt_fields::solver::{SolveWorkspace, SolverOptions, StencilSystem};
 use cnt_interconnect::benchmark::{
     delay_ratio_grid, FIG12_CHANNEL_COUNTS, FIG12_DIAMETERS_NM, FIG12_LENGTHS_UM,
 };
@@ -95,8 +95,8 @@ pub struct KernelRun {
     /// One wall-time sample per timed iteration.
     pub samples: Vec<Duration>,
     /// Inner solver iterations per solve, for kernels that wrap an
-    /// iterative method — makes the CG-vs-MG-CG asymptotics visible in
-    /// the trajectory, not just the wall times.
+    /// iterative method — makes iteration-count drift visible in the
+    /// trajectory, not just the wall times.
     pub solver_iterations: Option<u64>,
 }
 
@@ -344,18 +344,8 @@ pub fn kernels() -> Vec<Kernel> {
         },
         Kernel {
             id: "fields.cg_xl",
-            title: "CG stencil solve, 33x33x129 grid (MG ablation reference)",
+            title: "CG stencil solve, 33x33x129 grid",
             run: bench_cg_xl,
-        },
-        Kernel {
-            id: "fields.mg_large",
-            title: "MG-CG stencil solve, 13x13x33 grid",
-            run: bench_mg_large,
-        },
-        Kernel {
-            id: "fields.mg_xl",
-            title: "MG-CG stencil solve, 33x33x129 grid",
-            run: bench_mg_xl,
         },
         Kernel {
             id: "thermal.sthm_scan",
@@ -535,13 +525,10 @@ fn cg_system(nodes: [usize; 3]) -> StencilSystem {
     StencilSystem::assemble(&grid, &coeff, dirichlet)
 }
 
-fn bench_stencil(cfg: &KernelCfg, nodes: [usize; 3], scheme: Method) -> KernelRun {
+fn bench_stencil(cfg: &KernelCfg, nodes: [usize; 3]) -> KernelRun {
     let (warmup, iters) = budget(cfg);
     let sys = cg_system(nodes);
-    let options = SolverOptions {
-        scheme,
-        ..SolverOptions::default()
-    };
+    let options = SolverOptions::default();
     let mut ws = SolveWorkspace::new();
     // The solve is deterministic, so the iteration count of any timed
     // call doubles as the reported statistic.
@@ -558,23 +545,15 @@ fn bench_stencil(cfg: &KernelCfg, nodes: [usize; 3], scheme: Method) -> KernelRu
 }
 
 fn bench_cg_small(cfg: &KernelCfg) -> KernelRun {
-    bench_stencil(cfg, [9, 9, 17], Method::ConjugateGradient)
+    bench_stencil(cfg, [9, 9, 17])
 }
 
 fn bench_cg_large(cfg: &KernelCfg) -> KernelRun {
-    bench_stencil(cfg, [13, 13, 33], Method::ConjugateGradient)
+    bench_stencil(cfg, [13, 13, 33])
 }
 
 fn bench_cg_xl(cfg: &KernelCfg) -> KernelRun {
-    bench_stencil(cfg, [33, 33, 129], Method::ConjugateGradient)
-}
-
-fn bench_mg_large(cfg: &KernelCfg) -> KernelRun {
-    bench_stencil(cfg, [13, 13, 33], Method::MgCg)
-}
-
-fn bench_mg_xl(cfg: &KernelCfg) -> KernelRun {
-    bench_stencil(cfg, [33, 33, 129], Method::MgCg)
+    bench_stencil(cfg, [33, 33, 129])
 }
 
 fn bench_sthm_scan(cfg: &KernelCfg) -> KernelRun {
@@ -930,11 +909,10 @@ fn bench_sweep_fanout(cfg: &KernelCfg) -> KernelRun {
         }));
     }
 
-    // One keep-alive exchange; returns (status, body). The submit+poll
-    // cycle outlives the server's per-connection request cap, so the
-    // connection re-dials transparently whenever the server closes it
-    // (every request here is safe to retry: polls are idempotent and a
-    // capped connection dies *after* the previous response).
+    // One keep-alive exchange; returns (status, body). The connection
+    // re-dials transparently whenever the server closes it (every
+    // request here is safe to retry: polls are idempotent and a closed
+    // connection dies *after* the previous response).
     let mut conn: Option<(std::net::TcpStream, BufReader<std::net::TcpStream>)> = None;
     let mut exchange = move |method: &str, path: &str, body: &str| -> (u16, String) {
         loop {
@@ -1150,21 +1128,16 @@ mod tests {
     }
 
     #[test]
-    fn solver_iteration_columns_expose_the_mg_ablation() {
-        // The large CG/MG pair solves the same system at the same
-        // tolerance; the MG iteration count must collapse.
+    fn solver_iteration_column_reports_cg_iterations() {
         let cfg = KernelCfg {
             quick: true,
             threads: None,
             iters: Some(1),
         };
+        // The solve is deterministic: every committed trajectory point
+        // records 31 iterations for this system.
         let cg = bench_cg_large(&cfg);
-        let mg = bench_mg_large(&cfg);
-        let (cg_it, mg_it) = (
-            cg.solver_iterations.expect("cg reports iterations"),
-            mg.solver_iterations.expect("mg reports iterations"),
-        );
-        assert!(2 * mg_it <= cg_it, "MG-CG {mg_it} vs CG {cg_it} iterations");
+        assert_eq!(cg.solver_iterations, Some(31));
         // And the rendered table carries the column.
         let report = run(&BenchOpts {
             quick: true,

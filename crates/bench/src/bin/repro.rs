@@ -53,7 +53,7 @@
 //! repro profile fig12 --set nc=6
 //!                         run one experiment under a cnt-obs trace and
 //!                         print the span timing tree (where the wall
-//!                         time went: solves, V-cycles, sweep jobs)
+//!                         time went: solves, band structures, sweep jobs)
 //! ```
 //!
 //! Common flags:
@@ -294,9 +294,10 @@ fn run_bench_diff_command(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "bench diff: gate passed ({} shared kernel(s) within {pct}%, {} added)",
+            "bench diff: gate passed ({} shared kernel(s) within {pct}%, {} added, {} retired)",
             diff.rows.len(),
-            diff.added.len()
+            diff.added.len(),
+            diff.retired.len()
         );
     }
     ExitCode::SUCCESS
@@ -452,7 +453,7 @@ fn run_check_metrics_command() -> ExitCode {
 /// timing tree instead of the experiment's own output. The run itself is
 /// the production code path (same registry, same validation), so the tree
 /// shows where `repro <id>` actually spends its wall time — solver calls,
-/// V-cycle phases, serially-executed sweep jobs. With `--flame` the tree
+/// band-structure builds, serially-executed sweep jobs. With `--flame` the tree
 /// prints as folded stacks (`a;b;c <self-µs>` lines), the input format of
 /// flamegraph tooling.
 fn run_profile_command(args: &[String]) -> ExitCode {

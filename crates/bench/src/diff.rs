@@ -5,8 +5,8 @@
 //! added/removed lists so a structural change in the registry can never
 //! hide inside a timing table. With `--fail-above PCT` the diff becomes a
 //! gate: any *gated* kernel whose median regressed by more than `PCT`
-//! percent — or any kernel that vanished from the newer point — fails the
-//! run. Pool-throughput kernels (`sweep.pool_*`) are exempt from the
+//! percent — or any kernel that vanished from the newer point without
+//! being listed in [`RETIRED`] — fails the run. Pool-throughput kernels (`sweep.pool_*`) are exempt from the
 //! timing gate because their medians measure scheduler scaling on
 //! whatever core count the runner has, not single-kernel performance;
 //! they still participate in the structural diff.
@@ -117,6 +117,11 @@ pub fn parse_point(text: &str) -> Result<BenchPoint, String> {
     })
 }
 
+/// Kernels deliberately deleted from the registry. Older trajectory
+/// points still carry them, so a diff lists them as retired instead of
+/// failing the gate on them.
+pub const RETIRED: &[&str] = &["fields.mg_large", "fields.mg_xl"];
+
 /// Whether a kernel's median participates in the timing gate.
 pub fn gated(id: &str) -> bool {
     !id.starts_with("sweep.pool")
@@ -153,6 +158,9 @@ pub struct BenchDiff {
     /// Kernels missing from the new point (lost coverage; fails a gated
     /// diff).
     pub removed: Vec<String>,
+    /// Kernels missing from the new point that are listed in [`RETIRED`]
+    /// (never a failure).
+    pub retired: Vec<String>,
 }
 
 impl BenchDiff {
@@ -185,16 +193,17 @@ impl BenchDiff {
             .filter(|kb| a.kernels.iter().all(|ka| ka.id != kb.id))
             .map(|k| k.id.clone())
             .collect();
-        let removed = a
+        let (retired, removed) = a
             .kernels
             .iter()
             .filter(|ka| b.kernels.iter().all(|kb| kb.id != ka.id))
             .map(|k| k.id.clone())
-            .collect();
+            .partition(|id| RETIRED.contains(&id.as_str()));
         Self {
             rows,
             added,
             removed,
+            retired,
         }
     }
 
@@ -307,6 +316,9 @@ impl BenchDiff {
         for id in &self.removed {
             out.push_str(&format!("{id:<28} {:>12} {:>12}  removed\n", "-", "-"));
         }
+        for id in &self.retired {
+            out.push_str(&format!("{id:<28} {:>12} {:>12}  retired\n", "-", "-"));
+        }
         out
     }
 
@@ -328,19 +340,20 @@ impl BenchDiff {
                 r.median_a_s, r.median_b_s, r.delta_pct, r.gated
             ));
         }
-        out.push_str("],\"added\":[");
-        for (i, id) in self.added.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        for (key, ids) in [
+            ("added", &self.added),
+            ("removed", &self.removed),
+            ("retired", &self.retired),
+        ] {
+            out.push_str("],\"");
+            out.push_str(key);
+            out.push_str("\":[");
+            for (i, id) in ids.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::push_string(id, &mut out);
             }
-            json::push_string(id, &mut out);
-        }
-        out.push_str("],\"removed\":[");
-        for (i, id) in self.removed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_string(id, &mut out);
         }
         out.push_str("]}");
         out
@@ -471,19 +484,20 @@ mod tests {
     #[test]
     fn diff_covers_regression_improvement_added_and_removed() {
         // Baseline: two gated kernels, one pool kernel, one that will be
-        // removed. New point: a 50% regression, a 2x improvement, a pool
-        // regression (ungated), and one added kernel.
+        // removed and one retired. New point: a 50% regression, a 2x
+        // improvement, a pool regression (ungated), and one added kernel.
         let a = point(&[
             ("fields.cg_large", 1.0e-3),
             ("negf.mean_transmission", 8.0e-5),
             ("sweep.pool_t4", 4.0e-3),
             ("old.kernel", 1.0e-6),
+            ("fields.mg_large", 1.0e-3),
         ]);
         let b = point(&[
             ("fields.cg_large", 1.5e-3),
             ("negf.mean_transmission", 4.0e-5),
             ("sweep.pool_t4", 9.0e-3),
-            ("fields.mg_xl", 5.0e-2),
+            ("fields.cg_xl", 5.0e-2),
         ]);
         let diff = BenchDiff::compute(&a, &b);
         assert_eq!(diff.rows.len(), 3);
@@ -494,11 +508,12 @@ mod tests {
         assert!((negf.delta_pct + 50.0).abs() < 1e-9);
         let pool = &diff.rows[2];
         assert!(!pool.gated, "pool kernels are exempt from the gate");
-        assert_eq!(diff.added, vec!["fields.mg_xl".to_string()]);
+        assert_eq!(diff.added, vec!["fields.cg_xl".to_string()]);
         assert_eq!(diff.removed, vec!["old.kernel".to_string()]);
+        assert_eq!(diff.retired, vec!["fields.mg_large".to_string()]);
 
         // Gate at 25%: the cg regression and the removed kernel fail;
-        // the pool regression does not.
+        // the pool regression and the retired kernel do not.
         let failures = diff.gate_failures(25.0, &a, &b);
         assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(failures[0].contains("fields.cg_large"));
@@ -509,10 +524,16 @@ mod tests {
         let text = diff.render_text(&a, &b);
         assert!(text.contains("added"), "{text}");
         assert!(text.contains("removed"), "{text}");
+        assert!(text.contains("fields.mg_large"), "{text}");
+        assert!(text.contains("retired"), "{text}");
         assert!(text.contains("pool (ungated)"), "{text}");
 
         let json = diff.to_json(&a, &b);
         assert!(json.starts_with("{\"schema\":1,\"kind\":\"bench_diff\""));
+        assert!(
+            json.ends_with("\"retired\":[\"fields.mg_large\"]}"),
+            "{json}"
+        );
         cnt_interconnect::experiments::format::check_json_stream(&json).expect("valid JSON");
         // And the diff JSON parses back as NOT a bench point.
         assert!(parse_point(&json).is_err());
@@ -547,7 +568,7 @@ mod tests {
     fn identical_points_pass_any_gate() {
         let a = point(&[("fields.cg_large", 1.0e-3), ("serve.roundtrip", 1.2e-5)]);
         let diff = BenchDiff::compute(&a, &a);
-        assert!(diff.added.is_empty() && diff.removed.is_empty());
+        assert!(diff.added.is_empty() && diff.removed.is_empty() && diff.retired.is_empty());
         assert!(diff.gate_failures(0.0, &a, &a).is_empty());
         assert!(diff.rows.iter().all(|r| r.delta_pct == 0.0));
     }

@@ -12,9 +12,8 @@
 //! with a finite-difference approach, then emits RC netlists "in a
 //! SPICE-like format for circuit-level simulation". We implement exactly
 //! that: a finite-volume 7-point discretization on a structured grid,
-//! conjugate-gradient, multigrid-preconditioned CG (a geometric V-cycle
-//! hierarchy, see [`mg`]; picked automatically for large grids), and SOR
-//! solvers, multi-conductor capacitance-matrix extraction via Gauss-flux
+//! a Jacobi-preconditioned conjugate-gradient solver (see [`solver`]),
+//! multi-conductor capacitance-matrix extraction via Gauss-flux
 //! integration, resistance extraction with current-density (hot-spot)
 //! output, and a SPICE netlist writer whose output the `cnt-circuit`
 //! parser consumes.
@@ -42,7 +41,6 @@
 
 pub mod extract;
 pub mod grid;
-pub mod mg;
 pub mod netlist;
 pub mod presets;
 pub mod solver;
@@ -55,7 +53,7 @@ pub mod prelude {
     };
     pub use crate::grid::Grid3;
     pub use crate::netlist::NetlistWriter;
-    pub use crate::solver::{Method, SolverOptions};
+    pub use crate::solver::SolverOptions;
     pub use crate::structure::{Structure, StructureBuilder};
     pub use crate::Error;
 }

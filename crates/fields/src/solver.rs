@@ -1,70 +1,33 @@
-//! Iterative solvers for the variable-coefficient Laplace stencil.
+//! Jacobi-preconditioned conjugate-gradient solver for the
+//! variable-coefficient Laplace stencil.
 //!
 //! The finite-volume discretization of `∇·(c ∇ψ) = 0` on a structured grid
-//! produces a symmetric positive-semidefinite 7-point system. Three
-//! schemes are provided (and benchmarked against each other as ablations
-//! by the `repro bench` fields kernels): Jacobi-preconditioned conjugate
-//! gradients, multigrid-preconditioned conjugate gradients (a symmetric
-//! V-cycle over a [`crate::mg::GridHierarchy`]), and red-black successive
-//! over-relaxation. The default [`Method::Auto`] picks Jacobi-CG below
-//! [`crate::mg::MG_AUTO_THRESHOLD_NODES`] nodes — keeping small-grid
-//! solves bit-identical to the historical path — and MG-CG above it,
-//! where the grid-independent iteration count wins.
+//! produces a symmetric positive-semidefinite 7-point system. Every solve
+//! runs Jacobi-preconditioned CG with a fused inner loop: the committed
+//! experiments solve grids of a few thousand nodes, where its
+//! per-iteration cost (one stencil apply plus one fused vector pass) is
+//! the lowest of any scheme.
 
 use crate::grid::Grid3;
-use crate::mg::{self, GridHierarchy, MgWorkspace, MG_AUTO_THRESHOLD_NODES};
 use crate::{Error, Result};
 use cnt_obs::Counter;
 use std::sync::{Arc, OnceLock};
 
-/// `(cg, mgcg)` iterations performed process-wide, for the
-/// `/v1/metrics` export (`cnt_fields_*_iterations_total`).
-fn iteration_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
-    static HANDLES: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let g = cnt_obs::global();
-        (
-            g.counter(
-                "cnt_fields_cg_iterations_total",
-                "Jacobi-CG iterations performed",
-            ),
-            g.counter(
-                "cnt_fields_mgcg_iterations_total",
-                "MG-CG iterations performed",
-            ),
+/// CG iterations performed process-wide, for the `/v1/metrics` export
+/// (`cnt_fields_cg_iterations_total`).
+fn cg_iterations() -> &'static Arc<Counter> {
+    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
+    HANDLE.get_or_init(|| {
+        cnt_obs::global().counter(
+            "cnt_fields_cg_iterations_total",
+            "Jacobi-CG iterations performed",
         )
     })
-}
-
-/// Which scheme drives the solve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Method {
-    /// Pick automatically by problem size: Jacobi-CG below
-    /// [`MG_AUTO_THRESHOLD_NODES`] nodes, multigrid-preconditioned CG at
-    /// or above it (falling back to Jacobi-CG when the grid cannot build
-    /// an effective hierarchy). This is the default.
-    Auto,
-    /// Jacobi-preconditioned conjugate gradient — the small-grid default
-    /// and the ablation reference for [`Method::MgCg`].
-    ConjugateGradient,
-    /// Conjugate gradient preconditioned by one geometric-multigrid
-    /// V-cycle per iteration (see [`crate::mg`]). Asymptotically the
-    /// fastest scheme: the iteration count is essentially independent of
-    /// grid size.
-    MgCg,
-    /// Red-black successive over-relaxation with the given factor
-    /// `omega ∈ (0, 2)`.
-    Sor {
-        /// Over-relaxation factor.
-        omega: f64,
-    },
 }
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
-    /// Iteration scheme ([`Method::Auto`] by default).
-    pub scheme: Method,
     /// Iteration cap before declaring divergence.
     pub max_iterations: usize,
     /// Relative-residual convergence threshold.
@@ -74,7 +37,6 @@ pub struct SolverOptions {
 impl Default for SolverOptions {
     fn default() -> Self {
         Self {
-            scheme: Method::Auto,
             max_iterations: 50_000,
             tolerance: 1e-10,
         }
@@ -83,32 +45,25 @@ impl Default for SolverOptions {
 
 /// A converged solve plus its execution statistics.
 ///
-/// Returned by [`StencilSystem::solve_full`]; the bench kernels use the
-/// iteration count to expose the CG-vs-MG-CG asymptotics in the
-/// performance trajectory.
+/// Returned by [`StencilSystem::solve_full`]; the bench kernels report
+/// the iteration count in the performance trajectory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Nodal potentials.
     pub psi: Vec<f64>,
-    /// Iterations the scheme performed (CG steps or SOR sweeps).
+    /// CG iterations performed.
     pub iterations: usize,
-    /// The scheme that actually ran — for [`Method::Auto`] this reports
-    /// the resolved choice, and for [`Method::MgCg`] on a grid with no
-    /// effective hierarchy it reports the CG fallback.
-    pub method: Method,
 }
 
 /// Reusable scratch buffers for [`StencilSystem::solve_with`].
 ///
 /// A CG solve needs five full-grid work vectors (`A·p`, residual,
 /// preconditioned residual, search direction, preconditioner) plus the
-/// free-node mask; an MG-CG solve additionally keeps the whole multigrid
-/// hierarchy — per-level operators, masks, scratch, and the dense
-/// coarsest factor — in the embedded [`MgWorkspace`]. Extraction drivers
-/// that solve the same grid once per excitation reuse one workspace
-/// across all solves instead of reallocating per call; buffers are sized
-/// (and the mask and hierarchy recomputed) at the start of every solve,
-/// so a workspace may also move between systems of different sizes.
+/// free-node mask. Extraction drivers that solve the same grid once per
+/// excitation reuse one workspace across all solves instead of
+/// reallocating per call; buffers are sized (and the mask recomputed) at
+/// the start of every solve, so a workspace may also move between systems
+/// of different sizes.
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
     ax: Vec<f64>,
@@ -117,7 +72,6 @@ pub struct SolveWorkspace {
     p: Vec<f64>,
     precond: Vec<f64>,
     free: Vec<bool>,
-    mg: MgWorkspace,
 }
 
 impl SolveWorkspace {
@@ -137,10 +91,6 @@ pub struct StencilSystem {
     nx: usize,
     ny: usize,
     nz: usize,
-    /// Node spacing, kept for multigrid re-discretization.
-    spacing: [f64; 3],
-    /// Per-cell coefficients, kept for multigrid coarsening.
-    cell_coeff: Vec<f64>,
     /// Face weights along x: index `(k·ny + j)·(nx−1) + i`.
     wx: Vec<f64>,
     /// Face weights along y: index `(k·(ny−1) + j)·nx + i`.
@@ -167,7 +117,7 @@ impl StencilSystem {
         let mut wy = Vec::new();
         let mut wz = Vec::new();
         let mut diag = Vec::new();
-        mg::assemble_faces(
+        assemble_faces(
             grid.nodes(),
             grid.spacing(),
             cell_coeff,
@@ -175,14 +125,12 @@ impl StencilSystem {
             &mut wy,
             &mut wz,
         );
-        mg::stencil_diagonal(grid.nodes(), &wx, &wy, &wz, &mut diag);
+        stencil_diagonal(grid.nodes(), &wx, &wy, &wz, &mut diag);
 
         let mut sys = Self {
             nx,
             ny,
             nz,
-            spacing: grid.spacing(),
-            cell_coeff: cell_coeff.to_vec(),
             wx,
             wy,
             wz,
@@ -197,26 +145,6 @@ impl StencilSystem {
             }
         }
         sys
-    }
-
-    /// Node counts per axis.
-    pub(crate) fn dims(&self) -> [usize; 3] {
-        [self.nx, self.ny, self.nz]
-    }
-
-    /// Node spacing per axis.
-    pub(crate) fn grid_spacing(&self) -> [f64; 3] {
-        self.spacing
-    }
-
-    /// Per-cell coefficients the system was assembled from.
-    pub(crate) fn cell_coeff(&self) -> &[f64] {
-        &self.cell_coeff
-    }
-
-    /// Raw stencil arrays `(wx, wy, wz, diag)` for the multigrid cycle.
-    pub(crate) fn stencil_arrays(&self) -> (&[f64], &[f64], &[f64], &[f64]) {
-        (&self.wx, &self.wy, &self.wz, &self.diag)
     }
 
     /// Total node count.
@@ -293,7 +221,7 @@ impl StencilSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoConvergence`] when the scheme exhausts
+    /// Returns [`Error::NoConvergence`] when CG exhausts
     /// `max_iterations`.
     pub fn solve(&self, options: &SolverOptions) -> Result<Vec<f64>> {
         self.solve_with(options, &mut SolveWorkspace::new())
@@ -301,14 +229,14 @@ impl StencilSystem {
 
     /// [`Self::solve`] with caller-owned scratch buffers.
     ///
-    /// The CG scheme needs five work vectors per solve (MG-CG adds the
-    /// hierarchy); extraction loops (one solve per excited conductor) can
-    /// hand the same [`SolveWorkspace`] to every call and pay the
-    /// allocations once. Results are bit-identical to [`Self::solve`].
+    /// CG needs five work vectors per solve; extraction loops (one solve
+    /// per excited conductor) can hand the same [`SolveWorkspace`] to
+    /// every call and pay the allocations once. Results are bit-identical
+    /// to [`Self::solve`].
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoConvergence`] when the scheme exhausts
+    /// Returns [`Error::NoConvergence`] when CG exhausts
     /// `max_iterations`.
     pub fn solve_with(&self, options: &SolverOptions, ws: &mut SolveWorkspace) -> Result<Vec<f64>> {
         self.solve_full(options, ws).map(|s| s.psi)
@@ -318,32 +246,14 @@ impl StencilSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoConvergence`] when the scheme exhausts
+    /// Returns [`Error::NoConvergence`] when CG exhausts
     /// `max_iterations`.
     pub fn solve_full(&self, options: &SolverOptions, ws: &mut SolveWorkspace) -> Result<Solution> {
         let _solve_span = cnt_obs::span!("fields.solve");
-        let solution = match options.scheme {
-            Method::Auto => {
-                if self.node_count() >= MG_AUTO_THRESHOLD_NODES {
-                    self.solve_mgcg(options, ws)
-                } else {
-                    self.solve_cg(options, ws)
-                }
-            }
-            Method::ConjugateGradient => self.solve_cg(options, ws),
-            Method::MgCg => self.solve_mgcg(options, ws),
-            Method::Sor { omega } => self.solve_sor(options, omega, ws),
-        }?;
-        // Iteration counters observe only; the solve itself is untouched
-        // (determinism of the iterate sequence is golden-pinned).
-        let counter = match solution.method {
-            Method::ConjugateGradient => Some(&iteration_counters().0),
-            Method::MgCg => Some(&iteration_counters().1),
-            _ => None,
-        };
-        if let Some(counter) = counter {
-            counter.add(solution.iterations as u64);
-        }
+        let solution = self.solve_cg(options, ws)?;
+        // The iteration counter observes only; the solve itself is
+        // untouched (determinism of the iterate sequence is golden-pinned).
+        cg_iterations().add(solution.iterations as u64);
         Ok(solution)
     }
 
@@ -379,11 +289,7 @@ impl StencilSystem {
 
         let norm_b: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm_b == 0.0 {
-            return Ok(Solution {
-                psi,
-                iterations: 0,
-                method: Method::ConjugateGradient,
-            });
+            return Ok(Solution { psi, iterations: 0 });
         }
 
         precond.clear();
@@ -416,7 +322,6 @@ impl StencilSystem {
                 return Ok(Solution {
                     psi,
                     iterations: it,
-                    method: Method::ConjugateGradient,
                 });
             }
             let alpha = rz / pap;
@@ -444,7 +349,6 @@ impl StencilSystem {
                 return Ok(Solution {
                     psi,
                     iterations: it + 1,
-                    method: Method::ConjugateGradient,
                 });
             }
             let beta = rz_new / rz;
@@ -465,205 +369,120 @@ impl StencilSystem {
         }
         unreachable!("loop either returns or errors at the final iteration")
     }
+}
 
-    /// CG preconditioned by one symmetric multigrid V-cycle per
-    /// iteration. Falls back to plain Jacobi-CG when the grid cannot
-    /// build an effective hierarchy (no axis has an even cell count).
-    fn solve_mgcg(&self, options: &SolverOptions, ws: &mut SolveWorkspace) -> Result<Solution> {
-        self.fill_free_mask(&mut ws.free);
-        let Some(h) = GridHierarchy::build(self, &ws.free, &mut ws.mg) else {
-            return self.solve_cg(options, ws);
-        };
-        let n = self.node_count();
-        let SolveWorkspace {
-            ax,
-            r,
-            z,
-            p,
-            free,
-            mg,
-            ..
-        } = ws;
-        let mut psi = self.initial_guess();
-
-        ax.resize(n, 0.0);
-        self.apply_full(&psi, ax);
-        r.clear();
-        r.extend((0..n).map(|i| if free[i] { -ax[i] } else { 0.0 }));
-        let norm_b: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm_b == 0.0 {
-            return Ok(Solution {
-                psi,
-                iterations: 0,
-                method: Method::MgCg,
-            });
+/// Assembles the finite-volume face weights for a uniform grid with the
+/// given node counts, spacings, and per-cell coefficients — the same
+/// discretization as [`StencilSystem::assemble`], writing into reusable
+/// buffers. The face weight between two adjacent nodes is
+/// `(A_face / d) · mean(coefficients of the 4 adjacent cells)`, with
+/// cells missing at the domain boundary contributing zero.
+pub(crate) fn assemble_faces(
+    nodes: [usize; 3],
+    spacing: [f64; 3],
+    cell_coeff: &[f64],
+    wx: &mut Vec<f64>,
+    wy: &mut Vec<f64>,
+    wz: &mut Vec<f64>,
+) {
+    let [nx, ny, nz] = nodes;
+    let [hx, hy, hz] = spacing;
+    let cells = [nx - 1, ny - 1, nz - 1];
+    let coeff = |i: isize, j: isize, k: isize| -> f64 {
+        if i < 0
+            || j < 0
+            || k < 0
+            || i >= cells[0] as isize
+            || j >= cells[1] as isize
+            || k >= cells[2] as isize
+        {
+            0.0
+        } else {
+            cell_coeff[(k as usize * cells[1] + j as usize) * cells[0] + i as usize]
         }
+    };
 
-        mg::precondition(self, free, h, r, z, mg);
-        let mut rz: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-        if rz <= 0.0 || rz.is_nan() {
-            // The cycle failed to act as an SPD operator (degenerate
-            // grid): restart with the identity preconditioner.
-            z.clear();
-            z.extend_from_slice(r);
-            rz = norm_b * norm_b;
-        }
-        p.clear();
-        p.extend_from_slice(z);
-
-        for it in 0..options.max_iterations {
-            self.apply_full(p, ax);
-            let mut pap = 0.0;
-            for i in 0..n {
-                if free[i] {
-                    pap += p[i] * ax[i];
-                }
-            }
-            if pap <= 0.0 {
-                // Numerically flat direction — accept current iterate.
-                return Ok(Solution {
-                    psi,
-                    iterations: it,
-                    method: Method::MgCg,
-                });
-            }
-            let alpha = rz / pap;
-            let mut norm_r2 = 0.0;
-            for i in 0..n {
-                if free[i] {
-                    psi[i] += alpha * p[i];
-                    r[i] -= alpha * ax[i];
-                }
-                norm_r2 += r[i] * r[i];
-            }
-            let norm_r = norm_r2.sqrt();
-            if norm_r <= options.tolerance * norm_b {
-                return Ok(Solution {
-                    psi,
-                    iterations: it + 1,
-                    method: Method::MgCg,
-                });
-            }
-            mg::precondition(self, free, h, r, z, mg);
-            let mut rz_new: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-            if rz_new <= 0.0 || rz_new.is_nan() {
-                z.clear();
-                z.extend_from_slice(r);
-                rz_new = norm_r2;
-            }
-            let beta = rz_new / rz;
-            rz = rz_new;
-            for i in 0..n {
-                if free[i] {
-                    p[i] = z[i] + beta * p[i];
-                } else {
-                    p[i] = 0.0;
-                }
-            }
-            if it + 1 == options.max_iterations {
-                return Err(Error::NoConvergence {
-                    iterations: options.max_iterations,
-                    residual: norm_r / norm_b,
-                });
+    wx.clear();
+    wx.resize((nx - 1) * ny * nz, 0.0);
+    for k in 0..nz {
+        for j in 0..ny {
+            for i in 0..nx - 1 {
+                let (ii, jj, kk) = (i as isize, j as isize, k as isize);
+                let sum = coeff(ii, jj - 1, kk - 1)
+                    + coeff(ii, jj, kk - 1)
+                    + coeff(ii, jj - 1, kk)
+                    + coeff(ii, jj, kk);
+                wx[(k * ny + j) * (nx - 1) + i] = sum * hy * hz / (4.0 * hx);
             }
         }
-        unreachable!("loop either returns or errors at the final iteration")
     }
-
-    fn solve_sor(
-        &self,
-        options: &SolverOptions,
-        omega: f64,
-        ws: &mut SolveWorkspace,
-    ) -> Result<Solution> {
-        let n = self.node_count();
-        let SolveWorkspace { ax, free, .. } = ws;
-        self.fill_free_mask(free);
-        let mut psi = self.initial_guess();
-        ax.resize(n, 0.0);
-
-        self.apply_full(&psi, ax);
-        let norm_b: f64 = (0..n)
-            .filter(|&i| free[i])
-            .map(|i| ax[i] * ax[i])
-            .sum::<f64>()
-            .sqrt();
-        if norm_b == 0.0 {
-            return Ok(Solution {
-                psi,
-                iterations: 0,
-                method: Method::Sor { omega },
-            });
-        }
-
-        for it in 0..options.max_iterations {
-            // Red-black sweeps: parity of i+j+k.
-            for parity in 0..2usize {
-                for k in 0..self.nz {
-                    for j in 0..self.ny {
-                        for i in 0..self.nx {
-                            if (i + j + k) % 2 != parity {
-                                continue;
-                            }
-                            let idx = (k * self.ny + j) * self.nx + i;
-                            if !free[idx] || self.diag[idx] == 0.0 {
-                                continue;
-                            }
-                            let mut acc = 0.0;
-                            if i > 0 {
-                                acc += self.wx[(k * self.ny + j) * (self.nx - 1) + i - 1]
-                                    * psi[idx - 1];
-                            }
-                            if i + 1 < self.nx {
-                                acc +=
-                                    self.wx[(k * self.ny + j) * (self.nx - 1) + i] * psi[idx + 1];
-                            }
-                            if j > 0 {
-                                acc += self.wy[(k * (self.ny - 1) + j - 1) * self.nx + i]
-                                    * psi[idx - self.nx];
-                            }
-                            if j + 1 < self.ny {
-                                acc += self.wy[(k * (self.ny - 1) + j) * self.nx + i]
-                                    * psi[idx + self.nx];
-                            }
-                            if k > 0 {
-                                acc += self.wz[((k - 1) * self.ny + j) * self.nx + i]
-                                    * psi[idx - self.nx * self.ny];
-                            }
-                            if k + 1 < self.nz {
-                                acc += self.wz[(k * self.ny + j) * self.nx + i]
-                                    * psi[idx + self.nx * self.ny];
-                            }
-                            let gs = acc / self.diag[idx];
-                            psi[idx] = (1.0 - omega) * psi[idx] + omega * gs;
-                        }
-                    }
-                }
-            }
-            // Check residual every 8 sweeps to amortize the cost.
-            if it % 8 == 7 || it + 1 == options.max_iterations {
-                self.apply_full(&psi, ax);
-                let norm_r: f64 = (0..n)
-                    .filter(|&i| free[i])
-                    .map(|i| ax[i] * ax[i])
-                    .sum::<f64>()
-                    .sqrt();
-                if norm_r <= options.tolerance * norm_b {
-                    return Ok(Solution {
-                        psi,
-                        iterations: it + 1,
-                        method: Method::Sor { omega },
-                    });
-                }
-                if it + 1 == options.max_iterations {
-                    return Err(Error::NoConvergence {
-                        iterations: options.max_iterations,
-                        residual: norm_r / norm_b,
-                    });
-                }
+    wy.clear();
+    wy.resize(nx * (ny - 1) * nz, 0.0);
+    for k in 0..nz {
+        for j in 0..ny - 1 {
+            for i in 0..nx {
+                let (ii, jj, kk) = (i as isize, j as isize, k as isize);
+                let sum = coeff(ii - 1, jj, kk - 1)
+                    + coeff(ii, jj, kk - 1)
+                    + coeff(ii - 1, jj, kk)
+                    + coeff(ii, jj, kk);
+                wy[(k * (ny - 1) + j) * nx + i] = sum * hx * hz / (4.0 * hy);
             }
         }
-        unreachable!("loop either returns or errors at the final iteration")
+    }
+    wz.clear();
+    wz.resize(nx * ny * (nz - 1), 0.0);
+    for k in 0..nz - 1 {
+        for j in 0..ny {
+            for i in 0..nx {
+                let (ii, jj, kk) = (i as isize, j as isize, k as isize);
+                let sum = coeff(ii - 1, jj - 1, kk)
+                    + coeff(ii, jj - 1, kk)
+                    + coeff(ii - 1, jj, kk)
+                    + coeff(ii, jj, kk);
+                wz[(k * ny + j) * nx + i] = sum * hx * hy / (4.0 * hz);
+            }
+        }
+    }
+}
+
+/// Row sums of the face weights — the stencil diagonal.
+pub(crate) fn stencil_diagonal(
+    nodes: [usize; 3],
+    wx: &[f64],
+    wy: &[f64],
+    wz: &[f64],
+    diag: &mut Vec<f64>,
+) {
+    let [nx, ny, nz] = nodes;
+    diag.clear();
+    diag.resize(nx * ny * nz, 0.0);
+    for k in 0..nz {
+        for j in 0..ny {
+            for i in 0..nx {
+                let idx = (k * ny + j) * nx + i;
+                let mut d = 0.0;
+                if i > 0 {
+                    d += wx[(k * ny + j) * (nx - 1) + i - 1];
+                }
+                if i + 1 < nx {
+                    d += wx[(k * ny + j) * (nx - 1) + i];
+                }
+                if j > 0 {
+                    d += wy[(k * (ny - 1) + j - 1) * nx + i];
+                }
+                if j + 1 < ny {
+                    d += wy[(k * (ny - 1) + j) * nx + i];
+                }
+                if k > 0 {
+                    d += wz[((k - 1) * ny + j) * nx + i];
+                }
+                if k + 1 < nz {
+                    d += wz[(k * ny + j) * nx + i];
+                }
+                diag[idx] = d;
+            }
+        }
     }
 }
 
@@ -699,22 +518,6 @@ mod tests {
             let expect = k as f64 / (nz - 1) as f64;
             let got = psi[grid.node_index(1, 2, k)];
             assert!((got - expect).abs() < 1e-8, "k={k}: {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn sor_matches_cg() {
-        let (_, sys) = linear_profile_system();
-        let cg = sys.solve(&SolverOptions::default()).unwrap();
-        let sor = sys
-            .solve(&SolverOptions {
-                scheme: Method::Sor { omega: 1.7 },
-                max_iterations: 20_000,
-                tolerance: 1e-10,
-            })
-            .unwrap();
-        for (a, b) in cg.iter().zip(&sor) {
-            assert!((a - b).abs() < 1e-6);
         }
     }
 
@@ -757,10 +560,42 @@ mod tests {
     }
 
     #[test]
+    fn floating_free_island_keeps_the_solve_finite() {
+        // A conductive pocket surrounded by insulator: its nodes are free
+        // (nonzero diagonal) but form a semi-definite block with no
+        // Dirichlet anchor. The solve must not panic or diverge.
+        let grid = Grid3::new([1.0, 1.0, 1.0], [9, 9, 17]).unwrap();
+        let cells = grid.cells();
+        let mut coeff = vec![0.0; grid.cell_count()];
+        for k in 0..cells[2] {
+            for j in 0..cells[1] {
+                for i in 0..cells[0] {
+                    // Conductive slabs at the z extremes plus the pocket.
+                    let slab = k < 2 || k >= cells[2] - 2;
+                    let pocket = (3..5).contains(&i) && (3..5).contains(&j) && (7..9).contains(&k);
+                    if slab || pocket {
+                        coeff[grid.cell_index(i, j, k)] = 1.0;
+                    }
+                }
+            }
+        }
+        let mut dirichlet = vec![None; grid.node_count()];
+        let [nx, ny, nz] = grid.nodes();
+        for j in 0..ny {
+            for i in 0..nx {
+                dirichlet[grid.node_index(i, j, 0)] = Some(0.0);
+                dirichlet[grid.node_index(i, j, nz - 1)] = Some(1.0);
+            }
+        }
+        let sys = StencilSystem::assemble(&grid, &coeff, dirichlet);
+        let psi = sys.solve(&SolverOptions::default()).unwrap();
+        assert!(psi.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
     fn no_convergence_is_reported() {
         let (_, sys) = linear_profile_system();
         let err = sys.solve(&SolverOptions {
-            scheme: Method::Sor { omega: 1.0 },
             max_iterations: 2,
             tolerance: 1e-14,
         });
@@ -901,92 +736,6 @@ mod tests {
         }
     }
 
-    /// Strictly positive heterogeneous coefficients with random interior
-    /// Dirichlet pins — the well-posed ensemble for the MG-vs-CG
-    /// equivalence test (insulating islands are covered separately: they
-    /// leave floating components where both schemes return the pinned
-    /// zero iterate).
-    fn random_positive_system(seed: u64, nx: usize, ny: usize, nz: usize) -> StencilSystem {
-        let mut rng = XorShift(seed | 1);
-        let grid = Grid3::new([1.0, 1.0, 1.0], [nx, ny, nz]).unwrap();
-        let coeff: Vec<f64> = (0..grid.cell_count())
-            .map(|_| 0.1 + 5.0 * rng.next_f64())
-            .collect();
-        let mut dirichlet = vec![None; grid.node_count()];
-        let [gx, gy, gz] = grid.nodes();
-        for j in 0..gy {
-            for i in 0..gx {
-                dirichlet[grid.node_index(i, j, 0)] = Some(0.0);
-                dirichlet[grid.node_index(i, j, gz - 1)] = Some(1.0);
-            }
-        }
-        for _ in 0..4 {
-            let idx = (rng.next_f64() * grid.node_count() as f64) as usize % grid.node_count();
-            dirichlet[idx] = Some(rng.next_f64());
-        }
-        StencilSystem::assemble(&grid, &coeff, dirichlet)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// MG-CG is pinned to the Jacobi-CG reference to ≤ 1e-10 relative
-        /// error on random heterogeneous Dirichlet-masked grids (both
-        /// solved past the comparison tolerance).
-        #[test]
-        fn mgcg_matches_jacobi_cg_on_random_heterogeneous_grids(
-            seed in any::<u64>(),
-            nx in 5_usize..9,
-            ny in 5_usize..9,
-            nz in 8_usize..14,
-        ) {
-            let sys = random_positive_system(seed, nx, ny, nz);
-            let tight = |scheme| SolverOptions {
-                scheme,
-                max_iterations: 50_000,
-                tolerance: 1e-12,
-            };
-            let mut ws = SolveWorkspace::new();
-            let mg = sys.solve_full(&tight(Method::MgCg), &mut ws).unwrap();
-            let cg = sys
-                .solve_full(&tight(Method::ConjugateGradient), &mut ws)
-                .unwrap();
-            prop_assert_eq!(mg.psi.len(), cg.psi.len());
-            for (i, (a, b)) in mg.psi.iter().zip(&cg.psi).enumerate() {
-                prop_assert!(
-                    (a - b).abs() <= 1e-10 * (1.0 + b.abs()),
-                    "node {}: mgcg {} vs cg {}", i, a, b
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mg_workspace_reuse_is_bit_identical_across_solves() {
-        // An MG-sized reuse loop: the hierarchy is rebuilt in place per
-        // solve, and a workspace that moved to a different system (and a
-        // different method) must still reproduce identical bits.
-        let opts = SolverOptions {
-            scheme: Method::MgCg,
-            ..SolverOptions::default()
-        };
-        let sys = random_positive_system(3, 9, 9, 17);
-        let fresh = sys.solve_with(&opts, &mut SolveWorkspace::new()).unwrap();
-        let mut ws = SolveWorkspace::new();
-        let other = random_positive_system(99, 7, 5, 13);
-        for _ in 0..3 {
-            let with_ws = sys.solve_with(&opts, &mut ws).unwrap();
-            assert_eq!(fresh.len(), with_ws.len());
-            for (a, b) in fresh.iter().zip(&with_ws) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            let _ = other.solve_with(&opts, &mut ws).unwrap();
-            let _ = other
-                .solve_with(&SolverOptions::default(), &mut ws)
-                .unwrap();
-        }
-    }
-
     #[test]
     fn workspace_reuse_is_bit_identical_across_solves() {
         let (_, sys) = linear_profile_system();
@@ -1003,20 +752,6 @@ mod tests {
             let _ = other
                 .solve_with(&SolverOptions::default(), &mut ws)
                 .unwrap();
-        }
-        // SOR through the workspace path stays equivalent too.
-        let sor = sys
-            .solve_with(
-                &SolverOptions {
-                    scheme: Method::Sor { omega: 1.7 },
-                    max_iterations: 20_000,
-                    tolerance: 1e-10,
-                },
-                &mut ws,
-            )
-            .unwrap();
-        for (a, b) in fresh.iter().zip(&sor) {
-            assert!((a - b).abs() < 1e-6);
         }
     }
 

@@ -3,46 +3,9 @@
 
 use cnt_fields::extract::{extract_capacitance, extract_resistance};
 use cnt_fields::grid::Grid3;
-use cnt_fields::mg::MG_AUTO_THRESHOLD_NODES;
-use cnt_fields::solver::{Method, SolverOptions};
+use cnt_fields::solver::SolverOptions;
 use cnt_fields::structure::StructureBuilder;
 use proptest::prelude::*;
-
-/// Extraction on a grid above the MG auto-threshold: the default options
-/// route through the multigrid-preconditioned solver, and the extracted
-/// matrix must agree with the Jacobi-CG reference far below the physical
-/// tolerance of the discretization.
-#[test]
-fn capacitance_extraction_through_auto_mg_matches_cg_reference() {
-    let build = || {
-        let mut b = StructureBuilder::new([1.0, 1.0, 1.0]);
-        b.dielectric([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2.5);
-        b.conductor("a", [0.0, 0.0, 0.0], [1.0, 1.0, 0.2]);
-        b.conductor("b", [0.0, 0.4, 0.5], [1.0, 0.6, 0.7]);
-        b.conductor("c", [0.0, 0.0, 0.85], [1.0, 1.0, 1.0]);
-        b.build([17, 17, 33]).unwrap()
-    };
-    let s = build();
-    assert!(s.grid().node_count() >= MG_AUTO_THRESHOLD_NODES);
-    let auto = extract_capacitance(&s, &SolverOptions::default()).unwrap();
-    let cg = extract_capacitance(
-        &s,
-        &SolverOptions {
-            scheme: Method::ConjugateGradient,
-            ..SolverOptions::default()
-        },
-    )
-    .unwrap();
-    for (ra, rc) in auto.matrix().iter().zip(cg.matrix()) {
-        for (a, c) in ra.iter().zip(rc) {
-            assert!(
-                (a - c).abs() <= 1e-8 * (1.0 + c.abs()),
-                "auto-MG {a} vs CG {c}"
-            );
-        }
-    }
-    assert!(auto.asymmetry() < 1e-6);
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -223,11 +223,6 @@ impl JobTable {
         }
     }
 
-    /// The admission ceiling the table was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Registers a new `Queued` job under `id`.
     ///
     /// Runs a GC pass first so expired results never count against the

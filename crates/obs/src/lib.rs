@@ -9,11 +9,11 @@
 //!   ([`CounterVec`], multi-label [`GaugeVec`]). Handles are `Arc`s;
 //!   once resolved, the
 //!   hot path is a couple of relaxed atomic operations — no locks, no
-//!   allocation. [`MetricRegistry::render_prometheus`] and
-//!   [`MetricRegistry::render_json`] export everything at once.
+//!   allocation. [`MetricRegistry::render_prometheus`] exports
+//!   everything at once.
 //! * [`span!`] — RAII timing spans. A guard pushes onto a thread-local
 //!   stack; on drop its wall-time lands in a histogram named after the
-//!   span path (`fields.vcycle` → `cnt_span_fields_vcycle_seconds`) in
+//!   span path (`fields.solve` → `cnt_span_fields_solve_seconds`) in
 //!   the [`global()`] registry. When a [`Trace`] is active on the
 //!   thread, closed spans additionally fold into a per-request
 //!   [`SpanNode`] tree — the flamegraph-shaped view `repro profile`

@@ -6,7 +6,6 @@
 //! never allocate. The registry itself takes a mutex only to register
 //! a new name or to render — both cold paths.
 
-use crate::json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -71,7 +70,8 @@ impl Gauge {
 ///
 /// The default boundaries are powers of two in seconds, 2⁻²⁰ s
 /// (≈ 0.95 µs) through 2⁵ s (32 s) — wide enough for a cache hit and a
-/// cold XL multigrid solve on the same axis, and cheap to bucket into.
+/// multi-second Monte-Carlo sweep on the same axis, and cheap to bucket
+/// into.
 #[derive(Debug)]
 pub struct Histogram {
     /// Upper bucket bounds (inclusive, Prometheus `le` semantics),
@@ -522,94 +522,6 @@ impl MetricRegistry {
         out
     }
 
-    /// Renders every metric as one line of JSON (`repro check-json`
-    /// clean): `{"metrics":[{"name":…,"type":…,…},…]}`.
-    pub fn render_json(&self) -> String {
-        let entries = self.entries.lock().expect("metric registry poisoned");
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"metrics\":[");
-        for (i, (name, entry)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json::push_string(name, &mut out);
-            out.push_str(",\"type\":");
-            json::push_string(entry.metric.kind(), &mut out);
-            match &entry.metric {
-                Metric::Counter(c) => out.push_str(&format!(",\"value\":{}", c.get())),
-                Metric::Gauge(g) => out.push_str(&format!(",\"value\":{}", json::number(g.get()))),
-                Metric::CounterVec(v) => {
-                    out.push_str(",\"label\":");
-                    json::push_string(&v.label_key, &mut out);
-                    if v.emit_base {
-                        out.push_str(&format!(",\"value\":{}", v.base.get()));
-                    }
-                    out.push_str(",\"values\":{");
-                    for (j, (value, count)) in v.snapshot().iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        json::push_string(value, &mut out);
-                        out.push_str(&format!(":{count}"));
-                    }
-                    out.push('}');
-                }
-                Metric::GaugeVec(v) => {
-                    out.push_str(",\"labels\":[");
-                    for (j, key) in v.label_keys().iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        json::push_string(key, &mut out);
-                    }
-                    out.push_str("],\"series\":[");
-                    for (j, (values, value)) in v.snapshot().iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str("{\"values\":[");
-                        for (k, label_value) in values.iter().enumerate() {
-                            if k > 0 {
-                                out.push(',');
-                            }
-                            json::push_string(label_value, &mut out);
-                        }
-                        out.push_str(&format!("],\"value\":{}}}", json::number(*value)));
-                    }
-                    out.push(']');
-                }
-                Metric::Histogram(h) => {
-                    let counts = h.bucket_counts();
-                    let total: u64 = counts.iter().sum();
-                    out.push_str(&format!(
-                        ",\"count\":{total},\"sum\":{},\"buckets\":[",
-                        json::number(h.sum())
-                    ));
-                    let mut cum = 0u64;
-                    for (j, c) in counts.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        cum += c;
-                        let le = if j < h.bounds.len() {
-                            format!("{}", h.bounds[j])
-                        } else {
-                            "+Inf".to_string()
-                        };
-                        out.push_str("{\"le\":");
-                        json::push_string(&le, &mut out);
-                        out.push_str(&format!(",\"count\":{cum}}}"));
-                    }
-                    out.push(']');
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}\n");
-        out
-    }
-
     /// A typed point-in-time snapshot of every series in the registry,
     /// in render order. Labeled families flatten into one entry per
     /// child, named exactly like the Prometheus sample
@@ -884,10 +796,6 @@ mod tests {
             .find(|(n, _)| n == "t_peer_state{peer=\"127.0.0.1:9001\",state=\"up\"}")
             .expect("flattened series name");
         assert_eq!(up.1, MetricSnapshot::Gauge(1.0));
-        // JSON render stays one parseable line.
-        let json = r.render_json();
-        assert!(json.contains("\"labels\":[\"peer\",\"state\"]"));
-        assert_eq!(json.lines().count(), 1);
     }
 
     #[test]
@@ -915,30 +823,5 @@ mod tests {
         assert!(text.contains("t_seconds_count 3\n"));
         assert!(text.contains("t_workers 4\n"));
         crate::promcheck::validate(&text).expect("own render must pass the validator");
-    }
-
-    #[test]
-    fn json_render_parses_as_one_object() {
-        let r = MetricRegistry::new();
-        r.counter("t_total", "help").add(2);
-        let v = r.counter_vec("t_by_id_total", "by id", "id", false);
-        v.with("fig\"12").inc();
-        r.histogram_with("t_seconds", "timings", &[1.0]).record(0.5);
-        let json = r.render_json();
-        assert!(json.ends_with("\n") && json.starts_with("{\"metrics\":["));
-        assert!(json.contains("\"fig\\\"12\":1"));
-        assert!(json.contains("\"le\":\"+Inf\""));
-        // Exactly one line: embedded newlines would break `check-json`
-        // streaming consumers.
-        assert_eq!(json.lines().count(), 1);
-        let doc = crate::json::parse(&json).expect("render_json must parse");
-        let Some(crate::json::JsonValue::Array(metrics)) = doc.get("metrics") else {
-            panic!("no metrics array: {json}");
-        };
-        assert_eq!(metrics.len(), 3);
-        assert_eq!(
-            metrics[0].get("name").and_then(|v| v.as_str()),
-            Some("t_by_id_total")
-        );
     }
 }

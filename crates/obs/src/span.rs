@@ -1,9 +1,9 @@
 //! RAII timing spans over a thread-local stack.
 //!
-//! `let _g = span!("fields.vcycle");` times the enclosing scope. On
+//! `let _g = span!("fields.solve");` times the enclosing scope. On
 //! drop, the elapsed wall-time is recorded into a histogram in the
 //! [`global`](crate::global) registry named after the span path
-//! (`fields.vcycle` → `cnt_span_fields_vcycle_seconds`), so every span
+//! (`fields.solve` → `cnt_span_fields_solve_seconds`), so every span
 //! is a latency distribution for free. The histogram handle is cached
 //! per thread after first use: steady-state cost is two `Instant`
 //! reads, a hash lookup, and two relaxed atomics — no allocation, no
@@ -11,7 +11,7 @@
 //!
 //! When a [`Trace`] is active on the thread, closed spans additionally
 //! fold into a [`SpanNode`] tree, merged by name per nesting level
-//! (eight V-cycles become one node with `count = 8`), which is what
+//! (eight solves become one node with `count = 8`), which is what
 //! `repro profile` renders. Tracing is per-thread: spans recorded on
 //! pool worker threads still land in the histograms, but only
 //! calling-thread spans appear in the tree.
@@ -50,7 +50,7 @@ struct TraceState {
 /// at the same nesting level merge (summed time, summed count).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanNode {
-    /// The span path (`"fields.vcycle"`).
+    /// The span path (`"fields.solve"`).
     pub name: String,
     /// How many spans merged into this node.
     pub count: u64,

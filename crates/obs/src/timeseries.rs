@@ -182,11 +182,6 @@ impl HistoryStore {
         }
     }
 
-    /// Series currently tracked.
-    pub fn series_count(&self) -> usize {
-        self.series.lock().expect("history store poisoned").len()
-    }
-
     /// Windowed min/max/rate of a scalar series over the trailing
     /// `window_s` seconds; `None` for unknown or histogram series, or
     /// when no point has been sampled yet.

@@ -41,11 +41,6 @@ impl LruCache {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current entry count.
     pub fn len(&self) -> usize {
         self.map.len()

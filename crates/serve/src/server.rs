@@ -113,13 +113,11 @@ pub struct Config {
     /// How long a kept-alive connection may sit idle between requests
     /// before its thread closes it. A parked connection holds only its
     /// own thread, never a compute permit; the window bounds how long
-    /// idle clients keep their slot under the connection cap.
+    /// idle clients keep their slot under the connection cap. There is
+    /// no per-connection request cap: a connection ends on client
+    /// close, `Connection: close`, this idle window, shutdown, or an
+    /// error.
     pub keep_alive_idle: Duration,
-    /// Requests served per connection before the server closes it
-    /// anyway. A connection holds no compute permit between requests,
-    /// so this is hygiene, not a fairness bound. `0` disables keep-alive
-    /// entirely.
-    pub max_requests_per_connection: usize,
     /// Also stop on `SIGINT`/`SIGTERM` (the `repro serve` front end
     /// installs the handlers via [`signal::install`]).
     pub watch_signals: bool,
@@ -160,7 +158,6 @@ impl Default for Config {
             cache_capacity: 256,
             request_deadline: Duration::from_secs(30),
             keep_alive_idle: Duration::from_secs(5),
-            max_requests_per_connection: 100,
             watch_signals: false,
             access_log: None,
             fleet: None,
@@ -510,7 +507,6 @@ struct Shared {
     fleet: OnceLock<FleetState>,
     request_deadline: Duration,
     keep_alive_idle: Duration,
-    max_requests_per_connection: usize,
     access_log: Option<AccessLogFormat>,
     /// Request-id prefix (per server) and sequence: every response
     /// carries `X-Request-Id: <prefix>-<seq>`.
@@ -566,7 +562,6 @@ impl Shared {
             fleet: OnceLock::new(),
             request_deadline: config.request_deadline,
             keep_alive_idle: config.keep_alive_idle,
-            max_requests_per_connection: config.max_requests_per_connection,
             access_log: config.access_log,
             rid_prefix,
             rid_seq: AtomicU64::new(0),
@@ -1021,8 +1016,8 @@ fn refuse(stream: TcpStream, shared: &Shared) {
 
 /// Serves one connection on its own thread: requests back-to-back while
 /// the client keeps the connection alive, each under its own read/write
-/// deadline, until `Connection: close`, the per-connection request cap,
-/// an idle timeout, shutdown, or a parse error ends it. Pipelined
+/// deadline, until the client closes, `Connection: close`, an idle
+/// timeout, shutdown, or an error ends it. Pipelined
 /// requests already sitting in the buffered reader are served without
 /// waiting.
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
@@ -1045,9 +1040,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 let response = route(&request, &scope, shared);
                 // Decided after routing, so a response finished during a
                 // drain already tells the client the connection closes.
-                let keep = request.wants_keep_alive()
-                    && served + 1 < shared.max_requests_per_connection
-                    && !shared.stop.load(Ordering::SeqCst);
+                let keep = request.wants_keep_alive() && !shared.stop.load(Ordering::SeqCst);
                 (scope, response, keep, Some(target))
             }
             Err(RequestError::Malformed(message)) => (
@@ -2162,12 +2155,6 @@ impl Fanout<'_> {
         if !self.board.complete(index) {
             return;
         }
-        // A chunk recalled from the store gets no new record: resume
-        // reads the store, not the journal.
-        if outcome != "resumed" {
-            self.shared
-                .journal_append(&chunk_done_record(&self.spec.rid, index, range));
-        }
         self.shared.metrics.chunks_total.with(outcome).inc();
         self.progress.add_done(range.len() as u64);
     }
@@ -2491,20 +2478,6 @@ fn submitted_record(spec: &JobSpec) -> String {
     out
 }
 
-/// Progress marker appended when a chunk lands. Informational — resume
-/// reads finished chunks back from the content-hash chunk store, not
-/// from these — but it makes the journal a legible account of the run.
-fn chunk_done_record(rid: &str, index: usize, range: &Range<usize>) -> String {
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"event\":\"chunk_done\",\"job\":");
-    json::push_string(rid, &mut out);
-    out.push_str(&format!(
-        ",\"chunk\":{index},\"lo\":{},\"hi\":{}}}",
-        range.start, range.end
-    ));
-    out
-}
-
 /// Terminal success record: where the spilled body lives, so a restart
 /// re-serves the result without rerunning the sweep.
 fn job_done_record(rid: &str, content_type: &str, path: &Path, bytes: u64) -> String {
@@ -2632,7 +2605,8 @@ fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
                     body: body.to_string(),
                 });
             }
-            // chunk_done and anything newer: progress markers, not state.
+            // Older builds' chunk_done progress markers and anything
+            // newer: not state.
             _ => {}
         }
     }
@@ -3055,7 +3029,8 @@ mod tests {
             "{\"event\":\"submitted\",\"job\":\"00aa-000004\",\"experiment\":\"fig12\",\
              \"sets\":[[\"trials\",100]],\"format\":\"json\"}"
                 .to_string(),
-            // chunk_done is informational: folded state ignores it.
+            // An older build's chunk_done progress marker: folded state
+            // ignores it.
             "{\"event\":\"chunk_done\",\"job\":\"00aa-000002\",\"chunk\":0,\"lo\":0,\"hi\":5}"
                 .to_string(),
         ]);
@@ -3088,8 +3063,9 @@ mod tests {
     fn journal_recovery_reruns_queued_and_running_alike() {
         // The journal does not distinguish Queued from Running — both
         // died without a terminal record, so both fold to "unfinished"
-        // and re-run. A submitted record followed by chunk progress
-        // (Running) folds identically to a bare submission (Queued).
+        // and re-run. A submitted record followed by an older build's
+        // chunk progress marker (Running) folds identically to a bare
+        // submission (Queued).
         let queued = fold_journal(&[submitted_record(&spec("00aa-000001"))]);
         let running = fold_journal(&[
             submitted_record(&spec("00aa-000001")),

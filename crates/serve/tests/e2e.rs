@@ -1005,16 +1005,17 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = std::io::BufReader::new(stream);
 
-    // Three requests back-to-back on the same connection; the first two
-    // are advertised keep-alive, the final Connection: close ends it.
-    for round in 0..3 {
-        let closing = round == 2;
+    // 150 requests back-to-back on the same connection: the server sets
+    // no per-connection request cap, so all but the last are advertised
+    // keep-alive, and only the final Connection: close ends it.
+    const ROUNDS: u64 = 150;
+    for round in 0..ROUNDS {
+        let closing = round == ROUNDS - 1;
         let conn = if closing { "close" } else { "keep-alive" };
-        write!(
-            writer,
-            "GET /v1/healthz HTTP/1.1\r\nHost: t\r\nConnection: {conn}\r\n\r\n"
-        )
-        .expect("send");
+        // One write per request: split segments would stall on Nagle
+        // and delayed ACK for ~40 ms each round.
+        let request = format!("GET /v1/healthz HTTP/1.1\r\nHost: t\r\nConnection: {conn}\r\n\r\n");
+        writer.write_all(request.as_bytes()).expect("send");
         let (status, headers, body) = read_framed(&mut reader);
         assert_eq!(status, 200);
         assert!(body.starts_with("{\"status\":\"ok\""), "{body}");
@@ -1029,7 +1030,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     let mut rest = String::new();
     assert_eq!(reader.read_to_string(&mut rest).expect("EOF"), 0);
 
-    // The reuse counter saw the two follow-up requests.
+    // The reuse counter saw every follow-up request.
     let (status, _, metrics) = http(addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     let reuses = metrics
@@ -1038,7 +1039,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
         .and_then(|l| l.split(' ').nth(1))
         .and_then(|v| v.parse::<u64>().ok())
         .expect("reuse counter");
-    assert_eq!(reuses, 2, "{metrics}");
+    assert_eq!(reuses, ROUNDS - 1, "{metrics}");
 
     handle.shutdown();
     thread.join().unwrap();

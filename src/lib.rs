@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | constants & quantities | [`units`] | — |
 //! | tight-binding transport | [`atomistic`] | III.A, Fig. 8 |
-//! | TCAD field solver (CG + geometric-multigrid MG-CG, auto-dispatched) | [`fields`] | III.B, Fig. 10 |
+//! | TCAD field solver (Jacobi-preconditioned CG) | [`fields`] | III.B, Fig. 10 |
 //! | SPICE-like simulator | [`circuit`] | III.C, Fig. 11 |
 //! | growth / wafer / composite | [`process`] | II, Figs. 4–7 |
 //! | electro-thermal | [`thermal`] | IV.B |
