@@ -6,10 +6,11 @@
 //! hide inside a timing table. With `--fail-above PCT` the diff becomes a
 //! gate: any *gated* kernel whose median regressed by more than `PCT`
 //! percent — or any kernel that vanished from the newer point without
-//! being listed in [`RETIRED`] — fails the run. Pool-throughput kernels (`sweep.pool_*`) are exempt from the
-//! timing gate because their medians measure scheduler scaling on
-//! whatever core count the runner has, not single-kernel performance;
-//! they still participate in the structural diff.
+//! being listed in [`RETIRED`] — fails the run. Pool-throughput kernels
+//! (`sweep.pool_*`) are exempt from the timing gate because their
+//! medians measure scheduler scaling on whatever core count the runner
+//! has, not single-kernel performance; they still participate in the
+//! structural diff.
 
 use cnt_obs::json::{self, JsonValue};
 

@@ -1,7 +1,7 @@
 //! An append-only, checksummed job journal.
 //!
 //! The serve layer's crash-safety story for asynchronous sweeps: every
-//! job-lifecycle event (submission, chunk completion, result location) is
+//! job-lifecycle event (submission, result location or failure) is
 //! appended here *before* it takes effect in memory, so a SIGKILL'd
 //! coordinator replays the journal on restart and resumes exactly the
 //! unfinished work. This module owns only the **framing** — records are
