@@ -980,7 +980,7 @@ fn bench_sweep_fanout(cfg: &KernelCfg) -> KernelRun {
     // iteration populates both instances' chunk stores, so the timed
     // iterations measure fan-out coordination (journal-free submit,
     // chunk claims, store recalls, merge + render) rather than physics.
-    let submit_body = "{\"params\": {\"trials\": 16, \"cache_dir\": \"\"}}";
+    let submit_body = "{\"params\": {\"trials\": 16}}";
     let samples = time_iterations(warmup.max(1), iters, move || {
         let (status, submit) = exchange("POST", "/v1/sweeps/fig12", submit_body);
         assert_eq!(status, 202, "{submit}");

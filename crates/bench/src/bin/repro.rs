@@ -9,6 +9,9 @@
 //! repro fig12 --set length_um=200 --set nc=6
 //!                         run with typed parameter overrides, validated
 //!                         against the experiment's declared ParamSpec
+//! repro fig08a --threads 4
+//!                         run pooled kernels on 4 worker threads (the
+//!                         output is byte-identical for any width)
 //! repro table1 --format json
 //!                         machine-readable output (one JSON object per
 //!                         line; `csv` emits the data table)
@@ -62,26 +65,32 @@
 //! * `--preset P`    named operating point from the experiment's spec
 //! * `--set K=V`     typed parameter override; unknown keys and
 //!   out-of-range values are rejected before the experiment runs
+//! * `--threads N`   worker threads for pooled kernels, 0 = all cores
+//!   (default 0, at most 4096); never changes the output
 //!
 //! Sweep flags:
 //!
 //! * `--trials N`    Monte-Carlo trials per cell (default 200)
-//! * `--threads N`   worker threads, 0 = all cores (default 0)
-//! * `--seed S`      root seed (default 42, or the artefact's own seed)
+//! * `--seed S`      root seed (default 42)
 //! * `--cache-dir D` on-disk result cache (default `.sweep-cache`)
 //! * `--no-cache`    disable the on-disk cache
 //!
 //! Sweep execution metadata (thread count, cache hit, wall time) goes to
 //! stderr so stdout stays a pure function of `(id, params, seed)`.
 
-use cnt_interconnect::experiments::{self, registry, OutputFormat, RunContext};
+use cnt_interconnect::experiments::{self, registry, OutputFormat};
 use std::io::Read;
+use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// The widest executor `--threads` accepts.
+const MAX_THREADS: usize = 4096;
 
 fn usage() {
     eprintln!(
-        "usage: repro [--list] [--format text|json|csv] [--preset NAME] [--set KEY=VALUE]... [all | <id>...]"
+        "usage: repro [--list] [--format text|json|csv] [--preset NAME] [--set KEY=VALUE]..."
     );
+    eprintln!("             [--threads N] [all | <id>...]");
     eprintln!("       repro info <id>");
     eprintln!("       repro sweep <id> [--trials N] [--threads N] [--seed S] [--set KEY=VALUE]...");
     eprintln!("                        [--cache-dir DIR] [--no-cache] [--format text|json|csv]");
@@ -101,7 +110,7 @@ fn usage() {
     eprintln!("       repro check-json          (validates a JSON stream on stdin)");
     eprintln!("       repro check-metrics       (validates a Prometheus exposition on stdin)");
     eprintln!(
-        "       repro profile <id> [--preset NAME] [--set KEY=VALUE]... [--format text|json]"
+        "       repro profile <id> [--preset NAME] [--set KEY=VALUE]... [--threads N] [--format text|json]"
     );
     eprintln!("                    [--flame]    (folded stacks for flamegraph tooling)");
     eprintln!("       repro slo --addr HOST:PORT [--format text|json]");
@@ -308,11 +317,7 @@ fn run_bench_diff_command(args: &[String]) -> ExitCode {
 fn list() {
     let width = registry().iter().map(|e| e.id().len()).max().unwrap_or(0);
     for exp in registry().iter() {
-        let marker = if exp.sweep().is_some() {
-            " [sweep]"
-        } else {
-            ""
-        };
+        let marker = if exp.has_sweep() { " [sweep]" } else { "" };
         println!("{:<width$}  {}{}", exp.id(), exp.title(), marker);
     }
 }
@@ -338,7 +343,7 @@ fn run_experiments_command(args: &[String]) -> ExitCode {
 
     let mut failures = 0usize;
     for id in ids {
-        match run_one(id, &parsed) {
+        match run_one(id, &parsed, parsed.format) {
             Ok(rendered) => match parsed.format {
                 // Text reports end in a newline already; println keeps the
                 // blank separator line the harness has always printed.
@@ -358,8 +363,16 @@ fn run_experiments_command(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_one(id: &str, flags: &CommonFlags) -> Result<String, cnt_interconnect::Error> {
-    experiments::run_rendered(id, flags.preset.as_deref(), &flags.sets, flags.format)
+/// Runs one experiment at the flags' parameter point and executor width,
+/// rendered in `format`.
+fn run_one(
+    id: &str,
+    flags: &CommonFlags,
+    format: OutputFormat,
+) -> Result<String, cnt_interconnect::Error> {
+    let (exp, mut ctx) = experiments::resolve_context(id, flags.preset.as_deref(), &flags.sets)?;
+    ctx.threads = flags.threads;
+    Ok(exp.run(&ctx)?.render_as(format))
 }
 
 /// Prints one experiment's declared parameter surface.
@@ -371,24 +384,16 @@ fn run_info_command(args: &[String]) -> ExitCode {
         Ok(exp) => exp,
         Err(e) => return fail(&e.to_string()),
     };
-    let marker = if exp.sweep().is_some() {
-        "  [sweep]"
-    } else {
-        ""
-    };
+    let marker = if exp.has_sweep() { "  [sweep]" } else { "" };
     println!("{} — {}{}", exp.id(), exp.title(), marker);
     println!("parameters (override with --set KEY=VALUE):");
     for def in exp.params().defs() {
-        let range = match def.default {
-            experiments::ParamValue::Text(_) => String::new(),
-            _ => format!("  range [{}, {}]", def.min, def.max),
-        };
+        let (min, max) = def.bounds();
         println!(
-            "  {:<12} {:<8} default {}{}  — {}",
+            "  {:<12} {:<8} default {}  range [{min}, {max}]  — {}",
             def.key,
             def.default.kind(),
             def.default,
-            range,
             def.doc
         );
     }
@@ -447,8 +452,8 @@ fn run_check_metrics_command() -> ExitCode {
     }
 }
 
-/// Parses and runs
-/// `repro profile <id> [--preset NAME] [--set KEY=VALUE]... [--format text|json] [--flame]`:
+/// Parses and runs `repro profile <id> [--preset NAME] [--set KEY=VALUE]...
+/// [--threads N] [--format text|json] [--flame]`:
 /// one experiment run under a [`cnt_obs::Trace`], reported as the span
 /// timing tree instead of the experiment's own output. The run itself is
 /// the production code path (same registry, same validation), so the tree
@@ -476,12 +481,7 @@ fn run_profile_command(args: &[String]) -> ExitCode {
     let started = std::time::Instant::now();
     let result = {
         let _root = cnt_obs::span!("repro.run");
-        experiments::run_rendered(
-            id,
-            parsed.preset.as_deref(),
-            &parsed.sets,
-            OutputFormat::Json,
-        )
+        run_one(id, &parsed, OutputFormat::Json)
     };
     let wall_s = started.elapsed().as_secs_f64();
     let roots = cnt_obs::Trace::end();
@@ -602,16 +602,14 @@ fn run_slo_command(args: &[String]) -> ExitCode {
 fn run_sweep_command(args: &[String]) -> ExitCode {
     let mut id: Option<&str> = None;
     let mut format = OutputFormat::Text;
+    let mut threads = 0;
+    let mut cache_dir = Some(PathBuf::from(".sweep-cache"));
     // Overrides accumulate in command-line order so the last flag wins,
-    // whether it was spelled `--no-cache`, `--cache-dir`, `--seed`, or
-    // `--set key=value`. The CLI's historical defaults come first: cache
-    // under .sweep-cache, root seed 42 — a sweep is its own artefact, so
-    // an experiment's re-declared plain-run seed does not leak into it
-    // (keeps `repro sweep fig05` reproducing its pre-registry output).
-    let mut overrides: Vec<(String, String)> = vec![
-        ("cache_dir".into(), ".sweep-cache".into()),
-        ("seed".into(), "42".into()),
-    ];
+    // whether it was spelled `--seed` or `--set seed=…`. Root seed 42
+    // comes first: a sweep is its own artefact, so an experiment's
+    // re-declared plain-run seed does not leak into it (keeps
+    // `repro sweep fig05` reproducing its pre-registry output).
+    let mut overrides: Vec<(String, String)> = vec![("seed".into(), "42".into())];
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -621,18 +619,22 @@ fn run_sweep_command(args: &[String]) -> ExitCode {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
-            "--trials" | "--threads" | "--seed" => {
+            "--trials" | "--seed" => {
                 let key = arg.trim_start_matches("--").to_string();
                 match take(arg, it.next()) {
                     Ok(v) => overrides.push((key, v)),
                     Err(e) => return fail(&e),
                 }
             }
-            "--cache-dir" => match take("--cache-dir", it.next()) {
-                Ok(dir) => overrides.push(("cache_dir".into(), dir)),
+            "--threads" => match parse_threads(it.next()) {
+                Ok(n) => threads = n,
                 Err(e) => return fail(&e),
             },
-            "--no-cache" => overrides.push(("cache_dir".into(), String::new())),
+            "--cache-dir" => match take("--cache-dir", it.next()) {
+                Ok(dir) => cache_dir = Some(PathBuf::from(dir)),
+                Err(e) => return fail(&e),
+            },
+            "--no-cache" => cache_dir = None,
             "--format" => match take("--format", it.next()).map(|v| v.parse()) {
                 Ok(Ok(f)) => format = f,
                 Ok(Err(e)) => return fail(&e.to_string()),
@@ -657,19 +659,16 @@ fn run_sweep_command(args: &[String]) -> ExitCode {
     let Some(id) = id else {
         return fail("sweep needs an experiment id");
     };
-    let (exp, sweep) = match experiments::sweep_variant(id) {
-        Ok(pair) => pair,
+    let sweep = match experiments::resolve_context(id, None, &overrides).and_then(|(_, mut ctx)| {
+        ctx.threads = threads;
+        experiments::chunkable_sweep(id, &ctx)
+    }) {
+        Ok(sweep) => sweep,
         Err(e) => return fail(&e.to_string()),
     };
-    let mut ctx = RunContext::defaults(exp.params());
-    for (key, raw) in &overrides {
-        if let Err(e) = ctx.set(exp.params(), key, raw) {
-            return fail(&e.to_string());
-        }
-    }
 
     let started = std::time::Instant::now();
-    match sweep.run_sweep(&ctx) {
+    match sweep.run_local(cache_dir.as_deref()) {
         Ok(run) => {
             match format {
                 OutputFormat::Text => println!("{}", run.report),
@@ -918,6 +917,7 @@ struct CommonFlags<'a> {
     format: OutputFormat,
     preset: Option<String>,
     sets: Vec<(String, String)>,
+    threads: usize,
     rest: Vec<&'a str>,
 }
 
@@ -926,6 +926,7 @@ impl<'a> CommonFlags<'a> {
         let mut format = OutputFormat::Text;
         let mut preset = None;
         let mut sets = Vec::new();
+        let mut threads = 0;
         let mut rest = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -942,6 +943,7 @@ impl<'a> CommonFlags<'a> {
                     let value = it.next().ok_or("--set needs a value")?;
                     sets.push(parse_set(value.clone())?);
                 }
+                "--threads" => threads = parse_threads(it.next())?,
                 other if other.starts_with('-') => {
                     return Err(format!("unknown flag '{other}'"));
                 }
@@ -952,8 +954,21 @@ impl<'a> CommonFlags<'a> {
             format,
             preset,
             sets,
+            threads,
             rest,
         })
+    }
+}
+
+/// Parses a `--threads N` value: a worker count in `0..=MAX_THREADS`,
+/// `0` meaning all cores.
+fn parse_threads(value: Option<&String>) -> Result<usize, String> {
+    let raw = value.ok_or("--threads needs a value")?;
+    match raw.parse::<usize>() {
+        Ok(n) if n <= MAX_THREADS => Ok(n),
+        _ => Err(format!(
+            "--threads expects a worker count in [0, {MAX_THREADS}] (0 = all cores), got '{raw}'"
+        )),
     }
 }
 

@@ -51,11 +51,11 @@ fn fig08a_with(ctx: &RunContext) -> Result<Report> {
     // One band structure per tube, evaluated on the cnt-sweep pool: each
     // job is independent and the Executor returns results in job order, so
     // the rows (and the stable diameter sort below) are bit-identical to
-    // the serial transport::conductance_vs_diameter path at any --set
-    // threads value.
+    // the serial transport::conductance_vs_diameter path at any --threads
+    // value.
     let indices: Vec<f64> = (0..tubes.len()).map(|i| i as f64).collect();
     let plan = SweepPlan::new("fig08a.tubes").axis(Axis::grid("tube", &indices));
-    let mut pts = Executor::new(ctx.usize("threads")).run(&plan, ctx.u64("seed"), |job, _| {
+    let mut pts = Executor::new(ctx.threads).run(&plan, ctx.u64("seed"), |job, _| {
         let tube = tubes[job.get_usize("tube").expect("axis exists")];
         Ok::<_, crate::Error>(transport::conductance_point(tube, temp))
     })?;
@@ -150,8 +150,8 @@ fn fig08c_with(ctx: &RunContext) -> Result<Report> {
     // The energy grid runs on the cnt-sweep pool in fixed contiguous
     // chunks, each evaluated with the energy-batched transmission_grid
     // kernels. Chunking is independent of the thread count and every
-    // energy is independent, so rows are bit-identical at any --set
-    // threads value (transmission counts are exact integers).
+    // energy is independent, so rows are bit-identical at any --threads
+    // value (transmission counts are exact integers).
     const N_ENERGY: usize = 121;
     const N_CHUNKS: usize = 8;
     let energies: Vec<f64> = (0..N_ENERGY)
@@ -159,7 +159,7 @@ fn fig08c_with(ctx: &RunContext) -> Result<Report> {
         .collect();
     let chunk_ids: Vec<f64> = (0..N_CHUNKS).map(|c| c as f64).collect();
     let plan = SweepPlan::new("fig08c.energies").axis(Axis::grid("chunk", &chunk_ids));
-    let chunks = Executor::new(ctx.usize("threads")).run(&plan, ctx.u64("seed"), |job, _| {
+    let chunks = Executor::new(ctx.threads).run(&plan, ctx.u64("seed"), |job, _| {
         let c = job.get_usize("chunk").expect("axis exists");
         let lo = c * N_ENERGY / N_CHUNKS;
         let hi = (c + 1) * N_ENERGY / N_CHUNKS;
@@ -240,9 +240,11 @@ mod tests {
 
     #[test]
     fn ported_fig08_kernels_bit_identical_across_thread_counts() {
-        let at_threads = |run: fn(&RunContext) -> Result<Report>, spec: &ParamSpec, t: &str| {
-            let ctx = RunContext::with_overrides(spec, &[("threads".to_string(), t.to_string())])
-                .unwrap();
+        let at_threads = |run: fn(&RunContext) -> Result<Report>, spec: &ParamSpec, t| {
+            let ctx = RunContext {
+                threads: t,
+                ..RunContext::defaults(spec)
+            };
             run(&ctx).unwrap().render()
         };
         for (run, spec) in [
@@ -252,8 +254,8 @@ mod tests {
             ),
             (fig08c_with, temp_spec()),
         ] {
-            let serial = at_threads(run, &spec, "1");
-            let par = at_threads(run, &spec, "8");
+            let serial = at_threads(run, &spec, 1);
+            let par = at_threads(run, &spec, 8);
             assert_eq!(serial, par, "pool port changed output across thread counts");
             // And the default (threads = 0 = all cores) path matches too.
             let default = run(&RunContext::defaults(&spec)).unwrap().render();

@@ -32,7 +32,7 @@ pub(super) fn entries() -> Vec<Entry> {
         Entry::new(100, "fig10", FIG10_TITLE, ParamSpec::new(), fig10_with),
         Entry::new(110, "fig11", FIG11_TITLE, fig11_spec(), fig11_with),
         Entry::new(120, "fig12", FIG12_TITLE, fig12_spec(), fig12_with)
-            .with_sweep(sweep_figs::sweep_fig12),
+            .with_sweep(sweep_figs::fig12_kernel, &[]),
     ]
 }
 
@@ -154,12 +154,12 @@ fn fig10_with(ctx: &RunContext) -> Result<Report> {
 /// [`cnt_fields::extract::extract_capacitance`] with its excitations as
 /// jobs on the `cnt-sweep` pool. Each row is an independent solve with its
 /// own workspace and the Executor returns rows in job order, so the matrix
-/// has the serial bits at any `--set threads` value.
+/// has the serial bits at any `--threads` value.
 fn pooled_capacitance(structure: &Structure, ctx: &RunContext) -> Result<CapacitanceResult> {
     let drives: Vec<f64> = (0..structure.conductor_count()).map(|i| i as f64).collect();
     let plan = SweepPlan::new("fig10.excitations").axis(Axis::grid("drive", &drives));
     let options = SolverOptions::default();
-    let rows = Executor::new(ctx.usize("threads")).run(&plan, ctx.u64("seed"), |job, _| {
+    let rows = Executor::new(ctx.threads).run(&plan, ctx.u64("seed"), |job, _| {
         let drive = job.get_usize("drive").expect("axis exists");
         capacitance_row(structure, drive, &options, &mut SolveWorkspace::new())
     })?;
@@ -255,7 +255,7 @@ fn fig12_with(ctx: &RunContext) -> Result<Report> {
         &FIG12_DIAMETERS_NM,
         &FIG12_CHANNEL_COUNTS,
         &FIG12_LENGTHS_UM,
-        ctx.usize("threads"),
+        ctx.threads,
     )?;
     let mut points = grid.iter();
     for &d in &FIG12_DIAMETERS_NM {
@@ -310,18 +310,17 @@ mod tests {
         assert!(!rep.rows.is_empty());
     }
 
-    fn with_threads(threads: &str) -> RunContext {
-        RunContext::with_overrides(
-            &ParamSpec::new(),
-            &[("threads".to_string(), threads.to_string())],
-        )
-        .unwrap()
+    fn with_threads(threads: usize) -> RunContext {
+        RunContext {
+            threads,
+            ..RunContext::defaults(&ParamSpec::new())
+        }
     }
 
     #[test]
     fn fig10_bit_identical_across_thread_counts() {
-        let serial = fig10_with(&with_threads("1")).unwrap().render();
-        for threads in ["2", "4"] {
+        let serial = fig10_with(&with_threads(1)).unwrap().render();
+        for threads in [2, 4] {
             let par = fig10_with(&with_threads(threads)).unwrap().render();
             assert_eq!(serial, par, "fig10 changed at threads = {threads}");
         }
@@ -337,7 +336,7 @@ mod tests {
         let serial =
             cnt_fields::extract::extract_capacitance(&structure, &SolverOptions::default())
                 .unwrap();
-        let pooled = pooled_capacitance(&structure, &with_threads("2")).unwrap();
+        let pooled = pooled_capacitance(&structure, &with_threads(2)).unwrap();
         assert_eq!(pooled.labels(), serial.labels());
         for (got, want) in pooled.matrix().iter().zip(serial.matrix()) {
             let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();

@@ -136,11 +136,11 @@ fn tlm_with(ctx: &RunContext) -> Result<Report> {
     // single serial seeded pass (byte-identical stream), the per-device
     // measurements run as independent pool jobs returned in device order —
     // so the table is bit-identical to the serial measure() path at any
-    // --set threads value.
+    // --threads value.
     let draws = experiment.noise_draws(seed)?;
     let indices: Vec<f64> = (0..draws.len()).map(|i| i as f64).collect();
     let plan = SweepPlan::new("tlm.devices").axis(Axis::grid("device", &indices));
-    let data = Executor::new(ctx.usize("threads")).run(&plan, seed, |job, _| {
+    let data = Executor::new(ctx.threads).run(&plan, seed, |job, _| {
         let i = job.get_usize("device").expect("axis exists");
         Ok::<_, crate::Error>(experiment.measurement(i, draws[i]))
     })?;
@@ -192,13 +192,13 @@ fn selfheat_with(ctx: &RunContext) -> Result<Report> {
     let cu = SelfHeatingLine::copper(length, j);
     cnt.validate()?;
     cu.validate()?;
-    let threads = ctx.usize("threads");
+    let threads = ctx.threads;
     let seed = ctx.u64("seed");
 
     // Ported onto the cnt-sweep pool: the closed-form profile points and
     // the SThM probe convolution are independent per position, so they run
     // as pool jobs returned in position order (bit-identical to the serial
-    // analytic_profile/scan path at any --set threads value); the scan's
+    // analytic_profile/scan path at any --threads value); the scan's
     // read-out noise stays one serial seeded pass, exactly as scan() draws
     // it.
     const N_PROFILE: usize = 101;
@@ -286,17 +286,19 @@ mod tests {
 
     #[test]
     fn ported_tlm_and_selfheat_bit_identical_across_thread_counts() {
-        let at_threads = |run: fn(&RunContext) -> Result<Report>, spec: &ParamSpec, t: &str| {
-            let ctx = RunContext::with_overrides(spec, &[("threads".to_string(), t.to_string())])
-                .unwrap();
+        let at_threads = |run: fn(&RunContext) -> Result<Report>, spec: &ParamSpec, t| {
+            let ctx = RunContext {
+                threads: t,
+                ..RunContext::defaults(spec)
+            };
             run(&ctx).unwrap().render()
         };
         for (run, spec) in [
             (tlm_with as fn(&RunContext) -> Result<Report>, tlm_spec()),
             (selfheat_with, selfheat_spec()),
         ] {
-            let serial = at_threads(run, &spec, "1");
-            let par = at_threads(run, &spec, "8");
+            let serial = at_threads(run, &spec, 1);
+            let par = at_threads(run, &spec, 8);
             assert_eq!(serial, par, "pool port changed output across thread counts");
             let default = run(&RunContext::defaults(&spec)).unwrap().render();
             assert_eq!(serial, default);

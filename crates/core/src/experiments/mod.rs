@@ -4,7 +4,7 @@
 //! exactly once as an [`Experiment`]: an id, a title, a typed
 //! [`ParamSpec`] of overridable knobs, a run function returning a
 //! structured [`Report`], and — for ensemble artefacts — a
-//! [`SweepExperiment`] variant on the `cnt-sweep` pool. Listing,
+//! [`SweepKernel`] constructor for the `cnt-sweep` pool. Listing,
 //! dispatch, and the sweep catalog all derive from the one table behind
 //! [`registry`]; the experiment ids match the index in `DESIGN.md §4` and
 //! `EXPERIMENTS.md`.
@@ -14,6 +14,7 @@
 //!
 //! ```text
 //! repro fig12 --set length_um=200 --set nc=6 --format json
+//! repro fig08a --threads 4
 //! ```
 //!
 //! The zero-argument functions ([`fig12()`], [`table1()`], …) remain as
@@ -37,10 +38,10 @@ pub use format::OutputFormat;
 pub use measure_figs::{fig02d, selfheat, tlm};
 pub use params::{ParamSpec, ParamValue, Params, Preset, RunContext};
 pub use process_figs::{fig04, fig05, fig06, fig07};
-pub use registry::{registry, Experiment, Registry, SweepExperiment};
+pub use registry::{registry, Experiment, Registry};
 pub use reliability_figs::{fig03, fig13a, fig13b, stability, table1};
 pub use report::Report;
-pub use sweep_figs::{SweepOpts, SweepRun};
+pub use sweep_figs::{SweepKernel, SweepOpts, SweepRun};
 pub use technology_figs::fig01;
 
 use crate::Result;
@@ -95,33 +96,22 @@ pub fn resolve_context(
     Ok((exp, ctx))
 }
 
-/// Runs one experiment at a parameter point and renders it in `format`.
-///
-/// # Errors
-///
-/// As for [`resolve_context`]; propagates the experiment's own errors.
-pub fn run_rendered(
-    id: &str,
-    preset: Option<&str>,
-    sets: &[(String, String)],
-    format: OutputFormat,
-) -> Result<String> {
-    let (exp, ctx) = resolve_context(id, preset, sets)?;
-    Ok(exp.run(&ctx)?.render_as(format))
-}
-
-/// [`run_rendered`] fixed to the versioned JSON document (single line, no
-/// trailing newline) — what `repro <id> --format json` prints and what
+/// Runs one experiment at a parameter point as the versioned JSON
+/// document (single line, no trailing newline) — what
+/// `repro <id> --format json` prints and what
 /// `POST /v1/experiments/{id}/run` serves.
 ///
 /// # Errors
 ///
-/// As for [`run_rendered`].
+/// As for [`resolve_context`]; propagates the experiment's own errors.
 pub fn run_to_json(id: &str, preset: Option<&str>, sets: &[(String, String)]) -> Result<String> {
-    run_rendered(id, preset, sets, OutputFormat::Json)
+    let (exp, ctx) = resolve_context(id, preset, sets)?;
+    Ok(exp.run(&ctx)?.render_as(OutputFormat::Json))
 }
 
-/// Runs the sweep variant of one experiment id.
+/// Runs the sweep variant of one experiment id in this process: `trials`
+/// and `seed` are its parameter point, `threads` the executor width, and
+/// `cache_dir` the optional on-disk result cache.
 ///
 /// # Errors
 ///
@@ -130,116 +120,44 @@ pub fn run_to_json(id: &str, preset: Option<&str>, sets: &[(String, String)]) ->
 /// no sweep variant, [`crate::Error::InvalidOverride`] for out-of-range
 /// knobs (e.g. zero trials), and propagates kernel errors.
 pub fn run_sweep(id: &str, opts: &SweepOpts) -> Result<SweepRun> {
-    let (exp, sweep) = sweep_variant(id)?;
-    let mut ctx = RunContext::defaults(exp.params());
-    ctx.apply_sweep_opts(exp.params(), opts)?;
-    sweep.run_sweep(&ctx)
+    let sets = [
+        ("trials".to_string(), opts.trials.to_string()),
+        ("seed".to_string(), opts.seed.to_string()),
+    ];
+    let (_, mut ctx) = resolve_context(id, None, &sets)?;
+    ctx.threads = opts.threads;
+    chunkable_sweep(id, &ctx)?.run_local(opts.cache_dir.as_deref())
 }
 
-/// A sweep experiment opened up for chunked (fleet-distributed)
-/// execution: the one definition behind `repro sweep` split at a
-/// job-range seam.
+/// Builds the sweep kernel of `id` at the parameter point `ctx` (made by
+/// [`resolve_context`], the gate every entry shares) — the one way to get
+/// a kernel: local runs, served jobs, fleet chunks and journal recovery
+/// all come through here.
 ///
-/// The contract: `run_range(lo, hi)` returns one `Vec<f64>` per job of
-/// the contiguous global-index range `lo..hi`; concatenating every
-/// chunk's rows in index order and calling [`ChunkableSweep::finish`]
-/// yields a [`SweepRun`] whose report is **byte-identical** to the
-/// single-instance run, because per-job generators are seeded by global
-/// job index. [`ChunkableSweep::chunk_key`] gives each chunk a
-/// content-hash cache identity so a crashed coordinator can recall
-/// completed chunks from a `cnt_sweep::ResultStore` instead of
-/// recomputing them.
-pub struct ChunkableSweep {
-    kernel: sweep_figs::SweepKernel,
-}
-
-impl ChunkableSweep {
-    /// Number of flattened jobs; chunks partition `0..jobs()`.
-    pub fn jobs(&self) -> usize {
-        self.kernel.jobs()
-    }
-
-    /// The plan's content hash — coordinator and chunk workers compare
-    /// fingerprints before trusting each other's job indices.
-    pub fn fingerprint(&self) -> u64 {
-        self.kernel.fingerprint()
-    }
-
-    /// Resolved worker thread count for this context.
-    pub fn threads(&self) -> usize {
-        self.kernel.threads()
-    }
-
-    /// The cache identity of one chunk's per-job rows.
-    pub fn chunk_key(&self, lo: usize, hi: usize) -> cnt_sweep::CacheKey {
-        self.kernel.chunk_key(lo, hi)
-    }
-
-    /// Column names of per-job rows (the final table's schema); chunk
-    /// tables exchanged between instances carry these columns.
-    pub fn columns(&self) -> Vec<String> {
-        self.kernel.columns()
-    }
-
-    /// Runs jobs `lo..hi`, returning one row per job.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors; an empty or out-of-bounds range is an
-    /// invalid-parameter error.
-    pub fn run_range(&self, lo: usize, hi: usize) -> Result<Vec<Vec<f64>>> {
-        self.kernel.run_range(lo, hi)
-    }
-
-    /// Probes the full-table result cache; `Some` recalls a finished run.
-    pub fn cached_run(&self) -> Option<SweepRun> {
-        self.kernel.cached_run()
-    }
-
-    /// Reduces the full per-job concatenation into the final report,
-    /// storing the table under the same cache key a local run would use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reduce and store errors.
-    pub fn finish(&self, per_job: Vec<Vec<f64>>) -> Result<SweepRun> {
-        self.kernel.finish(per_job)
-    }
-}
-
-/// Opens a sweep id for chunked execution at the parameter point `ctx`
-/// (built by [`resolve_context`] — the same validation gate as every
-/// other entry).
+/// A sweep runs at the paper operating point: besides `trials` and
+/// `seed` it honours only the knobs its registry entry names (`temp_k`
+/// for fig04), and an explicitly set knob outside those is refused
+/// rather than silently dropped.
 ///
 /// # Errors
 ///
-/// Returns [`crate::Error::UnknownExperiment`] for an unknown id and
-/// [`crate::Error::Layer`] when the experiment has no sweep variant, like
-/// [`sweep_variant`]; propagates kernel construction errors.
-pub fn chunkable_sweep(id: &str, ctx: &RunContext) -> Result<ChunkableSweep> {
-    sweep_variant(id)?;
-    let kernel = sweep_figs::kernel_for(id, ctx)
-        .unwrap_or_else(|| panic!("sweep id '{id}' passed sweep_variant but has no kernel"))?;
-    Ok(ChunkableSweep { kernel })
-}
-
-/// Resolves an experiment and its sweep variant (the one gate both the
-/// library dispatcher and the CLI use).
-///
-/// # Errors
-///
-/// Returns [`crate::Error::UnknownExperiment`] for an unknown id and
+/// Returns [`crate::Error::UnknownExperiment`] for an unknown id,
 /// [`crate::Error::Layer`] naming the valid ids when the experiment has
-/// no sweep variant.
-pub fn sweep_variant(id: &str) -> Result<(&'static dyn Experiment, &'static dyn SweepExperiment)> {
-    let exp = registry().get(id)?;
-    let sweep = exp.sweep().ok_or_else(|| {
-        crate::Error::Layer(format!(
-            "'{id}' has no sweep variant (valid: {})",
-            sweep_catalog().collect::<Vec<_>>().join(" ")
-        ))
-    })?;
-    Ok((exp, sweep))
+/// no sweep variant, [`crate::Error::InvalidOverride`] for a knob the
+/// sweep does not honour, and propagates kernel construction errors.
+pub fn chunkable_sweep(id: &str, ctx: &RunContext) -> Result<SweepKernel> {
+    registry().sweep_kernel(id, ctx)?(ctx)
+}
+
+/// Applies [`chunkable_sweep`]'s checks without building the kernel —
+/// for callers that accept a sweep now and build it later, under a
+/// compute permit.
+///
+/// # Errors
+///
+/// As for [`chunkable_sweep`], minus kernel construction errors.
+pub fn check_sweep(id: &str, ctx: &RunContext) -> Result<()> {
+    registry().sweep_kernel(id, ctx).map(drop)
 }
 
 #[cfg(test)]

@@ -8,26 +8,27 @@
 //! [`crate::Error::InvalidOverride`] *before* the experiment runs, so a
 //! kernel never sees an undeclared or out-of-domain value.
 //!
-//! Four execution knobs are common to every experiment — `trials`,
-//! `threads`, `seed`, and `cache_dir` — because [`RunContext::sweep_opts`]
-//! feeds them to the `cnt-sweep` pool. Experiments whose kernels are
-//! deterministic simply ignore the ones that don't apply; experiments with
-//! a different historical seed re-declare `seed` with their own default so
-//! the default run stays byte-identical to the paper artefact.
+//! The parameter point names exactly what sets a report's bytes. Two
+//! knobs are common to every experiment — `trials` and `seed` — because
+//! they fix a Monte-Carlo ensemble. Experiments whose kernels are
+//! deterministic simply ignore them; experiments with a different
+//! historical seed re-declare `seed` with their own default so the
+//! default run stays byte-identical to the paper artefact. How a run
+//! executes is not a parameter: the executor width rides in
+//! [`RunContext::threads`], outside the hashed point, and only a local
+//! `repro sweep` names a result-cache directory.
 //!
 //! A spec may also declare named [`Preset`]s — documented operating points
 //! that expand to a bundle of overrides (`repro table1 --preset projected`,
 //! or `"preset"` in a `cnt-serve` request body).
 
-use super::sweep_figs::SweepOpts;
 use crate::{Error, Result};
 use cnt_sweep::seed::fnv1a;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
 
-/// The execution knobs shared by every [`ParamSpec`].
-pub const COMMON_KEYS: [&str; 4] = ["trials", "threads", "seed", "cache_dir"];
+/// The knobs shared by every [`ParamSpec`].
+pub const COMMON_KEYS: [&str; 2] = ["trials", "seed"];
 
 /// A validated parameter value.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,8 +37,6 @@ pub enum ParamValue {
     Int(i64),
     /// A real number (lengths, temperatures, fractions).
     Float(f64),
-    /// Free text (paths).
-    Text(String),
 }
 
 impl ParamValue {
@@ -46,7 +45,6 @@ impl ParamValue {
         match self {
             ParamValue::Int(_) => "integer",
             ParamValue::Float(_) => "number",
-            ParamValue::Text(_) => "string",
         }
     }
 }
@@ -56,7 +54,6 @@ impl fmt::Display for ParamValue {
         match self {
             ParamValue::Int(v) => write!(f, "{v}"),
             ParamValue::Float(v) => write!(f, "{v}"),
-            ParamValue::Text(v) => write!(f, "{v}"),
         }
     }
 }
@@ -71,13 +68,28 @@ pub struct ParamDef {
     /// The value used when no override is given; its variant fixes the
     /// parameter's type.
     pub default: ParamValue,
-    /// Inclusive lower bound (numeric parameters only).
+    /// Inclusive lower bound.
     pub min: f64,
-    /// Inclusive upper bound (numeric parameters only).
+    /// Inclusive upper bound.
     pub max: f64,
 }
 
 impl ParamDef {
+    /// The inclusive bounds as `repro info`, the catalog JSON and range
+    /// errors print them. An integer parameter prints whole numbers,
+    /// rounded inward, so every advertised bound is itself an accepted
+    /// value: `i64::MAX` as an `f64` would print as
+    /// `9223372036854776000`, which no `i64` parses.
+    pub fn bounds(&self) -> (String, String) {
+        match self.default {
+            ParamValue::Int(_) => (
+                (self.min.ceil() as i64).to_string(),
+                (self.max.floor() as i64).to_string(),
+            ),
+            ParamValue::Float(_) => (self.min.to_string(), self.max.to_string()),
+        }
+    }
+
     /// Parses a raw `--set` string against this definition.
     fn parse(&self, raw: &str) -> Result<ParamValue> {
         let value = match self.default {
@@ -89,7 +101,6 @@ impl ParamDef {
                 raw.parse::<f64>()
                     .map_err(|e| self.reject(format!("expected a number, got '{raw}' ({e})")))?,
             ),
-            ParamValue::Text(_) => ParamValue::Text(raw.to_string()),
         };
         self.check(value)
     }
@@ -103,18 +114,13 @@ impl ParamDef {
                 value.kind()
             )));
         }
-        let numeric = match value {
-            ParamValue::Int(v) => Some(v as f64),
-            ParamValue::Float(v) => Some(v),
-            ParamValue::Text(_) => None,
+        let v = match value {
+            ParamValue::Int(v) => v as f64,
+            ParamValue::Float(v) => v,
         };
-        if let Some(v) = numeric {
-            if !v.is_finite() || v < self.min || v > self.max {
-                return Err(self.reject(format!(
-                    "{v} outside the declared range [{}, {}]",
-                    self.min, self.max
-                )));
-            }
+        if !v.is_finite() || v < self.min || v > self.max {
+            let (min, max) = self.bounds();
+            return Err(self.reject(format!("{v} outside the declared range [{min}, {max}]")));
         }
         Ok(value)
     }
@@ -141,7 +147,7 @@ pub struct Preset {
 
 /// The declared parameter surface of one experiment.
 ///
-/// [`ParamSpec::new`] seeds the four [`COMMON_KEYS`]; builder calls add
+/// [`ParamSpec::new`] seeds the two [`COMMON_KEYS`]; builder calls add
 /// (or re-declare, for a different default) per-experiment knobs and
 /// named [`Preset`]s.
 #[derive(Debug, Clone)]
@@ -151,7 +157,7 @@ pub struct ParamSpec {
 }
 
 impl ParamSpec {
-    /// A spec with only the common execution knobs.
+    /// A spec with only the common knobs.
     pub fn new() -> Self {
         let empty = Self {
             defs: Vec::new(),
@@ -166,23 +172,11 @@ impl ParamSpec {
                 1e9,
             )
             .int(
-                "threads",
-                "worker threads for pooled kernels, 0 = all cores",
-                0,
-                0.0,
-                4096.0,
-            )
-            .int(
                 "seed",
                 "root RNG seed for stochastic kernels",
                 42,
                 0.0,
                 i64::MAX as f64,
-            )
-            .text(
-                "cache_dir",
-                "on-disk sweep result cache directory, empty = no cache",
-                "",
             )
     }
 
@@ -220,18 +214,6 @@ impl ParamSpec {
             default: ParamValue::Float(default),
             min,
             max,
-        });
-        self
-    }
-
-    /// Declares (or re-declares) a text parameter.
-    pub fn text(mut self, key: &'static str, doc: &'static str, default: &str) -> Self {
-        self.put(ParamDef {
-            key,
-            doc,
-            default: ParamValue::Text(default.to_string()),
-            min: 0.0,
-            max: 0.0,
         });
         self
     }
@@ -330,13 +312,12 @@ impl Params {
     ///
     /// # Panics
     ///
-    /// Panics if `key` was never declared or is not numeric — both are
-    /// bugs in the experiment, not user errors.
+    /// Panics if `key` was never declared — a bug in the experiment, not
+    /// a user error.
     pub fn f64(&self, key: &str) -> f64 {
         match self.require(key) {
             ParamValue::Float(v) => *v,
             ParamValue::Int(v) => *v as f64,
-            ParamValue::Text(_) => panic!("parameter '{key}' is text, not numeric"),
         }
     }
 
@@ -372,18 +353,6 @@ impl Params {
         u64::try_from(self.i64(key)).unwrap_or_else(|_| panic!("parameter '{key}' is negative"))
     }
 
-    /// Reads a text parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` was never declared or is not text.
-    pub fn text(&self, key: &str) -> &str {
-        match self.require(key) {
-            ParamValue::Text(v) => v,
-            other => panic!("parameter '{key}' is {}, not text", other.kind()),
-        }
-    }
-
     fn require(&self, key: &str) -> &ParamValue {
         self.values
             .get(key)
@@ -411,10 +380,6 @@ impl Params {
                     bytes.push(b'f');
                     bytes.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
-                ParamValue::Text(v) => {
-                    bytes.push(b't');
-                    bytes.extend_from_slice(v.as_bytes());
-                }
             }
             bytes.push(0);
         }
@@ -428,11 +393,17 @@ impl Params {
 }
 
 /// Everything an experiment needs at run time: the validated [`Params`]
-/// bag (common execution knobs plus per-experiment overrides).
+/// bag (common knobs plus per-experiment overrides) and the executor
+/// width.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunContext {
     /// The validated parameter bag.
     pub params: Params,
+    /// Worker threads for pooled kernels, `0` = all cores. Reports are
+    /// byte-identical at any width, so the width is not part of the
+    /// parameter point: it is never hashed, never named in the override
+    /// note, and no `--set` key or request body sets it.
+    pub threads: usize,
 }
 
 impl RunContext {
@@ -442,7 +413,7 @@ impl RunContext {
         for def in spec.defs() {
             params.values.insert(def.key, def.default.clone());
         }
-        Self { params }
+        Self { params, threads: 0 }
     }
 
     /// A context with `key=value` overrides applied on top of the
@@ -516,38 +487,6 @@ impl RunContext {
         Ok(())
     }
 
-    /// Copies the execution knobs out of a legacy [`SweepOpts`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidOverride`] if a knob is out of range
-    /// (e.g. `trials == 0`).
-    pub fn apply_sweep_opts(&mut self, spec: &ParamSpec, opts: &SweepOpts) -> Result<()> {
-        let as_i64 = |name: &str, v: u64| {
-            i64::try_from(v).map_err(|_| Error::InvalidOverride {
-                key: name.to_string(),
-                reason: format!("{v} does not fit a 64-bit signed integer"),
-            })
-        };
-        self.set_value(
-            spec,
-            "trials",
-            ParamValue::Int(as_i64("trials", opts.trials as u64)?),
-        )?;
-        self.set_value(
-            spec,
-            "threads",
-            ParamValue::Int(as_i64("threads", opts.threads as u64)?),
-        )?;
-        self.set_value(spec, "seed", ParamValue::Int(as_i64("seed", opts.seed)?))?;
-        let dir = opts
-            .cache_dir
-            .as_ref()
-            .map(|p| p.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        self.set_value(spec, "cache_dir", ParamValue::Text(dir))
-    }
-
     fn insert(&mut self, key: &'static str, value: ParamValue) {
         self.params.values.insert(key, value);
         if !self.params.explicit.contains(&key) {
@@ -573,25 +512,6 @@ impl RunContext {
     /// Shorthand for [`Params::u64`].
     pub fn u64(&self, key: &str) -> u64 {
         self.params.u64(key)
-    }
-
-    /// Shorthand for [`Params::text`].
-    pub fn text(&self, key: &str) -> &str {
-        self.params.text(key)
-    }
-
-    /// The common execution knobs as [`SweepOpts`] for the `cnt-sweep`
-    /// pool (`cache_dir = ""` maps to no cache).
-    pub fn sweep_opts(&self) -> SweepOpts {
-        SweepOpts {
-            trials: self.usize("trials"),
-            threads: self.usize("threads"),
-            seed: self.u64("seed"),
-            cache_dir: match self.text("cache_dir") {
-                "" => None,
-                dir => Some(PathBuf::from(dir)),
-            },
-        }
     }
 }
 
@@ -620,7 +540,7 @@ mod tests {
         assert_eq!(ctx.usize("nc"), 10);
         assert_eq!(ctx.usize("trials"), 200);
         assert_eq!(ctx.u64("seed"), 42);
-        assert_eq!(ctx.text("cache_dir"), "");
+        assert_eq!(ctx.threads, 0);
         assert!(ctx.params.explicit_keys().is_empty());
     }
 
@@ -715,32 +635,5 @@ mod tests {
         assert_eq!(ctx.u64("seed"), 20180319);
         // The common knob count is unchanged: re-declared, not duplicated.
         assert_eq!(s.defs().iter().filter(|d| d.key == "seed").count(), 1);
-    }
-
-    #[test]
-    fn sweep_opts_round_trip() {
-        let s = ParamSpec::new();
-        let opts = SweepOpts {
-            trials: 17,
-            threads: 3,
-            seed: 99,
-            cache_dir: Some(PathBuf::from("/tmp/x")),
-        };
-        let mut ctx = RunContext::defaults(&s);
-        ctx.apply_sweep_opts(&s, &opts).unwrap();
-        assert_eq!(ctx.sweep_opts(), opts);
-        // trials == 0 violates the declared minimum.
-        let zero = SweepOpts {
-            trials: 0,
-            ..opts.clone()
-        };
-        assert!(ctx.apply_sweep_opts(&s, &zero).is_err());
-        // No cache dir maps through the empty string.
-        let no_cache = SweepOpts {
-            cache_dir: None,
-            ..opts
-        };
-        ctx.apply_sweep_opts(&s, &no_cache).unwrap();
-        assert_eq!(ctx.sweep_opts().cache_dir, None);
     }
 }

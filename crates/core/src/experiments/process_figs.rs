@@ -21,13 +21,17 @@ const FIG07_TITLE: &str = "ECD Cu impregnation of HA-CNT bundles (void-free)";
 pub(super) fn entries() -> Vec<Entry> {
     vec![
         Entry::new(40, "fig04", FIG04_TITLE, fig04_spec(), fig04_with)
-            .with_param_sweep(sweep_figs::sweep_fig04),
+            .with_sweep(sweep_figs::fig04_kernel, &["temp_k"]),
         Entry::new(50, "fig05", FIG05_TITLE, fig05_spec(), fig05_with)
-            .with_sweep(sweep_figs::sweep_fig05),
-        Entry::new(60, "fig06", FIG06_TITLE, fill_spec(), fig06_with)
-            .with_sweep(sweep_figs::sweep_fig06),
-        Entry::new(70, "fig07", FIG07_TITLE, fill_spec(), fig07_with)
-            .with_sweep(sweep_figs::sweep_fig07),
+            .with_sweep(sweep_figs::fig05_kernel, &[]),
+        Entry::new(60, "fig06", FIG06_TITLE, fill_spec(), fig06_with).with_sweep(
+            |ctx| sweep_figs::fill_kernel(ctx, sweep_figs::FillVariant::Eld),
+            &[],
+        ),
+        Entry::new(70, "fig07", FIG07_TITLE, fill_spec(), fig07_with).with_sweep(
+            |ctx| sweep_figs::fill_kernel(ctx, sweep_figs::FillVariant::Ecd),
+            &[],
+        ),
     ]
 }
 
@@ -98,7 +102,7 @@ fn fig04_with(ctx: &RunContext) -> Result<Report> {
     let plan = SweepPlan::new("experiments.process.fig04")
         .axis(Axis::grid("catalyst", &[0.0, 1.0]))
         .axis(Axis::grid("T_K", &temps_k));
-    let results = Executor::new(ctx.usize("threads")).run(&plan, 0, |job, _| {
+    let results = Executor::new(ctx.threads).run(&plan, 0, |job, _| {
         let catalyst = if job.get("catalyst").expect("axis exists") == 0.0 {
             Catalyst::Cobalt
         } else {

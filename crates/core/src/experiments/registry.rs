@@ -4,14 +4,14 @@
 //! Every paper artefact (and every extra named study) is registered
 //! exactly once, in its figure module, as an [`Entry`] carrying its id,
 //! title, paper-order rank, [`ParamSpec`], run function, and — when a
-//! Monte-Carlo variant exists — its sweep function. [`registry`] builds
-//! the table once per process and asserts its invariants (unique ids,
-//! unique ranks, defaults within bounds), so there is no second id list
-//! anywhere to drift out of sync.
+//! Monte-Carlo variant exists — its sweep kernel constructor. [`registry`]
+//! builds the table once per process and asserts its invariants (unique
+//! ids, unique ranks, defaults within bounds), so there is no second id
+//! list anywhere to drift out of sync.
 
 use super::params::{ParamSpec, RunContext, COMMON_KEYS};
 use super::report::Report;
-use super::sweep_figs::{SweepOpts, SweepRun};
+use super::sweep_figs::SweepKernel;
 use crate::{Error, Result};
 use std::sync::OnceLock;
 
@@ -33,8 +33,8 @@ pub trait Experiment: Sync {
         false
     }
 
-    /// The declared parameter surface (common execution knobs plus
-    /// per-experiment overrides).
+    /// The declared parameter surface (common knobs plus per-experiment
+    /// overrides).
     fn params(&self) -> &ParamSpec;
 
     /// Runs the experiment under `ctx`.
@@ -44,36 +44,15 @@ pub trait Experiment: Sync {
     /// Propagates the experiment's own model errors.
     fn run(&self, ctx: &RunContext) -> Result<Report>;
 
-    /// The Monte-Carlo sweep variant, if one exists.
-    fn sweep(&self) -> Option<&dyn SweepExperiment> {
-        None
+    /// True when a Monte-Carlo sweep variant exists
+    /// (see [`super::chunkable_sweep`]).
+    fn has_sweep(&self) -> bool {
+        false
     }
 }
 
-/// The ensemble (Monte-Carlo) variant of an experiment, driven by the
-/// `cnt-sweep` pool.
-pub trait SweepExperiment: Sync {
-    /// Runs the sweep variant under `ctx` (only the common execution
-    /// knobs apply).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidOverride`] when a per-experiment knob was
-    /// explicitly set (sweep kernels run at the paper operating point),
-    /// and propagates kernel errors.
-    fn run_sweep(&self, ctx: &RunContext) -> Result<SweepRun>;
-}
-
-/// How an entry's Monte-Carlo variant consumes its context.
-enum SweepFn {
-    /// Classic sweeps: only the common execution knobs apply; explicit
-    /// per-experiment overrides are rejected.
-    Opts(fn(&SweepOpts) -> Result<SweepRun>),
-    /// Parameterised sweeps: the full context reaches the kernel, so
-    /// per-experiment knobs are honoured (and must enter the kernel's
-    /// cache salt — see `sweep_figs::sweep_fig04`).
-    Ctx(fn(&RunContext) -> Result<SweepRun>),
-}
+/// Builds a sweep kernel at a parameter point.
+type KernelFn = fn(&RunContext) -> Result<SweepKernel>;
 
 /// A registry row: the data-driven [`Experiment`] implementation the
 /// figure modules instantiate.
@@ -84,7 +63,9 @@ pub(super) struct Entry {
     extra: bool,
     spec: ParamSpec,
     run_fn: fn(&RunContext) -> Result<Report>,
-    sweep_fn: Option<SweepFn>,
+    /// The sweep kernel constructor, and the experiment knobs beyond
+    /// [`COMMON_KEYS`] it honours.
+    sweep: Option<(KernelFn, &'static [&'static str])>,
 }
 
 impl Entry {
@@ -103,7 +84,7 @@ impl Entry {
             extra: false,
             spec,
             run_fn,
-            sweep_fn: None,
+            sweep: None,
         }
     }
 
@@ -114,21 +95,12 @@ impl Entry {
         self
     }
 
-    /// Attaches a Monte-Carlo sweep variant that takes only the common
-    /// execution knobs.
-    pub(super) fn with_sweep(mut self, sweep_fn: fn(&SweepOpts) -> Result<SweepRun>) -> Self {
-        self.sweep_fn = Some(SweepFn::Opts(sweep_fn));
-        self
-    }
-
-    /// Attaches a parameterised sweep variant: the full [`RunContext`]
-    /// reaches the kernel, so the experiment's own knobs apply to the
-    /// ensemble too.
-    pub(super) fn with_param_sweep(
-        mut self,
-        sweep_fn: fn(&RunContext) -> Result<SweepRun>,
-    ) -> Self {
-        self.sweep_fn = Some(SweepFn::Ctx(sweep_fn));
+    /// Attaches a Monte-Carlo sweep variant: its kernel constructor and
+    /// the experiment knobs, beyond [`COMMON_KEYS`], that the kernel
+    /// reads (and salts into its cache key). Any other explicitly set
+    /// knob is refused: the sweep runs at the paper operating point.
+    pub(super) fn with_sweep(mut self, kernel: KernelFn, honours: &'static [&'static str]) -> Self {
+        self.sweep = Some((kernel, honours));
         self
     }
 }
@@ -166,38 +138,8 @@ impl Experiment for Entry {
         Ok(report)
     }
 
-    fn sweep(&self) -> Option<&dyn SweepExperiment> {
-        if self.sweep_fn.is_some() {
-            Some(self)
-        } else {
-            None
-        }
-    }
-}
-
-impl SweepExperiment for Entry {
-    fn run_sweep(&self, ctx: &RunContext) -> Result<SweepRun> {
-        match self.sweep_fn.as_ref().expect("gated by Experiment::sweep") {
-            SweepFn::Opts(sweep_fn) => {
-                if let Some(key) = ctx
-                    .params
-                    .explicit_keys()
-                    .iter()
-                    .find(|k| !COMMON_KEYS.contains(k))
-                {
-                    return Err(Error::InvalidOverride {
-                        key: key.to_string(),
-                        reason: format!(
-                            "the sweep variant of '{}' runs at the paper operating point; only {} apply",
-                            self.id,
-                            COMMON_KEYS.join("/")
-                        ),
-                    });
-                }
-                sweep_fn(&ctx.sweep_opts())
-            }
-            SweepFn::Ctx(sweep_fn) => sweep_fn(ctx),
-        }
+    fn has_sweep(&self) -> bool {
+        self.sweep.is_some()
     }
 }
 
@@ -279,7 +221,7 @@ impl Registry {
     pub fn sweep_ids(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.entries
             .iter()
-            .filter(|e| e.sweep_fn.is_some())
+            .filter(|e| e.sweep.is_some())
             .map(|e| e.id)
     }
 
@@ -289,11 +231,44 @@ impl Registry {
     ///
     /// Returns [`Error::UnknownExperiment`] naming the bad id.
     pub fn get(&self, id: &str) -> Result<&dyn Experiment> {
+        self.entry(id).map(|e| e as &dyn Experiment)
+    }
+
+    fn entry(&self, id: &str) -> Result<&Entry> {
         self.entries
             .iter()
             .find(|e| e.id == id)
-            .map(|e| e as &dyn Experiment)
             .ok_or_else(|| Error::UnknownExperiment(id.to_string()))
+    }
+
+    /// `id`'s sweep kernel constructor, once `ctx` is known to set no
+    /// knob the sweep ignores — the one override rule for every sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownExperiment`] for an unknown id,
+    /// [`Error::Layer`] naming the valid ids when the experiment has no
+    /// sweep variant, and [`Error::InvalidOverride`] for an explicitly set
+    /// knob the sweep does not honour.
+    pub(super) fn sweep_kernel(&self, id: &str, ctx: &RunContext) -> Result<KernelFn> {
+        let Some((kernel, honours)) = self.entry(id)?.sweep else {
+            return Err(Error::Layer(format!(
+                "'{id}' has no sweep variant (valid: {})",
+                self.sweep_ids().collect::<Vec<_>>().join(" ")
+            )));
+        };
+        let honoured = |key: &&str| COMMON_KEYS.contains(key) || honours.contains(key);
+        if let Some(key) = ctx.params.explicit_keys().iter().find(|k| !honoured(k)) {
+            let valid: Vec<&str> = COMMON_KEYS.iter().chain(honours).copied().collect();
+            return Err(Error::InvalidOverride {
+                key: key.to_string(),
+                reason: format!(
+                    "the sweep variant of '{id}' runs at the paper operating point; only {} apply",
+                    valid.join("/")
+                ),
+            });
+        }
+        Ok(kernel)
     }
 }
 
@@ -334,7 +309,7 @@ mod tests {
         assert!(sweeps.len() < all.len(), "strict subset");
         for id in &sweeps {
             assert!(all.contains(id), "sweep id {id} not in catalog");
-            assert!(reg.get(id).unwrap().sweep().is_some());
+            assert!(reg.get(id).unwrap().has_sweep());
         }
     }
 
@@ -348,13 +323,22 @@ mod tests {
     #[test]
     fn sweep_variant_rejects_non_common_overrides() {
         let reg = registry();
-        let exp = reg.get("fig12").unwrap();
-        let mut ctx = RunContext::defaults(exp.params());
-        ctx.set(exp.params(), "nc", "6").unwrap();
-        let err = exp.sweep().unwrap().run_sweep(&ctx).unwrap_err();
-        match err {
-            Error::InvalidOverride { key, .. } => assert_eq!(key, "nc"),
-            other => panic!("wrong error: {other}"),
+        let refused = |id: &str, key: &str, raw: &str| {
+            let exp = reg.get(id).unwrap();
+            let mut ctx = RunContext::defaults(exp.params());
+            ctx.set(exp.params(), key, raw).unwrap();
+            crate::experiments::chunkable_sweep(id, &ctx).err()
+        };
+        match refused("fig12", "nc", "6") {
+            Some(Error::InvalidOverride { key, reason }) => {
+                assert_eq!(key, "nc");
+                assert!(reason.contains("only trials/seed apply"), "{reason}");
+            }
+            other => panic!("wrong outcome: {:?}", other.map(|e| e.to_string())),
         }
+        // fig04 honours its own temp_k knob; the common knobs always apply.
+        assert!(refused("fig04", "temp_k", "1000").is_none());
+        assert!(refused("fig12", "trials", "7").is_none());
+        assert!(refused("fig12", "seed", "7").is_none());
     }
 }

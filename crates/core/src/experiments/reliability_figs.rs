@@ -31,9 +31,9 @@ pub(super) fn entries() -> Vec<Entry> {
         Entry::new(0, "table1", TABLE1_TITLE, table1_spec(), table1_with),
         Entry::new(30, "fig03", FIG03_TITLE, fig03_spec(), fig03_with),
         Entry::new(130, "fig13a", FIG13A_TITLE, fig13a_spec(), fig13a_with)
-            .with_sweep(sweep_figs::sweep_fig13a),
+            .with_sweep(sweep_figs::fig13a_kernel, &[]),
         Entry::new(131, "fig13b", FIG13B_TITLE, fig13b_spec(), fig13b_with)
-            .with_sweep(sweep_figs::sweep_fig13b),
+            .with_sweep(sweep_figs::fig13b_kernel, &[]),
         Entry::new(
             160,
             "stability",

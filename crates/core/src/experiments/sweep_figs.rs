@@ -9,16 +9,19 @@
 //!
 //! * **deterministic** — output depends only on `(id, trials, seed)`,
 //!   never on thread count or scheduling;
-//! * **cacheable** — the result table is stored under a content hash of
-//!   the plan, seed, and trial count, so repeat runs are lookups (pass a
-//!   cache directory via [`SweepOpts::cache_dir`] to persist across
-//!   processes);
+//! * **cacheable** — the result table has a content hash of the plan,
+//!   seed, and trial count, so a local run given a cache directory
+//!   ([`SweepOpts::cache_dir`], `repro sweep --cache-dir`) recalls a
+//!   repeat instead of recomputing it;
 //! * **chunkable** — each sweep is defined once as a [`SweepKernel`]
-//!   (plan + per-job map + cross-job reduce + report annotation), and
-//!   because per-job generators are seeded by *global* job index, any
-//!   contiguous partition of the job range merges back byte-identical to
-//!   the single-instance run. The fleet's distributed-sweep coordinator
+//!   (plan + per-job map + cross-job reduce + report notes), and because
+//!   per-job generators are seeded by *global* job index, any contiguous
+//!   partition of the job range merges back byte-identical to the
+//!   single-instance run. The fleet's distributed-sweep coordinator
 //!   executes through exactly this definition.
+//!
+//! Each kernel constructor below is stored in its figure's registry
+//! entry; [`super::chunkable_sweep`] is the one way to call it.
 
 use super::params::{ParamSpec, RunContext};
 use super::registry::Entry;
@@ -31,12 +34,12 @@ use cnt_process::variability::{sample_one_device, DevicePopulation, DopingState}
 use cnt_process::wafer::WaferMap;
 use cnt_reliability::layout::TestStructure;
 use cnt_reliability::wafer_char::{characterize_wafer, WaferCharSetup};
-use cnt_sweep::{Axis, CacheKey, Executor, Job, ResultStore, Summary, SweepPlan, Table};
+use cnt_sweep::{Axis, CacheKey, Executor, Job, ResultStore, Summary, SweepPlan};
 use cnt_units::rand_ext;
 use cnt_units::si::{Length, Temperature, Time};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Bump when any sweep kernel's physics changes: it invalidates every
 /// cached table.
@@ -46,22 +49,26 @@ const VARIABILITY_TITLE: &str =
     "Single-CNT device resistance variability: pristine vs doped (Section II.A)";
 
 /// This module's registry rows: the Section II.A device Monte-Carlo is an
-/// extra named study whose *plain* run is its own sweep at the default
-/// execution knobs. The per-figure sweep variants are attached to their
-/// figure entries by the figure modules.
+/// extra named study whose *plain* run is its own sweep, uncached. The
+/// per-figure sweep variants are attached to their figure entries by the
+/// figure modules.
 pub(super) fn entries() -> Vec<Entry> {
     vec![Entry::new(
         170,
         "variability",
         VARIABILITY_TITLE,
         ParamSpec::new(),
-        |ctx| sweep_variability(&ctx.sweep_opts()).map(|run| run.report),
+        |ctx| {
+            Ok(super::chunkable_sweep("variability", ctx)?
+                .run_local(None)?
+                .report)
+        },
     )
     .extra()
-    .with_sweep(sweep_variability)]
+    .with_sweep(variability_kernel, &[])]
 }
 
-/// Options for one sweep run.
+/// Options for one [`crate::experiments::run_sweep`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOpts {
     /// Monte-Carlo trials (per grid cell, or ensemble size for trial-only
@@ -72,9 +79,8 @@ pub struct SweepOpts {
     /// Root seed; every job stream derives from it.
     pub seed: u64,
     /// Directory for the on-disk result cache. `None` disables caching:
-    /// every call computes fresh (the repeatable-run cache is the disk
-    /// store; deliberately no process-global memory cache, so callers
-    /// comparing thread counts really do recompute).
+    /// every call computes fresh (deliberately no process-global memory
+    /// cache, so callers comparing thread counts really do recompute).
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -89,14 +95,14 @@ impl Default for SweepOpts {
     }
 }
 
-/// What [`crate::experiments::run_sweep`] hands back: the report plus execution metadata the
+/// What a sweep run hands back: the report plus execution metadata the
 /// CLI prints out-of-band (metadata never appears in the report, which
 /// must be byte-identical across thread counts and cache states).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRun {
     /// The rendered result table.
     pub report: Report,
-    /// Whether the table came out of the result store.
+    /// Whether the table came out of the result cache.
     pub cache_hit: bool,
     /// Number of parallel jobs the plan flattened into.
     pub jobs: usize,
@@ -104,70 +110,59 @@ pub struct SweepRun {
     pub threads: usize,
 }
 
-/// Standard trailer note shared by every sweep report.
-fn provenance_note(rep: &mut Report, opts: &SweepOpts, jobs: usize) {
-    rep.note(format!(
-        "sweep: {jobs} jobs, {} trials, root seed {} — deterministic for any thread count",
-        opts.trials, opts.seed
-    ));
-}
-
 // --- the chunkable sweep kernel -----------------------------------------
 
 type JobFn = Box<dyn Fn(&Job, &mut StdRng) -> Result<Vec<f64>> + Send + Sync>;
 type FinalizeFn = Box<dyn Fn(Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> + Send + Sync>;
-type RenderFn = Box<dyn Fn(&Table) -> Report + Send + Sync>;
+type NotesFn = Box<dyn Fn(&[Vec<f64>], &mut Report) + Send + Sync>;
 
-/// One sweep experiment decomposed into the pieces chunked execution
-/// needs: the flattened plan, the cache salt, the per-job map (one
-/// `Vec<f64>` per job), the cross-job reduce, and the report annotation
-/// step.
+/// One sweep experiment at one parameter point, decomposed into the
+/// pieces chunked execution needs: the flattened plan, the cache salt,
+/// the per-job map (one `Vec<f64>` per job), the cross-job reduce, and
+/// the report notes.
 ///
-/// [`SweepKernel::run_local`] is the single-process path every
-/// `repro sweep` takes: [`SweepKernel::run_range`] over the whole job
-/// range fed to [`SweepKernel::finish`]. The fleet's distributed
-/// coordinator runs the same two steps split at job-range seams.
-/// Per-job generators are seeded by **global** job index (see
-/// `cnt_sweep::Executor::run_range`), so any split is byte-identical to
-/// the whole — the tests below pin it.
-pub(super) struct SweepKernel {
+/// The contract: [`SweepKernel::run_range`]`(lo, hi)` returns one row per
+/// job of the contiguous global-index range `lo..hi`; concatenating every
+/// chunk's rows in index order and calling [`SweepKernel::finish`] yields
+/// a report **byte-identical** to [`SweepKernel::run_local`]'s, because
+/// per-job generators are seeded by global job index (see
+/// `cnt_sweep::Executor::run_range`). [`SweepKernel::chunk_key`] gives
+/// each chunk a content-hash cache identity, so a crashed coordinator
+/// can recall completed chunks from a `cnt_sweep::ResultStore` instead
+/// of recomputing them.
+pub struct SweepKernel {
     id: &'static str,
+    title: &'static str,
     plan: SweepPlan,
-    opts: SweepOpts,
+    trials: usize,
+    seed: u64,
+    threads: usize,
     /// Per-experiment knobs threaded into the cache salt: empty for the
-    /// classic sweeps (which keeps their historical cache keys);
-    /// parameterised sweeps append `key=value` terms so a moved knob is
-    /// a different cached artefact even where the plan fingerprint alone
-    /// would not separate the two.
+    /// sweeps that run at the paper operating point (which keeps their
+    /// historical cache keys); fig04 appends `temp_k=…` so a moved knob
+    /// is a different cached artefact even where the plan fingerprint
+    /// alone would not separate the two.
     salt_extra: String,
     columns: Vec<&'static str>,
     job: JobFn,
     finalize: FinalizeFn,
-    render: RenderFn,
+    notes: NotesFn,
 }
 
 impl SweepKernel {
-    /// Number of flattened jobs (the chunkable range is `0..jobs()`).
-    pub(super) fn jobs(&self) -> usize {
+    /// Number of flattened jobs; chunks partition `0..jobs()`.
+    pub fn jobs(&self) -> usize {
         self.plan.len()
     }
 
     /// The plan's content hash: a coordinator and its chunk workers
-    /// compare fingerprints before trusting each other's ranges.
-    pub(super) fn fingerprint(&self) -> u64 {
+    /// compare fingerprints before trusting each other's job indices.
+    pub fn fingerprint(&self) -> u64 {
         self.plan.fingerprint()
     }
 
-    /// Resolved worker count.
-    pub(super) fn threads(&self) -> usize {
-        Executor::new(self.opts.threads).threads()
-    }
-
     fn salt(&self) -> String {
-        let mut salt = format!(
-            "{SWEEP_SALT_VERSION}/{}/trials={}",
-            self.id, self.opts.trials
-        );
+        let mut salt = format!("{SWEEP_SALT_VERSION}/{}/trials={}", self.id, self.trials);
         if !self.salt_extra.is_empty() {
             salt.push('/');
             salt.push_str(&self.salt_extra);
@@ -175,22 +170,9 @@ impl SweepKernel {
         salt
     }
 
-    /// The content-hash identity of the finished table.
-    fn table_key(&self) -> CacheKey {
-        CacheKey::derive(&self.plan, self.opts.seed, &self.salt())
-    }
-
-    fn store(&self) -> ResultStore {
-        match &self.opts.cache_dir {
-            Some(dir) => ResultStore::on_disk(dir),
-            None => ResultStore::in_memory(),
-        }
-    }
-
-    /// Column names of the per-job rows (the final table's schema) —
-    /// chunk tables stored by a fleet coordinator reuse them so every
-    /// cached artefact decodes under the same width check.
-    pub(super) fn columns(&self) -> Vec<String> {
+    /// Column names of per-job rows (the final table's schema); chunk
+    /// tables exchanged between instances carry these columns.
+    pub fn columns(&self) -> Vec<String> {
         self.columns.iter().map(|c| c.to_string()).collect()
     }
 
@@ -198,92 +180,91 @@ impl SweepKernel {
     /// table's salt extended with the job range. A crashed coordinator
     /// replaying its journal re-derives the same keys and recalls
     /// completed chunks from the store instead of recomputing them.
-    pub(super) fn chunk_key(&self, lo: usize, hi: usize) -> CacheKey {
+    pub fn chunk_key(&self, lo: usize, hi: usize) -> CacheKey {
         CacheKey::derive(
             &self.plan,
-            self.opts.seed,
+            self.seed,
             &format!("{}/chunk={lo}..{hi}", self.salt()),
         )
     }
 
     /// Runs the contiguous job range `lo..hi`, returning one row per job.
-    pub(super) fn run_range(&self, lo: usize, hi: usize) -> Result<Vec<Vec<f64>>> {
-        Ok(Executor::new(self.opts.threads).run_range(
-            &self.plan,
-            self.opts.seed,
-            lo..hi,
-            |job, rng| (self.job)(job, rng),
-        )?)
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel errors; an empty or out-of-bounds range is an
+    /// invalid-parameter error.
+    pub fn run_range(&self, lo: usize, hi: usize) -> Result<Vec<Vec<f64>>> {
+        Ok(
+            Executor::new(self.threads).run_range(&self.plan, self.seed, lo..hi, |job, rng| {
+                (self.job)(job, rng)
+            })?,
+        )
     }
 
-    /// Probes the full-table cache: `Some` recalls a finished run without
-    /// touching the executor.
-    pub(super) fn cached_run(&self) -> Option<SweepRun> {
-        let table = self.store().get(&self.table_key())?;
-        Some(SweepRun {
-            report: (self.render)(&table),
-            cache_hit: true,
-            jobs: self.plan.len(),
-            threads: self.threads(),
-        })
+    /// Reduces the full `0..jobs()` concatenation of per-job rows (chunk
+    /// results already merged in index order) into the final report.
+    ///
+    /// # Errors
+    ///
+    /// Propagates reduce errors.
+    pub fn finish(&self, per_job: Vec<Vec<f64>>) -> Result<SweepRun> {
+        Ok(self.sweep_run(&(self.finalize)(per_job)?, false))
     }
 
-    /// Reduces per-job outputs (the full `0..jobs()` concatenation, chunk
-    /// results already merged in index order) into the final table, stores
-    /// it under [`SweepKernel::table_key`], and renders the report.
-    pub(super) fn finish(&self, per_job: Vec<Vec<f64>>) -> Result<SweepRun> {
-        let rows = (self.finalize)(per_job)?;
-        let table = self.store().put(&self.table_key(), self.columns(), rows)?;
-        Ok(SweepRun {
-            report: (self.render)(&table),
-            cache_hit: false,
-            jobs: self.plan.len(),
-            threads: self.threads(),
-        })
+    /// The single-process run: the whole job range, reduced and rendered.
+    /// With a `cache_dir`, the finished table is first looked up there
+    /// and stored there after a miss.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel and reduce errors, and a failed cache write.
+    pub fn run_local(&self, cache_dir: Option<&Path>) -> Result<SweepRun> {
+        let Some(dir) = cache_dir else {
+            return self.finish(self.run_range(0, self.jobs())?);
+        };
+        let store = ResultStore::on_disk(dir);
+        let key = CacheKey::derive(&self.plan, self.seed, &self.salt());
+        if let Some(table) = store.get(&key) {
+            return Ok(self.sweep_run(&table.rows, true));
+        }
+        let rows = (self.finalize)(self.run_range(0, self.jobs())?)?;
+        let table = store.put(&key, self.columns(), rows)?;
+        Ok(self.sweep_run(&table.rows, false))
     }
 
-    /// The single-instance path: cache probe, else the whole job range
-    /// run, reduced, stored and rendered.
-    pub(super) fn run_local(&self) -> Result<SweepRun> {
-        match self.cached_run() {
-            Some(run) => Ok(run),
-            None => self.finish(self.run_range(0, self.jobs())?),
+    /// Renders the final table: its rows, the kernel's notes, and the
+    /// provenance trailer every sweep report ends with.
+    fn sweep_run(&self, rows: &[Vec<f64>], cache_hit: bool) -> SweepRun {
+        let mut report = Report::new(self.id, self.title).with_columns(&self.columns);
+        for row in rows {
+            report.push_row(row.clone());
+        }
+        (self.notes)(rows, &mut report);
+        report.note(format!(
+            "sweep: {} jobs, {} trials, root seed {} — deterministic for any thread count",
+            self.jobs(),
+            self.trials,
+            self.seed
+        ));
+        SweepRun {
+            report,
+            cache_hit,
+            jobs: self.jobs(),
+            threads: Executor::new(self.threads).threads(),
         }
     }
-}
-
-/// Builds the kernel for a sweep id from its validated context. Covers
-/// exactly the ids of [`crate::experiments::sweep_catalog`] (pinned by
-/// test).
-pub(super) fn kernel_for(id: &str, ctx: &RunContext) -> Option<Result<SweepKernel>> {
-    let opts = ctx.sweep_opts();
-    Some(match id {
-        "fig04" => fig04_kernel(ctx),
-        "fig05" => fig05_kernel(&opts),
-        "fig06" => fill_kernel(&opts, FillVariant::Eld),
-        "fig07" => fill_kernel(&opts, FillVariant::Ecd),
-        "fig12" => fig12_kernel(&opts),
-        "fig13a" => fig13a_kernel(&opts),
-        "fig13b" => fig13b_kernel(&opts),
-        "variability" => variability_kernel(&opts),
-        _ => return None,
-    })
 }
 
 // --- fig04: growth ensemble under furnace setpoint jitter ---------------
 
 /// `repro sweep fig04`: the growth-temperature sweep as an ensemble over
 /// furnace setpoint control (±3 K, hard-truncated at ±10 K) for both
-/// catalysts. This is the first *parameterised* sweep: the experiment's
-/// own `temp_k` knob moves the top probe of the grid and is threaded into
-/// the cache salt (beyond the plan fingerprint, which covers the grid
-/// values), so a moved knob is a distinct cached artefact.
-pub(super) fn sweep_fig04(ctx: &RunContext) -> Result<SweepRun> {
-    fig04_kernel(ctx)?.run_local()
-}
-
-fn fig04_kernel(ctx: &RunContext) -> Result<SweepKernel> {
-    let opts = ctx.sweep_opts();
+/// catalysts. The only sweep that honours an experiment knob: `temp_k`
+/// moves the top probe of the grid and is threaded into the cache salt
+/// (beyond the plan fingerprint, which covers the grid values), so a
+/// moved knob is a distinct cached artefact.
+pub(super) fn fig04_kernel(ctx: &RunContext) -> Result<SweepKernel> {
     let temp_k = ctx.f64("temp_k");
     let temps = super::process_figs::fig04_temps(temp_k);
     let temps_k: Vec<f64> = temps.iter().map(|t| t.kelvin()).collect();
@@ -299,7 +280,7 @@ fn fig04_kernel(ctx: &RunContext) -> Result<SweepKernel> {
         "dg_sigma",
         "viable_yield",
     ];
-    let trials = opts.trials;
+    let trials = ctx.usize("trials");
     let job: JobFn = Box::new(move |job: &Job, rng: &mut StdRng| -> Result<Vec<f64>> {
         let catalyst_idx = job.get("catalyst").expect("axis exists");
         let catalyst = if catalyst_idx == 0.0 {
@@ -337,45 +318,32 @@ fn fig04_kernel(ctx: &RunContext) -> Result<SweepKernel> {
             viable as f64 / trials as f64,
         ])
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig04",
-                "CNT growth vs temperature under furnace setpoint jitter (Co vs Fe ensemble)",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if let Some(budget_row) = table
-                .rows
-                .iter()
-                .find(|r| r[0] == 0.0 && (r[1] - 395.0).abs() < 0.5)
-            {
-                rep.note(format!(
-                    "Co at the 395 °C probe keeps a {:.0} % viable yield under ±3 K setpoint control",
-                    budget_row[6] * 100.0
-                ));
-            }
+    let notes: NotesFn = Box::new(move |rows: &[Vec<f64>], rep: &mut Report| {
+        if let Some(budget_row) = rows
+            .iter()
+            .find(|r| r[0] == 0.0 && (r[1] - 395.0).abs() < 0.5)
+        {
             rep.note(format!(
-                "catalyst 0 = Co, 1 = Fe; top probe at {temp_k} K (the temp_k knob, salted into the result cache)"
+                "Co at the 395 °C probe keeps a {:.0} % viable yield under ±3 K setpoint control",
+                budget_row[6] * 100.0
             ));
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
+        }
+        rep.note(format!(
+            "catalyst 0 = Co, 1 = Fe; top probe at {temp_k} K (the temp_k knob, salted into the result cache)"
+        ));
+    });
     Ok(SweepKernel {
         id: "fig04",
+        title: "CNT growth vs temperature under furnace setpoint jitter (Co vs Fe ensemble)",
         plan,
-        opts,
+        trials,
+        seed: ctx.u64("seed"),
+        threads: ctx.threads,
         salt_extra: format!("temp_k={temp_k}"),
         columns,
         job,
         finalize: Box::new(Ok),
-        render,
+        notes,
     })
 }
 
@@ -389,13 +357,9 @@ fn fig12_plan() -> SweepPlan {
         .axis(Axis::grid("L_um", &FIG12_LENGTHS_UM))
 }
 
-pub(super) fn sweep_fig12(opts: &SweepOpts) -> Result<SweepRun> {
-    fig12_kernel(opts)?.run_local()
-}
-
-fn fig12_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
+pub(super) fn fig12_kernel(ctx: &RunContext) -> Result<SweepKernel> {
     let plan = fig12_plan();
-    let trials = opts.trials;
+    let trials = ctx.usize("trials");
     let columns = vec![
         "D_nm",
         "Nc",
@@ -433,58 +397,42 @@ fn fig12_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
             s.p95,
         ])
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig12",
-                "Delay ratio doped/pristine under CVD diameter scatter (Monte-Carlo)",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
+    let notes: NotesFn = Box::new(|rows: &[Vec<f64>], rep: &mut Report| {
+        for &(d, paper) in &[(10.0, 0.10), (14.0, 0.05), (22.0, 0.02)] {
+            if let Some(row) = rows
+                .iter()
+                .find(|r| r[0] == d && r[1] == 10.0 && r[2] == 500.0)
+            {
+                rep.note(format!(
+                    "anchor D = {d} nm, L = 500 µm, Nc = 10: reduction {:.1} % ± {:.1} % (paper: {:.0} %)",
+                    (1.0 - row[3]) * 100.0,
+                    row[4] * 100.0,
+                    paper * 100.0
+                ));
             }
-            for &(d, paper) in &[(10.0, 0.10), (14.0, 0.05), (22.0, 0.02)] {
-                if let Some(row) = table
-                    .rows
-                    .iter()
-                    .find(|r| r[0] == d && r[1] == 10.0 && r[2] == 500.0)
-                {
-                    rep.note(format!(
-                        "anchor D = {d} nm, L = 500 µm, Nc = 10: reduction {:.1} % ± {:.1} % (paper: {:.0} %)",
-                        (1.0 - row[3]) * 100.0,
-                        row[4] * 100.0,
-                        paper * 100.0
-                    ));
-                }
-            }
-            rep.note("3 % diameter scatter leaves the paper's 10/5/2 % doping anchors intact — the benefit is a property of the mean geometry, not a knife-edge");
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
+        }
+        rep.note("3 % diameter scatter leaves the paper's 10/5/2 % doping anchors intact — the benefit is a property of the mean geometry, not a knife-edge");
+    });
     Ok(SweepKernel {
         id: "fig12",
+        title: "Delay ratio doped/pristine under CVD diameter scatter (Monte-Carlo)",
         plan,
-        opts: opts.clone(),
+        trials,
+        seed: ctx.u64("seed"),
+        threads: ctx.threads,
         salt_extra: String::new(),
         columns,
         job,
         finalize: Box::new(Ok),
-        render,
+        notes,
     })
 }
 
 // --- fig05: wafer-growth uniformity ensemble ----------------------------
 
-pub(super) fn sweep_fig05(opts: &SweepOpts) -> Result<SweepRun> {
-    fig05_kernel(opts)?.run_local()
-}
-
-fn fig05_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
-    let plan = SweepPlan::new("sweep.fig05").axis(Axis::trials(opts.trials));
+pub(super) fn fig05_kernel(ctx: &RunContext) -> Result<SweepKernel> {
+    let trials = ctx.usize("trials");
+    let plan = SweepPlan::new("sweep.fig05").axis(Axis::trials(trials));
     let columns = vec![
         "r_band_lo",
         "r_band_hi",
@@ -529,68 +477,48 @@ fn fig05_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         }
         Ok(rows)
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig05",
-                "300 mm wafer growth uniformity across a wafer ensemble",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if let Some(first) = table.rows.first() {
-                rep.note(format!(
-                    "within-wafer CV across the ensemble: mean {:.2} %, p05 {:.2} %, p95 {:.2} %",
-                    first[4] * 100.0,
-                    first[5] * 100.0,
-                    first[6] * 100.0
-                ));
-                let center = first[2];
-                let edge = table.rows.last().expect("five bands")[2];
-                rep.note(format!(
-                    "radial signature is systematic, not noise: edge band {:.3} vs centre {:.3} in every wafer",
-                    edge, center
-                ));
-            }
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
+    let notes: NotesFn = Box::new(|rows: &[Vec<f64>], rep: &mut Report| {
+        if let Some(first) = rows.first() {
+            rep.note(format!(
+                "within-wafer CV across the ensemble: mean {:.2} %, p05 {:.2} %, p95 {:.2} %",
+                first[4] * 100.0,
+                first[5] * 100.0,
+                first[6] * 100.0
+            ));
+            let center = first[2];
+            let edge = rows.last().expect("five bands")[2];
+            rep.note(format!(
+                "radial signature is systematic, not noise: edge band {:.3} vs centre {:.3} in every wafer",
+                edge, center
+            ));
+        }
+    });
     Ok(SweepKernel {
         id: "fig05",
+        title: "300 mm wafer growth uniformity across a wafer ensemble",
         plan,
-        opts: opts.clone(),
+        trials,
+        seed: ctx.u64("seed"),
+        threads: ctx.threads,
         salt_extra: String::new(),
         columns,
         job,
         finalize,
-        render,
+        notes,
     })
 }
 
 // --- fig06/fig07: Cu impregnation under volume-fraction scatter ---------
 
 #[derive(Clone, Copy)]
-enum FillVariant {
+pub(super) enum FillVariant {
     /// Fig. 6: electroless, vertical carpet, no seed.
     Eld,
     /// Fig. 7: electrochemical, horizontal bundle, conductive seed.
     Ecd,
 }
 
-pub(super) fn sweep_fig06(opts: &SweepOpts) -> Result<SweepRun> {
-    fill_kernel(opts, FillVariant::Eld)?.run_local()
-}
-
-pub(super) fn sweep_fig07(opts: &SweepOpts) -> Result<SweepRun> {
-    fill_kernel(opts, FillVariant::Ecd)?.run_local()
-}
-
-fn fill_kernel(opts: &SweepOpts, variant: FillVariant) -> Result<SweepKernel> {
+pub(super) fn fill_kernel(ctx: &RunContext, variant: FillVariant) -> Result<SweepKernel> {
     let (id, title, last_column) = match variant {
         FillVariant::Eld => (
             "fig06",
@@ -613,7 +541,7 @@ fn fill_kernel(opts: &SweepOpts, variant: FillVariant) -> Result<SweepKernel> {
         "void_prob_mean",
         last_column,
     ];
-    let trials = opts.trials;
+    let trials = ctx.usize("trials");
     let job: JobFn = Box::new(move |job: &Job, rng: &mut StdRng| -> Result<Vec<f64>> {
         let ar = job.get("aspect_ratio").expect("axis exists");
         let mut fills = Vec::with_capacity(trials);
@@ -658,62 +586,37 @@ fn fill_kernel(opts: &SweepOpts, variant: FillVariant) -> Result<SweepKernel> {
             extra_mean,
         ])
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                match variant {
-                    FillVariant::Eld => "fig06",
-                    FillVariant::Ecd => "fig07",
-                },
-                title,
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            match variant {
-                FillVariant::Eld => rep.note(
-                    "ELD keeps its overburden at every aspect ratio; fill spread tracks carpet density"
-                        .to_string(),
-                ),
-                FillVariant::Ecd => {
-                    let min_yield = table
-                        .rows
-                        .iter()
-                        .map(|r| r[5])
-                        .fold(f64::INFINITY, f64::min);
-                    rep.note(format!(
-                        "ECD void-free yield under density scatter: worst aspect ratio still yields {:.1} %",
-                        min_yield * 100.0
-                    ));
-                }
-            }
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
+    let notes: NotesFn = Box::new(move |rows: &[Vec<f64>], rep: &mut Report| match variant {
+        FillVariant::Eld => rep.note(
+            "ELD keeps its overburden at every aspect ratio; fill spread tracks carpet density"
+                .to_string(),
+        ),
+        FillVariant::Ecd => {
+            let min_yield = rows.iter().map(|r| r[5]).fold(f64::INFINITY, f64::min);
+            rep.note(format!(
+                "ECD void-free yield under density scatter: worst aspect ratio still yields {:.1} %",
+                min_yield * 100.0
+            ));
+        }
+    });
     Ok(SweepKernel {
         id,
+        title,
         plan,
-        opts: opts.clone(),
+        trials,
+        seed: ctx.u64("seed"),
+        threads: ctx.threads,
         salt_extra: String::new(),
         columns,
         job,
         finalize: Box::new(Ok),
-        render,
+        notes,
     })
 }
 
 // --- fig13a: EM-layout line resistance under film + CD variation --------
 
-pub(super) fn sweep_fig13a(opts: &SweepOpts) -> Result<SweepRun> {
-    fig13a_kernel(opts)?.run_local()
-}
-
-fn fig13a_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
+pub(super) fn fig13a_kernel(ctx: &RunContext) -> Result<SweepKernel> {
     let plan = SweepPlan::new("sweep.fig13a")
         .axis(Axis::grid("width_nm", &[50.0, 100.0, 200.0, 500.0, 1000.0]));
     let columns = vec![
@@ -723,7 +626,7 @@ fn fig13a_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         "R_p05_ohm",
         "R_p95_ohm",
     ];
-    let trials = opts.trials;
+    let trials = ctx.usize("trials");
     let job: JobFn = Box::new(move |job: &Job, rng: &mut StdRng| -> Result<Vec<f64>> {
         let w_nominal = job.get("width_nm").expect("axis exists");
         let mut resistances = Vec::with_capacity(trials);
@@ -749,54 +652,39 @@ fn fig13a_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         let s = Summary::from_samples(&resistances)?;
         Ok(vec![w_nominal, s.mean, s.std_dev, s.p05, s.p95])
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig13a",
-                "EM layout single lines: resistance distribution under CD + film variation",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if let Some(first) = table.rows.first() {
-                rep.note(format!(
-                    "50 nm e-beam reference line: R = {:.0} Ω ± {:.0} Ω — the spread EM pre-screening must tolerate",
-                    first[1], first[2]
-                ));
-            }
-            rep.note(
-                "relative spread shrinks with width: narrow lines are CD-limited, wide lines film-limited",
-            );
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
+    let notes: NotesFn = Box::new(|rows: &[Vec<f64>], rep: &mut Report| {
+        if let Some(first) = rows.first() {
+            rep.note(format!(
+                "50 nm e-beam reference line: R = {:.0} Ω ± {:.0} Ω — the spread EM pre-screening must tolerate",
+                first[1], first[2]
+            ));
+        }
+        rep.note(
+            "relative spread shrinks with width: narrow lines are CD-limited, wide lines film-limited",
+        );
+    });
     Ok(SweepKernel {
         id: "fig13a",
+        title: "EM layout single lines: resistance distribution under CD + film variation",
         plan,
-        opts: opts.clone(),
+        trials,
+        seed: ctx.u64("seed"),
+        threads: ctx.threads,
         salt_extra: String::new(),
         columns,
         job,
         finalize: Box::new(Ok),
-        render,
+        notes,
     })
 }
 
 // --- fig13b: wafer-characterization ensemble ----------------------------
 
-pub(super) fn sweep_fig13b(opts: &SweepOpts) -> Result<SweepRun> {
-    fig13b_kernel(opts)?.run_local()
-}
-
-fn fig13b_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
+pub(super) fn fig13b_kernel(ctx: &RunContext) -> Result<SweepKernel> {
+    let trials = ctx.usize("trials");
     let plan = SweepPlan::new("sweep.fig13b")
         .axis(Axis::grid("setup", &[0.0, 1.0]))
-        .axis(Axis::trials(opts.trials));
+        .axis(Axis::trials(trials));
     let columns = vec![
         "setup",
         "wafers",
@@ -853,51 +741,36 @@ fn fig13b_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         }
         Ok(rows)
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig13b",
-                "Wafer-characterization ensemble: Cu reference vs Cu-CNT composite",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if table.rows.len() == 2 {
-                let gain = table.rows[1][4] / table.rows[0][4];
-                rep.note(format!(
-                    "EM lifetime gain across the ensemble: {gain:.0}× (wafer-to-wafer spread now quantified, not a single-wafer anecdote)"
-                ));
-            }
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
+    let notes: NotesFn = Box::new(|rows: &[Vec<f64>], rep: &mut Report| {
+        if rows.len() == 2 {
+            let gain = rows[1][4] / rows[0][4];
+            rep.note(format!(
+                "EM lifetime gain across the ensemble: {gain:.0}× (wafer-to-wafer spread now quantified, not a single-wafer anecdote)"
+            ));
+        }
+    });
     Ok(SweepKernel {
         id: "fig13b",
+        title: "Wafer-characterization ensemble: Cu reference vs Cu-CNT composite",
         plan,
-        opts: opts.clone(),
+        trials,
+        seed: ctx.u64("seed"),
+        threads: ctx.threads,
         salt_extra: String::new(),
         columns,
         job,
         finalize,
-        render,
+        notes,
     })
 }
 
 // --- variability: the Section II.A device Monte-Carlo -------------------
 
-pub(super) fn sweep_variability(opts: &SweepOpts) -> Result<SweepRun> {
-    variability_kernel(opts)?.run_local()
-}
-
-fn variability_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
+fn variability_kernel(ctx: &RunContext) -> Result<SweepKernel> {
+    let trials = ctx.usize("trials");
     let plan = SweepPlan::new("sweep.variability")
         .axis(Axis::grid("nc", &[0.0, 4.0, 6.0, 10.0]))
-        .axis(Axis::trials(opts.trials));
+        .axis(Axis::trials(trials));
     let columns = vec![
         "nc",
         "devices",
@@ -948,36 +821,28 @@ fn variability_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         }
         Ok(rows)
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new("variability", VARIABILITY_TITLE).with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if table.rows.len() == 4 {
-                let pristine_cv = table.rows[0][4];
-                let doped6_cv = table.rows[2][4];
-                rep.note(format!(
-                    "doping to 6 channels/shell cuts the resistance CV from {pristine_cv:.2} to {doped6_cv:.2} — the paper's 'overcome the variability of resistance … by doping'"
-                ));
-            }
-            rep.note("nc = 0 rows are the pristine (as-grown) population; the chirality lottery drives its heavy tail");
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
+    let notes: NotesFn = Box::new(|rows: &[Vec<f64>], rep: &mut Report| {
+        if rows.len() == 4 {
+            let pristine_cv = rows[0][4];
+            let doped6_cv = rows[2][4];
+            rep.note(format!(
+                "doping to 6 channels/shell cuts the resistance CV from {pristine_cv:.2} to {doped6_cv:.2} — the paper's 'overcome the variability of resistance … by doping'"
+            ));
+        }
+        rep.note("nc = 0 rows are the pristine (as-grown) population; the chirality lottery drives its heavy tail");
+    });
     Ok(SweepKernel {
         id: "variability",
+        title: VARIABILITY_TITLE,
         plan,
-        opts: opts.clone(),
+        trials,
+        seed: ctx.u64("seed"),
+        threads: ctx.threads,
         salt_extra: String::new(),
         columns,
         job,
         finalize,
-        render,
+        notes,
     })
 }
 
@@ -1012,28 +877,31 @@ mod tests {
 
     #[test]
     fn fig04_param_sweep_honours_temp_k_and_salts_the_cache() {
-        use crate::experiments::registry;
+        use crate::experiments::{chunkable_sweep, registry};
         let dir = std::env::temp_dir().join(format!("cnt-sweep-fig04-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let exp = registry().get("fig04").unwrap();
-        let sweep = exp.sweep().expect("fig04 gained a sweep variant");
+        let run = |ctx: &RunContext| {
+            chunkable_sweep("fig04", ctx)
+                .unwrap()
+                .run_local(Some(&dir))
+                .unwrap()
+        };
         let mut ctx = RunContext::defaults(exp.params());
         ctx.set(exp.params(), "trials", "6").unwrap();
-        ctx.set(exp.params(), "threads", "2").unwrap();
-        ctx.set(exp.params(), "cache_dir", dir.to_str().unwrap())
-            .unwrap();
-        let base = sweep.run_sweep(&ctx).unwrap();
+        ctx.threads = 2;
+        let base = run(&ctx);
         assert!(!base.cache_hit);
         // The knob reaches the kernel: the top probe row moves.
         ctx.set(exp.params(), "temp_k", "1000").unwrap();
-        let moved = sweep.run_sweep(&ctx).unwrap();
+        let moved = run(&ctx);
         assert!(!moved.cache_hit, "temp_k must salt the cache key");
         assert_ne!(base.report.render(), moved.report.render());
         let top = moved.report.rows[6][1];
         assert!((top - 726.85).abs() < 1e-9, "top probe at {top} °C");
         // Back at the default knob, the first run is recalled from disk.
         ctx.set(exp.params(), "temp_k", "923.15").unwrap();
-        let recalled = sweep.run_sweep(&ctx).unwrap();
+        let recalled = run(&ctx);
         assert!(recalled.cache_hit);
         assert_eq!(base.report.render(), recalled.report.render());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1124,12 +992,13 @@ mod tests {
     #[test]
     fn kernels_cover_the_sweep_catalog_and_chunks_merge_byte_identical() {
         use crate::experiments::{chunkable_sweep, resolve_context};
-        let sets: Vec<(String, String)> = [("trials", "6"), ("threads", "2"), ("seed", "7")]
+        let sets: Vec<(String, String)> = [("trials", "6"), ("seed", "7")]
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         for id in sweep_catalog() {
-            let (_, ctx) = resolve_context(id, None, &sets).unwrap();
+            let (_, mut ctx) = resolve_context(id, None, &sets).unwrap();
+            ctx.threads = 2;
             let chunked = chunkable_sweep(id, &ctx).unwrap_or_else(|e| panic!("{id}: {e}"));
             let local = run_sweep(id, &opts(6, 2, 7)).unwrap();
             assert_eq!(chunked.jobs(), local.jobs, "{id} job count");

@@ -58,7 +58,7 @@ fn push_experiment(exp: &dyn Experiment, out: &mut String) {
     json::push_string(exp.title(), out);
     out.push_str(&format!(
         ",\"sweep\":{},\"extra\":{},\"params\":[",
-        exp.sweep().is_some(),
+        exp.has_sweep(),
         exp.is_extra()
     ));
     for (i, def) in exp.params().defs().iter().enumerate() {
@@ -73,11 +73,8 @@ fn push_experiment(exp: &dyn Experiment, out: &mut String) {
         json::push_string(def.doc, out);
         out.push_str(",\"default\":");
         push_param_value(&def.default, out);
-        match def.default {
-            ParamValue::Text(_) => {}
-            _ => out.push_str(&format!(",\"min\":{},\"max\":{}", def.min, def.max)),
-        }
-        out.push('}');
+        let (min, max) = def.bounds();
+        out.push_str(&format!(",\"min\":{min},\"max\":{max}}}"));
     }
     out.push_str("],\"presets\":[");
     for (i, preset) in exp.params().presets().iter().enumerate() {
@@ -106,7 +103,6 @@ fn push_param_value(value: &ParamValue, out: &mut String) {
     match value {
         ParamValue::Int(v) => out.push_str(&v.to_string()),
         ParamValue::Float(v) => out.push_str(&json::number(*v)),
-        ParamValue::Text(v) => json::push_string(v, out),
     }
 }
 
@@ -200,7 +196,7 @@ fn kind_name(value: &JsonValue) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnt_interconnect::experiments::{self, format::check_json_stream};
+    use cnt_interconnect::experiments::{self, format::check_json_stream, RunContext};
 
     #[test]
     fn catalog_lists_every_id_and_stays_parseable() {
@@ -223,20 +219,47 @@ mod tests {
         assert!(body.contains("\"min\":20,\"max\":1000"));
         assert!(body.contains("\"name\":\"projected\""));
         assert!(body.contains("\"width_nm\":20"));
-        // Text knobs carry no numeric range.
-        assert!(
-            body.contains("\"key\":\"cache_dir\",\"kind\":\"string\",") && {
-                let tail = body.split("\"key\":\"cache_dir\"").nth(1).unwrap();
-                !tail.split('}').next().unwrap().contains("\"min\"")
-            }
-        );
         assert!(experiment_json("fig99").is_none());
+    }
+
+    #[test]
+    fn advertised_integer_bounds_are_accepted_values() {
+        let catalog = json::parse(&catalog_json()).expect("catalog parses");
+        let Some(JsonValue::Array(experiments)) = catalog.get("experiments") else {
+            panic!("catalog has no experiments array");
+        };
+        let mut checked = 0;
+        for exp in experiments {
+            let id = exp.get("id").and_then(JsonValue::as_str).expect("id");
+            let spec = registry().get(id).expect("catalog id resolves").params();
+            let Some(JsonValue::Array(params)) = exp.get("params") else {
+                panic!("{id} has no params array");
+            };
+            for param in params {
+                if param.get("kind").and_then(JsonValue::as_str) != Some("integer") {
+                    continue;
+                }
+                let key = param.get("key").and_then(JsonValue::as_str).expect("key");
+                for bound in ["min", "max"] {
+                    let Some(JsonValue::Number(raw)) = param.get(bound) else {
+                        panic!("{id}.{key} has no numeric {bound}");
+                    };
+                    let mut ctx = RunContext::defaults(spec);
+                    ctx.set(spec, key, raw).unwrap_or_else(|e| {
+                        panic!("{id}.{key}: advertised {bound} {raw} is refused: {e}")
+                    });
+                    checked += 1;
+                }
+            }
+        }
+        // Every id declares at least the two integer knobs trials and seed.
+        assert!(checked >= 4 * experiments.len(), "{checked}");
     }
 
     #[test]
     fn run_requests_decode_with_raw_tokens() {
         let req = parse_run_request(
-            br#"{"params": {"nc": 6, "length_um": 2e2, "cache_dir": "/tmp/x"}, "format": "csv", "preset": "doped-local"}"#,
+            br#"{"params": {"nc": 6, "length_um": 2e2, "seed": "7"}, "format": "csv", "preset": "doped-local"}"#,
         )
         .unwrap();
         assert_eq!(req.format, OutputFormat::Csv);
@@ -246,7 +269,7 @@ mod tests {
             vec![
                 ("nc".to_string(), "6".to_string()),
                 ("length_um".to_string(), "2e2".to_string()),
-                ("cache_dir".to_string(), "/tmp/x".to_string()),
+                ("seed".to_string(), "7".to_string()),
             ]
         );
         // Empty body = defaults.

@@ -1820,21 +1820,21 @@ fn sweep_job_route(
         Ok(r) => r,
         Err(message) => return Response::json(400, api::error_json(&message)),
     };
-    // Same gates as the synchronous paths: the id must exist *and* have
-    // a sweep variant, and overrides resolve through the typed params.
-    // The worker task re-resolves from the spec (deterministic), so a
-    // journal-recovered job takes exactly this route minus the HTTP.
-    match experiments::sweep_variant(id) {
-        Ok(_) => {}
+    // Same gates as the synchronous paths: overrides resolve through the
+    // typed params, and the id must have a sweep variant that honours
+    // every knob the body sets. The kernel itself is built later, under
+    // a permit: the worker task re-resolves from the spec
+    // (deterministic), so a journal-recovered job takes exactly this
+    // route minus the HTTP.
+    let checked =
+        experiments::resolve_context(id, run_request.preset.as_deref(), &run_request.sets)
+            .and_then(|(_, ctx)| experiments::check_sweep(id, &ctx));
+    match checked {
+        Ok(()) => {}
         Err(e @ cnt_interconnect::Error::UnknownExperiment(_)) => {
             return Response::json(404, api::error_json(&e.to_string()))
         }
         Err(e) => return Response::json(400, api::error_json(&e.to_string())),
-    }
-    if let Err(e) =
-        experiments::resolve_context(id, run_request.preset.as_deref(), &run_request.sets)
-    {
-        return Response::json(400, api::error_json(&e.to_string()));
     }
 
     let rid = shared.next_request_id();
@@ -2001,45 +2001,33 @@ fn execute_sweep_job(
     spec: &JobSpec,
     progress: &Progress,
 ) -> core::result::Result<(&'static str, String), (u16, String)> {
-    let ctx =
-        match experiments::resolve_context(&spec.experiment, spec.preset.as_deref(), &spec.sets) {
-            Ok((_, ctx)) => ctx,
-            Err(e) => return Err((400, api::error_json(&e.to_string()))),
-        };
-    fanout_sweep(shared, spec, &ctx, progress)
+    let sweep = experiments::resolve_context(&spec.experiment, spec.preset.as_deref(), &spec.sets)
+        .and_then(|(_, ctx)| experiments::chunkable_sweep(&spec.experiment, &ctx))
+        .map_err(|e| (400, api::error_json(&e.to_string())))?;
+    fanout_sweep(shared, spec, &sweep, progress)
 }
 
 /// Runs one sweep as chunks: a deterministic chunk split, chunk-level
 /// crash resume through the content-hash chunk store, one dispatch lane
 /// per fleet peer with re-dispatch on failure, and the local lane as
 /// the lane of last resort. Per-job rows concatenate in global index
-/// order into the same [`ChunkableSweep::finish`] reduce `repro sweep`
+/// order into the same [`SweepKernel::finish`] reduce `repro sweep`
 /// uses, so the merged report is byte-identical by construction.
 ///
 /// The coordinator also owns the job's progress: `total` is the sweep's
 /// job count from the start, and every chunk adds its length to `done`
 /// exactly once, whichever lane lands it.
 ///
-/// [`ChunkableSweep::finish`]: experiments::ChunkableSweep::finish
+/// [`SweepKernel::finish`]: experiments::SweepKernel::finish
 fn fanout_sweep(
     shared: &Arc<Shared>,
     spec: &JobSpec,
-    ctx: &RunContext,
+    sweep: &experiments::SweepKernel,
     progress: &Progress,
 ) -> core::result::Result<(&'static str, String), (u16, String)> {
     let fleet = shared.fleet.get();
-    let sweep = match experiments::chunkable_sweep(&spec.experiment, ctx) {
-        Ok(sweep) => sweep,
-        Err(e) => return Err((500, api::error_json(&e.to_string()))),
-    };
     let n_jobs = sweep.jobs();
     progress.set_total(n_jobs as u64);
-    // The full-table cache already holds this exact run — nothing to
-    // fan out.
-    if let Some(run) = sweep.cached_run() {
-        progress.add_done(n_jobs as u64);
-        return Ok(render_report(&run.report, spec.format));
-    }
     // Twice as many chunks as peers keeps every lane busy even when
     // peers run at different speeds; the split depends only on the
     // topology and the plan (a fixed 8 on a single instance), so a
@@ -2050,7 +2038,7 @@ fn fanout_sweep(
     let fanout = Fanout {
         shared,
         spec,
-        sweep: &sweep,
+        sweep,
         progress,
         board: ChunkBoard::new(&ranges),
         results: Mutex::new(vec![None; ranges.len()]),
@@ -2116,7 +2104,7 @@ fn chunk_retry_delay(attempt: u32) -> Duration {
 struct Fanout<'a> {
     shared: &'a Arc<Shared>,
     spec: &'a JobSpec,
-    sweep: &'a experiments::ChunkableSweep,
+    sweep: &'a experiments::SweepKernel,
     progress: &'a Progress,
     board: ChunkBoard,
     results: Mutex<Vec<Option<Vec<Vec<f64>>>>>,
@@ -2243,7 +2231,7 @@ impl Fanout<'_> {
 /// them, else run and stored. The flag reports a recall.
 fn compute_chunk(
     store: &ResultStore,
-    sweep: &experiments::ChunkableSweep,
+    sweep: &experiments::SweepKernel,
     range: &Range<usize>,
 ) -> cnt_sweep::Result<(cnt_sweep::Table, bool)> {
     store.get_or_compute(&sweep.chunk_key(range.start, range.end), || {
@@ -2564,6 +2552,13 @@ fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
                 if spec.experiment.is_empty() || by_rid.contains_key(rid) {
                     continue;
                 }
+                // Older builds took the executor width and a cache
+                // directory as parameters, and their sweep bodies often
+                // sent `"cache_dir": ""`. Neither sets a sweep's bytes, and
+                // the current gate refuses both keys, so drop them rather
+                // than fail the recovered job.
+                spec.sets
+                    .retain(|(key, _)| key != "threads" && key != "cache_dir");
                 spec.rid = rid.to_string();
                 spec.format = match text("format") {
                     Some("csv") => OutputFormat::Csv,
@@ -3037,6 +3032,40 @@ mod tests {
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].spec.rid, "00aa-000002");
         assert_eq!(jobs[0].outcome, None);
+    }
+
+    #[test]
+    fn journal_fold_drops_the_retired_execution_keys() {
+        // Older builds took the executor width and a cache directory as
+        // parameters, and their sweep bodies sent `"cache_dir": ""`; this
+        // is such a submission, then its terminal record.
+        let rid = "00feed-000001";
+        let jobs = fold_journal(&[
+            format!(
+                "{{\"event\":\"submitted\",\"job\":\"{rid}\",\"experiment\":\"fig12\",\
+                 \"sets\":[[\"trials\",\"48\"],[\"cache_dir\",\"\"]],\"format\":\"json\"}}"
+            ),
+            job_done_record(rid, "application/json", Path::new("jobs/x.body"), 9),
+            "{\"event\":\"submitted\",\"job\":\"00feed-000002\",\"experiment\":\"fig12\",\
+             \"sets\":[[\"threads\",\"4\"],[\"seed\",\"7\"]],\"format\":\"json\"}"
+                .to_string(),
+        ]);
+        assert_eq!(jobs.len(), 2);
+        assert_eq!(
+            jobs[0].spec.sets,
+            [("trials".to_string(), "48".to_string())]
+        );
+        assert!(matches!(
+            jobs[0].outcome,
+            Some(RecoveredOutcome::Done { bytes: 9, .. })
+        ));
+        assert_eq!(jobs[1].spec.sets, [("seed".to_string(), "7".to_string())]);
+        // What is left resolves at today's gate, so a recovered job
+        // re-runs (or derives its job count) instead of failing.
+        for job in &jobs {
+            let (_, ctx) = experiments::resolve_context("fig12", None, &job.spec.sets).unwrap();
+            assert!(experiments::chunkable_sweep("fig12", &ctx).is_ok());
+        }
     }
 
     #[test]

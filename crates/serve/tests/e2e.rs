@@ -176,6 +176,27 @@ fn every_method_and_path_answers_from_the_route_table() {
         |id: &str| error(&cnt_interconnect::Error::UnknownExperiment(id.to_string()).to_string());
     let no_job = |rid: &str| error(&format!("no such job '{rid}' (expired or never created)"));
     let bad_id = |hex: &str| error(&format!("bad trace id '{hex}' (want 16 hex chars)"));
+    // The canonical refusal of one override: the parameter gate, then,
+    // for a sweep, the knobs the sweep honours.
+    let refused = |id: &str, sweep: bool, key: &str, raw: &str| {
+        let sets = [(key.to_string(), raw.to_string())];
+        let outcome = experiments::resolve_context(id, None, &sets).and_then(|(_, ctx)| {
+            if sweep {
+                experiments::check_sweep(id, &ctx)
+            } else {
+                Ok(())
+            }
+        });
+        error(&outcome.unwrap_err().to_string())
+    };
+    // Execution settings are not parameters: a client can neither pick
+    // the executor width nor name a directory for the server to write.
+    let client_dir = std::env::temp_dir()
+        .join(format!("cnt-serve-client-dir-{}", std::process::id()))
+        .join("x");
+    let client_dir_text = client_dir.to_str().expect("UTF-8 temp dir").to_string();
+    let cache_dir_body =
+        format!("{{\"params\": {{\"cache_dir\": \"{client_dir_text}\", \"trials\": 5}}}}");
 
     // (method, path, request body, status, expected body or its prefix).
     let served: Vec<(&str, &str, &str, u16, String)> = vec![
@@ -219,6 +240,42 @@ fn every_method_and_path_answers_from_the_route_table() {
             unknown("fig99"),
         ),
         ("POST", "/v1/sweeps/fig99", "{}", 404, unknown("fig99")),
+        // A sweep refuses a knob it would otherwise drop silently.
+        (
+            "POST",
+            "/v1/sweeps/fig12",
+            r#"{"params": {"nc": 6}}"#,
+            400,
+            error("parameter override 'nc' rejected: the sweep variant of 'fig12' runs at the paper operating point; only trials/seed apply"),
+        ),
+        (
+            "POST",
+            "/v1/experiments/fig12/run",
+            r#"{"params": {"threads": 2}}"#,
+            400,
+            refused("fig12", false, "threads", "2"),
+        ),
+        (
+            "POST",
+            "/v1/sweeps/fig12",
+            r#"{"params": {"threads": 2}}"#,
+            400,
+            refused("fig12", true, "threads", "2"),
+        ),
+        (
+            "POST",
+            "/v1/experiments/variability/run",
+            &cache_dir_body,
+            400,
+            refused("variability", false, "cache_dir", &client_dir_text),
+        ),
+        (
+            "POST",
+            "/v1/sweeps/fig12",
+            &cache_dir_body,
+            400,
+            refused("fig12", true, "cache_dir", &client_dir_text),
+        ),
         ("GET", "/v1/jobs/nosuch", "", 404, no_job("nosuch")),
         ("GET", "/v1/jobs/nosuch/result", "", 404, no_job("nosuch")),
         ("GET", "/v1/trace/zz", "", 400, bad_id("zz")),
@@ -333,6 +390,11 @@ fn every_method_and_path_answers_from_the_route_table() {
             assert_eq!(got, expected, "{method} {path}");
         }
     }
+    assert!(
+        !client_dir.parent().expect("has a parent").exists(),
+        "a client-named directory was created: {}",
+        client_dir.display()
+    );
 
     handle.shutdown();
     thread.join().unwrap();
@@ -589,11 +651,7 @@ fn graceful_shutdown_drains_in_flight_work() {
     // Let the run take the permit, queue a job behind it, then ask the
     // server to stop.
     std::thread::sleep(Duration::from_millis(100));
-    let (status, submit) = post(
-        addr,
-        "/v1/sweeps/fig12",
-        r#"{"params": {"trials": 16, "cache_dir": ""}}"#,
-    );
+    let (status, submit) = post(addr, "/v1/sweeps/fig12", r#"{"params": {"trials": 16}}"#);
     assert_eq!(status, 202, "{submit}");
     let rid = job_id(&submit);
     let (_, polled) = get(addr, &format!("/v1/jobs/{rid}"));
@@ -852,7 +910,7 @@ fn a_job_polled_on_keep_alive_finishes_without_a_server_close() {
         &mut conn,
         "POST",
         "/v1/sweeps/fig12",
-        r#"{"params": {"trials": 16, "cache_dir": ""}}"#,
+        r#"{"params": {"trials": 16}}"#,
     );
     assert_eq!(status, 202, "{submit}");
     assert_eq!(header(&headers, "connection"), Some("keep-alive"));
@@ -950,11 +1008,7 @@ fn runs_and_sweep_jobs_share_the_permits() {
     };
     let (addr, handle, thread) = start(server);
 
-    let (status, submit) = post(
-        addr,
-        "/v1/sweeps/fig12",
-        r#"{"params": {"trials": 16, "cache_dir": ""}}"#,
-    );
+    let (status, submit) = post(addr, "/v1/sweeps/fig12", r#"{"params": {"trials": 16}}"#);
     assert_eq!(status, 202, "{submit}");
     let barrier = Arc::new(Barrier::new(8));
     let statuses: Vec<u16> = std::thread::scope(|scope| {
@@ -1231,9 +1285,9 @@ fn metrics_scrape_is_validator_clean_and_requests_carry_ids() {
 
 #[test]
 fn probes_survive_queue_saturation() {
-    // 1 worker, 1 queue slot, slow kernel: run requests shed, but the
-    // reserved probe lane answers /v1/healthz and /v1/metrics before
-    // queue admission, so operators can still see the overload.
+    // 1 worker, 1 queue slot, slow kernel: run requests shed, but
+    // /v1/healthz and /v1/metrics never take a compute permit, so
+    // operators can still see the overload.
     let server = Server::bind_with_runner(
         Config {
             workers: 1,
@@ -1264,7 +1318,7 @@ fn probes_survive_queue_saturation() {
             .collect();
         barrier.wait();
         // Mid-saturation: the worker is pinned and the queue is full,
-        // yet both probes answer 200 from the reserved lane.
+        // yet both probes answer 200.
         std::thread::sleep(Duration::from_millis(150));
         let (status, health) = get(addr, "/v1/healthz");
         assert_eq!(status, 200, "healthz must bypass admission: {health}");
@@ -1300,76 +1354,92 @@ fn job_id(body: &str) -> String {
 fn async_sweep_jobs_run_to_a_byte_identical_result() {
     let (addr, handle, thread) = start(Server::bind(config()).unwrap());
 
+    // (id, body, the same point as `repro sweep` --set pairs). fig04's
+    // sweep honours its own temp_k knob; every other sweep runs at the
+    // paper operating point.
+    let cases = [
+        (
+            "fig12",
+            r#"{"params": {"trials": 32}}"#,
+            vec![("trials", "32")],
+        ),
+        (
+            "fig04",
+            r#"{"params": {"trials": 8, "temp_k": 1000}}"#,
+            vec![("trials", "8"), ("temp_k", "1000")],
+        ),
+    ];
     // Warm the TCP path so the submit latency sample is the route alone.
     let _ = get(addr, "/v1/healthz");
-    let body = r#"{"params": {"trials": 32, "cache_dir": ""}}"#;
-    let started = std::time::Instant::now();
-    let (status, submit) = post(addr, "/v1/sweeps/fig12", body);
-    let elapsed = started.elapsed();
-    assert_eq!(status, 202, "{submit}");
-    assert!(
-        elapsed < Duration::from_millis(100),
-        "submission must return immediately, took {elapsed:?}"
-    );
-    assert!(submit.contains("\"status\":\"queued\""), "{submit}");
-    let rid = job_id(&submit);
-    assert!(submit.contains(&format!("\"poll\":\"/v1/jobs/{rid}\"")));
-
-    // Poll until the job lands; the result route answers 202 + status
-    // while in flight and the finished body afterwards.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let result = loop {
-        let (status, body) = get(addr, &format!("/v1/jobs/{rid}/result"));
-        match status {
-            200 => break body,
-            202 => {
-                assert!(
-                    body.contains("queued") || body.contains("running"),
-                    "{body}"
-                );
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "job never finished: {body}"
-                );
-                std::thread::sleep(Duration::from_millis(20));
+    for (id, body, sets) in &cases {
+        let started = std::time::Instant::now();
+        let (status, submit) = post(addr, &format!("/v1/sweeps/{id}"), body);
+        let elapsed = started.elapsed();
+        assert_eq!(status, 202, "{submit}");
+        assert!(
+            elapsed < Duration::from_millis(100),
+            "submission must return immediately, took {elapsed:?}"
+        );
+        assert!(submit.contains("\"status\":\"queued\""), "{submit}");
+        let rid = job_id(&submit);
+        assert!(submit.contains(&format!("\"poll\":\"/v1/jobs/{rid}\"")));
+        // Poll until the job lands; the result route answers 202 +
+        // status while in flight and the finished body afterwards.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let result = loop {
+            let (status, body) = get(addr, &format!("/v1/jobs/{rid}/result"));
+            match status {
+                200 => break body,
+                202 => {
+                    assert!(
+                        body.contains("queued") || body.contains("running"),
+                        "{body}"
+                    );
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "job never finished: {body}"
+                    );
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                other => panic!("unexpected result status {other}: {body}"),
             }
-            other => panic!("unexpected result status {other}: {body}"),
-        }
-    };
+        };
 
-    // The terminal status carries the full sweep progress.
-    let (status, polled) = get(addr, &format!("/v1/jobs/{rid}"));
-    assert_eq!(status, 200);
-    assert!(polled.contains("\"status\":\"done\""), "{polled}");
-    assert!(polled.contains("\"experiment\":\"fig12\""), "{polled}");
-    let done = counter(&polled, "done");
-    assert_eq!(done, counter(&polled, "total"), "{polled}");
-    assert!(done >= 1, "progress counters never moved: {polled}");
+        // The terminal status carries the full sweep progress.
+        let (status, polled) = get(addr, &format!("/v1/jobs/{rid}"));
+        assert_eq!(status, 200);
+        assert!(polled.contains("\"status\":\"done\""), "{polled}");
+        assert!(
+            polled.contains(&format!("\"experiment\":\"{id}\"")),
+            "{polled}"
+        );
+        let done = counter(&polled, "done");
+        assert_eq!(done, counter(&polled, "total"), "{polled}");
 
-    // Byte-identity: the job body equals a direct registry sweep at the
-    // same point, rendered the way the CLI prints it.
-    let sets = vec![
-        ("trials".to_string(), "32".to_string()),
-        ("cache_dir".to_string(), String::new()),
-    ];
-    let (_, ctx) = experiments::resolve_context("fig12", None, &sets).unwrap();
-    // Progress counts the plan's jobs, chunk by chunk.
-    let jobs = experiments::chunkable_sweep("fig12", &ctx).unwrap().jobs();
-    assert_eq!(done, jobs as u64, "{polled}");
-    let (_, sweep) = experiments::sweep_variant("fig12").unwrap();
-    let direct = sweep.run_sweep(&ctx).unwrap();
-    assert_eq!(result, format!("{}\n", direct.report.to_json()));
+        // Byte-identity: the job body equals a local sweep at the same
+        // point, rendered the way `repro sweep --format json` prints it.
+        let sets: Vec<(String, String)> = sets
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let (_, ctx) = experiments::resolve_context(id, None, &sets).unwrap();
+        let sweep = experiments::chunkable_sweep(id, &ctx).unwrap();
+        // Progress counts the plan's jobs, chunk by chunk.
+        assert_eq!(done, sweep.jobs() as u64, "{polled}");
+        let direct = sweep.run_local(None).unwrap();
+        assert_eq!(result, format!("{}\n", direct.report.to_json()), "{id}");
+    }
 
     // Lifecycle counters made it to the exposition, validator-clean.
     let (_, metrics) = get(addr, "/v1/metrics");
     cnt_obs::promcheck::validate(&metrics)
         .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
     assert!(
-        metrics.contains("cnt_serve_jobs_total{status=\"queued\"} 1"),
+        metrics.contains("cnt_serve_jobs_total{status=\"queued\"} 2"),
         "{metrics}"
     );
     assert!(
-        metrics.contains("cnt_serve_jobs_total{status=\"done\"} 1"),
+        metrics.contains("cnt_serve_jobs_total{status=\"done\"} 2"),
         "{metrics}"
     );
     assert!(metrics.contains("cnt_serve_jobs_pending 0"), "{metrics}");
@@ -1513,7 +1583,7 @@ fn async_jobs_attach_to_the_submitting_trace() {
         "POST",
         "/v1/sweeps/fig12",
         &[("X-Trace-Id", "00000000feedc0de")],
-        r#"{"params": {"trials": 16, "cache_dir": ""}}"#,
+        r#"{"params": {"trials": 16}}"#,
     );
     assert_eq!(status, 202, "{submit}");
     assert_eq!(header(&headers, "x-trace-id"), Some("00000000feedc0de"));

@@ -175,15 +175,11 @@ fn fleet_with(n: usize, tweak: impl Fn(usize, &mut FleetConfig)) -> Vec<Instance
         .collect()
 }
 
-/// The sweep point every test uses: a pinned trial count and the
-/// full-table disk cache disabled, so chunked execution actually runs.
-const SWEEP_BODY: &str = r#"{"params": {"trials": 48, "cache_dir": ""}}"#;
+/// The sweep point every test uses: a pinned trial count.
+const SWEEP_BODY: &str = r#"{"params": {"trials": 48}}"#;
 
 fn sweep_sets() -> Vec<(String, String)> {
-    vec![
-        ("trials".to_string(), "48".to_string()),
-        ("cache_dir".to_string(), String::new()),
-    ]
+    vec![("trials".to_string(), "48".to_string())]
 }
 
 /// How many sweep jobs [`SWEEP_BODY`] flattens into: what a finished
@@ -197,8 +193,10 @@ fn sweep_jobs() -> u64 {
 /// the job result route renders JSON.
 fn expected_report() -> String {
     let (_, ctx) = experiments::resolve_context("fig12", None, &sweep_sets()).unwrap();
-    let (_, sweep) = experiments::sweep_variant("fig12").unwrap();
-    format!("{}\n", sweep.run_sweep(&ctx).unwrap().report.to_json())
+    let run = experiments::chunkable_sweep("fig12", &ctx)
+        .and_then(|sweep| sweep.run_local(None))
+        .unwrap();
+    format!("{}\n", run.report.to_json())
 }
 
 #[test]

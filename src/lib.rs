@@ -44,9 +44,10 @@
 //! `cargo run -p cnt-bench --bin repro -- all`, move an experiment off
 //! its paper operating point with typed overrides
 //! (`repro fig12 --set length_um=200 --set nc=6`) or named presets
-//! (`repro table1 --preset projected`), emit machine-readable
-//! reports (`repro table1 --format json|csv`), rerun a figure as the
-//! ensemble the paper actually measured with
+//! (`repro table1 --preset projected`), pick the executor width of
+//! pooled kernels with `--threads N` (the bytes never depend on it),
+//! emit machine-readable reports (`repro table1 --format json|csv`),
+//! rerun a figure as the ensemble the paper actually measured with
 //! `cargo run -p cnt-bench --bin repro -- sweep fig12 --trials 1000`
 //! (deterministic for any `--threads` value; see `crates/sweep/README.md`),
 //! keep the whole registry resident behind a JSON API with

@@ -55,17 +55,25 @@ fn registry_is_complete_and_consistent() {
     let reg = registry();
     let ids: Vec<&str> = experiments::catalog().collect();
     // Every id resolves, is unique, and declares a parameter surface that
-    // includes the common execution knobs.
+    // includes the common knobs and no execution setting: the executor
+    // width and a cache directory never set a report's bytes.
     let mut sorted = ids.clone();
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), ids.len(), "duplicate ids in the catalog");
     for exp in reg.iter() {
         assert!(ids.contains(&exp.id()));
-        for key in ["trials", "threads", "seed", "cache_dir"] {
+        for key in ["trials", "seed"] {
             assert!(
                 exp.params().get(key).is_some(),
                 "{} lost the common knob {key}",
+                exp.id()
+            );
+        }
+        for key in ["threads", "cache_dir"] {
+            assert!(
+                exp.params().get(key).is_none(),
+                "{} declares the execution setting {key}",
                 exp.id()
             );
         }
