@@ -976,10 +976,12 @@ fn bench_sweep_fanout(cfg: &KernelCfg) -> KernelRun {
         }
     };
     // Each iteration is the full async contract: submit the sweep, then
-    // poll the result route until the merged report lands. The warmup
-    // iteration populates both instances' chunk stores, so the timed
-    // iterations measure fan-out coordination (journal-free submit,
-    // chunk claims, store recalls, merge + render) rather than physics.
+    // poll the result route until the merged report lands. Without a
+    // data dir every job and every chunk request gets a fresh in-memory
+    // chunk store, so nothing is recalled: each iteration runs every
+    // chunk (16 trials, locally or on the peer) on top of the fan-out
+    // coordination (journal-free submit, chunk claims and POSTs, merge +
+    // render).
     let submit_body = "{\"params\": {\"trials\": 16}}";
     let samples = time_iterations(warmup.max(1), iters, move || {
         let (status, submit) = exchange("POST", "/v1/sweeps/fig12", submit_body);

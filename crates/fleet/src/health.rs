@@ -13,16 +13,16 @@
 //!   which point the router skips the peer entirely and degrades to
 //!   local compute — zero added latency on the hot path;
 //! * a background prober re-checks Down peers via `GET /v1/healthz` on
-//!   exponential backoff with deterministic seeded jitter
-//!   ([`crate::retry::jittered`]), restoring them to Up on the first
-//!   success. Any hot-path success also restores Up instantly.
+//!   exponential backoff with deterministic seeded jitter, restoring
+//!   them to Up on the first success. Any hot-path success also
+//!   restores Up instantly.
 //!
 //! The state machine is time-driven only for the probe schedule; all
 //! transitions take an explicit `Instant`, so tests replay scenarios
 //! without sleeping. Self (`self_index`) is pinned Up — an instance
 //! never declares itself dead.
 
-use crate::retry::jittered;
+use crate::ring::mix;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -261,9 +261,28 @@ impl FleetHealth {
     }
 }
 
+/// Scales `base` by a factor in `[0.5, 1.0)` drawn deterministically
+/// from the SplitMix64-mixed `(seed, token, round)` triple, so a chaos
+/// test replays the same probe schedule from its seed.
+fn jittered(base: Duration, seed: u64, token: u64, round: u64) -> Duration {
+    let word = mix(seed ^ token.rotate_left(17) ^ round.rotate_left(41));
+    // Map the top 53 bits to [0.5, 1.0): half the nominal delay at most
+    // saved, full determinism from the seed.
+    let frac = 0.5 + (word >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
+    base.mul_f64(frac)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn jitter_is_deterministic_per_seed_and_token() {
+        let base = Duration::from_millis(200);
+        assert_eq!(jittered(base, 1, 2, 3), jittered(base, 1, 2, 3));
+        assert_ne!(jittered(base, 1, 2, 3), jittered(base, 2, 2, 3));
+        assert_ne!(jittered(base, 1, 2, 3), jittered(base, 1, 9, 3));
+    }
 
     fn policy() -> HealthPolicy {
         HealthPolicy {

@@ -1,11 +1,12 @@
 //! An append-only, checksummed job journal.
 //!
-//! The serve layer's crash-safety story for asynchronous sweeps: every
-//! job-lifecycle event (submission, result location or failure) is
-//! appended here *before* it takes effect in memory, so a SIGKILL'd
-//! coordinator replays the journal on restart and resumes exactly the
-//! unfinished work. This module owns only the **framing** — records are
-//! opaque UTF-8 payloads (the serve layer encodes JSON into them):
+//! The crash-safety story for asynchronous sweeps: every job-lifecycle
+//! event (submission, result location or failure) is appended here
+//! *before* it takes effect in memory, so a SIGKILL'd coordinator
+//! replays the journal on restart and resumes exactly the unfinished
+//! work. This module owns only the **framing** — records are opaque
+//! UTF-8 payloads ([`crate::jobs`] encodes, folds and compacts the JSON
+//! records inside them):
 //!
 //! ```text
 //! ┌────────────┬──────────────────┬───────────────┐
@@ -26,7 +27,7 @@
 use cnt_sweep::seed::fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A record payload may not exceed 16 MiB — far above any real job
 /// record, and a cheap guard against interpreting corrupt length prefixes
@@ -47,7 +48,6 @@ pub struct Replay {
 /// An open journal, appending framed records to one file.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     writer: BufWriter<File>,
 }
 
@@ -64,14 +64,8 @@ impl Journal {
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(Self {
-            path: path.to_path_buf(),
             writer: BufWriter::new(file),
         })
-    }
-
-    /// The file this journal appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one record and flushes it to the OS.
@@ -81,21 +75,26 @@ impl Journal {
     /// Propagates write errors; an oversized payload is
     /// [`std::io::ErrorKind::InvalidInput`].
     pub fn append(&mut self, payload: &str) -> std::io::Result<()> {
-        let bytes = payload.as_bytes();
-        if bytes.len() as u64 > u64::from(MAX_RECORD) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "journal record of {} bytes exceeds {MAX_RECORD}",
-                    bytes.len()
-                ),
-            ));
-        }
-        self.writer.write_all(&(bytes.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&fnv1a(bytes).to_le_bytes())?;
-        self.writer.write_all(bytes)?;
+        write_frame(&mut self.writer, payload)?;
         self.writer.flush()
     }
+}
+
+/// Writes one framed record: length, checksum, payload.
+fn write_frame(out: &mut impl Write, payload: &str) -> std::io::Result<()> {
+    let bytes = payload.as_bytes();
+    if bytes.len() as u64 > u64::from(MAX_RECORD) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "journal record of {} bytes exceeds {MAX_RECORD}",
+                bytes.len()
+            ),
+        ));
+    }
+    out.write_all(&(bytes.len() as u32).to_le_bytes())?;
+    out.write_all(&fnv1a(bytes).to_le_bytes())?;
+    out.write_all(bytes)
 }
 
 /// Reads every intact record out of the journal at `path`. A missing file
@@ -187,19 +186,7 @@ pub fn rewrite(path: &Path, records: &[String]) -> std::io::Result<()> {
         let file = File::create(&tmp)?;
         let mut writer = BufWriter::new(file);
         for payload in records {
-            let bytes = payload.as_bytes();
-            if bytes.len() as u64 > u64::from(MAX_RECORD) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!(
-                        "journal record of {} bytes exceeds {MAX_RECORD}",
-                        bytes.len()
-                    ),
-                ));
-            }
-            writer.write_all(&(bytes.len() as u32).to_le_bytes())?;
-            writer.write_all(&fnv1a(bytes).to_le_bytes())?;
-            writer.write_all(bytes)?;
+            write_frame(&mut writer, payload)?;
         }
         writer.flush()?;
     }
@@ -209,6 +196,7 @@ pub fn rewrite(path: &Path, records: &[String]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("cnt-journal-{name}-{}", std::process::id()))

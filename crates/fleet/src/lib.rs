@@ -11,12 +11,11 @@
 //! |--------|-------|------|
 //! | [`ring`] | [`HashRing`] | static rendezvous-hash map from the 256 cache shards to owning instances |
 //! | [`peer`] | [`PeerClient`] | fail-fast blocking HTTP client (pooled keep-alive sockets) for proxy hops, cache-fill probes, and health probes |
-//! | [`health`] | [`FleetHealth`] | Up → Suspect → Down failure detector + backoff re-probe schedule |
-//! | [`retry`] | [`RetryPolicy`] | unified attempts/backoff/jitter policy for every peer operation |
+//! | [`health`] | [`FleetHealth`] | Up → Suspect → Down failure detector + jittered backoff re-probe schedule |
 //! | [`chaos`] | [`ChaosInjector`] | deterministic seeded fault injection on peer-facing paths |
-//! | [`jobs`] | [`JobTable`] | bounded, TTL-GC'd registry backing the async `POST /v1/sweeps/{id}` job API |
+//! | [`jobs`] | [`JobTable`] | the async `POST /v1/sweeps/{id}` job's lifecycle: bounded, TTL-GC'd table, journal records, result spills, crash recovery |
 //! | [`fanout`] | [`ChunkBoard`] | per-chunk dispatch/steal/requeue scoreboard for fleet-wide sweep fan-out |
-//! | [`journal`] | [`journal::Journal`] | append-only checksummed job journal for crash-safe coordinators |
+//! | [`journal`] | [`journal::Journal`] | append-only checksummed record framing under the job journal |
 //!
 //! Topology is a static ordered peer list (`--fleet "a,b,c" --self-index
 //! K`): every instance derives the identical shard table from the same
@@ -36,15 +35,13 @@ pub mod health;
 pub mod jobs;
 pub mod journal;
 pub mod peer;
-pub mod retry;
 pub mod ring;
 
 pub use chaos::{ChaosConfig, ChaosInjector, Fault};
 pub use fanout::{ChunkBoard, ChunkClaim};
 pub use health::{FleetHealth, HealthPolicy, PeerState, Transition};
-pub use jobs::{JobBody, JobEntry, JobState, JobTable};
+pub use jobs::{ChunkRequest, JobBody, JobEntry, JobSpec, JobState, JobTable};
 pub use peer::{PeerClient, PeerError, PeerResponse};
-pub use retry::RetryPolicy;
 pub use ring::HashRing;
 
 use std::time::Duration;

@@ -4,14 +4,14 @@
 //! probe (`GET /v1/_fleet/cache/{hash}`), a full request proxy, and a
 //! background health probe — and the first two sit on a request's
 //! critical path, so the client is built around *failing fast*: a
-//! bounded connect timeout, bounded read/write deadlines, and a
-//! [`RetryPolicy`] (attempts + deterministic backoff) before the caller
+//! bounded connect timeout, bounded read/write deadlines, and a small
+//! attempt count (transport failures retry at once) before the caller
 //! falls back to local compute.
 //!
 //! Since the fault-tolerance pass, connections are **kept alive and
 //! pooled**: each client keeps a small per-peer stack of idle sockets
 //! (bounded depth, staleness-evicted well inside the server's 5 s
-//! keep-alive idle window), so a hot proxy path or a retry ladder pays
+//! keep-alive idle window), so a hot proxy path or a retried hop pays
 //! one TCP connect, not one per hop. A pooled socket that turns out to
 //! be stale — the peer closed it while parked — is discarded and the
 //! attempt transparently redialed, never surfaced as a failure. When a
@@ -25,8 +25,6 @@
 //! [`crate::chaos`].
 
 use crate::chaos::{ChaosInjector, Fault};
-use crate::retry::RetryPolicy;
-use cnt_sweep::seed::fnv1a;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -130,13 +128,16 @@ impl ConnPool {
 }
 
 /// Blocking HTTP client with per-call deadlines, pooled keep-alive
-/// connections, a configurable retry ladder, and optional fault
-/// injection. Cloning shares the pool and the chaos stream.
+/// connections, an attempt count, and optional fault injection.
+/// Cloning shares the pool and the chaos stream.
 #[derive(Debug, Clone)]
 pub struct PeerClient {
     connect_timeout: Duration,
     io_timeout: Duration,
-    retry: RetryPolicy,
+    /// Tries per request (at least one); a transport failure retries at
+    /// once, so a peer mid-restart recovers and a dead one fails in
+    /// `attempts` connect timeouts.
+    attempts: u32,
     pool: Arc<ConnPool>,
     chaos: Option<Arc<ChaosInjector>>,
     close_connections: bool,
@@ -145,29 +146,29 @@ pub struct PeerClient {
 impl PeerClient {
     /// A client that gives up connecting after `connect_timeout` and
     /// gives up on a silent established connection after `io_timeout`,
-    /// with the legacy two-attempt [`RetryPolicy::fast_hop`] ladder.
+    /// trying each request twice.
     pub fn new(connect_timeout: Duration, io_timeout: Duration) -> Self {
         Self {
             connect_timeout,
             io_timeout,
-            retry: RetryPolicy::fast_hop(),
+            attempts: 2,
             pool: Arc::new(ConnPool::default()),
             chaos: None,
             close_connections: false,
         }
     }
 
-    /// Replaces the retry ladder.
+    /// Sets how many times each request is tried (`0` behaves as `1`).
     #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+    pub fn with_attempts(mut self, attempts: u32) -> Self {
+        self.attempts = attempts;
         self
     }
 
     /// Shares `other`'s connection pool instead of this client's own.
     ///
     /// The serve layer runs one client per hop shape (cache-fill, proxy)
-    /// with different deadlines and retry ladders — but against the same
+    /// with different deadlines — but against the same
     /// peers. Pooling separately would park one idle socket *per client*
     /// on each peer, and on the worker-per-connection server every parked
     /// socket occupies a worker until the keep-alive idle window expires.
@@ -195,17 +196,12 @@ impl PeerClient {
         self
     }
 
-    /// The client's retry ladder.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Idle pooled sockets currently parked for `addr` (tests/metrics).
     pub fn idle_connections(&self, addr: &str) -> usize {
         self.pool.idle_count(addr)
     }
 
-    /// `GET path` against `addr`, under the client's retry policy.
+    /// `GET path` against `addr`, tried up to the client's attempt count.
     ///
     /// # Errors
     ///
@@ -231,7 +227,8 @@ impl PeerClient {
         self.request(addr, "GET", path, "", "", headers)
     }
 
-    /// `POST body` to `path` on `addr`, under the client's retry policy.
+    /// `POST body` to `path` on `addr`, tried up to the client's attempt
+    /// count.
     ///
     /// # Errors
     ///
@@ -273,16 +270,8 @@ impl PeerClient {
         body: &str,
         headers: &[(String, String)],
     ) -> Result<PeerResponse, PeerError> {
-        // Jitter token: per-peer, so concurrent ladders against different
-        // peers interleave while one ladder stays replayable.
-        let token = fnv1a(addr.as_bytes());
-        let attempts = self.retry.effective_attempts();
         let mut last = None;
-        for attempt in 0..attempts {
-            let delay = self.retry.delay_before(attempt, token);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
+        for _ in 0..self.attempts.max(1) {
             match self.request_once(addr, method, path, content_type, body, headers) {
                 Err(err) if err.is_transport() => last = Some(err),
                 done => return done,
@@ -343,6 +332,9 @@ impl PeerClient {
             .map_err(|e| PeerError::Connect(format!("bad address {addr}: {e}")))?;
         let stream = TcpStream::connect_timeout(&sock_addr, self.connect_timeout)
             .map_err(|e| PeerError::Connect(e.to_string()))?;
+        // Without TCP_NODELAY, the last partial segment of a request
+        // longer than one MSS waits for the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
         stream
             .set_read_timeout(Some(self.io_timeout))
             .and_then(|()| stream.set_write_timeout(Some(self.io_timeout)))
@@ -380,24 +372,27 @@ impl PeerClient {
         headers: &[(String, String)],
     ) -> Result<PeerResponse, PeerError> {
         // HTTP/1.1 default framing is keep-alive: no Connection header
-        // (unless this client opted out of pooling entirely).
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
+        // (unless this client opted out of pooling entirely). Head and
+        // body share one buffer and one write: a body written after the
+        // head waits on Nagle and the peer's delayed ACK (~40 ms per
+        // POST on a reused loopback connection).
+        let mut request = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
         if self.close_connections {
-            head.push_str("Connection: close\r\n");
+            request.push_str("Connection: close\r\n");
         }
         for (name, value) in headers {
             let clean = !name.contains(['\r', '\n', ':']) && !value.contains(['\r', '\n']);
             if clean && !name.is_empty() {
-                head.push_str(&format!("{name}: {value}\r\n"));
+                request.push_str(&format!("{name}: {value}\r\n"));
             }
         }
         if !content_type.is_empty() {
-            head.push_str(&format!("Content-Type: {content_type}\r\n"));
+            request.push_str(&format!("Content-Type: {content_type}\r\n"));
         }
-        head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+        request.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+        request.push_str(body);
         stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body.as_bytes()))
+            .write_all(request.as_bytes())
             .map_err(|e| PeerError::Io(e.to_string()))?;
 
         let reader = BufReader::new(stream);
@@ -634,6 +629,30 @@ mod tests {
     }
 
     #[test]
+    fn pooled_posts_do_not_wait_on_delayed_acks() {
+        // A body written after its head waits on Nagle plus the peer's
+        // delayed ACK: ~40 ms per POST on a reused loopback connection.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = keepalive_server(listener, 1);
+        let client = client();
+        let started = Instant::now();
+        for _ in 0..5 {
+            let response = client
+                .post(&addr, "/v1/_fleet/chunk", "application/json", "{\"lo\":0}")
+                .unwrap();
+            assert_eq!(response.body, "ok");
+        }
+        let elapsed = started.elapsed();
+        drop(client);
+        assert_eq!(server.join().unwrap(), 1, "all POSTs on one connection");
+        assert!(
+            elapsed < Duration::from_millis(100),
+            "5 pooled POSTs took {elapsed:?}"
+        );
+    }
+
+    #[test]
     fn clients_sharing_a_pool_reuse_one_socket() {
         // The serve layer's fill and proxy clients share a pool so a
         // relayed request parks ONE socket on the owner, not one per
@@ -850,6 +869,14 @@ mod tests {
             PeerError::Connect("chaos: connection refused".to_string())
         );
         assert_eq!(chaos.draws(), 2, "one draw per attempt");
+        // One attempt tries once, and so does an attempt count of zero.
+        for attempts in [1, 0] {
+            let _ = armed
+                .clone()
+                .with_attempts(attempts)
+                .get("127.0.0.1:1", "/");
+        }
+        assert_eq!(chaos.draws(), 4);
     }
 
     #[test]

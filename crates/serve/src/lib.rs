@@ -52,7 +52,9 @@
 //! same FNV-1a content-hash family as the on-disk sweep cache
 //! ([`Params::content_hash`](cnt_interconnect::experiments::Params::content_hash)).
 //! `SIGTERM`/ctrl-c (or a [`ShutdownHandle`]) stops intake and drains
-//! in-flight requests and sweep jobs before the process exits.
+//! in-flight requests and sweep jobs before the process exits. With
+//! [`Config::data_dir`], sweep jobs survive a restart: their journal,
+//! result spills and recovery belong to [`cnt_fleet::JobTable`].
 //!
 //! The server is plain `std::net` — no external dependencies, matching
 //! the offline-build constraint the `crates/compat` shims document.

@@ -30,32 +30,32 @@
 //! per-experiment labeled counters. Every response carries an
 //! `X-Request-Id`, and [`Config::access_log`] turns on a structured
 //! per-request log line (text or JSON) on stdout.
+//!
+//! The connection loop and the access log live in `conn`, fleet routing
+//! (shard owners, peer lookups, trace assembly, the prober) in
+//! `routing`, and async sweep jobs with their chunk coordinator in
+//! `sweeps`; each job's durable lifecycle is [`JobTable`]'s.
+
+mod conn;
+mod routing;
+mod sweeps;
 
 use crate::cache::{CachedBody, LruCache};
 use crate::gate::{ComputeGate, LiveThreads};
-use crate::http::{self, Request, RequestError, Response};
+use crate::http::{Request, Response};
 use crate::{api, net, signal, Error, Result};
-use cnt_fleet::jobs::Progress;
-use cnt_fleet::{
-    journal, ChaosInjector, ChunkBoard, ChunkClaim, FleetConfig, FleetHealth, HashRing, JobBody,
-    JobEntry, JobState, JobTable, PeerClient, PeerError, PeerResponse, PeerState, RetryPolicy,
-    RouteMode, Transition,
-};
+use cnt_fleet::{FleetConfig, JobTable, RouteMode};
 use cnt_interconnect::experiments::format::OutputFormat;
 use cnt_interconnect::experiments::{self, Experiment, Params, Report, RunContext};
-use cnt_obs::json::{self, JsonValue};
 use cnt_obs::slo::{self, SloSpec};
-use cnt_obs::trace_store::{self, id_hex, parse_id, TraceContext, TraceRecord, TraceStore};
+use cnt_obs::trace_store::{parse_id, TraceContext, TraceRecord, TraceStore};
 use cnt_obs::{
-    Counter, CounterVec, Gauge, GaugeVec, Histogram, HistoryStore, MetricRegistry, Profile,
+    Counter, CounterVec, Gauge, Histogram, HistoryStore, MetricRegistry, Profile, SpanNode,
 };
 use cnt_sweep::seed::fnv1a;
-use cnt_sweep::{chunk_ranges, ResultStore};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
@@ -67,12 +67,6 @@ const TRACE_TTL: Duration = Duration::from_secs(600);
 /// Most connections served at once; the accept loop answers any more
 /// with `503` itself.
 const MAX_CONNECTIONS: usize = 1024;
-/// Stack of a connection thread. Run leaders compute on it, so it must
-/// hold every registry kernel and the 128-deep JSON parse.
-const CONNECTION_STACK: usize = 256 * 1024;
-/// How often a connection waiting for a request's first byte checks for
-/// shutdown, so idle keep-alive connections close promptly on drain.
-const IDLE_POLL: Duration = Duration::from_millis(250);
 
 /// How a run leader turns a resolved experiment + context into a report.
 /// Injectable so tests can slow computations down or fail them on
@@ -142,10 +136,13 @@ pub struct Config {
     /// SLOs `GET /v1/slo` and `repro slo` evaluate against the history
     /// rings (defaults to [`cnt_obs::slo::default_serve_slos`]).
     pub slos: Vec<SloSpec>,
-    /// Durable-state root: the job journal (`journal.log`), spilled job
-    /// result bodies (`jobs/`), and the chunk result store
-    /// (`sweep-cache/`) all live under it. `None` keeps job state in
-    /// memory only — jobs do not survive a restart.
+    /// Durable-state root, handed to [`JobTable::open`]: the job journal
+    /// (`journal.log`), spilled job result bodies (`jobs/`), and the
+    /// chunk result store (`sweep-cache/`) all live under it. A restart
+    /// on it resumes unfinished jobs and keeps finished ones pollable
+    /// for what is left of [`Config::job_ttl`]; expired jobs leave the
+    /// journal and `jobs/` then. `None` keeps job state in memory only —
+    /// jobs do not survive a restart.
     pub data_dir: Option<PathBuf>,
 }
 
@@ -168,45 +165,6 @@ impl Default for Config {
             slos: slo::default_serve_slos(),
             data_dir: None,
         }
-    }
-}
-
-/// A `TcpStream` whose reads and writes all count against one wall-clock
-/// deadline (each I/O call gets the *remaining* budget as its socket
-/// timeout, so many slow little reads cannot add up past it).
-struct DeadlineStream {
-    stream: TcpStream,
-    deadline: Instant,
-}
-
-impl DeadlineStream {
-    fn remaining(&self) -> std::io::Result<Duration> {
-        self.deadline
-            .checked_duration_since(Instant::now())
-            .filter(|d| !d.is_zero())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::TimedOut, "request deadline exceeded")
-            })
-    }
-}
-
-impl std::io::Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let remaining = self.remaining()?;
-        self.stream.set_read_timeout(Some(remaining))?;
-        self.stream.read(buf)
-    }
-}
-
-impl Write for DeadlineStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let remaining = self.remaining()?;
-        self.stream.set_write_timeout(Some(remaining))?;
-        self.stream.write(buf)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.stream.flush()
     }
 }
 
@@ -429,61 +387,6 @@ struct Flight {
     done: Condvar,
 }
 
-/// A validated fleet membership: the shard table, the peer clients (a
-/// fast-failing one for cache-fill probes, a patient one for full
-/// proxied runs whose owner may have to compute), and the local failure
-/// detector feeding the routing health gate.
-struct FleetState {
-    config: FleetConfig,
-    ring: HashRing,
-    fill: PeerClient,
-    proxy: PeerClient,
-    /// Chaos-free, single-shot client the background prober uses — the
-    /// backoff schedule in [`FleetHealth`] is its retry loop.
-    prober: PeerClient,
-    /// Up → Suspect → Down failure detector + re-probe schedule.
-    health: FleetHealth,
-    /// `cnt_fleet_peer_state{peer,state}`: 1 on the current state.
-    peer_state: Arc<GaugeVec>,
-    /// `cnt_fleet_probe_total{result}`: background probe outcomes.
-    probes: Arc<CounterVec>,
-    /// `cnt_fleet_peer_transitions_total{to}`: state changes observed.
-    transitions: Arc<CounterVec>,
-}
-
-impl FleetState {
-    /// Reflects a health transition into the peer-state gauges and the
-    /// transition counter.
-    fn apply_transition(&self, transition: &Transition) {
-        self.transitions.with(transition.to.label()).inc();
-        let addr = self.config.peer(transition.peer);
-        for state in PeerState::ALL {
-            let current = if state == transition.to { 1.0 } else { 0.0 };
-            self.peer_state.with(&[addr, state.label()]).set(current);
-        }
-    }
-
-    /// Makes one hot-path call to peer `index` (`call` gets its
-    /// address) and feeds the outcome into the failure detector: any
-    /// parsed response is a success, a transport error a failure.
-    fn call_peer(
-        &self,
-        index: usize,
-        call: impl FnOnce(&str) -> core::result::Result<PeerResponse, PeerError>,
-    ) -> core::result::Result<PeerResponse, PeerError> {
-        let result = call(self.config.peer(index));
-        let transition = match &result {
-            Ok(_) => self.health.record_success(index),
-            Err(e) if e.is_transport() => self.health.record_failure(index, Instant::now()),
-            Err(_) => None,
-        };
-        if let Some(transition) = transition {
-            self.apply_transition(&transition);
-        }
-        result
-    }
-}
-
 /// State shared between the accept loop, the connection threads and the
 /// sweep-job threads.
 struct Shared {
@@ -504,7 +407,7 @@ struct Shared {
     /// Async job registry behind `POST /v1/sweeps/{id}`.
     jobs: JobTable,
     /// Set once by [`Server::enable_fleet`]; `None` = single instance.
-    fleet: OnceLock<FleetState>,
+    fleet: OnceLock<routing::FleetState>,
     request_deadline: Duration,
     keep_alive_idle: Duration,
     access_log: Option<AccessLogFormat>,
@@ -526,26 +429,31 @@ struct Shared {
     profile: Profile,
     /// This instance's `host:port`, stamped into trace records.
     instance: String,
-    /// Durable-state root ([`Config::data_dir`]); `None` = memory only.
-    data_dir: Option<PathBuf>,
-    /// The append side of the job journal (`None` without a data dir).
-    journal: Option<Mutex<journal::Journal>>,
 }
 
 impl Shared {
+    /// The shared state, with the job table opened on
+    /// [`Config::data_dir`]; also returns the unfinished jobs the
+    /// journal recovered, for [`sweeps::resume_jobs`].
     fn new(
         config: &Config,
         runner: Box<Runner>,
         rid_prefix: u32,
         instance: String,
-        journal: Option<Mutex<journal::Journal>>,
-    ) -> Self {
+    ) -> std::io::Result<(Self, Vec<Arc<cnt_fleet::JobEntry>>)> {
         let workers = match config.workers {
             0 => std::thread::available_parallelism().map_or(1, usize::from),
             n => n,
         };
         let metrics = Metrics::new(workers, config.queue_capacity);
-        Self {
+        let (jobs, unfinished) = JobTable::open(
+            config.jobs_capacity,
+            config.job_ttl,
+            config.data_dir.as_deref(),
+            Arc::clone(&metrics.journal_records),
+        )?;
+        metrics.journal_replayed.add(jobs.len() as u64);
+        let shared = Self {
             gate: ComputeGate::new(
                 workers,
                 config.queue_capacity,
@@ -558,7 +466,7 @@ impl Shared {
             connections: LiveThreads::new(MAX_CONNECTIONS),
             job_threads: LiveThreads::new(usize::MAX),
             stop: Arc::new(AtomicBool::new(false)),
-            jobs: JobTable::new(config.jobs_capacity, config.job_ttl),
+            jobs,
             fleet: OnceLock::new(),
             request_deadline: config.request_deadline,
             keep_alive_idle: config.keep_alive_idle,
@@ -571,9 +479,8 @@ impl Shared {
             traces: TraceStore::new(TRACE_CAPACITY, TRACE_TTL),
             profile: Profile::new(),
             instance,
-            data_dir: config.data_dir.clone(),
-            journal,
-        }
+        };
+        Ok((shared, unfinished))
     }
 
     /// A `503` shed of work that found the compute line (or the
@@ -607,31 +514,33 @@ impl Shared {
         fnv1a(&bytes).max(1)
     }
 
-    /// Appends one record to the job journal, when one is configured.
-    /// An append failure only skips the counter — the job still runs;
-    /// it just would not survive a crash, which is the pre-journal
-    /// behavior, not a new failure mode.
-    fn journal_append(&self, payload: &str) {
-        if let Some(journal) = &self.journal {
-            if journal
-                .lock()
-                .expect("journal poisoned")
-                .append(payload)
-                .is_ok()
-            {
-                self.metrics.journal_records.inc();
-            }
-        }
-    }
-
-    /// The chunk-result store backing crash resume. On disk under the
-    /// data dir; without one, a throwaway in-memory store (fan-out still
-    /// works, chunks just cannot be recalled across restarts).
-    fn chunk_store(&self) -> ResultStore {
-        match &self.data_dir {
-            Some(dir) => ResultStore::on_disk(dir.join("sweep-cache")),
-            None => ResultStore::in_memory(),
-        }
+    /// Stores one trace record (a traced request or a finished sweep
+    /// job) and folds its span tree into the cumulative profile.
+    fn record_trace(
+        &self,
+        ctx: &TraceContext,
+        name: String,
+        request_id: String,
+        started: Instant,
+        status: u16,
+        roots: Vec<SpanNode>,
+    ) {
+        self.profile.add(&roots);
+        self.traces.record(TraceRecord {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            parent: ctx.parent,
+            name,
+            instance: self.instance.clone(),
+            request_id,
+            unix_s: SystemTime::now()
+                .duration_since(SystemTime::UNIX_EPOCH)
+                .map_or(0.0, |d| d.as_secs_f64()),
+            total_s: started.elapsed().as_secs_f64(),
+            status,
+            roots,
+        });
+        self.metrics.trace_records.inc();
     }
 }
 
@@ -727,46 +636,27 @@ impl Server {
                 .map_or(0, |d| d.as_nanos() as u64);
             fnv1a(&nanos.to_le_bytes()) as u32 ^ (u64::from(local_addr.port()) as u32)
         };
-        // Crash recovery, step 1: fold the journal into per-job state
-        // before anything can append to it, then compact away superseded
-        // records so the file stays proportional to live jobs.
-        let journal_path = config.data_dir.as_ref().map(|dir| dir.join("journal.log"));
-        let mut recovered = Vec::new();
-        if let Some(path) = &journal_path {
-            let replayed = journal::replay(path).map_err(|e| Error::io("journal replay", e))?;
-            recovered = fold_journal(&replayed.records);
-            journal::rewrite(path, &compact_records(&recovered))
-                .map_err(|e| Error::io("journal compact", e))?;
-        }
-        let journal = match &journal_path {
-            Some(path) => Some(Mutex::new(
-                journal::Journal::open(path).map_err(|e| Error::io("journal open", e))?,
-            )),
-            None => None,
-        };
-        let shared = Arc::new(Shared::new(
+        // Opening the job table replays the journal before anything can
+        // append to it.
+        let (shared, unfinished) = Shared::new(
             &config,
             Box::new(runner),
             rid_prefix,
             local_addr.to_string(),
-            journal,
-        ));
+        )
+        .map_err(|e| Error::io("job journal", e))?;
         let server = Self {
             listener,
             local_addr,
             config,
-            shared,
+            shared: Arc::new(shared),
         };
         if let Some(fleet) = server.config.fleet.clone() {
             server.enable_fleet(fleet)?;
         }
-        // Crash recovery, step 2 (after the fleet joins, so recovered
-        // jobs fan out like fresh ones): terminal jobs become pollable
-        // again, unfinished ones run again — their completed chunks
-        // recall from the chunk store instead of recomputing.
-        for job in recovered {
-            apply_recovered_job(&server.shared, job);
-        }
+        // After the fleet joins, so recovered jobs fan out like fresh
+        // ones.
+        sweeps::resume_jobs(&server.shared, unfinished);
         Ok(server)
     }
 
@@ -787,69 +677,7 @@ impl Server {
                 message: "fleet topology already configured".to_string(),
             });
         }
-        let chaos = fleet
-            .chaos
-            .filter(|c| c.is_active())
-            .map(|c| Arc::new(ChaosInjector::new(c)));
-        // Fleet-only metric families, registered on the per-server
-        // registry at join time so a single-instance scrape stays
-        // byte-identical to the pre-fleet exposition.
-        let registry = &self.shared.metrics.registry;
-        let peer_state = registry.gauge_vec(
-            "cnt_fleet_peer_state",
-            "peer membership state as seen by this instance (1 = current state)",
-            &["peer", "state"],
-        );
-        let probes = registry.counter_vec(
-            "cnt_fleet_probe_total",
-            "background health probes of Down peers, by outcome",
-            "result",
-            false,
-        );
-        let transitions = registry.counter_vec(
-            "cnt_fleet_peer_transitions_total",
-            "peer state transitions observed by this instance, by new state",
-            "to",
-            false,
-        );
-        for result in ["ok", "error"] {
-            probes.with(result);
-        }
-        for state in PeerState::ALL {
-            transitions.with(state.label());
-        }
-        for addr in &fleet.peers {
-            for state in PeerState::ALL {
-                let seed = if state == PeerState::Up { 1.0 } else { 0.0 };
-                peer_state.with(&[addr, state.label()]).set(seed);
-            }
-        }
-        // One connection pool per instance: the fill and proxy clients
-        // keep their own deadlines and retry ladders but share parked
-        // sockets, so a relayed request leaves one keep-alive connection
-        // on the owner — not one per client, each holding a peer thread.
-        let fill =
-            PeerClient::new(fleet.connect_timeout, fleet.fill_timeout).with_chaos(chaos.clone());
-        let proxy = PeerClient::new(fleet.connect_timeout, fleet.proxy_timeout)
-            .with_chaos(chaos)
-            .sharing_pool_of(&fill);
-        let state = FleetState {
-            ring: HashRing::new(&fleet.peers),
-            fill,
-            proxy,
-            // The prober stays chaos-free: chaos models a sick request
-            // path, and the prober is the recovery mechanism under test.
-            // It closes its connections — a rare off-path probe must not
-            // park a socket (and its thread) on a freshly revived peer.
-            prober: PeerClient::new(fleet.connect_timeout, fleet.fill_timeout)
-                .with_retry(RetryPolicy::one_shot())
-                .with_connection_close(),
-            health: FleetHealth::new(fleet.peers.len(), fleet.self_index, fleet.health),
-            peer_state,
-            probes,
-            transitions,
-            config: fleet,
-        };
+        let state = routing::FleetState::new(fleet, &self.shared.metrics.registry);
         self.shared.fleet.set(state).map_err(|_| Error::Config {
             message: "fleet topology already configured".to_string(),
         })
@@ -903,32 +731,8 @@ impl Server {
                 }
             })
         };
-        // The re-probe loop (fleet mode only): while any peer is Down,
-        // check it off the hot path on its jittered backoff schedule and
-        // restore it to Up on the first healthy answer.
         let prober_stop = Arc::new(AtomicBool::new(false));
-        let prober = self.shared.fleet.get().map(|_| {
-            let shared = Arc::clone(&self.shared);
-            let stop = Arc::clone(&prober_stop);
-            std::thread::spawn(move || {
-                let fleet = shared.fleet.get().expect("prober spawned with a fleet");
-                while !stop.load(Ordering::SeqCst) {
-                    for index in fleet.health.due_probes(Instant::now()) {
-                        let addr = fleet.config.peer(index);
-                        match fleet.prober.get(addr, "/v1/healthz") {
-                            Ok(response) if response.status == 200 => {
-                                fleet.probes.with("ok").inc();
-                                if let Some(t) = fleet.health.probe_succeeded(index) {
-                                    fleet.apply_transition(&t);
-                                }
-                            }
-                            _ => fleet.probes.with("error").inc(),
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-            })
-        });
+        let prober = routing::spawn_prober(&self.shared, &prober_stop);
         loop {
             if self.shared.stop.load(Ordering::SeqCst)
                 || (self.config.watch_signals && signal::triggered())
@@ -936,7 +740,7 @@ impl Server {
                 break;
             }
             match self.listener.accept() {
-                Ok((stream, _peer)) => self.dispatch(stream),
+                Ok((stream, _peer)) => conn::dispatch(stream, &self.shared),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
                 }
@@ -957,276 +761,6 @@ impl Server {
             let _ = prober.join();
         }
         Ok(())
-    }
-
-    /// Gives one accepted connection a thread of its own, or answers it
-    /// `503` on the accept path when the connection cap is reached.
-    fn dispatch(&self, stream: TcpStream) {
-        if stream.set_nonblocking(false).is_err() {
-            return;
-        }
-        // Responses are written head-then-body; without TCP_NODELAY that
-        // second small segment sits behind Nagle + the client's delayed
-        // ACK (~40 ms per exchange on loopback, dwarfing the kernel time
-        // on keep-alive round-trips).
-        let _ = stream.set_nodelay(true);
-        let Some(slot) = self.shared.connections.enter() else {
-            refuse(stream, &self.shared);
-            return;
-        };
-        let shared = Arc::clone(&self.shared);
-        let spawned = std::thread::Builder::new()
-            .name("cnt-serve-conn".to_string())
-            .stack_size(CONNECTION_STACK)
-            .spawn(move || {
-                let _slot = slot;
-                handle_connection(stream, &shared);
-            });
-        if spawned.is_err() {
-            // The closure, stream and slot included, is already dropped.
-            self.shared.metrics.rejected.inc();
-        }
-    }
-}
-
-/// Answers a connection over the cap: `503` + `Retry-After`, then close.
-fn refuse(stream: TcpStream, shared: &Shared) {
-    let started = Instant::now();
-    let mut stream = DeadlineStream {
-        stream,
-        deadline: started + Duration::from_millis(100),
-    };
-    // Drain the bytes the client already sent: closing with unread data
-    // turns into a TCP RST that can discard the response before the
-    // client reads it. One bounded read covers the small request bodies
-    // this API carries.
-    let _ = stream.read(&mut [0u8; 8192]);
-    let scope = scope_for(shared, None);
-    let _ = send(
-        &mut stream,
-        shared.busy("connection table"),
-        &scope,
-        None,
-        false,
-        started,
-        shared,
-    );
-    let _ = stream.stream.shutdown(std::net::Shutdown::Write);
-}
-
-/// Serves one connection on its own thread: requests back-to-back while
-/// the client keeps the connection alive, each under its own read/write
-/// deadline, until the client closes, `Connection: close`, an idle
-/// timeout, shutdown, or an error ends it. Pipelined
-/// requests already sitting in the buffered reader are served without
-/// waiting.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut reader = BufReader::new(DeadlineStream {
-        stream,
-        deadline: Instant::now(),
-    });
-    let mut served = 0usize;
-    let mut first_byte_within = shared.request_deadline;
-    while request_arrives(&mut reader, first_byte_within, shared) {
-        let started = Instant::now();
-        let (scope, response, keep_alive, target) = match http::read_request(&mut reader) {
-            Ok(request) => {
-                shared.metrics.requests.base().inc();
-                if served > 0 {
-                    shared.metrics.keepalive_reuses.inc();
-                }
-                let target = (request.method.clone(), request.path.clone());
-                let scope = scope_for(shared, Some(&request));
-                let response = route(&request, &scope, shared);
-                // Decided after routing, so a response finished during a
-                // drain already tells the client the connection closes.
-                let keep = request.wants_keep_alive() && !shared.stop.load(Ordering::SeqCst);
-                (scope, response, keep, Some(target))
-            }
-            Err(RequestError::Malformed(message)) => (
-                scope_for(shared, None),
-                Response::json(400, api::error_json(&message)),
-                false,
-                None,
-            ),
-            Err(RequestError::TooLarge(message)) => (
-                scope_for(shared, None),
-                Response::json(413, api::error_json(&message)),
-                false,
-                None,
-            ),
-            Err(RequestError::Io(_)) => return, // died or timed out; nobody to answer
-        };
-        let target = target.as_ref().map(|(m, p)| (m.as_str(), p.as_str()));
-        let written = send(
-            reader.get_mut(),
-            response,
-            &scope,
-            target,
-            keep_alive,
-            started,
-            shared,
-        );
-        shared
-            .metrics
-            .request_seconds
-            .record_duration(started.elapsed());
-        if written.is_err() || !keep_alive {
-            return;
-        }
-        served += 1;
-        first_byte_within = shared.keep_alive_idle;
-    }
-}
-
-/// Waits up to `within` for the first byte of the connection's next
-/// request (pipelined bytes already buffered count at once), checking
-/// for shutdown every [`IDLE_POLL`]. On `true` the read deadline is the
-/// full per-request budget; `false` means the client closed, died or
-/// stayed silent, or the server is draining.
-fn request_arrives(
-    reader: &mut BufReader<DeadlineStream>,
-    within: Duration,
-    shared: &Shared,
-) -> bool {
-    let until = Instant::now() + within;
-    loop {
-        reader.get_mut().deadline = until.min(Instant::now() + IDLE_POLL);
-        match reader.fill_buf() {
-            Ok([]) => return false, // closed cleanly between requests
-            Ok(_) => {
-                reader.get_mut().deadline = Instant::now() + shared.request_deadline;
-                return true;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) && Instant::now() < until
-                    && !shared.stop.load(Ordering::SeqCst) => {}
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Sends one response: stamps the scope's ids on it, counts it by
-/// status, writes it under a fresh deadline (the computation does not
-/// count against the request's read budget), and writes the access-log
-/// line.
-fn send(
-    stream: &mut DeadlineStream,
-    response: Response,
-    scope: &RequestScope,
-    target: Option<(&str, &str)>,
-    keep_alive: bool,
-    started: Instant,
-    shared: &Shared,
-) -> std::io::Result<()> {
-    let trace_hex = id_hex(scope.trace.trace_id);
-    let response = Response {
-        request_id: Some(scope.request_id.clone()),
-        trace_id: Some(trace_hex.clone()),
-        ..response
-    };
-    shared.metrics.count_response(response.status);
-    stream.deadline = Instant::now() + shared.request_deadline;
-    let write_started = Instant::now();
-    let written = response
-        .write_to_with(stream, keep_alive)
-        .and_then(|()| stream.flush());
-    shared
-        .metrics
-        .write_seconds
-        .record_duration(write_started.elapsed());
-    if let Some(log_format) = shared.access_log {
-        let (method, path) = target.unwrap_or(("-", "-"));
-        print!(
-            "{}",
-            access_log_line(
-                log_format,
-                &AccessRecord {
-                    request_id: &scope.request_id,
-                    trace_id: &trace_hex,
-                    method,
-                    path,
-                    experiment: experiment_of(path),
-                    status: response.status,
-                    bytes: response.content_length() as usize,
-                    duration_s: started.elapsed().as_secs_f64(),
-                },
-            )
-        );
-    }
-    written
-}
-
-/// One completed exchange, as the access log sees it.
-struct AccessRecord<'a> {
-    request_id: &'a str,
-    /// The request's trace id, hex wire form — the join key across
-    /// every fleet instance the request touched.
-    trace_id: &'a str,
-    method: &'a str,
-    path: &'a str,
-    /// The experiment id for run/sweep lines, so per-experiment log
-    /// slicing is a field match rather than a path regex.
-    experiment: Option<&'a str>,
-    status: u16,
-    bytes: usize,
-    duration_s: f64,
-}
-
-/// The experiment id an access-log line should carry: the `{id}` of
-/// `POST /v1/experiments/{id}/run` and `POST /v1/sweeps/{id}` paths.
-fn experiment_of(path: &str) -> Option<&str> {
-    let path = path.trim_end_matches('/');
-    if let Some(rest) = path.strip_prefix("/v1/experiments/") {
-        return rest
-            .strip_suffix("/run")
-            .filter(|id| !id.is_empty() && !id.contains('/'));
-    }
-    path.strip_prefix("/v1/sweeps/")
-        .filter(|id| !id.is_empty() && !id.contains('/'))
-}
-
-/// Renders one access-log line (trailing newline included). The
-/// timestamp is unix seconds at render time; method and path are
-/// client-controlled and escaped accordingly in the JSON form.
-fn access_log_line(log_format: AccessLogFormat, record: &AccessRecord<'_>) -> String {
-    let ts = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map_or(0.0, |d| d.as_secs_f64());
-    match log_format {
-        AccessLogFormat::Text => format!(
-            "{ts:.3} {} \"{} {}\" {} {}B {:.6}s trace={}\n",
-            record.request_id,
-            record.method,
-            record.path,
-            record.status,
-            record.bytes,
-            record.duration_s,
-            record.trace_id,
-        ),
-        AccessLogFormat::Json => {
-            let mut out = String::with_capacity(200);
-            out.push_str(&format!("{{\"ts\":{ts:.3},\"request_id\":"));
-            json::push_string(record.request_id, &mut out);
-            out.push_str(",\"trace_id\":");
-            json::push_string(record.trace_id, &mut out);
-            out.push_str(",\"method\":");
-            json::push_string(record.method, &mut out);
-            out.push_str(",\"path\":");
-            json::push_string(record.path, &mut out);
-            if let Some(id) = record.experiment {
-                out.push_str(",\"experiment\":");
-                json::push_string(id, &mut out);
-            }
-            out.push_str(&format!(
-                ",\"status\":{},\"bytes\":{},\"duration_s\":{:.6}}}\n",
-                record.status, record.bytes, record.duration_s,
-            ));
-            out
-        }
     }
 }
 
@@ -1289,32 +823,34 @@ static ROUTES: [(&str, &str, &str, Handler); 18] = [
     ),
     ("POST", "/v1/sweeps/", "", |id, request, scope, s| {
         traced(&request.path, scope, s, || {
-            sweep_job_route(id, request, scope, s)
+            sweeps::sweep_job_route(id, request, scope, s)
         })
     }),
     ("GET", "/v1/jobs/", "", |rid, _, _, s| {
-        job_status_route(rid, s, true)
+        sweeps::job_route(rid, s, true, false)
     }),
     ("GET", "/v1/jobs/", "/result", |rid, _, _, s| {
-        job_result_route(rid, s, true)
+        sweeps::job_route(rid, s, true, true)
     }),
-    ("GET", "/v1/trace/", "", |hex, _, _, s| trace_route(hex, s)),
+    ("GET", "/v1/trace/", "", |hex, _, _, s| {
+        routing::with_trace_id(hex, |id| routing::trace_route(id, s))
+    }),
     ("GET", "/v1/_fleet/cache/", "", |hash, _, _, s| {
-        fleet_cache_route(hash, s)
+        routing::fleet_cache_route(hash, s)
     }),
     ("GET", "/v1/_fleet/trace/", "", |hex, _, _, s| {
-        fleet_trace_route(hex, s)
+        routing::with_trace_id(hex, |id| routing::fleet_trace_route(id, s))
     }),
     ("POST", "/v1/_fleet/chunk", "", |_, request, _, s| {
-        fleet_chunk_route(request, s)
+        sweeps::fleet_chunk_route(request, s)
     }),
     // A peer polling on behalf of a client: local view only, never fans
     // out further (no proxy loops).
     ("GET", "/v1/_fleet/jobs/", "", |rid, _, _, s| {
-        job_status_route(rid, s, false)
+        sweeps::job_route(rid, s, false, false)
     }),
     ("GET", "/v1/_fleet/jobs/", "/result", |rid, _, _, s| {
-        job_result_route(rid, s, false)
+        sweeps::job_route(rid, s, false, true)
     }),
 ];
 
@@ -1375,22 +911,16 @@ fn traced(
         f()
     };
     let roots = cnt_obs::Trace::end();
-    shared.profile.add(&roots);
-    shared.traces.record(TraceRecord {
-        trace_id: scope.trace.trace_id,
-        span_id: scope.trace.span_id,
-        parent: scope.trace.parent,
-        name: format!("POST {name}"),
-        instance: shared.instance.clone(),
-        request_id: scope.request_id.clone(),
-        unix_s: SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map_or(0.0, |d| d.as_secs_f64()),
-        total_s: started.elapsed().as_secs_f64(),
-        status: response.status,
+    let request_id = scope.request_id.clone();
+    let status = response.status;
+    shared.record_trace(
+        &scope.trace,
+        format!("POST {name}"),
+        request_id,
+        started,
+        status,
         roots,
-    });
-    shared.metrics.trace_records.inc();
+    );
     response
 }
 
@@ -1415,7 +945,7 @@ fn run_route(id: &str, request: &Request, scope: &RequestScope, shared: &Arc<Sha
     // Fleet routing: the shard owner (by the content hash's cache shard)
     // answers this point so exactly one LRU across the fleet warms up.
     // A routed-away request returns here; `None` means "answer locally".
-    if let Some(response) = fleet_route(key, &ctx.params, request, scope, shared) {
+    if let Some(response) = routing::fleet_route(key, &ctx.params, request, scope, shared) {
         return response;
     }
 
@@ -1548,1132 +1078,6 @@ fn static_content_type(value: &str) -> &'static str {
     }
 }
 
-/// A relayed peer response (cache-fill hit or full proxied run).
-fn peer_response(peer: &cnt_fleet::PeerResponse) -> Response {
-    Response {
-        content_type: static_content_type(&peer.content_type),
-        ..Response::json(peer.status, peer.body.clone())
-    }
-}
-
-/// Decides where a run request is answered when this instance is part of
-/// a fleet. `None` means "compute locally" — either because this
-/// instance owns the shard, or because the owner is unreachable and the
-/// request degrades to single-instance behavior.
-fn fleet_route(
-    key: u64,
-    params: &Params,
-    request: &Request,
-    scope: &RequestScope,
-    shared: &Arc<Shared>,
-) -> Option<Response> {
-    let fleet = shared.fleet.get()?;
-    let owner = fleet.ring.owner_of_hash(params.content_hash())?;
-    if owner == fleet.config.self_index {
-        shared.metrics.route_total.with("local").inc();
-        return None;
-    }
-    // Health gate: a Down owner is skipped without a probe — the request
-    // degrades to local compute at zero added latency while the
-    // background prober watches for recovery off the hot path.
-    if !fleet.health.is_routable(owner) {
-        shared.metrics.route_total.with("degraded").inc();
-        return None;
-    }
-    // Context propagation: the owner adopts our trace (we become the
-    // parent span) and our request id, so its access log and trace
-    // record join this request's.
-    let hop_headers = vec![
-        ("X-Trace-Id".to_string(), id_hex(scope.trace.trace_id)),
-        ("X-Parent-Span".to_string(), id_hex(scope.trace.span_id)),
-        ("X-Request-Id".to_string(), scope.request_id.clone()),
-    ];
-    match fleet.config.mode {
-        RouteMode::Redirect => {
-            shared.metrics.route_total.with("redirected").inc();
-            let target = format!("http://{}{}", fleet.config.peer(owner), request.path);
-            Some(Response {
-                location: Some(target.clone()),
-                ..Response::json(307, format!("{{\"location\":\"{target}\"}}\n"))
-            })
-        }
-        RouteMode::Proxy => {
-            // Cheap cache-fill probe first: the owner usually holds hot
-            // points already, so most cross-shard requests cost one
-            // small GET instead of a full proxied run.
-            let fill_path = format!("/v1/_fleet/cache/{key:016x}");
-            match fleet.call_peer(owner, |addr| {
-                fleet.fill.get_with(addr, &fill_path, &hop_headers)
-            }) {
-                Ok(peer) if peer.status == 200 => {
-                    shared.metrics.peer_fill.with("hit").inc();
-                    shared.metrics.route_total.with("proxied").inc();
-                    Some(peer_response(&peer))
-                }
-                Ok(_) => {
-                    shared.metrics.peer_fill.with("miss").inc();
-                    let body = core::str::from_utf8(&request.body).unwrap_or("");
-                    match fleet.call_peer(owner, |addr| {
-                        fleet.proxy.post_with(
-                            addr,
-                            &request.path,
-                            "application/json",
-                            body,
-                            &hop_headers,
-                        )
-                    }) {
-                        Ok(peer) => {
-                            shared.metrics.route_total.with("proxied").inc();
-                            Some(peer_response(&peer))
-                        }
-                        Err(_) => {
-                            // Owner died between probe and proxy:
-                            // degrade to computing locally.
-                            shared.metrics.route_total.with("local").inc();
-                            None
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Dead or stalled owner: the fill client already
-                    // timed out fast (and closed its sockets); answer
-                    // from here like a single instance would.
-                    shared.metrics.peer_fill.with("error").inc();
-                    shared.metrics.route_total.with("local").inc();
-                    None
-                }
-            }
-        }
-    }
-}
-
-/// `GET /v1/_fleet/cache/{hash}`: this instance's LRU body for a request
-/// hash, or `404`. Internal — peers call it as the cache-fill probe; it
-/// never computes and never mutates the run counters.
-fn fleet_cache_route(hash: &str, shared: &Arc<Shared>) -> Response {
-    let Ok(key) = u64::from_str_radix(hash, 16) else {
-        return Response::json(
-            400,
-            api::error_json(&format!("bad cache hash '{hash}' (want 16 hex chars)")),
-        );
-    };
-    match shared.cache.lock().expect("cache poisoned").get(key) {
-        Some(hit) => ok_response(hit),
-        None => Response::json(
-            404,
-            api::error_json(&format!("no cached body for {key:016x}")),
-        ),
-    }
-}
-
-/// `GET /v1/_fleet/trace/{id}`: this instance's *local* records for one
-/// trace, as a flat JSON array. Internal — peers call it while
-/// assembling the cross-instance tree; it never fans out further.
-fn fleet_trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
-    let Some(trace_id) = parse_id(hex) else {
-        return Response::json(
-            400,
-            api::error_json(&format!("bad trace id '{hex}' (want 16 hex chars)")),
-        );
-    };
-    Response::json(
-        200,
-        trace_store::render_records_json(&shared.traces.get(trace_id)),
-    )
-}
-
-/// `GET /v1/trace/{id}`: the assembled cross-instance trace tree —
-/// local records plus every peer's, linked parent-span → span.
-fn trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
-    let Some(trace_id) = parse_id(hex) else {
-        return Response::json(
-            400,
-            api::error_json(&format!("bad trace id '{hex}' (want 16 hex chars)")),
-        );
-    };
-    let mut records = shared.traces.get(trace_id);
-    if let Some(fleet) = shared.fleet.get() {
-        // Collect the peers' shares with the fast-failing fill client:
-        // a dead peer costs one bounded probe, not a hung read.
-        let path = format!("/v1/_fleet/trace/{}", id_hex(trace_id));
-        for (index, peer) in fleet.config.peers.iter().enumerate() {
-            if index == fleet.config.self_index {
-                continue;
-            }
-            if !fleet.health.is_routable(index) {
-                continue; // a Down peer would only add a timeout
-            }
-            if let Ok(response) = fleet.fill.get(peer, &path) {
-                if response.status == 200 {
-                    records.extend(trace_store::parse_records_json(&response.body));
-                }
-            }
-        }
-    }
-    if records.is_empty() {
-        return Response::json(
-            404,
-            api::error_json(&format!(
-                "no records for trace {} (expired or unknown)",
-                id_hex(trace_id)
-            )),
-        );
-    }
-    // Chronological order keeps the flat list readable and the tree's
-    // sibling order stable regardless of which instance answered.
-    records.sort_by(|a, b| {
-        a.unix_s
-            .partial_cmp(&b.unix_s)
-            .unwrap_or(core::cmp::Ordering::Equal)
-    });
-    Response::json(
-        200,
-        cnt_obs::trace_store::render_trace_json(trace_id, &records),
-    )
-}
-
-/// One accepted sweep job, as the journal and the worker task see it:
-/// everything needed to re-run the job deterministically after a crash.
-#[derive(Debug, Clone, PartialEq)]
-struct JobSpec {
-    rid: String,
-    experiment: String,
-    preset: Option<String>,
-    sets: Vec<(String, String)>,
-    format: OutputFormat,
-}
-
-impl JobSpec {
-    /// Writes the members naming the job's parameter point —
-    /// `"experiment"`, an optional `"preset"` and the `"sets"` pairs —
-    /// as the journal's `submitted` record and the chunk request both
-    /// carry them.
-    fn push_point(&self, out: &mut String) {
-        out.push_str("\"experiment\":");
-        json::push_string(&self.experiment, out);
-        if let Some(preset) = &self.preset {
-            out.push_str(",\"preset\":");
-            json::push_string(preset, out);
-        }
-        out.push_str(",\"sets\":[");
-        for (i, (k, v)) in self.sets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            json::push_string(k, out);
-            out.push(',');
-            json::push_string(v, out);
-            out.push(']');
-        }
-        out.push(']');
-    }
-
-    /// Reads [`JobSpec::push_point`]'s members back out of an object,
-    /// handing every other member — or one of these with the wrong JSON
-    /// type — to `other`, which may reject it. `sets` is strict: each
-    /// item must be a `[key, value]` pair of strings. The id and format
-    /// are left empty and JSON for the caller to fill in.
-    fn read_point(
-        members: &[(String, JsonValue)],
-        mut other: impl FnMut(&str, &JsonValue) -> core::result::Result<(), String>,
-    ) -> core::result::Result<JobSpec, String> {
-        let mut spec = JobSpec {
-            rid: String::new(),
-            experiment: String::new(),
-            preset: None,
-            sets: Vec::new(),
-            format: OutputFormat::Json,
-        };
-        for (name, value) in members {
-            match (name.as_str(), value) {
-                ("experiment", JsonValue::String(s)) => spec.experiment = s.clone(),
-                ("preset", JsonValue::String(s)) => spec.preset = Some(s.clone()),
-                ("sets", JsonValue::Array(items)) => {
-                    for item in items {
-                        let JsonValue::Array(pair) = item else {
-                            return Err("each set must be a [key, value] pair".to_string());
-                        };
-                        let [JsonValue::String(k), JsonValue::String(v)] = pair.as_slice() else {
-                            return Err("each set must be a [key, value] pair".to_string());
-                        };
-                        spec.sets.push((k.clone(), v.clone()));
-                    }
-                }
-                (name, value) => other(name, value)?,
-            }
-        }
-        Ok(spec)
-    }
-}
-
-/// `POST /v1/sweeps/{id}`: validate, register a job, journal the
-/// submission, start the job's thread, answer `202` + the job id
-/// immediately.
-fn sweep_job_route(
-    id: &str,
-    request: &Request,
-    scope: &RequestScope,
-    shared: &Arc<Shared>,
-) -> Response {
-    let run_request = match api::parse_run_request(&request.body) {
-        Ok(r) => r,
-        Err(message) => return Response::json(400, api::error_json(&message)),
-    };
-    // Same gates as the synchronous paths: overrides resolve through the
-    // typed params, and the id must have a sweep variant that honours
-    // every knob the body sets. The kernel itself is built later, under
-    // a permit: the worker task re-resolves from the spec
-    // (deterministic), so a journal-recovered job takes exactly this
-    // route minus the HTTP.
-    let checked =
-        experiments::resolve_context(id, run_request.preset.as_deref(), &run_request.sets)
-            .and_then(|(_, ctx)| experiments::check_sweep(id, &ctx));
-    match checked {
-        Ok(()) => {}
-        Err(e @ cnt_interconnect::Error::UnknownExperiment(_)) => {
-            return Response::json(404, api::error_json(&e.to_string()))
-        }
-        Err(e) => return Response::json(400, api::error_json(&e.to_string())),
-    }
-
-    let rid = shared.next_request_id();
-    let Ok(job) = shared.jobs.create(&rid, id) else {
-        return Response {
-            retry_after: Some(retry_after_hint(
-                shared.jobs.pending(),
-                shared.gate.permits(),
-            )),
-            ..Response::json(503, api::busy_json("job table"))
-        };
-    };
-    shared.metrics.jobs_total.with("queued").inc();
-    let spec = JobSpec {
-        rid: rid.clone(),
-        experiment: id.to_string(),
-        preset: run_request.preset.clone(),
-        sets: run_request.sets.clone(),
-        format: run_request.format,
-    };
-    // Durability: the submission record hits the journal before the 202
-    // leaves, so a coordinator killed right after answering still
-    // re-runs the job on restart.
-    shared.journal_append(&submitted_record(&spec));
-    // The job runs on its own thread after this request already
-    // answered 202 — it records its *own* trace record as a child of
-    // this request's span, so `GET /v1/trace/{id}` shows the async work
-    // hanging off the ingress hop that queued it.
-    let job_ctx = scope.trace.child_of(shared.mint_id());
-    if spawn_sweep_job(shared, job, spec, job_ctx).is_err() {
-        // The job's thread never started; withdraw the job so it cannot
-        // sit `queued` forever (closing its journal entry too), and shed
-        // like any other overload.
-        shared.jobs.remove(&rid);
-        shared.journal_append(&job_failed_record(
-            &rid,
-            503,
-            &api::busy_json("request queue"),
-        ));
-        return shared.busy("request queue");
-    }
-    shared
-        .metrics
-        .jobs_pending
-        .set(shared.jobs.pending() as f64);
-    Response::json(
-        202,
-        format!(
-            "{{\"job\":\"{rid}\",\"experiment\":\"{id}\",\"status\":\"queued\",\"poll\":\"/v1/jobs/{rid}\"}}\n"
-        ),
-    )
-}
-
-/// Starts one accepted sweep job (fresh submission or journal
-/// recovery) on a thread of its own, which waits in the compute gate's
-/// line for a permit: the job table already admitted the job, so it
-/// never sheds there. The task resolves everything from the spec, runs
-/// it through the chunk coordinator, and records the terminal state in
-/// the job table and the journal.
-fn spawn_sweep_job(
-    shared: &Arc<Shared>,
-    job: Arc<JobEntry>,
-    spec: JobSpec,
-    job_ctx: TraceContext,
-) -> std::io::Result<()> {
-    let slot = shared
-        .job_threads
-        .enter()
-        .expect("job threads have no cap of their own");
-    let worker_shared = Arc::clone(shared);
-    let task = move || {
-        let _slot = slot;
-        let _permit = worker_shared.gate.acquire();
-        job.mark_running();
-        worker_shared.metrics.jobs_total.with("running").inc();
-        let job_started = Instant::now();
-        cnt_obs::Trace::begin();
-        // A panicking kernel fails the job instead of leaving it
-        // `running` forever.
-        let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _span = cnt_obs::span!("serve.job");
-            execute_sweep_job(&worker_shared, &spec, &job.progress)
-        }));
-        let roots = cnt_obs::Trace::end();
-        worker_shared.profile.add(&roots);
-        worker_shared.traces.record(TraceRecord {
-            trace_id: job_ctx.trace_id,
-            span_id: job_ctx.span_id,
-            parent: job_ctx.parent,
-            name: format!("job {}", spec.experiment),
-            instance: worker_shared.instance.clone(),
-            request_id: spec.rid.clone(),
-            unix_s: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map_or(0.0, |d| d.as_secs_f64()),
-            total_s: job_started.elapsed().as_secs_f64(),
-            status: 0,
-            roots,
-        });
-        worker_shared.metrics.trace_records.inc();
-        match run_result {
-            Ok(Ok((content_type, body))) => {
-                finish_job(&worker_shared, &job, &spec.rid, content_type, body);
-                worker_shared.metrics.jobs_total.with("done").inc();
-            }
-            Ok(Err((status, body))) => {
-                worker_shared.journal_append(&job_failed_record(&spec.rid, status, &body));
-                job.fail(status, body);
-                worker_shared.metrics.jobs_total.with("failed").inc();
-            }
-            Err(_) => {
-                let body = api::error_json(&format!(
-                    "sweep '{}' panicked during execution",
-                    spec.experiment
-                ));
-                worker_shared.journal_append(&job_failed_record(&spec.rid, 500, &body));
-                job.fail(500, body);
-                worker_shared.metrics.jobs_total.with("failed").inc();
-            }
-        }
-        worker_shared
-            .metrics
-            .jobs_pending
-            .set(worker_shared.jobs.pending() as f64);
-    };
-    std::thread::Builder::new()
-        .name("cnt-serve-job".to_string())
-        .spawn(task)
-        .map(drop)
-}
-
-/// Publishes a finished job body: spilled to disk (streamed back at
-/// result time, so the job table never holds whole report bodies) when
-/// a data dir is configured, inline otherwise. The journal records
-/// where the bytes live so a restart re-serves them without rerunning.
-fn finish_job(
-    shared: &Arc<Shared>,
-    job: &JobEntry,
-    rid: &str,
-    content_type: &'static str,
-    body: String,
-) {
-    if let Some(dir) = &shared.data_dir {
-        let spill_dir = dir.join("jobs");
-        let path = spill_dir.join(format!("{rid}.body"));
-        let written = std::fs::create_dir_all(&spill_dir)
-            .and_then(|()| std::fs::write(&path, body.as_bytes()));
-        if written.is_ok() {
-            let bytes = body.len() as u64;
-            shared.journal_append(&job_done_record(rid, content_type, &path, bytes));
-            job.complete_spilled(content_type, path, bytes);
-            return;
-        }
-        // Spill failure degrades to the in-memory path: the job still
-        // completes, it just is not crash-durable.
-    }
-    job.complete(content_type, body);
-}
-
-/// Runs one sweep job to its rendered body through the chunk
-/// coordinator, the one way a served sweep runs.
-fn execute_sweep_job(
-    shared: &Arc<Shared>,
-    spec: &JobSpec,
-    progress: &Progress,
-) -> core::result::Result<(&'static str, String), (u16, String)> {
-    let sweep = experiments::resolve_context(&spec.experiment, spec.preset.as_deref(), &spec.sets)
-        .and_then(|(_, ctx)| experiments::chunkable_sweep(&spec.experiment, &ctx))
-        .map_err(|e| (400, api::error_json(&e.to_string())))?;
-    fanout_sweep(shared, spec, &sweep, progress)
-}
-
-/// Runs one sweep as chunks: a deterministic chunk split, chunk-level
-/// crash resume through the content-hash chunk store, one dispatch lane
-/// per fleet peer with re-dispatch on failure, and the local lane as
-/// the lane of last resort. Per-job rows concatenate in global index
-/// order into the same [`SweepKernel::finish`] reduce `repro sweep`
-/// uses, so the merged report is byte-identical by construction.
-///
-/// The coordinator also owns the job's progress: `total` is the sweep's
-/// job count from the start, and every chunk adds its length to `done`
-/// exactly once, whichever lane lands it.
-///
-/// [`SweepKernel::finish`]: experiments::SweepKernel::finish
-fn fanout_sweep(
-    shared: &Arc<Shared>,
-    spec: &JobSpec,
-    sweep: &experiments::SweepKernel,
-    progress: &Progress,
-) -> core::result::Result<(&'static str, String), (u16, String)> {
-    let fleet = shared.fleet.get();
-    let n_jobs = sweep.jobs();
-    progress.set_total(n_jobs as u64);
-    // Twice as many chunks as peers keeps every lane busy even when
-    // peers run at different speeds; the split depends only on the
-    // topology and the plan (a fixed 8 on a single instance), so a
-    // restarted coordinator derives the same boundaries — which is what
-    // keeps chunk cache keys stable across crashes.
-    let slots = fleet.map_or(8, |f| f.config.peers.len() * 2);
-    let ranges = chunk_ranges(n_jobs, slots.clamp(1, n_jobs.max(1)));
-    let fanout = Fanout {
-        shared,
-        spec,
-        sweep,
-        progress,
-        board: ChunkBoard::new(&ranges),
-        results: Mutex::new(vec![None; ranges.len()]),
-        abort: Mutex::new(None),
-        store: shared.chunk_store(),
-        deadline: fleet.map_or(Duration::from_secs(1), |f| {
-            f.config.proxy_timeout.max(Duration::from_secs(1))
-        }),
-    };
-
-    // Resume pass: chunks a previous life of this coordinator finished
-    // recall from the store — counted as sweep cache hits, the signal
-    // the restart e2e asserts on — and are never dispatched at all.
-    for (index, range) in ranges.iter().enumerate() {
-        let key = sweep.chunk_key(range.start, range.end);
-        let probe = fanout.store.get_or_compute(&key, || {
-            Err(cnt_sweep::Error::Job {
-                index: range.start,
-                message: "chunk not computed yet".to_string(),
-            })
-        });
-        if let Ok((table, _)) = probe {
-            fanout.land(index, range, table.rows, "resumed");
-        }
-    }
-
-    std::thread::scope(|scope| {
-        if let Some(fleet) = fleet {
-            for peer_index in 0..fleet.config.peers.len() {
-                if peer_index != fleet.config.self_index {
-                    let fanout = &fanout;
-                    scope.spawn(move || fanout.remote_lane(fleet, peer_index));
-                }
-            }
-        }
-        // The coordinator's own lane runs on this thread — the reason a
-        // job finishes even with every peer dead.
-        fanout.local_lane();
-    });
-
-    if let Some(failure) = fanout.abort.into_inner().expect("abort poisoned") {
-        return Err(failure);
-    }
-    let mut per_job = Vec::with_capacity(n_jobs);
-    for rows in fanout.results.into_inner().expect("results poisoned") {
-        per_job.extend(rows.expect("all chunks done implies every chunk present"));
-    }
-    match sweep.finish(per_job) {
-        Ok(run) => Ok(render_report(&run.report, spec.format)),
-        Err(e) => Err((500, api::error_json(&e.to_string()))),
-    }
-}
-
-/// Backoff before a failed chunk is claimable again: doubles with the
-/// attempt count, capped well under the steal deadline so a flaky peer
-/// cannot wedge a chunk.
-fn chunk_retry_delay(attempt: u32) -> Duration {
-    Duration::from_millis(10u64 << attempt.min(5))
-}
-
-/// One sweep's chunk coordinator: the board every lane claims from, the
-/// per-chunk rows, the first kernel failure, and the chunk store.
-struct Fanout<'a> {
-    shared: &'a Arc<Shared>,
-    spec: &'a JobSpec,
-    sweep: &'a experiments::SweepKernel,
-    progress: &'a Progress,
-    board: ChunkBoard,
-    results: Mutex<Vec<Option<Vec<Vec<f64>>>>>,
-    abort: Mutex<Option<(u16, String)>>,
-    store: ResultStore,
-    /// How long a dispatched chunk may stay out before another lane
-    /// steals it.
-    deadline: Duration,
-}
-
-impl Fanout<'_> {
-    /// The next chunk for a lane, waiting while none is claimable;
-    /// `None` once the board is done, the job aborted, or `open` says
-    /// the lane has closed.
-    fn next_claim(&self, open: impl Fn() -> bool) -> Option<ChunkClaim> {
-        loop {
-            if self.board.all_done()
-                || self.abort.lock().expect("abort poisoned").is_some()
-                || !open()
-            {
-                return None;
-            }
-            match self.board.claim(Instant::now(), self.deadline) {
-                Some(claim) => return Some(claim),
-                None => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-    }
-
-    /// Records a chunk's rows. The first report of each chunk — from the
-    /// resume pass or any lane — counts its outcome and adds the chunk's
-    /// length to the job's progress; a stolen chunk's late duplicate
-    /// changes nothing.
-    fn land(&self, index: usize, range: &Range<usize>, rows: Vec<Vec<f64>>, outcome: &str) {
-        self.results.lock().expect("results poisoned")[index] = Some(rows);
-        if !self.board.complete(index) {
-            return;
-        }
-        self.shared.metrics.chunks_total.with(outcome).inc();
-        self.progress.add_done(range.len() as u64);
-    }
-
-    /// One peer's dispatch lane: claim a chunk, POST it to the peer,
-    /// record the rows. Any failure requeues the chunk with a backoff so
-    /// another lane (ultimately the local one) re-runs it.
-    fn remote_lane(&self, fleet: &FleetState, peer_index: usize) {
-        // A Down peer closes its lane: the board's stealing rule hands
-        // any in-flight chunk to someone else, and the background
-        // prober brings the peer back for the *next* job.
-        while let Some(claim) = self.next_claim(|| fleet.health.is_routable(peer_index)) {
-            let requeue = || {
-                self.board.requeue(
-                    claim.index,
-                    Instant::now(),
-                    chunk_retry_delay(claim.attempt),
-                );
-                self.shared.metrics.chunks_total.with("requeued").inc();
-            };
-            let key = self.sweep.chunk_key(claim.range.start, claim.range.end);
-            let body = chunk_request_json(self.spec, self.sweep.fingerprint(), &claim.range);
-            match fleet.call_peer(peer_index, |addr| {
-                fleet
-                    .proxy
-                    .post(addr, "/v1/_fleet/chunk", "application/json", &body)
-            }) {
-                Ok(peer) if peer.status == 200 => match cnt_sweep::json::decode_table(&peer.body) {
-                    Ok(table)
-                        if table.key == key.hex() && table.rows.len() == claim.range.len() =>
-                    {
-                        // Persist before reporting done: a coordinator
-                        // killed right after this line resumes the
-                        // chunk from disk instead of re-fetching it.
-                        let _ = self
-                            .store
-                            .put(&key, table.columns.clone(), table.rows.clone());
-                        self.land(claim.index, &claim.range, table.rows, "remote");
-                    }
-                    // A 200 whose rows we cannot trust (foreign build,
-                    // wrong shape): requeue; only the health detector
-                    // decides this peer's fate.
-                    _ => requeue(),
-                },
-                Ok(peer) => {
-                    requeue();
-                    // The peer answered but refused (fingerprint
-                    // mismatch, unknown experiment): retrying the same
-                    // peer cannot succeed, so the lane closes for this
-                    // job. A 503 is the one retryable refusal
-                    // (momentary overload).
-                    if peer.status != 503 {
-                        return;
-                    }
-                }
-                Err(_) => requeue(),
-            }
-        }
-    }
-
-    /// The coordinator's local lane: runs claimed chunks through the
-    /// chunk store, so completed work is both crash-durable and never
-    /// recomputed after a resume.
-    fn local_lane(&self) {
-        while let Some(claim) = self.next_claim(|| true) {
-            match compute_chunk(&self.store, self.sweep, &claim.range) {
-                Ok((table, hit)) => {
-                    let outcome = if hit { "resumed" } else { "local" };
-                    self.land(claim.index, &claim.range, table.rows, outcome);
-                }
-                Err(e) => {
-                    // Kernel errors are deterministic — re-dispatching
-                    // the chunk would fail identically everywhere, so
-                    // the whole job aborts.
-                    *self.abort.lock().expect("abort poisoned") =
-                        Some((500, api::error_json(&e.to_string())));
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// One chunk's rows through a chunk store
-/// ([`ResultStore::get_or_compute`]): recalled when the store holds
-/// them, else run and stored. The flag reports a recall.
-fn compute_chunk(
-    store: &ResultStore,
-    sweep: &experiments::SweepKernel,
-    range: &Range<usize>,
-) -> cnt_sweep::Result<(cnt_sweep::Table, bool)> {
-    store.get_or_compute(&sweep.chunk_key(range.start, range.end), || {
-        let rows = sweep
-            .run_range(range.start, range.end)
-            .map_err(|e| cnt_sweep::Error::Job {
-                index: range.start,
-                message: e.to_string(),
-            })?;
-        Ok((sweep.columns(), rows))
-    })
-}
-
-/// The coordinator→worker chunk request body: the job's parameter point
-/// plus the job range and the plan fingerprint.
-fn chunk_request_json(spec: &JobSpec, fingerprint: u64, range: &Range<usize>) -> String {
-    let mut out = String::with_capacity(160);
-    out.push('{');
-    spec.push_point(&mut out);
-    out.push_str(&format!(
-        ",\"lo\":{},\"hi\":{},\"fingerprint\":\"{fingerprint:016x}\"}}",
-        range.start, range.end
-    ));
-    out
-}
-
-/// A parsed `/v1/_fleet/chunk` request.
-struct ChunkRequest {
-    /// The parameter point (no job id; the format is unused).
-    spec: JobSpec,
-    lo: usize,
-    hi: usize,
-    fingerprint: u64,
-}
-
-fn parse_chunk_request(body: &[u8]) -> core::result::Result<ChunkRequest, String> {
-    let text = core::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))?;
-    let JsonValue::Object(members) = json::parse(text).map_err(|e| e.to_string())? else {
-        return Err("chunk request must be a JSON object".to_string());
-    };
-    let (mut lo, mut hi, mut fingerprint) = (0, 0, 0);
-    let spec = JobSpec::read_point(&members, |name, value| {
-        match (name, value) {
-            ("lo", JsonValue::Number(raw)) => {
-                lo = raw.parse().map_err(|_| format!("bad chunk lo '{raw}'"))?;
-            }
-            ("hi", JsonValue::Number(raw)) => {
-                hi = raw.parse().map_err(|_| format!("bad chunk hi '{raw}'"))?;
-            }
-            ("fingerprint", JsonValue::String(s)) => {
-                fingerprint = u64::from_str_radix(s, 16)
-                    .map_err(|_| format!("bad fingerprint '{s}' (want 16 hex chars)"))?;
-            }
-            (other, _) => return Err(format!("unknown chunk member '{other}'")),
-        }
-        Ok(())
-    })?;
-    if spec.experiment.is_empty() {
-        return Err("chunk request is missing 'experiment'".to_string());
-    }
-    Ok(ChunkRequest {
-        spec,
-        lo,
-        hi,
-        fingerprint,
-    })
-}
-
-/// `POST /v1/_fleet/chunk`: run one chunk of a fanned-out sweep and
-/// answer its rows as an encoded table. Internal — coordinators call
-/// it; it never fans out further. The fingerprint gate rejects a
-/// coordinator whose resolved plan differs (version skew), turning
-/// silent row corruption into a `409`.
-fn fleet_chunk_route(request: &Request, shared: &Arc<Shared>) -> Response {
-    let chunk = match parse_chunk_request(&request.body) {
-        Ok(chunk) => chunk,
-        Err(message) => return Response::json(400, api::error_json(&message)),
-    };
-    let point = &chunk.spec;
-    let ctx =
-        match experiments::resolve_context(&point.experiment, point.preset.as_deref(), &point.sets)
-        {
-            Ok((_, ctx)) => ctx,
-            Err(e) => return Response::json(400, api::error_json(&e.to_string())),
-        };
-    let sweep = match experiments::chunkable_sweep(&point.experiment, &ctx) {
-        Ok(sweep) => sweep,
-        Err(e) => return Response::json(400, api::error_json(&e.to_string())),
-    };
-    if sweep.fingerprint() != chunk.fingerprint {
-        return Response::json(
-            409,
-            api::error_json(&format!(
-                "sweep fingerprint mismatch: coordinator {:016x}, this instance {:016x}",
-                chunk.fingerprint,
-                sweep.fingerprint()
-            )),
-        );
-    }
-    if chunk.lo >= chunk.hi || chunk.hi > sweep.jobs() {
-        return Response::json(
-            400,
-            api::error_json(&format!(
-                "chunk {}..{} out of range for {} jobs",
-                chunk.lo,
-                chunk.hi,
-                sweep.jobs()
-            )),
-        );
-    }
-    // A chunk computes under a permit like a run; its 503 is the
-    // coordinator's one retryable refusal.
-    let Some(_permit) = shared.gate.try_acquire() else {
-        return shared.busy("request queue");
-    };
-    // The worker's own chunk store: a re-dispatched chunk this instance
-    // already ran answers from disk, and a worker that dies mid-chunk
-    // leaves nothing to clean up.
-    match compute_chunk(&shared.chunk_store(), &sweep, &(chunk.lo..chunk.hi)) {
-        Ok((table, _)) => Response::json(200, cnt_sweep::json::encode_table(&table)),
-        Err(e) => Response::json(500, api::error_json(&e.to_string())),
-    }
-}
-
-/// Asks the rest of the fleet for a job this instance does not hold, so
-/// any instance can be polled for any job. The status poll rides the
-/// fast fill client; the result fetch rides the patient proxy client
-/// (bodies can be large, and it carries the chaos injector — result
-/// relays are part of the injected fault surface).
-fn peer_job_lookup(shared: &Arc<Shared>, rid: &str, result: bool) -> Option<Response> {
-    let fleet = shared.fleet.get()?;
-    let path = if result {
-        format!("/v1/_fleet/jobs/{rid}/result")
-    } else {
-        format!("/v1/_fleet/jobs/{rid}")
-    };
-    let client = if result { &fleet.proxy } else { &fleet.fill };
-    for index in 0..fleet.config.peers.len() {
-        if index == fleet.config.self_index || !fleet.health.is_routable(index) {
-            continue;
-        }
-        let answer = fleet.call_peer(index, |addr| client.get(addr, &path));
-        if let Some(peer) = answer.ok().filter(|peer| peer.status != 404) {
-            return Some(peer_response(&peer));
-        }
-    }
-    None
-}
-
-/// The `GET /v1/jobs/{rid}` body: id, experiment, status, and the live
-/// sweep-job progress counters (`done` read first, so a poll never
-/// shows it above `total`).
-fn job_status_json(job: &cnt_fleet::JobEntry, state: &JobState) -> String {
-    format!(
-        "{{\"job\":\"{}\",\"experiment\":\"{}\",\"status\":\"{}\",\"done\":{},\"total\":{}}}\n",
-        job.id,
-        job.sweep_id,
-        state.label(),
-        job.progress.done(),
-        job.progress.total(),
-    )
-}
-
-/// `GET /v1/jobs/{rid}`: poll an async job's lifecycle and progress.
-/// On the public route (`fan_out`) a local miss asks the rest of the
-/// fleet before answering 404, so clients may poll any instance.
-fn job_status_route(rid: &str, shared: &Arc<Shared>, fan_out: bool) -> Response {
-    match shared.jobs.get(rid) {
-        Some(job) => Response::json(200, job_status_json(&job, &job.state())),
-        None => {
-            if fan_out {
-                if let Some(relayed) = peer_job_lookup(shared, rid, false) {
-                    return relayed;
-                }
-            }
-            Response::json(
-                404,
-                api::error_json(&format!("no such job '{rid}' (expired or never created)")),
-            )
-        }
-    }
-}
-
-/// `GET /v1/jobs/{rid}/result`: the finished body, the failure, or —
-/// while the job is still queued/running — `202` + the status body.
-/// Spilled bodies stream from disk in chunks instead of being loaded
-/// whole; the public route relays fleet-wide like the status poll.
-fn job_result_route(rid: &str, shared: &Arc<Shared>, fan_out: bool) -> Response {
-    let Some(job) = shared.jobs.get(rid) else {
-        if fan_out {
-            if let Some(relayed) = peer_job_lookup(shared, rid, true) {
-                return relayed;
-            }
-        }
-        return Response::json(
-            404,
-            api::error_json(&format!("no such job '{rid}' (expired or never created)")),
-        );
-    };
-    match job.state() {
-        JobState::Done {
-            content_type, body, ..
-        } => match body {
-            JobBody::Inline(text) => Response {
-                content_type: static_content_type(&content_type),
-                ..Response::json(200, text)
-            },
-            JobBody::Spilled { path, bytes } => {
-                Response::file(static_content_type(&content_type), path, bytes)
-            }
-        },
-        JobState::Failed { status, body, .. } => Response::json(status, body),
-        state @ (JobState::Queued | JobState::Running) => {
-            Response::json(202, job_status_json(&job, &state))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Job journal records and crash recovery
-// ---------------------------------------------------------------------
-
-/// The journal record written before a job's `202` leaves: everything
-/// needed to re-run the job from scratch.
-fn submitted_record(spec: &JobSpec) -> String {
-    let mut out = String::with_capacity(128);
-    out.push_str("{\"event\":\"submitted\",\"job\":");
-    json::push_string(&spec.rid, &mut out);
-    out.push(',');
-    spec.push_point(&mut out);
-    out.push_str(&format!(",\"format\":\"{}\"}}", spec.format));
-    out
-}
-
-/// Terminal success record: where the spilled body lives, so a restart
-/// re-serves the result without rerunning the sweep.
-fn job_done_record(rid: &str, content_type: &str, path: &Path, bytes: u64) -> String {
-    let mut out = String::with_capacity(128);
-    out.push_str("{\"event\":\"job_done\",\"job\":");
-    json::push_string(rid, &mut out);
-    out.push_str(",\"content_type\":");
-    json::push_string(content_type, &mut out);
-    out.push_str(",\"path\":");
-    json::push_string(&path.to_string_lossy(), &mut out);
-    out.push_str(&format!(",\"bytes\":{bytes}}}"));
-    out
-}
-
-/// Terminal failure record: the status and body the job table held.
-fn job_failed_record(rid: &str, status: u16, body: &str) -> String {
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"event\":\"job_failed\",\"job\":");
-    json::push_string(rid, &mut out);
-    out.push_str(&format!(",\"status\":{status},\"body\":"));
-    json::push_string(body, &mut out);
-    out.push('}');
-    out
-}
-
-/// How a recovered job ended, if it did.
-#[derive(Debug, Clone, PartialEq)]
-enum RecoveredOutcome {
-    Done {
-        content_type: String,
-        path: PathBuf,
-        bytes: u64,
-    },
-    Failed {
-        status: u16,
-        body: String,
-    },
-}
-
-/// One job folded out of the journal: its submission spec plus the
-/// terminal record, when one was reached before the crash.
-#[derive(Debug, Clone, PartialEq)]
-struct RecoveredJob {
-    spec: JobSpec,
-    outcome: Option<RecoveredOutcome>,
-}
-
-impl RecoveredJob {
-    /// The outcome, demoted to "unfinished" when it points at a spill
-    /// file that no longer exists — the result cannot be served, so the
-    /// job re-runs instead of answering 200 with an empty body.
-    fn usable_outcome(&self) -> Option<&RecoveredOutcome> {
-        match &self.outcome {
-            Some(RecoveredOutcome::Done { path, .. }) if !path.exists() => None,
-            other => other.as_ref(),
-        }
-    }
-}
-
-/// Folds raw journal records into per-job state, submission order.
-/// Records that do not parse, reference unknown jobs, or carry unknown
-/// events are skipped — the journal is truncation-tolerant end to end.
-fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
-    let mut jobs: Vec<RecoveredJob> = Vec::new();
-    let mut by_rid: HashMap<String, usize> = HashMap::new();
-    for record in records {
-        let Ok(doc) = json::parse(record) else {
-            continue;
-        };
-        let text = |name: &str| doc.get(name).and_then(JsonValue::as_str);
-        let (Some(event), Some(rid)) = (text("event"), text("job")) else {
-            continue;
-        };
-        match event {
-            "submitted" => {
-                let JsonValue::Object(members) = &doc else {
-                    continue;
-                };
-                // A malformed point (say, a broken `sets` pair) would
-                // re-run the job somewhere else: skip the record.
-                let Ok(mut spec) = JobSpec::read_point(members, |_, _| Ok(())) else {
-                    continue;
-                };
-                if spec.experiment.is_empty() || by_rid.contains_key(rid) {
-                    continue;
-                }
-                // Older builds took the executor width and a cache
-                // directory as parameters, and their sweep bodies often
-                // sent `"cache_dir": ""`. Neither sets a sweep's bytes, and
-                // the current gate refuses both keys, so drop them rather
-                // than fail the recovered job.
-                spec.sets
-                    .retain(|(key, _)| key != "threads" && key != "cache_dir");
-                spec.rid = rid.to_string();
-                spec.format = match text("format") {
-                    Some("csv") => OutputFormat::Csv,
-                    Some("text") => OutputFormat::Text,
-                    _ => OutputFormat::Json,
-                };
-                by_rid.insert(rid.to_string(), jobs.len());
-                jobs.push(RecoveredJob {
-                    spec,
-                    outcome: None,
-                });
-            }
-            "job_done" => {
-                let (Some(index), Some(content_type), Some(path)) =
-                    (by_rid.get(rid), text("content_type"), text("path"))
-                else {
-                    continue;
-                };
-                let bytes = match doc.get("bytes") {
-                    Some(JsonValue::Number(raw)) => raw.parse().unwrap_or(0),
-                    _ => 0,
-                };
-                jobs[*index].outcome = Some(RecoveredOutcome::Done {
-                    content_type: content_type.to_string(),
-                    path: PathBuf::from(path),
-                    bytes,
-                });
-            }
-            "job_failed" => {
-                let (Some(index), Some(body)) = (by_rid.get(rid), text("body")) else {
-                    continue;
-                };
-                let status = match doc.get("status") {
-                    Some(JsonValue::Number(raw)) => raw.parse().unwrap_or(500),
-                    _ => 500,
-                };
-                jobs[*index].outcome = Some(RecoveredOutcome::Failed {
-                    status,
-                    body: body.to_string(),
-                });
-            }
-            // Older builds' chunk_done progress markers and anything
-            // newer: not state.
-            _ => {}
-        }
-    }
-    jobs
-}
-
-/// The compacted journal for a recovered state: one submission record
-/// per job plus its terminal record when one is still usable. Replaces
-/// the replayed log on startup, so the journal stays proportional to
-/// the job table rather than to history.
-fn compact_records(jobs: &[RecoveredJob]) -> Vec<String> {
-    let mut records = Vec::with_capacity(jobs.len() * 2);
-    for job in jobs {
-        records.push(submitted_record(&job.spec));
-        match job.usable_outcome() {
-            Some(RecoveredOutcome::Done {
-                content_type,
-                path,
-                bytes,
-            }) => records.push(job_done_record(&job.spec.rid, content_type, path, *bytes)),
-            Some(RecoveredOutcome::Failed { status, body }) => {
-                records.push(job_failed_record(&job.spec.rid, *status, body));
-            }
-            None => {}
-        }
-    }
-    records
-}
-
-/// Reinstates one journal-recovered job: finished jobs re-enter the
-/// table in their terminal state (results served straight from the
-/// spill), unfinished ones — whether they died `Queued` or `Running` —
-/// re-run from the top, with completed chunks answered by the chunk
-/// store instead of recomputed.
-fn apply_recovered_job(shared: &Arc<Shared>, recovered: RecoveredJob) {
-    let Ok(job) = shared
-        .jobs
-        .create(&recovered.spec.rid, &recovered.spec.experiment)
-    else {
-        return; // table full — newest submissions win
-    };
-    shared.metrics.journal_replayed.inc();
-    match recovered.usable_outcome() {
-        Some(RecoveredOutcome::Done {
-            content_type,
-            path,
-            bytes,
-        }) => {
-            // The journal records no job count, but the spec derives it
-            // deterministically: the finished job reads done == total.
-            let spec = &recovered.spec;
-            let jobs =
-                experiments::resolve_context(&spec.experiment, spec.preset.as_deref(), &spec.sets)
-                    .and_then(|(_, ctx)| experiments::chunkable_sweep(&spec.experiment, &ctx))
-                    .map_or(0, |sweep| sweep.jobs() as u64);
-            job.progress.set_total(jobs);
-            job.progress.add_done(jobs);
-            job.complete_spilled(static_content_type(content_type), path.clone(), *bytes);
-        }
-        Some(RecoveredOutcome::Failed { status, body }) => {
-            job.fail(*status, body.clone());
-        }
-        None => {
-            shared.metrics.jobs_total.with("queued").inc();
-            let job_ctx = TraceContext::root(shared.mint_id(), shared.mint_id());
-            if spawn_sweep_job(shared, job, recovered.spec.clone(), job_ctx).is_err() {
-                shared.jobs.remove(&recovered.spec.rid);
-            }
-        }
-    }
-}
-
 /// Backpressure hint for `Retry-After`: scales with how much work is
 /// already pending relative to the parallelism draining it, clamped to
 /// `[1, 30]` seconds. An empty shed (capacity 0) still hints 1 s.
@@ -2776,6 +1180,7 @@ fn refresh_gauges(shared: &Shared) {
 
 #[cfg(test)]
 mod tests {
+    use super::conn::{access_log_line, experiment_of, AccessRecord};
     use super::*;
     use cnt_interconnect::experiments::format::check_json_stream;
 
@@ -2860,8 +1265,9 @@ mod tests {
             Box::new(|exp, ctx| exp.run(ctx)),
             0xc0ffee,
             "127.0.0.1:0".to_string(),
-            None,
         )
+        .expect("a memory-only job table opens")
+        .0
     }
 
     #[test]
@@ -2956,187 +1362,5 @@ mod tests {
         assert_ne!(span_a, 0);
         assert_ne!(span_a, span_b);
         assert_eq!(shared.next_request_id(), "00c0ffee-000002");
-    }
-
-    fn spec(rid: &str) -> JobSpec {
-        JobSpec {
-            rid: rid.to_string(),
-            experiment: "fig12".to_string(),
-            preset: Some("small".to_string()),
-            sets: vec![("trials".to_string(), "100".to_string())],
-            format: OutputFormat::Csv,
-        }
-    }
-
-    #[test]
-    fn journal_fold_round_trips_specs_and_outcomes() {
-        // A submission record folds back into the exact spec that wrote
-        // it — preset, sets, and format all survive the JSON hop.
-        let jobs = fold_journal(&[submitted_record(&spec("00aa-000001"))]);
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].spec, spec("00aa-000001"));
-        assert_eq!(jobs[0].outcome, None);
-
-        // A terminal failure record attaches to its job by rid.
-        let jobs = fold_journal(&[
-            submitted_record(&spec("00aa-000001")),
-            job_failed_record("00aa-000001", 500, "{\"error\":\"boom\"}"),
-        ]);
-        assert_eq!(
-            jobs[0].outcome,
-            Some(RecoveredOutcome::Failed {
-                status: 500,
-                body: "{\"error\":\"boom\"}".to_string()
-            })
-        );
-
-        // A done record whose spill file exists is a usable outcome…
-        let dir = std::env::temp_dir().join(format!("cnt-fold-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let spill = dir.join("00aa-000001.body");
-        std::fs::write(&spill, b"result bytes").unwrap();
-        let jobs = fold_journal(&[
-            submitted_record(&spec("00aa-000001")),
-            job_done_record("00aa-000001", "text/csv", &spill, 12),
-        ]);
-        assert!(matches!(
-            jobs[0].usable_outcome(),
-            Some(RecoveredOutcome::Done { bytes: 12, .. })
-        ));
-        // …and one whose spill vanished demotes to "re-run the job".
-        std::fs::remove_file(&spill).unwrap();
-        assert_eq!(jobs[0].usable_outcome(), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_fold_skips_garbage_and_unknown_records() {
-        let jobs = fold_journal(&[
-            "not json at all".to_string(),
-            "{\"event\":\"job_done\",\"job\":\"never-submitted\"}".to_string(),
-            "{\"event\":\"from_the_future\",\"job\":\"x\"}".to_string(),
-            submitted_record(&spec("00aa-000002")),
-            // A malformed set would re-run the job at another parameter
-            // point: the whole submission is skipped instead.
-            "{\"event\":\"submitted\",\"job\":\"00aa-000003\",\"experiment\":\"fig12\",\
-             \"sets\":[[\"trials\",\"100\"],[\"nc\"]],\"format\":\"json\"}"
-                .to_string(),
-            "{\"event\":\"submitted\",\"job\":\"00aa-000004\",\"experiment\":\"fig12\",\
-             \"sets\":[[\"trials\",100]],\"format\":\"json\"}"
-                .to_string(),
-            // An older build's chunk_done progress marker: folded state
-            // ignores it.
-            "{\"event\":\"chunk_done\",\"job\":\"00aa-000002\",\"chunk\":0,\"lo\":0,\"hi\":5}"
-                .to_string(),
-        ]);
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].spec.rid, "00aa-000002");
-        assert_eq!(jobs[0].outcome, None);
-    }
-
-    #[test]
-    fn journal_fold_drops_the_retired_execution_keys() {
-        // Older builds took the executor width and a cache directory as
-        // parameters, and their sweep bodies sent `"cache_dir": ""`; this
-        // is such a submission, then its terminal record.
-        let rid = "00feed-000001";
-        let jobs = fold_journal(&[
-            format!(
-                "{{\"event\":\"submitted\",\"job\":\"{rid}\",\"experiment\":\"fig12\",\
-                 \"sets\":[[\"trials\",\"48\"],[\"cache_dir\",\"\"]],\"format\":\"json\"}}"
-            ),
-            job_done_record(rid, "application/json", Path::new("jobs/x.body"), 9),
-            "{\"event\":\"submitted\",\"job\":\"00feed-000002\",\"experiment\":\"fig12\",\
-             \"sets\":[[\"threads\",\"4\"],[\"seed\",\"7\"]],\"format\":\"json\"}"
-                .to_string(),
-        ]);
-        assert_eq!(jobs.len(), 2);
-        assert_eq!(
-            jobs[0].spec.sets,
-            [("trials".to_string(), "48".to_string())]
-        );
-        assert!(matches!(
-            jobs[0].outcome,
-            Some(RecoveredOutcome::Done { bytes: 9, .. })
-        ));
-        assert_eq!(jobs[1].spec.sets, [("seed".to_string(), "7".to_string())]);
-        // What is left resolves at today's gate, so a recovered job
-        // re-runs (or derives its job count) instead of failing.
-        for job in &jobs {
-            let (_, ctx) = experiments::resolve_context("fig12", None, &job.spec.sets).unwrap();
-            assert!(experiments::chunkable_sweep("fig12", &ctx).is_ok());
-        }
-    }
-
-    #[test]
-    fn journal_compaction_is_idempotent_across_replays() {
-        // Recovery compacts the journal it replays; replaying the
-        // compacted journal must reach the same state and compact to
-        // the same bytes — the double-crash case.
-        let records = vec![
-            submitted_record(&spec("00aa-000001")),
-            submitted_record(&spec("00aa-000002")),
-            job_failed_record("00aa-000001", 503, "{\"error\":\"shed\"}"),
-        ];
-        let once = compact_records(&fold_journal(&records));
-        let twice = compact_records(&fold_journal(&once));
-        assert_eq!(once, twice);
-        // Both jobs survive: one terminal, one unfinished.
-        let jobs = fold_journal(&once);
-        assert_eq!(jobs.len(), 2);
-        assert!(jobs[0].outcome.is_some());
-        assert!(jobs[1].outcome.is_none());
-    }
-
-    #[test]
-    fn journal_recovery_reruns_queued_and_running_alike() {
-        // The journal does not distinguish Queued from Running — both
-        // died without a terminal record, so both fold to "unfinished"
-        // and re-run. A submitted record followed by an older build's
-        // chunk progress marker (Running) folds identically to a bare
-        // submission (Queued).
-        let queued = fold_journal(&[submitted_record(&spec("00aa-000001"))]);
-        let running = fold_journal(&[
-            submitted_record(&spec("00aa-000001")),
-            "{\"event\":\"chunk_done\",\"job\":\"00aa-000001\",\"chunk\":0,\"lo\":0,\"hi\":5}"
-                .to_string(),
-        ]);
-        assert_eq!(queued, running);
-        assert_eq!(queued[0].usable_outcome(), None);
-    }
-
-    #[test]
-    fn job_spec_records_keep_their_bytes() {
-        // Both documents carrying a job's parameter point, pinned
-        // byte for byte: journals written by older builds must replay,
-        // and mixed-version fleets must agree on chunk requests.
-        assert_eq!(
-            submitted_record(&spec("00aa-000001")),
-            "{\"event\":\"submitted\",\"job\":\"00aa-000001\",\"experiment\":\"fig12\",\
-             \"preset\":\"small\",\"sets\":[[\"trials\",\"100\"]],\"format\":\"csv\"}"
-        );
-        assert_eq!(
-            chunk_request_json(&spec("00aa-000001"), 0xdead_beef_1234_5678, &(10..20)),
-            "{\"experiment\":\"fig12\",\"preset\":\"small\",\"sets\":[[\"trials\",\"100\"]],\
-             \"lo\":10,\"hi\":20,\"fingerprint\":\"deadbeef12345678\"}"
-        );
-    }
-
-    #[test]
-    fn chunk_request_json_round_trips() {
-        let body = chunk_request_json(&spec("00aa-000001"), 0xdead_beef_1234_5678, &(10..20));
-        let parsed = parse_chunk_request(body.as_bytes()).unwrap();
-        assert_eq!(parsed.spec.experiment, "fig12");
-        assert_eq!(parsed.spec.preset.as_deref(), Some("small"));
-        assert_eq!(parsed.spec.sets, spec("x").sets);
-        assert_eq!((parsed.lo, parsed.hi), (10, 20));
-        assert_eq!(parsed.fingerprint, 0xdead_beef_1234_5678);
-
-        assert!(parse_chunk_request(b"{}").is_err(), "missing experiment");
-        assert!(parse_chunk_request(b"not json").is_err());
-        assert!(
-            parse_chunk_request(b"{\"experiment\":\"fig12\",\"fingerprint\":\"zz\"}").is_err(),
-            "bad fingerprint hex"
-        );
     }
 }

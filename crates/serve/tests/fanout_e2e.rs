@@ -432,5 +432,34 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     }
     coordinator.stop();
 
+    // Third restart, once a 1 s TTL has passed since the job finished:
+    // replay drops the expired job, deletes its spill and compacts the
+    // journal to nothing, so the one-slot table admits a new job.
+    std::thread::sleep(Duration::from_millis(1100));
+    let server = Server::bind(Config {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_capacity: 16,
+        cache_capacity: 64,
+        jobs_capacity: 1,
+        job_ttl: Duration::from_secs(1),
+        data_dir: Some(PathBuf::from(&dir)),
+        ..Config::default()
+    })
+    .expect("rebind after the TTL");
+    let coordinator = spawn(server);
+    let (status, body) = get(coordinator.addr, &format!("/v1/jobs/{rid}"));
+    assert_eq!(status, 404, "an expired job came back: {body}");
+    let spills = std::fs::read_dir(dir.join("jobs")).unwrap().count();
+    assert_eq!(spills, 0, "the expired job's spill is still on disk");
+    let replayed = journal::replay(&dir.join("journal.log")).unwrap();
+    assert!(replayed.records.is_empty(), "{:?}", replayed.records);
+    let metrics = scrape(coordinator.addr);
+    assert_eq!(sample(&metrics, "cnt_serve_journal_replayed_total"), 0);
+    let (status, submit) = post(coordinator.addr, "/v1/sweeps/fig12", SWEEP_BODY);
+    assert_eq!(status, 202, "{submit}");
+    assert_eq!(await_result(coordinator.addr, &job_id(&submit)), expected);
+    coordinator.stop();
+
     let _ = std::fs::remove_dir_all(&dir);
 }
