@@ -316,10 +316,12 @@ impl JobTable {
     /// Opens a table of at most `capacity` live jobs, finished ones
     /// pollable for `ttl`, on `data_dir` (memory-only without one),
     /// counting journal appends in `journal_records`. Replay admits the
-    /// journal's jobs newest first: finished ones keep the TTL they had
-    /// left, expired ones are dropped, and unfinished ones are returned,
-    /// submission order, for the caller to re-run. The journal and
-    /// `jobs/` are then cut down to the admitted jobs.
+    /// journal's jobs newest first: jobs that finished `ttl` or more ago
+    /// are dropped, spill or not; other finished ones keep the TTL they
+    /// had left, unless their spill is gone, when they re-run. The
+    /// journal and `jobs/` are then cut down to the admitted jobs, which
+    /// are returned, submission order: the caller re-runs the `Queued`
+    /// ones, and a finished job's progress is the caller's to fill in.
     ///
     /// # Errors
     ///
@@ -344,45 +346,40 @@ impl JobTable {
         let path = dir.join("journal.log");
         let now = unix_now();
         let mut live = Vec::new();
-        let mut unfinished = Vec::new();
+        let mut admitted = Vec::new();
         for mut job in fold_journal(&journal::replay(&path)?.records, now)
             .into_iter()
             .rev()
         {
+            let age = job.ended.as_ref().map(|(_, finished)| {
+                Duration::try_from_secs_f64((now - finished).max(0.0)).unwrap_or(Duration::MAX)
+            });
+            // Table GC deletes an expired job's spill and journals nothing,
+            // so age decides before a missing spill can mean "re-run".
+            if age.is_some_and(|age| age >= ttl) {
+                continue;
+            }
             if matches!(&job.ended, Some((Outcome::Done { path, .. }, _)) if !path.exists()) {
                 job.ended = None; // the result cannot be served: re-run the job
             }
-            let state = match &job.ended {
-                Some((outcome, finished)) => {
-                    let age = Duration::try_from_secs_f64((now - finished).max(0.0))
-                        .unwrap_or(Duration::MAX);
-                    if age >= ttl {
-                        continue;
-                    }
+            let state = match (&job.ended, age) {
+                (Some((outcome, _)), Some(age)) => {
                     let at = Instant::now().checked_sub(age);
                     outcome.clone().into_state(at.unwrap_or_else(Instant::now))
                 }
-                None => JobState::Queued,
+                _ => JobState::Queued,
             };
-            let Ok(entry) = table.insert(job.spec.clone(), state) else {
-                continue;
-            };
-            match &job.ended {
-                Some((Outcome::Done { jobs, .. }, _)) => {
-                    entry.progress.set_total(*jobs);
-                    entry.progress.add_done(*jobs);
-                }
-                Some(_) => {}
-                None => unfinished.push(entry),
+            if let Ok(entry) = table.insert(job.spec.clone(), state) {
+                admitted.push(entry);
+                live.push(job);
             }
-            live.push(job);
         }
         live.reverse();
-        unfinished.reverse();
+        admitted.reverse();
         journal::rewrite(&path, &compact_records(&live))?;
         remove_orphan_spills(&dir.join("jobs"), &live);
         table.durable = Some((dir.to_path_buf(), Mutex::new(Journal::open(&path)?)));
-        Ok((table, unfinished))
+        Ok((table, admitted))
     }
 
     /// Registers `spec` as a `Queued` job and journals its submission,
@@ -413,12 +410,11 @@ impl JobTable {
             let written = std::fs::create_dir_all(dir.join("jobs"))
                 .and_then(|()| std::fs::write(&path, body.as_bytes()));
             if written.is_ok() {
-                let (bytes, jobs) = (body.len() as u64, job.progress.total());
+                let bytes = body.len() as u64;
                 let outcome = Outcome::Done {
                     content_type,
                     path,
                     bytes,
-                    jobs,
                 };
                 return self.settle(job, outcome);
             }
@@ -604,9 +600,6 @@ enum Outcome {
         content_type: String,
         path: PathBuf,
         bytes: u64,
-        /// The sweep's job count, which a re-admitted job reports as
-        /// done and total.
-        jobs: u64,
     },
     Failed {
         status: u16,
@@ -621,7 +614,6 @@ impl Outcome {
                 content_type,
                 path,
                 bytes,
-                ..
             } => JobState::Done {
                 content_type,
                 body: JobBody::Spilled { path, bytes },
@@ -669,7 +661,6 @@ fn terminal_record(rid: &str, outcome: &Outcome, unix_s: f64) -> String {
             content_type,
             path,
             bytes,
-            jobs,
         } => {
             out.push_str("{\"event\":\"job_done\",\"job\":");
             json::push_string(rid, &mut out);
@@ -677,7 +668,7 @@ fn terminal_record(rid: &str, outcome: &Outcome, unix_s: f64) -> String {
             json::push_string(content_type, &mut out);
             out.push_str(",\"path\":");
             json::push_string(&path.to_string_lossy(), &mut out);
-            out.push_str(&format!(",\"bytes\":{bytes},\"jobs\":{jobs}"));
+            out.push_str(&format!(",\"bytes\":{bytes}"));
         }
         Outcome::Failed { status, body } => {
             out.push_str("{\"event\":\"job_failed\",\"job\":");
@@ -747,7 +738,6 @@ fn fold_journal(records: &[String], now: f64) -> Vec<RecoveredJob> {
                     bytes: number("bytes")
                         .and_then(|raw| raw.parse().ok())
                         .unwrap_or(0),
-                    jobs: number("jobs").and_then(|raw| raw.parse().ok()).unwrap_or(0),
                 }
             }
             "job_failed" => {
@@ -1045,7 +1035,6 @@ mod tests {
             content_type: "text/csv".to_string(),
             path: spill.clone(),
             bytes: 12,
-            jobs: 75,
         };
         let records = [
             submitted_record(&spec("00aa-000001")),
@@ -1053,22 +1042,42 @@ mod tests {
         ];
         journal::rewrite(&dir.join("journal.log"), &records).unwrap();
         let open = || JobTable::open(4, Duration::from_secs(600), Some(&dir), Arc::default());
-        let (table, unfinished) = open().unwrap();
-        assert!(unfinished.is_empty());
-        let job = table.get("00aa-000001").unwrap();
+        let (_, admitted) = open().unwrap();
+        assert_eq!(admitted.len(), 1);
         assert!(matches!(
-            job.state(),
+            admitted[0].state(),
             JobState::Done {
                 body: JobBody::Spilled { bytes: 12, .. },
                 ..
             }
         ));
-        assert_eq!((job.progress.done(), job.progress.total()), (75, 75));
-        // …and one whose spill vanished demotes to "re-run the job".
+        // …and one whose spill vanished inside its TTL demotes to
+        // "re-run the job".
         std::fs::remove_file(&spill).unwrap();
-        let (_, unfinished) = open().unwrap();
-        assert_eq!(unfinished.len(), 1);
-        assert_eq!(unfinished[0].spec, spec("00aa-000001"));
+        let (_, admitted) = open().unwrap();
+        assert_eq!(admitted.len(), 1);
+        assert_eq!(admitted[0].spec, spec("00aa-000001"));
+        assert_eq!(admitted[0].state(), JobState::Queued);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_collected_job_stays_gone_after_replay() {
+        // Table GC deletes an expired job's spill and journals nothing, so
+        // replay finds its `job_done` with the spill absent: the job is
+        // dropped for its age, not re-run for the missing spill.
+        let dir = temp_dir("collected");
+        let open = || JobTable::open(4, Duration::ZERO, Some(&dir), Arc::default()).unwrap();
+        let (table, _) = open();
+        let old = submit(&table, "old").unwrap();
+        table.finish(&old, "application/json", "{}\n".to_string());
+        submit(&table, "new").unwrap(); // collects "old", spill and all
+        assert!(!dir.join("jobs").join("old.body").exists());
+        drop(table);
+        let (table, admitted) = open();
+        let ids: Vec<_> = admitted.iter().map(|job| job.spec.rid.as_str()).collect();
+        assert_eq!(ids, ["new"], "only the unfinished job comes back");
+        assert!(table.get("old").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1182,7 +1191,6 @@ mod tests {
                 content_type: "application/json".to_string(),
                 path,
                 bytes: 3,
-                jobs: 75,
             }
         };
         // An expired job, two live ones, and a spill nothing names.
@@ -1199,9 +1207,9 @@ mod tests {
         journal::rewrite(&path, &records).unwrap();
 
         // Room for one: the newest live job wins, with its remaining TTL.
-        let (table, unfinished) =
+        let (table, admitted) =
             JobTable::open(1, Duration::from_secs(10), Some(&dir), Arc::default()).unwrap();
-        assert!(unfinished.is_empty());
+        assert_eq!(admitted.len(), 1);
         assert_eq!(table.len(), 1);
         let JobState::Done { finished, .. } = table.get("new").unwrap().state() else {
             panic!("the newest job is re-admitted finished");

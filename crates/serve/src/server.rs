@@ -433,8 +433,8 @@ struct Shared {
 
 impl Shared {
     /// The shared state, with the job table opened on
-    /// [`Config::data_dir`]; also returns the unfinished jobs the
-    /// journal recovered, for [`sweeps::resume_jobs`].
+    /// [`Config::data_dir`]; also returns the jobs the journal
+    /// recovered, for [`sweeps::resume_jobs`].
     fn new(
         config: &Config,
         runner: Box<Runner>,
@@ -446,7 +446,7 @@ impl Shared {
             n => n,
         };
         let metrics = Metrics::new(workers, config.queue_capacity);
-        let (jobs, unfinished) = JobTable::open(
+        let (jobs, recovered) = JobTable::open(
             config.jobs_capacity,
             config.job_ttl,
             config.data_dir.as_deref(),
@@ -480,7 +480,7 @@ impl Shared {
             profile: Profile::new(),
             instance,
         };
-        Ok((shared, unfinished))
+        Ok((shared, recovered))
     }
 
     /// A `503` shed of work that found the compute line (or the
@@ -638,7 +638,7 @@ impl Server {
         };
         // Opening the job table replays the journal before anything can
         // append to it.
-        let (shared, unfinished) = Shared::new(
+        let (shared, recovered) = Shared::new(
             &config,
             Box::new(runner),
             rid_prefix,
@@ -656,7 +656,7 @@ impl Server {
         }
         // After the fleet joins, so recovered jobs fan out like fresh
         // ones.
-        sweeps::resume_jobs(&server.shared, unfinished);
+        sweeps::resume_jobs(&server.shared, recovered);
         Ok(server)
     }
 

@@ -37,22 +37,26 @@ pub(super) fn sweep_job_route(
         Ok(r) => r,
         Err(message) => return Response::json(400, api::error_json(&message)),
     };
-    let mut spec = JobSpec {
-        rid: String::new(),
+    // Same gates as the kernel build, which waits for the job's thread
+    // to hold a compute permit: a queued job holds no plan.
+    let checked =
+        experiments::resolve_context(id, run_request.preset.as_deref(), &run_request.sets)
+            .and_then(|(_, ctx)| experiments::check_sweep(id, &ctx));
+    match checked {
+        Ok(()) => {}
+        Err(e @ cnt_interconnect::Error::UnknownExperiment(_)) => {
+            return Response::json(404, api::error_json(&e.to_string()))
+        }
+        Err(e) => return Response::json(400, api::error_json(&e.to_string())),
+    }
+    let rid = shared.next_request_id();
+    let spec = JobSpec {
+        rid: rid.clone(),
         experiment: id.to_string(),
         preset: run_request.preset,
         sets: run_request.sets,
         format: run_request.format.to_string(),
     };
-    let sweep = match sweep_kernel(&spec) {
-        Ok(sweep) => sweep,
-        Err(e @ cnt_interconnect::Error::UnknownExperiment(_)) => {
-            return Response::json(404, api::error_json(&e.to_string()))
-        }
-        Err(e) => return Response::json(400, api::error_json(&e.to_string())),
-    };
-    spec.rid = shared.next_request_id();
-    let rid = spec.rid.clone();
     let Ok(job) = shared.jobs.submit(spec) else {
         return Response {
             retry_after: Some(retry_after_hint(
@@ -67,7 +71,7 @@ pub(super) fn sweep_job_route(
     // this request's span, so `GET /v1/trace/{id}` shows the async work
     // hanging off the ingress hop that queued it.
     let job_ctx = scope.trace.child_of(shared.mint_id());
-    if spawn_sweep_job(shared, &job, sweep, job_ctx).is_err() {
+    if spawn_sweep_job(shared, &job, job_ctx).is_err() {
         return shared.busy("request queue");
     }
     shared
@@ -82,17 +86,24 @@ pub(super) fn sweep_job_route(
     )
 }
 
-/// Re-runs the unfinished jobs [`cnt_fleet::JobTable::open`] recovered,
-/// each from the top: their completed chunks recall from the chunk
-/// store instead of recomputing.
-pub(super) fn resume_jobs(shared: &Arc<Shared>, unfinished: Vec<Arc<JobEntry>>) {
-    for job in unfinished {
-        let job_ctx = TraceContext::root(shared.mint_id(), shared.mint_id());
-        match sweep_kernel(&job.spec) {
-            Ok(sweep) => {
-                let _ = spawn_sweep_job(shared, &job, sweep, job_ctx);
+/// Takes up the jobs [`cnt_fleet::JobTable::open`] re-admitted. An
+/// unfinished one re-runs from the top: its completed chunks recall
+/// from the chunk store instead of recomputing. A finished one reads
+/// done == total: the journal holds no job count, but the spec derives
+/// it deterministically.
+pub(super) fn resume_jobs(shared: &Arc<Shared>, recovered: Vec<Arc<JobEntry>>) {
+    for job in recovered {
+        match job.state() {
+            JobState::Queued => {
+                let job_ctx = TraceContext::root(shared.mint_id(), shared.mint_id());
+                let _ = spawn_sweep_job(shared, &job, job_ctx);
             }
-            Err(e) => shared.jobs.fail(&job, 400, api::error_json(&e.to_string())),
+            JobState::Done { .. } => {
+                let jobs = sweep_kernel(&job.spec).map_or(0, |sweep| sweep.jobs() as u64);
+                job.progress.set_total(jobs);
+                job.progress.add_done(jobs);
+            }
+            _ => {}
         }
     }
 }
@@ -106,7 +117,6 @@ pub(super) fn resume_jobs(shared: &Arc<Shared>, unfinished: Vec<Arc<JobEntry>>) 
 fn spawn_sweep_job(
     shared: &Arc<Shared>,
     job: &Arc<JobEntry>,
-    sweep: SweepKernel,
     job_ctx: TraceContext,
 ) -> std::io::Result<()> {
     shared.metrics.jobs_total.with("queued").inc();
@@ -125,7 +135,7 @@ fn spawn_sweep_job(
         cnt_obs::Trace::begin();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _span = cnt_obs::span!("serve.job");
-            fanout_sweep(&shared, &job.spec, &sweep, &job.progress)
+            fanout_sweep(&shared, &job.spec, &job.progress)
         }))
         .unwrap_or_else(|_| {
             let message = format!("sweep '{}' panicked during execution", job.spec.experiment);
@@ -161,12 +171,13 @@ fn spawn_sweep_job(
     spawned.map(drop)
 }
 
-/// Runs one sweep as chunks: a deterministic chunk split, chunk-level
-/// crash resume through the content-hash chunk store, one dispatch lane
-/// per fleet peer with re-dispatch on failure, and the local lane as
-/// the lane of last resort. Per-job rows concatenate in global index
-/// order into the same [`SweepKernel::finish`] reduce `repro sweep`
-/// uses, so the merged report is byte-identical by construction.
+/// Builds a job's sweep kernel (under the caller's compute permit) and
+/// runs it as chunks: a deterministic chunk split, chunk-level crash
+/// resume through the content-hash chunk store, one dispatch lane per
+/// fleet peer with re-dispatch on failure, and the local lane as the
+/// lane of last resort. Per-job rows concatenate in global index order
+/// into the same [`SweepKernel::finish`] reduce `repro sweep` uses, so
+/// the merged report is byte-identical by construction.
 ///
 /// The coordinator also owns the job's progress: `total` is the sweep's
 /// job count from the start, and every chunk adds its length to `done`
@@ -174,9 +185,9 @@ fn spawn_sweep_job(
 fn fanout_sweep(
     shared: &Arc<Shared>,
     spec: &JobSpec,
-    sweep: &SweepKernel,
     progress: &Progress,
 ) -> Result<(&'static str, String), (u16, String)> {
+    let sweep = &sweep_kernel(spec).map_err(|e| (400, api::error_json(&e.to_string())))?;
     let fleet = shared.fleet.get();
     let n_jobs = sweep.jobs();
     progress.set_total(n_jobs as u64);

@@ -458,7 +458,33 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     assert_eq!(sample(&metrics, "cnt_serve_journal_replayed_total"), 0);
     let (status, submit) = post(coordinator.addr, "/v1/sweeps/fig12", SWEEP_BODY);
     assert_eq!(status, 202, "{submit}");
+    let collected = job_id(&submit);
+    assert_eq!(await_result(coordinator.addr, &collected), expected);
+    // Once that job expires, the next submission's GC collects it and
+    // deletes its spill, journaling nothing.
+    std::thread::sleep(Duration::from_millis(1100));
+    let (status, submit) = post(coordinator.addr, "/v1/sweeps/fig12", SWEEP_BODY);
+    assert_eq!(status, 202, "{submit}");
     assert_eq!(await_result(coordinator.addr, &job_id(&submit)), expected);
+    assert!(!dir.join("jobs").join(format!("{collected}.body")).exists());
+    coordinator.stop();
+
+    // Fourth restart, with room for every job: replay drops the
+    // collected job for its age instead of re-running it for its
+    // missing spill.
+    let server = Server::bind(Config {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_capacity: 16,
+        cache_capacity: 64,
+        job_ttl: Duration::from_secs(1),
+        data_dir: Some(PathBuf::from(&dir)),
+        ..Config::default()
+    })
+    .expect("rebind after GC");
+    let coordinator = spawn(server);
+    let (status, body) = get(coordinator.addr, &format!("/v1/jobs/{collected}"));
+    assert_eq!(status, 404, "a collected job came back: {body}");
     coordinator.stop();
 
     let _ = std::fs::remove_dir_all(&dir);
