@@ -136,13 +136,34 @@ fn overrides_change_results_and_defaults_do_not() {
     assert!(moved_run.render().contains("L = 200 µm"));
 }
 
+/// Each golden is one `(id, overrides)` point, named `<id>` at the paper
+/// point and `<id>_<key>_<value>` off it. fig08a is pinned at its
+/// default and at both ends of `temp_k`, where its Landauer window is
+/// narrowest and widest.
 #[test]
 fn json_and_csv_goldens_are_byte_stable() {
-    for id in ["table1", "fig12", "fig10"] {
-        let report = experiments::run(id).unwrap();
+    let points: [(&str, Option<(&str, &str)>); 6] = [
+        ("table1", None),
+        ("fig12", None),
+        ("fig10", None),
+        ("fig08a", None),
+        ("fig08a", Some(("temp_k", "50"))),
+        ("fig08a", Some(("temp_k", "600"))),
+    ];
+    for (id, set) in points {
+        let sets: Vec<(String, String)> = set
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let (exp, ctx) = experiments::resolve_context(id, None, &sets).unwrap();
+        let report = exp.run(&ctx).unwrap();
+        let name = match set {
+            None => id.to_string(),
+            Some((key, value)) => format!("{id}_{key}_{value}"),
+        };
         let json = report.to_json();
         experiments::format::check_json_stream(&json).expect("golden JSON must be valid");
-        check_golden(&format!("{id}.json"), &json);
-        check_golden(&format!("{id}.csv"), &report.to_csv());
+        check_golden(&format!("{name}.json"), &json);
+        check_golden(&format!("{name}.csv"), &report.to_csv());
     }
 }
