@@ -9,10 +9,56 @@
 //! Particle–hole symmetry of the nearest-neighbour model means the valence
 //! bands are the exact mirror of the conduction bands; we therefore store
 //! only `E ≥ 0` and mirror on demand.
+//!
+//! # Subbands a level window cannot reach
+//!
+//! [`BandStructure::compute`] builds every subband: the band gap, the van
+//! Hove edges, the DOS, [`crate::doping::DopedCnt`] and Fig. 8c's ±1.5 eV
+//! spectra read them all. A Landauer integral counts modes only at levels
+//! up to its window's top `e_top`, so
+//! [`crate::transport::ballistic_conductance`] builds a windowed structure
+//! that leaves out every subband proven to lie above `e_top` at every grid
+//! point. It never leaves `transport`.
+//!
+//! The proof is Shubert's Lipschitz bound (SIAM J. Numer. Anal. 9, 1972)
+//! on each cutting line of zone folding (Samsonidze et al., J. Nanosci.
+//! Nanotechnol. 3, 2003):
+//!
+//! - `E_μ(k) = γ0·|f(k)|` with `|∇|f|| ≤ |a1| + |a2| = 2a`, so along a
+//!   cutting line `|E(k) − E(k')| ≤ L·|k − k'|` with `L = 2·a·γ0`
+//!   (≈ 1.33 eV·nm).
+//! - A line is first evaluated at every 16th point of the `k_t` grid plus
+//!   the last, so every grid point lies within `8·Δk` of a sample.
+//! - The line is dropped when `sampled min − L·8·Δk − 1e-9 eV > e_top`.
+//!   The 1e-9 eV margin covers the few-ulp difference between two
+//!   evaluations of the same formula (≈ 1e-13 eV here).
+//! - A kept line is evaluated by the same closure on the same grid, so its
+//!   energies, and every crossing, are bit-identical to `compute`'s.
+//!
+//! A dropped line has every grid energy above every level the integral
+//! asks about, and [`BandStructure::mode_counts`] skips such a subband
+//! whole, so dropping it changes no count.
 
 use crate::chirality::Chirality;
 use crate::{Error, Result};
 use cnt_units::consts::{A_LATTICE, GAMMA0_EV};
+
+/// Lipschitz constant of `E(k) = γ0·|f(k)|` in eV·m:
+/// `|∇|f|| ≤ |a1| + |a2| = 2a`.
+const LIPSCHITZ_EV_M: f64 = 2.0 * A_LATTICE * GAMMA0_EV;
+/// A windowed build samples every `COARSE_STRIDE`-th grid point of a
+/// cutting line, plus the last.
+const COARSE_STRIDE: usize = 16;
+/// Covers the few-ulp difference between two evaluations of
+/// [`graphene_dispersion_ev`].
+const ROUNDING_MARGIN_EV: f64 = 1e-9;
+
+/// The level [`BandStructure::mode_counts`] checks for energy `e_ev`:
+/// particle–hole symmetry folds `E` and `−E` together, and 0 is nudged by
+/// 1 µeV onto the metallic touching point.
+pub(crate) fn folded_level(e_ev: f64) -> f64 {
+    e_ev.abs().max(1e-6)
+}
 
 /// Graphene π-band magnitude `|f(k)|·γ0` in eV at wavevector `(kx, ky)`
 /// (units 1/m).
@@ -79,6 +125,10 @@ pub struct BandStructure {
     subbands: Vec<Subband>,
     /// Cached `(min, max)` energy per subband for fast level filtering.
     edges: Vec<(f64, f64)>,
+    /// The highest level this structure can count: infinite when it holds
+    /// every subband, the window's top when it was built by
+    /// [`Self::compute_below`].
+    cutoff_ev: f64,
 }
 
 impl BandStructure {
@@ -90,6 +140,15 @@ impl BandStructure {
     /// Returns [`Error::TooFewSamples`] if `nk < 16` (mode counting would
     /// be unreliable).
     pub fn compute(chirality: Chirality, nk: usize) -> Result<Self> {
+        Self::compute_below(chirality, nk, f64::INFINITY)
+    }
+
+    /// [`Self::compute`] without the subbands proven to lie above
+    /// `cutoff_ev` at every grid point, by the Lipschitz bound in the
+    /// module docs. A non-finite cutoff keeps every subband. The result
+    /// can count only levels up to `cutoff_ev`: [`Self::mode_counts`]
+    /// panics on a higher one.
+    pub(crate) fn compute_below(chirality: Chirality, nk: usize, cutoff_ev: f64) -> Result<Self> {
         let _span = cnt_obs::span!("atomistic.bands");
         if nk < 16 {
             return Err(Error::TooFewSamples { got: nk, min: 16 });
@@ -120,18 +179,37 @@ impl BandStructure {
             .map(|i| -k_max + 2.0 * k_max * i as f64 / (nk - 1) as f64)
             .collect();
 
+        // E_μ(k_t) on cutting line μ: the one evaluation behind both the
+        // coarse scan and a kept line.
+        let energy = |mf: f64, kt: f64| {
+            let kx = mf * k1.0 + kt * k2_hat.0;
+            let ky = mf * k1.1 + kt * k2_hat.1;
+            graphene_dispersion_ev(kx, ky)
+        };
+        let coarse: Vec<f64> = kt_per_meter
+            .iter()
+            .step_by(COARSE_STRIDE)
+            .chain(kt_per_meter.last())
+            .copied()
+            .collect();
+        // Every grid point lies within COARSE_STRIDE/2 steps of a coarse one.
+        let dk = 2.0 * k_max / (nk - 1) as f64;
+        let slack = LIPSCHITZ_EV_M * (COARSE_STRIDE / 2) as f64 * dk + ROUNDING_MARGIN_EV;
+
         let n_sub = chirality.hexagon_count();
         let mut subbands = Vec::with_capacity(n_sub as usize);
         for mu in 0..n_sub {
             let mf = mu as f64;
-            let energy_ev = kt_per_meter
-                .iter()
-                .map(|&kt| {
-                    let kx = mf * k1.0 + kt * k2_hat.0;
-                    let ky = mf * k1.1 + kt * k2_hat.1;
-                    graphene_dispersion_ev(kx, ky)
-                })
-                .collect();
+            if cutoff_ev.is_finite() {
+                let coarse_min = coarse
+                    .iter()
+                    .map(|&kt| energy(mf, kt))
+                    .fold(f64::INFINITY, f64::min);
+                if coarse_min - slack > cutoff_ev {
+                    continue;
+                }
+            }
+            let energy_ev = kt_per_meter.iter().map(|&kt| energy(mf, kt)).collect();
             subbands.push(Subband { mu, energy_ev });
         }
 
@@ -144,6 +222,7 @@ impl BandStructure {
             kt_per_meter,
             subbands,
             edges,
+            cutoff_ev,
         })
     }
 
@@ -241,9 +320,7 @@ impl BandStructure {
     /// `subbands · nk` segments. The prefilter itself costs two
     /// comparisons per subband and two per segment of a kept subband.
     pub fn mode_counts(&self, energies_ev: &[f64]) -> Vec<usize> {
-        // Levels fold E and −E together (particle–hole symmetry) and
-        // nudge 0 onto the metallic touching point.
-        let levels: Vec<f64> = energies_ev.iter().map(|e| e.abs().max(1e-6)).collect();
+        let levels: Vec<f64> = energies_ev.iter().map(|&e| folded_level(e)).collect();
         let mut order: Vec<usize> = (0..levels.len()).collect();
         order.sort_unstable_by(|&a, &b| {
             levels[a]
@@ -254,6 +331,13 @@ impl BandStructure {
         let (Some(&lowest), Some(&highest)) = (sorted.first(), sorted.last()) else {
             return Vec::new();
         };
+        // A windowed structure may lack a subband that crosses a level
+        // above its cutoff.
+        assert!(
+            highest <= self.cutoff_ev,
+            "level {highest} eV lies above this band structure's {} eV cutoff",
+            self.cutoff_ev
+        );
 
         let mut crossings = vec![0usize; levels.len()];
         for (sb, &(min, max)) in self.subbands.iter().zip(&self.edges) {
@@ -320,6 +404,45 @@ pub(crate) mod tests {
             }
         }
         crossings / 2
+    }
+
+    /// The 35 tubes of Fig. 8a: zigzag (5,0)–(26,0) and armchair
+    /// (3,3)–(15,15).
+    pub(crate) fn fig08a_tubes() -> Vec<Chirality> {
+        let mut tubes = Chirality::zigzag_series(5, 26);
+        tubes.extend(Chirality::armchair_series(3, 15));
+        assert_eq!(tubes.len(), 35);
+        tubes
+    }
+
+    #[test]
+    fn no_grid_step_exceeds_the_lipschitz_bound() {
+        // Guards the constant the windowed build relies on.
+        for tube in fig08a_tubes() {
+            let b = BandStructure::compute(tube, crate::transport::DEFAULT_NK).unwrap();
+            let bound = b
+                .kt_per_meter
+                .windows(2)
+                .map(|w| LIPSCHITZ_EV_M * (w[1] - w[0]))
+                .fold(f64::INFINITY, f64::min);
+            for sb in b.subbands() {
+                for w in sb.energy_ev.windows(2) {
+                    let step = (w[1] - w[0]).abs();
+                    assert!(
+                        step <= bound,
+                        "{tube:?} μ = {}: step {step} eV > L·Δk = {bound} eV",
+                        sb.mu
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cutoff")]
+    fn a_windowed_structure_refuses_levels_above_its_cutoff() {
+        let b = BandStructure::compute_below(Chirality::new(7, 7).unwrap(), 1201, 0.3).unwrap();
+        b.mode_count(0.31);
     }
 
     #[test]

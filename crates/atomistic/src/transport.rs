@@ -10,8 +10,24 @@
 //! ```
 //!
 //! where `M(E)` is the number of modes from the zone-folded band structure.
+//!
+//! # Only the subbands the window can reach
+//!
+//! The integral runs over `E_F ± 12 kT`, so it counts modes only up to the
+//! window's top level: `max(12·k_B·T, 1 µeV)` at `E_F = 0`, and the 1 µeV
+//! nudge at `T ≤ 0`. [`ballistic_conductance`] (and with it
+//! [`conducting_channels`], [`conductance_point`],
+//! [`conductance_vs_diameter`] and [`conductance_per_area`]) therefore
+//! builds only the subbands that the Lipschitz bound in [`crate::bands`]
+//! (every 16th grid point, a 1e-9 eV margin) cannot prove to lie above that
+//! level. The others cross no level of the integral, so the conductance
+//! keeps its bits: at 300 K, 53 of Fig. 8a's 916 subbands are built. The
+//! windowed structure is built and dropped inside [`ballistic_conductance`].
+//! [`conductance_at_temperature`] and [`conductance_at_energy`] take the
+//! caller's structure, and [`BandStructure::compute`] always builds every
+//! subband.
 
-use crate::bands::BandStructure;
+use crate::bands::{folded_level, BandStructure};
 use crate::chirality::Chirality;
 use crate::{Error, Result};
 use cnt_units::consts::{G0_SIEMENS, K_B_EV};
@@ -55,12 +71,10 @@ pub fn landauer_conductance(
     transmission: impl FnOnce(&[f64]) -> Vec<f64>,
 ) -> Conductance {
     let _span = cnt_obs::span!("atomistic.landauer");
-    let t = temperature.kelvin();
-    if t <= 0.0 {
+    let Some((lo, hi)) = landauer_window(e_f_ev, temperature) else {
         return Conductance::from_siemens(G0_SIEMENS * transmission(&[e_f_ev])[0]);
-    }
-    let kt = K_B_EV * t;
-    let half_window = 12.0 * kt;
+    };
+    let t = temperature.kelvin();
     // Enough points that the step edges of M(E) are resolved well below kT.
     let n = 600;
     let g = integrate_simpson_batch(
@@ -71,15 +85,42 @@ pub fn landauer_conductance(
                 .map(|(modes, &e)| modes * fermi_dirac_neg_derivative(e - e_f_ev, t))
                 .collect()
         },
-        e_f_ev - half_window,
-        e_f_ev + half_window,
+        lo,
+        hi,
         n,
     );
     Conductance::from_siemens(G0_SIEMENS * g)
 }
 
+/// The Landauer integration interval `E_F ± 12 kT` in eV, or `None` at
+/// `T ≤ 0`, where the thermal kernel is a delta at `E_F`. The one
+/// definition of the window: [`landauer_conductance`] integrates over it
+/// and [`ballistic_conductance`] cuts its subbands at its top level.
+fn landauer_window(e_f_ev: f64, temperature: Temperature) -> Option<(f64, f64)> {
+    let t = temperature.kelvin();
+    if t <= 0.0 {
+        return None;
+    }
+    let half_window = 12.0 * (K_B_EV * t);
+    Some((e_f_ev - half_window, e_f_ev + half_window))
+}
+
+/// The highest level the Landauer integral at `e_f_ev` hands to a mode
+/// count: every Simpson node lies between the window's edges, so it is
+/// the edge farthest from zero, folded as [`BandStructure::mode_counts`]
+/// folds every level.
+fn landauer_top_level(e_f_ev: f64, temperature: Temperature) -> f64 {
+    match landauer_window(e_f_ev, temperature) {
+        Some((lo, hi)) => folded_level(lo).max(folded_level(hi)),
+        None => folded_level(e_f_ev),
+    }
+}
+
 /// Ballistic conductance of a pristine tube at its charge-neutral Fermi
 /// level — the quantity plotted against diameter in the paper's Fig. 8a.
+/// Builds only the subbands that can reach the Landauer window (see the
+/// module docs); the result has the same bits as the integral over every
+/// subband.
 ///
 /// ```
 /// use cnt_atomistic::chirality::Chirality;
@@ -91,7 +132,8 @@ pub fn landauer_conductance(
 /// # Ok::<(), cnt_atomistic::Error>(())
 /// ```
 pub fn ballistic_conductance(chirality: Chirality, temperature: Temperature) -> Conductance {
-    let bands = BandStructure::compute(chirality, DEFAULT_NK)
+    let cutoff = landauer_top_level(0.0, temperature);
+    let bands = BandStructure::compute_below(chirality, DEFAULT_NK, cutoff)
         .expect("DEFAULT_NK satisfies the minimum grid size");
     conductance_at_temperature(&bands, 0.0, temperature)
 }
@@ -175,7 +217,8 @@ pub fn conductance_per_area(chirality: Chirality, temperature: Temperature) -> f
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::bands::tests::per_energy_mode_count;
+    use crate::bands::tests::{fig08a_tubes, per_energy_mode_count};
+    use crate::bands::Subband;
 
     fn t300() -> Temperature {
         Temperature::from_kelvin(300.0)
@@ -208,10 +251,7 @@ pub(crate) mod tests {
     #[test]
     fn batched_landauer_matches_per_energy_integral_bit_for_bit() {
         // Every Fig. 8a tube, at both ends and the middle of the temp_k range.
-        let mut tubes = Chirality::zigzag_series(5, 26);
-        tubes.extend(Chirality::armchair_series(3, 15));
-        assert_eq!(tubes.len(), 35);
-        for tube in tubes {
+        for tube in fig08a_tubes() {
             let bands = BandStructure::compute(tube, DEFAULT_NK).unwrap();
             for kelvin in [50.0, 300.0, 600.0] {
                 let temp = Temperature::from_kelvin(kelvin);
@@ -224,6 +264,72 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// The Simpson nodes the Landauer integral at `E_F = 0` hands to its
+    /// transmission.
+    fn landauer_nodes(temperature: Temperature) -> Vec<f64> {
+        let mut nodes = Vec::new();
+        landauer_conductance(0.0, temperature, |energies| {
+            nodes = energies.to_vec();
+            vec![0.0; energies.len()]
+        });
+        nodes
+    }
+
+    #[test]
+    fn windowed_bands_count_and_conduct_like_full_bands_bit_for_bit() {
+        for tube in fig08a_tubes() {
+            let full = BandStructure::compute(tube, DEFAULT_NK).unwrap();
+            for kelvin in [0.0, 50.0, 77.0, 123.4, 300.0, 451.7, 600.0] {
+                let temp = Temperature::from_kelvin(kelvin);
+                let at = format!("{tube:?} at {kelvin} K");
+                assert_eq!(
+                    ballistic_conductance(tube, temp).siemens().to_bits(),
+                    conductance_at_temperature(&full, 0.0, temp)
+                        .siemens()
+                        .to_bits(),
+                    "{at}"
+                );
+                let top = landauer_top_level(0.0, temp);
+                let windowed = BandStructure::compute_below(tube, DEFAULT_NK, top).unwrap();
+                let nodes = landauer_nodes(temp);
+                assert_eq!(nodes.len(), if kelvin > 0.0 { 601 } else { 1 }, "{at}");
+                assert_eq!(
+                    windowed.mode_counts(&nodes),
+                    full.mode_counts(&nodes),
+                    "{at}"
+                );
+                // The window's edges, and every kept subband edge a level
+                // of the window can sit on (a higher one is refused).
+                let mut levels = vec![top, -top];
+                levels.extend(
+                    windowed
+                        .subbands()
+                        .iter()
+                        .map(Subband::min_energy_ev)
+                        .filter(|&e| e <= top),
+                );
+                for e in levels {
+                    assert_eq!(windowed.mode_count(e), full.mode_count(e), "{at}, E = {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_300_k_window_builds_at_most_a_tenth_of_the_fig08a_subbands() {
+        let top = landauer_top_level(0.0, t300());
+        let (mut built, mut all) = (0, 0);
+        for tube in fig08a_tubes() {
+            built += BandStructure::compute_below(tube, DEFAULT_NK, top)
+                .unwrap()
+                .subbands()
+                .len();
+            all += tube.hexagon_count() as usize;
+        }
+        assert_eq!(all, 916);
+        assert!(built * 10 <= all, "{built} of {all} subbands built");
     }
 
     #[test]
