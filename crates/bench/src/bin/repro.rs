@@ -79,9 +79,27 @@
 //! stderr so stdout stays a pure function of `(id, params, seed)`.
 
 use cnt_interconnect::experiments::{self, registry, OutputFormat};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// `print!` through [`emit`]. When stdout fails, the enclosing command
+/// returns at once with [`stdout_failed`]'s exit code, so nothing after
+/// the failed write runs.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) = emit(&format!($($arg)*)) {
+            return stdout_failed(&e);
+        }
+    };
+}
+
+/// `println!` through [`emit`]; see [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
 
 /// The widest executor `--threads` accepts.
 const MAX_THREADS: usize = 4096;
@@ -131,8 +149,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--list") {
-        list();
-        return ExitCode::SUCCESS;
+        return list();
     }
     match args[0].as_str() {
         "sweep" => run_sweep_command(&args[1..]),
@@ -222,8 +239,8 @@ fn run_bench_command(args: &[String]) -> ExitCode {
         ));
     }
     match format {
-        OutputFormat::Text => print!("{}", report.render_text()),
-        OutputFormat::Json => println!("{}", report.to_json()),
+        OutputFormat::Text => out!("{}", report.render_text()),
+        OutputFormat::Json => outln!("{}", report.to_json()),
         OutputFormat::Csv => unreachable!("rejected above"),
     }
     if write_file {
@@ -290,8 +307,8 @@ fn run_bench_diff_command(args: &[String]) -> ExitCode {
     };
     let diff = cnt_bench::diff::BenchDiff::compute(&a, &b);
     match format {
-        OutputFormat::Text => print!("{}", diff.render_text(&a, &b)),
-        OutputFormat::Json => println!("{}", diff.to_json(&a, &b)),
+        OutputFormat::Text => out!("{}", diff.render_text(&a, &b)),
+        OutputFormat::Json => outln!("{}", diff.to_json(&a, &b)),
         OutputFormat::Csv => unreachable!("rejected above"),
     }
     if let Some(pct) = fail_above {
@@ -314,12 +331,13 @@ fn run_bench_diff_command(args: &[String]) -> ExitCode {
 
 /// The registry-driven `--list`: id, title, and a `[sweep]` marker when a
 /// Monte-Carlo variant exists.
-fn list() {
+fn list() -> ExitCode {
     let width = registry().iter().map(|e| e.id().len()).max().unwrap_or(0);
     for exp in registry().iter() {
         let marker = if exp.has_sweep() { " [sweep]" } else { "" };
-        println!("{:<width$}  {}{}", exp.id(), exp.title(), marker);
+        outln!("{:<width$}  {}{}", exp.id(), exp.title(), marker);
     }
+    ExitCode::SUCCESS
 }
 
 /// Parses and runs `repro [flags] [all | <id>...]`.
@@ -347,8 +365,8 @@ fn run_experiments_command(args: &[String]) -> ExitCode {
             Ok(rendered) => match parsed.format {
                 // Text reports end in a newline already; println keeps the
                 // blank separator line the harness has always printed.
-                OutputFormat::Text | OutputFormat::Json => println!("{rendered}"),
-                OutputFormat::Csv => print!("{rendered}"),
+                OutputFormat::Text | OutputFormat::Json => outln!("{rendered}"),
+                OutputFormat::Csv => out!("{rendered}"),
             },
             Err(e) => {
                 eprintln!("experiment '{id}' failed: {e}");
@@ -385,11 +403,11 @@ fn run_info_command(args: &[String]) -> ExitCode {
         Err(e) => return fail(&e.to_string()),
     };
     let marker = if exp.has_sweep() { "  [sweep]" } else { "" };
-    println!("{} — {}{}", exp.id(), exp.title(), marker);
-    println!("parameters (override with --set KEY=VALUE):");
+    outln!("{} — {}{}", exp.id(), exp.title(), marker);
+    outln!("parameters (override with --set KEY=VALUE):");
     for def in exp.params().defs() {
         let (min, max) = def.bounds();
-        println!(
+        outln!(
             "  {:<12} {:<8} default {}  range [{min}, {max}]  — {}",
             def.key,
             def.default.kind(),
@@ -398,14 +416,14 @@ fn run_info_command(args: &[String]) -> ExitCode {
         );
     }
     if !exp.params().presets().is_empty() {
-        println!("presets (apply with --preset NAME):");
+        outln!("presets (apply with --preset NAME):");
         for preset in exp.params().presets() {
             let sets: Vec<String> = preset
                 .sets
                 .iter()
                 .map(|(key, value)| format!("{key} = {value}"))
                 .collect();
-            println!(
+            outln!(
                 "  {:<12} {}  — {}",
                 preset.name,
                 sets.join(", "),
@@ -491,13 +509,13 @@ fn run_profile_command(args: &[String]) -> ExitCode {
     if flame {
         // Folded stacks go to stdout unadorned so the output pipes
         // straight into flamegraph.pl / inferno without cleanup.
-        print!("{}", cnt_obs::fold_stacks(&roots));
+        out!("{}", cnt_obs::fold_stacks(&roots));
         return ExitCode::SUCCESS;
     }
     match parsed.format {
         OutputFormat::Text => {
-            println!("profile '{id}': wall {}", cnt_obs::span::fmt_secs(wall_s));
-            print!("{}", cnt_obs::span::render_tree_text(&roots));
+            outln!("profile '{id}': wall {}", cnt_obs::span::fmt_secs(wall_s));
+            out!("{}", cnt_obs::span::render_tree_text(&roots));
         }
         OutputFormat::Json => {
             let mut out = String::with_capacity(256);
@@ -511,7 +529,7 @@ fn run_profile_command(args: &[String]) -> ExitCode {
                 root.push_json(&mut out);
             }
             out.push_str("]}");
-            println!("{out}");
+            outln!("{out}");
         }
         OutputFormat::Csv => unreachable!("rejected above"),
     }
@@ -570,7 +588,7 @@ fn run_slo_command(args: &[String]) -> ExitCode {
         return fail("slo: response has no top-level \"state\"");
     };
     match format {
-        OutputFormat::Json => println!("{}", response.body.trim_end()),
+        OutputFormat::Json => outln!("{}", response.body.trim_end()),
         OutputFormat::Text => {
             if let Some(JsonValue::Array(slos)) = doc.get("slos") {
                 for slo in slos {
@@ -580,14 +598,14 @@ fn run_slo_command(args: &[String]) -> ExitCode {
                         Some(JsonValue::Number(n)) => n.as_str(),
                         _ => "?",
                     };
-                    println!(
+                    outln!(
                         "{name}: {state} (burn fast {}, slow {})",
                         burn("burn_fast"),
                         burn("burn_slow")
                     );
                 }
             }
-            println!("slo: overall {worst}");
+            outln!("slo: overall {worst}");
         }
         OutputFormat::Csv => unreachable!("rejected above"),
     }
@@ -671,9 +689,9 @@ fn run_sweep_command(args: &[String]) -> ExitCode {
     match sweep.run_local(cache_dir.as_deref()) {
         Ok(run) => {
             match format {
-                OutputFormat::Text => println!("{}", run.report),
-                OutputFormat::Json => println!("{}", run.report.to_json()),
-                OutputFormat::Csv => print!("{}", run.report.to_csv()),
+                OutputFormat::Text => outln!("{}", run.report),
+                OutputFormat::Json => outln!("{}", run.report.to_json()),
+                OutputFormat::Csv => out!("{}", run.report.to_csv()),
             }
             eprintln!(
                 "sweep '{id}': {} jobs on {} thread(s) in {:.3} s ({})",
@@ -977,6 +995,27 @@ fn parse_set(raw: String) -> Result<(String, String), String> {
     match raw.split_once('=') {
         Some((key, value)) if !key.is_empty() => Ok((key.to_string(), value.to_string())),
         _ => Err(format!("--set expects KEY=VALUE, got '{raw}'")),
+    }
+}
+
+/// Writes `text` to stdout and flushes it: the one path all of `repro`'s
+/// stdout takes. Rust ignores `SIGPIPE`, so a reader that went away
+/// (`repro all | head -1`) shows up here as a `BrokenPipe` error rather
+/// than a panic in `println!`.
+fn emit(text: &str) -> std::io::Result<()> {
+    let mut stdout = std::io::stdout().lock();
+    stdout.write_all(text.as_bytes())?;
+    stdout.flush()
+}
+
+/// The exit code of a command whose stdout write failed. A reader that
+/// went away ends the run quietly with success: the output it read is
+/// complete as far as it goes. Any other write error is reported.
+fn stdout_failed(e: &std::io::Error) -> ExitCode {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        ExitCode::SUCCESS
+    } else {
+        fail(&format!("writing stdout: {e}"))
     }
 }
 

@@ -1,4 +1,4 @@
-//! Listener construction with `SO_REUSEADDR`.
+//! Listener construction with `SO_REUSEADDR`, and the accept timeout.
 //!
 //! A SIGKILL'd server leaves its accepted connections in server-side
 //! `TIME_WAIT`, and a plain `TcpListener::bind` on the same port then
@@ -7,25 +7,37 @@
 //! before `bind` (what every production server does) lets the restarted
 //! instance take its old port back immediately.
 //!
+//! The accept loop blocks in `accept` under a receive timeout
+//! (`SO_RCVTIMEO`), so a new connection is taken the moment it arrives
+//! and the loop still wakes to check for shutdown. Linux honours the
+//! option on a listening socket, where a wait that runs out fails with
+//! `EAGAIN`. Accepted sockets inherit it, and every connection read sets
+//! its own timeout before it blocks.
+//!
 //! `std` exposes no socket-option API, and the offline build has no
-//! `libc`/`socket2`, so the four calls are declared directly, following
+//! `libc`/`socket2`, so the calls are declared directly, following
 //! the [`crate::signal`] pattern — this is the crate's second and only
 //! other `unsafe` exemption, confined to socket setup before any data
 //! flows. Non-IPv4 addresses (and non-Linux targets) fall back to the
-//! std bind without the option.
+//! std bind without `SO_REUSEADDR`; off Linux the accept timeout is
+//! unsupported.
 #![allow(unsafe_code)]
 
 use std::net::TcpListener;
+use std::time::Duration;
 
 #[cfg(target_os = "linux")]
 mod imp {
+    use core::ffi::{c_long, c_void};
     use std::net::{SocketAddrV4, TcpListener};
-    use std::os::fd::FromRawFd;
+    use std::os::fd::{AsRawFd, FromRawFd};
+    use std::time::Duration;
 
     const AF_INET: i32 = 2;
     const SOCK_STREAM: i32 = 1;
     const SOL_SOCKET: i32 = 1;
     const SO_REUSEADDR: i32 = 2;
+    const SO_RCVTIMEO: i32 = 20;
     const BACKLOG: i32 = 128;
 
     /// `struct sockaddr_in` (Linux layout; ports and addresses are
@@ -38,9 +50,16 @@ mod imp {
         sin_zero: [u8; 8],
     }
 
+    /// `struct timeval`, the value of `SO_RCVTIMEO`.
+    #[repr(C)]
+    struct Timeval {
+        tv_sec: c_long,
+        tv_usec: c_long,
+    }
+
     extern "C" {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const c_void, len: u32) -> i32;
         fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
         fn listen(fd: i32, backlog: i32) -> i32;
         fn close(fd: i32) -> i32;
@@ -59,7 +78,8 @@ mod imp {
             };
             let one: i32 = 1;
             let one_len = core::mem::size_of::<i32>() as u32;
-            if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, one_len) != 0 {
+            let value = (&one as *const i32).cast();
+            if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, value, one_len) != 0 {
                 return fail(fd);
             }
             let sockaddr = SockaddrIn {
@@ -80,6 +100,31 @@ mod imp {
             Ok(TcpListener::from_raw_fd(fd))
         }
     }
+
+    pub fn set_accept_timeout(listener: &TcpListener, timeout: Duration) -> std::io::Result<()> {
+        let tv = Timeval {
+            tv_sec: timeout.as_secs() as c_long,
+            tv_usec: c_long::from(timeout.subsec_micros()),
+        };
+        let len = core::mem::size_of::<Timeval>() as u32;
+        let value = (&tv as *const Timeval).cast();
+        // The fd stays owned by `listener`; the option only changes how
+        // long `accept` waits.
+        if unsafe { setsockopt(listener.as_raw_fd(), SOL_SOCKET, SO_RCVTIMEO, value, len) } != 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        Ok(())
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod imp {
+    pub fn set_accept_timeout(
+        _: &std::net::TcpListener,
+        _: std::time::Duration,
+    ) -> std::io::Result<()> {
+        Err(std::io::ErrorKind::Unsupported.into())
+    }
 }
 
 /// Binds a listener like [`TcpListener::bind`], additionally setting
@@ -96,6 +141,19 @@ pub fn bind_listener(addr: &str) -> std::io::Result<TcpListener> {
         return imp::bind_reuseaddr(v4);
     }
     TcpListener::bind(addr)
+}
+
+/// Makes `accept` on `listener` wait at most `timeout` (rounded down to
+/// whole microseconds, at least one), then fail with
+/// [`std::io::ErrorKind::WouldBlock`].
+///
+/// # Errors
+///
+/// The `setsockopt` failure, or [`std::io::ErrorKind::Unsupported`] off
+/// Linux.
+pub(crate) fn set_accept_timeout(listener: &TcpListener, timeout: Duration) -> std::io::Result<()> {
+    // A zero SO_RCVTIMEO means "wait forever".
+    imp::set_accept_timeout(listener, timeout.max(Duration::from_micros(1)))
 }
 
 #[cfg(test)]
@@ -142,6 +200,20 @@ mod tests {
         let rebound = bind_listener(&addr.to_string())
             .expect("rebinding the same port must not hit EADDRINUSE");
         assert_eq!(rebound.local_addr().unwrap(), addr);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn accept_gives_up_after_its_timeout() {
+        let listener = bind_listener("127.0.0.1:0").expect("bind ephemeral");
+        set_accept_timeout(&listener, Duration::from_millis(20)).expect("SO_RCVTIMEO");
+        let started = std::time::Instant::now();
+        let err = listener.accept().expect_err("no client ever connects");
+        let waited = started.elapsed();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
+        // It blocked rather than polled, and it woke up.
+        assert!(waited >= Duration::from_millis(10), "{waited:?}");
+        assert!(waited < Duration::from_secs(2), "{waited:?}");
     }
 
     #[test]

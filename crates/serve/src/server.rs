@@ -67,6 +67,12 @@ const TRACE_TTL: Duration = Duration::from_secs(600);
 /// Most connections served at once; the accept loop answers any more
 /// with `503` itself.
 const MAX_CONNECTIONS: usize = 1024;
+/// The longest the accept loop blocks in `accept` before it checks the
+/// stop flag and the termination signals again.
+const ACCEPT_WAIT: Duration = Duration::from_millis(20);
+/// The pause after a failed `accept` (such as `EMFILE`), so a persistent
+/// error does not spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// How a run leader turns a resolved experiment + context into a report.
 /// Injectable so tests can slow computations down or fail them on
@@ -593,7 +599,8 @@ pub struct Server {
 pub struct ShutdownHandle(Arc<AtomicBool>);
 
 impl ShutdownHandle {
-    /// Requests shutdown (takes effect within one accept-poll interval).
+    /// Requests shutdown (the accept loop notices within `ACCEPT_WAIT`,
+    /// 20 ms).
     pub fn shutdown(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
@@ -707,9 +714,16 @@ impl Server {
     /// Returns [`Error::Io`] only for fatal listener failures; per-
     /// connection trouble is answered in-band or dropped.
     pub fn serve(self) -> Result<()> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::io("set_nonblocking", e))?;
+        // Block in accept for at most ACCEPT_WAIT, so a connection is
+        // taken the moment it arrives and stop is still checked every
+        // ACCEPT_WAIT. Without the timeout (off Linux), poll a
+        // non-blocking listener instead.
+        let polling = net::set_accept_timeout(&self.listener, ACCEPT_WAIT).is_err();
+        if polling {
+            self.listener
+                .set_nonblocking(true)
+                .map_err(|e| Error::io("set_nonblocking", e))?;
+        }
         // The self-scraper: one sample of every registry per interval
         // into the history rings, for as long as the server serves.
         let scraper_stop = Arc::new(AtomicBool::new(false));
@@ -741,10 +755,16 @@ impl Server {
             }
             match self.listener.accept() {
                 Ok((stream, _peer)) => conn::dispatch(stream, &self.shared),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                // The wait ran out, or a signal cut it short.
+                Err(e)
+                    if !polling
+                        && matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+                        ) => {}
+                // Nothing pending on a polled listener, or an accept
+                // error such as EMFILE: back off before the next try.
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
         // Stop accepting, then drain: every connection finishes its

@@ -2,7 +2,7 @@
 //!
 //! The `repro serve` front end installs handlers for `SIGINT` (ctrl-c)
 //! and `SIGTERM`; the handlers only flip a process-wide atomic, which the
-//! accept loop polls between `accept` attempts (see
+//! accept loop checks whenever an `accept` wait (at most 20 ms) ends (see
 //! [`Config::watch_signals`](crate::Config::watch_signals)). No runtime
 //! dependency is available offline, so the two libc calls are declared
 //! directly — this module is the crate's single `unsafe` exemption, and

@@ -1099,6 +1099,33 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     thread.join().unwrap();
 }
 
+/// A new connection is accepted the moment it arrives: the accept loop
+/// blocks in `accept` rather than sleeping between polls. With a 5 ms
+/// accept poll, each back-to-back fresh connection waited out one sleep
+/// (≈ 258 ms for 50). The best of three rounds must stay under 100 ms, so
+/// a round slowed by the other tests' compute does not decide it.
+#[test]
+fn fifty_fresh_connections_need_no_accept_poll() {
+    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    assert_eq!(get(addr, "/v1/healthz").0, 200);
+    let best = (0..3)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            for _ in 0..50 {
+                assert_eq!(get(addr, "/v1/healthz").0, 200);
+            }
+            started.elapsed()
+        })
+        .min()
+        .unwrap();
+    handle.shutdown();
+    thread.join().unwrap();
+    assert!(
+        best < Duration::from_millis(100),
+        "50 fresh connections took {best:?} at best"
+    );
+}
+
 #[test]
 fn http10_closes_by_default_and_keeps_alive_on_request() {
     let (addr, handle, thread) = start(Server::bind(config()).unwrap());
