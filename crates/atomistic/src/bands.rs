@@ -186,12 +186,6 @@ impl BandStructure {
             let ky = mf * k1.1 + kt * k2_hat.1;
             graphene_dispersion_ev(kx, ky)
         };
-        let coarse: Vec<f64> = kt_per_meter
-            .iter()
-            .step_by(COARSE_STRIDE)
-            .chain(kt_per_meter.last())
-            .copied()
-            .collect();
         // Every grid point lies within COARSE_STRIDE/2 steps of a coarse one.
         let dk = 2.0 * k_max / (nk - 1) as f64;
         let slack = LIPSCHITZ_EV_M * (COARSE_STRIDE / 2) as f64 * dk + ROUNDING_MARGIN_EV;
@@ -201,8 +195,10 @@ impl BandStructure {
         for mu in 0..n_sub {
             let mf = mu as f64;
             if cutoff_ev.is_finite() {
-                let coarse_min = coarse
+                let coarse_min = kt_per_meter
                     .iter()
+                    .step_by(COARSE_STRIDE)
+                    .chain(kt_per_meter.last())
                     .map(|&kt| energy(mf, kt))
                     .fold(f64::INFINITY, f64::min);
                 if coarse_min - slack > cutoff_ev {

@@ -363,7 +363,7 @@ fn run_experiments_command(args: &[String]) -> ExitCode {
     for id in ids {
         match run_one(id, &parsed, parsed.format) {
             Ok(rendered) => match parsed.format {
-                // Text reports end in a newline already; println keeps the
+                // Text reports end in a newline already; outln keeps the
                 // blank separator line the harness has always printed.
                 OutputFormat::Text | OutputFormat::Json => outln!("{rendered}"),
                 OutputFormat::Csv => out!("{rendered}"),

@@ -66,6 +66,9 @@ mod imp {
     }
 
     pub fn bind_reuseaddr(addr: SocketAddrV4) -> std::io::Result<TcpListener> {
+        // SAFETY: every pointer passed points to a live local of the
+        // length passed with it; `fd` is closed on each error path and
+        // otherwise handed to `TcpListener`, which owns it from then on.
         unsafe {
             let fd = socket(AF_INET, SOCK_STREAM, 0);
             if fd < 0 {
@@ -108,8 +111,9 @@ mod imp {
         };
         let len = core::mem::size_of::<Timeval>() as u32;
         let value = (&tv as *const Timeval).cast();
-        // The fd stays owned by `listener`; the option only changes how
-        // long `accept` waits.
+        // SAFETY: `value` points to `tv`, a live `struct timeval` of `len`
+        // bytes, for the whole call, and the fd is `listener`'s open
+        // socket, which `listener` keeps owning.
         if unsafe { setsockopt(listener.as_raw_fd(), SOL_SOCKET, SO_RCVTIMEO, value, len) } != 0 {
             return Err(std::io::Error::last_os_error());
         }
