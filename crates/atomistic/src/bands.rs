@@ -145,9 +145,11 @@ impl BandStructure {
 
     /// [`Self::compute`] without the subbands proven to lie above
     /// `cutoff_ev` at every grid point, by the Lipschitz bound in the
-    /// module docs. A non-finite cutoff keeps every subband. The result
-    /// can count only levels up to `cutoff_ev`: [`Self::mode_counts`]
-    /// panics on a higher one.
+    /// module docs: a line is dropped when its minimum over every 16th
+    /// grid point plus the last, less `L·8·Δk` (`L = 2·a·γ0`) and a
+    /// 1e-9 eV margin, still exceeds `cutoff_ev`. A non-finite cutoff
+    /// keeps every subband. The result can count only levels up to
+    /// `cutoff_ev`: [`Self::mode_counts`] panics on a higher one.
     pub(crate) fn compute_below(chirality: Chirality, nk: usize, cutoff_ev: f64) -> Result<Self> {
         let _span = cnt_obs::span!("atomistic.bands");
         if nk < 16 {
