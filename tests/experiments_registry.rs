@@ -137,19 +137,17 @@ fn overrides_change_results_and_defaults_do_not() {
 }
 
 /// Each golden is one `(id, overrides)` point, named `<id>` at the paper
-/// point and `<id>_<key>_<value>` off it. fig08a is pinned at its
-/// default and at both ends of `temp_k`, where its Landauer window is
-/// narrowest and widest.
+/// point and `<id>_<key>_<value>` off it. Every catalog id is pinned at
+/// its paper point, so a new id cannot be missed; fig08a is also pinned
+/// at both ends of `temp_k`, where its Landauer window is narrowest and
+/// widest.
 #[test]
 fn json_and_csv_goldens_are_byte_stable() {
-    let points: [(&str, Option<(&str, &str)>); 6] = [
-        ("table1", None),
-        ("fig12", None),
-        ("fig10", None),
-        ("fig08a", None),
-        ("fig08a", Some(("temp_k", "50"))),
-        ("fig08a", Some(("temp_k", "600"))),
-    ];
+    let off_paper: [(&str, (&str, &str)); 2] =
+        [("fig08a", ("temp_k", "50")), ("fig08a", ("temp_k", "600"))];
+    let points = experiments::catalog()
+        .map(|id| (id, None))
+        .chain(off_paper.into_iter().map(|(id, set)| (id, Some(set))));
     for (id, set) in points {
         let sets: Vec<(String, String)> = set
             .iter()
@@ -161,9 +159,32 @@ fn json_and_csv_goldens_are_byte_stable() {
             None => id.to_string(),
             Some((key, value)) => format!("{id}_{key}_{value}"),
         };
-        let json = report.to_json();
-        experiments::format::check_json_stream(&json).expect("golden JSON must be valid");
-        check_golden(&format!("{name}.json"), &json);
-        check_golden(&format!("{name}.csv"), &report.to_csv());
+        check_report_goldens(&name, &report);
     }
+}
+
+/// Every sweep id at 64 trials and seed 42, named `sweep_<id>`: the
+/// table `repro sweep <id> --trials 64 --seed 42` prints, at full
+/// precision.
+#[test]
+fn sweep_json_and_csv_goldens_are_byte_stable() {
+    let sets = [
+        ("trials".to_string(), "64".to_string()),
+        ("seed".to_string(), "42".to_string()),
+    ];
+    for id in experiments::sweep_catalog() {
+        let (_, ctx) = experiments::resolve_context(id, None, &sets).unwrap();
+        let run = experiments::chunkable_sweep(id, &ctx)
+            .unwrap()
+            .run_local(None)
+            .unwrap();
+        check_report_goldens(&format!("sweep_{id}"), &run.report);
+    }
+}
+
+fn check_report_goldens(name: &str, report: &experiments::Report) {
+    let json = report.to_json();
+    experiments::format::check_json_stream(&json).expect("golden JSON must be valid");
+    check_golden(&format!("{name}.json"), &json);
+    check_golden(&format!("{name}.csv"), &report.to_csv());
 }
