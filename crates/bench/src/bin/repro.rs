@@ -41,14 +41,6 @@
 //!                         shrink the on-disk sweep cache by evicting the
 //!                         oldest-modified entries first (flat and
 //!                         sharded layouts alike)
-//! repro bench --quick --iters 8 --threads 4
-//!                         time the kernel registry and write a
-//!                         BENCH_<ts>.json trajectory point; --iters and
-//!                         --threads override the per-kernel defaults
-//! repro bench diff BENCH_pr4.json BENCH_pr5.json --fail-above 25
-//!                         compare two trajectory points per kernel and
-//!                         fail on >25% median regression (non-pool
-//!                         kernels) or removed kernels
 //! repro check-json        validate a JSON stream on stdin (used by CI to
 //!                         guard `repro all --format json`)
 //! repro check-metrics     validate a Prometheus text exposition on stdin
@@ -122,9 +114,6 @@ fn usage() {
     eprintln!("                   [--jobs N] [--job-ttl SECS] [--data-dir DIR]");
     eprintln!("                   [--access-log text|json] [--history-interval SECS]");
     eprintln!("       repro cache gc [--max-bytes N] [--max-age SECS] [--cache-dir DIR]");
-    eprintln!("       repro bench [--quick] [--filter SUBSTR] [--format text|json]");
-    eprintln!("                   [--threads N] [--iters N] [--out PATH | --no-out]");
-    eprintln!("       repro bench diff <A.json> <B.json> [--format text|json] [--fail-above PCT]");
     eprintln!("       repro check-json          (validates a JSON stream on stdin)");
     eprintln!("       repro check-metrics       (validates a Prometheus exposition on stdin)");
     eprintln!(
@@ -156,177 +145,12 @@ fn main() -> ExitCode {
         "info" => run_info_command(&args[1..]),
         "serve" => run_serve_command(&args[1..]),
         "cache" => run_cache_command(&args[1..]),
-        "bench" => run_bench_command(&args[1..]),
         "check-json" => run_check_json_command(),
         "check-metrics" => run_check_metrics_command(),
         "profile" => run_profile_command(&args[1..]),
         "slo" => run_slo_command(&args[1..]),
         _ => run_experiments_command(&args),
     }
-}
-
-/// Parses and runs `repro bench [--quick] [--filter SUBSTR]
-/// [--format text|json] [--threads N] [--iters N] [--out PATH | --no-out]`
-/// and the `repro bench diff` subcommand.
-///
-/// Results go to stdout in the chosen format; the versioned JSON document
-/// is also written to `BENCH_<unix-seconds>.json` (override the path with
-/// `--out`, suppress the file with `--no-out`) so every run appends a
-/// point to the repository's performance trajectory. `--threads` and
-/// `--iters` are validated like experiment parameters: out-of-range
-/// values are rejected with the canonical override error before any
-/// kernel runs.
-fn run_bench_command(args: &[String]) -> ExitCode {
-    if let Some(("diff", rest)) = args.split_first().map(|(a, r)| (a.as_str(), r)) {
-        return run_bench_diff_command(rest);
-    }
-    let mut opts = cnt_bench::bench::BenchOpts::default();
-    let mut format = OutputFormat::Text;
-    let mut out_path: Option<String> = None;
-    let mut write_file = true;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let parse_count = |name: &str, value: Option<&String>| -> Result<usize, String> {
-            let v = value.ok_or_else(|| format!("{name} needs a value"))?;
-            v.parse::<usize>()
-                .map_err(|e| format!("{name} expects a count, got '{v}' ({e})"))
-        };
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--filter" => match it.next() {
-                Some(v) => opts.filter = Some(v.clone()),
-                None => return fail("--filter needs a value"),
-            },
-            "--threads" => match parse_count("--threads", it.next()) {
-                Ok(n) => opts.threads = Some(n),
-                Err(e) => return fail(&e),
-            },
-            "--iters" => match parse_count("--iters", it.next()) {
-                Ok(n) => opts.iters = Some(n),
-                Err(e) => return fail(&e),
-            },
-            "--format" => match it.next().map(|v| v.parse::<OutputFormat>()) {
-                Some(Ok(OutputFormat::Csv)) => {
-                    return fail("bench emits text or json (csv is not a bench format)")
-                }
-                Some(Ok(f)) => format = f,
-                Some(Err(e)) => return fail(&e.to_string()),
-                None => return fail("--format needs a value"),
-            },
-            "--out" => match it.next() {
-                Some(v) => out_path = Some(v.clone()),
-                None => return fail("--out needs a value"),
-            },
-            "--no-out" => write_file = false,
-            other => return fail(&format!("unknown bench flag '{other}'")),
-        }
-    }
-
-    if opts.threads.is_some() && opts.filter.is_none() {
-        eprintln!(
-            "bench: --threads overrides every sweep.pool_* kernel to the same width; \
-             combine it with --filter to probe one kernel (the report is stamped either way)"
-        );
-    }
-    let report = match cnt_bench::bench::run(&opts) {
-        Ok(report) => report,
-        Err(e) => return fail(&e.to_string()),
-    };
-    if report.kernels.is_empty() {
-        return fail(&format!(
-            "no kernel matches the filter (known: {})",
-            cnt_bench::bench::kernel_ids().join(" ")
-        ));
-    }
-    match format {
-        OutputFormat::Text => out!("{}", report.render_text()),
-        OutputFormat::Json => outln!("{}", report.to_json()),
-        OutputFormat::Csv => unreachable!("rejected above"),
-    }
-    if write_file {
-        let path = out_path.unwrap_or_else(|| format!("BENCH_{}.json", report.unix_time_s));
-        match std::fs::write(&path, format!("{}\n", report.to_json())) {
-            Ok(()) => eprintln!(
-                "bench: {} kernel(s) -> {path} ({} mode)",
-                report.kernels.len(),
-                if report.quick { "quick" } else { "full" }
-            ),
-            Err(e) => return fail(&format!("writing {path}: {e}")),
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses and runs
-/// `repro bench diff <A.json> <B.json> [--format text|json] [--fail-above PCT]`.
-///
-/// Compares per-kernel medians of two trajectory points (baseline `A`,
-/// new `B`), flags added/removed kernels, and — when `--fail-above` is
-/// given — exits non-zero if any non-pool kernel's median regressed by
-/// more than `PCT` percent or any kernel disappeared.
-fn run_bench_diff_command(args: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut format = OutputFormat::Text;
-    let mut fail_above: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => match it.next().map(|v| v.parse::<OutputFormat>()) {
-                Some(Ok(OutputFormat::Csv)) => {
-                    return fail("bench diff emits text or json (csv is not a diff format)")
-                }
-                Some(Ok(f)) => format = f,
-                Some(Err(e)) => return fail(&e.to_string()),
-                None => return fail("--format needs a value"),
-            },
-            "--fail-above" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(pct)) if pct.is_finite() && pct >= 0.0 => fail_above = Some(pct),
-                Some(_) => return fail("--fail-above expects a non-negative percentage"),
-                None => return fail("--fail-above needs a value"),
-            },
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown bench diff flag '{other}'"))
-            }
-            _ => paths.push(arg),
-        }
-    }
-    let [path_a, path_b] = paths[..] else {
-        return fail("bench diff takes exactly two BENCH_*.json paths");
-    };
-    let load = |path: &str| -> Result<cnt_bench::diff::BenchPoint, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        cnt_bench::diff::parse_point(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let a = match load(path_a) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let b = match load(path_b) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let diff = cnt_bench::diff::BenchDiff::compute(&a, &b);
-    match format {
-        OutputFormat::Text => out!("{}", diff.render_text(&a, &b)),
-        OutputFormat::Json => outln!("{}", diff.to_json(&a, &b)),
-        OutputFormat::Csv => unreachable!("rejected above"),
-    }
-    if let Some(pct) = fail_above {
-        let failures = diff.gate_failures(pct, &a, &b);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("bench diff: {f}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "bench diff: gate passed ({} shared kernel(s) within {pct}%, {} added, {} retired)",
-            diff.rows.len(),
-            diff.added.len(),
-            diff.retired.len()
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 /// The registry-driven `--list`: id, title, and a `[sweep]` marker when a

@@ -43,18 +43,6 @@ impl Default for SolverOptions {
     }
 }
 
-/// A converged solve plus its execution statistics.
-///
-/// Returned by [`StencilSystem::solve_full`]; the bench kernels report
-/// the iteration count in the performance trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Solution {
-    /// Nodal potentials.
-    pub psi: Vec<f64>,
-    /// CG iterations performed.
-    pub iterations: usize,
-}
-
 /// Reusable scratch buffers for [`StencilSystem::solve_with`].
 ///
 /// A CG solve needs five full-grid work vectors (`A·p`, residual,
@@ -239,22 +227,12 @@ impl StencilSystem {
     /// Returns [`Error::NoConvergence`] when CG exhausts
     /// `max_iterations`.
     pub fn solve_with(&self, options: &SolverOptions, ws: &mut SolveWorkspace) -> Result<Vec<f64>> {
-        self.solve_full(options, ws).map(|s| s.psi)
-    }
-
-    /// [`Self::solve_with`], also reporting iteration statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoConvergence`] when CG exhausts
-    /// `max_iterations`.
-    pub fn solve_full(&self, options: &SolverOptions, ws: &mut SolveWorkspace) -> Result<Solution> {
         let _solve_span = cnt_obs::span!("fields.solve");
-        let solution = self.solve_cg(options, ws)?;
+        let (psi, iterations) = self.solve_cg(options, ws)?;
         // The iteration counter observes only; the solve itself is
         // untouched (determinism of the iterate sequence is golden-pinned).
-        cg_iterations().add(solution.iterations as u64);
-        Ok(solution)
+        cg_iterations().add(iterations as u64);
+        Ok(psi)
     }
 
     fn fill_free_mask(&self, free: &mut Vec<bool>) {
@@ -266,7 +244,13 @@ impl StencilSystem {
         self.dirichlet.iter().map(|d| d.unwrap_or(0.0)).collect()
     }
 
-    fn solve_cg(&self, options: &SolverOptions, ws: &mut SolveWorkspace) -> Result<Solution> {
+    /// The CG iteration itself: the converged potentials and the number
+    /// of iterations it took.
+    fn solve_cg(
+        &self,
+        options: &SolverOptions,
+        ws: &mut SolveWorkspace,
+    ) -> Result<(Vec<f64>, usize)> {
         let n = self.node_count();
         let SolveWorkspace {
             ax,
@@ -289,7 +273,7 @@ impl StencilSystem {
 
         let norm_b: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm_b == 0.0 {
-            return Ok(Solution { psi, iterations: 0 });
+            return Ok((psi, 0));
         }
 
         precond.clear();
@@ -319,10 +303,7 @@ impl StencilSystem {
             }
             if pap <= 0.0 {
                 // Numerically flat direction — accept current iterate.
-                return Ok(Solution {
-                    psi,
-                    iterations: it,
-                });
+                return Ok((psi, it));
             }
             let alpha = rz / pap;
             // One fused pass: update ψ and r, accumulate ‖r‖², refresh the
@@ -346,10 +327,7 @@ impl StencilSystem {
             }
             let norm_r = norm_r2.sqrt();
             if norm_r <= options.tolerance * norm_b {
-                return Ok(Solution {
-                    psi,
-                    iterations: it + 1,
-                });
+                return Ok((psi, it + 1));
             }
             let beta = rz_new / rz;
             rz = rz_new;

@@ -1,7 +1,7 @@
 //! The workspace's one JSON codec (RFC 8259).
 //!
 //! The workspace has no serde. Every report, sweep table, served body,
-//! journal record, bench point and telemetry document is written by hand
+//! journal record and telemetry document is written by hand
 //! through the two emitters here — [`push_string`] and [`number`] — and
 //! read back through the one parser, [`parse`] (or [`parse_stream`] for
 //! whitespace-separated documents such as JSON lines).

@@ -20,7 +20,7 @@
 //! | observability (atomic counters/gauges/histograms, tracing spans, time-series rings + SLO burn rates, distributed-trace store, flamegraph folding, Prometheus render + validator, the one JSON codec) | [`obs`] | every layer, measured in-process |
 //! | HTTP experiment server (keep-alive, scheduling, coalescing, LRU result cache, `/v1/metrics` + history/SLO/trace/profile routes, async job API) | [`serve`] | every artefact, as a service |
 //! | fleet primitives (rendezvous hash ring, peer cache-fill client with trace-header propagation, bounded job table) | [`fleet`] | multi-instance serving |
-//! | benchmark harness (`repro bench`: kernel registry, `BENCH_*.json` perf trajectory, `bench diff` regression gate) | `cnt-bench` | every hot path, measured |
+//! | command line (`repro`: artefacts, sweeps, `serve`, cache GC, output checks, profiles) | `cnt-bench` | every artefact |
 //!
 //! # Quickstart
 //!
@@ -55,9 +55,9 @@
 //! HTTP/1.1 keep-alive, Prometheus-style `/v1/metrics`, async sweep
 //! jobs via `POST /v1/sweeps/{id}`, and consistent-hash sharding
 //! across instances with `--fleet`; see `crates/serve/README.md` and
-//! `crates/fleet/README.md`), or time every hot kernel with
-//! `repro bench [--quick]` (machine-readable `BENCH_*.json` trajectory;
-//! see `crates/bench/README.md`).
+//! `crates/fleet/README.md`). `perfbench/` times all of it end to end
+//! and layer by layer against `BENCHMARK.json` (see
+//! `crates/bench/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
