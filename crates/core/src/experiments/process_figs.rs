@@ -36,8 +36,9 @@ pub(super) fn entries() -> Vec<Entry> {
 }
 
 /// Simulates the Fig. 6/7 impregnation recipe across an aspect-ratio grid
-/// on the `cnt-sweep` pool; results come back in grid order.
+/// on a `threads`-wide `cnt-sweep` pool; results come back in grid order.
 fn fill_sweep(
+    threads: usize,
     method: DepositionMethod,
     orientation: CarpetOrientation,
     conductive_seed: bool,
@@ -46,7 +47,7 @@ fn fill_sweep(
 ) -> Result<Vec<FillResult>> {
     let plan =
         SweepPlan::new("experiments.process.fill").axis(Axis::grid("aspect_ratio", aspect_ratios));
-    let results = Executor::new(0).run(&plan, 0, |job, _| {
+    let results = Executor::new(threads).run(&plan, 0, |job, _| {
         CompositeRecipe {
             method,
             orientation,
@@ -229,6 +230,7 @@ fn fig06_with(ctx: &RunContext) -> Result<Report> {
     ]);
     let ars = [0.5, 1.0, 2.0, 4.0, 8.0];
     let fills = fill_sweep(
+        ctx.threads,
         DepositionMethod::Electroless,
         CarpetOrientation::Vertical,
         false,
@@ -267,6 +269,7 @@ fn fig07_with(ctx: &RunContext) -> Result<Report> {
     ]);
     let ars = [0.5, 1.0, 2.0, 4.0, 8.0];
     let fills = fill_sweep(
+        ctx.threads,
         DepositionMethod::Electrochemical,
         CarpetOrientation::Horizontal,
         true,

@@ -241,7 +241,7 @@ fn fig13b_with(ctx: &RunContext) -> Result<Report> {
     // identity, so the job streams are deliberately unused).
     let plan = SweepPlan::new("experiments.reliability.fig13b.setups")
         .axis(Axis::grid("setup", &[0.0, 1.0]));
-    let mut reports = Executor::new(0).run(&plan, 0, |job, _| {
+    let mut reports = Executor::new(ctx.threads).run(&plan, 0, |job, _| {
         let setup = if job.get_usize("setup").expect("axis exists") == 0 {
             WaferCharSetup::copper_reference()
         } else {
