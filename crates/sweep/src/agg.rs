@@ -175,98 +175,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with explicit under/overflow
-/// counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    /// Samples below `lo`.
-    pub underflow: u64,
-    /// Samples at or above `hi`.
-    pub overflow: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] for zero bins or a degenerate
-    /// interval.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Result<Self> {
-        if bins == 0 {
-            return Err(Error::InvalidParameter {
-                name: "histogram bins",
-                value: 0.0,
-            });
-        }
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(Error::InvalidParameter {
-                name: "histogram interval",
-                value: lo,
-            });
-        }
-        Ok(Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        })
-    }
-
-    /// Feeds one sample.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let last = self.bins.len() - 1;
-            self.bins[idx.min(last)] += 1;
-        }
-    }
-
-    /// Merges another histogram with identical binning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] if the binnings differ.
-    pub fn merge(&mut self, other: &Histogram) -> Result<()> {
-        if self.lo != other.lo || self.hi != other.hi || self.bins.len() != other.bins.len() {
-            return Err(Error::InvalidParameter {
-                name: "histogram merge binning",
-                value: other.bins.len() as f64,
-            });
-        }
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        Ok(())
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The center of bin `i`.
-    pub fn center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Total in-range samples.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,27 +238,5 @@ mod tests {
         assert_eq!(percentile_sorted(&xs, 50.0), 2.0);
         assert!((percentile_sorted(&xs, 62.5) - 2.5).abs() < 1e-12);
         assert_eq!(percentile_sorted(&[7.0], 30.0), 7.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_merge() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 55.0] {
-            h.push(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.overflow, 2);
-        assert_eq!(h.total(), 4);
-        assert!((h.center(0) - 1.0).abs() < 1e-12);
-
-        let mut other = Histogram::new(0.0, 10.0, 5).unwrap();
-        other.push(5.0);
-        h.merge(&other).unwrap();
-        assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
-        let bad = Histogram::new(0.0, 9.0, 5).unwrap();
-        assert!(h.merge(&bad).is_err());
-        assert!(Histogram::new(0.0, 0.0, 5).is_err());
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
     }
 }
