@@ -19,9 +19,11 @@
 //!   `capacity` entries exist (after a GC pass), turning runaway
 //!   submission into an explicit `503 + Retry-After` shed upstream.
 //! * **TTL GC** — finished jobs older than `ttl` are dropped, spill and
-//!   all, on the next submission and by [`JobTable::open`], so results
-//!   are pollable for a grace window but never accumulate forever.
-//!   Between startups the journal still grows by two records per job.
+//!   all, on the next submission, by [`JobTable::open`] and by
+//!   [`JobTable::collect_expired`], which also evicts chunk tables older
+//!   than `ttl`, so results are pollable for a grace window but never
+//!   accumulate forever. Between startups the journal still grows by two
+//!   records per job.
 
 use crate::journal::{self, Journal};
 use cnt_obs::json::{self, JsonValue};
@@ -448,6 +450,26 @@ impl JobTable {
         match &self.durable {
             Some((dir, _)) => ResultStore::on_disk(dir.join("sweep-cache")),
             None => ResultStore::in_memory(),
+        }
+    }
+
+    /// Drops the finished jobs whose TTL expired, deleting their
+    /// spills, and evicts the chunk tables in `sweep-cache/` older than
+    /// the TTL — the pass a server runs on a timer, so a quiet server's
+    /// data directory stays bounded too. A chunk table is written before
+    /// its job finishes, so it expires no later than the job; evicting
+    /// one that a running or resumed job would read costs a recompute,
+    /// as the store is content-addressed.
+    pub fn collect_expired(&self) {
+        let expired = Self::collect(
+            &mut self.jobs.lock().expect("job table poisoned"),
+            self.ttl,
+            Instant::now(),
+        );
+        remove_spills(expired);
+        if let Some((dir, _)) = &self.durable {
+            // Best effort, like every other cache write and eviction.
+            let _ = cnt_sweep::cache::gc_by_age(&dir.join("sweep-cache"), self.ttl);
         }
     }
 

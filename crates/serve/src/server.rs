@@ -393,6 +393,66 @@ struct Flight {
     done: Condvar,
 }
 
+/// Wakes the background threads (the history scraper and the fleet
+/// prober): `serve()` stops them when it returns, and a peer going Down
+/// rings the prober. The stop flag and a ring count sit under one
+/// mutex, so a ring that lands between a waiter reading the count and
+/// starting to wait still wakes it.
+#[derive(Default)]
+struct Wake {
+    /// (stopped, rings so far).
+    state: Mutex<(bool, u64)>,
+    changed: Condvar,
+}
+
+impl Wake {
+    /// The rings so far, for a later [`Self::wait`].
+    fn rings(&self) -> u64 {
+        self.state.lock().expect("wake poisoned").1
+    }
+
+    /// Wakes the waiters that watch for rings.
+    fn ring(&self) {
+        self.state.lock().expect("wake poisoned").1 += 1;
+        self.changed.notify_all();
+    }
+
+    /// Wakes every waiter for good.
+    fn stop(&self) {
+        self.state.lock().expect("wake poisoned").0 = true;
+        self.changed.notify_all();
+    }
+
+    /// Blocks until `deadline` (no deadline with `None`), until the ring
+    /// count moves past `seen` (rings are ignored with `None`), or until
+    /// stop. Returns `false` once stopped.
+    fn wait(&self, seen: Option<u64>, deadline: Option<Instant>) -> bool {
+        let mut state = self.state.lock().expect("wake poisoned");
+        loop {
+            let (stopped, rings) = *state;
+            if stopped {
+                return false;
+            }
+            if seen.is_some_and(|seen| seen != rings) {
+                return true;
+            }
+            state = match deadline {
+                None => self.changed.wait(state).expect("wake poisoned"),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return true;
+                    }
+                    self.changed
+                        .wait_timeout(state, left)
+                        .expect("wake poisoned")
+                        .0
+                }
+            };
+        }
+    }
+}
+
 /// State shared between the accept loop, the connection threads and the
 /// sweep-job threads.
 struct Shared {
@@ -410,6 +470,8 @@ struct Shared {
     /// Set by [`ShutdownHandle`], and by `serve()` once it stops
     /// accepting: connection threads then close instead of idling.
     stop: Arc<AtomicBool>,
+    /// Stops the background threads; a peer going Down rings it.
+    wake: Arc<Wake>,
     /// Async job registry behind `POST /v1/sweeps/{id}`.
     jobs: JobTable,
     /// Set once by [`Server::enable_fleet`]; `None` = single instance.
@@ -472,6 +534,7 @@ impl Shared {
             connections: LiveThreads::new(MAX_CONNECTIONS),
             job_threads: LiveThreads::new(usize::MAX),
             stop: Arc::new(AtomicBool::new(false)),
+            wake: Arc::default(),
             jobs,
             fleet: OnceLock::new(),
             request_deadline: config.request_deadline,
@@ -684,7 +747,11 @@ impl Server {
                 message: "fleet topology already configured".to_string(),
             });
         }
-        let state = routing::FleetState::new(fleet, &self.shared.metrics.registry);
+        let state = routing::FleetState::new(
+            fleet,
+            &self.shared.metrics.registry,
+            Arc::clone(&self.shared.wake),
+        );
         self.shared.fleet.set(state).map_err(|_| Error::Config {
             message: "fleet topology already configured".to_string(),
         })
@@ -724,29 +791,21 @@ impl Server {
                 .set_nonblocking(true)
                 .map_err(|e| Error::io("set_nonblocking", e))?;
         }
-        // The self-scraper: one sample of every registry per interval
-        // into the history rings, for as long as the server serves.
-        let scraper_stop = Arc::new(AtomicBool::new(false));
+        // The self-scraper: once per interval, one sample of every
+        // registry into the history rings and one GC pass over the job
+        // table and the data dir, for as long as the server serves.
         let scraper = {
             let shared = Arc::clone(&self.shared);
-            let stop = Arc::clone(&scraper_stop);
             let interval = self.config.history_interval;
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    sample_history(&shared);
-                    // Sleep in short slices so shutdown is responsive
-                    // even under multi-second intervals.
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !stop.load(Ordering::SeqCst) {
-                        let slice = Duration::from_millis(25).min(interval - slept);
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
+            std::thread::spawn(move || loop {
+                sample_history(&shared);
+                shared.jobs.collect_expired();
+                if !shared.wake.wait(None, Some(Instant::now() + interval)) {
+                    break;
                 }
             })
         };
-        let prober_stop = Arc::new(AtomicBool::new(false));
-        let prober = routing::spawn_prober(&self.shared, &prober_stop);
+        let prober = routing::spawn_prober(&self.shared);
         loop {
             if self.shared.stop.load(Ordering::SeqCst)
                 || (self.config.watch_signals && signal::triggered())
@@ -774,9 +833,8 @@ impl Server {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.connections.wait_none_left();
         self.shared.job_threads.wait_none_left();
-        scraper_stop.store(true, Ordering::SeqCst);
+        self.shared.wake.stop();
         let _ = scraper.join();
-        prober_stop.store(true, Ordering::SeqCst);
         if let Some(prober) = prober {
             let _ = prober.join();
         }

@@ -3,7 +3,7 @@
 //! probe, then proxy or redirect), cross-instance job lookups and trace
 //! assembly, and the background prober that brings Down peers back.
 
-use super::{ok_response, static_content_type, RequestScope, Shared};
+use super::{ok_response, static_content_type, RequestScope, Shared, Wake};
 use crate::api;
 use crate::http::{Request, Response};
 use cnt_fleet::{
@@ -13,9 +13,8 @@ use cnt_fleet::{
 use cnt_interconnect::experiments::Params;
 use cnt_obs::trace_store::{self, id_hex, parse_id};
 use cnt_obs::{CounterVec, GaugeVec, MetricRegistry};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A validated fleet membership: the shard table, the peer clients (a
 /// fast-failing one for cache-fill probes, a patient one for full
@@ -37,13 +36,17 @@ pub(super) struct FleetState {
     probes: Arc<CounterVec>,
     /// `cnt_fleet_peer_transitions_total{to}`: state changes observed.
     transitions: Arc<CounterVec>,
+    /// Rung on every transition to Down, so the prober can sleep until
+    /// a probe is due.
+    wake: Arc<Wake>,
 }
 
 impl FleetState {
     /// Builds the membership for a validated topology and registers its
     /// metric families on `registry` (at join time, so a single-instance
-    /// scrape stays byte-identical to the pre-fleet exposition).
-    pub(super) fn new(fleet: FleetConfig, registry: &MetricRegistry) -> Self {
+    /// scrape stays byte-identical to the pre-fleet exposition). A peer
+    /// going Down rings `wake`.
+    pub(super) fn new(fleet: FleetConfig, registry: &MetricRegistry, wake: Arc<Wake>) -> Self {
         let chaos = fleet
             .chaos
             .filter(|c| c.is_active())
@@ -101,18 +104,22 @@ impl FleetState {
             peer_state,
             probes,
             transitions,
+            wake,
             config: fleet,
         }
     }
 
     /// Reflects a health transition into the peer-state gauges and the
-    /// transition counter.
+    /// transition counter, and wakes the prober when a peer went Down.
     fn apply_transition(&self, transition: &Transition) {
         self.transitions.with(transition.to.label()).inc();
         let addr = self.config.peer(transition.peer);
         for state in PeerState::ALL {
             let current = if state == transition.to { 1.0 } else { 0.0 };
             self.peer_state.with(&[addr, state.label()]).set(current);
+        }
+        if transition.to == PeerState::Down {
+            self.wake.ring();
         }
     }
 
@@ -139,18 +146,18 @@ impl FleetState {
 
 /// Starts the re-probe loop: while any peer is Down, it checks the peer
 /// off the hot path on its jittered backoff schedule and restores it to
-/// Up on the first healthy answer, until `stop` is set. `None` on a
-/// single instance.
-pub(super) fn spawn_prober(
-    shared: &Arc<Shared>,
-    stop: &Arc<AtomicBool>,
-) -> Option<std::thread::JoinHandle<()>> {
+/// Up on the first healthy answer, until the server stops. Between
+/// probes it sleeps until the next one is due, and while no peer is Down
+/// until one goes Down. `None` on a single instance.
+pub(super) fn spawn_prober(shared: &Arc<Shared>) -> Option<std::thread::JoinHandle<()>> {
     shared.fleet.get()?;
     let shared = Arc::clone(shared);
-    let stop = Arc::clone(stop);
     Some(std::thread::spawn(move || {
         let fleet = shared.fleet.get().expect("prober spawned with a fleet");
-        while !stop.load(Ordering::SeqCst) {
+        loop {
+            // Read before the schedule, so a peer going Down after this
+            // point ends the wait below at once.
+            let seen = shared.wake.rings();
             for index in fleet.health.due_probes(Instant::now()) {
                 match fleet.prober.get(fleet.config.peer(index), "/v1/healthz") {
                     Ok(response) if response.status == 200 => {
@@ -162,7 +169,9 @@ pub(super) fn spawn_prober(
                     _ => fleet.probes.with("error").inc(),
                 }
             }
-            std::thread::sleep(Duration::from_millis(25));
+            if !shared.wake.wait(Some(seen), fleet.health.next_probe_due()) {
+                break;
+            }
         }
     }))
 }

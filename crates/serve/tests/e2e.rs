@@ -5,11 +5,12 @@
 //! keep-alive connections that must not hold up anyone else's work.
 
 use cnt_interconnect::experiments::{self, registry};
-use cnt_serve::{Config, Server, ShutdownHandle};
+use cnt_serve::{Config, FleetConfig, Server, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One HTTP/1.1 exchange; returns (status, headers, body).
 fn http(
@@ -1124,6 +1125,109 @@ fn fifty_fresh_connections_need_no_accept_poll() {
         best < Duration::from_millis(100),
         "50 fresh connections took {best:?} at best"
     );
+}
+
+/// An idle server returns from `serve()` soon after `shutdown()`: its
+/// history scraper and fleet prober wait on the server's stop signal,
+/// not on a timer. One server is plain, the other a fleet member whose
+/// peers are all Up, so its prober has no probe due; both scrape once a
+/// minute.
+#[test]
+fn idle_servers_stop_within_a_second_of_shutdown() {
+    let quiet = || Config {
+        history_interval: Duration::from_secs(60),
+        ..config()
+    };
+    let plain = Server::bind(quiet()).unwrap();
+    let members = [
+        Server::bind(quiet()).unwrap(),
+        Server::bind(quiet()).unwrap(),
+    ];
+    let peers: Vec<String> = members.iter().map(|m| m.local_addr().to_string()).collect();
+    for (index, member) in members.iter().enumerate() {
+        member
+            .enable_fleet(FleetConfig::new(peers.clone(), index))
+            .unwrap();
+    }
+    let [member, peer] = members;
+    let servers = [("plain", start(plain)), ("fleet member", start(member))];
+    let (_, peer_handle, peer_thread) = start(peer);
+    // Let both background threads reach their waits.
+    std::thread::sleep(Duration::from_millis(200));
+    for (name, (addr, handle, thread)) in servers {
+        assert_eq!(get(addr, "/v1/healthz").0, 200, "{name}");
+        let started = Instant::now();
+        handle.shutdown();
+        thread.join().unwrap();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "the idle {name} took {took:?} to stop"
+        );
+    }
+    peer_handle.shutdown();
+    peer_thread.join().unwrap();
+}
+
+/// Files named `*.{ext}` anywhere under `dir` (none when it is missing).
+fn files_with_extension(dir: &Path, ext: &str) -> usize {
+    std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|entry| {
+            let path = entry.path();
+            if path.is_dir() {
+                files_with_extension(&path, ext)
+            } else {
+                usize::from(path.extension().is_some_and(|e| e == ext))
+            }
+        })
+        .sum()
+}
+
+/// A server that gets no requests still collects expired results: the
+/// once-per-history-interval pass drops expired jobs with their spills
+/// and evicts chunk tables older than the job TTL.
+#[test]
+fn a_quiet_server_collects_expired_spills_and_chunk_tables() {
+    let dir = std::env::temp_dir().join(format!("cnt-serve-quiet-gc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (addr, handle, thread) = start(
+        Server::bind(Config {
+            job_ttl: Duration::from_secs(1),
+            history_interval: Duration::from_millis(100),
+            data_dir: Some(dir.clone()),
+            ..config()
+        })
+        .unwrap(),
+    );
+    let (status, submit) = post(addr, "/v1/sweeps/fig12", r#"{"params": {"trials": 32}}"#);
+    assert_eq!(status, 202, "{submit}");
+    let rid = job_id(&submit);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while get(addr, &format!("/v1/jobs/{rid}/result")).0 != 200 {
+        assert!(Instant::now() < deadline, "job {rid} never finished");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (jobs, chunks) = (dir.join("jobs"), dir.join("sweep-cache"));
+    assert_eq!(files_with_extension(&jobs, "body"), 1, "no spill written");
+    assert!(
+        files_with_extension(&chunks, "json") > 0,
+        "no chunk table written"
+    );
+    // No request for twice the TTL.
+    std::thread::sleep(Duration::from_secs(2));
+    assert_eq!(files_with_extension(&jobs, "body"), 0, "spill kept");
+    assert_eq!(
+        files_with_extension(&chunks, "json"),
+        0,
+        "chunk tables kept"
+    );
+    assert_eq!(get(addr, &format!("/v1/jobs/{rid}")).0, 404);
+    handle.shutdown();
+    thread.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
