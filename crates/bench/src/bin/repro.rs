@@ -39,8 +39,8 @@
 //!                         peer hops for fault-tolerance testing
 //! repro cache gc --max-bytes 10000000
 //!                         shrink the on-disk sweep cache by evicting the
-//!                         oldest-modified entries first (flat and
-//!                         sharded layouts alike)
+//!                         oldest-modified entries of its shard
+//!                         directories first
 //! repro check-json        validate a JSON stream on stdin (used by CI to
 //!                         guard `repro all --format json`)
 //! repro check-metrics     validate a Prometheus text exposition on stdin

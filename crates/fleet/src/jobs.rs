@@ -443,14 +443,11 @@ impl JobTable {
     }
 
     /// The chunk-result store backing crash resume: `sweep-cache/` under
-    /// the data directory, or a throwaway in-memory store without one
-    /// (fan-out still works; chunks just cannot be recalled across
-    /// restarts).
-    pub fn chunk_store(&self) -> ResultStore {
-        match &self.durable {
-            Some((dir, _)) => ResultStore::on_disk(dir.join("sweep-cache")),
-            None => ResultStore::in_memory(),
-        }
+    /// the data directory. Without one there is no store: fan-out still
+    /// works, but chunks are neither kept nor recalled.
+    pub fn chunk_store(&self) -> Option<ResultStore> {
+        let (dir, _) = self.durable.as_ref()?;
+        Some(ResultStore::new(dir.join("sweep-cache")))
     }
 
     /// Drops the finished jobs whose TTL expired, deleting their

@@ -173,9 +173,9 @@ fn spawn_sweep_job(
 
 /// Builds a job's sweep kernel (under the caller's compute permit) and
 /// runs it as chunks: a deterministic chunk split, chunk-level crash
-/// resume through the content-hash chunk store, one dispatch lane per
-/// fleet peer with re-dispatch on failure, and the local lane as the
-/// lane of last resort. Per-job rows concatenate in global index order
+/// resume through the kernel's chunk store, one dispatch lane per fleet
+/// peer with re-dispatch on failure, and the local lane as the lane of
+/// last resort. Per-job rows concatenate in global index order
 /// into the same [`SweepKernel::finish`] reduce `repro sweep` uses, so
 /// the merged report is byte-identical by construction.
 ///
@@ -212,19 +212,13 @@ fn fanout_sweep(
         }),
     };
 
-    // Resume pass: chunks a previous life of this coordinator finished
-    // recall from the store — counted as sweep cache hits, the signal
-    // the restart e2e asserts on — and are never dispatched at all.
+    // Resume pass, the job's one lookup per chunk: chunks a previous
+    // life of this coordinator (or an earlier job at the same point)
+    // finished recall from the store — counted as sweep cache hits, the
+    // signal the restart e2e asserts on — and are never dispatched.
     for (index, range) in ranges.iter().enumerate() {
-        let key = sweep.chunk_key(range.start, range.end);
-        let probe = fanout.store.get_or_compute(&key, || {
-            Err(cnt_sweep::Error::Job {
-                index: range.start,
-                message: "chunk not computed yet".to_string(),
-            })
-        });
-        if let Ok((table, _)) = probe {
-            fanout.land(index, range, table.rows, "resumed");
+        if let Some(rows) = sweep.recall_chunk(fanout.store.as_ref(), range) {
+            fanout.land(index, range, rows, "resumed");
         }
     }
 
@@ -266,7 +260,8 @@ fn chunk_retry_delay(attempt: u32) -> Duration {
 }
 
 /// One sweep's chunk coordinator: the board every lane claims from, the
-/// per-chunk rows, the first kernel failure, and the chunk store.
+/// per-chunk rows, the first kernel failure, and the chunk store (none
+/// without a data dir).
 struct Fanout<'a> {
     shared: &'a Arc<Shared>,
     spec: &'a JobSpec,
@@ -275,7 +270,7 @@ struct Fanout<'a> {
     board: ChunkBoard,
     results: Mutex<Vec<Option<Vec<Vec<f64>>>>>,
     abort: Mutex<Option<(u16, String)>>,
-    store: ResultStore,
+    store: Option<ResultStore>,
     /// How long a dispatched chunk may stay out before another lane
     /// steals it.
     deadline: Duration,
@@ -329,30 +324,27 @@ impl Fanout<'_> {
                 );
                 self.shared.metrics.chunks_total.with("requeued").inc();
             };
-            let key = self.sweep.chunk_key(claim.range.start, claim.range.end);
             let body = jobs::chunk_request_json(self.spec, self.sweep.fingerprint(), &claim.range);
             match fleet.call_peer(peer_index, |addr| {
                 fleet
                     .proxy
                     .post(addr, "/v1/_fleet/chunk", "application/json", &body)
             }) {
-                Ok(peer) if peer.status == 200 => match cnt_sweep::json::decode_table(&peer.body) {
-                    Ok(table)
-                        if table.key == key.hex() && table.rows.len() == claim.range.len() =>
+                // The kernel checks the body and persists it before the
+                // chunk reports done: a coordinator killed right after
+                // this resumes the chunk from disk instead of re-fetching
+                // it. A body it refuses (foreign build, wrong shape) or
+                // cannot keep requeues; only the health detector decides
+                // this peer's fate.
+                Ok(peer) if peer.status == 200 => {
+                    match self
+                        .sweep
+                        .accept_chunk(self.store.as_ref(), &claim.range, &peer.body)
                     {
-                        // Persist before reporting done: a coordinator
-                        // killed right after this line resumes the
-                        // chunk from disk instead of re-fetching it.
-                        let _ = self
-                            .store
-                            .put(&key, table.columns.clone(), table.rows.clone());
-                        self.land(claim.index, &claim.range, table.rows, "remote");
+                        Ok(rows) => self.land(claim.index, &claim.range, rows, "remote"),
+                        Err(_) => requeue(),
                     }
-                    // A 200 whose rows we cannot trust (foreign build,
-                    // wrong shape): requeue; only the health detector
-                    // decides this peer's fate.
-                    _ => requeue(),
-                },
+                }
                 Ok(peer) => {
                     requeue();
                     // The peer answered but refused (fingerprint
@@ -369,16 +361,13 @@ impl Fanout<'_> {
         }
     }
 
-    /// The coordinator's local lane: runs claimed chunks through the
-    /// chunk store, so completed work is both crash-durable and never
-    /// recomputed after a resume.
+    /// The coordinator's local lane: runs claimed chunks and keeps each
+    /// in the chunk store, so completed work is crash-durable. The
+    /// resume pass already looked every chunk up.
     fn local_lane(&self) {
         while let Some(claim) = self.next_claim(|| true) {
-            match compute_chunk(&self.store, self.sweep, &claim.range) {
-                Ok((table, hit)) => {
-                    let outcome = if hit { "resumed" } else { "local" };
-                    self.land(claim.index, &claim.range, table.rows, outcome);
-                }
+            match self.sweep.run_chunk(self.store.as_ref(), &claim.range) {
+                Ok(rows) => self.land(claim.index, &claim.range, rows, "local"),
                 Err(e) => {
                     // Kernel errors are deterministic — re-dispatching
                     // the chunk would fail identically everywhere, so
@@ -390,25 +379,6 @@ impl Fanout<'_> {
             }
         }
     }
-}
-
-/// One chunk's rows through a chunk store
-/// ([`ResultStore::get_or_compute`]): recalled when the store holds
-/// them, else run and stored. The flag reports a recall.
-fn compute_chunk(
-    store: &ResultStore,
-    sweep: &SweepKernel,
-    range: &Range<usize>,
-) -> cnt_sweep::Result<(cnt_sweep::Table, bool)> {
-    store.get_or_compute(&sweep.chunk_key(range.start, range.end), || {
-        let rows = sweep
-            .run_range(range.start, range.end)
-            .map_err(|e| cnt_sweep::Error::Job {
-                index: range.start,
-                message: e.to_string(),
-            })?;
-        Ok((sweep.columns(), rows))
-    })
 }
 
 /// `POST /v1/_fleet/chunk`: run one chunk of a fanned-out sweep and
@@ -451,11 +421,16 @@ pub(super) fn fleet_chunk_route(request: &Request, shared: &Arc<Shared>) -> Resp
     let Some(_permit) = shared.gate.try_acquire() else {
         return shared.busy("request queue");
     };
-    // The worker's own chunk store: a re-dispatched chunk this instance
-    // already ran answers from disk, and a worker that dies mid-chunk
-    // leaves nothing to clean up.
-    match compute_chunk(&shared.jobs.chunk_store(), &sweep, &(chunk.lo..chunk.hi)) {
-        Ok((table, _)) => Response::json(200, cnt_sweep::json::encode_table(&table)),
+    // The worker's own chunk store, when it has a data dir: a
+    // re-dispatched chunk this instance already ran answers from disk,
+    // and a worker that dies mid-chunk leaves nothing to clean up.
+    let (store, range) = (shared.jobs.chunk_store(), chunk.lo..chunk.hi);
+    let rows = match sweep.recall_chunk(store.as_ref(), &range) {
+        Some(rows) => Ok(rows),
+        None => sweep.run_chunk(store.as_ref(), &range),
+    };
+    match rows {
+        Ok(rows) => Response::json(200, sweep.encode_chunk(&range, rows)),
         Err(e) => Response::json(500, api::error_json(&e.to_string())),
     }
 }

@@ -6,7 +6,7 @@
 //! of recomputed. The gate throughout is byte-identity: every merged
 //! report must equal the single-instance computation exactly.
 
-use cnt_interconnect::experiments;
+use cnt_interconnect::experiments::{self, SweepKernel};
 use cnt_serve::{
     fleet::{journal, ChaosConfig},
     Config, FleetConfig, RouteMode, Server, ShutdownHandle,
@@ -14,7 +14,7 @@ use cnt_serve::{
 use cnt_sweep::{chunk_ranges, ResultStore};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// One HTTP/1.1 exchange; returns (status, body).
@@ -96,11 +96,10 @@ fn progress(addr: SocketAddr, rid: &str) -> (u64, u64) {
 }
 
 /// Polls `/v1/jobs/{rid}/result` on `addr` until the job lands. Every
-/// in-flight poll must show the whole sweep as its total (or nothing
-/// yet) and no more done than that.
-fn await_result(addr: SocketAddr, rid: &str) -> String {
+/// in-flight poll must show the whole sweep (of `jobs` jobs) as its
+/// total (or nothing yet) and no more done than that.
+fn await_jobs(addr: SocketAddr, rid: &str, jobs: u64) -> String {
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    let jobs = sweep_jobs();
     loop {
         let (status, body) = get(addr, &format!("/v1/jobs/{rid}/result"));
         match status {
@@ -120,6 +119,11 @@ fn await_result(addr: SocketAddr, rid: &str) -> String {
             other => panic!("unexpected result status {other} for {rid}: {body}"),
         }
     }
+}
+
+/// [`await_jobs`] for a job at [`SWEEP_BODY`].
+fn await_result(addr: SocketAddr, rid: &str) -> String {
+    await_jobs(addr, rid, sweep_jobs())
 }
 
 struct Instance {
@@ -178,25 +182,72 @@ fn fleet_with(n: usize, tweak: impl Fn(usize, &mut FleetConfig)) -> Vec<Instance
 /// The sweep point every test uses: a pinned trial count.
 const SWEEP_BODY: &str = r#"{"params": {"trials": 48}}"#;
 
-fn sweep_sets() -> Vec<(String, String)> {
-    vec![("trials".to_string(), "48".to_string())]
+/// The kernel of sweep `id` at `trials`.
+fn kernel(id: &str, trials: &str) -> SweepKernel {
+    let sets = [("trials".to_string(), trials.to_string())];
+    let (_, ctx) = experiments::resolve_context(id, None, &sets).unwrap();
+    experiments::chunkable_sweep(id, &ctx).unwrap()
+}
+
+/// The single-instance ground truth for sweep `id` at `trials`, rendered
+/// the way the job result route renders JSON.
+fn expected(id: &str, trials: &str) -> String {
+    let run = kernel(id, trials).run_local(None).unwrap();
+    format!("{}\n", run.report.to_json())
 }
 
 /// How many sweep jobs [`SWEEP_BODY`] flattens into: what a finished
 /// job's progress must read.
 fn sweep_jobs() -> u64 {
-    let (_, ctx) = experiments::resolve_context("fig12", None, &sweep_sets()).unwrap();
-    experiments::chunkable_sweep("fig12", &ctx).unwrap().jobs() as u64
+    kernel("fig12", "48").jobs() as u64
 }
 
-/// The single-instance ground truth for [`SWEEP_BODY`], rendered the way
-/// the job result route renders JSON.
+/// The single-instance ground truth for [`SWEEP_BODY`].
 fn expected_report() -> String {
-    let (_, ctx) = experiments::resolve_context("fig12", None, &sweep_sets()).unwrap();
-    let run = experiments::chunkable_sweep("fig12", &ctx)
-        .and_then(|sweep| sweep.run_local(None))
+    expected("fig12", "48")
+}
+
+/// Fakes the first life of a coordinator that was SIGKILL'd mid-job on
+/// the data dir `dir`: the journal holds the accepted submission of job
+/// `rid` (sweep `id` at `trials`, plus the retired `extra` keys), and
+/// exactly the first of the 8 chunks made it into the durable chunk
+/// store before the kill. Returns the chunk ranges.
+fn seed_first_life(
+    dir: &Path,
+    rid: &str,
+    id: &str,
+    trials: &str,
+    extra: &str,
+) -> Vec<std::ops::Range<usize>> {
+    let sweep = kernel(id, trials);
+    let n_jobs = sweep.jobs();
+    let ranges = chunk_ranges(n_jobs, 8.clamp(1, n_jobs));
+    assert!(ranges.len() >= 2, "sweep too small to test resume");
+    let store = ResultStore::new(dir.join("sweep-cache"));
+    sweep.run_chunk(Some(&store), &ranges[0]).unwrap();
+    let submitted = format!(
+        "{{\"event\":\"submitted\",\"job\":\"{rid}\",\"experiment\":\"{id}\",\
+         \"sets\":[[\"trials\",\"{trials}\"]{extra}],\"format\":\"json\"}}"
+    );
+    journal::Journal::open(&dir.join("journal.log"))
+        .unwrap()
+        .append(&submitted)
         .unwrap();
-    format!("{}\n", run.report.to_json())
+    ranges
+}
+
+/// A fresh coordinator on the data dir `dir`.
+fn coordinator_on(dir: &Path) -> Instance {
+    let server = Server::bind(Config {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_capacity: 16,
+        cache_capacity: 64,
+        data_dir: Some(dir.to_path_buf()),
+        ..Config::default()
+    })
+    .expect("bind with data dir");
+    spawn(server)
 }
 
 #[test]
@@ -240,6 +291,36 @@ fn fanned_out_sweep_is_byte_identical_and_readable_fleet_wide() {
         assert_eq!(relayed, expected, "relayed result drifted");
     }
 
+    for instance in instances {
+        instance.stop();
+    }
+}
+
+#[test]
+fn a_variability_job_lands_chunks_on_a_peer() {
+    // The device Monte-Carlo's per-job rows are narrower than its final
+    // table; a chunk body must still pass the coordinator's check, or
+    // every chunk requeues and the local lane redoes the whole job.
+    let instances = fleet_with(2, |_, _| {});
+    let (status, submit) = post(
+        instances[0].addr,
+        "/v1/sweeps/variability",
+        r#"{"params": {"trials": 4000}}"#,
+    );
+    assert_eq!(status, 202, "{submit}");
+    let rid = job_id(&submit);
+    let jobs = kernel("variability", "4000").jobs() as u64;
+    assert_eq!(
+        await_jobs(instances[0].addr, &rid, jobs),
+        expected("variability", "4000"),
+        "fanned-out merge drifted from the single-instance run"
+    );
+    assert_eq!(progress(instances[0].addr, &rid), (jobs, jobs));
+    let metrics = scrape(instances[0].addr);
+    assert!(
+        sample(&metrics, "cnt_fleet_chunks_total{outcome=\"remote\"}") >= 1,
+        "no variability chunk landed remotely:\n{metrics}"
+    );
     for instance in instances {
         instance.stop();
     }
@@ -315,47 +396,54 @@ fn a_worker_dying_mid_job_redispatches_to_survivors() {
 }
 
 #[test]
+fn a_restarted_coordinator_resumes_a_seeded_fig13b_chunk() {
+    // fig13b reduces per-wafer rows into per-setup rows, so its chunks
+    // carry their own, narrower columns; they must recall all the same.
+    let dir = std::env::temp_dir().join(format!("cnt-fanout-fig13b-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let rid = "00feed-000013";
+    let ranges = seed_first_life(&dir, rid, "fig13b", "24", "");
+    let jobs = kernel("fig13b", "24").jobs() as u64;
+
+    let coordinator = coordinator_on(&dir);
+    assert_eq!(
+        await_jobs(coordinator.addr, rid, jobs),
+        expected("fig13b", "24"),
+        "resumed job drifted from the single-instance run"
+    );
+    assert_eq!(progress(coordinator.addr, rid), (jobs, jobs));
+    let metrics = scrape(coordinator.addr);
+    assert_eq!(sample(&metrics, "cnt_serve_journal_replayed_total"), 1);
+    assert_eq!(
+        sample(&metrics, "cnt_fleet_chunks_total{outcome=\"resumed\"}"),
+        1,
+        "the seeded chunk must resume:\n{metrics}"
+    );
+    assert_eq!(
+        sample(&metrics, "cnt_fleet_chunks_total{outcome=\"local\"}"),
+        (ranges.len() - 1) as u64,
+        "{metrics}"
+    );
+    coordinator.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     let dir = std::env::temp_dir().join(format!("cnt-fanout-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    // Fake the first life of a coordinator that was SIGKILL'd mid-job:
-    // the journal holds the accepted submission, and exactly one chunk
-    // made it into the durable chunk store before the kill.
-    let (_, ctx) = experiments::resolve_context("fig12", None, &sweep_sets()).unwrap();
-    let sweep = experiments::chunkable_sweep("fig12", &ctx).unwrap();
-    let n_jobs = sweep.jobs();
-    let ranges = chunk_ranges(n_jobs, 8.clamp(1, n_jobs));
-    assert!(ranges.len() >= 2, "sweep too small to test resume");
-    let first = ranges[0].clone();
-    let key = sweep.chunk_key(first.start, first.end);
-    let rows = sweep.run_range(first.start, first.end).unwrap();
-    ResultStore::on_disk(dir.join("sweep-cache"))
-        .put(&key, sweep.columns(), rows)
-        .unwrap();
+    // The first life journaled the submission with a retired execution
+    // key, which replay drops.
     let rid = "00feed-000001";
-    let submitted = format!(
-        "{{\"event\":\"submitted\",\"job\":\"{rid}\",\"experiment\":\"fig12\",\
-         \"sets\":[[\"trials\",\"48\"],[\"cache_dir\",\"\"]],\"format\":\"json\"}}"
-    );
-    journal::Journal::open(&dir.join("journal.log"))
-        .unwrap()
-        .append(&submitted)
-        .unwrap();
+    let ranges = seed_first_life(&dir, rid, "fig12", "48", r#",["cache_dir",""]"#);
+    let n_jobs = sweep_jobs() as usize;
 
     // Restart: the journal replays, the unfinished job re-enters the
     // queue, and the pre-seeded chunk recalls from the store.
-    let server = Server::bind(Config {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_capacity: 16,
-        cache_capacity: 64,
-        data_dir: Some(PathBuf::from(&dir)),
-        ..Config::default()
-    })
-    .expect("bind with data dir");
-    let coordinator = spawn(server);
+    let coordinator = coordinator_on(&dir);
     let expected = expected_report();
     assert_eq!(
         await_result(coordinator.addr, rid),
@@ -370,8 +458,8 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
 
     let metrics = scrape(coordinator.addr);
     assert_eq!(sample(&metrics, "cnt_serve_journal_replayed_total"), 1);
-    // The seeded chunk resumed (a [`ResultStore::get_or_compute`] hit —
-    // visible in the global sweep-cache counter too); the rest computed.
+    // The seeded chunk resumed (a chunk store hit — visible in the
+    // global sweep-cache counter too); the rest computed.
     assert_eq!(
         sample(&metrics, "cnt_fleet_chunks_total{outcome=\"resumed\"}"),
         1,
@@ -399,16 +487,7 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
         let head = format!("{{\"event\":\"{event}\",\"job\":\"{rid}\"");
         assert!(record.starts_with(&head), "{record}");
     }
-    let server = Server::bind(Config {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_capacity: 16,
-        cache_capacity: 64,
-        data_dir: Some(PathBuf::from(&dir)),
-        ..Config::default()
-    })
-    .expect("rebind with data dir");
-    let coordinator = spawn(server);
+    let coordinator = coordinator_on(&dir);
     let (status, body) = get(coordinator.addr, &format!("/v1/jobs/{rid}/result"));
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, expected, "spill-served result drifted");

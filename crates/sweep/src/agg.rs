@@ -6,97 +6,6 @@
 
 use crate::{Error, Result};
 
-/// Welford one-pass accumulator: count, mean, variance, extrema.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Feeds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator (Chan's parallel update). Merging in a
-    /// fixed order is still deterministic; merging in scheduling order is
-    /// not — the sweep layer always merges in job order.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n;
-        self.m2 += other.m2 + delta * delta * (self.n as f64) * (other.n as f64) / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample standard deviation (n−1 denominator; 0 below two samples).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-
-    /// Coefficient of variation σ/|µ| (0 when the mean is 0).
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / self.mean.abs()
-        }
-    }
-
-    /// Smallest sample seen.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample seen.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 /// Five-number-plus summary of a sample, for report rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -138,21 +47,32 @@ impl Summary {
                 value: *bad,
             });
         }
-        let mut stats = OnlineStats::new();
-        for &x in xs {
-            stats.push(x);
+        // Welford's one-pass mean and variance, in sample order.
+        let (mut mean, mut m2) = (0.0, 0.0);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (i, &x) in xs.iter().enumerate() {
+            let delta = x - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (x - mean);
+            min = min.min(x);
+            max = max.max(x);
         }
+        let n = xs.len();
         let mut sorted = xs.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         Ok(Self {
-            n: xs.len(),
-            mean: stats.mean(),
-            std_dev: stats.std_dev(),
+            n,
+            mean,
+            std_dev: if n < 2 {
+                0.0
+            } else {
+                (m2 / (n - 1) as f64).sqrt()
+            },
             p05: percentile_sorted(&sorted, 5.0),
             p50: percentile_sorted(&sorted, 50.0),
             p95: percentile_sorted(&sorted, 95.0),
-            min: stats.min(),
-            max: stats.max(),
+            min,
+            max,
         })
     }
 }
@@ -162,7 +82,7 @@ impl Summary {
 /// # Panics
 ///
 /// Panics (debug) on an empty slice; clamps `p` into `[0, 100]`.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(!sorted.is_empty(), "percentile of empty sample");
     let p = p.clamp(0.0, 100.0);
     if sorted.len() == 1 {
@@ -184,40 +104,17 @@ mod tests {
         let xs: Vec<f64> = (0..100)
             .map(|i| (i as f64 * 0.77).sin() * 5.0 + 2.0)
             .collect();
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
+        let s = Summary::from_samples(&xs).unwrap();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.std_dev() - var.sqrt()).abs() < 1e-12);
-        assert_eq!(s.count(), 100);
-    }
-
-    #[test]
-    fn merge_matches_single_stream() {
-        let xs: Vec<f64> = (0..57).map(|i| (i as f64).cos()).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let (left, right) = xs.split_at(20);
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        left.iter().for_each(|&x| a.push(x));
-        right.iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-12);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        // Merging into/with empty is the identity.
-        let mut empty = OnlineStats::new();
-        empty.merge(&whole);
-        assert_eq!(empty, whole);
-        whole.merge(&OnlineStats::new());
-        assert_eq!(empty, whole);
+        assert!((s.mean - mean).abs() < 1e-12);
+        assert!((s.std_dev - var.sqrt()).abs() < 1e-12);
+        assert_eq!(s.n, 100);
+        let one = Summary::from_samples(&[3.5]).unwrap();
+        assert_eq!(
+            (one.mean, one.std_dev, one.min, one.max),
+            (3.5, 0.0, 3.5, 3.5)
+        );
     }
 
     #[test]

@@ -1,17 +1,24 @@
 //! A named parameter axis of a sweep.
 
-use crate::{Error, Result};
-
 /// One swept parameter: a name plus the ordered values it takes.
 ///
-/// Monte-Carlo trial axes are ordinary axes whose values are the trial
-/// indices `0.0, 1.0, …` — a job's random stream is derived from its flat
-/// index, so the trial axis only controls *how many* independent draws a
-/// cell gets.
+/// A Monte-Carlo trial axis takes the trial indices `0.0, 1.0, …` — a
+/// job's random stream is derived from its flat index, so the trial axis
+/// only controls *how many* independent draws a cell gets. It stores its
+/// length, not its values, so a plan's memory does not grow with the
+/// trial count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
     name: String,
-    values: Vec<f64>,
+    values: Values,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Values {
+    /// An explicit list.
+    Grid(Vec<f64>),
+    /// `0, 1, …, n-1`.
+    Trials(usize),
 }
 
 impl Axis {
@@ -25,62 +32,8 @@ impl Axis {
         assert!(!values.is_empty(), "axis needs at least one value");
         Self {
             name: name.into(),
-            values: values.to_vec(),
+            values: Values::Grid(values.to_vec()),
         }
-    }
-
-    /// `n` evenly spaced values covering `[lo, hi]` inclusive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] for `n == 0` or a reversed
-    /// interval.
-    pub fn linspace(name: impl Into<String>, lo: f64, hi: f64, n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(Error::InvalidParameter {
-                name: "linspace n",
-                value: 0.0,
-            });
-        }
-        if !lo.is_finite() || !hi.is_finite() || lo > hi {
-            return Err(Error::InvalidParameter {
-                name: "linspace interval",
-                value: lo,
-            });
-        }
-        let values = if n == 1 {
-            vec![lo]
-        } else {
-            (0..n)
-                .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-                .collect()
-        };
-        Ok(Self {
-            name: name.into(),
-            values,
-        })
-    }
-
-    /// `n` logarithmically spaced values covering `[lo, hi]` inclusive
-    /// (both strictly positive) — the natural spacing for interconnect
-    /// lengths.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] for `n == 0` or a non-positive
-    /// or reversed interval.
-    pub fn geomspace(name: impl Into<String>, lo: f64, hi: f64, n: usize) -> Result<Self> {
-        if lo <= 0.0 || hi <= 0.0 {
-            return Err(Error::InvalidParameter {
-                name: "geomspace bound",
-                value: if lo <= 0.0 { lo } else { hi },
-            });
-        }
-        let log = Self::linspace(name, lo.ln(), hi.ln(), n)?;
-        Ok(Self {
-            name: log.name,
-            values: log.values.into_iter().map(f64::exp).collect(),
-        })
     }
 
     /// A Monte-Carlo trial axis: values `0, 1, …, n-1` under the
@@ -93,7 +46,7 @@ impl Axis {
         assert!(n > 0, "trial axis needs at least one trial");
         Self {
             name: "trial".to_string(),
-            values: (0..n).map(|i| i as f64).collect(),
+            values: Values::Trials(n),
         }
     }
 
@@ -102,19 +55,32 @@ impl Axis {
         &self.name
     }
 
-    /// The ordered values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    /// The value at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn value(&self, i: usize) -> f64 {
+        match &self.values {
+            Values::Grid(values) => values[i],
+            Values::Trials(n) => {
+                assert!(i < *n, "trial {i} out of range for {n} trials");
+                i as f64
+            }
+        }
     }
 
     /// Number of points on this axis.
     pub fn len(&self) -> usize {
-        self.values.len()
+        match &self.values {
+            Values::Grid(values) => values.len(),
+            Values::Trials(n) => *n,
+        }
     }
 
     /// Whether the axis is empty (never true for a constructed axis).
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 }
 
@@ -123,28 +89,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn linspace_endpoints_and_count() {
-        let a = Axis::linspace("t", 10.0, 50.0, 5).unwrap();
-        assert_eq!(a.values(), &[10.0, 20.0, 30.0, 40.0, 50.0]);
-        assert_eq!(Axis::linspace("t", 3.0, 3.0, 1).unwrap().values(), &[3.0]);
-        assert!(Axis::linspace("t", 1.0, 0.0, 3).is_err());
-        assert!(Axis::linspace("t", 0.0, 1.0, 0).is_err());
-    }
-
-    #[test]
-    fn geomspace_is_log_spaced() {
-        let a = Axis::geomspace("l", 1.0, 100.0, 3).unwrap();
-        assert!((a.values()[0] - 1.0).abs() < 1e-12);
-        assert!((a.values()[1] - 10.0).abs() < 1e-9);
-        assert!((a.values()[2] - 100.0).abs() < 1e-9);
-        assert!(Axis::geomspace("l", 0.0, 10.0, 3).is_err());
-    }
-
-    #[test]
     fn trial_axis_counts_from_zero() {
         let t = Axis::trials(3);
         assert_eq!(t.name(), "trial");
-        assert_eq!(t.values(), &[0.0, 1.0, 2.0]);
+        assert_eq!(t.len(), 3);
+        let values: Vec<f64> = (0..t.len()).map(|i| t.value(i)).collect();
+        assert_eq!(values, [0.0, 1.0, 2.0]);
         assert!(!t.is_empty());
     }
 }

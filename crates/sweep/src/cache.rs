@@ -1,4 +1,4 @@
-//! Content-addressed result store: in-memory, optionally mirrored to disk.
+//! Content-addressed result store: a directory of JSON tables.
 //!
 //! A sweep's identity is everything that determines its numbers: the plan
 //! fingerprint (id, axis names, every value's bit pattern), the root seed,
@@ -7,24 +7,22 @@
 //! table, so re-running `repro sweep …` is a lookup. Bump the salt when
 //! the physics in the work function changes.
 //!
-//! On disk, entries live in a 256-way sharded layout keyed by the first
-//! byte of the content hash (`cache/ab/abcdef….json`), so lookups and
-//! `repro cache gc` scans never depend on one huge directory listing.
-//! Flat `cache/abcdef….json` files from before sharding are no longer
-//! read; both GC passes still scan and delete them.
+//! Entries live in a 256-way sharded layout keyed by the first byte of
+//! the content hash (`cache/ab/abcdef….json`), so lookups and `repro
+//! cache gc` scans never depend on one huge directory listing. Files
+//! directly under the cache directory are neither read nor collected.
+//! The store keeps nothing in memory: every lookup reads its file.
 
 use crate::json;
 use crate::plan::SweepPlan;
 use crate::seed::fnv1a;
 use crate::{Error, Result};
 use cnt_obs::Counter;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::SystemTime;
 
-/// `get_or_compute` outcomes, process-wide (memory and disk hits count
-/// alike — either way the sweep was not recomputed).
+/// [`ResultStore::get`] outcomes, process-wide.
 fn hit_miss_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
     static HANDLES: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
     HANDLES.get_or_init(|| {
@@ -74,114 +72,63 @@ pub struct Table {
     pub rows: Vec<Vec<f64>>,
 }
 
-/// In-memory table cache with an optional on-disk JSON mirror.
-#[derive(Debug, Default)]
+/// A directory of tables, one JSON file per [`CacheKey`]. Tables written
+/// by earlier processes are visible.
+#[derive(Debug)]
 pub struct ResultStore {
-    dir: Option<PathBuf>,
-    mem: Mutex<HashMap<String, Table>>,
+    dir: PathBuf,
 }
 
 impl ResultStore {
-    /// A purely in-memory store (one process lifetime).
-    pub fn in_memory() -> Self {
-        Self::default()
+    /// A store in `dir` (created on first write).
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        Self { dir: dir.into() }
     }
 
-    /// A store mirrored to `dir` (created on first write). Tables written
-    /// by previous processes are visible.
-    pub fn on_disk(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: Some(dir.into()),
-            mem: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The mirror directory, if any.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
-    /// The sharded on-disk location: `dir/ab/abcdef….json`, keyed by the
-    /// first byte of the content hash so directory listings stay short
+    /// The sharded location: `dir/ab/abcdef….json`, keyed by the first
+    /// byte of the content hash so directory listings stay short
     /// (256-way fan-out) as entry counts grow.
-    fn path_for(&self, key: &CacheKey) -> Option<PathBuf> {
+    fn path_for(&self, key: &CacheKey) -> PathBuf {
         let hex = key.hex();
-        self.dir
-            .as_ref()
-            .map(|d| d.join(&hex[..2]).join(format!("{hex}.json")))
+        self.dir.join(&hex[..2]).join(format!("{hex}.json"))
     }
 
-    /// Looks up a table, consulting memory, then the disk mirror. A disk
-    /// hit is promoted into memory. Corrupt disk entries are treated as
-    /// misses (the next `put` overwrites them).
-    pub fn get(&self, key: &CacheKey) -> Option<Table> {
-        if let Some(hit) = self.mem.lock().expect("store poisoned").get(&key.hex()) {
-            return Some(hit.clone());
-        }
-        let text = std::fs::read_to_string(self.path_for(key)?).ok()?;
-        let table = json::decode_table(&text).ok()?;
-        if table.key != key.hex() {
-            return None; // foreign or stale file under our name
-        }
-        self.mem
-            .lock()
-            .expect("store poisoned")
-            .insert(table.key.clone(), table.clone());
-        Some(table)
-    }
-
-    /// Stores a table under `key` (memory always; disk if mirrored).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] if the mirror directory or file cannot be
-    /// written.
-    pub fn put(&self, key: &CacheKey, columns: Vec<String>, rows: Vec<Vec<f64>>) -> Result<Table> {
-        let table = Table {
-            key: key.hex(),
-            columns,
-            rows,
-        };
-        if let Some(path) = self.path_for(key) {
-            let dir = path.parent().expect("cache file has a parent");
-            let encoded = json::encode_table(&table);
-            // A concurrent `cache gc` may prune the shard directory
-            // between create_dir_all and write; one retry closes the
-            // race (the cache is best-effort everywhere else too).
-            let attempt = || -> std::io::Result<()> {
-                std::fs::create_dir_all(dir)?;
-                std::fs::write(&path, &encoded)
-            };
-            attempt().or_else(|_| attempt()).map_err(|e| Error::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?;
-        }
-        self.mem
-            .lock()
-            .expect("store poisoned")
-            .insert(table.key.clone(), table.clone());
-        Ok(table)
-    }
-
-    /// Returns the cached table for `key`, or computes, stores, and
-    /// returns it. The boolean reports whether this was a cache hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the compute function's error or the store's I/O error.
-    pub fn get_or_compute<F>(&self, key: &CacheKey, compute: F) -> Result<(Table, bool)>
-    where
-        F: FnOnce() -> Result<(Vec<String>, Vec<Vec<f64>>)>,
-    {
+    /// The table stored under `key`, if `fits` accepts its shape. A
+    /// missing, corrupt or foreign file (another key's table under this
+    /// name) is a miss, as is a table `fits` refuses; the next
+    /// [`ResultStore::put`] overwrites it. Each call counts one hit or
+    /// one miss on the process-wide sweep cache counters.
+    pub fn get(&self, key: &CacheKey, fits: impl FnOnce(&Table) -> bool) -> Option<Table> {
+        let table = std::fs::read_to_string(self.path_for(key))
+            .ok()
+            .and_then(|text| json::decode_table(&text).ok())
+            .filter(|table| table.key == key.hex() && fits(table));
         let (hits, misses) = hit_miss_counters();
-        if let Some(hit) = self.get(key) {
-            hits.inc();
-            return Ok((hit, true));
-        }
-        misses.inc();
-        let (columns, rows) = compute()?;
-        Ok((self.put(key, columns, rows)?, false))
+        if table.is_some() { hits } else { misses }.inc();
+        table
+    }
+
+    /// Writes `table` under `key`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Io`] if the shard directory or file cannot be
+    /// written.
+    pub fn put(&self, key: &CacheKey, table: &Table) -> Result<()> {
+        let path = self.path_for(key);
+        let dir = path.parent().expect("cache file has a parent");
+        let encoded = json::encode_table(table);
+        // A concurrent `cache gc` may prune the shard directory between
+        // create_dir_all and write; one retry closes the race (the cache
+        // is best-effort everywhere else too).
+        let attempt = || -> std::io::Result<()> {
+            std::fs::create_dir_all(dir)?;
+            std::fs::write(&path, &encoded)
+        };
+        attempt().or_else(|_| attempt()).map_err(|e| Error::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        })
     }
 }
 
@@ -206,61 +153,46 @@ fn is_shard_dir_name(name: &str) -> bool {
             .all(|c| c.is_ascii_hexdigit() && !c.is_ascii_uppercase())
 }
 
-/// Lists every cache entry (`*.json` file) in `dir`, covering both the
-/// legacy flat layout and the sharded `dir/ab/` subdirectories. A
-/// missing directory is an empty cache, not an error.
+/// Lists every cache entry (`*.json` file) in the shard directories
+/// `dir/ab/`. A missing directory is an empty cache, not an error.
 fn list_entries(dir: &Path) -> Result<Vec<(PathBuf, u64, SystemTime)>> {
-    fn scan(
-        dir: &Path,
-        recurse_shards: bool,
-        out: &mut Vec<(PathBuf, u64, SystemTime)>,
-    ) -> std::io::Result<()> {
-        for entry in std::fs::read_dir(dir)?.flatten() {
+    let shards = match std::fs::read_dir(dir) {
+        Ok(shards) => shards,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => {
+            return Err(Error::Io {
+                path: dir.display().to_string(),
+                message: e.to_string(),
+            })
+        }
+    };
+    let mut entries = Vec::new();
+    for shard in shards.flatten() {
+        let is_shard = shard.file_name().to_str().is_some_and(is_shard_dir_name)
+            && shard.metadata().is_ok_and(|m| m.is_dir());
+        if !is_shard {
+            continue;
+        }
+        // Shard directories that vanish mid-pass are fine.
+        let Ok(files) = std::fs::read_dir(shard.path()) else {
+            continue;
+        };
+        for entry in files.flatten() {
             let path = entry.path();
             let Ok(meta) = entry.metadata() else { continue };
-            if meta.is_dir() {
-                if recurse_shards
-                    && path
-                        .file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(is_shard_dir_name)
-                {
-                    // Shard directories that vanish mid-pass are fine.
-                    let _ = scan(&path, false, out);
-                }
-                continue;
+            if !meta.is_dir() && path.extension().and_then(|e| e.to_str()) == Some("json") {
+                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                entries.push((path, meta.len(), mtime));
             }
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            out.push((path, meta.len(), mtime));
         }
-        Ok(())
     }
-    let mut entries = Vec::new();
-    match scan(dir, true, &mut entries) {
-        Ok(()) => Ok(entries),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(Error::Io {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        }),
-    }
+    Ok(entries)
 }
 
 /// Removes now-empty shard subdirectories left behind by an eviction
 /// pass (best effort — a non-empty directory simply refuses).
 fn prune_empty_shards(evicted: &[&PathBuf]) {
-    let mut dirs: Vec<&Path> = evicted
-        .iter()
-        .filter_map(|p| p.parent())
-        .filter(|d| {
-            d.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(is_shard_dir_name)
-        })
-        .collect();
+    let mut dirs: Vec<&Path> = evicted.iter().filter_map(|p| p.parent()).collect();
     dirs.sort_unstable();
     dirs.dedup();
     for d in dirs {
@@ -268,9 +200,8 @@ fn prune_empty_shards(evicted: &[&PathBuf]) {
     }
 }
 
-/// Shrinks an on-disk result cache to at most `max_bytes` of entries by
-/// deleting the oldest-modified `*.json` files first (the disk mirror of
-/// [`ResultStore::on_disk`], flat and sharded layouts alike). Content
+/// Shrinks a [`ResultStore`] directory to at most `max_bytes` of entries
+/// by deleting the oldest-modified `*.json` files first. Content
 /// hashes make entries self-contained, so evicting any subset is always
 /// safe — the worst case is a recompute. A missing directory is an empty
 /// cache, not an error; files that vanish mid-pass are treated as
@@ -370,6 +301,24 @@ mod tests {
         dir
     }
 
+    fn table(key: &CacheKey, rows: Vec<Vec<f64>>) -> Table {
+        Table {
+            key: key.hex(),
+            columns: vec!["v".to_string()],
+            rows,
+        }
+    }
+
+    /// Writes `len` bytes at `rel` under `dir` with the given mtime.
+    fn entry(dir: &Path, rel: &str, len: usize, secs: u64) {
+        let path = dir.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, vec![b'x'; len]).unwrap();
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.set_modified(SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(secs))
+            .unwrap();
+    }
+
     #[test]
     fn key_tracks_plan_seed_and_salt() {
         let k = CacheKey::derive(&plan(), 42, "v1");
@@ -382,63 +331,54 @@ mod tests {
     }
 
     #[test]
-    fn memory_roundtrip_and_hit_flag() {
-        let store = ResultStore::in_memory();
-        let key = CacheKey::derive(&plan(), 1, "v1");
-        let mut computes = 0;
-        for expect_hit in [false, true, true] {
-            let (table, hit) = store
-                .get_or_compute(&key, || {
-                    computes += 1;
-                    Ok((vec!["x".to_string()], vec![vec![1.5], vec![2.5]]))
-                })
-                .unwrap();
-            assert_eq!(hit, expect_hit);
-            assert_eq!(table.rows, vec![vec![1.5], vec![2.5]]);
-        }
-        assert_eq!(computes, 1);
-    }
-
-    #[test]
     fn disk_mirror_survives_store_instances() {
         let dir = tmp_dir("mirror");
         let key = CacheKey::derive(&plan(), 7, "v1");
-        {
-            let store = ResultStore::on_disk(&dir);
-            store
-                .put(&key, vec!["v".to_string()], vec![vec![0.25]])
-                .unwrap();
-        }
-        let fresh = ResultStore::on_disk(&dir);
-        let table = fresh.get(&key).expect("disk hit");
-        assert_eq!(table.rows, vec![vec![0.25]]);
-        assert_eq!(fresh.dir(), Some(dir.as_path()));
+        ResultStore::new(&dir)
+            .put(&key, &table(&key, vec![vec![0.25]]))
+            .unwrap();
+        let fresh = ResultStore::new(&dir);
+        let hit = fresh.get(&key, |_| true).expect("disk hit");
+        assert_eq!(hit, table(&key, vec![vec![0.25]]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_table_the_caller_refuses_is_a_miss() {
+        let dir = tmp_dir("refused");
+        let key = CacheKey::derive(&plan(), 8, "v1");
+        let store = ResultStore::new(&dir);
+        assert!(store.get(&key, |_| true).is_none(), "empty store");
+        store
+            .put(&key, &table(&key, vec![vec![1.5], vec![2.5]]))
+            .unwrap();
+        assert!(store.get(&key, |t| t.rows.len() == 3).is_none());
+        let hit = store.get(&key, |t| t.rows.len() == 2).expect("fits");
+        assert_eq!(hit.rows, vec![vec![1.5], vec![2.5]]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gc_evicts_oldest_entries_first() {
         let dir = tmp_dir("gc");
-        std::fs::create_dir_all(&dir).unwrap();
         // Three 100-byte entries with strictly increasing mtimes.
         for (i, name) in ["a", "b", "c"].iter().enumerate() {
-            let path = dir.join(format!("{name}.json"));
-            std::fs::write(&path, [b'x'; 100]).unwrap();
-            let mtime = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1000 + i as u64);
-            let file = std::fs::File::options().write(true).open(&path).unwrap();
-            file.set_modified(mtime).unwrap();
+            entry(&dir, &format!("0{i}/{name}.json"), 100, 1000 + i as u64);
         }
         // A non-cache file is never touched.
-        std::fs::write(dir.join("README.txt"), "keep me").unwrap();
+        std::fs::write(dir.join("00/README.txt"), "keep me").unwrap();
 
         let stats = gc(&dir, 250).unwrap();
         assert_eq!(stats.scanned, 3);
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.bytes_before, 300);
         assert_eq!(stats.bytes_after, 200);
-        assert!(!dir.join("a.json").exists(), "oldest entry must go first");
-        assert!(dir.join("b.json").exists() && dir.join("c.json").exists());
-        assert!(dir.join("README.txt").exists());
+        assert!(
+            !dir.join("00/a.json").exists(),
+            "oldest entry must go first"
+        );
+        assert!(dir.join("01/b.json").exists() && dir.join("02/c.json").exists());
+        assert!(dir.join("00/README.txt").exists());
 
         // max-bytes 0 empties the cache; a second pass is a no-op.
         let stats = gc(&dir, 0).unwrap();
@@ -452,16 +392,16 @@ mod tests {
     fn gc_by_age_evicts_only_entries_past_the_cutoff() {
         use std::time::Duration;
         let dir = tmp_dir("gc-age");
-        std::fs::create_dir_all(&dir).unwrap();
         // Synthetic mtimes: 1000 s, 1100 s, 1200 s after the epoch.
         for (i, name) in ["old", "mid", "new"].iter().enumerate() {
-            let path = dir.join(format!("{name}.json"));
-            std::fs::write(&path, [b'x'; 50]).unwrap();
-            let mtime = SystemTime::UNIX_EPOCH + Duration::from_secs(1000 + 100 * i as u64);
-            let file = std::fs::File::options().write(true).open(&path).unwrap();
-            file.set_modified(mtime).unwrap();
+            entry(
+                &dir,
+                &format!("0{i}/{name}.json"),
+                50,
+                1000 + 100 * i as u64,
+            );
         }
-        std::fs::write(dir.join("README.txt"), "keep me").unwrap();
+        std::fs::write(dir.join("00/README.txt"), "keep me").unwrap();
 
         // Clock pinned at t = 1250 s; max age 100 s ⇒ cutoff 1150 s:
         // "old" (1000) and "mid" (1100) go, "new" (1200) stays.
@@ -471,10 +411,10 @@ mod tests {
         assert_eq!(stats.evicted, 2);
         assert_eq!(stats.bytes_before, 150);
         assert_eq!(stats.bytes_after, 50);
-        assert!(!dir.join("old.json").exists());
-        assert!(!dir.join("mid.json").exists());
-        assert!(dir.join("new.json").exists());
-        assert!(dir.join("README.txt").exists());
+        assert!(!dir.join("00/old.json").exists());
+        assert!(!dir.join("01/mid.json").exists());
+        assert!(dir.join("02/new.json").exists());
+        assert!(dir.join("00/README.txt").exists());
 
         // An entry exactly at the cutoff survives (strict comparison).
         let stats = gc_by_age_at(&dir, Duration::from_secs(50), now).unwrap();
@@ -507,10 +447,8 @@ mod tests {
     fn put_uses_the_sharded_layout() {
         let dir = tmp_dir("shard-put");
         let key = CacheKey::derive(&plan(), 11, "v1");
-        let store = ResultStore::on_disk(&dir);
-        store
-            .put(&key, vec!["v".to_string()], vec![vec![1.0]])
-            .unwrap();
+        let store = ResultStore::new(&dir);
+        store.put(&key, &table(&key, vec![vec![1.0]])).unwrap();
         let hex = key.hex();
         let sharded = dir.join(&hex[..2]).join(format!("{hex}.json"));
         assert!(sharded.exists(), "entry must land in its shard");
@@ -519,47 +457,40 @@ mod tests {
             "no flat file for new writes"
         );
         // A fresh store instance reads it back through the sharded path.
-        let fresh = ResultStore::on_disk(&dir);
-        assert_eq!(fresh.get(&key).expect("disk hit").rows, vec![vec![1.0]]);
+        let fresh = ResultStore::new(&dir);
+        assert_eq!(
+            fresh.get(&key, |_| true).expect("disk hit").rows,
+            vec![vec![1.0]]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gc_spans_flat_and_sharded_layouts() {
         let dir = tmp_dir("shard-gc");
-        std::fs::create_dir_all(dir.join("ab")).unwrap();
-        std::fs::create_dir_all(dir.join("cd")).unwrap();
-        // Oldest entry is sharded, newer ones flat and sharded.
-        for (rel, secs) in [
-            ("ab/abcdef.json", 1000u64),
-            ("flat.json", 1100),
-            ("cd/cdef01.json", 1200),
-        ] {
-            let path = dir.join(rel);
-            std::fs::write(&path, [b'x'; 100]).unwrap();
-            let file = std::fs::File::options().write(true).open(&path).unwrap();
-            file.set_modified(SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(secs))
-                .unwrap();
-        }
-        // A non-shard subdirectory is never scanned.
-        std::fs::create_dir_all(dir.join("notashard")).unwrap();
-        std::fs::write(dir.join("notashard/skip.json"), "keep").unwrap();
+        // Two sharded entries, the older first.
+        entry(&dir, "ab/abcdef.json", 100, 1000);
+        entry(&dir, "cd/cdef01.json", 100, 1200);
+        // A flat file from before sharding and a non-shard subdirectory
+        // are neither scanned nor deleted.
+        entry(&dir, "flat.json", 100, 900);
+        entry(&dir, "notashard/skip.json", 100, 900);
 
-        let stats = gc(&dir, 250).unwrap();
-        assert_eq!(stats.scanned, 3, "flat + sharded entries are scanned");
+        let stats = gc(&dir, 150).unwrap();
+        assert_eq!(stats.scanned, 2, "only shard entries are scanned");
         assert_eq!(stats.evicted, 1);
         assert!(!dir.join("ab/abcdef.json").exists(), "oldest goes first");
         assert!(!dir.join("ab").exists(), "emptied shard dir is pruned");
-        assert!(dir.join("flat.json").exists());
         assert!(dir.join("cd/cdef01.json").exists());
+        assert!(dir.join("flat.json").exists());
         assert!(dir.join("notashard/skip.json").exists());
 
-        // The age pass sees both layouts too.
+        // The age pass sees only the shards too.
         let now = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1301);
-        let stats = gc_by_age_at(&dir, std::time::Duration::from_secs(150), now).unwrap();
-        assert_eq!((stats.scanned, stats.evicted), (2, 1));
-        assert!(!dir.join("flat.json").exists());
-        assert!(dir.join("cd/cdef01.json").exists());
+        let stats = gc_by_age_at(&dir, std::time::Duration::from_secs(50), now).unwrap();
+        assert_eq!((stats.scanned, stats.evicted), (1, 1));
+        assert!(!dir.join("cd").exists());
+        assert!(dir.join("flat.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -567,32 +498,19 @@ mod tests {
     fn corrupt_disk_entry_is_a_miss() {
         let dir = tmp_dir("corrupt");
         let key = CacheKey::derive(&plan(), 9, "v1");
-        let store = ResultStore::on_disk(&dir);
-        let path = store.path_for(&key).unwrap();
+        let store = ResultStore::new(&dir);
+        let path = store.path_for(&key);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, "{not json").unwrap();
-        assert!(store.get(&key).is_none());
-        // And a key-mismatched (foreign) file is also a miss.
+        assert!(store.get(&key, |_| true).is_none());
+        // A key-mismatched (foreign) file is also a miss.
         let foreign = Table {
             key: "0000000000000000".to_string(),
             columns: vec![],
             rows: vec![],
         };
         std::fs::write(&path, json::encode_table(&foreign)).unwrap();
-        assert!(store.get(&key).is_none());
-        // A pre-sharding flat file is not read at all.
-        let flat = Table {
-            key: key.hex(),
-            columns: vec!["v".to_string()],
-            rows: vec![vec![2.5]],
-        };
-        std::fs::remove_file(&path).unwrap();
-        std::fs::write(
-            dir.join(format!("{}.json", key.hex())),
-            json::encode_table(&flat),
-        )
-        .unwrap();
-        assert!(store.get(&key).is_none());
+        assert!(store.get(&key, |_| true).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

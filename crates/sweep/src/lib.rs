@@ -53,7 +53,7 @@ pub mod json;
 pub mod plan;
 pub mod seed;
 
-pub use agg::{OnlineStats, Summary};
+pub use agg::Summary;
 pub use axis::Axis;
 pub use cache::{CacheKey, GcStats, ResultStore, Table};
 pub use exec::{chunk_ranges, Executor};

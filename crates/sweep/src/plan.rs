@@ -1,7 +1,7 @@
 //! Sweep plans: typed axis sets flattened into independent jobs.
 
 use crate::axis::Axis;
-use crate::seed::fnv1a;
+use crate::seed::{fnv1a, fnv1a_continue};
 use std::sync::Arc;
 
 /// A full sweep: an identifier plus the cartesian product of its axes.
@@ -33,16 +33,6 @@ impl SweepPlan {
         self
     }
 
-    /// The plan identifier.
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// The axes, outermost first.
-    pub fn axes(&self) -> &[Axis] {
-        &self.axes
-    }
-
     /// Total number of jobs (product of axis lengths; 0 for an axis-less
     /// plan).
     pub fn len(&self) -> usize {
@@ -69,7 +59,7 @@ impl SweepPlan {
         let mut values = vec![0.0; self.axes.len()];
         let mut rem = index;
         for (slot, axis) in values.iter_mut().zip(&self.axes).rev() {
-            *slot = axis.values()[rem % axis.len()];
+            *slot = axis.value(rem % axis.len());
             rem /= axis.len();
         }
         Job {
@@ -79,26 +69,21 @@ impl SweepPlan {
         }
     }
 
-    /// Iterates all jobs in index order.
-    pub fn jobs(&self) -> impl Iterator<Item = Job> + '_ {
-        (0..self.len()).map(|i| self.job(i))
-    }
-
     /// A stable content hash of the plan: id, axis names, and every axis
     /// value's exact bit pattern. Two plans fingerprint equal iff they
-    /// describe the same job grid.
+    /// describe the same job grid. The bytes are hashed as they are
+    /// produced, so a trial axis is never materialised.
     pub fn fingerprint(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(64);
-        bytes.extend_from_slice(self.id.as_bytes());
+        let mut hash = fnv1a(self.id.as_bytes());
         for axis in &self.axes {
-            bytes.push(0xff); // axis separator
-            bytes.extend_from_slice(axis.name().as_bytes());
-            bytes.push(0xfe);
-            for v in axis.values() {
-                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            hash = fnv1a_continue(hash, &[0xff]); // axis separator
+            hash = fnv1a_continue(hash, axis.name().as_bytes());
+            hash = fnv1a_continue(hash, &[0xfe]);
+            for i in 0..axis.len() {
+                hash = fnv1a_continue(hash, &axis.value(i).to_bits().to_le_bytes());
             }
         }
-        fnv1a(&bytes)
+        hash
     }
 }
 
@@ -127,16 +112,15 @@ impl Job {
     pub fn get_usize(&self, axis: &str) -> Option<usize> {
         Some(self.get(axis)?.round() as usize)
     }
-
-    /// All coordinates in axis order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `sweep.variability`'s plan at 3 trials, fingerprinted when trial
+    /// axes still stored their values.
+    const PINNED_VARIABILITY_T3: u64 = 0x95d6_e7af_5504_8c5f;
 
     fn plan() -> SweepPlan {
         SweepPlan::new("p")
@@ -154,9 +138,8 @@ mod tests {
                 expected.push((a, b));
             }
         }
-        let got: Vec<(f64, f64)> = p
-            .jobs()
-            .map(|j| (j.get("a").unwrap(), j.get("b").unwrap()))
+        let got: Vec<(f64, f64)> = (0..p.len())
+            .map(|i| (p.job(i).get("a").unwrap(), p.job(i).get("b").unwrap()))
             .collect();
         assert_eq!(got, expected);
         assert_eq!(p.job(5).index(), 5);
@@ -187,6 +170,32 @@ mod tests {
             .axis(Axis::grid("x", &[1.0, 2.0, 3.0]))
             .axis(Axis::grid("b", &[10.0, 20.0]));
         assert_ne!(a.fingerprint(), other_names.fingerprint());
+    }
+
+    #[test]
+    fn trial_axis_fingerprints_as_its_materialised_grid() {
+        // The fingerprint seeds every job stream and keys every cached
+        // table, so a trial axis must hash exactly as the list
+        // `0, 1, …, n-1` it stands for.
+        for n in 1..=5 {
+            let grid: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            let listed = SweepPlan::new("t")
+                .axis(Axis::grid("d", &[1.5, 2.5]))
+                .axis(Axis::grid("trial", &grid));
+            let counted = SweepPlan::new("t")
+                .axis(Axis::grid("d", &[1.5, 2.5]))
+                .axis(Axis::trials(n));
+            assert_eq!(counted.fingerprint(), listed.fingerprint(), "n = {n}");
+            for i in 0..counted.len() {
+                assert_eq!(counted.job(i), listed.job(i));
+            }
+        }
+        // Pinned bits: the same plan fingerprinted before trial axes
+        // stopped storing their values.
+        let plan = SweepPlan::new("sweep.variability")
+            .axis(Axis::grid("nc", &[0.0, 4.0, 6.0, 10.0]))
+            .axis(Axis::trials(3));
+        assert_eq!(plan.fingerprint(), PINNED_VARIABILITY_T3);
     }
 
     #[test]

@@ -17,7 +17,13 @@ use rand::SeedableRng;
 
 /// FNV-1a over a byte string — the workspace's stable content hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Feeds more bytes into an FNV-1a hash: `fnv1a_continue(fnv1a(a), b)`
+/// equals `fnv1a(a ++ b)`, so a long input hashes piece by piece without
+/// being built.
+pub(crate) fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -73,6 +79,7 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_continue(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 
     #[test]

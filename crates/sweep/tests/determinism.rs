@@ -3,7 +3,7 @@
 //! completion order, or traversal order.
 
 use cnt_sweep::seed::job_rng;
-use cnt_sweep::{Axis, Executor, Job, OnlineStats, SweepPlan};
+use cnt_sweep::{Axis, Executor, Job, Summary, SweepPlan};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -85,11 +85,8 @@ fn aggregates_are_bit_stable() {
     let serial = Executor::new(1).run(&plan, 3, kernel).unwrap();
     let parallel = Executor::new(8).run(&plan, 3, kernel).unwrap();
     let reduce = |values: &[f64]| {
-        let mut stats = OnlineStats::new();
-        for &v in values {
-            stats.push(v);
-        }
-        (stats.mean().to_bits(), stats.std_dev().to_bits())
+        let s = Summary::from_samples(values).unwrap();
+        [s.mean, s.std_dev, s.p05, s.p50, s.p95].map(f64::to_bits)
     };
     assert_eq!(reduce(&serial), reduce(&parallel));
 }
