@@ -447,11 +447,8 @@ fn run_sweep_command(args: &[String]) -> ExitCode {
     let mut threads = 0;
     let mut cache_dir = Some(PathBuf::from(".sweep-cache"));
     // Overrides accumulate in command-line order so the last flag wins,
-    // whether it was spelled `--seed` or `--set seed=…`. Root seed 42
-    // comes first: a sweep is its own artefact, so an experiment's
-    // re-declared plain-run seed does not leak into it (keeps
-    // `repro sweep fig05` reproducing its pre-registry output).
-    let mut overrides: Vec<(String, String)> = vec![("seed".into(), "42".into())];
+    // whether it was spelled `--seed` or `--set seed=…`.
+    let mut overrides: Vec<(String, String)> = Vec::new();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {

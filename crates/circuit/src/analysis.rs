@@ -446,6 +446,7 @@ impl Circuit {
     /// [`Error::NoConvergence`] / [`Error::SingularMatrix`] from the
     /// per-step Newton solves.
     pub fn transient(&self, options: &TranOptions) -> Result<TranResult> {
+        let _span = cnt_obs::span!("circuit.transient");
         if options.dt <= 0.0 || options.t_stop <= 0.0 || options.t_stop < options.dt {
             return Err(Error::InvalidOptions("need 0 < dt <= t_stop"));
         }

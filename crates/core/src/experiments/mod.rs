@@ -139,6 +139,10 @@ pub fn run_sweep(id: &str, opts: &SweepOpts) -> Result<SweepRun> {
 /// for fig04), and an explicitly set knob outside those is refused
 /// rather than silently dropped.
 ///
+/// A sweep is its own artefact, so a `seed` left unset starts it from
+/// root seed 42, as [`SweepOpts::default`] does, not from the seed an
+/// experiment declares for its plain run (fig05's, fig13b's).
+///
 /// # Errors
 ///
 /// Returns [`crate::Error::UnknownExperiment`] for an unknown id,
@@ -146,7 +150,14 @@ pub fn run_sweep(id: &str, opts: &SweepOpts) -> Result<SweepRun> {
 /// no sweep variant, [`crate::Error::InvalidOverride`] for a knob the
 /// sweep does not honour, and propagates kernel construction errors.
 pub fn chunkable_sweep(id: &str, ctx: &RunContext) -> Result<SweepKernel> {
-    registry().sweep_kernel(id, ctx)?(ctx)
+    let kernel = registry().sweep_kernel(id, ctx)?;
+    if ctx.params.explicit_keys().contains(&"seed") {
+        return kernel(ctx);
+    }
+    let mut ctx = ctx.clone();
+    let seed = ParamValue::Int(sweep_figs::SWEEP_SEED as i64);
+    ctx.set_value(registry().get(id)?.params(), "seed", seed)?;
+    kernel(&ctx)
 }
 
 /// Applies [`chunkable_sweep`]'s checks without building the kernel —

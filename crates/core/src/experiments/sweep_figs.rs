@@ -46,6 +46,9 @@ use std::path::{Path, PathBuf};
 /// cached table.
 const SWEEP_SALT_VERSION: &str = "v2";
 
+/// The root seed of a sweep whose point leaves `seed` unset.
+pub(super) const SWEEP_SEED: u64 = 42;
+
 const VARIABILITY_TITLE: &str =
     "Single-CNT device resistance variability: pristine vs doped (Section II.A)";
 
@@ -90,7 +93,7 @@ impl Default for SweepOpts {
         Self {
             trials: 200,
             threads: 0,
-            seed: 42,
+            seed: SWEEP_SEED,
             cache_dir: None,
         }
     }
@@ -159,12 +162,13 @@ pub struct SweepKernel {
 }
 
 /// Writes `table` under `key` to `store`, when there is one, and hands
-/// its rows back.
-fn keep(store: Option<&ResultStore>, key: &CacheKey, table: Table) -> Result<Vec<Vec<f64>>> {
+/// its rows back. A failed write costs only crash resume and recall, not
+/// the rows, so it is no error here; the store counts it.
+fn keep(store: Option<&ResultStore>, key: &CacheKey, table: Table) -> Vec<Vec<f64>> {
     if let Some(store) = store {
-        store.put(key, &table)?;
+        let _ = store.put(key, &table);
     }
-    Ok(table.rows)
+    table.rows
 }
 
 impl SweepKernel {
@@ -265,11 +269,11 @@ impl SweepKernel {
     }
 
     /// Runs chunk `range` and writes its table to `store`, when there is
-    /// one, before handing its rows back.
+    /// one, before handing its rows back (also when the write fails).
     ///
     /// # Errors
     ///
-    /// Propagates kernel errors and a failed store write.
+    /// Propagates kernel errors.
     pub fn run_chunk(
         &self,
         store: Option<&ResultStore>,
@@ -277,7 +281,7 @@ impl SweepKernel {
     ) -> Result<Vec<Vec<f64>>> {
         let key = self.chunk_key(range);
         let table = self.chunk_table(&key, self.run_range(range.start, range.end)?);
-        keep(store, &key, table)
+        Ok(keep(store, &key, table))
     }
 
     /// The body a chunk worker answers with: chunk `range`'s table.
@@ -286,12 +290,13 @@ impl SweepKernel {
     }
 
     /// Checks a chunk worker's body for chunk `range` and writes it to
-    /// `store`, when there is one, before handing its rows back.
+    /// `store`, when there is one, before handing its rows back (also
+    /// when the write fails).
     ///
     /// # Errors
     ///
     /// A body that does not parse or is not this kernel's table for the
-    /// range, and a failed store write.
+    /// range.
     pub fn accept_chunk(
         &self,
         store: Option<&ResultStore>,
@@ -306,7 +311,7 @@ impl SweepKernel {
                 range.start, range.end, self.id
             )));
         }
-        keep(store, &key, table)
+        Ok(keep(store, &key, table))
     }
 
     /// Runs the contiguous job range `lo..hi`, returning one row per job.

@@ -7,6 +7,26 @@
 //! experiments solve grids of a few thousand nodes, where its
 //! per-iteration cost (one stencil apply plus one fused vector pass) is
 //! the lowest of any scheme.
+//!
+//! # The stencil kernel
+//!
+//! Each node stores one face weight toward each of its i+1, j+1 and k+1
+//! neighbours, zero where that face leaves the grid, behind one leading
+//! zero plane of `nx·ny` entries. The weights toward i−1, j−1 and k−1 are
+//! then the same arrays read one node, one row or one plane back, and
+//! the diagonal is their sum in the order x−, x+, y−, y+, z−, z+.
+//!
+//! `A·ψ` is a gather: each node's sum starts at +0.0 and adds, along x,
+//! then y, then z, `−w·(ψ_lower − ψ)` and then `+w·(ψ − ψ_upper)`. These
+//! are the terms, expressions and order in which a three-pass face
+//! scatter adds them, so every node gets the scatter's bits. The scatter
+//! skipped zero-weight faces; the gather adds them and still agrees,
+//! because under round-to-nearest a sum is −0 only when both addends
+//! are −0 (IEEE 754-2008 §6.3): the accumulator is never −0, so a zero
+//! term (±0 for finite ψ) leaves it unchanged. Without a branch per face
+//! the loop vectorizes across nodes (Datta et al., *Stencil computation
+//! optimization and auto-tuning on state-of-the-art multicore
+//! architectures*, SC 2008) while no node's sum is reordered.
 
 use crate::grid::Grid3;
 use crate::{Error, Result};
@@ -79,12 +99,10 @@ pub struct StencilSystem {
     nx: usize,
     ny: usize,
     nz: usize,
-    /// Face weights along x: index `(k·ny + j)·(nx−1) + i`.
-    wx: Vec<f64>,
-    /// Face weights along y: index `(k·(ny−1) + j)·nx + i`.
-    wy: Vec<f64>,
-    /// Face weights along z: index `(k·ny + j)·nx + i` for `k < nz−1`.
-    wz: Vec<f64>,
+    /// Forward face weights along x, y and z: entry `nx·ny + n` joins
+    /// node `n` to its +1 neighbour along the axis, zero where that face
+    /// leaves the grid; the leading `nx·ny` entries are zero.
+    forward: [Vec<f64>; 3],
     dirichlet: Vec<Option<f64>>,
     diag: Vec<f64>,
 }
@@ -101,27 +119,31 @@ impl StencilSystem {
         debug_assert_eq!(cell_coeff.len(), grid.cell_count());
         debug_assert_eq!(dirichlet.len(), grid.node_count());
 
-        let mut wx = Vec::new();
-        let mut wy = Vec::new();
-        let mut wz = Vec::new();
-        let mut diag = Vec::new();
-        assemble_faces(
-            grid.nodes(),
-            grid.spacing(),
-            cell_coeff,
-            &mut wx,
-            &mut wy,
-            &mut wz,
-        );
-        stencil_diagonal(grid.nodes(), &wx, &wy, &wz, &mut diag);
+        let forward = forward_weights(grid, cell_coeff);
+        // Row sums in the order x−, x+, y−, y+, z−, z+; a face that
+        // leaves the grid reads a zero weight.
+        let nxy = nx * ny;
+        let [wx, wy, wz] = &forward;
+        let diag = (nxy..nxy + grid.node_count())
+            .map(|at| {
+                [
+                    wx[at - 1],
+                    wx[at],
+                    wy[at - nx],
+                    wy[at],
+                    wz[at - nxy],
+                    wz[at],
+                ]
+                .into_iter()
+                .fold(0.0, |d, w| d + w)
+            })
+            .collect();
 
         let mut sys = Self {
             nx,
             ny,
             nz,
-            wx,
-            wy,
-            wz,
+            forward,
             dirichlet,
             diag,
         };
@@ -140,58 +162,62 @@ impl StencilSystem {
         self.nx * self.ny * self.nz
     }
 
-    /// Applies the full stencil operator `y = A·ψ` over all nodes
-    /// (no Dirichlet masking); used for flux integration.
+    /// Applies the full stencil operator `out = A·ψ` over all nodes (no
+    /// Dirichlet masking): every CG iteration and every flux integration.
+    ///
+    /// Seven node ranges, each one [`Self::gather`]: over each range,
+    /// every node's neighbour one step back (or ahead) along an axis lies
+    /// in ψ, or no node's does. The ranges are the first node, the rest
+    /// of the first row, the rest of the first plane, the interior
+    /// planes, and the mirror of the first three at the far end.
     fn apply_full(&self, psi: &[f64], out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        // x faces
-        for k in 0..self.nz {
-            for j in 0..self.ny {
-                let row = (k * self.ny + j) * (self.nx - 1);
-                let base = (k * self.ny + j) * self.nx;
-                for i in 0..self.nx - 1 {
-                    let w = self.wx[row + i];
-                    if w != 0.0 {
-                        let a = base + i;
-                        let b = a + 1;
-                        let f = w * (psi[a] - psi[b]);
-                        out[a] += f;
-                        out[b] -= f;
-                    }
-                }
-            }
+        let n = self.node_count();
+        let (nx, nxy) = (self.nx, self.nx * self.ny);
+        let ranges = [
+            (0, 1),
+            (1, nx),
+            (nx, nxy),
+            (nxy, n - nxy),
+            (n - nxy, n - nx),
+            (n - nx, n - 1),
+            (n - 1, n),
+        ];
+        for (lo, hi) in ranges {
+            self.gather(psi, lo, &mut out[lo..hi]);
         }
-        // y faces
-        for k in 0..self.nz {
-            for j in 0..self.ny - 1 {
-                let row = (k * (self.ny - 1) + j) * self.nx;
-                let base_a = (k * self.ny + j) * self.nx;
-                let base_b = (k * self.ny + j + 1) * self.nx;
-                for i in 0..self.nx {
-                    let w = self.wy[row + i];
-                    if w != 0.0 {
-                        let f = w * (psi[base_a + i] - psi[base_b + i]);
-                        out[base_a + i] += f;
-                        out[base_b + i] -= f;
-                    }
-                }
-            }
-        }
-        // z faces
-        for k in 0..self.nz - 1 {
-            for j in 0..self.ny {
-                let row = (k * self.ny + j) * self.nx;
-                let base_a = (k * self.ny + j) * self.nx;
-                let base_b = ((k + 1) * self.ny + j) * self.nx;
-                for i in 0..self.nx {
-                    let w = self.wz[row + i];
-                    if w != 0.0 {
-                        let f = w * (psi[base_a + i] - psi[base_b + i]);
-                        out[base_a + i] += f;
-                        out[base_b + i] -= f;
-                    }
-                }
-            }
+    }
+
+    /// `A·ψ` for nodes `lo..lo + out.len()`: each node's six face terms
+    /// in the scatter's order (see the module docs), one branch-free
+    /// pass over equal-length streams.
+    ///
+    /// A neighbour stream that would leave ψ is replaced by ψ itself.
+    /// Its weights are zero (the padding, or faces that leave the grid),
+    /// so each of its terms is `0·(ψ − ψ)` = +0, which changes no sum.
+    fn gather(&self, psi: &[f64], lo: usize, out: &mut [f64]) {
+        let len = out.len();
+        let (nx, nxy) = (self.nx, self.nx * self.ny);
+        let centre = &psi[lo..][..len];
+        let back = |step: usize| lo.checked_sub(step).map_or(centre, |s| &psi[s..][..len]);
+        let ahead = |step: usize| psi.get(lo + step..lo + step + len).unwrap_or(centre);
+        let (xm, xp) = (back(1), ahead(1));
+        let (ym, yp) = (back(nx), ahead(nx));
+        let (zm, zp) = (back(nxy), ahead(nxy));
+        let at = nxy + lo;
+        let [wx, wy, wz] = &self.forward;
+        let (wxm, wxp) = (&wx[at - 1..][..len], &wx[at..][..len]);
+        let (wym, wyp) = (&wy[at - nx..][..len], &wy[at..][..len]);
+        let (wzm, wzp) = (&wz[at - nxy..][..len], &wz[at..][..len]);
+        for t in 0..len {
+            let c = centre[t];
+            let mut acc = 0.0;
+            acc -= wxm[t] * (xm[t] - c);
+            acc += wxp[t] * (c - xp[t]);
+            acc -= wym[t] * (ym[t] - c);
+            acc += wyp[t] * (c - yp[t]);
+            acc -= wzm[t] * (zm[t] - c);
+            acc += wzp[t] * (c - zp[t]);
+            out[t] = acc;
         }
     }
 
@@ -349,23 +375,14 @@ impl StencilSystem {
     }
 }
 
-/// Assembles the finite-volume face weights for a uniform grid with the
-/// given node counts, spacings, and per-cell coefficients — the same
-/// discretization as [`StencilSystem::assemble`], writing into reusable
-/// buffers. The face weight between two adjacent nodes is
-/// `(A_face / d) · mean(coefficients of the 4 adjacent cells)`, with
-/// cells missing at the domain boundary contributing zero.
-pub(crate) fn assemble_faces(
-    nodes: [usize; 3],
-    spacing: [f64; 3],
-    cell_coeff: &[f64],
-    wx: &mut Vec<f64>,
-    wy: &mut Vec<f64>,
-    wz: &mut Vec<f64>,
-) {
-    let [nx, ny, nz] = nodes;
-    let [hx, hy, hz] = spacing;
-    let cells = [nx - 1, ny - 1, nz - 1];
+/// The forward face weights of [`StencilSystem`]'s layout for a uniform
+/// grid and per-cell coefficients. The weight of the face between two
+/// adjacent nodes is `(A_face / d) · mean(coefficients of the 4 adjacent
+/// cells)`, with cells missing at the domain boundary contributing zero.
+fn forward_weights(grid: &Grid3, cell_coeff: &[f64]) -> [Vec<f64>; 3] {
+    let [nx, ny, nz] = grid.nodes();
+    let [hx, hy, hz] = grid.spacing();
+    let cells = grid.cells();
     let coeff = |i: isize, j: isize, k: isize| -> f64 {
         if i < 0
             || j < 0
@@ -380,94 +397,45 @@ pub(crate) fn assemble_faces(
         }
     };
 
-    wx.clear();
-    wx.resize((nx - 1) * ny * nz, 0.0);
-    for k in 0..nz {
-        for j in 0..ny {
-            for i in 0..nx - 1 {
-                let (ii, jj, kk) = (i as isize, j as isize, k as isize);
-                let sum = coeff(ii, jj - 1, kk - 1)
-                    + coeff(ii, jj, kk - 1)
-                    + coeff(ii, jj - 1, kk)
-                    + coeff(ii, jj, kk);
-                wx[(k * ny + j) * (nx - 1) + i] = sum * hy * hz / (4.0 * hx);
-            }
-        }
-    }
-    wy.clear();
-    wy.resize(nx * (ny - 1) * nz, 0.0);
-    for k in 0..nz {
-        for j in 0..ny - 1 {
-            for i in 0..nx {
-                let (ii, jj, kk) = (i as isize, j as isize, k as isize);
-                let sum = coeff(ii - 1, jj, kk - 1)
-                    + coeff(ii, jj, kk - 1)
-                    + coeff(ii - 1, jj, kk)
-                    + coeff(ii, jj, kk);
-                wy[(k * (ny - 1) + j) * nx + i] = sum * hx * hz / (4.0 * hy);
-            }
-        }
-    }
-    wz.clear();
-    wz.resize(nx * ny * (nz - 1), 0.0);
-    for k in 0..nz - 1 {
-        for j in 0..ny {
-            for i in 0..nx {
-                let (ii, jj, kk) = (i as isize, j as isize, k as isize);
-                let sum = coeff(ii - 1, jj - 1, kk)
-                    + coeff(ii, jj - 1, kk)
-                    + coeff(ii - 1, jj, kk)
-                    + coeff(ii, jj, kk);
-                wz[(k * ny + j) * nx + i] = sum * hx * hy / (4.0 * hz);
-            }
-        }
-    }
-}
-
-/// Row sums of the face weights — the stencil diagonal.
-pub(crate) fn stencil_diagonal(
-    nodes: [usize; 3],
-    wx: &[f64],
-    wy: &[f64],
-    wz: &[f64],
-    diag: &mut Vec<f64>,
-) {
-    let [nx, ny, nz] = nodes;
-    diag.clear();
-    diag.resize(nx * ny * nz, 0.0);
+    let nxy = nx * ny;
+    let [mut wx, mut wy, mut wz] = [(); 3].map(|()| vec![0.0; nxy + grid.node_count()]);
     for k in 0..nz {
         for j in 0..ny {
             for i in 0..nx {
-                let idx = (k * ny + j) * nx + i;
-                let mut d = 0.0;
-                if i > 0 {
-                    d += wx[(k * ny + j) * (nx - 1) + i - 1];
-                }
+                let at = nxy + grid.node_index(i, j, k);
+                let (ii, jj, kk) = (i as isize, j as isize, k as isize);
                 if i + 1 < nx {
-                    d += wx[(k * ny + j) * (nx - 1) + i];
-                }
-                if j > 0 {
-                    d += wy[(k * (ny - 1) + j - 1) * nx + i];
+                    let sum = coeff(ii, jj - 1, kk - 1)
+                        + coeff(ii, jj, kk - 1)
+                        + coeff(ii, jj - 1, kk)
+                        + coeff(ii, jj, kk);
+                    wx[at] = sum * hy * hz / (4.0 * hx);
                 }
                 if j + 1 < ny {
-                    d += wy[(k * (ny - 1) + j) * nx + i];
-                }
-                if k > 0 {
-                    d += wz[((k - 1) * ny + j) * nx + i];
+                    let sum = coeff(ii - 1, jj, kk - 1)
+                        + coeff(ii, jj, kk - 1)
+                        + coeff(ii - 1, jj, kk)
+                        + coeff(ii, jj, kk);
+                    wy[at] = sum * hx * hz / (4.0 * hy);
                 }
                 if k + 1 < nz {
-                    d += wz[(k * ny + j) * nx + i];
+                    let sum = coeff(ii - 1, jj - 1, kk)
+                        + coeff(ii, jj - 1, kk)
+                        + coeff(ii - 1, jj, kk)
+                        + coeff(ii, jj, kk);
+                    wz[at] = sum * hx * hy / (4.0 * hz);
                 }
-                diag[idx] = d;
             }
         }
     }
+    [wx, wy, wz]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::Grid3;
+    use crate::presets::{inverter_cell_14nm, via_stack, InverterCellGeometry};
     use proptest::prelude::*;
 
     /// 1-D problem embedded in 3-D: uniform coefficient, ψ fixed at the two
@@ -537,11 +505,10 @@ mod tests {
         assert!(psi.iter().all(|&v| v == 0.0));
     }
 
-    #[test]
-    fn floating_free_island_keeps_the_solve_finite() {
-        // A conductive pocket surrounded by insulator: its nodes are free
-        // (nonzero diagonal) but form a semi-definite block with no
-        // Dirichlet anchor. The solve must not panic or diverge.
+    /// A conductive pocket surrounded by insulator between two driven
+    /// slabs: its nodes are free (nonzero diagonal) but form a
+    /// semi-definite block with no Dirichlet anchor.
+    fn floating_island_system() -> StencilSystem {
         let grid = Grid3::new([1.0, 1.0, 1.0], [9, 9, 17]).unwrap();
         let cells = grid.cells();
         let mut coeff = vec![0.0; grid.cell_count()];
@@ -565,8 +532,15 @@ mod tests {
                 dirichlet[grid.node_index(i, j, nz - 1)] = Some(1.0);
             }
         }
-        let sys = StencilSystem::assemble(&grid, &coeff, dirichlet);
-        let psi = sys.solve(&SolverOptions::default()).unwrap();
+        StencilSystem::assemble(&grid, &coeff, dirichlet)
+    }
+
+    #[test]
+    fn floating_free_island_keeps_the_solve_finite() {
+        // The solve must not panic or diverge.
+        let psi = floating_island_system()
+            .solve(&SolverOptions::default())
+            .unwrap();
         assert!(psi.iter().all(|v| v.is_finite()));
     }
 
@@ -580,18 +554,68 @@ mod tests {
         assert!(matches!(err, Err(Error::NoConvergence { .. })));
     }
 
+    /// The historical three-pass face scatter, kept as the oracle of the
+    /// gather kernel: it visits each face once, skips zero-weight faces,
+    /// and adds the face's flux into both of its nodes.
+    fn apply_scatter(sys: &StencilSystem, psi: &[f64], out: &mut [f64]) {
+        let (nx, ny, nz) = (sys.nx, sys.ny, sys.nz);
+        let nxy = nx * ny;
+        let [wx, wy, wz] = &sys.forward;
+        out.iter_mut().for_each(|v| *v = 0.0);
+        let mut face = |w: f64, a: usize, b: usize| {
+            if w != 0.0 {
+                let f = w * (psi[a] - psi[b]);
+                out[a] += f;
+                out[b] -= f;
+            }
+        };
+        // x faces
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx - 1 {
+                    let a = (k * ny + j) * nx + i;
+                    face(wx[nxy + a], a, a + 1);
+                }
+            }
+        }
+        // y faces
+        for k in 0..nz {
+            for j in 0..ny - 1 {
+                for i in 0..nx {
+                    let a = (k * ny + j) * nx + i;
+                    face(wy[nxy + a], a, a + nx);
+                }
+            }
+        }
+        // z faces
+        for k in 0..nz - 1 {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let a = (k * ny + j) * nx + i;
+                    face(wz[nxy + a], a, a + nxy);
+                }
+            }
+        }
+    }
+
     /// The pre-fusion CG implementation, kept verbatim as the reference
-    /// the fused loop is validated against.
-    fn solve_cg_reference(sys: &StencilSystem, options: &SolverOptions) -> Result<Vec<f64>> {
+    /// the fused loop is validated against, with its stencil apply
+    /// passed in: the production gather or the scatter oracle. Returns
+    /// ψ and the iteration count, as `solve_cg` does.
+    fn solve_cg_reference(
+        sys: &StencilSystem,
+        options: &SolverOptions,
+        apply: fn(&StencilSystem, &[f64], &mut [f64]),
+    ) -> Result<(Vec<f64>, usize)> {
         let n = sys.node_count();
         let free: Vec<bool> = sys.dirichlet.iter().map(Option::is_none).collect();
         let mut psi = sys.initial_guess();
         let mut ax = vec![0.0; n];
-        sys.apply_full(&psi, &mut ax);
+        apply(sys, &psi, &mut ax);
         let mut r: Vec<f64> = (0..n).map(|i| if free[i] { -ax[i] } else { 0.0 }).collect();
         let norm_b: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm_b == 0.0 {
-            return Ok(psi);
+            return Ok((psi, 0));
         }
         let precond: Vec<f64> = (0..n)
             .map(|i| {
@@ -606,10 +630,10 @@ mod tests {
         let mut p = z.clone();
         let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
         for it in 0..options.max_iterations {
-            sys.apply_full(&p, &mut ax);
+            apply(sys, &p, &mut ax);
             let pap: f64 = (0..n).filter(|&i| free[i]).map(|i| p[i] * ax[i]).sum();
             if pap <= 0.0 {
-                return Ok(psi);
+                return Ok((psi, it));
             }
             let alpha = rz / pap;
             for i in 0..n {
@@ -620,7 +644,7 @@ mod tests {
             }
             let norm_r: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
             if norm_r <= options.tolerance * norm_b {
-                return Ok(psi);
+                return Ok((psi, it + 1));
             }
             for i in 0..n {
                 z[i] = r[i] * precond[i];
@@ -645,6 +669,13 @@ mod tests {
         unreachable!()
     }
 
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}, node {i}: {a:e} vs {b:e}");
+        }
+    }
+
     /// Tiny deterministic generator for the random-grid tests (the fields
     /// crate has no RNG dependency).
     struct XorShift(u64);
@@ -658,36 +689,166 @@ mod tests {
             self.0 = x;
             (x >> 11) as f64 / (1u64 << 53) as f64
         }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_f64() * n as f64) as usize % n
+        }
     }
 
-    fn random_system(seed: u64, nx: usize, ny: usize, nz: usize) -> StencilSystem {
+    /// A random heterogeneous system: about a third of the cells
+    /// insulating, so some faces have zero weight; the end planes of the
+    /// longest axis pinned at 0 and 1; three interior pins at random
+    /// potentials; and, where every axis has at least three cells, an
+    /// insulated island (one conductive cell wrapped in insulator).
+    fn random_system(seed: u64, nodes: [usize; 3]) -> StencilSystem {
         let mut rng = XorShift(seed | 1);
-        let grid = Grid3::new([1.0, 1.0, 1.0], [nx, ny, nz]).unwrap();
-        let coeff: Vec<f64> = (0..grid.cell_count())
+        let grid = Grid3::new([1.0, 1.0, 1.0], nodes).unwrap();
+        let mut coeff: Vec<f64> = (0..grid.cell_count())
             .map(|_| {
-                // Mostly heterogeneous positive cells, some insulating.
                 let v = rng.next_f64();
-                if v < 0.15 {
+                if v < 0.3 {
                     0.0
                 } else {
                     0.1 + 5.0 * v
                 }
             })
             .collect();
-        let mut dirichlet = vec![None; grid.node_count()];
-        let [gx, gy, gz] = grid.nodes();
-        for j in 0..gy {
-            for i in 0..gx {
-                dirichlet[grid.node_index(i, j, 0)] = Some(0.0);
-                dirichlet[grid.node_index(i, j, gz - 1)] = Some(1.0);
+        let cells = grid.cells();
+        if cells.iter().all(|&c| c >= 3) {
+            let corner = cells.map(|c| rng.below(c - 2));
+            for k in 0..3 {
+                for j in 0..3 {
+                    for i in 0..3 {
+                        let cell = grid.cell_index(corner[0] + i, corner[1] + j, corner[2] + k);
+                        coeff[cell] = if (i, j, k) == (1, 1, 1) { 2.0 } else { 0.0 };
+                    }
+                }
             }
         }
-        // A few random interior pins at random potentials.
+        let axis = (0..3).max_by_key(|&a| nodes[a]).unwrap();
+        let mut dirichlet: Vec<Option<f64>> = (0..grid.node_count())
+            .map(|idx| {
+                let (i, j, k) = grid.node_indices(idx);
+                match [i, j, k][axis] {
+                    0 => Some(0.0),
+                    at if at == nodes[axis] - 1 => Some(1.0),
+                    _ => None,
+                }
+            })
+            .collect();
         for _ in 0..3 {
-            let idx = (rng.next_f64() * grid.node_count() as f64) as usize % grid.node_count();
+            let idx = rng.below(grid.node_count());
             dirichlet[idx] = Some(rng.next_f64());
         }
         StencilSystem::assemble(&grid, &coeff, dirichlet)
+    }
+
+    /// Random potentials in [−2, 2), a fifth of them +0 or −0.
+    fn random_potentials(seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = XorShift(seed.rotate_left(17) | 1);
+        (0..n)
+            .map(|_| match rng.next_f64() {
+                v if v < 0.1 => 0.0,
+                v if v < 0.2 => -0.0,
+                v => 4.0 * v - 2.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn gather_matches_the_scatter_bit_for_bit() {
+        // Every shape from 2 to 7 nodes per axis at the corners, so each
+        // axis is sometimes the 2-node one, with several seeds.
+        for nodes in [2, 3, 7]
+            .into_iter()
+            .flat_map(|a| [2, 4, 6].map(|b| (a, b)))
+            .flat_map(|(a, b)| [2, 5, 7].map(|c| [a, b, c]))
+        {
+            for seed in 1..4 {
+                let sys = random_system(seed * 7919, nodes);
+                let n = sys.node_count();
+                let psi = random_potentials(seed, n);
+                let mut gathered = vec![f64::NAN; n];
+                sys.apply_full(&psi, &mut gathered);
+                let mut scattered = vec![f64::NAN; n];
+                apply_scatter(&sys, &psi, &mut scattered);
+                assert_same_bits(&gathered, &scattered, &format!("{nodes:?} seed {seed}"));
+            }
+            // The diagonal is the scatter's response at a node to a unit
+            // potential there, bit for bit.
+            let sys = random_system(13, nodes);
+            let n = sys.node_count();
+            let mut unit = vec![0.0; n];
+            let mut column = vec![0.0; n];
+            let response: Vec<f64> = (0..n)
+                .map(|i| {
+                    unit[i] = 1.0;
+                    apply_scatter(&sys, &unit, &mut column);
+                    unit[i] = 0.0;
+                    column[i]
+                })
+                .collect();
+            assert_same_bits(&sys.diag, &response, &format!("{nodes:?} diagonal"));
+        }
+    }
+
+    /// fig10's seven systems: the inverter cell's six capacitance
+    /// excitations (one conductor at 1 V, the others grounded) and its
+    /// via stack between two terminals, here at a copper-like σ.
+    fn fig10_systems() -> Vec<(String, StencilSystem)> {
+        let geometry = InverterCellGeometry::default();
+        let cell = inverter_cell_14nm(geometry).build([15, 11, 13]).unwrap();
+        let mut systems: Vec<(String, StencilSystem)> = (0..cell.conductor_count())
+            .map(|drive| {
+                let dirichlet = cell
+                    .node_conductor()
+                    .iter()
+                    .map(|c| c.map(|id| if id as usize == drive { 1.0 } else { 0.0 }))
+                    .collect();
+                let sys = StencilSystem::assemble(
+                    cell.grid(),
+                    cell.permittivity_coefficients(),
+                    dirichlet,
+                );
+                (format!("capacitance row {drive}"), sys)
+            })
+            .collect();
+        let stack = via_stack(geometry, 5.0e7).build([41, 7, 13]).unwrap();
+        let src = stack.conductor_id("t_m1").unwrap();
+        let snk = stack.conductor_id("t_m2").unwrap();
+        let dirichlet = stack
+            .node_conductor()
+            .iter()
+            .map(|c| match *c {
+                Some(id) if id == src => Some(1.0),
+                Some(id) if id == snk => Some(0.0),
+                _ => None,
+            })
+            .collect();
+        let sys =
+            StencilSystem::assemble(stack.grid(), stack.conductivity_coefficients(), dirichlet);
+        systems.push(("via stack".to_string(), sys));
+        systems
+    }
+
+    #[test]
+    fn solves_match_a_scatter_driven_reference_bit_for_bit() {
+        let options = SolverOptions::default();
+        let mut ws = SolveWorkspace::new();
+        let systems = fig10_systems()
+            .into_iter()
+            .chain([("floating island".to_string(), floating_island_system())]);
+        for (name, sys) in systems {
+            let (psi, iterations) = sys.solve_cg(&options, &mut ws).unwrap();
+            let (reference, ref_iterations) =
+                solve_cg_reference(&sys, &options, apply_scatter).unwrap();
+            assert!(iterations > 0, "{name} converged without iterating");
+            assert_eq!(iterations, ref_iterations, "{name}");
+            assert_same_bits(&psi, &reference, &name);
+            let mut flux = vec![0.0; psi.len()];
+            apply_scatter(&sys, &psi, &mut flux);
+            assert_same_bits(&sys.node_flux(&psi), &flux, &format!("{name} flux"));
+        }
     }
 
     proptest! {
@@ -700,17 +861,12 @@ mod tests {
             ny in 3_usize..6,
             nz in 3_usize..7,
         ) {
-            let sys = random_system(seed, nx, ny, nz);
+            let sys = random_system(seed, [nx, ny, nz]);
             let options = SolverOptions::default();
-            let fused = sys.solve(&options).unwrap();
-            let reference = solve_cg_reference(&sys, &options).unwrap();
-            prop_assert_eq!(fused.len(), reference.len());
-            for (i, (a, b)) in fused.iter().zip(&reference).enumerate() {
-                prop_assert!(
-                    (a - b).abs() <= 1e-12,
-                    "node {}: fused {} vs reference {}", i, a, b
-                );
-            }
+            let fused = sys.solve_cg(&options, &mut SolveWorkspace::new()).unwrap();
+            let reference = solve_cg_reference(&sys, &options, StencilSystem::apply_full).unwrap();
+            prop_assert_eq!(fused.1, reference.1);
+            assert_same_bits(&fused.0, &reference.0, "fused vs unfused");
         }
     }
 
@@ -720,13 +876,10 @@ mod tests {
         let fresh = sys.solve(&SolverOptions::default()).unwrap();
         let mut ws = SolveWorkspace::new();
         // Reuse one workspace across systems of different sizes and back.
-        let other = random_system(99, 5, 4, 6);
+        let other = random_system(99, [5, 4, 6]);
         for _ in 0..2 {
             let with_ws = sys.solve_with(&SolverOptions::default(), &mut ws).unwrap();
-            assert_eq!(fresh.len(), with_ws.len());
-            for (a, b) in fresh.iter().zip(&with_ws) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+            assert_same_bits(&with_ws, &fresh, "reused workspace");
             let _ = other
                 .solve_with(&SolverOptions::default(), &mut ws)
                 .unwrap();

@@ -333,9 +333,9 @@ impl Fanout<'_> {
                 // The kernel checks the body and persists it before the
                 // chunk reports done: a coordinator killed right after
                 // this resumes the chunk from disk instead of re-fetching
-                // it. A body it refuses (foreign build, wrong shape) or
-                // cannot keep requeues; only the health detector decides
-                // this peer's fate.
+                // it. A body it refuses (foreign build, wrong shape)
+                // requeues; only the health detector decides this peer's
+                // fate.
                 Ok(peer) if peer.status == 200 => {
                     match self
                         .sweep

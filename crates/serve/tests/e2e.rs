@@ -1900,9 +1900,10 @@ fn metrics_scrape_exports_library_span_families() {
     let (addr, handle, thread) = start(Server::bind(config()).unwrap());
 
     // fig08c computes a band structure and two Landauer integrals; fig10
-    // runs its field solves. Their spans land in the global registry,
-    // which the scrape appends to the server's own families.
-    for id in ["fig08c", "fig10"] {
+    // runs its field solves; fig11 its circuit transients. Their spans
+    // land in the global registry, which the scrape appends to the
+    // server's own families.
+    for id in ["fig08c", "fig10", "fig11"] {
         let (status, _) = post(addr, &format!("/v1/experiments/{id}/run"), "{}");
         assert_eq!(status, 200, "{id}");
     }
@@ -1911,6 +1912,7 @@ fn metrics_scrape_exports_library_span_families() {
         "cnt_span_atomistic_bands_seconds",
         "cnt_span_atomistic_landauer_seconds",
         "cnt_span_fields_solve_seconds",
+        "cnt_span_circuit_transient_seconds",
         "cnt_span_sweep_job_seconds",
     ] {
         assert!(

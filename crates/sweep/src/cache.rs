@@ -22,21 +22,33 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::SystemTime;
 
-/// [`ResultStore::get`] outcomes, process-wide.
-fn hit_miss_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
-    static HANDLES: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
+/// [`ResultStore`] outcomes, process-wide: lookup hits and misses, and
+/// failed writes. The three register together, so the failure count
+/// reads 0 beside the first hit or miss.
+struct StoreCounters {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    write_failures: Arc<Counter>,
+}
+
+fn store_counters() -> &'static StoreCounters {
+    static HANDLES: OnceLock<StoreCounters> = OnceLock::new();
     HANDLES.get_or_init(|| {
         let g = cnt_obs::global();
-        (
-            g.counter(
+        StoreCounters {
+            hits: g.counter(
                 "cnt_sweep_cache_hits_total",
                 "sweep lookups answered from the result store",
             ),
-            g.counter(
+            misses: g.counter(
                 "cnt_sweep_cache_misses_total",
                 "sweep lookups that had to recompute",
             ),
-        )
+            write_failures: g.counter(
+                "cnt_sweep_cache_write_failures_total",
+                "result-store writes that failed",
+            ),
+        }
     })
 }
 
@@ -103,18 +115,20 @@ impl ResultStore {
             .ok()
             .and_then(|text| json::decode_table(&text).ok())
             .filter(|table| table.key == key.hex() && fits(table));
-        let (hits, misses) = hit_miss_counters();
+        let StoreCounters { hits, misses, .. } = store_counters();
         if table.is_some() { hits } else { misses }.inc();
         table
     }
 
-    /// Writes `table` under `key`.
+    /// Writes `table` under `key`. A failed write counts on the
+    /// process-wide `cnt_sweep_cache_write_failures_total`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Io`] if the shard directory or file cannot be
     /// written.
     pub fn put(&self, key: &CacheKey, table: &Table) -> Result<()> {
+        let failures = &store_counters().write_failures;
         let path = self.path_for(key);
         let dir = path.parent().expect("cache file has a parent");
         let encoded = json::encode_table(table);
@@ -125,9 +139,12 @@ impl ResultStore {
             std::fs::create_dir_all(dir)?;
             std::fs::write(&path, &encoded)
         };
-        attempt().or_else(|_| attempt()).map_err(|e| Error::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
+        attempt().or_else(|_| attempt()).map_err(|e| {
+            failures.inc();
+            Error::Io {
+                path: path.display().to_string(),
+                message: e.to_string(),
+            }
         })
     }
 }
