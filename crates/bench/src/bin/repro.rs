@@ -10,7 +10,7 @@
 //!                         run with typed parameter overrides, validated
 //!                         against the experiment's declared ParamSpec
 //! repro fig08a --threads 4
-//!                         run pooled kernels on 4 worker threads (the
+//!                         run fig08a's pool on 4 worker threads (the
 //!                         output is byte-identical for any width)
 //! repro table1 --format json
 //!                         machine-readable output (one JSON object per
@@ -57,8 +57,10 @@
 //! * `--preset P`    named operating point from the experiment's spec
 //! * `--set K=V`     typed parameter override; unknown keys and
 //!   out-of-range values are rejected before the experiment runs
-//! * `--threads N`   worker threads for pooled kernels, 0 = all cores
-//!   (default 0, at most 4096); never changes the output
+//! * `--threads N`   width of fig08a's and fig10's pools and of every
+//!   sweep (variability's plain run included), 0 = all cores (default 0,
+//!   at most 4096); the other ids run on the calling thread. Never
+//!   changes the output
 //!
 //! Sweep flags:
 //!
@@ -101,6 +103,7 @@ fn usage() {
         "usage: repro [--list] [--format text|json|csv] [--preset NAME] [--set KEY=VALUE]..."
     );
     eprintln!("             [--threads N] [all | <id>...]");
+    eprintln!("             (--threads: width of fig08a's and fig10's pools and of every sweep)");
     eprintln!("       repro info <id>");
     eprintln!("       repro sweep <id> [--trials N] [--threads N] [--seed S] [--set KEY=VALUE]...");
     eprintln!("                        [--cache-dir DIR] [--no-cache] [--format text|json|csv]");

@@ -1,6 +1,7 @@
 //! A served sweep answers the bytes `repro sweep` prints for the same
 //! point: the server and the CLI start from one default seed, and a
-//! chunk store that cannot be written costs crash resume, not the sweep.
+//! chunk store or cache that cannot be written costs crash resume or
+//! recall, not the sweep.
 
 use cnt_serve::{Config, Server, ShutdownHandle};
 use std::io::{Read, Write};
@@ -121,4 +122,26 @@ fn an_unwritable_chunk_store_costs_resume_not_the_sweep() {
     handle.shutdown();
     thread.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `repro sweep --cache-dir F` with F a plain file: the cache write
+/// fails, and the sweep still prints the `--no-cache` bytes.
+#[test]
+fn an_unwritable_cache_dir_costs_recall_not_the_sweep() {
+    let file = std::env::temp_dir().join(format!("cnt-bench-cache-file-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["sweep", "fig12", "--trials", "8", "--seed", "42"])
+        .args(["--format", "json", "--cache-dir"])
+        .arg(&file)
+        .output()
+        .expect("run repro sweep");
+    let _ = std::fs::remove_file(&file);
+    assert!(
+        out.status.success(),
+        "repro sweep: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let printed = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert_eq!(printed, repro_sweep("fig12", 8));
 }

@@ -147,34 +147,14 @@ fn fig08c_with(ctx: &RunContext) -> Result<Report> {
 
     let mut rep =
         Report::new("fig08c", FIG08C_TITLE).with_columns(&["E_eV", "T_pristine", "T_doped"]);
-    // The energy grid runs on the cnt-sweep pool in fixed contiguous
-    // chunks, each evaluated with the energy-batched transmission_grid
-    // kernels. Chunking is independent of the thread count and every
-    // energy is independent, so rows are bit-identical at any --threads
-    // value (transmission counts are exact integers).
     const N_ENERGY: usize = 121;
-    const N_CHUNKS: usize = 8;
     let energies: Vec<f64> = (0..N_ENERGY)
         .map(|i| -1.5 + 3.0 * i as f64 / (N_ENERGY - 1) as f64)
         .collect();
-    let chunk_ids: Vec<f64> = (0..N_CHUNKS).map(|c| c as f64).collect();
-    let plan = SweepPlan::new("fig08c.energies").axis(Axis::grid("chunk", &chunk_ids));
-    let chunks = Executor::new(ctx.threads).run(&plan, ctx.u64("seed"), |job, _| {
-        let c = job.get_usize("chunk").expect("axis exists");
-        let lo = c * N_ENERGY / N_CHUNKS;
-        let hi = (c + 1) * N_ENERGY / N_CHUNKS;
-        let window = &energies[lo..hi];
-        let t_pristine = pristine_bands.transmission_grid(window);
-        let t_doped = doped.transmission_grid(window);
-        let rows: Vec<[f64; 3]> = window
-            .iter()
-            .zip(t_pristine.iter().zip(&t_doped))
-            .map(|(&e, (&tp, &td))| [e, tp, td])
-            .collect();
-        Ok::<_, crate::Error>(rows)
-    })?;
-    for row in chunks.into_iter().flatten() {
-        rep.push_row(row.to_vec());
+    let t_pristine = pristine_bands.transmission_grid(&energies);
+    let t_doped = doped.transmission_grid(&energies);
+    for ((&e, &tp), &td) in energies.iter().zip(&t_pristine).zip(&t_doped) {
+        rep.push_row(vec![e, tp, td]);
     }
 
     let g_pristine = transport::conductance_at_temperature(pristine_bands, 0.0, temp);
@@ -240,27 +220,18 @@ mod tests {
 
     #[test]
     fn ported_fig08_kernels_bit_identical_across_thread_counts() {
-        let at_threads = |run: fn(&RunContext) -> Result<Report>, spec: &ParamSpec, t| {
+        let at_threads = |threads| {
             let ctx = RunContext {
-                threads: t,
-                ..RunContext::defaults(spec)
+                threads,
+                ..RunContext::defaults(&temp_spec())
             };
-            run(&ctx).unwrap().render()
+            fig08a_with(&ctx).unwrap().render()
         };
-        for (run, spec) in [
-            (
-                fig08a_with as fn(&RunContext) -> Result<Report>,
-                temp_spec(),
-            ),
-            (fig08c_with, temp_spec()),
-        ] {
-            let serial = at_threads(run, &spec, 1);
-            let par = at_threads(run, &spec, 8);
-            assert_eq!(serial, par, "pool port changed output across thread counts");
-            // And the default (threads = 0 = all cores) path matches too.
-            let default = run(&RunContext::defaults(&spec)).unwrap().render();
-            assert_eq!(serial, default);
-        }
+        let serial = at_threads(1);
+        let par = at_threads(8);
+        assert_eq!(serial, par, "pool port changed output across thread counts");
+        // And the default (threads = 0 = all cores) path matches too.
+        assert_eq!(serial, fig08a().unwrap().render());
     }
 
     #[test]

@@ -234,10 +234,11 @@ fn fig12_spec() -> ParamSpec {
 /// Fig. 12: delay ratio of doped vs pristine MWCNT interconnects over
 /// interconnect length and channels per shell, for D = 10/14/22 nm.
 ///
-/// The 75-cell grid is evaluated on the `cnt-sweep` pool (all cores);
-/// row order and values are identical to the serial nested loops this
-/// replaced. The `length_um`/`nc` knobs move the paper-anchor checks in
-/// the notes; the grid itself is the paper's.
+/// The 75-cell grid is closed-form Elmore delays, well under a
+/// millisecond, so it runs on the calling thread (`delay_ratio_grid` at
+/// width 1), rows in diameter, channel-count, length order. The
+/// `length_um`/`nc` knobs move the paper-anchor checks in the notes; the
+/// grid itself is the paper's.
 ///
 /// # Errors
 ///
@@ -255,7 +256,7 @@ fn fig12_with(ctx: &RunContext) -> Result<Report> {
         &FIG12_DIAMETERS_NM,
         &FIG12_CHANNEL_COUNTS,
         &FIG12_LENGTHS_UM,
-        ctx.threads,
+        1,
     )?;
     let mut points = grid.iter();
     for &d in &FIG12_DIAMETERS_NM {

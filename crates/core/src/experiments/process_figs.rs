@@ -9,7 +9,6 @@ use crate::Result;
 use cnt_process::composite::{CarpetOrientation, CompositeRecipe, DepositionMethod, FillResult};
 use cnt_process::growth::{Catalyst, GrowthRecipe};
 use cnt_process::wafer::WaferMap;
-use cnt_sweep::{Axis, Executor, SweepPlan};
 use cnt_units::si::Temperature;
 
 const FIG04_TITLE: &str = "CNT growth vs temperature: Co (CMOS BEOL) vs Fe";
@@ -35,29 +34,28 @@ pub(super) fn entries() -> Vec<Entry> {
     ]
 }
 
-/// Simulates the Fig. 6/7 impregnation recipe across an aspect-ratio grid
-/// on a `threads`-wide `cnt-sweep` pool; results come back in grid order.
+/// Simulates the Fig. 6/7 impregnation recipe at each aspect ratio, in
+/// grid order.
 fn fill_sweep(
-    threads: usize,
     method: DepositionMethod,
     orientation: CarpetOrientation,
     conductive_seed: bool,
     aspect_ratios: &[f64],
     cnt_volume_fraction: f64,
-) -> Result<Vec<FillResult>> {
-    let plan =
-        SweepPlan::new("experiments.process.fill").axis(Axis::grid("aspect_ratio", aspect_ratios));
-    let results = Executor::new(threads).run(&plan, 0, |job, _| {
-        CompositeRecipe {
-            method,
-            orientation,
-            aspect_ratio: job.get("aspect_ratio").expect("axis exists"),
-            conductive_seed,
-            cnt_volume_fraction,
-        }
-        .simulate()
-    })?;
-    Ok(results)
+) -> cnt_process::Result<Vec<FillResult>> {
+    aspect_ratios
+        .iter()
+        .map(|&aspect_ratio| {
+            CompositeRecipe {
+                method,
+                orientation,
+                aspect_ratio,
+                conductive_seed,
+                cnt_volume_fraction,
+            }
+            .simulate()
+        })
+        .collect()
 }
 
 /// The six fixed lower probe temperatures of the Fig. 4 growth sweep, °C.
@@ -96,27 +94,21 @@ pub fn fig04() -> Result<Report> {
 
 fn fig04_with(ctx: &RunContext) -> Result<Report> {
     let temps = fig04_temps(ctx.f64("temp_k"));
-    let temps_k: Vec<f64> = temps.iter().map(|t| t.kelvin()).collect();
-    // Catalyst × temperature grid on the cnt-sweep pool. The catalyst axis
-    // is outermost, so results come back exactly as the serial
-    // Co-then-Fe loops this replaced produced them.
-    let plan = SweepPlan::new("experiments.process.fig04")
-        .axis(Axis::grid("catalyst", &[0.0, 1.0]))
-        .axis(Axis::grid("T_K", &temps_k));
-    let results = Executor::new(ctx.threads).run(&plan, 0, |job, _| {
-        let catalyst = if job.get("catalyst").expect("axis exists") == 0.0 {
-            Catalyst::Cobalt
-        } else {
-            Catalyst::Iron
-        };
-        GrowthRecipe {
-            catalyst,
-            temperature: Temperature::from_kelvin(job.get("T_K").expect("axis exists")),
-            plasma_assisted: false,
-        }
-        .simulate()
-    })?;
-    let (co, fe) = results.split_at(temps.len());
+    let grow = |catalyst| {
+        temps
+            .iter()
+            .map(|&temperature| {
+                GrowthRecipe {
+                    catalyst,
+                    temperature,
+                    plasma_assisted: false,
+                }
+                .simulate()
+            })
+            .collect::<cnt_process::Result<Vec<_>>>()
+    };
+    let co = grow(Catalyst::Cobalt)?;
+    let fe = grow(Catalyst::Iron)?;
 
     let mut rep = Report::new("fig04", FIG04_TITLE).with_columns(&[
         "T_C",
@@ -127,7 +119,7 @@ fn fig04_with(ctx: &RunContext) -> Result<Report> {
         "fe_dg",
         "fe_viable",
     ]);
-    for (c, f) in co.iter().zip(fe) {
+    for (c, f) in co.iter().zip(&fe) {
         rep.push_row(vec![
             c.recipe.temperature.celsius(),
             c.growth_rate_um_per_min,
@@ -230,7 +222,6 @@ fn fig06_with(ctx: &RunContext) -> Result<Report> {
     ]);
     let ars = [0.5, 1.0, 2.0, 4.0, 8.0];
     let fills = fill_sweep(
-        ctx.threads,
         DepositionMethod::Electroless,
         CarpetOrientation::Vertical,
         false,
@@ -269,7 +260,6 @@ fn fig07_with(ctx: &RunContext) -> Result<Report> {
     ]);
     let ars = [0.5, 1.0, 2.0, 4.0, 8.0];
     let fills = fill_sweep(
-        ctx.threads,
         DepositionMethod::Electrochemical,
         CarpetOrientation::Horizontal,
         true,

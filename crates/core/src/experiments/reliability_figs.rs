@@ -15,7 +15,6 @@ use cnt_reliability::dopant_migration::{
 use cnt_reliability::em::BlackModel;
 use cnt_reliability::layout::{standard_em_layout, TestStructure};
 use cnt_reliability::wafer_char::{characterize_wafer, WaferCharSetup};
-use cnt_sweep::{Axis, Executor, SweepPlan};
 use cnt_units::consts::{KTH_CNT_HIGH, KTH_CNT_LOW, KTH_CU};
 use cnt_units::si::{CurrentDensity, Length, Temperature, Time};
 
@@ -236,21 +235,8 @@ fn fig13b_with(ctx: &RunContext) -> Result<Report> {
     };
     let target = Time::from_hours(2000.0);
     let seed = ctx.u64("seed");
-    // The two wafer characterizations are independent; run them as a
-    // two-job cnt-sweep plan (the fixed seed is part of the artefact's
-    // identity, so the job streams are deliberately unused).
-    let plan = SweepPlan::new("experiments.reliability.fig13b.setups")
-        .axis(Axis::grid("setup", &[0.0, 1.0]));
-    let mut reports = Executor::new(ctx.threads).run(&plan, 0, |job, _| {
-        let setup = if job.get_usize("setup").expect("axis exists") == 0 {
-            WaferCharSetup::copper_reference()
-        } else {
-            WaferCharSetup::composite()
-        };
-        characterize_wafer(&setup, &line, target, seed)
-    })?;
-    let composite = reports.pop().expect("two jobs ran");
-    let cu = reports.pop().expect("two jobs ran");
+    let cu = characterize_wafer(&WaferCharSetup::copper_reference(), &line, target, seed)?;
+    let composite = characterize_wafer(&WaferCharSetup::composite(), &line, target, seed)?;
 
     let mut rep = Report::new("fig13b", FIG13B_TITLE).with_columns(&[
         "dies",

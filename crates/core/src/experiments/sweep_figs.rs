@@ -340,11 +340,12 @@ impl SweepKernel {
 
     /// The single-process run: the whole job range, reduced and rendered.
     /// With a `cache_dir`, the finished table is first looked up in the
-    /// [`ResultStore`] there and stored there after a miss.
+    /// [`ResultStore`] there and stored there after a miss; a failed
+    /// write, like a chunk's, costs only the next run's recall.
     ///
     /// # Errors
     ///
-    /// Propagates kernel and reduce errors, and a failed cache write.
+    /// Propagates kernel and reduce errors.
     pub fn run_local(&self, cache_dir: Option<&Path>) -> Result<SweepRun> {
         let Some(dir) = cache_dir else {
             return self.finish(self.run_range(0, self.jobs())?);
@@ -359,8 +360,7 @@ impl SweepKernel {
             columns: self.columns.iter().map(|c| c.to_string()).collect(),
             rows: (self.finalize)(self.run_range(0, self.jobs())?)?,
         };
-        store.put(&key, &table)?;
-        Ok(self.sweep_run(&table.rows, false))
+        Ok(self.sweep_run(&keep(Some(&store), &key, table), false))
     }
 
     /// Renders the final table: its rows, the kernel's notes, and the

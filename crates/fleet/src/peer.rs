@@ -26,7 +26,7 @@
 
 use crate::chaos::{ChaosInjector, Fault};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -34,6 +34,11 @@ use std::time::{Duration, Instant};
 /// Largest peer response body accepted (matches the serve layer's own
 /// request-body ceiling order of magnitude; a cached report is ~KBs).
 const MAX_PEER_BODY: usize = 4 * 1024 * 1024;
+
+/// Largest peer response head (status line plus headers) accepted, the
+/// serve layer's own request-head cap. The per-read deadline never fires
+/// while bytes keep arriving, so only a cap bounds a head's memory.
+const MAX_PEER_HEAD: usize = 16 * 1024;
 
 /// Most idle sockets parked per peer address.
 const MAX_IDLE_PER_PEER: usize = 4;
@@ -410,10 +415,8 @@ impl PeerClient {
 /// (so a reusable socket can go back to the pool).
 #[allow(clippy::type_complexity)]
 fn read_response<R: BufRead>(mut reader: R) -> Result<(PeerResponse, bool, R), PeerError> {
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| PeerError::Io(e.to_string()))?;
+    let mut head_bytes = 0;
+    let status_line = read_head_line(&mut reader, &mut head_bytes)?;
     let status = status_line
         .split_whitespace()
         .nth(1)
@@ -425,10 +428,7 @@ fn read_response<R: BufRead>(mut reader: R) -> Result<(PeerResponse, bool, R), P
     let mut content_length = 0usize;
     let mut close = !http11;
     loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| PeerError::Io(e.to_string()))?;
+        let line = read_head_line(&mut reader, &mut head_bytes)?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -466,6 +466,23 @@ fn read_response<R: BufRead>(mut reader: R) -> Result<(PeerResponse, bool, R), P
         !close,
         reader,
     ))
+}
+
+/// Reads one head line (empty at end of stream), charging its bytes to
+/// `head_bytes`. Past [`MAX_PEER_HEAD`] it stops reading and fails.
+fn read_head_line<R: BufRead>(reader: &mut R, head_bytes: &mut usize) -> Result<String, PeerError> {
+    let budget = MAX_PEER_HEAD + 1 - *head_bytes;
+    let mut line = Vec::new();
+    *head_bytes += reader
+        .take(budget as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| PeerError::Io(e.to_string()))?;
+    if *head_bytes > MAX_PEER_HEAD {
+        return Err(PeerError::Protocol(format!(
+            "response head exceeds the {MAX_PEER_HEAD} byte cap"
+        )));
+    }
+    String::from_utf8(line).map_err(|_| PeerError::Protocol("non-utf8 response head".to_string()))
 }
 
 #[cfg(test)]
@@ -579,6 +596,28 @@ mod tests {
             read_response(Cursor::new(raw)),
             Err(PeerError::Io(_))
         ));
+    }
+
+    #[test]
+    fn an_oversized_response_head_is_a_protocol_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 4096];
+            let _ = stream.read(&mut buf);
+            let mut response = b"HTTP/1.1 200 OK\r\nX-Filler: ".to_vec();
+            response.resize(response.len() + (1 << 20), b'a');
+            response.extend_from_slice(b"\r\nContent-Length: 2\r\n\r\nok");
+            // The client hangs up at the cap, so this write may fail.
+            let _ = stream.write_all(&response);
+        });
+        let result = client().get(&addr.to_string(), "/v1/healthz");
+        assert!(
+            matches!(result, Err(PeerError::Protocol(_))),
+            "a 1 MiB header line: {result:?}"
+        );
+        server.join().unwrap();
     }
 
     #[test]

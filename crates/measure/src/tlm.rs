@@ -75,49 +75,22 @@ impl TlmExperiment {
         Ok(())
     }
 
-    /// The relative noise draws of one seeded measurement run, one per
-    /// length, in device order — exactly the draws [`Self::measure`]
-    /// makes. Splitting the (serial, cheap) RNG pass from the per-device
-    /// arithmetic lets callers evaluate devices independently (e.g. on a
-    /// thread pool) while keeping the seeded stream byte-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors.
-    pub fn noise_draws(&self, seed: u64) -> Result<Vec<f64>> {
-        self.validate()?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        Ok(self
-            .lengths
-            .iter()
-            .map(|_| rand_ext::normal(&mut rng, 0.0, self.noise))
-            .collect())
-    }
-
-    /// The measured resistance of device `index` given its relative noise
-    /// draw (from [`Self::noise_draws`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn measurement(&self, index: usize, noise_draw: f64) -> (Length, Resistance) {
-        let l = self.lengths[index];
-        let ideal = 2.0 * self.contact_resistance + self.resistance_per_length * l.meters();
-        let noisy = ideal * (1.0 + noise_draw);
-        (l, Resistance::from_ohms(noisy))
-    }
-
     /// Generates the noisy measured resistances, one per length.
     ///
     /// # Errors
     ///
     /// Propagates validation errors.
     pub fn measure(&self, seed: u64) -> Result<Vec<(Length, Resistance)>> {
-        let draws = self.noise_draws(seed)?;
-        Ok(draws
-            .into_iter()
-            .enumerate()
-            .map(|(i, draw)| self.measurement(i, draw))
+        self.validate()?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        Ok(self
+            .lengths
+            .iter()
+            .map(|&l| {
+                let ideal = 2.0 * self.contact_resistance + self.resistance_per_length * l.meters();
+                let noisy = ideal * (1.0 + rand_ext::normal(&mut rng, 0.0, self.noise));
+                (l, Resistance::from_ohms(noisy))
+            })
             .collect())
     }
 }

@@ -70,53 +70,9 @@ impl SthmInstrument {
         ((x1 - x0) / self.pixel_pitch).floor() as usize + 1
     }
 
-    /// The scan's pixel positions for a truth profile, metres — exactly
-    /// the grid [`Self::scan`] samples.
-    pub fn pixel_positions(&self, truth: &TemperatureProfile) -> Vec<f64> {
-        let x0 = truth.position_m[0];
-        (0..self.pixel_count(truth))
-            .map(|p| x0 + p as f64 * self.pixel_pitch)
-            .collect()
-    }
-
-    /// Applies the seeded read-out noise to precomputed noise-free probe
-    /// readings — the serial tail of [`Self::scan`]. Callers that
-    /// evaluate [`Self::probe_temperature`] per pixel elsewhere (e.g. on
-    /// a thread pool) hand the results here so the instrument's noise
-    /// model keeps a single owner; one normal draw per pixel, pixel
-    /// order, matching `scan` exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two slices have different lengths.
-    pub fn apply_readout_noise(
-        &self,
-        position_m: Vec<f64>,
-        probe_temps_k: &[f64],
-        seed: u64,
-    ) -> TemperatureProfile {
-        assert_eq!(
-            position_m.len(),
-            probe_temps_k.len(),
-            "one probe reading per pixel"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let temperature_k = probe_temps_k
-            .iter()
-            .map(|t| t + rand_ext::normal(&mut rng, 0.0, self.noise_kelvin))
-            .collect();
-        TemperatureProfile {
-            position_m,
-            temperature_k,
-        }
-    }
-
     /// The noise-free probe reading at position `x`: the discrete Gaussian
-    /// convolution of the truth profile with the probe response. This is
-    /// the per-pixel kernel of [`Self::scan`] — exposed so callers can
-    /// evaluate pixels independently (e.g. on a thread pool) and add the
-    /// serially-drawn read-out noise afterwards.
-    pub fn probe_temperature(&self, truth: &TemperatureProfile, x: f64) -> f64 {
+    /// convolution of the truth profile with the probe response.
+    fn probe_temperature(&self, truth: &TemperatureProfile, x: f64) -> f64 {
         // FWHM = 2·√(2·ln 2)·σ.
         let sigma = self.probe_fwhm / (2.0 * (2.0 * (2.0_f64).ln()).sqrt());
         let mut wsum = 0.0;
@@ -151,12 +107,22 @@ impl SthmInstrument {
                 min: 2,
             });
         }
-        let xs = self.pixel_positions(truth);
-        let ts: Vec<f64> = xs
-            .iter()
-            .map(|&x| self.probe_temperature(truth, x))
+        let x0 = truth.position_m[0];
+        let position_m: Vec<f64> = (0..self.pixel_count(truth))
+            .map(|p| x0 + p as f64 * self.pixel_pitch)
             .collect();
-        Ok(self.apply_readout_noise(xs, &ts, seed))
+        let mut rng = StdRng::seed_from_u64(seed);
+        let temperature_k = position_m
+            .iter()
+            .map(|&x| {
+                self.probe_temperature(truth, x)
+                    + rand_ext::normal(&mut rng, 0.0, self.noise_kelvin)
+            })
+            .collect();
+        Ok(TemperatureProfile {
+            position_m,
+            temperature_k,
+        })
     }
 }
 
@@ -212,20 +178,6 @@ mod tests {
         let pn = narrow.scan(&t, 1).unwrap().peak().kelvin();
         let pw = wide.scan(&t, 1).unwrap().peak().kelvin();
         assert!(pw < pn, "wide probe reads a lower peak: {pw} vs {pn}");
-    }
-
-    #[test]
-    fn scan_equals_its_published_decomposition() {
-        // The pool-ported experiments rebuild a scan from
-        // pixel_positions + probe_temperature + apply_readout_noise;
-        // that decomposition must stay bit-identical to scan() itself.
-        let t = truth();
-        let inst = SthmInstrument::nanoprobe();
-        let xs = inst.pixel_positions(&t);
-        let probe: Vec<f64> = xs.iter().map(|&x| inst.probe_temperature(&t, x)).collect();
-        let composed = inst.apply_readout_noise(xs, &probe, 9);
-        let direct = inst.scan(&t, 9).unwrap();
-        assert_eq!(composed, direct);
     }
 
     #[test]
