@@ -364,7 +364,8 @@ fn run_profile_command(args: &[String]) -> ExitCode {
 }
 
 /// Parses and runs `repro slo --addr HOST:PORT [--format text|json]`:
-/// fetches `GET /v1/slo` from a running `repro serve` instance and
+/// fetches `GET /v1/slo` from a running `repro serve` instance (through
+/// `cnt_serve::PeerClient`, the fleet's own peer client) and
 /// reports each objective's state and burn rates. Exit code mirrors the
 /// worst state so the command slots into CI and cron checks directly:
 /// success while every SLO is `ok` or `warn`, failure once any pages.
@@ -392,7 +393,7 @@ fn run_slo_command(args: &[String]) -> ExitCode {
     let Some(addr) = addr else {
         return fail("slo needs --addr HOST:PORT (a running `repro serve` instance)");
     };
-    let client = cnt_fleet::PeerClient::new(
+    let client = cnt_serve::PeerClient::new(
         std::time::Duration::from_secs(2),
         std::time::Duration::from_secs(5),
     );

@@ -3,34 +3,24 @@
 //! chunk store or cache that cannot be written costs crash resume or
 //! recall, not the sweep.
 
-use cnt_serve::{Config, Server, ShutdownHandle};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use cnt_serve::{Config, PeerClient, Server, ShutdownHandle};
+use std::net::SocketAddr;
 use std::process::Command;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One HTTP/1.1 exchange on a fresh connection: (status, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
-    let status = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    (status, body.to_string())
+/// `GET` (no `body`) or `POST` on a fresh connection to `addr` through
+/// the fleet's peer client: (status, body).
+fn http(addr: SocketAddr, path: &str, body: Option<&str>) -> (u16, String) {
+    let client =
+        PeerClient::new(Duration::from_secs(5), Duration::from_secs(30)).with_connection_close();
+    let addr = addr.to_string();
+    let response = match body {
+        Some(body) => client.post(&addr, path, "application/json", body),
+        None => client.get(&addr, path),
+    }
+    .expect("peer client exchange");
+    (response.status, response.body)
 }
 
 fn start(config: Config) -> (SocketAddr, ShutdownHandle, JoinHandle<()>) {
@@ -49,7 +39,7 @@ fn start(config: Config) -> (SocketAddr, ShutdownHandle, JoinHandle<()>) {
 /// Submits `POST /v1/sweeps/{id}` with `body` and waits for the job's
 /// finished result body.
 fn served_sweep(addr: SocketAddr, id: &str, body: &str) -> String {
-    let (status, submit) = http(addr, "POST", &format!("/v1/sweeps/{id}"), body);
+    let (status, submit) = http(addr, &format!("/v1/sweeps/{id}"), Some(body));
     assert_eq!(status, 202, "{id}: {submit}");
     let rid = submit
         .split("\"job\":\"")
@@ -58,7 +48,7 @@ fn served_sweep(addr: SocketAddr, id: &str, body: &str) -> String {
         .unwrap_or_else(|| panic!("no job id in {submit}"));
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        match http(addr, "GET", &format!("/v1/jobs/{rid}/result"), "") {
+        match http(addr, &format!("/v1/jobs/{rid}/result"), None) {
             (200, result) => return result,
             (202, _) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
             (status, body) => panic!("{id} job {rid}: {status} {body}"),
@@ -111,7 +101,7 @@ fn an_unwritable_chunk_store_costs_resume_not_the_sweep() {
 
     let served = served_sweep(addr, "fig12", r#"{"params": {"trials": 8}}"#);
     assert_eq!(served, repro_sweep("fig12", 8));
-    let (_, metrics) = http(addr, "GET", "/v1/metrics", "");
+    let (_, metrics) = http(addr, "/v1/metrics", None);
     let failures: u64 = metrics
         .lines()
         .find_map(|line| line.strip_prefix("cnt_sweep_cache_write_failures_total "))

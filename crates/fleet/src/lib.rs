@@ -1,16 +1,17 @@
-//! `cnt-fleet` — federation primitives for running N `cnt-serve`
-//! instances as one logical service.
+//! `cnt-fleet` — federation decisions for running N `cnt-serve`
+//! instances as one logical service. It opens no socket: the peer
+//! client that carries these decisions over the wire is
+//! `cnt_serve::peer`.
 //!
 //! The serve layer's caches are per-instance: the LRU body cache and the
 //! 256-way sharded sweep disk cache both key on `Params::content_hash`,
 //! so N independent instances each warm their own copy of every popular
-//! entry. This crate supplies the three pieces that turn that duplication
+//! entry. This crate supplies the pieces that turn that duplication
 //! into partitioning, without introducing any coordination service:
 //!
 //! | module | piece | role |
 //! |--------|-------|------|
 //! | [`ring`] | [`HashRing`] | static rendezvous-hash map from the 256 cache shards to owning instances |
-//! | [`peer`] | [`PeerClient`] | fail-fast blocking HTTP client (pooled keep-alive sockets) for proxy hops, cache-fill probes, and health probes |
 //! | [`health`] | [`FleetHealth`] | Up → Suspect → Down failure detector + jittered backoff re-probe schedule |
 //! | [`chaos`] | [`ChaosInjector`] | deterministic seeded fault injection on peer-facing paths |
 //! | [`jobs`] | [`JobTable`] | the async `POST /v1/sweeps/{id}` job's lifecycle: bounded, TTL-GC'd table, journal records, result spills, crash recovery |
@@ -34,14 +35,12 @@ pub mod fanout;
 pub mod health;
 pub mod jobs;
 pub mod journal;
-pub mod peer;
 pub mod ring;
 
 pub use chaos::{ChaosConfig, ChaosInjector, Fault};
 pub use fanout::{ChunkBoard, ChunkClaim};
 pub use health::{FleetHealth, HealthPolicy, PeerState, Transition};
 pub use jobs::{ChunkRequest, JobBody, JobEntry, JobSpec, JobState, JobTable};
-pub use peer::{PeerClient, PeerError, PeerResponse};
 pub use ring::HashRing;
 
 use std::time::Duration;

@@ -1,9 +1,11 @@
-//! A minimal HTTP/1.1 request parser and response writer over blocking
-//! streams.
+//! HTTP/1.1 message framing (RFC 9112) over blocking streams: the
+//! server reads requests and writes responses here, and the peer client
+//! ([`crate::peer`]) reads its responses with the same head reader, body
+//! reader and keep-alive rule.
 //!
 //! Exactly what the `/v1` routes need, nothing more: `Content-Length`
 //! bodies only (no chunked transfer) and hard caps on head and body size
-//! so a misbehaving client cannot balloon a worker. Connections are
+//! so a misbehaving peer cannot balloon a worker. Connections are
 //! persistent by HTTP/1.1 default — the server loop serves requests
 //! back-to-back (pipelined bytes included, since they sit in the same
 //! buffered reader) until the client sends `Connection: close`, an
@@ -14,7 +16,7 @@
 use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
 
-/// Largest accepted request head (request line + headers), bytes.
+/// Largest accepted message head (start line + headers), bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body, bytes.
 pub const MAX_BODY_BYTES: usize = 256 * 1024;
@@ -37,41 +39,23 @@ pub struct Request {
 impl Request {
     /// The first value of a header, by lower-case name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
-    /// Whether the client asked to keep the connection open: HTTP/1.1
-    /// defaults to persistent unless `Connection: close`; HTTP/1.0 is
-    /// persistent only with an explicit `Connection: keep-alive`. The
-    /// `Connection` header is treated as a comma-separated token list,
-    /// case-insensitively, and a `close` token wins for either version
-    /// (RFC 7230 §6.1).
+    /// Whether the client asked to keep the connection open.
     pub fn wants_keep_alive(&self) -> bool {
-        let has_token = |token: &str| {
-            self.header("connection").is_some_and(|v| {
-                v.split(',')
-                    .any(|part| part.trim().eq_ignore_ascii_case(token))
-            })
-        };
-        if has_token("close") {
-            false
-        } else {
-            self.http11 || has_token("keep-alive")
-        }
+        keeps_alive(self.http11, &self.headers)
     }
 }
 
-/// Why a request could not be parsed (each maps to one response).
+/// Why a message could not be read (each maps to one server response).
 #[derive(Debug)]
-pub enum RequestError {
-    /// Syntactically broken request → `400`.
+pub enum ReadError {
+    /// Syntactically broken message → `400`.
     Malformed(String),
     /// Head or body over the cap → `413`.
     TooLarge(String),
-    /// The connection died mid-request → drop it, nothing to answer.
+    /// The connection died mid-message → drop it, nothing to answer.
     Io(std::io::Error),
 }
 
@@ -79,88 +63,114 @@ pub enum RequestError {
 ///
 /// # Errors
 ///
-/// See [`RequestError`].
-pub fn read_request(reader: &mut impl BufRead) -> Result<Request, RequestError> {
-    let mut head_bytes = 0usize;
-    let mut line = String::new();
-    read_crlf_line(reader, &mut line, &mut head_bytes)?;
+/// See [`ReadError`].
+pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
+    let (line, headers) = read_head(reader)?;
     let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
-        _ => {
-            return Err(RequestError::Malformed(format!(
-                "bad request line '{line}'"
-            )))
-        }
+        _ => return Err(ReadError::Malformed(format!("bad request line '{line}'"))),
     };
     if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(RequestError::Malformed(format!(
+        return Err(ReadError::Malformed(format!(
             "unsupported protocol '{version}'"
         )));
     }
-    let http11 = version == "HTTP/1.1";
-    let method = method.to_string();
-    let path = target.split('?').next().unwrap_or(target).to_string();
-
-    let mut headers = Vec::new();
-    loop {
-        read_crlf_line(reader, &mut line, &mut head_bytes)?;
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| RequestError::Malformed(format!("bad header line '{line}'")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        None => 0,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| RequestError::Malformed(format!("bad content-length '{v}'")))?,
-    };
-    if content_length > MAX_BODY_BYTES {
-        return Err(RequestError::TooLarge(format!(
-            "body of {content_length} bytes exceeds the {MAX_BODY_BYTES} byte cap"
-        )));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(RequestError::Io)?;
+    let body = read_body(reader, &headers, MAX_BODY_BYTES)?;
     Ok(Request {
-        method,
-        path,
-        http11,
+        method: method.to_string(),
+        path: target.split('?').next().unwrap_or(target).to_string(),
+        http11: version == "HTTP/1.1",
         headers,
         body,
     })
 }
 
-/// Reads one `\r\n`-terminated line (tolerating bare `\n`) into `line`,
-/// charging its length against the head cap.
-fn read_crlf_line(
+/// Reads one message head: the start line and the header `(name, value)`
+/// pairs up to the blank line, names lower-cased. Each line (ended by
+/// CRLF or a bare LF) is read through what is left of the
+/// [`MAX_HEAD_BYTES`] budget, so nothing past the cap is buffered. EOF
+/// before the blank line is an I/O error; a non-UTF-8 head is malformed.
+pub(crate) fn read_head(
     reader: &mut impl BufRead,
-    line: &mut String,
-    head_bytes: &mut usize,
-) -> Result<(), RequestError> {
-    line.clear();
-    let n = reader.read_line(line).map_err(RequestError::Io)?;
-    if n == 0 {
-        return Err(RequestError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed mid-request",
+) -> Result<(String, Vec<(String, String)>), ReadError> {
+    let mut budget = MAX_HEAD_BYTES;
+    let mut next_line = || {
+        let mut line = Vec::new();
+        reader
+            .by_ref()
+            .take(budget as u64 + 1)
+            .read_until(b'\n', &mut line)
+            .map_err(ReadError::Io)?;
+        budget = budget.checked_sub(line.len()).ok_or_else(|| {
+            ReadError::TooLarge(format!("head exceeds the {MAX_HEAD_BYTES} byte cap"))
+        })?;
+        if line.last() != Some(&b'\n') {
+            return Err(ReadError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+        }
+        while matches!(line.last(), Some(b'\n' | b'\r')) {
+            line.pop();
+        }
+        String::from_utf8(line).map_err(|_| ReadError::Malformed("head is not UTF-8".to_string()))
+    };
+    let start_line = next_line()?;
+    let mut headers = Vec::new();
+    loop {
+        let line = next_line()?;
+        if line.is_empty() {
+            return Ok((start_line, headers));
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| ReadError::Malformed(format!("bad header line '{line}'")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+}
+
+/// Reads the body a `Content-Length` header announces (none: empty),
+/// refusing one over `cap` bytes before reading any of it.
+pub(crate) fn read_body(
+    reader: &mut impl Read,
+    headers: &[(String, String)],
+    cap: usize,
+) -> Result<Vec<u8>, ReadError> {
+    let length = match header(headers, "content-length") {
+        None => 0,
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| ReadError::Malformed(format!("bad content-length '{v}'")))?,
+    };
+    if length > cap {
+        return Err(ReadError::TooLarge(format!(
+            "body of {length} bytes exceeds the {cap} byte cap"
         )));
     }
-    *head_bytes += n;
-    if *head_bytes > MAX_HEAD_BYTES {
-        return Err(RequestError::TooLarge(format!(
-            "request head exceeds the {MAX_HEAD_BYTES} byte cap"
-        )));
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(())
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).map_err(ReadError::Io)?;
+    Ok(body)
+}
+
+/// The first value of a header, by lower-case name.
+pub(crate) fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// Whether a connection stays open after a message: HTTP/1.1 defaults
+/// to persistent unless `Connection: close`; HTTP/1.0 is persistent only
+/// with an explicit `Connection: keep-alive`. The `Connection` header is
+/// a comma-separated token list, compared case-insensitively, and a
+/// `close` token wins for either version (RFC 7230 §6.1).
+pub(crate) fn keeps_alive(http11: bool, headers: &[(String, String)]) -> bool {
+    let has_token = |token: &str| {
+        header(headers, "connection").is_some_and(|v| {
+            v.split(',')
+                .any(|part| part.trim().eq_ignore_ascii_case(token))
+        })
+    };
+    !has_token("close") && (http11 || has_token("keep-alive"))
 }
 
 /// An outgoing response: status, content type, optional `Retry-After`,
@@ -223,16 +233,6 @@ impl Response {
             Some((_, bytes)) => *bytes,
             None => self.body.len() as u64,
         }
-    }
-
-    /// Serializes head and body onto `out` with `Connection: close` (the
-    /// single-shot paths: backpressure `503`s, parse-error responses).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the stream's I/O error.
-    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
-        self.write_to_with(out, false)
     }
 
     /// Serializes head and body onto `out`, advertising the connection's
@@ -329,11 +329,14 @@ fn reason(status: u16) -> &'static str {
 }
 
 #[cfg(test)]
+mod hostile_heads;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<Request, RequestError> {
+    fn parse(raw: &str) -> Result<Request, ReadError> {
         read_request(&mut BufReader::new(raw.as_bytes()))
     }
 
@@ -365,7 +368,7 @@ mod tests {
             "GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
         ] {
             assert!(
-                matches!(parse(raw), Err(RequestError::Malformed(_))),
+                matches!(parse(raw), Err(ReadError::Malformed(_))),
                 "accepted: {raw:?}"
             );
         }
@@ -374,9 +377,86 @@ mod tests {
     #[test]
     fn rejects_oversized_bodies_and_truncated_requests() {
         let huge = format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 1 << 30);
-        assert!(matches!(parse(&huge), Err(RequestError::TooLarge(_))));
+        assert!(matches!(parse(&huge), Err(ReadError::TooLarge(_))));
         let truncated = "POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
-        assert!(matches!(parse(truncated), Err(RequestError::Io(_))));
+        assert!(matches!(parse(truncated), Err(ReadError::Io(_))));
+    }
+
+    /// Counts the bytes its inner reader handed out.
+    struct Counting<R> {
+        inner: R,
+        served: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.served += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_endless_header_line_stops_at_the_head_cap() {
+        // 4 MiB of one header line stands in for an endless one: a reader
+        // that buffers the line whole consumes all of it.
+        let wire = b"GET /v1/healthz HTTP/1.1\r\n".chain(std::io::repeat(b'a').take(4 << 20));
+        let mut reader = BufReader::new(Counting {
+            inner: wire,
+            served: 0,
+        });
+        let capacity = reader.capacity();
+        assert!(matches!(
+            read_request(&mut reader),
+            Err(ReadError::TooLarge(_))
+        ));
+        let served = reader.get_ref().served;
+        assert!(
+            served <= MAX_HEAD_BYTES + capacity,
+            "read {served} bytes for a {MAX_HEAD_BYTES} byte head cap"
+        );
+    }
+
+    #[test]
+    fn a_non_utf8_request_head_is_malformed() {
+        for raw in [
+            &b"GET /v1/health\xff HTTP/1.1\r\nHost: t\r\n\r\n"[..],
+            &b"GET /v1/healthz HTTP/1.1\r\nHost: \xc3\x28\r\n\r\n"[..],
+        ] {
+            let parsed = read_request(&mut BufReader::new(raw));
+            assert!(
+                matches!(parsed, Err(ReadError::Malformed(_))),
+                "{parsed:?} for {raw:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_request_head_cut_off_by_eof_is_an_io_error() {
+        for raw in [
+            "GET /v1/healthz HTTP/1.1",
+            "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n",
+            "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(ReadError::Io(_))),
+                "accepted: {raw:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_head_of_exactly_the_cap_is_read_and_one_byte_more_is_not() {
+        let request = |head_bytes: usize| {
+            let start = "GET /x HTTP/1.1\r\nX-Filler: ";
+            let filler = "a".repeat(head_bytes - start.len() - "\r\n\r\n".len());
+            format!("{start}{filler}\r\n\r\n")
+        };
+        assert!(parse(&request(MAX_HEAD_BYTES)).is_ok());
+        assert!(matches!(
+            parse(&request(MAX_HEAD_BYTES + 1)),
+            Err(ReadError::TooLarge(_))
+        ));
     }
 
     #[test]
@@ -425,7 +505,7 @@ mod tests {
     fn response_wire_format_is_exact() {
         let mut out = Vec::new();
         Response::json(200, "{}\n".to_string())
-            .write_to(&mut out)
+            .write_to_with(&mut out, false)
             .unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),
@@ -436,7 +516,7 @@ mod tests {
             retry_after: Some(1),
             ..Response::json(503, String::new())
         }
-        .write_to(&mut busy)
+        .write_to_with(&mut busy, false)
         .unwrap();
         let text = String::from_utf8(busy).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
@@ -450,7 +530,7 @@ mod tests {
             location: Some("http://127.0.0.1:9001/v1/experiments/fig12/run".to_string()),
             ..Response::json(307, String::new())
         }
-        .write_to(&mut out)
+        .write_to_with(&mut out, false)
         .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 307 Temporary Redirect\r\n"));
@@ -483,7 +563,7 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         let mut out = Vec::new();
         Response::file("text/csv", path, 13)
-            .write_to(&mut out)
+            .write_to_with(&mut out, false)
             .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 500 "), "{text}");
@@ -498,7 +578,7 @@ mod tests {
             request_id: Some("00c0ffee-000007".to_string()),
             ..Response::json(200, "{}\n".to_string())
         }
-        .write_to(&mut out)
+        .write_to_with(&mut out, false)
         .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("X-Request-Id: 00c0ffee-000007\r\n"), "{text}");
@@ -511,7 +591,7 @@ mod tests {
             trace_id: Some("00000000deadbeef".to_string()),
             ..Response::json(200, "{}\n".to_string())
         }
-        .write_to(&mut out)
+        .write_to_with(&mut out, false)
         .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("X-Trace-Id: 00000000deadbeef\r\n"), "{text}");

@@ -33,7 +33,8 @@
 //! With `--fleet "a,b,c" --self-index K` the instance joins a static
 //! fleet (see [`cnt_fleet`]): run requests consistent-hash-route to the
 //! owning shard (proxy or `307` redirect), and local misses try the
-//! owner's cache before computing.
+//! owner's cache before computing. Peer hops ride [`PeerClient`], which
+//! reads its responses with the server's own [`http`] framing.
 //!
 //! Run bodies are **byte-identical** to `repro <id> --format json` (or
 //! `--format csv`) at the same parameter point — both front ends sit on
@@ -78,6 +79,7 @@ pub mod cache;
 mod gate;
 pub mod http;
 pub mod net;
+pub mod peer;
 pub mod server;
 pub mod signal;
 
@@ -85,6 +87,7 @@ pub use cache::LruCache;
 pub use cnt_fleet as fleet;
 pub use cnt_fleet::{FleetConfig, RouteMode};
 pub use http::{Request, Response};
+pub use peer::{PeerClient, PeerError, PeerResponse};
 pub use server::{AccessLogFormat, Config, Server, ShutdownHandle};
 
 use core::fmt;

@@ -22,23 +22,19 @@
 //!
 //! A [`ChaosInjector`] can be armed on the client to inject refused
 //! connects, hangs, truncated responses, and added latency — see
-//! [`crate::chaos`].
+//! [`cnt_fleet::chaos`].
 
-use crate::chaos::{ChaosInjector, Fault};
+use crate::http::{self, ReadError};
+use cnt_fleet::chaos::{ChaosInjector, Fault};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Largest peer response body accepted (matches the serve layer's own
 /// request-body ceiling order of magnitude; a cached report is ~KBs).
-const MAX_PEER_BODY: usize = 4 * 1024 * 1024;
-
-/// Largest peer response head (status line plus headers) accepted, the
-/// serve layer's own request-head cap. The per-read deadline never fires
-/// while bytes keep arriving, so only a cap bounds a head's memory.
-const MAX_PEER_HEAD: usize = 16 * 1024;
+pub(crate) const MAX_PEER_BODY: usize = 4 * 1024 * 1024;
 
 /// Most idle sockets parked per peer address.
 const MAX_IDLE_PER_PEER: usize = 4;
@@ -76,6 +72,15 @@ impl PeerError {
     /// against the peer's health) rather than a protocol one.
     pub fn is_transport(&self) -> bool {
         matches!(self, PeerError::Connect(_) | PeerError::Io(_))
+    }
+}
+
+impl From<ReadError> for PeerError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Io(e) => PeerError::Io(e.to_string()),
+            ReadError::Malformed(m) | ReadError::TooLarge(m) => PeerError::Protocol(m),
+        }
     }
 }
 
@@ -120,15 +125,6 @@ impl ConnPool {
         if stack.len() < MAX_IDLE_PER_PEER {
             stack.push((stream, Instant::now()));
         }
-    }
-
-    /// Parked sockets for `addr` right now (test observability).
-    fn idle_count(&self, addr: &str) -> usize {
-        self.idle
-            .lock()
-            .unwrap()
-            .get(addr)
-            .map_or(0, |stack| stack.len())
     }
 }
 
@@ -201,9 +197,11 @@ impl PeerClient {
         self
     }
 
-    /// Idle pooled sockets currently parked for `addr` (tests/metrics).
+    /// Idle pooled sockets currently parked for `addr`.
+    #[cfg(test)]
     pub fn idle_connections(&self, addr: &str) -> usize {
-        self.pool.idle_count(addr)
+        let idle = self.pool.idle.lock().unwrap();
+        idle.get(addr).map_or(0, Vec::len)
     }
 
     /// `GET path` against `addr`, tried up to the client's attempt count.
@@ -400,8 +398,8 @@ impl PeerClient {
             .write_all(request.as_bytes())
             .map_err(|e| PeerError::Io(e.to_string()))?;
 
-        let reader = BufReader::new(stream);
-        let (response, reusable, reader) = read_response(reader)?;
+        let mut reader = BufReader::new(stream);
+        let (response, reusable) = read_response(&mut reader)?;
         if reusable && !self.close_connections {
             self.pool.checkin(addr, reader.into_inner());
         }
@@ -409,86 +407,33 @@ impl PeerClient {
     }
 }
 
-/// Parses one framed HTTP/1.1 response: status line, headers,
-/// `Content-Length` body. Returns the response, whether the connection
-/// may be reused (HTTP/1.1 without `Connection: close`), and the reader
-/// (so a reusable socket can go back to the pool).
-#[allow(clippy::type_complexity)]
-fn read_response<R: BufRead>(mut reader: R) -> Result<(PeerResponse, bool, R), PeerError> {
-    let mut head_bytes = 0;
-    let status_line = read_head_line(&mut reader, &mut head_bytes)?;
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
+/// Reads one framed response: the status line, then the shared head,
+/// body and keep-alive readers of [`crate::http`]. Returns the response
+/// and whether the connection may be reused.
+pub(crate) fn read_response(reader: &mut impl BufRead) -> Result<(PeerResponse, bool), PeerError> {
+    let (status_line, headers) = http::read_head(reader)?;
+    let mut parts = status_line.split_whitespace();
+    let http11 = parts.next() == Some("HTTP/1.1");
+    let status = parts
+        .next()
         .and_then(|code| code.parse::<u16>().ok())
         .ok_or_else(|| PeerError::Protocol(format!("bad status line {status_line:?}")))?;
-    let http11 = status_line.starts_with("HTTP/1.1");
-
-    let mut content_type = String::new();
-    let mut content_length = 0usize;
-    let mut close = !http11;
-    loop {
-        let line = read_head_line(&mut reader, &mut head_bytes)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-type") {
-                content_type = value.to_string();
-            } else if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .parse()
-                    .map_err(|_| PeerError::Protocol(format!("bad content-length {value:?}")))?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                close = value.eq_ignore_ascii_case("close");
-            }
-        }
-    }
-    if content_length > MAX_PEER_BODY {
-        return Err(PeerError::Protocol(format!(
-            "peer body too large: {content_length} bytes"
-        )));
-    }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| PeerError::Io(e.to_string()))?;
-    let body =
-        String::from_utf8(body).map_err(|_| PeerError::Protocol("non-utf8 body".to_string()))?;
-    Ok((
-        PeerResponse {
-            status,
-            content_type,
-            body,
-        },
-        !close,
-        reader,
-    ))
-}
-
-/// Reads one head line (empty at end of stream), charging its bytes to
-/// `head_bytes`. Past [`MAX_PEER_HEAD`] it stops reading and fails.
-fn read_head_line<R: BufRead>(reader: &mut R, head_bytes: &mut usize) -> Result<String, PeerError> {
-    let budget = MAX_PEER_HEAD + 1 - *head_bytes;
-    let mut line = Vec::new();
-    *head_bytes += reader
-        .take(budget as u64)
-        .read_until(b'\n', &mut line)
-        .map_err(|e| PeerError::Io(e.to_string()))?;
-    if *head_bytes > MAX_PEER_HEAD {
-        return Err(PeerError::Protocol(format!(
-            "response head exceeds the {MAX_PEER_HEAD} byte cap"
-        )));
-    }
-    String::from_utf8(line).map_err(|_| PeerError::Protocol("non-utf8 response head".to_string()))
+    let body = http::read_body(reader, &headers, MAX_PEER_BODY)?;
+    let response = PeerResponse {
+        status,
+        content_type: http::header(&headers, "content-type")
+            .unwrap_or_default()
+            .to_string(),
+        body: String::from_utf8(body)
+            .map_err(|_| PeerError::Protocol("non-utf8 body".to_string()))?,
+    };
+    Ok((response, http::keeps_alive(http11, &headers)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosConfig;
+    use cnt_fleet::chaos::ChaosConfig;
     use std::io::{Cursor, Read};
     use std::net::TcpListener;
 
@@ -561,7 +506,7 @@ mod tests {
     fn parses_a_framed_response() {
         let raw = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
                    Content-Length: 8\r\n\r\n{\"a\":1}\n";
-        let (response, reusable, _) = read_response(Cursor::new(raw)).unwrap();
+        let (response, reusable) = read_response(&mut Cursor::new(raw)).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.content_type, "application/json");
         assert_eq!(response.body, "{\"a\":1}\n");
@@ -571,20 +516,72 @@ mod tests {
     #[test]
     fn connection_close_and_http10_are_not_reusable() {
         let close = "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 0\r\n\r\n";
-        let (_, reusable, _) = read_response(Cursor::new(close)).unwrap();
+        let (_, reusable) = read_response(&mut Cursor::new(close)).unwrap();
         assert!(!reusable);
         let old = "HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n";
-        let (_, reusable, _) = read_response(Cursor::new(old)).unwrap();
+        let (_, reusable) = read_response(&mut Cursor::new(old)).unwrap();
         assert!(!reusable);
         let keep = "HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 0\r\n\r\n";
-        let (_, reusable, _) = read_response(Cursor::new(keep)).unwrap();
+        let (_, reusable) = read_response(&mut Cursor::new(keep)).unwrap();
         assert!(reusable, "HTTP/1.0 may opt in explicitly");
+    }
+
+    /// A one-connection server that reads a request and answers `raw`,
+    /// then closes.
+    fn answer_once(raw: &'static [u8]) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = stream.read(&mut [0u8; 4096]);
+            stream.write_all(raw).unwrap();
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn a_response_head_cut_off_by_eof_is_an_io_error_and_is_not_parked() {
+        for raw in [
+            "HTTP/1.1 200 OK",
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n",
+        ] {
+            assert!(
+                matches!(read_response(&mut Cursor::new(raw)), Err(PeerError::Io(_))),
+                "accepted: {raw:?}"
+            );
+        }
+        let (addr, server) = answer_once(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n");
+        let client = client().with_attempts(1);
+        let result = client.get(&addr, "/v1/healthz");
+        server.join().unwrap();
+        assert!(matches!(result, Err(PeerError::Io(_))), "{result:?}");
+        assert_eq!(
+            client.idle_connections(&addr),
+            0,
+            "a dead socket was parked"
+        );
+    }
+
+    #[test]
+    fn a_close_token_among_others_is_not_reusable() {
+        let raw = "HTTP/1.1 200 OK\r\nConnection: keep-alive, close\r\nContent-Length: 2\r\n\r\nok";
+        let (_, reusable) = read_response(&mut Cursor::new(raw)).unwrap();
+        assert!(!reusable);
+        let (addr, server) = answer_once(raw.as_bytes());
+        let client = client();
+        assert_eq!(client.get(&addr, "/v1/healthz").unwrap().body, "ok");
+        server.join().unwrap();
+        assert_eq!(
+            client.idle_connections(&addr),
+            0,
+            "a closing socket was parked"
+        );
     }
 
     #[test]
     fn rejects_garbage_status_lines() {
         assert!(matches!(
-            read_response(Cursor::new("not http at all\r\n\r\n")),
+            read_response(&mut Cursor::new("not http at all\r\n\r\n")),
             Err(PeerError::Protocol(_))
         ));
     }
@@ -593,7 +590,7 @@ mod tests {
     fn truncated_body_is_an_io_error() {
         let raw = "HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\nshort";
         assert!(matches!(
-            read_response(Cursor::new(raw)),
+            read_response(&mut Cursor::new(raw)),
             Err(PeerError::Io(_))
         ));
     }

@@ -4,7 +4,7 @@
 
 use super::{route, scope_for, AccessLogFormat, RequestScope, Shared};
 use crate::api;
-use crate::http::{self, RequestError, Response};
+use crate::http::{self, ReadError, Response};
 use cnt_obs::json;
 use cnt_obs::trace_store::id_hex;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -142,19 +142,19 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 let keep = request.wants_keep_alive() && !shared.stop.load(Ordering::SeqCst);
                 (scope, response, keep, Some(target))
             }
-            Err(RequestError::Malformed(message)) => (
+            Err(ReadError::Malformed(message)) => (
                 scope_for(shared, None),
                 Response::json(400, api::error_json(&message)),
                 false,
                 None,
             ),
-            Err(RequestError::TooLarge(message)) => (
+            Err(ReadError::TooLarge(message)) => (
                 scope_for(shared, None),
                 Response::json(413, api::error_json(&message)),
                 false,
                 None,
             ),
-            Err(RequestError::Io(_)) => return, // died or timed out; nobody to answer
+            Err(ReadError::Io(_)) => return, // died or timed out; nobody to answer
         };
         let target = target.as_ref().map(|(m, p)| (m.as_str(), p.as_str()));
         let written = send(

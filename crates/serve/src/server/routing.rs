@@ -6,9 +6,9 @@
 use super::{ok_response, static_content_type, RequestScope, Shared, Wake};
 use crate::api;
 use crate::http::{Request, Response};
+use crate::peer::{PeerClient, PeerError, PeerResponse};
 use cnt_fleet::{
-    ChaosInjector, FleetConfig, FleetHealth, HashRing, PeerClient, PeerError, PeerResponse,
-    PeerState, RouteMode, Transition,
+    ChaosInjector, FleetConfig, FleetHealth, HashRing, PeerState, RouteMode, Transition,
 };
 use cnt_interconnect::experiments::Params;
 use cnt_obs::trace_store::{self, id_hex, parse_id};

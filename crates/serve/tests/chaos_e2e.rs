@@ -6,133 +6,16 @@
 //! hot-path probes while it is Down, and heals back to Up through the
 //! backoff prober once the instance returns.
 
+mod common;
+
 use cnt_interconnect::experiments;
 use cnt_serve::{
     fleet::{ChaosConfig, HashRing, HealthPolicy},
-    Config, FleetConfig, RouteMode, Server, ShutdownHandle,
+    Config, FleetConfig, RouteMode, Server,
 };
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use common::{fleet_with, http, post, sample, scrape, spawn, Instance};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-
-/// One HTTP/1.1 exchange; returns (status, headers, body).
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
-    let status: u16 = head
-        .lines()
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    (status, Vec::new(), body.to_string())
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let (status, _, body) = http(addr, "POST", path, body);
-    (status, body)
-}
-
-/// Reads one healthz counter out of the flat JSON body.
-fn counter(health: &str, name: &str) -> u64 {
-    let tail = health
-        .split(&format!("\"{name}\":"))
-        .nth(1)
-        .unwrap_or_else(|| panic!("no counter {name} in {health}"));
-    tail.chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("counter value")
-}
-
-/// Reads one Prometheus sample (exact line-prefix match).
-fn sample(metrics: &str, series: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(series) && l.as_bytes().get(series.len()) == Some(&b' '))
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no sample {series} in {metrics}"))
-}
-
-/// A validated `/v1/metrics` scrape.
-fn scrape(addr: SocketAddr) -> String {
-    let (status, _, metrics) = http(addr, "GET", "/v1/metrics", "");
-    assert_eq!(status, 200);
-    cnt_obs::promcheck::validate(&metrics)
-        .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
-    metrics
-}
-
-struct Instance {
-    addr: SocketAddr,
-    handle: ShutdownHandle,
-    thread: std::thread::JoinHandle<()>,
-}
-
-impl Instance {
-    fn runs(&self) -> u64 {
-        let (status, _, health) = http(self.addr, "GET", "/v1/healthz", "");
-        assert_eq!(status, 200);
-        counter(&health, "runs")
-    }
-
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().expect("server thread");
-    }
-}
-
-/// Binds `n` ephemeral-port instances into one fleet, with a per-index
-/// hook to tune health/chaos before each instance joins.
-fn fleet_with(
-    n: usize,
-    mode: RouteMode,
-    tweak: impl Fn(usize, &mut FleetConfig),
-) -> (Vec<Instance>, Vec<String>) {
-    let servers: Vec<Server> = (0..n)
-        .map(|_| {
-            Server::bind(Config {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-                queue_capacity: 16,
-                cache_capacity: 64,
-                ..Config::default()
-            })
-            .expect("bind ephemeral port")
-        })
-        .collect();
-    let peers: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    let instances = servers
-        .into_iter()
-        .enumerate()
-        .map(|(index, server)| {
-            let mut config = FleetConfig::new(peers.clone(), index);
-            config.mode = mode;
-            tweak(index, &mut config);
-            server.enable_fleet(config).expect("join fleet");
-            spawn(server)
-        })
-        .collect();
-    (instances, peers)
-}
 
 /// Boots one instance on a *specific* address and rejoins the fleet —
 /// the restart half of the kill/heal cycle. Only works because the
@@ -166,17 +49,6 @@ fn restart_instance(
     tweak(index, &mut config);
     server.enable_fleet(config).expect("rejoin fleet");
     spawn(server)
-}
-
-fn spawn(server: Server) -> Instance {
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let thread = std::thread::spawn(move || server.serve().expect("serve"));
-    Instance {
-        addr,
-        handle,
-        thread,
-    }
 }
 
 /// The shard owner of a `table1` point under this fleet.

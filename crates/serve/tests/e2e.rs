@@ -4,69 +4,16 @@
 //! across server instances, graceful shutdown draining, and parked
 //! keep-alive connections that must not hold up anyone else's work.
 
+mod common;
+
 use cnt_interconnect::experiments::{self, registry};
 use cnt_serve::{Config, FleetConfig, Server, ShutdownHandle};
+use common::{counter, get, header, http, http_with, job_id, post};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-/// One HTTP/1.1 exchange; returns (status, headers, body).
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let (status, _, body) = http(addr, "GET", path, "");
-    (status, body)
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let (status, _, body) = http(addr, "POST", path, body);
-    (status, body)
-}
-
-/// Reads one healthz counter out of the flat JSON body.
-fn counter(health: &str, name: &str) -> u64 {
-    let tail = health
-        .split(&format!("\"{name}\":"))
-        .nth(1)
-        .unwrap_or_else(|| panic!("no counter {name} in {health}"));
-    tail.chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("counter value")
-}
 
 fn config() -> Config {
     Config {
@@ -794,6 +741,30 @@ fn a_slow_drip_client_is_cut_off_at_the_request_deadline() {
     thread.join().unwrap();
 }
 
+#[test]
+fn a_non_utf8_request_head_is_answered_400() {
+    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    for raw in [
+        &b"GET /v1/health\xff HTTP/1.1\r\nHost: t\r\n\r\n"[..],
+        &b"GET /v1/healthz HTTP/1.1\r\nHost: \xc3\x28\r\n\r\n"[..],
+    ] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(raw).unwrap();
+        let mut out = Vec::new();
+        let _ = stream.read_to_end(&mut out);
+        let out = String::from_utf8_lossy(&out);
+        assert!(out.starts_with("HTTP/1.1 400 "), "{raw:?} answered {out:?}");
+    }
+    let (status, _) = get(addr, "/v1/healthz");
+    assert_eq!(status, 200);
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
 /// Reads one `Content-Length`-framed response off a kept-alive stream.
 fn read_framed(reader: &mut std::io::BufReader<TcpStream>) -> (u16, Vec<(String, String)>, String) {
     use std::io::BufRead;
@@ -1472,15 +1443,6 @@ fn probes_survive_queue_saturation() {
     thread.join().unwrap();
 }
 
-/// Extracts the `"job":"…"` id from a 202 submission body.
-fn job_id(body: &str) -> String {
-    body.split("\"job\":\"")
-        .nth(1)
-        .and_then(|tail| tail.split('"').next())
-        .unwrap_or_else(|| panic!("no job id in {body}"))
-        .to_string()
-}
-
 #[test]
 fn async_sweep_jobs_run_to_a_byte_identical_result() {
     let (addr, handle, thread) = start(Server::bind(config()).unwrap());
@@ -1613,49 +1575,6 @@ fn a_full_job_table_sheds_with_the_canonical_body() {
 
     handle.shutdown();
     thread.join().unwrap();
-}
-
-/// Like [`http`] but with extra raw request-header lines (each
-/// `Name: value`, no trailing CRLF).
-fn http_with(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    extra: &[(&str, &str)],
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let extra_lines: String = extra.iter().map(|(n, v)| format!("{n}: {v}\r\n")).collect();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n{extra_lines}Connection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
 }
 
 #[test]

@@ -4,126 +4,11 @@
 //! exactly once, on the shard owner, with the second hop answered from
 //! the owner's LRU via the peer cache-fill probe.
 
+mod common;
+
 use cnt_interconnect::experiments;
-use cnt_serve::{fleet::HashRing, Config, FleetConfig, RouteMode, Server, ShutdownHandle};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
-
-/// One HTTP/1.1 exchange; returns (status, headers, body).
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let (status, _, body) = http(addr, "POST", path, body);
-    (status, body)
-}
-
-/// Reads one healthz counter out of the flat JSON body.
-fn counter(health: &str, name: &str) -> u64 {
-    let tail = health
-        .split(&format!("\"{name}\":"))
-        .nth(1)
-        .unwrap_or_else(|| panic!("no counter {name} in {health}"));
-    tail.chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("counter value")
-}
-
-/// Reads one Prometheus sample (exact line-prefix match).
-fn sample(metrics: &str, series: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(series) && l.as_bytes().get(series.len()) == Some(&b' '))
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no sample {series} in {metrics}"))
-}
-
-struct Instance {
-    addr: SocketAddr,
-    handle: ShutdownHandle,
-    thread: std::thread::JoinHandle<()>,
-}
-
-impl Instance {
-    fn runs(&self) -> u64 {
-        let (status, _, health) = http(self.addr, "GET", "/v1/healthz", "");
-        assert_eq!(status, 200);
-        counter(&health, "runs")
-    }
-
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().expect("server thread");
-    }
-}
-
-/// Binds `n` ephemeral-port instances and joins them into one fleet.
-fn fleet(n: usize, mode: RouteMode) -> (Vec<Instance>, Vec<String>) {
-    let servers: Vec<Server> = (0..n)
-        .map(|_| {
-            Server::bind(Config {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-                queue_capacity: 16,
-                cache_capacity: 64,
-                ..Config::default()
-            })
-            .expect("bind ephemeral port")
-        })
-        .collect();
-    let peers: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    let instances = servers
-        .into_iter()
-        .enumerate()
-        .map(|(index, server)| {
-            let mut config = FleetConfig::new(peers.clone(), index);
-            config.mode = mode;
-            server.enable_fleet(config).expect("join fleet");
-            let addr = server.local_addr();
-            let handle = server.handle();
-            let thread = std::thread::spawn(move || server.serve().expect("serve"));
-            Instance {
-                addr,
-                handle,
-                thread,
-            }
-        })
-        .collect();
-    (instances, peers)
-}
+use cnt_serve::{fleet::HashRing, RouteMode};
+use common::{fleet_with, http, post, sample};
 
 /// The shard owner of an experiment's parameter point under this fleet.
 fn owner_of(peers: &[String], id: &str, sets: &[(String, String)]) -> usize {
@@ -135,7 +20,7 @@ fn owner_of(peers: &[String], id: &str, sets: &[(String, String)]) -> usize {
 
 #[test]
 fn identical_runs_through_both_non_owners_compute_exactly_once() {
-    let (instances, peers) = fleet(3, RouteMode::Proxy);
+    let (instances, peers) = fleet_with(3, RouteMode::Proxy, |_, _| {});
     let owner = owner_of(&peers, "table1", &[]);
     let non_owners: Vec<usize> = (0..3).filter(|i| *i != owner).collect();
 
@@ -191,7 +76,7 @@ fn identical_runs_through_both_non_owners_compute_exactly_once() {
 
 #[test]
 fn redirect_mode_answers_307_with_the_owner_location() {
-    let (instances, peers) = fleet(3, RouteMode::Redirect);
+    let (instances, peers) = fleet_with(3, RouteMode::Redirect, |_, _| {});
     let owner = owner_of(&peers, "table1", &[]);
     let non_owner = (0..3).find(|i| *i != owner).unwrap();
 
@@ -233,7 +118,7 @@ fn redirect_mode_answers_307_with_the_owner_location() {
 
 #[test]
 fn a_proxied_run_yields_one_trace_with_spans_from_both_instances() {
-    let (instances, peers) = fleet(3, RouteMode::Proxy);
+    let (instances, peers) = fleet_with(3, RouteMode::Proxy, |_, _| {});
     let owner = owner_of(&peers, "table1", &[]);
     let relay = (0..3).find(|i| *i != owner).unwrap();
 
@@ -337,7 +222,7 @@ fn a_proxied_run_yields_one_trace_with_spans_from_both_instances() {
 
 #[test]
 fn a_dead_owner_degrades_to_local_compute() {
-    let (mut instances, peers) = fleet(2, RouteMode::Proxy);
+    let (mut instances, peers) = fleet_with(2, RouteMode::Proxy, |_, _| {});
 
     // Find a point the *other* instance owns, as seen from instance 0.
     let survivor = 0usize;
