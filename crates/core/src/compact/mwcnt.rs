@@ -64,17 +64,10 @@ impl ShellFillPolicy {
     pub fn shell_diameters(&self, outer: Length) -> Vec<Length> {
         match self {
             ShellFillPolicy::HalfDiameterVdw => {
-                let mut out = Vec::new();
-                let mut d = outer.meters();
-                let min = outer.meters() / 2.0;
-                while d >= min - 1e-15 {
-                    out.push(Length::from_meters(d));
-                    d -= 2.0 * SHELL_SPACING;
-                }
-                out
+                vdw_shells(outer).map(Length::from_meters).collect()
             }
             ShellFillPolicy::PaperDiameterMinusOne => {
-                let n = ((outer.nanometers().round() as i64) - 1).max(1) as usize;
+                let n = paper_shell_count(outer);
                 // Spread the shells over the same physical [D/2, D] window.
                 (0..n)
                     .map(|k| {
@@ -89,6 +82,28 @@ impl ShellFillPolicy {
             }
         }
     }
+
+    /// Number of shells, the length of
+    /// [`ShellFillPolicy::shell_diameters`], without building them.
+    fn shell_count(&self, outer: Length) -> usize {
+        match self {
+            ShellFillPolicy::HalfDiameterVdw => vdw_shells(outer).count(),
+            ShellFillPolicy::PaperDiameterMinusOne => paper_shell_count(outer),
+        }
+    }
+}
+
+/// Shell diameters in metres from `outer` down to `outer/2`, one van der
+/// Waals diameter step apart.
+fn vdw_shells(outer: Length) -> impl Iterator<Item = f64> {
+    let min = outer.meters() / 2.0;
+    std::iter::successors(Some(outer.meters()), |d| Some(d - 2.0 * SHELL_SPACING))
+        .take_while(move |&d| d >= min - 1e-15)
+}
+
+/// `N_S = round(D/nm) − 1`, at least 1.
+fn paper_shell_count(outer: Length) -> usize {
+    ((outer.nanometers().round() as i64) - 1).max(1) as usize
 }
 
 /// Mean-free-path model for the shells.
@@ -200,7 +215,7 @@ impl DopedMwcnt {
 
     /// Number of shells `N_S` under the configured fill policy.
     pub fn shell_count(&self) -> usize {
-        self.fill.shell_diameters(self.outer_diameter).len()
+        self.fill.shell_count(self.outer_diameter)
     }
 
     /// Total conducting channels `N_C·N_S` (summed over shells).
@@ -214,16 +229,28 @@ impl DopedMwcnt {
 
     /// Line conductance at length `l` (paper Eq. 4, inverted): sums
     /// `N_C(d)·G0/(1 + L/λ(d))` over shells, in series with the contacts.
+    ///
+    /// When neither `N_C` nor `λ` depends on the shell diameter (uniform
+    /// channels with a shared or fixed MFP, the Fig. 12 model), the term
+    /// is evaluated once and added once per shell in shell order, which is
+    /// the per-shell sum bit for bit.
     pub fn conductance(&self, l: Length) -> Conductance {
-        let g_shells: f64 = self
-            .fill
-            .shell_diameters(self.outer_diameter)
-            .iter()
-            .map(|&d| {
-                let lambda = self.mfp.mfp_for(d, self.outer_diameter);
-                self.channels.channels(d) * G0_SIEMENS / (1.0 + l.meters() / lambda.meters())
-            })
-            .sum();
+        let term = |d: Length| {
+            let lambda = self.mfp.mfp_for(d, self.outer_diameter);
+            self.channels.channels(d) * G0_SIEMENS / (1.0 + l.meters() / lambda.meters())
+        };
+        let g_shells: f64 = match (self.channels, self.mfp) {
+            (ShellChannelModel::Uniform(_), MfpModel::OuterDiameterShared | MfpModel::Fixed(_)) => {
+                let n = self.fill.shell_count(self.outer_diameter);
+                std::iter::repeat_n(term(self.outer_diameter), n).sum()
+            }
+            _ => self
+                .fill
+                .shell_diameters(self.outer_diameter)
+                .into_iter()
+                .map(term)
+                .sum(),
+        };
         let r = 1.0 / g_shells + self.contact_resistance.ohms();
         Conductance::from_siemens(1.0 / r)
     }
@@ -414,6 +441,62 @@ mod tests {
             Resistance::from_ohms(-1.0),
         )
         .is_err());
+    }
+
+    /// The per-shell sum `conductance` replaced where every shell's term
+    /// is the same: the bit-exact reference.
+    fn conductance_by_shell(m: &DopedMwcnt, l: Length) -> f64 {
+        let g_shells: f64 = m
+            .fill
+            .shell_diameters(m.outer_diameter)
+            .iter()
+            .map(|&d| {
+                let lambda = m.mfp.mfp_for(d, m.outer_diameter);
+                m.channels.channels(d) * G0_SIEMENS / (1.0 + l.meters() / lambda.meters())
+            })
+            .sum();
+        1.0 / (1.0 / g_shells + m.contact_resistance.ohms())
+    }
+
+    #[test]
+    fn conductance_is_the_per_shell_sum_bit_for_bit() {
+        let fills = [
+            ShellFillPolicy::HalfDiameterVdw,
+            ShellFillPolicy::PaperDiameterMinusOne,
+        ];
+        let mfps = [
+            MfpModel::OuterDiameterShared,
+            MfpModel::PerShell,
+            MfpModel::Fixed(um(3.0)),
+        ];
+        let channels = [
+            ShellChannelModel::Uniform(2),
+            ShellChannelModel::Uniform(7),
+            ShellChannelModel::NaeemiStatistical,
+        ];
+        let lengths = [nm(1.0), nm(250.0), um(10.0), um(500.0), um(2000.0)];
+        for fill in fills {
+            for mfp in mfps {
+                for ch in channels {
+                    for tenths in (10..=400).step_by(7) {
+                        let d = nm(tenths as f64 / 10.0);
+                        for contact in [0.0, 5e3] {
+                            let env = WireEnvironment::beol_default();
+                            let contact = Resistance::from_ohms(contact);
+                            let m = DopedMwcnt::new(d, ch, fill, mfp, env, contact).unwrap();
+                            assert_eq!(m.shell_count(), fill.shell_diameters(d).len());
+                            for l in lengths {
+                                assert_eq!(
+                                    m.conductance(l).siemens().to_bits(),
+                                    conductance_by_shell(&m, l).to_bits(),
+                                    "{fill:?} {mfp:?} {ch:?} D = {d:?}, L = {l:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::Result;
 use cnt_process::composite::{CarpetOrientation, CompositeRecipe, DepositionMethod};
 use cnt_process::growth::{Catalyst, GrowthRecipe};
 use cnt_process::variability::{sample_one_device, DevicePopulation, DopingState};
-use cnt_process::wafer::WaferMap;
+use cnt_process::wafer::{UniformityReport, WaferLayout};
 use cnt_reliability::layout::TestStructure;
 use cnt_reliability::wafer_char::{characterize_wafer, WaferCharSetup};
 use cnt_sweep::{json, Axis, CacheKey, Executor, Job, ResultStore, Summary, SweepPlan, Table};
@@ -554,7 +554,7 @@ pub(super) fn fig05_kernel(ctx: &RunContext) -> Result<SweepKernel> {
         "wafer_cv_p05",
         "wafer_cv_p95",
     ];
-    // One wafer per job: its own seed, its own map.
+    // One wafer per job: its own seed, its own values.
     let job_columns = vec![
         "wafer_cv",
         "band0_mean",
@@ -563,13 +563,15 @@ pub(super) fn fig05_kernel(ctx: &RunContext) -> Result<SweepKernel> {
         "band3_mean",
         "band4_mean",
     ];
-    let job: JobFn = Box::new(|_: &Job, rng: &mut StdRng| -> Result<Vec<f64>> {
-        let map = WaferMap::generate(0.3, 121, 1.0, 0.05, 0.015, rng.gen::<u64>())?;
-        let uniformity = map.uniformity()?;
-        let mut out = vec![uniformity.cv];
+    // The site layout does not depend on a wafer's seed: built once, each
+    // job draws only its values on it.
+    let layout = WaferLayout::new(0.3, 121)?;
+    let job: JobFn = Box::new(move |_: &Job, rng: &mut StdRng| -> Result<Vec<f64>> {
+        let values = layout.values(1.0, 0.05, 0.015, rng.gen::<u64>())?;
+        let mut out = vec![UniformityReport::from_values(&values)?.cv];
         for band in 0..5 {
             let lo = band as f64 * 0.2;
-            out.push(map.radial_band_mean(lo, lo + 0.2).unwrap_or(f64::NAN));
+            out.push(layout.band_mean(&values, lo, lo + 0.2).unwrap_or(f64::NAN));
         }
         Ok(out)
     });

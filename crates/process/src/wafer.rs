@@ -8,6 +8,12 @@
 //! The spatial model is the standard decomposition used in SPC:
 //! `value(r, θ) = nominal · (1 + radial·(r/R)² + noise)` with seeded
 //! Gaussian noise per site.
+//!
+//! A map is a [`WaferLayout`], where the sites sit, plus the values drawn
+//! on it. The layout does not depend on the seed, so a Monte-Carlo kernel
+//! that draws many wafers builds it once and draws only each wafer's
+//! values ([`WaferLayout::values`]); [`WaferMap::generate`] is one layout
+//! and one draw.
 
 use crate::{Error, Result};
 use cnt_units::math;
@@ -29,7 +35,121 @@ pub struct WaferSite {
 impl WaferSite {
     /// Radial position from wafer centre, metres.
     pub fn radius(&self) -> f64 {
-        (self.x * self.x + self.y * self.y).sqrt()
+        radius(self.x, self.y)
+    }
+}
+
+fn radius(x: f64, y: f64) -> f64 {
+    (x * x + y * y).sqrt()
+}
+
+/// Where one site sits, with the radius fractions its value and its
+/// band read.
+#[derive(Debug, Clone, Copy)]
+struct LayoutSite {
+    x: f64,
+    y: f64,
+    /// Spiral radius over wafer radius, `r/R`: the radial trend's argument.
+    rel: f64,
+    /// Distance from the centre over wafer radius, `radius()/R`: what the
+    /// radial bands compare.
+    band: f64,
+}
+
+/// The seed-independent part of a wafer map: `n` sites in a spiral
+/// (sunflower) layout over the wafer, each with its radius fractions.
+#[derive(Debug, Clone)]
+pub struct WaferLayout {
+    sites: Vec<LayoutSite>,
+}
+
+impl WaferLayout {
+    /// `n_sites` in a sunflower spiral over a wafer of `diameter` metres,
+    /// inside a 5 % edge exclusion.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] for a non-positive diameter or
+    /// [`Error::EmptyRequest`] for zero sites.
+    pub fn new(diameter: f64, n_sites: usize) -> Result<Self> {
+        if diameter <= 0.0 {
+            return Err(Error::InvalidParameter {
+                name: "diameter",
+                value: diameter,
+            });
+        }
+        if n_sites == 0 {
+            return Err(Error::EmptyRequest("wafer sites"));
+        }
+        let r_max = diameter / 2.0 * 0.95; // 5 % edge exclusion
+        let golden = core::f64::consts::PI * (3.0 - 5.0_f64.sqrt());
+        let sites = (0..n_sites)
+            .map(|k| {
+                // Sunflower layout covers the disc uniformly.
+                let frac = (k as f64 + 0.5) / n_sites as f64;
+                let r = r_max * frac.sqrt();
+                let th = golden * k as f64;
+                let (x, y) = (r * th.cos(), r * th.sin());
+                LayoutSite {
+                    x,
+                    y,
+                    rel: r / (diameter / 2.0),
+                    band: radius(x, y) / (diameter / 2.0),
+                }
+            })
+            .collect();
+        Ok(Self { sites })
+    }
+
+    /// One value per site, in site order: `nominal` mean value, `radial`
+    /// centre-to-edge fractional variation, `noise` per-site Gaussian
+    /// fractional sigma, deterministic in `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] for a non-positive nominal or a
+    /// negative noise.
+    pub fn values(&self, nominal: f64, radial: f64, noise: f64, seed: u64) -> Result<Vec<f64>> {
+        if nominal <= 0.0 {
+            return Err(Error::InvalidParameter {
+                name: "nominal",
+                value: nominal,
+            });
+        }
+        if noise < 0.0 {
+            return Err(Error::InvalidParameter {
+                name: "noise",
+                value: noise,
+            });
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        Ok(self
+            .sites
+            .iter()
+            .map(|s| {
+                nominal * (1.0 + radial * s.rel * s.rel + rand_ext::normal(&mut rng, 0.0, noise))
+            })
+            .collect())
+    }
+
+    /// Mean of `values` (one per site, in site order) over the sites
+    /// within the given radial band (fractions of the wafer radius),
+    /// summed in site order; `None` when no site lies in the band.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one value per site.
+    pub fn band_mean(&self, values: &[f64], r_lo_frac: f64, r_hi_frac: f64) -> Option<f64> {
+        assert_eq!(values.len(), self.sites.len(), "one value per site");
+        let members = || {
+            self.sites
+                .iter()
+                .zip(values)
+                .filter(|(s, _)| s.band >= r_lo_frac && s.band < r_hi_frac)
+                .map(|(_, &v)| v)
+        };
+        let n = members().count();
+        (n > 0).then(|| members().sum::<f64>() / n as f64)
     }
 }
 
@@ -46,6 +166,30 @@ pub struct UniformityReport {
     pub half_range: f64,
     /// Number of sites.
     pub sites: usize,
+}
+
+impl UniformityReport {
+    /// The uniformity of site values.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::EmptyRequest`] for fewer than 2 values.
+    pub fn from_values(values: &[f64]) -> Result<Self> {
+        if values.len() < 2 {
+            return Err(Error::EmptyRequest("uniformity needs ≥ 2 sites"));
+        }
+        let mean = math::mean(values).expect("non-empty");
+        let std_dev = math::std_dev(values).expect("≥ 2 sites");
+        let max = values.iter().copied().fold(f64::MIN, f64::max);
+        let min = values.iter().copied().fold(f64::MAX, f64::min);
+        Ok(Self {
+            mean,
+            std_dev,
+            cv: std_dev / mean,
+            half_range: (max - min) / (2.0 * mean),
+            sites: values.len(),
+        })
+    }
 }
 
 /// A sampled wafer map.
@@ -70,7 +214,8 @@ impl WaferMap {
     /// Generates a map with `n_sites` in a spiral (sunflower) layout over a
     /// wafer of `diameter` metres: `nominal` mean value, `radial`
     /// centre-to-edge fractional variation, `noise` per-site Gaussian
-    /// fractional sigma, deterministic in `seed`.
+    /// fractional sigma, deterministic in `seed`. The [`WaferLayout`] with
+    /// the values it draws.
     ///
     /// # Errors
     ///
@@ -84,44 +229,16 @@ impl WaferMap {
         noise: f64,
         seed: u64,
     ) -> Result<Self> {
-        if diameter <= 0.0 {
-            return Err(Error::InvalidParameter {
-                name: "diameter",
-                value: diameter,
-            });
-        }
-        if nominal <= 0.0 {
-            return Err(Error::InvalidParameter {
-                name: "nominal",
-                value: nominal,
-            });
-        }
-        if noise < 0.0 {
-            return Err(Error::InvalidParameter {
-                name: "noise",
-                value: noise,
-            });
-        }
-        if n_sites == 0 {
-            return Err(Error::EmptyRequest("wafer sites"));
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let r_max = diameter / 2.0 * 0.95; // 5 % edge exclusion
-        let golden = core::f64::consts::PI * (3.0 - 5.0_f64.sqrt());
-        let sites = (0..n_sites)
-            .map(|k| {
-                // Sunflower layout covers the disc uniformly.
-                let frac = (k as f64 + 0.5) / n_sites as f64;
-                let r = r_max * frac.sqrt();
-                let th = golden * k as f64;
-                let rel = r / (diameter / 2.0);
-                let value =
-                    nominal * (1.0 + radial * rel * rel + rand_ext::normal(&mut rng, 0.0, noise));
-                WaferSite {
-                    x: r * th.cos(),
-                    y: r * th.sin(),
-                    value,
-                }
+        let layout = WaferLayout::new(diameter, n_sites)?;
+        let values = layout.values(nominal, radial, noise, seed)?;
+        let sites = layout
+            .sites
+            .iter()
+            .zip(values)
+            .map(|(s, value)| WaferSite {
+                x: s.x,
+                y: s.y,
+                value,
             })
             .collect();
         Ok(Self { diameter, sites })
@@ -161,20 +278,7 @@ impl WaferMap {
     /// Returns [`Error::EmptyRequest`] when the map has fewer than 2 sites.
     pub fn uniformity(&self) -> Result<UniformityReport> {
         let values: Vec<f64> = self.sites.iter().map(|s| s.value).collect();
-        if values.len() < 2 {
-            return Err(Error::EmptyRequest("uniformity needs ≥ 2 sites"));
-        }
-        let mean = math::mean(&values).expect("non-empty");
-        let std_dev = math::std_dev(&values).expect("≥ 2 sites");
-        let max = values.iter().copied().fold(f64::MIN, f64::max);
-        let min = values.iter().copied().fold(f64::MAX, f64::min);
-        Ok(UniformityReport {
-            mean,
-            std_dev,
-            cv: std_dev / mean,
-            half_range: (max - min) / (2.0 * mean),
-            sites: values.len(),
-        })
+        UniformityReport::from_values(&values)
     }
 
     /// Mean value of sites within the given radial band (fractions of the
@@ -291,6 +395,26 @@ mod tests {
         for (a, b) in map.sites().iter().zip(doubled.sites()) {
             assert_eq!(b.value, a.value * 2.0);
             assert_eq!((a.x, a.y), (b.x, b.y));
+        }
+    }
+
+    #[test]
+    fn layout_band_means_match_the_map_bit_for_bit() {
+        let layout = WaferLayout::new(0.3, 121).unwrap();
+        for seed in [0, 7, 20_180_319] {
+            let map = WaferMap::generate(0.3, 121, 1.0, 0.05, 0.015, seed).unwrap();
+            let values = layout.values(1.0, 0.05, 0.015, seed).unwrap();
+            let bits = |m: Option<f64>| m.map(f64::to_bits);
+            for band in 0..5 {
+                let lo = band as f64 * 0.2;
+                assert_eq!(
+                    bits(layout.band_mean(&values, lo, lo + 0.2)),
+                    bits(map.radial_band_mean(lo, lo + 0.2)),
+                    "seed {seed}, band {band}"
+                );
+            }
+            assert_eq!(layout.band_mean(&values, 1.0, 2.0), None);
+            assert_eq!(UniformityReport::from_values(&values), map.uniformity());
         }
     }
 

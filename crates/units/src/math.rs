@@ -1,8 +1,9 @@
 //! Small numerical toolbox shared by the solver and analysis crates.
 //!
-//! Everything here is deliberately dependency-free: descriptive statistics,
-//! ordinary least squares, the error function, numerically safe quadrature
-//! and bisection. The heavy numerical work (linear systems, ODE stepping)
+//! Everything here is deliberately dependency-free: descriptive statistics
+//! (percentiles by selection), ordinary least squares, the thermal
+//! broadening kernel, numerically safe quadrature and table
+//! interpolation. The heavy numerical work (linear systems, ODE stepping)
 //! lives in the crates that own the physics.
 
 /// Arithmetic mean of a slice. Returns `None` for an empty slice.
@@ -29,29 +30,121 @@ pub fn std_dev(xs: &[f64]) -> Option<f64> {
     Some(var.sqrt())
 }
 
-/// Population variance. `None` for an empty slice.
-pub fn variance(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
-/// Median via sorting a copy. `None` for an empty slice.
+/// Median, [`percentile`] 50. `None` for an empty slice.
+///
+/// # Panics
+///
+/// Panics with "NaN in percentile input" if `xs` holds a NaN and more
+/// than one element.
 pub fn median(xs: &[f64]) -> Option<f64> {
     percentile(xs, 50.0)
 }
 
 /// Linear-interpolated percentile `p` in `[0, 100]`. `None` if empty or `p` out of range.
+///
+/// The two ranks it interpolates between are selected in O(n) by
+/// [`Percentiles`], which returns the values a full sort would put there,
+/// so the result is the sort-based percentile's, bit for bit.
+///
+/// # Panics
+///
+/// Panics with "NaN in percentile input" if `xs` holds a NaN and more
+/// than one element.
 pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=100.0).contains(&p) {
         return None;
     }
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let rank = p / 100.0 * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    Some(v[lo] * (1.0 - frac) + v[hi] * frac)
+    let (lo, hi, frac) = Percentiles::new(xs).bracket(p);
+    Some(lo * (1.0 - frac) + hi * frac)
+}
+
+/// Order statistics of one sample by selection (Hoare's FIND, CACM 1961)
+/// instead of a full sort.
+///
+/// [`Percentiles::bracket`] takes rank `lo` with `select_nth_unstable_by`
+/// over the part of one copy above the previous call's rank, and rank
+/// `lo + 1` as the minimum of the part above `lo`: O(n) per call against
+/// a sort's O(n log n). The values are bit for bit those a stable
+/// ascending sort by `partial_cmp` puts at those ranks. Equal floats have
+/// equal bits except zeros of both signs, and where those tie at a rank
+/// the zero returned is the one that sort keeps there: the zeros in input
+/// order, after every negative value.
+#[derive(Debug)]
+pub struct Percentiles<'a> {
+    xs: &'a [f64],
+    /// A copy of `xs`, partitioned around every rank taken so far.
+    v: Vec<f64>,
+    /// The last rank taken: `v[lo]` holds it and `v[lo + 1..]` every rank
+    /// above it.
+    lo: Option<usize>,
+}
+
+impl<'a> Percentiles<'a> {
+    /// Selection over a copy of `xs`.
+    pub fn new(xs: &'a [f64]) -> Self {
+        Self {
+            xs,
+            v: xs.to_vec(),
+            lo: None,
+        }
+    }
+
+    /// The values at the two ranks bracketing percentile `p` and the
+    /// fraction of the way between them: with `rank = p/100·(n − 1)`, the
+    /// values at `⌊rank⌋` and `⌈rank⌉` and `rank − ⌊rank⌋`. Successive
+    /// calls on one selection must not lower `⌊rank⌋`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sample, a `p` outside `[0, 100]` or a lowered
+    /// rank, and with "NaN in percentile input" when the selection
+    /// compares a NaN, which the first call does for any NaN in a sample
+    /// of two or more.
+    pub fn bracket(&mut self, p: f64) -> (f64, f64, f64) {
+        assert!(!self.v.is_empty(), "percentile of an empty sample");
+        assert!(
+            (0.0..=100.0).contains(&p),
+            "percentile {p} outside [0, 100]"
+        );
+        let rank = p / 100.0 * (self.v.len() - 1) as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        let frac = rank - lo as f64;
+        if self.lo != Some(lo) {
+            let from = self.lo.map_or(0, |prev| prev + 1);
+            assert!(lo >= from, "percentile ranks must not fall");
+            self.v[from..].select_nth_unstable_by(lo - from, |a, b| {
+                a.partial_cmp(b).expect("NaN in percentile input")
+            });
+            self.lo = Some(lo);
+        }
+        let at_lo = self.v[lo];
+        let at_hi = if hi == lo {
+            at_lo
+        } else {
+            self.v[lo + 1..]
+                .iter()
+                .copied()
+                .reduce(|min, x| if x < min { x } else { min })
+                .expect("rank hi lies above rank lo")
+        };
+        (self.as_sorted(lo, at_lo), self.as_sorted(hi, at_hi), frac)
+    }
+
+    /// `value`, found at `rank`, as the stable sort puts it there: a zero
+    /// becomes the zero of that rank among the zeros in input order.
+    fn as_sorted(&self, rank: usize, value: f64) -> f64 {
+        if value != 0.0 {
+            return value;
+        }
+        let below = self.xs.iter().filter(|&&x| x < 0.0).count();
+        self.xs
+            .iter()
+            .copied()
+            .filter(|&x| x == 0.0)
+            .nth(rank - below)
+            .expect("a zero holds this rank")
+    }
 }
 
 /// Result of an ordinary-least-squares straight-line fit `y = a + b·x`.
@@ -120,54 +213,6 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
     })
 }
 
-/// Error function, Abramowitz & Stegun 7.1.26 approximation (|ε| ≤ 1.5e-7).
-///
-/// ```
-/// use cnt_units::math::erf;
-/// assert!((erf(0.0)).abs() < 1e-6);
-/// assert!((erf(2.0) - 0.995322).abs() < 1e-5);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let poly = t
-        * (0.254_829_592
-            + t * (-0.284_496_736
-                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    sign * (1.0 - poly * (-x * x).exp())
-}
-
-/// Standard normal cumulative distribution function.
-pub fn norm_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / core::f64::consts::SQRT_2))
-}
-
-/// Fermi–Dirac occupation `f(E)` for energy `e_ev` relative to the Fermi
-/// level, at temperature `t_kelvin`.
-///
-/// Numerically safe for large |E|/kT.
-pub fn fermi_dirac(e_ev: f64, t_kelvin: f64) -> f64 {
-    let kt = crate::consts::K_B_EV * t_kelvin;
-    if kt <= 0.0 {
-        return if e_ev < 0.0 {
-            1.0
-        } else if e_ev > 0.0 {
-            0.0
-        } else {
-            0.5
-        };
-    }
-    let x = e_ev / kt;
-    if x > 500.0 {
-        0.0
-    } else if x < -500.0 {
-        1.0
-    } else {
-        1.0 / (1.0 + x.exp())
-    }
-}
-
 /// Negative derivative of the Fermi function, `-∂f/∂E`, in 1/eV.
 ///
 /// This is the thermal broadening kernel of the finite-temperature Landauer
@@ -185,22 +230,13 @@ pub fn fermi_dirac_neg_derivative(e_ev: f64, t_kelvin: f64) -> f64 {
     sech * sech / (4.0 * kt)
 }
 
-/// Composite Simpson quadrature of `f` over `[a, b]` with `n` intervals
-/// (rounded up to even).
-///
-/// # Panics
-///
-/// Panics if `n == 0` or the interval is not finite.
-pub fn integrate_simpson(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {
-    integrate_simpson_batch(|xs| xs.iter().map(|&x| f(x)).collect(), a, b, n)
-}
-
-/// [`integrate_simpson`] with every node evaluated in one call: `f`
-/// receives the `n + 1` nodes in ascending order (exactly `a`, then
-/// `a + i·h`, then exactly `b`) and returns one value per node. The sum
-/// is `f(a) + f(b)` plus the weighted interior nodes in ascending order,
-/// so the result depends only on the node values, not on whether `f`
-/// computes them one by one or as a batch.
+/// Composite Simpson quadrature over `[a, b]` with `n` intervals (rounded
+/// up to even), every node evaluated in one call: `f` receives the
+/// `n + 1` nodes in ascending order (exactly `a`, then `a + i·h`, then
+/// exactly `b`) and returns one value per node. The sum is `f(a) + f(b)`
+/// plus the weighted interior nodes in ascending order, so the result
+/// depends only on the node values, not on whether `f` computes them one
+/// by one or as a batch.
 ///
 /// # Panics
 ///
@@ -231,39 +267,6 @@ pub fn integrate_simpson_batch(
         acc += w * y;
     }
     acc * h / 3.0
-}
-
-/// Finds a root of `f` in `[a, b]` by bisection.
-///
-/// # Errors
-///
-/// Returns `None` if `f(a)` and `f(b)` do not bracket a sign change.
-pub fn bisect(mut f: impl FnMut(f64) -> f64, mut a: f64, mut b: f64, tol: f64) -> Option<f64> {
-    let mut fa = f(a);
-    let fb = f(b);
-    if fa == 0.0 {
-        return Some(a);
-    }
-    if fb == 0.0 {
-        return Some(b);
-    }
-    if fa * fb > 0.0 {
-        return None;
-    }
-    for _ in 0..200 {
-        let m = 0.5 * (a + b);
-        let fm = f(m);
-        if fm == 0.0 || (b - a).abs() < tol {
-            return Some(m);
-        }
-        if fa * fm < 0.0 {
-            b = m;
-        } else {
-            a = m;
-            fa = fm;
-        }
-    }
-    Some(0.5 * (a + b))
 }
 
 /// Clamps `x` into `[lo, hi]`.
@@ -337,27 +340,41 @@ mod tests {
     }
 
     #[test]
-    fn erf_reference_values() {
-        assert!((erf(1.0) - 0.842_700_8).abs() < 1e-5);
-        assert!((erf(-1.0) + 0.842_700_8).abs() < 1e-5);
-        assert!((norm_cdf(0.0) - 0.5).abs() < 1e-9);
-        assert!((norm_cdf(1.96) - 0.975).abs() < 1e-3);
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentile_panics_on_nan() {
+        percentile(&[2.0, 1.0, f64::NAN, 3.0], 95.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn median_panics_on_nan() {
+        median(&[f64::NAN, 1.0]);
+    }
+
+    /// `f` at every node of a batch, one by one.
+    fn each(f: impl Fn(f64) -> f64) -> impl FnOnce(&[f64]) -> Vec<f64> {
+        move |xs| xs.iter().map(|&x| f(x)).collect()
     }
 
     #[test]
     fn fermi_function_limits() {
-        assert!((fermi_dirac(0.0, 300.0) - 0.5).abs() < 1e-12);
-        assert!(fermi_dirac(-1.0, 300.0) > 0.999_999);
-        assert!(fermi_dirac(1.0, 300.0) < 1e-6);
-        // -df/dE integrates to 1.
-        let total = integrate_simpson(|e| fermi_dirac_neg_derivative(e, 300.0), -1.0, 1.0, 4000);
+        // -df/dE is f's drop from 1 to 0: it integrates to 1 and vanishes
+        // far from the Fermi level and at zero temperature.
+        let total = integrate_simpson_batch(
+            each(|e| fermi_dirac_neg_derivative(e, 300.0)),
+            -1.0,
+            1.0,
+            4000,
+        );
         assert!((total - 1.0).abs() < 1e-6, "got {total}");
+        assert_eq!(fermi_dirac_neg_derivative(20.0, 300.0), 0.0);
+        assert_eq!(fermi_dirac_neg_derivative(0.0, 0.0), 0.0);
     }
 
     #[test]
     fn simpson_integrates_polynomial_exactly() {
         // Simpson is exact for cubics.
-        let v = integrate_simpson(|x| x * x * x - 2.0 * x + 1.0, 0.0, 2.0, 2);
+        let v = integrate_simpson_batch(each(|x| x * x * x - 2.0 * x + 1.0), 0.0, 2.0, 2);
         let exact = 2.0f64.powi(4) / 4.0 - 2.0f64.powi(2) + 2.0;
         assert!((v - exact).abs() < 1e-12);
     }
@@ -381,10 +398,8 @@ mod tests {
         for n in [1, 2, 3, 7, 600, 601] {
             for (a, b) in [(-0.31, 0.31), (0.0, 1.0), (2.5, -1.25)] {
                 let want = simpson_reference(f, a, b, n).to_bits();
-                assert_eq!(integrate_simpson(f, a, b, n).to_bits(), want, "n = {n}");
-                let batch =
-                    integrate_simpson_batch(|xs| xs.iter().map(|&x| f(x)).collect(), a, b, n);
-                assert_eq!(batch.to_bits(), want, "batch, n = {n}");
+                let batch = integrate_simpson_batch(each(f), a, b, n);
+                assert_eq!(batch.to_bits(), want, "n = {n}");
             }
         }
     }
@@ -414,13 +429,6 @@ mod tests {
     #[should_panic(expected = "one value per Simpson node")]
     fn simpson_batch_rejects_a_short_answer() {
         integrate_simpson_batch(|xs| vec![0.0; xs.len() - 1], 0.0, 1.0, 4);
-    }
-
-    #[test]
-    fn bisect_finds_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12).unwrap();
-        assert!((r - core::f64::consts::SQRT_2).abs() < 1e-9);
-        assert!(bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-9).is_none());
     }
 
     #[test]

@@ -85,24 +85,6 @@ proptest! {
     }
 
     #[test]
-    fn erf_is_odd_bounded_monotone(x in -5.0_f64..5.0, y in -5.0_f64..5.0) {
-        let ex = math::erf(x);
-        prop_assert!((math::erf(-x) + ex).abs() < 1e-12);
-        prop_assert!(ex.abs() <= 1.0);
-        if x < y {
-            prop_assert!(ex <= math::erf(y) + 1e-12);
-        }
-    }
-
-    #[test]
-    fn fermi_dirac_is_a_probability(e in -5.0_f64..5.0, t in 1.0_f64..2000.0) {
-        let f = math::fermi_dirac(e, t);
-        prop_assert!((0.0..=1.0).contains(&f));
-        // Particle-hole symmetry: f(E) + f(-E) = 1.
-        prop_assert!((f + math::fermi_dirac(-e, t) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn interp1_stays_within_hull(
         ys in prop::collection::vec(-1e3_f64..1e3, 2..20),
         frac in 0.0_f64..1.0,
