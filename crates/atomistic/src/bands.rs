@@ -16,7 +16,7 @@
 //! Hove edges, the DOS, [`crate::doping::DopedCnt`] and Fig. 8c's ±1.5 eV
 //! spectra read them all. A Landauer integral counts modes only at levels
 //! up to its window's top `e_top`, so
-//! [`crate::transport::ballistic_conductance`] builds a windowed structure
+//! [`crate::transport::conductance_point`] builds a windowed structure
 //! that leaves out every subband proven to lie above `e_top` at every grid
 //! point. It never leaves `transport`.
 //!
@@ -61,14 +61,24 @@ pub(crate) fn folded_level(e_ev: f64) -> f64 {
 }
 
 /// Graphene π-band magnitude `|f(k)|·γ0` in eV at wavevector `(kx, ky)`
-/// (units 1/m).
+/// (units 1/m). Its top, `3γ0` at Γ, bounds every subband of a
+/// [`BandStructure`]:
 ///
 /// ```
-/// use cnt_atomistic::bands::graphene_dispersion_ev;
+/// use cnt_atomistic::bands::BandStructure;
+/// use cnt_atomistic::chirality::Chirality;
+///
+/// let bs = BandStructure::compute(Chirality::new(5, 5)?, 101)?;
+/// let top = bs
+///     .subbands()
+///     .iter()
+///     .flat_map(|sb| sb.energy_ev.iter().copied())
+///     .fold(0.0, f64::max);
 /// // Γ point: |1 + 1 + 1| = 3 ⇒ 3γ0.
-/// assert!((graphene_dispersion_ev(0.0, 0.0) - 3.0 * 2.7).abs() < 1e-9);
+/// assert!((top - 3.0 * 2.7).abs() < 1e-9);
+/// # Ok::<(), cnt_atomistic::Error>(())
 /// ```
-pub fn graphene_dispersion_ev(kx: f64, ky: f64) -> f64 {
+fn graphene_dispersion_ev(kx: f64, ky: f64) -> f64 {
     // a1 = a(√3/2, 1/2), a2 = a(√3/2, −1/2).
     let ax = A_LATTICE * 3f64.sqrt() / 2.0;
     let ay = A_LATTICE / 2.0;
@@ -90,12 +100,12 @@ pub struct Subband {
 
 impl Subband {
     /// Minimum (band edge) energy of this subband in eV.
-    pub fn min_energy_ev(&self) -> f64 {
+    pub(crate) fn min_energy_ev(&self) -> f64 {
         self.energy_ev.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Maximum energy of this subband in eV.
-    pub fn max_energy_ev(&self) -> f64 {
+    fn max_energy_ev(&self) -> f64 {
         self.energy_ev
             .iter()
             .copied()
@@ -224,11 +234,6 @@ impl BandStructure {
         })
     }
 
-    /// The tube this band structure belongs to.
-    pub fn chirality(&self) -> Chirality {
-        self.chirality
-    }
-
     /// Longitudinal wavevector grid (1/m) spanning the full Brillouin zone.
     pub fn kt_per_meter(&self) -> &[f64] {
         &self.kt_per_meter
@@ -271,32 +276,6 @@ impl BandStructure {
         edges.sort_by(|a, b| a.partial_cmp(b).expect("band energies are finite"));
         edges.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
         edges
-    }
-
-    /// Densely sampled transmission function `T(E) = mode_count(E)` over the
-    /// energy window `[e_min, e_max]` (eV), with `n` points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TooFewSamples`] if `n < 2`.
-    pub fn transmission_spectrum(
-        &self,
-        e_min: f64,
-        e_max: f64,
-        n: usize,
-    ) -> Result<Vec<(f64, f64)>> {
-        if n < 2 {
-            return Err(Error::TooFewSamples { got: n, min: 2 });
-        }
-        let energies: Vec<f64> = (0..n)
-            .map(|i| e_min + (e_max - e_min) * i as f64 / (n - 1) as f64)
-            .collect();
-        let counts = self.mode_counts(&energies);
-        Ok(energies
-            .into_iter()
-            .zip(counts)
-            .map(|(e, c)| (e, c as f64))
-            .collect())
     }
 
     /// [`Self::mode_count`] at a batch of energies, in one pass over the
@@ -505,9 +484,10 @@ pub(crate) mod tests {
     #[test]
     fn transmission_spectrum_is_step_like_and_symmetric() {
         let b = bs(10, 10);
-        let spec = b.transmission_spectrum(-2.0, 2.0, 401).unwrap();
+        let energies: Vec<f64> = (0..401).map(|i| -2.0 + 4.0 * i as f64 / 400.0).collect();
+        let spec = b.transmission_grid(&energies);
         assert_eq!(spec.len(), 401);
-        for (e, t) in &spec {
+        for (e, t) in energies.iter().zip(&spec) {
             assert!(*t >= 0.0);
             // Particle–hole symmetry.
             let mirrored = b.mode_count(-*e) as f64;

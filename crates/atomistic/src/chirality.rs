@@ -114,7 +114,7 @@ impl Chirality {
     }
 
     /// `d_R = gcd(2n + m, 2m + n)` — controls the translation period.
-    pub fn d_r(self) -> i32 {
+    fn d_r(self) -> i32 {
         gcd(2 * self.n + self.m, 2 * self.m + self.n)
     }
 

@@ -28,12 +28,6 @@ impl C64 {
         Self { re, im: 0.0 }
     }
 
-    #[allow(dead_code)] // exercised in tests
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
-
     /// Squared magnitude |z|².
     #[inline]
     pub fn abs2(self) -> f64 {
@@ -115,7 +109,6 @@ mod tests {
         assert!((p.im - (1.0 * 0.5 + 2.0 * -3.0)).abs() < 1e-12);
         let q = (a / b) * b;
         assert!((q.re - a.re).abs() < 1e-12 && (q.im - a.im).abs() < 1e-12);
-        assert_eq!(a.conj().im, -2.0);
         assert!((a.abs2() - 5.0).abs() < 1e-12);
         assert_eq!((-a).re, -1.0);
         let r = a.recip() * a;

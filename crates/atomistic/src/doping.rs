@@ -60,15 +60,6 @@ pub struct DopingSpec {
 }
 
 impl DopingSpec {
-    /// No doping at all; useful as a baseline in sweeps.
-    pub fn pristine() -> Self {
-        Self {
-            label: "pristine",
-            fermi_shift_ev: 0.0,
-            bands: Vec::new(),
-        }
-    }
-
     /// Internal iodine doping calibrated against the paper's DFT anchors:
     /// ΔE_F = −0.6 eV and G: 0.155 → 0.387 mS on CNT(7,7).
     ///
@@ -179,16 +170,6 @@ impl DopedCnt {
         })
     }
 
-    /// Host chirality.
-    pub fn chirality(&self) -> Chirality {
-        self.chirality
-    }
-
-    /// The doping treatment.
-    pub fn spec(&self) -> &DopingSpec {
-        &self.spec
-    }
-
     /// Position of the Fermi level relative to the host charge-neutrality
     /// point, in eV.
     pub fn fermi_level_ev(&self) -> f64 {
@@ -198,13 +179,6 @@ impl DopedCnt {
     /// The undoped host tube's band structure.
     pub fn host_bands(&self) -> &BandStructure {
         &self.bands
-    }
-
-    /// Total transport modes at energy `e_ev` in the **host** reference
-    /// frame: host modes plus dopant-band modes ([`Self::transmission_grid`]
-    /// at one energy).
-    pub fn mode_count(&self, e_ev: f64) -> usize {
-        self.transmission_grid(std::slice::from_ref(&e_ev))[0] as usize
     }
 
     /// Finite-temperature ballistic conductance at the doped Fermi level:
@@ -218,28 +192,6 @@ impl DopedCnt {
     /// Conducting channels `Nc = G/G0` at `temperature` (paper Eq. 1).
     pub fn conducting_channels(&self, temperature: Temperature) -> f64 {
         self.conductance(temperature).siemens() / G0_SIEMENS
-    }
-
-    /// Transmission spectrum `T(E)` over `[e_min, e_max]` (host frame),
-    /// mirroring the lower panel of the paper's Fig. 8c.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TooFewSamples`] if `n < 2`.
-    pub fn transmission_spectrum(
-        &self,
-        e_min: f64,
-        e_max: f64,
-        n: usize,
-    ) -> Result<Vec<(f64, f64)>> {
-        if n < 2 {
-            return Err(Error::TooFewSamples { got: n, min: 2 });
-        }
-        let energies: Vec<f64> = (0..n)
-            .map(|i| e_min + (e_max - e_min) * i as f64 / (n - 1) as f64)
-            .collect();
-        let ts = self.transmission_grid(&energies);
-        Ok(energies.into_iter().zip(ts).collect())
     }
 
     /// Energy-batched transmission `T(E)` at arbitrary energies: the host
@@ -261,6 +213,18 @@ impl DopedCnt {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DopingSpec {
+        /// No doping at all: the baseline these tests compare against.
+        fn pristine() -> Self {
+            Self {
+                label: "pristine",
+                fermi_shift_ev: 0.0,
+                bands: Vec::new(),
+            }
+        }
+    }
+
     use crate::bands::tests::per_energy_mode_count;
     use crate::transport::tests::per_energy_landauer;
 
@@ -326,7 +290,12 @@ mod tests {
     fn transmission_spectrum_shows_dopant_window() {
         let d =
             DopedCnt::new(Chirality::new(7, 7).unwrap(), DopingSpec::iodine_internal()).unwrap();
-        let spec = d.transmission_spectrum(-1.0, 0.2, 241).unwrap();
+        let energies: Vec<f64> = (0..241).map(|i| -1.0 + 1.2 * i as f64 / 240.0).collect();
+        let spec: Vec<(f64, f64)> = energies
+            .iter()
+            .copied()
+            .zip(d.transmission_grid(&energies))
+            .collect();
         let at = |e: f64| {
             spec.iter()
                 .min_by(|a, b| (a.0 - e).abs().partial_cmp(&(b.0 - e).abs()).unwrap())
@@ -346,13 +315,6 @@ mod tests {
         for (i, &e) in energies.iter().enumerate() {
             let want = reference_modes(&d, e);
             assert_eq!(grid[i], want as f64, "E = {e}");
-            assert_eq!(d.mode_count(e), want, "single level E = {e}");
-        }
-        // The batched spectrum is what transmission_spectrum now returns.
-        let spec = d.transmission_spectrum(-1.5, 1.5, 121).unwrap();
-        for (i, (e, t)) in spec.iter().enumerate() {
-            assert_eq!(e.to_bits(), energies[i].to_bits());
-            assert_eq!(*t, grid[i]);
         }
     }
 

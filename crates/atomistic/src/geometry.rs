@@ -9,7 +9,6 @@
 
 use crate::chirality::Chirality;
 use crate::{Error, Result};
-use cnt_units::consts::A_LATTICE;
 use cnt_units::si::Length;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -29,7 +28,7 @@ pub enum Element {
 
 impl Element {
     /// Chemical symbol as used in XYZ files.
-    pub fn symbol(self) -> &'static str {
+    fn symbol(self) -> &'static str {
         match self {
             Element::C => "C",
             Element::I => "I",
@@ -46,25 +45,6 @@ pub struct Atom {
     pub element: Element,
     /// Position `[x, y, z]` in metres.
     pub position_m: [f64; 3],
-}
-
-impl Atom {
-    /// Distance to another atom.
-    pub fn distance(&self, other: &Atom) -> Length {
-        let d: f64 = self
-            .position_m
-            .iter()
-            .zip(other.position_m.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        Length::from_meters(d)
-    }
-
-    /// Radial distance from the tube axis (`z`).
-    pub fn radius(&self) -> Length {
-        Length::from_meters((self.position_m[0].powi(2) + self.position_m[1].powi(2)).sqrt())
-    }
 }
 
 /// Generates the `2N` carbon atoms of one translation unit cell of the tube.
@@ -168,7 +148,7 @@ pub const IODINE_SPACING: f64 = 0.31e-9;
 /// # Errors
 ///
 /// Returns [`Error::InvalidParameter`] for a non-positive length.
-pub fn iodine_chain(length: Length) -> Result<Vec<Atom>> {
+fn iodine_chain(length: Length) -> Result<Vec<Atom>> {
     if length.meters() <= 0.0 {
         return Err(Error::InvalidParameter {
             name: "length",
@@ -235,48 +215,61 @@ pub fn to_xyz(atoms: &[Atom], comment: &str) -> String {
     s
 }
 
-/// Counts, for each atom, its bonds within `cutoff`, treating the cell as
-/// periodic along `z` with period `period`. Used to validate that every
-/// carbon has exactly three bonds.
-///
-/// Periodic images are counted separately: in short-period cells (armchair
-/// tubes have `T = a`) an atom legitimately bonds to the same neighbour
-/// twice — once directly and once through the image.
-pub fn coordination_numbers(atoms: &[Atom], cutoff: Length, period: Length) -> Vec<usize> {
-    let cut = cutoff.meters();
-    let per = period.meters();
-    let images: &[f64] = if per > 0.0 { &[-1.0, 0.0, 1.0] } else { &[0.0] };
-    atoms
-        .iter()
-        .map(|a| {
-            atoms
-                .iter()
-                .filter(|b| !core::ptr::eq(a, *b))
-                .map(|b| {
-                    let dx = a.position_m[0] - b.position_m[0];
-                    let dy = a.position_m[1] - b.position_m[1];
-                    images
-                        .iter()
-                        .filter(|&&img| {
-                            let dz = a.position_m[2] - b.position_m[2] + img * per;
-                            (dx * dx + dy * dy + dz * dz).sqrt() < cut
-                        })
-                        .count()
-                })
-                .sum()
-        })
-        .collect()
-}
-
-/// Convenient handle on the graphene lattice constant for callers building
-/// custom geometries.
-pub fn lattice_constant() -> Length {
-    Length::from_meters(A_LATTICE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Atom {
+        /// Distance to another atom.
+        fn distance(&self, other: &Atom) -> Length {
+            let d: f64 = self
+                .position_m
+                .iter()
+                .zip(other.position_m.iter())
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f64>()
+                .sqrt();
+            Length::from_meters(d)
+        }
+
+        /// Radial distance from the tube axis (`z`), metres.
+        fn radius(&self) -> f64 {
+            self.position_m[0].hypot(self.position_m[1])
+        }
+    }
+
+    /// Counts, for each atom, its bonds within `cutoff`, treating the cell as
+    /// periodic along `z` with period `period`. Used to validate that every
+    /// carbon has exactly three bonds.
+    ///
+    /// Periodic images are counted separately: in short-period cells (armchair
+    /// tubes have `T = a`) an atom legitimately bonds to the same neighbour
+    /// twice — once directly and once through the image.
+    fn coordination_numbers(atoms: &[Atom], cutoff: Length, period: Length) -> Vec<usize> {
+        let cut = cutoff.meters();
+        let per = period.meters();
+        let images: &[f64] = if per > 0.0 { &[-1.0, 0.0, 1.0] } else { &[0.0] };
+        atoms
+            .iter()
+            .map(|a| {
+                atoms
+                    .iter()
+                    .filter(|b| !core::ptr::eq(a, *b))
+                    .map(|b| {
+                        let dx = a.position_m[0] - b.position_m[0];
+                        let dy = a.position_m[1] - b.position_m[1];
+                        images
+                            .iter()
+                            .filter(|&&img| {
+                                let dz = a.position_m[2] - b.position_m[2] + img * per;
+                                (dx * dx + dy * dy + dz * dz).sqrt() < cut
+                            })
+                            .count()
+                    })
+                    .sum()
+            })
+            .collect()
+    }
 
     #[test]
     fn unit_cell_atom_count_is_2n() {
@@ -296,7 +289,7 @@ mod tests {
         let c = Chirality::new(7, 7).unwrap();
         let r = c.diameter().meters() / 2.0;
         for a in tube_unit_cell(c) {
-            assert!((a.radius().meters() - r).abs() < 1e-15);
+            assert!((a.radius() - r).abs() < 1e-15);
             let t = c.translation_length().meters();
             assert!(a.position_m[2] >= -1e-15 && a.position_m[2] < t + 1e-15);
         }
@@ -358,7 +351,7 @@ mod tests {
         let iodines: Vec<&Atom> = atoms.iter().filter(|a| a.element == Element::I).collect();
         assert!(!iodines.is_empty());
         for i in &iodines {
-            assert!(i.radius().meters() < c.diameter().meters() / 2.0);
+            assert!(i.radius() < c.diameter().meters() / 2.0);
         }
         // A (4,0) tube (d ≈ 0.31 nm) cannot host an iodine chain.
         let tiny = Chirality::new(4, 0).unwrap();

@@ -28,13 +28,13 @@
 //!
 //! ```
 //! use cnt_atomistic::chirality::Chirality;
-//! use cnt_atomistic::transport::ballistic_conductance;
+//! use cnt_atomistic::transport::conductance_point;
 //! use cnt_units::si::Temperature;
 //!
 //! let cnt = Chirality::new(7, 7)?; // the paper's armchair test tube
-//! let g = ballistic_conductance(cnt, Temperature::from_kelvin(300.0));
+//! let p = conductance_point(cnt, Temperature::from_kelvin(300.0));
 //! // Pristine metallic tube: two conducting channels, 0.155 mS.
-//! assert!((g.millisiemens() - 0.155).abs() < 0.01);
+//! assert!((p.conductance_ms - 0.155).abs() < 0.01);
 //! # Ok::<(), cnt_atomistic::Error>(())
 //! ```
 

@@ -86,13 +86,8 @@ impl DisorderedChain {
         })
     }
 
-    /// Number of sites in the scattering region.
-    pub fn sites(&self) -> usize {
-        self.sites
-    }
-
     /// Physical length of the scattering region.
-    pub fn length(&self) -> Length {
+    fn length(&self) -> Length {
         self.site_length * self.sites as f64
     }
 
@@ -201,7 +196,7 @@ impl DisorderedChain {
     /// from `[-w/2, w/2)`, one per site, in site order — exactly the draws
     /// [`Self::transmission`] makes internally. A clean chain (`w = 0`)
     /// returns zeros without consuming the generator.
-    pub fn draw_disorder<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    fn draw_disorder<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         if self.disorder_ev == 0.0 {
             vec![0.0; self.sites]
         } else {
@@ -217,8 +212,8 @@ impl DisorderedChain {
     ///
     /// # Panics
     ///
-    /// Panics if `onsite_ev.len() != self.sites()`.
-    pub fn transmission_with_disorder(&self, e_ev: f64, onsite_ev: &[f64]) -> f64 {
+    /// Panics if `onsite_ev.len()` is not the number of sites.
+    fn transmission_with_disorder(&self, e_ev: f64, onsite_ev: &[f64]) -> f64 {
         assert_eq!(
             onsite_ev.len(),
             self.sites,
@@ -241,9 +236,8 @@ impl DisorderedChain {
     /// (`sites` draws) instead of once per energy, and the lead coupling
     /// is computed per energy instead of per (energy, sample) pair.
     ///
-    /// Equivalent to calling [`Self::transmission_with_disorder`] per
-    /// energy on the same [`Self::draw_disorder`] realization, bit for
-    /// bit.
+    /// Equivalent to calling `transmission_with_disorder` per energy on
+    /// the same `draw_disorder` realization, bit for bit.
     pub fn transmission_grid<R: Rng + ?Sized>(&self, energies_ev: &[f64], rng: &mut R) -> Vec<f64> {
         let onsite = self.draw_disorder(rng);
         energies_ev
@@ -260,12 +254,7 @@ impl DisorderedChain {
     /// # Panics
     ///
     /// Panics if `samples == 0`.
-    pub fn mean_transmission<R: Rng + ?Sized>(
-        &self,
-        e_ev: f64,
-        samples: usize,
-        rng: &mut R,
-    ) -> f64 {
+    fn mean_transmission<R: Rng + ?Sized>(&self, e_ev: f64, samples: usize, rng: &mut R) -> f64 {
         assert!(samples > 0, "need at least one disorder sample");
         let Some((sigma, gamma)) = self.lead_coupling(e_ev) else {
             return 0.0;
@@ -456,7 +445,7 @@ mod tests {
                 chain.transmission_with_disorder(e, &onsite)
             } else {
                 // Out of band: no draws either way.
-                chain.transmission_with_disorder(e, &vec![0.0; chain.sites()])
+                chain.transmission_with_disorder(e, &vec![0.0; chain.sites])
             };
             assert_eq!(direct.to_bits(), explicit.to_bits(), "E = {e}");
         }

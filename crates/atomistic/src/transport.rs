@@ -15,21 +15,19 @@
 //!
 //! The integral runs over `E_F ± 12 kT`, so it counts modes only up to the
 //! window's top level: `max(12·k_B·T, 1 µeV)` at `E_F = 0`, and the 1 µeV
-//! nudge at `T ≤ 0`. [`ballistic_conductance`] (and with it
-//! [`conducting_channels`], [`conductance_point`],
-//! [`conductance_vs_diameter`] and [`conductance_per_area`]) therefore
-//! builds only the subbands that the Lipschitz bound in [`crate::bands`]
-//! (every 16th grid point, a 1e-9 eV margin) cannot prove to lie above that
-//! level. The others cross no level of the integral, so the conductance
-//! keeps its bits: at 300 K, 53 of Fig. 8a's 916 subbands are built. The
-//! windowed structure is built and dropped inside [`ballistic_conductance`].
-//! [`conductance_at_temperature`] and [`conductance_at_energy`] take the
-//! caller's structure, and [`BandStructure::compute`] always builds every
-//! subband.
+//! nudge at `T ≤ 0`. `ballistic_conductance` (and with it
+//! [`conducting_channels`], [`conductance_point`] and
+//! [`conductance_per_area`]) therefore builds only the subbands that the
+//! Lipschitz bound in [`crate::bands`] (every 16th grid point, a 1e-9 eV
+//! margin) cannot prove to lie above that level. The others cross no
+//! level of the integral, so the conductance keeps its bits: at 300 K, 53
+//! of Fig. 8a's 916 subbands are built. The windowed structure is built
+//! and dropped inside `ballistic_conductance`.
+//! [`conductance_at_temperature`] takes the caller's structure, and
+//! [`BandStructure::compute`] always builds every subband.
 
 use crate::bands::{folded_level, BandStructure};
 use crate::chirality::Chirality;
-use crate::{Error, Result};
 use cnt_units::consts::{G0_SIEMENS, K_B_EV};
 use cnt_units::math::{fermi_dirac_neg_derivative, integrate_simpson_batch};
 use cnt_units::si::{Conductance, Temperature};
@@ -37,12 +35,6 @@ use cnt_units::si::{Conductance, Temperature};
 /// Default longitudinal grid used when a band structure is computed
 /// on demand.
 pub const DEFAULT_NK: usize = 1201;
-
-/// Zero-temperature conductance at Fermi energy `e_f_ev`:
-/// `G = G0 · M(E_F)`.
-pub fn conductance_at_energy(bands: &BandStructure, e_f_ev: f64) -> Conductance {
-    Conductance::from_siemens(G0_SIEMENS * bands.mode_count(e_f_ev) as f64)
-}
 
 /// Finite-temperature ballistic conductance at Fermi level `e_f_ev`
 /// (relative to the charge-neutrality point): [`landauer_conductance`]
@@ -95,7 +87,7 @@ pub fn landauer_conductance(
 /// The Landauer integration interval `E_F ± 12 kT` in eV, or `None` at
 /// `T ≤ 0`, where the thermal kernel is a delta at `E_F`. The one
 /// definition of the window: [`landauer_conductance`] integrates over it
-/// and [`ballistic_conductance`] cuts its subbands at its top level.
+/// and `ballistic_conductance` cuts its subbands at its top level.
 fn landauer_window(e_f_ev: f64, temperature: Temperature) -> Option<(f64, f64)> {
     let t = temperature.kelvin();
     if t <= 0.0 {
@@ -122,16 +114,18 @@ fn landauer_top_level(e_f_ev: f64, temperature: Temperature) -> f64 {
 /// module docs); the result has the same bits as the integral over every
 /// subband.
 ///
+/// Callers outside this module read it through [`conductance_point`]:
+///
 /// ```
 /// use cnt_atomistic::chirality::Chirality;
-/// use cnt_atomistic::transport::ballistic_conductance;
+/// use cnt_atomistic::transport::conductance_point;
 /// use cnt_units::si::Temperature;
 ///
-/// let g = ballistic_conductance(Chirality::new(9, 0)?, Temperature::from_kelvin(300.0));
-/// assert!((g.millisiemens() - 0.155).abs() < 0.01); // metallic zigzag
+/// let p = conductance_point(Chirality::new(9, 0)?, Temperature::from_kelvin(300.0));
+/// assert!((p.conductance_ms - 0.155).abs() < 0.01); // metallic zigzag
 /// # Ok::<(), cnt_atomistic::Error>(())
 /// ```
-pub fn ballistic_conductance(chirality: Chirality, temperature: Temperature) -> Conductance {
+fn ballistic_conductance(chirality: Chirality, temperature: Temperature) -> Conductance {
     let cutoff = landauer_top_level(0.0, temperature);
     let bands = BandStructure::compute_below(chirality, DEFAULT_NK, cutoff)
         .expect("DEFAULT_NK satisfies the minimum grid size");
@@ -159,9 +153,9 @@ pub struct ConductancePoint {
 }
 
 /// One tube's Fig. 8a row: band structure, finite-temperature Landauer
-/// integral, and the diameter/metallicity labels. The per-tube kernel of
-/// [`conductance_vs_diameter`], exposed so sweeps can evaluate tubes
-/// independently (e.g. on the `cnt-sweep` pool).
+/// integral, and the diameter/metallicity labels. fig08a evaluates one
+/// per tube on the `cnt-sweep` pool and orders them with
+/// [`sort_by_diameter`].
 pub fn conductance_point(chirality: Chirality, temperature: Temperature) -> ConductancePoint {
     let g = ballistic_conductance(chirality, temperature);
     ConductancePoint {
@@ -181,27 +175,6 @@ pub fn sort_by_diameter(points: &mut [ConductancePoint]) {
             .partial_cmp(&b.diameter_nm)
             .expect("finite diameters")
     });
-}
-
-/// Sweeps ballistic conductance versus diameter for a set of tubes
-/// (the paper's Fig. 8a uses the zigzag and armchair series).
-///
-/// # Errors
-///
-/// Returns [`Error::TooFewSamples`] if `tubes` is empty.
-pub fn conductance_vs_diameter(
-    tubes: &[Chirality],
-    temperature: Temperature,
-) -> Result<Vec<ConductancePoint>> {
-    if tubes.is_empty() {
-        return Err(Error::TooFewSamples { got: 0, min: 1 });
-    }
-    let mut out: Vec<ConductancePoint> = tubes
-        .iter()
-        .map(|&c| conductance_point(c, temperature))
-        .collect();
-    sort_by_diameter(&mut out);
-    Ok(out)
 }
 
 /// Conductance per unit cross-sectional area, S/m² — the paper notes that
@@ -383,7 +356,11 @@ pub(crate) mod tests {
     fn sweep_is_sorted_and_labelled() {
         let mut tubes = Chirality::armchair_series(3, 8);
         tubes.extend(Chirality::zigzag_series(5, 12));
-        let pts = conductance_vs_diameter(&tubes, t300()).unwrap();
+        let mut pts: Vec<_> = tubes
+            .iter()
+            .map(|&c| conductance_point(c, t300()))
+            .collect();
+        sort_by_diameter(&mut pts);
         assert_eq!(pts.len(), 6 + 8);
         for w in pts.windows(2) {
             assert!(w[0].diameter_nm <= w[1].diameter_nm);
@@ -393,7 +370,6 @@ pub(crate) mod tests {
                 assert!((p.channels - 2.0).abs() < 0.15, "{:?}", p);
             }
         }
-        assert!(conductance_vs_diameter(&[], t300()).is_err());
     }
 
     #[test]

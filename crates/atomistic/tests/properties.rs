@@ -61,7 +61,7 @@ proptest! {
         prop_assert_eq!(atoms.len(), 2 * c.hexagon_count() as usize);
         let r = c.diameter().meters() / 2.0;
         for a in &atoms {
-            prop_assert!((a.radius().meters() - r).abs() < 1e-14);
+            prop_assert!((a.position_m[0].hypot(a.position_m[1]) - r).abs() < 1e-14);
         }
     }
 

@@ -84,7 +84,7 @@ impl DcResult {
     }
 
     /// All node voltages in node-id order (ground first).
-    pub fn voltages(&self) -> &[f64] {
+    fn voltages(&self) -> &[f64] {
         &self.voltages
     }
 }
@@ -99,11 +99,6 @@ pub struct TranResult {
 }
 
 impl TranResult {
-    /// Sampled time points.
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
     /// Node index by name.
     fn index(&self, node: &str) -> Result<usize> {
         self.names
@@ -138,16 +133,6 @@ impl TranResult {
             .zip(&self.data)
             .map(|(t, row)| (*t, row[i]))
             .collect())
-    }
-
-    /// Final voltage of one node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownNode`] for unknown names.
-    pub fn final_voltage(&self, node: &str) -> Result<f64> {
-        let i = self.index(node)?;
-        Ok(self.data.last().map(|row| row[i]).unwrap_or(0.0))
     }
 }
 
@@ -574,59 +559,6 @@ impl Circuit {
         row[1..=asm.n_nodes].copy_from_slice(&x[..asm.n_nodes]);
         row
     }
-
-    /// Builds the small-signal system for AC analysis: the conductance
-    /// Jacobian `G` linearized at the DC operating point, the reactive
-    /// matrix `C`, and the RHS pattern with the named voltage source as a
-    /// unit phasor (all other independent sources zeroed).
-    ///
-    /// Returns `(G row-major, C row-major, b, n_unknowns)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn small_signal_system(
-        &self,
-        source: &str,
-    ) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>, usize)> {
-        let asm = Assembler::new(self);
-        let n = asm.n_unknowns;
-
-        // Locate the AC source's branch row.
-        let mut branch_row = None;
-        for (idx, e) in self.elements.iter().enumerate() {
-            if let Element::VSource { name, .. } = e {
-                if name == source {
-                    branch_row = asm.branch_of[idx];
-                }
-            }
-        }
-        let branch_row = branch_row.ok_or_else(|| Error::UnknownNode {
-            name: format!("voltage source '{source}'"),
-        })?;
-
-        // Bias point (zeros suffice for linear circuits).
-        let mut x = vec![0.0; n];
-        if self.has_nonlinear() {
-            let dc = self.dc_operating_point()?;
-            x[..asm.n_nodes].copy_from_slice(&dc.voltages()[1..=asm.n_nodes]);
-        }
-
-        let mut g = DenseMatrix::zeros(n);
-        let mut b_dc = vec![0.0; n];
-        asm.assemble_resistive(self, &x, 0.0, &mut g, &mut b_dc);
-        let mut c = DenseMatrix::zeros(n);
-        asm.assemble_reactive(self, &mut c);
-
-        let mut g_flat = vec![0.0; n * n];
-        let mut c_flat = vec![0.0; n * n];
-        for r in 0..n {
-            for col in 0..n {
-                g_flat[r * n + col] = g.get(r, col);
-                c_flat[r * n + col] = c.get(r, col);
-            }
-        }
-        let mut b = vec![0.0; n];
-        b[branch_row] = 1.0;
-        Ok((g_flat, c_flat, b, n))
-    }
 }
 
 /// `a += s·b` entrywise.
@@ -702,7 +634,7 @@ mod tests {
                 "trap={trap}: v(τ) = {v_tau}"
             );
             // Settles to 1 − e⁻⁵ after five time constants.
-            assert!((tr.final_voltage("out").unwrap() - 1.0).abs() < 1e-2);
+            assert!((tr.waveform("out").unwrap().last().unwrap().1 - 1.0).abs() < 1e-2);
         }
     }
 
@@ -723,7 +655,7 @@ mod tests {
         // v_mid = V·e^{−t/τ} (voltage across the inductor).
         assert!((v_tau - (-1.0f64).exp()).abs() < 5e-3, "v(τ) = {v_tau}");
         // e⁻⁵ ≈ 0.0067 remains after five time constants.
-        assert!(tr.final_voltage("mid").unwrap().abs() < 1e-2);
+        assert!(tr.waveform("mid").unwrap().last().unwrap().1.abs() < 1e-2);
     }
 
     #[test]
@@ -780,7 +712,7 @@ mod tests {
         c.add_capacitor("Cl", vout, Circuit::GND, 1e-15).unwrap();
         let tr = c.transient(&TranOptions::new(500e-12, 0.5e-12)).unwrap();
         let first = tr.voltage("out").unwrap()[0];
-        let last = tr.final_voltage("out").unwrap();
+        let last = tr.waveform("out").unwrap().last().unwrap().1;
         assert!(first > 0.95, "starts high: {first}");
         assert!(last < 0.05, "ends low: {last}");
     }

@@ -147,11 +147,6 @@ impl Circuit {
         self.node_names.len()
     }
 
-    /// Name of a node.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id.0]
-    }
-
     /// All node names in id order (ground first).
     pub fn node_names(&self) -> Vec<&str> {
         self.node_names.iter().map(String::as_str).collect()
@@ -316,7 +311,7 @@ mod tests {
         assert_eq!(c.node("0"), Circuit::GND);
         assert_eq!(c.node("gnd"), Circuit::GND);
         assert_eq!(c.node_count(), 1);
-        assert_eq!(c.node_name(Circuit::GND), "0");
+        assert_eq!(c.node_names()[Circuit::GND.0], "0");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! implement the full loop in Rust:
 //!
 //! * [`circuit`] — the circuit data model and builder API;
-//! * [`ac`] — small-signal frequency sweeps (linearized at the DC bias);
 //! * [`linalg`] — dense LU solver used by the MNA engine;
 //! * [`waveform`] — independent-source waveforms (DC, pulse, PWL, sine);
 //! * [`mosfet`] — level-1 MOSFET with 45 nm-class parameter presets;
@@ -40,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ac;
 pub mod analysis;
 pub mod cells;
 pub mod circuit;

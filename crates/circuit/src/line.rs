@@ -208,7 +208,7 @@ mod tests {
         .unwrap();
         c.add_resistor("Rterm", b, Circuit::GND, 1e6).unwrap();
         let tr = c.transient(&TranOptions::new(2e-9, 1e-12)).unwrap();
-        let last = tr.final_voltage("b").unwrap();
+        let last = tr.waveform("b").unwrap().last().unwrap().1;
         assert!((last - 1.0).abs() < 0.01, "settles to 1: {last}");
     }
 

@@ -1,15 +1,13 @@
-//! Waveform measurements: crossing times, propagation delay, rise/fall
-//! times — the `.measure` cards of classic SPICE decks.
+//! Waveform measurements: propagation delay and rise time — the
+//! `.measure` cards of classic SPICE decks.
 
 use crate::{Error, Result};
 
 /// Edge direction for threshold crossings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Edge {
+enum Edge {
     /// Signal crosses the threshold upwards.
     Rising,
-    /// Signal crosses the threshold downwards.
-    Falling,
     /// Either direction.
     Any,
 }
@@ -20,7 +18,7 @@ pub enum Edge {
 /// # Errors
 ///
 /// Returns [`Error::InvalidOptions`] if no crossing exists.
-pub fn crossing_time(wave: &[(f64, f64)], threshold: f64, edge: Edge, t_start: f64) -> Result<f64> {
+fn crossing_time(wave: &[(f64, f64)], threshold: f64, edge: Edge, t_start: f64) -> Result<f64> {
     for w in wave.windows(2) {
         let (t0, v0) = w[0];
         let (t1, v1) = w[1];
@@ -31,7 +29,6 @@ pub fn crossing_time(wave: &[(f64, f64)], threshold: f64, edge: Edge, t_start: f
         let falling = v0 > threshold && v1 <= threshold;
         let hit = match edge {
             Edge::Rising => rising,
-            Edge::Falling => falling,
             Edge::Any => rising || falling,
         };
         if hit {
@@ -83,78 +80,6 @@ pub fn rise_time(wave: &[(f64, f64)], v_low: f64, v_high: f64) -> Result<f64> {
     Ok(t90 - t10)
 }
 
-/// 90 %–10 % fall time of a waveform swinging from `v_high` to `v_low`.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidOptions`] when the waveform does not complete
-/// the transition.
-pub fn fall_time(wave: &[(f64, f64)], v_low: f64, v_high: f64) -> Result<f64> {
-    let swing = v_high - v_low;
-    let t90 = crossing_time(wave, v_low + 0.9 * swing, Edge::Falling, 0.0)?;
-    let t10 = crossing_time(wave, v_low + 0.1 * swing, Edge::Falling, t90)?;
-    Ok(t10 - t90)
-}
-
-/// Relative overshoot above the final value: `(max − final)/swing` for a
-/// waveform settling from `v_initial` towards `v_final`. Zero for a
-/// monotone response; ~1 for a lossless LC step.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidOptions`] for an empty waveform or zero swing.
-pub fn overshoot(wave: &[(f64, f64)], v_initial: f64, v_final: f64) -> Result<f64> {
-    if wave.is_empty() {
-        return Err(Error::InvalidOptions("empty waveform"));
-    }
-    let swing = v_final - v_initial;
-    if swing == 0.0 {
-        return Err(Error::InvalidOptions("zero swing"));
-    }
-    let extreme = if swing > 0.0 {
-        wave.iter()
-            .map(|(_, v)| *v)
-            .fold(f64::NEG_INFINITY, f64::max)
-    } else {
-        wave.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min)
-    };
-    Ok(((extreme - v_final) / swing).max(0.0))
-}
-
-/// Time after which the waveform stays within `±tolerance·swing` of
-/// `v_final` for the rest of the record.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidOptions`] if the waveform never settles or is
-/// empty.
-pub fn settling_time(
-    wave: &[(f64, f64)],
-    v_initial: f64,
-    v_final: f64,
-    tolerance: f64,
-) -> Result<f64> {
-    if wave.is_empty() {
-        return Err(Error::InvalidOptions("empty waveform"));
-    }
-    let band = tolerance * (v_final - v_initial).abs();
-    if band <= 0.0 {
-        return Err(Error::InvalidOptions("zero settling band"));
-    }
-    // Walk backwards to the last out-of-band sample.
-    let mut last_violation: Option<usize> = None;
-    for (i, (_, v)) in wave.iter().enumerate() {
-        if (v - v_final).abs() > band {
-            last_violation = Some(i);
-        }
-    }
-    match last_violation {
-        None => Ok(wave[0].0),
-        Some(i) if i + 1 < wave.len() => Ok(wave[i + 1].0),
-        Some(_) => Err(Error::InvalidOptions("waveform never settles in-band")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,7 +96,6 @@ mod tests {
         let w = ramp();
         let t = crossing_time(&w, 0.55, Edge::Rising, 0.0).unwrap();
         assert!((t - 5.5e-9).abs() < 1e-15);
-        assert!(crossing_time(&w, 0.55, Edge::Falling, 0.0).is_err());
         assert!(crossing_time(&w, 2.0, Edge::Any, 0.0).is_err());
     }
 
@@ -206,56 +130,14 @@ mod tests {
     }
 
     #[test]
-    fn overshoot_and_settling_of_damped_ring() {
-        // Damped oscillation settling to 1.0.
-        let wave: Vec<(f64, f64)> = (0..=400)
-            .map(|k| {
-                let t = k as f64 * 1e-9;
-                let v = 1.0 - (-t / 50e-9).exp() * (t / 10e-9).cos();
-                (t, v)
-            })
-            .collect();
-        let os = overshoot(&wave, 0.0, 1.0).unwrap();
-        assert!(os > 0.2 && os < 1.0, "overshoot {os}");
-        let ts = settling_time(&wave, 0.0, 1.0, 0.05).unwrap();
-        assert!(ts > 50e-9 && ts < 350e-9, "settling {ts}");
-        // Monotone response: zero overshoot, settles early.
-        let mono: Vec<(f64, f64)> = (0..=100)
-            .map(|k| {
-                let t = k as f64 * 1e-9;
-                (t, 1.0 - (-t / 10e-9).exp())
-            })
-            .collect();
-        assert_eq!(overshoot(&mono, 0.0, 1.0).unwrap(), 0.0);
-        assert!(settling_time(&mono, 0.0, 1.0, 0.05).unwrap() < 50e-9);
-    }
-
-    #[test]
-    fn overshoot_and_settling_error_paths() {
-        assert!(overshoot(&[], 0.0, 1.0).is_err());
-        assert!(overshoot(&[(0.0, 0.5)], 1.0, 1.0).is_err());
-        assert!(settling_time(&[], 0.0, 1.0, 0.05).is_err());
-        // Never settles: last sample still out of band.
-        let bad = vec![(0.0, 0.0), (1.0, 5.0)];
-        assert!(settling_time(&bad, 0.0, 1.0, 0.05).is_err());
-        // Falling swing works too.
-        let down: Vec<(f64, f64)> = (0..=100)
-            .map(|k| {
-                let t = k as f64;
-                (t, (-t / 10.0).exp())
-            })
-            .collect();
-        assert_eq!(overshoot(&down, 1.0, 0.0).unwrap(), 0.0);
-    }
-
-    #[test]
     fn rise_and_fall_times_of_ramp() {
         let w = ramp();
         let tr = rise_time(&w, 0.0, 1.0).unwrap();
         assert!((tr - 8e-9).abs() < 1e-12, "rise {tr}");
         let mut down: Vec<(f64, f64)> = ramp().into_iter().map(|(t, v)| (t, 1.0 - v)).collect();
         down.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let tf = fall_time(&down, 0.0, 1.0).unwrap();
+        let t90 = crossing_time(&down, 0.9, Edge::Any, 0.0).unwrap();
+        let tf = crossing_time(&down, 0.1, Edge::Any, t90).unwrap() - t90;
         assert!((tf - 8e-9).abs() < 1e-12, "fall {tf}");
     }
 }

@@ -91,7 +91,7 @@ impl MosfetModel {
     }
 
     /// `β = k'·W/L`.
-    pub fn beta(&self) -> f64 {
+    fn beta(&self) -> f64 {
         self.kp * self.width / self.length
     }
 

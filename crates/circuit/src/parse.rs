@@ -347,7 +347,7 @@ C1 out 0 1p
 .end";
         let c = parse_netlist(text).unwrap();
         let tr = c.transient(&TranOptions::new(5e-9, 2e-12)).unwrap();
-        let v = tr.final_voltage("out").unwrap();
+        let v = tr.waveform("out").unwrap().last().unwrap().1;
         // After the 1 ns pulse ended, output decays towards 0.
         assert!(v < 0.2, "v = {v}");
     }

@@ -109,12 +109,12 @@ proptest! {
         };
         let tau = r * c_farads;
         let opts = TranOptions::new(2.0 * tau, tau / 400.0);
-        let be = build().transient(&opts).unwrap().final_voltage("b").unwrap();
-        let tr = build()
-            .transient(&opts.trapezoidal())
-            .unwrap()
-            .final_voltage("b")
-            .unwrap();
+        let last = |o: &TranOptions| {
+            let wave = build().transient(o).unwrap().waveform("b").unwrap();
+            wave.last().unwrap().1
+        };
+        let be = last(&opts);
+        let tr = last(&opts.trapezoidal());
         prop_assert!((be - tr).abs() < 5e-3, "BE {} vs TRAP {}", be, tr);
     }
 }

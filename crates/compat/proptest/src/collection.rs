@@ -5,7 +5,7 @@ use core::ops::Range;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`fn@vec`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

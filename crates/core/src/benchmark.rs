@@ -18,9 +18,10 @@
 //! (effective impedance a few kΩ), the wire RC would dominate and doping
 //! would buy 3–8× more than that. The paper's percentages therefore imply
 //! a *high-impedance drive* (≈ 140 kΩ effective). We ship both drivers:
-//! [`DriverModel::paper_calibrated`] reproduces the paper's numbers, and
+//! the calibrated [`DriverModel::EffectiveImpedance`] of
+//! [`DelayBenchmark::paper_fig12`] reproduces the paper's numbers, and
 //! [`DriverModel::Inverter`] quantifies the stronger-driver ablation
-//! recorded in EXPERIMENTS.md.
+//! recorded in DESIGN.md §4.
 
 use crate::compact::DopedMwcnt;
 use crate::Result;
@@ -45,12 +46,12 @@ pub enum DriverModel {
 impl DriverModel {
     /// The drive calibrated so the Fig. 12 anchors (−10/−5/−2 % at
     /// 500 µm) come out of Eq. 4 + Eq. 5: 140 kΩ.
-    pub fn paper_calibrated() -> Self {
+    fn paper_calibrated() -> Self {
         DriverModel::EffectiveImpedance(Resistance::from_kilo_ohms(140.0))
     }
 
     /// Effective Thévenin resistance for the Elmore estimate.
-    pub fn effective_resistance(&self) -> f64 {
+    fn effective_resistance(&self) -> f64 {
         match self {
             DriverModel::Inverter(cell) => cell.drive_resistance(),
             DriverModel::EffectiveImpedance(r) => r.ohms(),
@@ -160,40 +161,6 @@ impl DelayBenchmark {
         let wout = tran.waveform("line_out")?;
         let d = propagation_delay(&win, &wout, 0.0, 1.0)?;
         Ok(Time::from_seconds(d))
-    }
-}
-
-impl DelayBenchmark {
-    /// Small-signal −3 dB bandwidth of the driver + line + load chain —
-    /// the frequency-domain twin of the delay benchmark (an extension
-    /// beyond the paper's evaluation; uses the `cnt-circuit` AC engine).
-    ///
-    /// # Errors
-    ///
-    /// Propagates circuit-construction and AC-analysis errors.
-    pub fn simulate_bandwidth(&self) -> Result<f64> {
-        use cnt_circuit::ac::log_frequency_grid;
-        let totals = self.line_totals()?;
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let line_in = c.node("line_in");
-        let line_out = c.node("line_out");
-        let r_drv = self.driver.effective_resistance();
-        c.add_vsource("Vin", vin, Circuit::GND, Waveform::Dc(0.0))?;
-        c.add_resistor("Rdrv", vin, line_in, r_drv)?;
-        add_distributed_line(&mut c, "mw", line_in, line_out, totals, self.segments)?;
-        if self.load.farads() > 0.0 {
-            c.add_capacitor("Cload", line_out, Circuit::GND, self.load.farads())?;
-        }
-        // Centre the sweep on the Elmore corner estimate.
-        let est = self.estimate_delay()?.seconds().max(1e-12);
-        let f_mid = 1.0 / (2.0 * core::f64::consts::PI * est);
-        let freqs = log_frequency_grid(f_mid / 300.0, f_mid * 300.0, 60)?;
-        let sweep = c.ac_transfer("Vin", "line_out", &freqs)?;
-        sweep.bandwidth().ok_or(crate::Error::InvalidParameter {
-            name: "bandwidth (no -3 dB crossing in sweep)",
-            value: f_mid,
-        })
     }
 }
 
@@ -373,31 +340,6 @@ mod tests {
         let ratio = doped.estimate_delay().unwrap().seconds()
             / pristine.estimate_delay().unwrap().seconds();
         assert!(ratio < 0.5, "strong drive ratio {ratio}");
-    }
-
-    #[test]
-    fn bandwidth_mirrors_delay_improvement() {
-        // Frequency-domain extension: the doped line's −3 dB bandwidth
-        // exceeds the pristine one by roughly the inverse delay ratio.
-        let pristine = DelayBenchmark::paper_fig12(nm(10.0), 2, um(500.0)).unwrap();
-        let doped = DelayBenchmark::paper_fig12(nm(10.0), 10, um(500.0)).unwrap();
-        let bw_p = pristine.simulate_bandwidth().unwrap();
-        let bw_d = doped.simulate_bandwidth().unwrap();
-        assert!(bw_d > bw_p, "doped bw {bw_d:.3e} vs pristine {bw_p:.3e}");
-        let bw_gain = bw_d / bw_p;
-        let delay_gain = 1.0 / delay_ratio(nm(10.0), 10, um(500.0)).unwrap();
-        assert!(
-            (bw_gain - delay_gain).abs() / delay_gain < 0.2,
-            "bandwidth gain {bw_gain:.3} vs inverse delay ratio {delay_gain:.3}"
-        );
-        // And the absolute corner sits near 1/(2π·t50-ish).
-        let est = pristine.estimate_delay().unwrap().seconds();
-        let corner = 1.0 / (2.0 * core::f64::consts::PI * est);
-        assert!(
-            (0.2..5.0).contains(&(bw_p / corner)),
-            "bw/corner {}",
-            bw_p / corner
-        );
     }
 
     #[test]

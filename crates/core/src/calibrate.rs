@@ -41,7 +41,7 @@ pub fn channels_doped(
 /// Maps a growth result (Raman D/G defectivity) to an Anderson disorder
 /// strength for the NEGF chain: pristine material (D/G ≈ 0.05) ≈ 0.1 eV
 /// residual disorder; heavily defective (D/G ≈ 1) ≈ 1.4 eV.
-pub fn disorder_from_growth(growth: &GrowthResult) -> f64 {
+fn disorder_from_growth(growth: &GrowthResult) -> f64 {
     (0.1 + 1.3 * (growth.dg_ratio - 0.05).max(0.0)).min(3.0)
 }
 

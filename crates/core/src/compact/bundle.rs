@@ -101,7 +101,7 @@ impl BundleInterconnect {
     }
 
     /// Number of tubes in the cross-section.
-    pub fn tube_count(&self) -> f64 {
+    fn tube_count(&self) -> f64 {
         self.density_per_m2 * self.width.meters() * self.height.meters()
     }
 

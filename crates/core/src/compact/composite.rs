@@ -73,16 +73,6 @@ impl CompositeWire {
         Self::new(width, height, 0.45, 1.0, 2.0e7)
     }
 
-    /// CNT volume fraction.
-    pub fn cnt_volume_fraction(&self) -> f64 {
-        self.cnt_volume_fraction
-    }
-
-    /// The copper matrix model.
-    pub fn matrix(&self) -> &CuWire {
-        &self.matrix
-    }
-
     /// Effective axial conductivity (S/m) over the drawn cross-section.
     pub fn conductivity(&self) -> f64 {
         composite_conductivity(

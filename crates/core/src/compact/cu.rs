@@ -107,7 +107,7 @@ impl CuWire {
     }
 
     /// Conducting cross-section after the barrier.
-    pub fn conducting_area(&self) -> f64 {
+    fn conducting_area(&self) -> f64 {
         let w = self.width.meters() - 2.0 * self.barrier.meters();
         let h = self.height.meters() - 2.0 * self.barrier.meters();
         w * h

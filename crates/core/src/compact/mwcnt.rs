@@ -34,7 +34,7 @@ pub enum ShellChannelModel {
 
 impl ShellChannelModel {
     /// Channels contributed by one shell of diameter `d` at 300 K.
-    pub fn channels(&self, d: Length) -> f64 {
+    fn channels(&self, d: Length) -> f64 {
         match self {
             ShellChannelModel::Uniform(nc) => *nc as f64,
             ShellChannelModel::NaeemiStatistical => {
@@ -61,7 +61,7 @@ pub enum ShellFillPolicy {
 
 impl ShellFillPolicy {
     /// Shell diameters, outermost first.
-    pub fn shell_diameters(&self, outer: Length) -> Vec<Length> {
+    fn shell_diameters(&self, outer: Length) -> Vec<Length> {
         match self {
             ShellFillPolicy::HalfDiameterVdw => {
                 vdw_shells(outer).map(Length::from_meters).collect()
@@ -208,18 +208,13 @@ impl DopedMwcnt {
         )
     }
 
-    /// Outer diameter.
-    pub fn outer_diameter(&self) -> Length {
-        self.outer_diameter
-    }
-
     /// Number of shells `N_S` under the configured fill policy.
     pub fn shell_count(&self) -> usize {
         self.fill.shell_count(self.outer_diameter)
     }
 
     /// Total conducting channels `N_C·N_S` (summed over shells).
-    pub fn total_channels(&self) -> f64 {
+    fn total_channels(&self) -> f64 {
         self.fill
             .shell_diameters(self.outer_diameter)
             .iter()
@@ -372,7 +367,7 @@ mod tests {
     #[test]
     fn fig12_resistance_anchor_values() {
         // The numbers that make the 10/5/2 % Fig. 12 anchors work (see
-        // DESIGN.md): R(500 µm, Nc = 2) ≈ 36.6 / 18.2 / 7.3 kΩ.
+        // DESIGN.md §5): R(500 µm, Nc = 2) ≈ 36.6 / 18.3 / 7.3 kΩ.
         let expect = [(10.0, 36.6e3), (14.0, 18.3e3), (22.0, 7.3e3)];
         for (d, r_expect) in expect {
             let m = DopedMwcnt::paper_model(nm(d), 2).unwrap();

@@ -97,11 +97,6 @@ impl SwcntInterconnect {
         self.diameter
     }
 
-    /// Conducting channels.
-    pub fn channels(&self) -> f64 {
-        self.channels
-    }
-
     /// Two-terminal resistance at length `l`.
     pub fn resistance(&self, l: Length) -> Resistance {
         let intrinsic = (1.0 + l.meters() / self.mfp.meters()) / (self.channels * G0_SIEMENS);

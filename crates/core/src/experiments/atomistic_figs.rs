@@ -51,8 +51,7 @@ fn fig08a_with(ctx: &RunContext) -> Result<Report> {
     // One band structure per tube, evaluated on the cnt-sweep pool: each
     // job is independent and the Executor returns results in job order, so
     // the rows (and the stable diameter sort below) are bit-identical to
-    // the serial transport::conductance_vs_diameter path at any --threads
-    // value.
+    // a serial loop over the tubes at any --threads value.
     let indices: Vec<f64> = (0..tubes.len()).map(|i| i as f64).collect();
     let plan = SweepPlan::new("fig08a.tubes").axis(Axis::grid("tube", &indices));
     let mut pts = Executor::new(ctx.threads).run(&plan, ctx.u64("seed"), |job, _| {

@@ -6,11 +6,10 @@
 //! structured [`Report`], and — for ensemble artefacts — a
 //! [`SweepKernel`] constructor for the `cnt-sweep` pool. Listing,
 //! dispatch, and the sweep catalog all derive from the one table behind
-//! [`registry`]; the experiment ids match the index in `DESIGN.md §4` and
-//! `EXPERIMENTS.md`.
+//! [`registry`]; the experiment ids match the index in `DESIGN.md §4`.
 //!
 //! The `cnt-bench` `repro` binary renders reports as text (byte-stable
-//! across releases), JSON (versioned, see [`format`]), or CSV:
+//! across releases), JSON (versioned, see [`mod@format`]), or CSV:
 //!
 //! ```text
 //! repro fig12 --set length_um=200 --set nc=6 --format json

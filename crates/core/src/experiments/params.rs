@@ -253,7 +253,7 @@ impl ParamSpec {
     }
 
     /// Looks up one preset by name.
-    pub fn find_preset(&self, name: &str) -> Option<&Preset> {
+    fn find_preset(&self, name: &str) -> Option<&Preset> {
         self.presets.iter().find(|p| p.name == name)
     }
 
@@ -326,7 +326,7 @@ impl Params {
     /// # Panics
     ///
     /// Panics if `key` was never declared or is not an integer.
-    pub fn i64(&self, key: &str) -> i64 {
+    fn i64(&self, key: &str) -> i64 {
         match self.require(key) {
             ParamValue::Int(v) => *v,
             other => panic!("parameter '{key}' is {}, not integer", other.kind()),
@@ -498,11 +498,6 @@ impl RunContext {
     /// Shorthand for [`Params::f64`].
     pub fn f64(&self, key: &str) -> f64 {
         self.params.f64(key)
-    }
-
-    /// Shorthand for [`Params::i64`].
-    pub fn i64(&self, key: &str) -> i64 {
-        self.params.i64(key)
     }
 
     /// Shorthand for [`Params::usize`].

@@ -43,7 +43,6 @@ pub mod benchmark;
 pub mod calibrate;
 pub mod compact;
 pub mod experiments;
-pub mod repeater;
 pub mod technology;
 
 pub use compact::{CuWire, DopedMwcnt, ShellChannelModel, SwcntInterconnect};

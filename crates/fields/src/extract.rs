@@ -68,16 +68,6 @@ impl CapacitanceResult {
             })
     }
 
-    /// Self (total) capacitance of a conductor: the Maxwell diagonal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownConductor`] for unknown labels.
-    pub fn self_capacitance(&self, label: &str) -> Result<Capacitance> {
-        let i = self.index(label)?;
-        Ok(Capacitance::from_farads(self.matrix[i][i]))
-    }
-
     /// Coupling (mutual) capacitance between two conductors:
     /// `−(C_ij + C_ji)/2`.
     ///
@@ -385,9 +375,8 @@ mod tests {
         let m = r.matrix();
         assert!(m[0][0] > 0.0 && m[1][1] > 0.0);
         assert!(m[0][1] < 0.0 && m[1][0] < 0.0);
-        assert!(r.self_capacitance("a").unwrap().farads() > 0.0);
         assert!(r.coupling("a", "a").unwrap() == Capacitance::ZERO);
-        assert!(r.self_capacitance("zz").is_err());
+        assert!(r.coupling("a", "zz").is_err());
 
         // One conductor only: not enough for extraction.
         let mut b1 = StructureBuilder::new([1.0, 1.0, 1.0]);

@@ -52,11 +52,6 @@ impl Grid3 {
         })
     }
 
-    /// Domain extent per axis, metres.
-    pub fn size(&self) -> [f64; 3] {
-        self.size
-    }
-
     /// Node counts per axis.
     pub fn nodes(&self) -> [usize; 3] {
         self.nodes

@@ -40,7 +40,7 @@ impl NetlistWriter {
     }
 
     /// Adds a comment card.
-    pub fn add_comment(&mut self, text: &str) -> &mut Self {
+    fn add_comment(&mut self, text: &str) -> &mut Self {
         self.cards.push(format!("* {}", text.replace('\n', " ")));
         self
     }

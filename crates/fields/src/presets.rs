@@ -227,7 +227,8 @@ mod tests {
         assert!(r.resistance.ohms() > 0.0);
         assert!(r.flux_imbalance < 1e-6);
         // Hot spot sits near the via (x ≈ half the bar length).
-        let lx = s.grid().size()[0];
+        let g = s.grid();
+        let lx = g.spacing()[0] * (g.nodes()[0] - 1) as f64;
         let x = r.hot_spot.position[0] / lx;
         assert!((0.35..=0.65).contains(&x), "hot spot at normalized x = {x}");
     }

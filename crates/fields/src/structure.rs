@@ -22,17 +22,6 @@ enum Region {
     Conductor { id: u16 },
 }
 
-/// Role of a discretized cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellKind {
-    /// Insulating cell (has a permittivity).
-    Dielectric,
-    /// Conducting-metal cell (has a conductivity).
-    Resistive,
-    /// Cell inside an equipotential conductor.
-    Conductor,
-}
-
 #[derive(Debug, Clone, PartialEq)]
 struct PaintedBox {
     min: [f64; 3],
@@ -167,7 +156,6 @@ impl StructureBuilder {
 
         // Paint cells (centre test, painter's order: last box wins).
         let cells = grid.cells();
-        let mut cell_kind = vec![CellKind::Dielectric; grid.cell_count()];
         let mut cell_eps = vec![self.background_eps_r * EPS_0; grid.cell_count()];
         let mut cell_sigma = vec![0.0f64; grid.cell_count()];
         for k in 0..cells[2] {
@@ -185,7 +173,6 @@ impl StructureBuilder {
                                         // behave as metal in resistance solves.
                                         cell_sigma[idx] = PERFECT_CONDUCTOR_SIGMA;
                                     } else {
-                                        cell_kind[idx] = CellKind::Dielectric;
                                         cell_eps[idx] = eps_r * EPS_0;
                                         cell_sigma[idx] = 0.0;
                                     }
@@ -199,7 +186,6 @@ impl StructureBuilder {
                                         // Dirichlet anyway).
                                         cell_sigma[idx] = sigma;
                                     } else {
-                                        cell_kind[idx] = CellKind::Resistive;
                                         cell_eps[idx] = self.background_eps_r * EPS_0;
                                         cell_sigma[idx] = sigma;
                                     }
@@ -208,7 +194,6 @@ impl StructureBuilder {
                                     if pending_conductor {
                                         continue;
                                     }
-                                    cell_kind[idx] = CellKind::Conductor;
                                     cell_eps[idx] = self.background_eps_r * EPS_0;
                                     cell_sigma[idx] = PERFECT_CONDUCTOR_SIGMA;
                                     // Keep scanning to inherit the underlying
@@ -250,7 +235,6 @@ impl StructureBuilder {
 
         Ok(Structure {
             grid,
-            cell_kind,
             cell_eps,
             cell_sigma,
             node_conductor,
@@ -272,7 +256,6 @@ fn contains(b: &PaintedBox, p: [f64; 3], tol: f64) -> bool {
 #[derive(Debug, Clone)]
 pub struct Structure {
     grid: Grid3,
-    cell_kind: Vec<CellKind>,
     cell_eps: Vec<f64>,
     cell_sigma: Vec<f64>,
     node_conductor: Vec<Option<u16>>,
@@ -313,11 +296,6 @@ impl Structure {
     /// Conductor id owning each node (if any).
     pub fn node_conductor(&self) -> &[Option<u16>] {
         &self.node_conductor
-    }
-
-    /// Kind of each cell.
-    pub fn cell_kind(&self) -> &[CellKind] {
-        &self.cell_kind
     }
 
     /// Per-cell absolute permittivity (F/m) for capacitance solves.
@@ -425,9 +403,7 @@ mod tests {
         b.conductor("t", [0.0, 0.0, 0.5], [1.0, 1.0, 1.0]);
         let s = b.build([5, 5, 5]).unwrap();
         let g = s.grid();
-        assert_eq!(s.cell_kind()[g.cell_index(0, 0, 0)], CellKind::Resistive);
         assert!((s.conductivity_coefficients()[g.cell_index(0, 0, 0)] - 5.8e7).abs() < 1.0);
-        assert_eq!(s.cell_kind()[g.cell_index(0, 0, 3)], CellKind::Conductor);
         assert_eq!(
             s.conductivity_coefficients()[g.cell_index(0, 0, 3)],
             PERFECT_CONDUCTOR_SIGMA

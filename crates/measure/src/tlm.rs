@@ -149,18 +149,14 @@ pub fn fit_tlm(data: &[(Length, Resistance)]) -> Result<TlmFit> {
     })
 }
 
-/// One-call convenience: run the experiment and fit it.
-///
-/// # Errors
-///
-/// Propagates generation and fitting errors.
-pub fn run_tlm(experiment: &TlmExperiment, seed: u64) -> Result<TlmFit> {
-    fit_tlm(&experiment.measure(seed)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Measures and fits, as the `tlm` artefact does.
+    fn run_tlm(experiment: &TlmExperiment, seed: u64) -> Result<TlmFit> {
+        fit_tlm(&experiment.measure(seed)?)
+    }
 
     #[test]
     fn noise_free_extraction_is_exact() {

@@ -1,7 +1,7 @@
 //! Property-based tests of the virtual measurement lab.
 
 use cnt_measure::iv::{iv_sweep, CntDevice};
-use cnt_measure::tlm::{fit_tlm, run_tlm, TlmExperiment};
+use cnt_measure::tlm::{fit_tlm, TlmExperiment};
 use cnt_units::si::{Current, Length, Resistance, Voltage};
 use proptest::prelude::*;
 
@@ -19,7 +19,7 @@ proptest! {
             resistance_per_length: rpul_kohm_um * 1e3 / 1e-6,
             noise: 0.0,
         };
-        let fit = run_tlm(&exp, 0).unwrap();
+        let fit = fit_tlm(&exp.measure(0).unwrap()).unwrap();
         prop_assert!((fit.contact_resistance - rc).abs() <= 1e-6 * rc.max(1.0));
         prop_assert!(
             (fit.resistance_per_length - exp.resistance_per_length).abs()

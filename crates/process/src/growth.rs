@@ -16,7 +16,7 @@
 
 use crate::{Error, Result};
 use cnt_units::consts::K_B_EV;
-use cnt_units::si::{Length, Temperature};
+use cnt_units::si::Temperature;
 
 /// Catalyst system for CVD growth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,7 +31,7 @@ pub enum Catalyst {
 
 impl Catalyst {
     /// Arrhenius activation energy, eV.
-    pub fn activation_energy_ev(self) -> f64 {
+    fn activation_energy_ev(self) -> f64 {
         match self {
             Catalyst::Iron => 1.35,
             // The Co recipe was tuned for low-temperature growth.
@@ -40,7 +40,7 @@ impl Catalyst {
     }
 
     /// Arrhenius prefactor, µm/min.
-    pub fn prefactor_um_per_min(self) -> f64 {
+    fn prefactor_um_per_min(self) -> f64 {
         match self {
             Catalyst::Iron => 2.0e9,
             Catalyst::Cobalt => 4.0e7,
@@ -54,16 +54,6 @@ impl Catalyst {
             Catalyst::Cobalt => Temperature::from_celsius(550.0),
         }
     }
-
-    /// Whether the catalyst material itself is accepted in CMOS BEOL flows.
-    pub fn is_cmos_material(self) -> bool {
-        matches!(self, Catalyst::Cobalt)
-    }
-}
-
-/// BEOL temperature ceiling the paper repeats throughout: 400 °C.
-pub fn beol_temperature_limit() -> Temperature {
-    Temperature::from_celsius(400.0)
 }
 
 /// A growth run specification.
@@ -85,12 +75,6 @@ impl GrowthRecipe {
             temperature,
             plasma_assisted: false,
         }
-    }
-
-    /// `true` if the recipe respects the 400 °C BEOL budget.
-    pub fn is_cmos_compatible(&self) -> bool {
-        self.catalyst.is_cmos_material()
-            && self.temperature.kelvin() <= beol_temperature_limit().kelvin() + 1e-9
     }
 
     /// Simulates the growth run.
@@ -164,13 +148,6 @@ impl GrowthResult {
     pub fn is_viable(&self) -> bool {
         self.growth_rate_um_per_min > 0.01 && self.dg_ratio < 1.1
     }
-
-    /// Maps the D/G defect proxy to an electron mean free path for the
-    /// compact models: pristine arc-discharge quality (D/G ≈ 0.05) reaches
-    /// ~1 µm; heavily defective material drops far below.
-    pub fn defect_limited_mfp(&self) -> Length {
-        Length::from_micrometers(1.0 * (0.05 / self.dg_ratio.max(0.05)).min(1.0))
-    }
 }
 
 /// Sweeps growth temperature — the Fig. 4 experiment.
@@ -240,8 +217,6 @@ mod tests {
         let fe = GrowthRecipe::thermal(Catalyst::Iron, t).simulate().unwrap();
         assert!(co.is_viable(), "Co at 395 °C: {co:?}");
         assert!(!fe.is_viable(), "Fe at 395 °C should be non-viable: {fe:?}");
-        assert!(GrowthRecipe::thermal(Catalyst::Cobalt, t).is_cmos_compatible());
-        assert!(!GrowthRecipe::thermal(Catalyst::Iron, t).is_cmos_compatible());
     }
 
     #[test]
@@ -265,8 +240,6 @@ mod tests {
                 w[1].dg_ratio
             );
         }
-        // And the mean free path moves the other way.
-        assert!(sweep[0].defect_limited_mfp() < sweep[3].defect_limited_mfp());
     }
 
     #[test]

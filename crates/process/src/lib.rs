@@ -4,11 +4,11 @@
 //! This crate is the synthetic-fab substrate of the `cnt-beol` platform.
 //! The paper's Section II is experimental (CVD growth in via holes,
 //! Co-catalyst growth below 400 °C, 300 mm wafers, ELD/ECD copper
-//! impregnation); per the substitution policy in DESIGN.md we model the
-//! *observables* those experiments report:
+//! impregnation); per the substitution policy in DESIGN.md §3 we model
+//! the *observables* those experiments report:
 //!
-//! * [`growth`] — Arrhenius growth kinetics, defectivity vs. temperature
-//!   and catalyst (Fig. 4), CMOS temperature-budget checks;
+//! * [`growth`] — Arrhenius growth kinetics and defectivity vs.
+//!   temperature and catalyst (Fig. 4);
 //! * [`wafer`] — 300 mm wafer maps with radial + random variation and
 //!   uniformity metrics (Fig. 5);
 //! * [`composite`] — ELD vs. ECD copper impregnation of CNT carpets:

@@ -192,10 +192,10 @@ pub fn sample_one_device(
 
 /// Samples `n` devices from the population in the given doping state.
 ///
-/// Runs on the `cnt-sweep` work-stealing pool: every device derives its
-/// own random stream from `(seed, device index)`, so the returned vector
-/// is **bit-identical for any thread count** — and identical to what
-/// [`sample_devices_with_threads`] returns for explicit thread counts.
+/// Runs on the `cnt-sweep` work-stealing pool at its default width (all
+/// cores): every device derives its own random stream from `(seed,
+/// device index)`, so the returned vector is **bit-identical for any
+/// thread count**.
 ///
 /// # Errors
 ///
@@ -206,27 +206,12 @@ pub fn sample_devices(
     n: usize,
     seed: u64,
 ) -> Result<Vec<SampledDevice>> {
-    sample_devices_with_threads(population, doping, n, seed, 0)
-}
-
-/// [`sample_devices`] with an explicit worker count (`0` = all cores).
-///
-/// # Errors
-///
-/// Propagates validation errors and rejects `n == 0`.
-pub fn sample_devices_with_threads(
-    population: &DevicePopulation,
-    doping: DopingState,
-    n: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<SampledDevice>> {
     population.validate()?;
     if n == 0 {
         return Err(Error::EmptyRequest("device samples"));
     }
     let plan = SweepPlan::new("process.variability.devices").axis(Axis::trials(n));
-    Executor::new(threads)
+    Executor::new(0)
         .run(&plan, seed, |_, rng| {
             Ok::<_, Error>(sample_one_device(population, doping, rng))
         })
@@ -356,12 +341,13 @@ mod tests {
 
     #[test]
     fn thread_count_invisible_in_results() {
-        // The cnt-sweep port's contract: per-device seed streams make the
-        // sample independent of the worker count.
-        let serial = sample_devices_with_threads(&pop(), DopingState::Pristine, 300, 5, 1).unwrap();
-        let par4 = sample_devices_with_threads(&pop(), DopingState::Pristine, 300, 5, 4).unwrap();
-        let auto = sample_devices(&pop(), DopingState::Pristine, 300, 5).unwrap();
-        assert_eq!(serial, par4);
-        assert_eq!(serial, auto);
+        // Per-device seed streams make the sample a function of the seed
+        // alone; `cnt_sweep::exec`'s `thread_count_does_not_change_results`
+        // checks that the executor's width never changes a result.
+        let a = sample_devices(&pop(), DopingState::Pristine, 300, 5).unwrap();
+        let b = sample_devices(&pop(), DopingState::Pristine, 300, 5).unwrap();
+        assert_eq!(a, b);
+        let other_seed = sample_devices(&pop(), DopingState::Pristine, 300, 6).unwrap();
+        assert_ne!(a, other_seed);
     }
 }

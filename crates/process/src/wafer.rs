@@ -249,11 +249,6 @@ impl WaferMap {
         self.diameter
     }
 
-    /// All sites.
-    pub fn sites(&self) -> &[WaferSite] {
-        &self.sites
-    }
-
     /// Applies a function to every site value, returning a derived map
     /// (e.g. thickness → line resistance).
     pub fn map_values(&self, f: impl Fn(f64) -> f64) -> WaferMap {
@@ -301,6 +296,9 @@ impl WaferMap {
     pub fn ascii_map(&self, bins: usize) -> String {
         let mut s = String::new();
         let r = self.diameter / 2.0;
+        // Computed at the first non-empty bin, so a map whose bins are all
+        // empty never asks for it.
+        let mut rep = None;
         for row in 0..bins {
             let y_lo = r - (row as f64 + 1.0) * self.diameter / bins as f64;
             let y_hi = r - row as f64 * self.diameter / bins as f64;
@@ -316,7 +314,7 @@ impl WaferMap {
                 let ch = match math::mean(&vals) {
                     None => ' ',
                     Some(v) => {
-                        let rep = self.uniformity().expect("≥2 sites");
+                        let rep = rep.get_or_insert_with(|| self.uniformity().expect("≥2 sites"));
                         let z = (v - rep.mean) / rep.std_dev.max(1e-30);
                         match z {
                             z if z < -1.0 => '-',
@@ -383,7 +381,7 @@ mod tests {
     #[test]
     fn sites_stay_on_wafer() {
         let map = WaferMap::generate(0.3, 500, 1.0, 0.02, 0.01, 5).unwrap();
-        for s in map.sites() {
+        for s in &map.sites {
             assert!(s.radius() <= 0.15, "site off-wafer at r = {}", s.radius());
         }
     }
@@ -392,7 +390,7 @@ mod tests {
     fn map_values_transforms_pointwise() {
         let map = WaferMap::generate(0.3, 49, 2.0, 0.0, 0.0, 1).unwrap();
         let doubled = map.map_values(|v| v * 2.0);
-        for (a, b) in map.sites().iter().zip(doubled.sites()) {
+        for (a, b) in map.sites.iter().zip(&doubled.sites) {
             assert_eq!(b.value, a.value * 2.0);
             assert_eq!((a.x, a.y), (b.x, b.y));
         }

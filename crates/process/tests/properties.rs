@@ -38,7 +38,6 @@ proptest! {
         prop_assert!(r.dg_ratio >= 0.0);
         prop_assert!(r.areal_density_per_cm2 >= 0.0);
         prop_assert!(r.tortuosity >= 1.0);
-        prop_assert!(r.defect_limited_mfp().meters() > 0.0);
     }
 
     #[test]

@@ -98,11 +98,6 @@ pub fn cnt_density_floor_per_nm2() -> f64 {
     CNT_DENSITY_FLOOR / 1e18
 }
 
-/// `true` if an areal density (tubes/m²) meets the resistance-parity floor.
-pub fn meets_density_floor(tubes_per_m2: f64) -> bool {
-    tubes_per_m2 >= CNT_DENSITY_FLOOR
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,8 +141,6 @@ mod tests {
     #[test]
     fn density_floor() {
         assert!((cnt_density_floor_per_nm2() - 0.096).abs() < 1e-12);
-        assert!(meets_density_floor(0.1 * 1e18));
-        assert!(!meets_density_floor(0.05 * 1e18));
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl DopantSite {
     /// ~5×10⁻⁵ /s (internal — essentially frozen over a 1000 h stress) and
     /// ~50 /s (external — mobile), which is what makes internal doping the
     /// stable variant.
-    pub fn binding_energy_ev(self) -> f64 {
+    fn binding_energy_ev(self) -> f64 {
         match self {
             DopantSite::Internal => 1.3,
             DopantSite::External => 0.85,

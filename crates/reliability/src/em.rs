@@ -1,5 +1,5 @@
 //! Electromigration lifetime: Black's equation, Blech immortality and
-//! lognormal time-to-failure statistics.
+//! the lognormal spread of time to failure.
 //!
 //! `MTTF = A·j⁻ⁿ·exp(Ea/kT)` with the copper BEOL parameters
 //! (n ≈ 1.8, Ea ≈ 0.9 eV). Cu–CNT composites inherit the sp²-bonded
@@ -9,10 +9,7 @@
 
 use crate::{Error, Result};
 use cnt_units::consts::K_B_EV;
-use cnt_units::rand_ext;
 use cnt_units::si::{CurrentDensity, Temperature, Time};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Black's-equation parameter set plus lognormal spread.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,29 +81,6 @@ impl BlackModel {
         j.amps_per_square_meter() * l_meters < self.blech_product
     }
 
-    /// Samples `n` lognormal failure times at stress `(j, t)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyRequest`] for `n == 0`.
-    pub fn sample_ttf(
-        &self,
-        j: CurrentDensity,
-        t: Temperature,
-        n: usize,
-        seed: u64,
-    ) -> Result<Vec<Time>> {
-        if n == 0 {
-            return Err(Error::EmptyRequest("ttf samples"));
-        }
-        let median = self.median_ttf(j, t).hours();
-        let mu = median.ln();
-        let mut rng = StdRng::seed_from_u64(seed);
-        Ok((0..n)
-            .map(|_| Time::from_hours(rand_ext::lognormal(&mut rng, mu, self.sigma)))
-            .collect())
-    }
-
     /// Maximum current density for a target lifetime at temperature `t`
     /// (inverts Black's equation).
     ///
@@ -129,6 +103,9 @@ impl BlackModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnt_units::rand_ext;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn j(ma_cm2: f64) -> CurrentDensity {
         CurrentDensity::from_amps_per_square_centimeter(ma_cm2 * 1e6)
@@ -183,16 +160,19 @@ mod tests {
     fn sample_statistics_match_model() {
         let m = BlackModel::copper();
         let t = Temperature::from_celsius(105.0);
-        let ts = m.sample_ttf(j(1.0), t, 4000, 3).unwrap();
-        let mut hours: Vec<f64> = ts.iter().map(|t| t.hours()).collect();
+        // The per-die draw of `wafer_char` (Fig. 13b): lognormal around
+        // Black's median with the model's sigma.
+        let expect = m.median_ttf(j(1.0), t).hours();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut hours: Vec<f64> = (0..4000)
+            .map(|_| rand_ext::lognormal(&mut rng, expect.ln(), m.sigma))
+            .collect();
         hours.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let med = hours[hours.len() / 2];
-        let expect = m.median_ttf(j(1.0), t).hours();
         assert!(
             (med / expect - 1.0).abs() < 0.05,
             "median {med} vs {expect}"
         );
-        assert!(m.sample_ttf(j(1.0), t, 0, 1).is_err());
     }
 
     #[test]

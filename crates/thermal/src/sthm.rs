@@ -64,7 +64,7 @@ impl SthmInstrument {
     }
 
     /// The number of scan pixels a truth profile produces.
-    pub fn pixel_count(&self, truth: &TemperatureProfile) -> usize {
+    fn pixel_count(&self, truth: &TemperatureProfile) -> usize {
         let x0 = truth.position_m[0];
         let x1 = *truth.position_m.last().expect("non-empty");
         ((x1 - x0) / self.pixel_pitch).floor() as usize + 1

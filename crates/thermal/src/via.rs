@@ -139,7 +139,7 @@ impl ViaStack {
     }
 
     /// Total thermal resistance, K/W.
-    pub fn thermal_resistance(&self) -> f64 {
+    fn thermal_resistance(&self) -> f64 {
         let a = self.cross_section.square_meters();
         let conduction: f64 = self
             .layers

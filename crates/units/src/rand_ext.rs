@@ -13,14 +13,16 @@ use rand::Rng;
 /// Box–Muller transform on two uniform draws; the open interval is enforced
 /// so `ln(0)` can never occur.
 ///
+/// Callers outside this module draw it as `normal(rng, 0.0, 1.0)`:
+///
 /// ```
 /// use rand::SeedableRng;
-/// use cnt_units::rand_ext::standard_normal;
+/// use cnt_units::rand_ext::normal;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let x = standard_normal(&mut rng);
+/// let x = normal(&mut rng, 0.0, 1.0);
 /// assert!(x.is_finite());
 /// ```
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = loop {
         let u: f64 = rng.gen();
         if u > 0.0 {
@@ -78,35 +80,6 @@ pub fn truncated_normal<R: Rng + ?Sized>(
     crate::math::clamp(mean, lo, hi)
 }
 
-/// Draws a Poisson-distributed count with the given rate `lambda`
-/// (Knuth's algorithm for small rates, normal approximation above 30).
-///
-/// Used for defect counts along CNTs.
-///
-/// # Panics
-///
-/// Panics if `lambda` is negative.
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    assert!(lambda >= 0.0, "Poisson rate must be non-negative");
-    if lambda == 0.0 {
-        return 0;
-    }
-    if lambda > 30.0 {
-        let x = normal(rng, lambda, lambda.sqrt());
-        return x.round().max(0.0) as u64;
-    }
-    let l = (-lambda).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,18 +112,6 @@ mod tests {
             let x = truncated_normal(&mut rng, 0.0, 5.0, -1.0, 1.0);
             assert!((-1.0..=1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn poisson_mean_matches_rate() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let xs: Vec<f64> = (0..10_000).map(|_| poisson(&mut rng, 4.0) as f64).collect();
-        assert!((mean(&xs).unwrap() - 4.0).abs() < 0.1);
-        let xs_big: Vec<f64> = (0..5_000)
-            .map(|_| poisson(&mut rng, 100.0) as f64)
-            .collect();
-        assert!((mean(&xs_big).unwrap() - 100.0).abs() < 1.0);
-        assert_eq!(poisson(&mut rng, 0.0), 0);
     }
 
     #[test]

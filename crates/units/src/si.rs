@@ -42,24 +42,6 @@ macro_rules! quantity {
                 Self(base)
             }
 
-            /// Returns the raw value in the SI base unit.
-            #[inline]
-            pub const fn value(self) -> f64 {
-                self.0
-            }
-
-            /// Returns the absolute value.
-            #[inline]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
-
-            /// Returns `true` if the underlying value is finite.
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
             /// Returns the smaller of two quantities.
             #[inline]
             pub fn min(self, other: Self) -> Self {
@@ -244,18 +226,6 @@ quantity! {
         from_millisiemens / millisiemens => 1e-3,
         /// Creates a conductance from microsiemens.
         from_microsiemens / microsiemens => 1e-6,
-    }
-}
-
-impl Resistance {
-    /// Returns the reciprocal conductance.
-    ///
-    /// # Panics
-    ///
-    /// Does not panic; a zero resistance maps to an infinite conductance.
-    #[inline]
-    pub fn to_conductance(self) -> Conductance {
-        Conductance::from_siemens(1.0 / self.ohms())
     }
 }
 
@@ -488,23 +458,6 @@ impl Mul<Capacitance> for Resistance {
     }
 }
 
-impl Energy {
-    /// Returns the energy expressed in electronvolts.
-    ///
-    /// Alias of [`Energy::electron_volts`], matching the abbreviation used
-    /// in band-structure code.
-    #[inline]
-    pub fn ev(self) -> f64 {
-        self.electron_volts()
-    }
-
-    /// Creates an energy from electronvolts (short alias).
-    #[inline]
-    pub fn from_ev(ev: f64) -> Self {
-        Self::from_electron_volts(ev)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,7 +480,7 @@ mod tests {
     #[test]
     fn resistance_conductance_reciprocal() {
         let r = Resistance::from_kilo_ohms(12.906);
-        let g = r.to_conductance();
+        let g = Conductance::from_siemens(1.0 / r.ohms());
         assert!((g.microsiemens() - 77.48).abs() < 0.02);
         let back = g.to_resistance();
         assert!((back.ohms() - r.ohms()).abs() < 1e-9);
@@ -581,8 +534,8 @@ mod tests {
 
     #[test]
     fn energy_ev_alias() {
-        let e = Energy::from_ev(2.7);
-        assert!((e.ev() - 2.7).abs() < 1e-12);
+        let e = Energy::from_electron_volts(2.7);
+        assert!((e.electron_volts() - 2.7).abs() < 1e-12);
         assert!((e.joules() - 2.7 * crate::consts::Q_E).abs() < 1e-30);
     }
 }
