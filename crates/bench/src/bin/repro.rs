@@ -57,10 +57,10 @@
 //! * `--preset P`    named operating point from the experiment's spec
 //! * `--set K=V`     typed parameter override; unknown keys and
 //!   out-of-range values are rejected before the experiment runs
-//! * `--threads N`   width of fig08a's and fig10's pools and of every
-//!   sweep (variability's plain run included), 0 = all cores (default 0,
-//!   at most 4096); the other ids run on the calling thread. Never
-//!   changes the output
+//! * `--threads N`   width of fig08a's pool and of every sweep
+//!   (variability's plain run included), 0 = all cores (default 0, at
+//!   most 4096); the other ids run on the calling thread. Never changes
+//!   the output
 //!
 //! Sweep flags:
 //!
@@ -103,7 +103,7 @@ fn usage() {
         "usage: repro [--list] [--format text|json|csv] [--preset NAME] [--set KEY=VALUE]..."
     );
     eprintln!("             [--threads N] [all | <id>...]");
-    eprintln!("             (--threads: width of fig08a's and fig10's pools and of every sweep)");
+    eprintln!("             (--threads: width of fig08a's pool and of every sweep)");
     eprintln!("       repro info <id>");
     eprintln!("       repro sweep <id> [--trials N] [--threads N] [--seed S] [--set KEY=VALUE]...");
     eprintln!("                        [--cache-dir DIR] [--no-cache] [--format text|json|csv]");

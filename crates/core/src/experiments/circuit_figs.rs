@@ -11,12 +11,10 @@ use crate::benchmark::{
 };
 use crate::compact::{CuWire, DopedMwcnt, SwcntInterconnect};
 use crate::Result;
-use cnt_fields::extract::{capacitance_row, extract_resistance, CapacitanceResult};
+use cnt_fields::extract::{extract_capacitance, extract_resistance};
 use cnt_fields::netlist::NetlistWriter;
 use cnt_fields::presets::{inverter_cell_14nm, via_stack, InverterCellGeometry};
-use cnt_fields::solver::{SolveWorkspace, SolverOptions};
-use cnt_fields::structure::Structure;
-use cnt_sweep::{Axis, Executor, SweepPlan};
+use cnt_fields::solver::SolverOptions;
 use cnt_units::si::Length;
 
 const FIG09_TITLE: &str = "Conductivity (MS/m) of SWCNT/MWCNT lines vs Cu, by length";
@@ -29,7 +27,7 @@ const FIG12_TITLE: &str = "Delay ratio doped/pristine vs length and Nc per shell
 pub(super) fn entries() -> Vec<Entry> {
     vec![
         Entry::new(90, "fig09", FIG09_TITLE, ParamSpec::new(), |_| fig09()),
-        Entry::new(100, "fig10", FIG10_TITLE, ParamSpec::new(), fig10_with),
+        Entry::new(100, "fig10", FIG10_TITLE, ParamSpec::new(), |_| fig10()),
         Entry::new(110, "fig11", FIG11_TITLE, fig11_spec(), fig11_with),
         Entry::new(120, "fig12", FIG12_TITLE, fig12_spec(), fig12_with)
             .with_sweep(sweep_figs::fig12_kernel, &[]),
@@ -97,13 +95,9 @@ pub fn fig09() -> Result<Report> {
 ///
 /// Propagates field-solver and netlist/parser errors.
 pub fn fig10() -> Result<Report> {
-    fig10_with(&RunContext::defaults(&ParamSpec::new()))
-}
-
-fn fig10_with(ctx: &RunContext) -> Result<Report> {
     let geometry = InverterCellGeometry::default();
     let structure = inverter_cell_14nm(geometry).build([15, 11, 13])?;
-    let cap = pooled_capacitance(&structure, ctx)?;
+    let cap = extract_capacitance(&structure, &SolverOptions::default())?;
 
     let mut rep = Report::new("fig10", FIG10_TITLE).with_columns(&["C_aF"]);
     let labels = cap.labels();
@@ -149,21 +143,6 @@ fn fig10_with(ctx: &RunContext) -> Result<Report> {
         parsed.element_count()
     ));
     Ok(rep)
-}
-
-/// [`cnt_fields::extract::extract_capacitance`] with its excitations as
-/// jobs on the `cnt-sweep` pool. Each row is an independent solve with its
-/// own workspace and the Executor returns rows in job order, so the matrix
-/// has the serial bits at any `--threads` value.
-fn pooled_capacitance(structure: &Structure, ctx: &RunContext) -> Result<CapacitanceResult> {
-    let drives: Vec<f64> = (0..structure.conductor_count()).map(|i| i as f64).collect();
-    let plan = SweepPlan::new("fig10.excitations").axis(Axis::grid("drive", &drives));
-    let options = SolverOptions::default();
-    let rows = Executor::new(ctx.threads).run(&plan, ctx.u64("seed"), |job, _| {
-        let drive = job.get_usize("drive").expect("axis exists");
-        capacitance_row(structure, drive, &options, &mut SolveWorkspace::new())
-    })?;
-    Ok(CapacitanceResult::from_rows(structure, rows)?)
 }
 
 fn fig11_spec() -> ParamSpec {
@@ -311,39 +290,46 @@ mod tests {
         assert!(!rep.rows.is_empty());
     }
 
-    fn with_threads(threads: usize) -> RunContext {
-        RunContext {
-            threads,
-            ..RunContext::defaults(&ParamSpec::new())
-        }
-    }
-
     #[test]
     fn fig10_bit_identical_across_thread_counts() {
-        let serial = fig10_with(&with_threads(1)).unwrap().render();
-        for threads in [2, 4] {
-            let par = fig10_with(&with_threads(threads)).unwrap().render();
-            assert_eq!(serial, par, "fig10 changed at threads = {threads}");
+        // fig10 runs on its calling thread, so the width changes nothing.
+        let exp = crate::experiments::registry().get("fig10").unwrap();
+        let serial = fig10().unwrap().render();
+        for threads in [0, 1, 2, 4] {
+            let ctx = RunContext {
+                threads,
+                ..RunContext::defaults(exp.params())
+            };
+            let rendered = exp.run(&ctx).unwrap().render();
+            assert_eq!(serial, rendered, "fig10 changed at threads = {threads}");
         }
-        // And the default (threads = 0 = all cores) path matches too.
-        assert_eq!(serial, fig10().unwrap().render());
     }
 
     #[test]
-    fn pooled_capacitance_rows_equal_the_serial_matrix() {
-        let structure = inverter_cell_14nm(InverterCellGeometry::default())
-            .build([15, 11, 13])
-            .unwrap();
-        let serial =
-            cnt_fields::extract::extract_capacitance(&structure, &SolverOptions::default())
-                .unwrap();
-        let pooled = pooled_capacitance(&structure, &with_threads(2)).unwrap();
-        assert_eq!(pooled.labels(), serial.labels());
-        for (got, want) in pooled.matrix().iter().zip(serial.matrix()) {
-            let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want);
-        }
+    fn fig10_profile_names_its_field_phases() {
+        cnt_obs::Trace::begin();
+        let report = fig10();
+        let roots = cnt_obs::Trace::end();
+        report.unwrap();
+        let tree: Vec<String> = roots
+            .iter()
+            .map(|node| {
+                let children: Vec<String> = (node.children.iter())
+                    .map(|c| format!("{} x{}", c.name, c.count))
+                    .collect();
+                format!("{} x{} [{}]", node.name, node.count, children.join(", "))
+            })
+            .collect();
+        // Two structures built, then one solve per extraction: the six
+        // capacitance excitations share one lane-blocked solve.
+        assert_eq!(
+            tree,
+            [
+                "fields.build x2 []",
+                "fields.capacitance x1 [fields.solve x1]",
+                "fields.resistance x1 [fields.solve x1]",
+            ]
+        );
     }
 
     #[test]

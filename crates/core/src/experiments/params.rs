@@ -399,11 +399,11 @@ impl Params {
 pub struct RunContext {
     /// The validated parameter bag.
     pub params: Params,
-    /// Width of fig08a's and fig10's pools and of every sweep, `0` = all
-    /// cores; the other ids run on the calling thread. Reports are
-    /// byte-identical at any width, so the width is not part of the
-    /// parameter point: it is never hashed, never named in the override
-    /// note, and no `--set` key or request body sets it.
+    /// Width of fig08a's pool and of every sweep, `0` = all cores; the
+    /// other ids run on the calling thread. Reports are byte-identical at
+    /// any width, so the width is not part of the parameter point: it is
+    /// never hashed, never named in the override note, and no `--set` key
+    /// or request body sets it.
     pub threads: usize,
 }
 

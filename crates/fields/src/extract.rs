@@ -7,10 +7,11 @@
 //! the per-cell current density exposes the hot spots the paper highlights
 //! in Fig. 10b.
 
-use crate::solver::{SolveWorkspace, SolverOptions, StencilSystem};
+use crate::solver::{SolverOptions, StencilSystem};
 use crate::structure::Structure;
 use crate::{Error, Result};
 use cnt_units::si::{Capacitance, Current, Resistance, Voltage};
+use std::array::from_fn;
 
 /// Maxwell capacitance matrix of a multi-conductor structure.
 #[derive(Debug, Clone)]
@@ -22,8 +23,8 @@ pub struct CapacitanceResult {
 }
 
 impl CapacitanceResult {
-    /// Assembles the Maxwell matrix of `structure` from its
-    /// [`capacitance_row`]s, row `i` being the excitation of conductor `i`.
+    /// Assembles the Maxwell matrix of `structure` from its rows, row `i`
+    /// being the excitation of conductor `i`.
     ///
     /// # Errors
     ///
@@ -31,7 +32,7 @@ impl CapacitanceResult {
     ///   painted;
     /// * [`Error::IllPosed`] unless there is one row of one entry per
     ///   conductor.
-    pub fn from_rows(structure: &Structure, rows: Vec<Vec<f64>>) -> Result<Self> {
+    fn from_rows(structure: &Structure, rows: Vec<Vec<f64>>) -> Result<Self> {
         check_conductor_count(structure)?;
         let n_cond = structure.conductor_count();
         if rows.len() != n_cond || rows.iter().any(|r| r.len() != n_cond) {
@@ -119,72 +120,92 @@ impl CapacitanceResult {
     }
 }
 
-/// Extracts the full Maxwell capacitance matrix of `structure`: one
-/// [`capacitance_row`] per conductor, in order, assembled by
-/// [`CapacitanceResult::from_rows`].
+/// Extracts the full Maxwell capacitance matrix of `structure`.
+///
+/// Every excitation (one conductor at 1 V, all others grounded) shares
+/// one stencil and one set of pinned nodes, so the stencil is assembled
+/// once and the excitations are solved together, as the lanes of one
+/// [`StencilSystem`] solve per block of at most eight; see
+/// `block_rows`.
 ///
 /// # Errors
 ///
 /// * [`Error::NotEnoughConductors`] if fewer than 2 conductors are painted;
+/// * [`Error::IllPosed`] if a conductor owns no grid nodes;
 /// * [`Error::NoConvergence`] from the inner solver.
 pub fn extract_capacitance(
     structure: &Structure,
     options: &SolverOptions,
 ) -> Result<CapacitanceResult> {
+    let _span = cnt_obs::span!("fields.capacitance");
     check_conductor_count(structure)?;
-    // One excitation per conductor: share the CG scratch buffers across
-    // the whole loop instead of reallocating five grid vectors per solve.
-    let mut workspace = SolveWorkspace::new();
-    let rows = (0..structure.conductor_count())
-        .map(|drive| capacitance_row(structure, drive, options, &mut workspace))
-        .collect::<Result<Vec<_>>>()?;
-    CapacitanceResult::from_rows(structure, rows)
-}
-
-/// Row `drive` of the Maxwell capacitance matrix: conductor `drive` at
-/// 1 V and all others grounded; entry `j` is the Gauss flux collected by
-/// conductor `j`.
-///
-/// Each row is a fresh system assembly plus one solve, and `workspace`
-/// holds only scratch buffers, so a row has the same bits whichever
-/// workspace or thread computes it. Rows may thus be solved in parallel
-/// and assembled with [`CapacitanceResult::from_rows`].
-///
-/// # Errors
-///
-/// * [`Error::UnknownConductor`] if `drive` is not a conductor index;
-/// * [`Error::NoConvergence`] from the inner solver.
-pub fn capacitance_row(
-    structure: &Structure,
-    drive: usize,
-    options: &SolverOptions,
-    workspace: &mut SolveWorkspace,
-) -> Result<Vec<f64>> {
     let n_cond = structure.conductor_count();
-    if drive >= n_cond {
-        return Err(Error::UnknownConductor {
-            label: format!("conductor #{drive}"),
-        });
+    let mut owns_nodes = vec![false; n_cond];
+    for &id in structure.node_conductor().iter().flatten() {
+        owns_nodes[id as usize] = true;
     }
-    let node_cond = structure.node_conductor();
-    let dirichlet: Vec<Option<f64>> = node_cond
-        .iter()
-        .map(|c| c.map(|id| if id as usize == drive { 1.0 } else { 0.0 }))
+    if owns_nodes.contains(&false) {
+        return Err(Error::IllPosed("conductor owns no grid nodes"));
+    }
+    let grounded = (structure.node_conductor().iter())
+        .map(|c| c.map(|_| 0.0))
         .collect();
     let sys = StencilSystem::assemble(
         structure.grid(),
         structure.permittivity_coefficients(),
-        dirichlet,
+        grounded,
     );
-    let psi = sys.solve_with(options, workspace)?;
-    let flux = sys.node_flux(&psi);
-    let mut row = vec![0.0; n_cond];
-    for (idx, c) in node_cond.iter().enumerate() {
-        if let Some(id) = c {
-            row[*id as usize] += flux[idx];
+    let mut rows = Vec::with_capacity(n_cond);
+    while rows.len() < n_cond {
+        // One block of lanes: every excitation left, at most eight.
+        let first = rows.len();
+        let next = |lane: usize| first + lane;
+        match n_cond - first {
+            1 => rows.extend(block_rows::<1>(structure, &sys, from_fn(next), options)?),
+            2 => rows.extend(block_rows::<2>(structure, &sys, from_fn(next), options)?),
+            3 => rows.extend(block_rows::<3>(structure, &sys, from_fn(next), options)?),
+            4 => rows.extend(block_rows::<4>(structure, &sys, from_fn(next), options)?),
+            5 => rows.extend(block_rows::<5>(structure, &sys, from_fn(next), options)?),
+            6 => rows.extend(block_rows::<6>(structure, &sys, from_fn(next), options)?),
+            7 => rows.extend(block_rows::<7>(structure, &sys, from_fn(next), options)?),
+            _ => rows.extend(block_rows::<8>(structure, &sys, from_fn(next), options)?),
         }
     }
-    Ok(row)
+    CapacitanceResult::from_rows(structure, rows)
+}
+
+/// The Maxwell-matrix rows of conductors `drives`, as one `K`-lane solve
+/// of `sys` (the structure's permittivity stencil with every conductor
+/// node pinned). Lane `l` holds conductor `drives[l]` at 1 V and the
+/// others grounded; entry `j` of its row is the Gauss flux collected by
+/// conductor `j`, summed in node order.
+///
+/// Each lane runs the scalar CG of its own excitation, so a row has the
+/// same bits at any lane position and in any block.
+fn block_rows<const K: usize>(
+    structure: &Structure,
+    sys: &StencilSystem,
+    drives: [usize; K],
+    options: &SolverOptions,
+) -> Result<[Vec<f64>; K]> {
+    let owner = structure.node_conductor();
+    let excite = |node: usize, _| {
+        drives.map(|drive| match owner[node] {
+            Some(id) if id as usize == drive => 1.0,
+            _ => 0.0,
+        })
+    };
+    let (psi, _) = sys.solve_lanes(excite, options)?;
+    let flux = sys.lane_flux(&psi);
+    let mut rows = drives.map(|_| vec![0.0; structure.conductor_count()]);
+    for (node_flux, c) in flux.iter().zip(owner) {
+        if let Some(id) = c {
+            for (row, f) in rows.iter_mut().zip(node_flux) {
+                row[*id as usize] += f;
+            }
+        }
+    }
+    Ok(rows)
 }
 
 fn check_conductor_count(structure: &Structure) -> Result<()> {
@@ -237,6 +258,7 @@ pub fn extract_resistance(
     sink: &str,
     options: &SolverOptions,
 ) -> Result<ResistanceResult> {
+    let _span = cnt_obs::span!("fields.resistance");
     let src = structure.conductor_id(source)?;
     let snk = structure.conductor_id(sink)?;
     if src == snk {
@@ -393,47 +415,55 @@ mod tests {
         ));
     }
 
+    fn bits(m: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        m.iter()
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// `structure`'s permittivity stencil with every conductor node
+    /// pinned, as `extract_capacitance` assembles it.
+    fn grounded_system(structure: &Structure) -> StencilSystem {
+        let grounded = (structure.node_conductor().iter())
+            .map(|c| c.map(|_| 0.0))
+            .collect();
+        StencilSystem::assemble(
+            structure.grid(),
+            structure.permittivity_coefficients(),
+            grounded,
+        )
+    }
+
     #[test]
-    fn rows_are_independent_of_workspace_and_order() {
+    fn rows_are_independent_of_lane_order_and_block_split() {
         let mut b = StructureBuilder::new([1.0, 1.0, 1.0]);
         b.dielectric([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2.0);
         b.conductor("a", [0.0, 0.0, 0.0], [1.0, 1.0, 0.2]);
         b.conductor("b", [0.1, 0.1, 0.5], [0.3, 0.9, 0.6]);
         b.conductor("c", [0.7, 0.1, 0.5], [0.9, 0.9, 0.6]);
         let s = b.build([9, 7, 9]).unwrap();
-        let serial = extract_capacitance(&s, &opts()).unwrap();
+        let sys = grounded_system(&s);
+        let together = extract_capacitance(&s, &opts()).unwrap();
 
-        // A fresh workspace per row, and reverse order through one
-        // workspace first sized by a different grid.
-        let mut other = StructureBuilder::new([1.0, 1.0, 1.0]);
-        other.dielectric([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.0);
-        other.conductor("x", [0.0, 0.0, 0.0], [1.0, 1.0, 0.25]);
-        other.conductor("y", [0.0, 0.0, 0.75], [1.0, 1.0, 1.0]);
-        let mut stale = SolveWorkspace::new();
-        capacitance_row(&other.build([5, 5, 5]).unwrap(), 1, &opts(), &mut stale).unwrap();
-        let mut reversed: Vec<Vec<f64>> = (0..3)
-            .rev()
-            .map(|drive| capacitance_row(&s, drive, &opts(), &mut stale).unwrap())
-            .collect();
-        reversed.reverse();
-        let fresh: Vec<Vec<f64>> = (0..3)
-            .map(|drive| capacitance_row(&s, drive, &opts(), &mut SolveWorkspace::new()).unwrap())
-            .collect();
-        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            m.iter()
-                .map(|r| r.iter().map(|v| v.to_bits()).collect())
-                .collect()
-        };
-        for rows in [reversed, fresh] {
+        // Reversed lanes, one lane per solve, and two uneven block splits.
+        let [c, b, a] = block_rows(&s, &sys, [2, 1, 0], &opts()).unwrap();
+        let reversed = vec![a, b, c];
+        let single = (0..3)
+            .map(|drive| block_rows(&s, &sys, [drive], &opts()).map(|[row]| row))
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
+        let [a, b] = block_rows(&s, &sys, [0, 1], &opts()).unwrap();
+        let [c] = block_rows(&s, &sys, [2], &opts()).unwrap();
+        let split_late = vec![a, b, c];
+        let [c, a] = block_rows(&s, &sys, [2, 0], &opts()).unwrap();
+        let [b] = block_rows(&s, &sys, [1], &opts()).unwrap();
+        let split_early = vec![a, b, c];
+        for rows in [reversed, single, split_late, split_early] {
             let assembled = CapacitanceResult::from_rows(&s, rows).unwrap();
-            assert_eq!(assembled.labels(), serial.labels());
-            assert_eq!(bits(assembled.matrix()), bits(serial.matrix()));
+            assert_eq!(assembled.labels(), together.labels());
+            assert_eq!(bits(assembled.matrix()), bits(together.matrix()));
         }
 
-        assert!(matches!(
-            capacitance_row(&s, 3, &opts(), &mut SolveWorkspace::new()),
-            Err(Error::UnknownConductor { .. })
-        ));
         for bad in [
             vec![vec![0.0; 3]; 2],
             vec![vec![0.0; 3], vec![0.0; 3], vec![0.0; 2]],
@@ -443,6 +473,45 @@ mod tests {
                 Err(Error::IllPosed(_))
             ));
         }
+    }
+
+    #[test]
+    fn more_than_eight_conductors_solve_in_blocks() {
+        // Ten wires over a ground plane: blocks of eight and two lanes.
+        let mut b = StructureBuilder::new([1.0, 1.0, 1.0]);
+        b.dielectric([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 3.0);
+        b.conductor("ground", [0.0, 0.0, 0.0], [1.0, 1.0, 0.1]);
+        for w in 0..9 {
+            let x = 0.05 + 0.1 * w as f64;
+            b.conductor(&format!("w{w}"), [x, 0.1, 0.4], [x + 0.05, 0.9, 0.5]);
+        }
+        let s = b.build([21, 7, 11]).unwrap();
+        assert_eq!(s.conductor_count(), 10);
+        let blocked = extract_capacitance(&s, &opts()).unwrap();
+        let sys = grounded_system(&s);
+        let single = (0..10)
+            .map(|drive| block_rows(&s, &sys, [drive], &opts()).map(|[row]| row))
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
+        assert_eq!(bits(blocked.matrix()), bits(&single));
+        assert!(blocked.coupling("w0", "w1").unwrap().farads() > 0.0);
+        assert!(blocked.asymmetry() < 0.05, "{}", blocked.asymmetry());
+    }
+
+    #[test]
+    fn conductor_without_grid_nodes_is_refused() {
+        // Node planes at z = 0, 0.25, 0.5, 0.75 and 1 µm: the thin line
+        // between 0.55 and 0.60 µm owns no node.
+        let mut b = StructureBuilder::new([1.0e-6, 1.0e-6, 1.0e-6]);
+        b.dielectric([0.0, 0.0, 0.0], [1.0e-6, 1.0e-6, 1.0e-6], 3.9);
+        b.conductor("thin", [0.2e-6, 0.2e-6, 0.55e-6], [0.8e-6, 0.8e-6, 0.60e-6]);
+        b.conductor("top", [0.0, 0.0, 0.9e-6], [1.0e-6, 1.0e-6, 1.0e-6]);
+        let s = b.build([5, 5, 5]).unwrap();
+        assert_eq!(s.conductor_node_count(s.conductor_id("thin").unwrap()), 0);
+        assert_eq!(
+            extract_capacitance(&s, &opts()).unwrap_err(),
+            Error::IllPosed("conductor owns no grid nodes")
+        );
     }
 
     #[test]

@@ -23,10 +23,35 @@
 //! skipped zero-weight faces; the gather adds them and still agrees,
 //! because under round-to-nearest a sum is −0 only when both addends
 //! are −0 (IEEE 754-2008 §6.3): the accumulator is never −0, so a zero
-//! term (±0 for finite ψ) leaves it unchanged. Without a branch per face
-//! the loop vectorizes across nodes (Datta et al., *Stencil computation
-//! optimization and auto-tuning on state-of-the-art multicore
-//! architectures*, SC 2008) while no node's sum is reordered.
+//! term (±0 for finite ψ) leaves it unchanged. The loop has no branch per
+//! face (Datta et al., *Stencil computation optimization and auto-tuning
+//! on state-of-the-art multicore architectures*, SC 2008), and no node's
+//! sum is reordered.
+//!
+//! # Lanes and free runs
+//!
+//! One routine, `StencilSystem::solve_lanes`, runs CG on `K` (1..=8)
+//! excitations of one system at once: one lane per excitation, stored as
+//! `[f64; K]` per node. [`StencilSystem::solve`] is its `K = 1` instance.
+//! Every lane runs the scalar sequence of a single-excitation solve, bit
+//! for bit:
+//!
+//! * *Lanes.* Each lane uses the scalar loop's expressions. The code is
+//!   vectorized across the lanes of a node, never across the nodes of a
+//!   sum, and Rust never contracts `a·b + c` into a fused multiply-add, so
+//!   the bits do not depend on the vector width or the target CPU.
+//! * *Free runs.* After set-up, every pass (the gather with its `pᵀAp`,
+//!   the fused update, the `p` update) visits only the free nodes, as
+//!   ascending runs. A pinned node's r, z and p are +0, so each term it
+//!   would add to a sum is +0; each sum starts at +0.0 and so is never −0,
+//!   and skipping those terms changes nothing. The two set-up sums (‖b‖
+//!   and the first r·z) still run over every node. The runs are cut at the
+//!   gather's seven node ranges, so each node reads the same neighbour and
+//!   weight streams as a gather over the whole grid.
+//! * *Ends.* A lane ends on its own: at convergence, at a flat direction
+//!   (`pᵀAp ≤ 0`), or before its first iteration when its right-hand side
+//!   is zero. It keeps its own iteration count, and nothing done after its
+//!   end changes a bit of its ψ.
 
 use crate::grid::Grid3;
 use crate::{Error, Result};
@@ -63,32 +88,6 @@ impl Default for SolverOptions {
     }
 }
 
-/// Reusable scratch buffers for [`StencilSystem::solve_with`].
-///
-/// A CG solve needs five full-grid work vectors (`A·p`, residual,
-/// preconditioned residual, search direction, preconditioner) plus the
-/// free-node mask. Extraction drivers that solve the same grid once per
-/// excitation reuse one workspace across all solves instead of
-/// reallocating per call; buffers are sized (and the mask recomputed) at
-/// the start of every solve, so a workspace may also move between systems
-/// of different sizes.
-#[derive(Debug, Default)]
-pub struct SolveWorkspace {
-    ax: Vec<f64>,
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    precond: Vec<f64>,
-    free: Vec<bool>,
-}
-
-impl SolveWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Assembled stencil system: face conductances plus Dirichlet constraints.
 ///
 /// `dirichlet[n] = Some(v)` pins node `n` to potential `v`; nodes whose
@@ -105,6 +104,11 @@ pub struct StencilSystem {
     forward: [Vec<f64>; 3],
     dirichlet: Vec<Option<f64>>,
     diag: Vec<f64>,
+    /// The Jacobi preconditioner: `1/diag` at free nodes, 0 at pinned ones.
+    precond: Vec<f64>,
+    /// The free nodes as ascending runs `lo..hi`, each inside one of the
+    /// seven gather ranges of [`Self::ranges`].
+    free_runs: Vec<(usize, usize)>,
 }
 
 impl StencilSystem {
@@ -146,12 +150,32 @@ impl StencilSystem {
             forward,
             dirichlet,
             diag,
+            precond: Vec::new(),
+            free_runs: Vec::new(),
         };
         // Disconnected nodes have zero diagonal: pin them so the reduced
         // system stays SPD.
         for (idx, &d) in sys.diag.iter().enumerate() {
             if d == 0.0 && sys.dirichlet[idx].is_none() {
                 sys.dirichlet[idx] = Some(0.0);
+            }
+        }
+        sys.precond = (sys.dirichlet.iter().zip(&sys.diag))
+            .map(|(pin, &d)| {
+                if pin.is_none() && d > 0.0 {
+                    1.0 / d
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        for (lo, hi) in sys.ranges() {
+            let mut at = lo;
+            for run in sys.dirichlet[lo..hi].chunk_by(|a, b| a.is_none() == b.is_none()) {
+                if run[0].is_none() {
+                    sys.free_runs.push((at, at + run.len()));
+                }
+                at += run.len();
             }
         }
         sys
@@ -162,18 +186,15 @@ impl StencilSystem {
         self.nx * self.ny * self.nz
     }
 
-    /// Applies the full stencil operator `out = A·ψ` over all nodes (no
-    /// Dirichlet masking): every CG iteration and every flux integration.
-    ///
-    /// Seven node ranges, each one [`Self::gather`]: over each range,
-    /// every node's neighbour one step back (or ahead) along an axis lies
-    /// in ψ, or no node's does. The ranges are the first node, the rest
-    /// of the first row, the rest of the first plane, the interior
-    /// planes, and the mirror of the first three at the far end.
-    fn apply_full(&self, psi: &[f64], out: &mut [f64]) {
+    /// The seven node ranges of [`Self::gather`]: over each range, every
+    /// node's neighbour one step back (or ahead) along an axis lies in
+    /// ψ, or no node's does. They are the first node, the rest of the
+    /// first row, the rest of the first plane, the interior planes, and
+    /// the mirror of the first three at the far end.
+    fn ranges(&self) -> [(usize, usize); 7] {
         let n = self.node_count();
         let (nx, nxy) = (self.nx, self.nx * self.ny);
-        let ranges = [
+        [
             (0, 1),
             (1, nx),
             (nx, nxy),
@@ -181,25 +202,50 @@ impl StencilSystem {
             (n - nxy, n - nx),
             (n - nx, n - 1),
             (n - 1, n),
-        ];
-        for (lo, hi) in ranges {
-            self.gather(psi, lo, &mut out[lo..hi]);
-        }
+        ]
     }
 
-    /// `A·ψ` for nodes `lo..lo + out.len()`: each node's six face terms
-    /// in the scatter's order (see the module docs), one branch-free
-    /// pass over equal-length streams.
+    /// `out = A·x` lane by lane over `runs`, each a [`Self::gather`]; no
+    /// other entry of `out` is written. Returns each lane's `xᵀ·A·x` over
+    /// the runs' nodes, summed in ascending node order (CG's `pᵀAp`).
+    fn apply<const K: usize>(
+        &self,
+        x: &[[f64; K]],
+        runs: &[(usize, usize)],
+        out: &mut [[f64; K]],
+    ) -> [f64; K] {
+        let mut dot = [0.0; K];
+        for &(lo, hi) in runs {
+            self.gather(x, lo, &mut out[lo..hi], &mut dot);
+        }
+        dot
+    }
+
+    /// `A·x` for nodes `lo..lo + out.len()`, which lie inside one of the
+    /// [`Self::ranges`]: each node's six face terms in the scatter's
+    /// order (see the module docs), one branch-free pass over
+    /// equal-length streams, each lane on its own.
     ///
-    /// A neighbour stream that would leave ψ is replaced by ψ itself.
+    /// A neighbour stream that would leave x is replaced by x itself.
     /// Its weights are zero (the padding, or faces that leave the grid),
-    /// so each of its terms is `0·(ψ − ψ)` = +0, which changes no sum.
-    fn gather(&self, psi: &[f64], lo: usize, out: &mut [f64]) {
+    /// so each of its terms is `0·(x − x)` = +0, which changes no sum.
+    ///
+    /// Each node's `x·(A·x)` is added to `dot`, lane by lane. Besides
+    /// saving a pass, this strict-order sum keeps the compiler from
+    /// vectorizing across nodes, which would interleave the lanes of
+    /// several nodes; each node's lanes are vectorized instead.
+    fn gather<const K: usize>(
+        &self,
+        x: &[[f64; K]],
+        lo: usize,
+        out: &mut [[f64; K]],
+        dot: &mut [f64; K],
+    ) {
         let len = out.len();
         let (nx, nxy) = (self.nx, self.nx * self.ny);
-        let centre = &psi[lo..][..len];
-        let back = |step: usize| lo.checked_sub(step).map_or(centre, |s| &psi[s..][..len]);
-        let ahead = |step: usize| psi.get(lo + step..lo + step + len).unwrap_or(centre);
+        let centre = &x[lo..][..len];
+        let back = |step: usize| lo.checked_sub(step).map_or(centre, |s| &x[s..][..len]);
+        let ahead = |step: usize| x.get(lo + step..lo + step + len).unwrap_or(centre);
         let (xm, xp) = (back(1), ahead(1));
         let (ym, yp) = (back(nx), ahead(nx));
         let (zm, zp) = (back(nxy), ahead(nxy));
@@ -210,13 +256,16 @@ impl StencilSystem {
         let (wzm, wzp) = (&wz[at - nxy..][..len], &wz[at..][..len]);
         for t in 0..len {
             let c = centre[t];
-            let mut acc = 0.0;
-            acc -= wxm[t] * (xm[t] - c);
-            acc += wxp[t] * (c - xp[t]);
-            acc -= wym[t] * (ym[t] - c);
-            acc += wyp[t] * (c - yp[t]);
-            acc -= wzm[t] * (zm[t] - c);
-            acc += wzp[t] * (c - zp[t]);
+            let mut acc = [0.0; K];
+            for l in 0..K {
+                acc[l] -= wxm[t] * (xm[t][l] - c[l]);
+                acc[l] += wxp[t] * (c[l] - xp[t][l]);
+                acc[l] -= wym[t] * (ym[t][l] - c[l]);
+                acc[l] += wyp[t] * (c[l] - yp[t][l]);
+                acc[l] -= wzm[t] * (zm[t][l] - c[l]);
+                acc[l] += wzp[t] * (c[l] - zp[t][l]);
+                dot[l] += c[l] * acc[l];
+            }
             out[t] = acc;
         }
     }
@@ -226,8 +275,13 @@ impl StencilSystem {
     /// is zero at free nodes and equals the injected charge/current at
     /// Dirichlet nodes.
     pub fn node_flux(&self, psi: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.node_count()];
-        self.apply_full(psi, &mut out);
+        self.lane_flux(psi.as_chunks::<1>().0).into_flattened()
+    }
+
+    /// [`Self::node_flux`] of every lane of a [`Self::solve_lanes`] result.
+    pub(crate) fn lane_flux<const K: usize>(&self, psi: &[[f64; K]]) -> Vec<[f64; K]> {
+        let mut out = vec![[0.0; K]; self.node_count()];
+        self.apply(psi, &self.ranges(), &mut out);
         out
     }
 
@@ -238,140 +292,185 @@ impl StencilSystem {
     /// Returns [`Error::NoConvergence`] when CG exhausts
     /// `max_iterations`.
     pub fn solve(&self, options: &SolverOptions) -> Result<Vec<f64>> {
-        self.solve_with(options, &mut SolveWorkspace::new())
+        let (psi, _) = self.solve_lanes(|_, v| [v], options)?;
+        Ok(psi.into_flattened())
     }
 
-    /// [`Self::solve`] with caller-owned scratch buffers.
+    /// Solves `K` excitations that share this system's stencil and pinned
+    /// nodes: `pinned(node, v)` gives the potential of each lane at a
+    /// pinned node whose own potential is `v`. Returns every node's
+    /// potential in every lane and each lane's iteration count.
     ///
-    /// CG needs five work vectors per solve; extraction loops (one solve
-    /// per excited conductor) can hand the same [`SolveWorkspace`] to
-    /// every call and pay the allocations once. Results are bit-identical
-    /// to [`Self::solve`].
+    /// Each lane runs the scalar Jacobi-CG sequence of a system assembled
+    /// with its own potentials, expression for expression, and ends on its
+    /// own: at convergence, at a numerically flat direction (`pᵀAp ≤ 0`),
+    /// or at once when its right-hand side is zero. Nothing done after a
+    /// lane ends changes a bit of its potentials (see `end_lane`).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoConvergence`] when CG exhausts
-    /// `max_iterations`.
-    pub fn solve_with(&self, options: &SolverOptions, ws: &mut SolveWorkspace) -> Result<Vec<f64>> {
+    /// Returns [`Error::NoConvergence`] for the lowest lane still running
+    /// after `max_iterations`.
+    pub(crate) fn solve_lanes<const K: usize>(
+        &self,
+        pinned: impl Fn(usize, f64) -> [f64; K],
+        options: &SolverOptions,
+    ) -> Result<(Vec<[f64; K]>, [usize; K])> {
         let _solve_span = cnt_obs::span!("fields.solve");
-        let (psi, iterations) = self.solve_cg(options, ws)?;
+        let n = self.node_count();
+        let runs = &self.free_runs;
+        let mut psi: Vec<[f64; K]> = (self.dirichlet.iter().enumerate())
+            .map(|(node, d)| d.map_or([0.0; K], |v| pinned(node, v)))
+            .collect();
+
+        // Residual r = -A·ψ at free nodes (b folded in through the pinned
+        // entries of ψ), +0 at pinned ones.
+        let mut ax = vec![[0.0; K]; n];
+        self.apply(&psi, runs, &mut ax);
+        let mut r = vec![[0.0; K]; n];
+        for &(lo, hi) in runs {
+            for i in lo..hi {
+                r[i] = ax[i].map(|v| -v);
+            }
+        }
+        let norm_b: [f64; K] =
+            std::array::from_fn(|l| r.iter().map(|v| v[l] * v[l]).sum::<f64>().sqrt());
+
+        // The preconditioned residual z = M⁻¹·r is never stored: each pass
+        // that needs it recomputes `r·m` with the same operands.
+        let mut p: Vec<[f64; K]> = (r.iter().zip(&self.precond))
+            .map(|(a, m)| a.map(|v| v * m))
+            .collect();
+        let mut rz: [f64; K] = std::array::from_fn(|l| {
+            (r.iter().zip(&self.precond))
+                .map(|(a, m)| a[l] * (a[l] * m))
+                .sum()
+        });
+
+        // A lane with a zero right-hand side ends before its first
+        // iteration.
+        let mut live = [true; K];
+        let mut iterations = [0; K];
+        for lane in 0..K {
+            if norm_b[lane] == 0.0 {
+                live[lane] = false;
+                end_lane(runs, lane, [&mut r, &mut p]);
+            }
+        }
+        let mut norm_r = norm_b;
+        for it in 0..options.max_iterations {
+            if !live.contains(&true) {
+                break;
+            }
+            // Pinned nodes are skipped: p is +0 there, so each of their
+            // pᵀAp terms would be +0, which changes no sum.
+            let pap = self.apply(&p, runs, &mut ax);
+            let mut alpha = [0.0; K];
+            for l in 0..K {
+                if live[l] && pap[l] <= 0.0 {
+                    // Numerically flat direction — accept current iterate.
+                    live[l] = false;
+                    iterations[l] = it;
+                    end_lane(runs, l, [&mut r, &mut p]);
+                } else if live[l] {
+                    alpha[l] = rz[l] / pap[l];
+                }
+            }
+            let (norm_r2, rz_new) = self.fused_update(alpha, &p, &ax, &mut psi, &mut r);
+            let mut beta = [0.0; K];
+            for l in 0..K {
+                if !live[l] {
+                    continue;
+                }
+                norm_r[l] = norm_r2[l].sqrt();
+                if norm_r[l] <= options.tolerance * norm_b[l] {
+                    live[l] = false;
+                    iterations[l] = it + 1;
+                    end_lane(runs, l, [&mut r, &mut p]);
+                } else {
+                    beta[l] = rz_new[l] / rz[l];
+                    rz[l] = rz_new[l];
+                }
+            }
+            self.update_direction(beta, &r, &mut p);
+        }
+        if let Some(l) = live.iter().position(|&running| running) {
+            return Err(Error::NoConvergence {
+                iterations: options.max_iterations,
+                residual: norm_r[l] / norm_b[l],
+            });
+        }
         // The iteration counter observes only; the solve itself is
         // untouched (determinism of the iterate sequence is golden-pinned).
-        cg_iterations().add(iterations as u64);
-        Ok(psi)
+        cg_iterations().add(iterations.iter().sum::<usize>() as u64);
+        Ok((psi, iterations))
     }
 
-    fn fill_free_mask(&self, free: &mut Vec<bool>) {
-        free.clear();
-        free.extend(self.dirichlet.iter().map(Option::is_none));
-    }
-
-    fn initial_guess(&self) -> Vec<f64> {
-        self.dirichlet.iter().map(|d| d.unwrap_or(0.0)).collect()
-    }
-
-    /// The CG iteration itself: the converged potentials and the number
-    /// of iterations it took.
-    fn solve_cg(
+    /// One fused pass over the free runs, every lane at once: update ψ
+    /// and r, accumulate ‖r‖², form the preconditioned residual z, and
+    /// accumulate r·z; returns ‖r‖² and r·z. The historical implementation
+    /// made three separate grid passes here; the fused loop visits every
+    /// index in the same ascending order and reads r only after its own
+    /// update, so every partial sum — and therefore the iterate — is
+    /// bit-identical to the unfused form. Pinned nodes add r = z = +0
+    /// terms, so skipping them changes no sum.
+    ///
+    /// The vectors are separate arguments so that the compiler knows they
+    /// do not overlap and can keep a node's lanes in one vector register.
+    fn fused_update<const K: usize>(
         &self,
-        options: &SolverOptions,
-        ws: &mut SolveWorkspace,
-    ) -> Result<(Vec<f64>, usize)> {
-        let n = self.node_count();
-        let SolveWorkspace {
-            ax,
-            r,
-            z,
-            p,
-            precond,
-            free,
-            ..
-        } = ws;
-        self.fill_free_mask(free);
-        let mut psi = self.initial_guess();
-
-        // Residual r = -A·ψ restricted to free nodes (b folded in through
-        // the Dirichlet entries of ψ).
-        ax.resize(n, 0.0);
-        self.apply_full(&psi, ax);
-        r.clear();
-        r.extend((0..n).map(|i| if free[i] { -ax[i] } else { 0.0 }));
-
-        let norm_b: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm_b == 0.0 {
-            return Ok((psi, 0));
-        }
-
-        precond.clear();
-        precond.extend((0..n).map(|i| {
-            if free[i] && self.diag[i] > 0.0 {
-                1.0 / self.diag[i]
-            } else {
-                0.0
-            }
-        }));
-
-        z.clear();
-        z.extend(r.iter().zip(precond.iter()).map(|(a, m)| a * m));
-        p.clear();
-        p.extend_from_slice(z);
-        let mut rz: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-
-        for it in 0..options.max_iterations {
-            self.apply_full(p, ax);
-            // Mask Dirichlet rows: p is zero there already, and columns are
-            // handled because contributions into Dirichlet rows are ignored.
-            let mut pap = 0.0;
-            for i in 0..n {
-                if free[i] {
-                    pap += p[i] * ax[i];
+        alpha: [f64; K],
+        p: &[[f64; K]],
+        ax: &[[f64; K]],
+        psi: &mut [[f64; K]],
+        r: &mut [[f64; K]],
+    ) -> ([f64; K], [f64; K]) {
+        let mut norm_r2 = [0.0; K];
+        let mut rz = [0.0; K];
+        for &(lo, hi) in &self.free_runs {
+            let (psi, r) = (&mut psi[lo..hi], &mut r[lo..hi]);
+            let (p, ax, precond) = (&p[lo..hi], &ax[lo..hi], &self.precond[lo..hi]);
+            for t in 0..hi - lo {
+                for l in 0..K {
+                    psi[t][l] += alpha[l] * p[t][l];
+                    r[t][l] -= alpha[l] * ax[t][l];
+                    let ri = r[t][l];
+                    norm_r2[l] += ri * ri;
+                    let zi = ri * precond[t];
+                    rz[l] += ri * zi;
                 }
-            }
-            if pap <= 0.0 {
-                // Numerically flat direction — accept current iterate.
-                return Ok((psi, it));
-            }
-            let alpha = rz / pap;
-            // One fused pass: update ψ and r, accumulate ‖r‖², refresh the
-            // preconditioned residual z, and accumulate r·z. The historical
-            // implementation made three separate grid passes here; the
-            // fused loop visits every index in the same ascending order and
-            // reads r only after its own update, so every partial sum — and
-            // therefore the iterate — is bit-identical to the unfused form.
-            let mut norm_r2 = 0.0;
-            let mut rz_new = 0.0;
-            for i in 0..n {
-                if free[i] {
-                    psi[i] += alpha * p[i];
-                    r[i] -= alpha * ax[i];
-                }
-                let ri = r[i];
-                norm_r2 += ri * ri;
-                let zi = ri * precond[i];
-                z[i] = zi;
-                rz_new += ri * zi;
-            }
-            let norm_r = norm_r2.sqrt();
-            if norm_r <= options.tolerance * norm_b {
-                return Ok((psi, it + 1));
-            }
-            let beta = rz_new / rz;
-            rz = rz_new;
-            for i in 0..n {
-                if free[i] {
-                    p[i] = z[i] + beta * p[i];
-                } else {
-                    p[i] = 0.0;
-                }
-            }
-            if it + 1 == options.max_iterations {
-                return Err(Error::NoConvergence {
-                    iterations: options.max_iterations,
-                    residual: norm_r / norm_b,
-                });
             }
         }
-        unreachable!("loop either returns or errors at the final iteration")
+        (norm_r2, rz)
+    }
+
+    /// The new search direction `p = z + β·p` at every free node, lane by
+    /// lane, with `z = r·m` formed again; pinned nodes keep p = +0.
+    fn update_direction<const K: usize>(&self, beta: [f64; K], r: &[[f64; K]], p: &mut [[f64; K]]) {
+        for &(lo, hi) in &self.free_runs {
+            let (r, precond) = (&r[lo..hi], &self.precond[lo..hi]);
+            for (t, p) in p[lo..hi].iter_mut().enumerate() {
+                for l in 0..K {
+                    p[l] = r[t][l] * precond[t] + beta[l] * p[l];
+                }
+            }
+        }
+    }
+}
+
+/// Ends lane `lane` of a [`StencilSystem::solve_lanes`] run: its r and p
+/// become +0 at every free node, and it steps with α = β = 0 from then
+/// on. Each later step then keeps r, z, p and A·p at +0 and adds
+/// 0·(+0) = +0 to the lane's ψ at free nodes, where ψ is never −0 (it
+/// starts at +0, and under round-to-nearest a sum is −0 only when both
+/// addends are): its bits stay as they were when it ended.
+fn end_lane<const K: usize>(runs: &[(usize, usize)], lane: usize, vectors: [&mut [[f64; K]]; 2]) {
+    for x in vectors {
+        for &(lo, hi) in runs {
+            for v in &mut x[lo..hi] {
+                v[lane] = 0.0;
+            }
+        }
     }
 }
 
@@ -598,10 +697,11 @@ mod tests {
         }
     }
 
-    /// The pre-fusion CG implementation, kept verbatim as the reference
-    /// the fused loop is validated against, with its stencil apply
-    /// passed in: the production gather or the scatter oracle. Returns
-    /// ψ and the iteration count, as `solve_cg` does.
+    /// The pre-fusion, single-lane CG over every node, kept as the
+    /// reference each lane of the fused, lane-blocked loop is validated
+    /// against, with its stencil apply passed in: the production gather or
+    /// the scatter oracle. Returns ψ and the iteration count, as one lane
+    /// of `solve_lanes` does.
     fn solve_cg_reference(
         sys: &StencilSystem,
         options: &SolverOptions,
@@ -609,7 +709,7 @@ mod tests {
     ) -> Result<(Vec<f64>, usize)> {
         let n = sys.node_count();
         let free: Vec<bool> = sys.dirichlet.iter().map(Option::is_none).collect();
-        let mut psi = sys.initial_guess();
+        let mut psi: Vec<f64> = sys.dirichlet.iter().map(|d| d.unwrap_or(0.0)).collect();
         let mut ax = vec![0.0; n];
         apply(sys, &psi, &mut ax);
         let mut r: Vec<f64> = (0..n).map(|i| if free[i] { -ax[i] } else { 0.0 }).collect();
@@ -768,11 +868,28 @@ mod tests {
                 let sys = random_system(seed * 7919, nodes);
                 let n = sys.node_count();
                 let psi = random_potentials(seed, n);
-                let mut gathered = vec![f64::NAN; n];
-                sys.apply_full(&psi, &mut gathered);
                 let mut scattered = vec![f64::NAN; n];
                 apply_scatter(&sys, &psi, &mut scattered);
-                assert_same_bits(&gathered, &scattered, &format!("{nodes:?} seed {seed}"));
+                let what = format!("{nodes:?} seed {seed}");
+                assert_same_bits(&sys.node_flux(&psi), &scattered, &what);
+                // Three lanes at once, each against its own scatter; the
+                // free runs alone write only the free nodes' entries.
+                let lanes: [Vec<f64>; 3] = [1, 2, 3].map(|l| random_potentials(seed * 31 + l, n));
+                let block: Vec<[f64; 3]> = (0..n).map(|i| lanes.each_ref().map(|v| v[i])).collect();
+                let flux = sys.lane_flux(&block);
+                let mut free_flux = vec![[f64::NAN; 3]; n];
+                sys.apply(&block, &sys.free_runs, &mut free_flux);
+                for (l, lane) in lanes.iter().enumerate() {
+                    apply_scatter(&sys, lane, &mut scattered);
+                    let got: Vec<f64> = flux.iter().map(|v| v[l]).collect();
+                    assert_same_bits(&got, &scattered, &format!("{what} lane {l}"));
+                    for i in 0..n {
+                        let free = sys.dirichlet[i].is_none();
+                        let want = if free { scattered[i] } else { f64::NAN };
+                        let what = format!("{what} lane {l} free runs, node {i}");
+                        assert_eq!(free_flux[i][l].to_bits(), want.to_bits(), "{what}");
+                    }
+                }
             }
             // The diagonal is the scatter's response at a node to a unit
             // potential there, bit for bit.
@@ -792,63 +909,140 @@ mod tests {
         }
     }
 
-    /// fig10's seven systems: the inverter cell's six capacitance
-    /// excitations (one conductor at 1 V, the others grounded) and its
-    /// via stack between two terminals, here at a copper-like σ.
-    fn fig10_systems() -> Vec<(String, StencilSystem)> {
-        let geometry = InverterCellGeometry::default();
-        let cell = inverter_cell_14nm(geometry).build([15, 11, 13]).unwrap();
-        let mut systems: Vec<(String, StencilSystem)> = (0..cell.conductor_count())
-            .map(|drive| {
-                let dirichlet = cell
-                    .node_conductor()
-                    .iter()
-                    .map(|c| c.map(|id| if id as usize == drive { 1.0 } else { 0.0 }))
-                    .collect();
-                let sys = StencilSystem::assemble(
-                    cell.grid(),
-                    cell.permittivity_coefficients(),
-                    dirichlet,
-                );
-                (format!("capacitance row {drive}"), sys)
-            })
+    /// `sys` with its pinned nodes held at `value(node)` instead: the
+    /// single-excitation system one lane of a shared solve stands for.
+    fn with_potentials(sys: &StencilSystem, value: impl Fn(usize) -> f64) -> StencilSystem {
+        let dirichlet = (sys.dirichlet.iter().enumerate())
+            .map(|(i, d)| d.map(|_| value(i)))
             .collect();
-        let stack = via_stack(geometry, 5.0e7).build([41, 7, 13]).unwrap();
+        StencilSystem {
+            dirichlet,
+            ..sys.clone()
+        }
+    }
+
+    /// Solves `K` lanes of `shared` at once and compares every lane's ψ
+    /// bits, iteration count and node flux with the scatter-driven
+    /// reference on `reference(lane)`. Returns the iteration counts.
+    fn assert_lanes_match_reference<const K: usize>(
+        shared: &StencilSystem,
+        pinned: impl Fn(usize, f64) -> [f64; K],
+        reference: impl Fn(usize) -> StencilSystem,
+        options: &SolverOptions,
+        what: &str,
+    ) -> [usize; K] {
+        let (psi, iterations) = shared.solve_lanes(pinned, options).unwrap();
+        let flux = shared.lane_flux(&psi);
+        for lane in 0..K {
+            let what = format!("{what}, lane {lane}");
+            let sys = reference(lane);
+            let (want, want_iterations) = solve_cg_reference(&sys, options, apply_scatter).unwrap();
+            assert_eq!(iterations[lane], want_iterations, "{what}");
+            let got: Vec<f64> = psi.iter().map(|v| v[lane]).collect();
+            assert_same_bits(&got, &want, &what);
+            let mut want_flux = vec![0.0; want.len()];
+            apply_scatter(&sys, &want, &mut want_flux);
+            let got_flux: Vec<f64> = flux.iter().map(|v| v[lane]).collect();
+            assert_same_bits(&got_flux, &want_flux, &format!("{what} flux"));
+        }
+        iterations
+    }
+
+    /// The via stack of fig10 between its two terminals, here at a
+    /// copper-like σ.
+    fn via_stack_system() -> StencilSystem {
+        let stack = via_stack(InverterCellGeometry::default(), 5.0e7)
+            .build([41, 7, 13])
+            .unwrap();
         let src = stack.conductor_id("t_m1").unwrap();
         let snk = stack.conductor_id("t_m2").unwrap();
-        let dirichlet = stack
-            .node_conductor()
-            .iter()
+        let dirichlet = (stack.node_conductor().iter())
             .map(|c| match *c {
                 Some(id) if id == src => Some(1.0),
                 Some(id) if id == snk => Some(0.0),
                 _ => None,
             })
             .collect();
-        let sys =
-            StencilSystem::assemble(stack.grid(), stack.conductivity_coefficients(), dirichlet);
-        systems.push(("via stack".to_string(), sys));
-        systems
+        StencilSystem::assemble(stack.grid(), stack.conductivity_coefficients(), dirichlet)
     }
 
     #[test]
     fn solves_match_a_scatter_driven_reference_bit_for_bit() {
         let options = SolverOptions::default();
-        let mut ws = SolveWorkspace::new();
-        let systems = fig10_systems()
-            .into_iter()
-            .chain([("floating island".to_string(), floating_island_system())]);
-        for (name, sys) in systems {
-            let (psi, iterations) = sys.solve_cg(&options, &mut ws).unwrap();
-            let (reference, ref_iterations) =
-                solve_cg_reference(&sys, &options, apply_scatter).unwrap();
-            assert!(iterations > 0, "{name} converged without iterating");
-            assert_eq!(iterations, ref_iterations, "{name}");
-            assert_same_bits(&psi, &reference, &name);
-            let mut flux = vec![0.0; psi.len()];
-            apply_scatter(&sys, &psi, &mut flux);
-            assert_same_bits(&sys.node_flux(&psi), &flux, &format!("{name} flux"));
+        // fig10's inverter cell: its six capacitance excitations (one
+        // conductor at 1 V, the others grounded) as one 6-lane solve,
+        // each lane against a system assembled for its excitation alone.
+        let cell = inverter_cell_14nm(InverterCellGeometry::default())
+            .build([15, 11, 13])
+            .unwrap();
+        let (grid, eps, owner) = (
+            cell.grid(),
+            cell.permittivity_coefficients(),
+            cell.node_conductor(),
+        );
+        assert_eq!(cell.conductor_count(), 6);
+        let grounded = owner.iter().map(|c| c.map(|_| 0.0)).collect();
+        let shared = StencilSystem::assemble(grid, eps, grounded);
+        let drive = |node: usize, lane: usize| match owner[node] {
+            Some(id) if id as usize == lane => 1.0,
+            _ => 0.0,
+        };
+        let excitation = |lane: usize| {
+            let dirichlet = (0..owner.len())
+                .map(|node| owner[node].map(|_| drive(node, lane)))
+                .collect();
+            StencilSystem::assemble(grid, eps, dirichlet)
+        };
+        let iterations = assert_lanes_match_reference::<6>(
+            &shared,
+            |node, _| std::array::from_fn(|lane| drive(node, lane)),
+            excitation,
+            &options,
+            "inverter cell",
+        );
+        assert!(iterations.iter().all(|&it| it > 0), "{iterations:?}");
+        assert!(
+            iterations.iter().any(|&it| it != iterations[0]),
+            "{iterations:?}"
+        );
+
+        // The via stack at K = 1, and the floating island.
+        for (what, sys) in [
+            ("via stack", via_stack_system()),
+            ("floating island", floating_island_system()),
+        ] {
+            let [iterations] = assert_lanes_match_reference::<1>(
+                &sys,
+                |_, v| [v],
+                |_| sys.clone(),
+                &options,
+                what,
+            );
+            assert!(iterations > 0, "{what} converged without iterating");
         }
+    }
+
+    /// A random system's pinned nodes driven by `K` lanes of random
+    /// potentials (signed zeros included), one lane all zero; each lane
+    /// must match the reference CG on its own system.
+    fn lanes_match_the_reference_on<const K: usize>(seed: u64, nodes: [usize; 3]) {
+        let shared = random_system(seed, nodes);
+        let n = shared.node_count();
+        let zero_lane = (seed % K as u64) as usize;
+        let values: Vec<Vec<f64>> = (0..K as u64)
+            .map(|lane| match lane as usize == zero_lane {
+                true => vec![0.0; n],
+                false => random_potentials(seed.wrapping_add(lane), n),
+            })
+            .collect();
+        let iterations = assert_lanes_match_reference::<K>(
+            &shared,
+            |node, _| std::array::from_fn(|lane| values[lane][node]),
+            |lane| with_potentials(&shared, |node| values[lane][node]),
+            &SolverOptions::default(),
+            &format!("{nodes:?} seed {seed}"),
+        );
+        assert_eq!(iterations[zero_lane], 0);
     }
 
     proptest! {
@@ -857,32 +1051,57 @@ mod tests {
         #[test]
         fn fused_cg_matches_unfused_reference_on_random_grids(
             seed in any::<u64>(),
+            lanes in 1_usize..9,
             nx in 3_usize..6,
             ny in 3_usize..6,
             nz in 3_usize..7,
         ) {
-            let sys = random_system(seed, [nx, ny, nz]);
-            let options = SolverOptions::default();
-            let fused = sys.solve_cg(&options, &mut SolveWorkspace::new()).unwrap();
-            let reference = solve_cg_reference(&sys, &options, StencilSystem::apply_full).unwrap();
-            prop_assert_eq!(fused.1, reference.1);
-            assert_same_bits(&fused.0, &reference.0, "fused vs unfused");
+            let nodes = [nx, ny, nz];
+            match lanes {
+                1 => lanes_match_the_reference_on::<1>(seed, nodes),
+                2 => lanes_match_the_reference_on::<2>(seed, nodes),
+                3 => lanes_match_the_reference_on::<3>(seed, nodes),
+                4 => lanes_match_the_reference_on::<4>(seed, nodes),
+                5 => lanes_match_the_reference_on::<5>(seed, nodes),
+                6 => lanes_match_the_reference_on::<6>(seed, nodes),
+                7 => lanes_match_the_reference_on::<7>(seed, nodes),
+                _ => lanes_match_the_reference_on::<8>(seed, nodes),
+            }
         }
     }
 
     #[test]
-    fn workspace_reuse_is_bit_identical_across_solves() {
+    fn no_convergence_names_the_lowest_failing_lane() {
         let (_, sys) = linear_profile_system();
-        let fresh = sys.solve(&SolverOptions::default()).unwrap();
-        let mut ws = SolveWorkspace::new();
-        // Reuse one workspace across systems of different sizes and back.
-        let other = random_system(99, [5, 4, 6]);
-        for _ in 0..2 {
-            let with_ws = sys.solve_with(&SolverOptions::default(), &mut ws).unwrap();
-            assert_same_bits(&with_ws, &fresh, "reused workspace");
-            let _ = other
-                .solve_with(&SolverOptions::default(), &mut ws)
-                .unwrap();
+        let n = sys.node_count();
+        let options = SolverOptions {
+            max_iterations: 2,
+            tolerance: 1e-14,
+        };
+        // A grounded lane ends at once; the system's own potentials and
+        // random ones cannot converge in two steps.
+        let grounded = vec![0.0; n];
+        let own: Vec<f64> = sys.dirichlet.iter().map(|d| d.unwrap_or(0.0)).collect();
+        let random = random_potentials(7, n);
+        let failure = |v: &[f64]| {
+            let single = with_potentials(&sys, |node| v[node]);
+            solve_cg_reference(&single, &options, apply_scatter).unwrap_err()
+        };
+        assert_ne!(failure(&own), failure(&random));
+        for lanes in [
+            [&grounded, &own, &random],
+            [&grounded, &random, &own],
+            [&random, &own, &grounded],
+        ] {
+            let err = (sys.solve_lanes(|node, _| lanes.map(|v| v[node]), &options)).unwrap_err();
+            assert_eq!(
+                err,
+                failure(if lanes[0] == &grounded {
+                    lanes[1]
+                } else {
+                    lanes[0]
+                })
+            );
         }
     }
 

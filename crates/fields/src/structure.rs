@@ -117,6 +117,7 @@ impl StructureBuilder {
     /// * [`Error::DegenerateBox`] / [`Error::BoxOutOfDomain`] for bad boxes;
     /// * [`Error::InvalidMaterial`] for non-positive `eps_r` / `sigma`.
     pub fn build(&self, nodes: [usize; 3]) -> Result<Structure> {
+        let _span = cnt_obs::span!("fields.build");
         let grid = Grid3::new(self.domain, nodes)?;
         if self.background_eps_r <= 0.0 {
             return Err(Error::InvalidMaterial {

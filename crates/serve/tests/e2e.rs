@@ -1819,10 +1819,10 @@ fn metrics_scrape_exports_library_span_families() {
     let (addr, handle, thread) = start(Server::bind(config()).unwrap());
 
     // fig08c computes a band structure and two Landauer integrals; fig10
-    // runs its field solves; fig11 its circuit transients. Their spans
-    // land in the global registry, which the scrape appends to the
-    // server's own families.
-    for id in ["fig08c", "fig10", "fig11"] {
+    // runs its field solves; fig11 its circuit transients; fig08a's tubes
+    // run as jobs on the sweep pool. Their spans land in the global
+    // registry, which the scrape appends to the server's own families.
+    for id in ["fig08c", "fig10", "fig11", "fig08a"] {
         let (status, _) = post(addr, &format!("/v1/experiments/{id}/run"), "{}");
         assert_eq!(status, 200, "{id}");
     }

@@ -44,9 +44,8 @@
 //! `cargo run -p cnt-bench --bin repro -- all`, move an experiment off
 //! its paper operating point with typed overrides
 //! (`repro fig12 --set length_um=200 --set nc=6`) or named presets
-//! (`repro table1 --preset projected`), pick the width of fig08a's and
-//! fig10's pools and of every sweep with `--threads N` (the bytes never
-//! depend on it),
+//! (`repro table1 --preset projected`), pick the width of fig08a's pool
+//! and of every sweep with `--threads N` (the bytes never depend on it),
 //! emit machine-readable reports (`repro table1 --format json|csv`),
 //! rerun a figure as the ensemble the paper actually measured with
 //! `cargo run -p cnt-bench --bin repro -- sweep fig12 --trials 1000`
