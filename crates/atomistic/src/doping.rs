@@ -112,7 +112,7 @@ impl DopingSpec {
     ///
     /// Returns [`Error::InvalidParameter`] when a band half-width is
     /// negative or the shift exceeds the π-band width (±3γ0).
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         if self.fermi_shift_ev.abs() > 3.0 * cnt_units::consts::GAMMA0_EV {
             return Err(Error::InvalidParameter {
                 name: "fermi_shift_ev",
@@ -159,7 +159,9 @@ impl DopedCnt {
     ///
     /// # Errors
     ///
-    /// Propagates validation errors from [`DopingSpec::validate`].
+    /// Returns [`Error::InvalidParameter`] when a band half-width of
+    /// `spec` is negative or its shift exceeds the π-band width (±3γ0),
+    /// and propagates band-structure errors.
     pub fn new(chirality: Chirality, spec: DopingSpec) -> Result<Self> {
         spec.validate()?;
         let bands = BandStructure::compute(chirality, transport::DEFAULT_NK)?;

@@ -98,6 +98,13 @@ macro_rules! outln {
 /// The widest executor `--threads` accepts.
 const MAX_THREADS: usize = 4096;
 
+/// The `--history-interval`s `repro serve` accepts: 1 ms to 1 day.
+/// Shorter ones spin the scraper (`1e-300` s rounds to a zero
+/// `Duration`); longer ones leave the history and the job GC idle for
+/// days.
+const HISTORY_INTERVALS: std::ops::RangeInclusive<std::time::Duration> =
+    std::time::Duration::from_millis(1)..=std::time::Duration::from_secs(86_400);
+
 fn usage() {
     eprintln!(
         "usage: repro [--list] [--format text|json|csv] [--preset NAME] [--set KEY=VALUE]..."
@@ -646,13 +653,16 @@ fn run_serve_command(args: &[String]) -> ExitCode {
                 Err(e) => return fail(&e),
             },
             "--history-interval" => match take("--history-interval", it.next()) {
-                Ok(raw) => match raw.parse::<f64>() {
-                    Ok(secs) if secs > 0.0 && secs.is_finite() => {
-                        config.history_interval = std::time::Duration::from_secs_f64(secs);
-                    }
-                    _ => {
+                Ok(raw) => match raw
+                    .parse::<f64>()
+                    .ok()
+                    .and_then(|secs| std::time::Duration::try_from_secs_f64(secs).ok())
+                    .filter(|d| HISTORY_INTERVALS.contains(d))
+                {
+                    Some(interval) => config.history_interval = interval,
+                    None => {
                         return fail(&format!(
-                            "--history-interval expects seconds > 0, got '{raw}'"
+                            "--history-interval expects seconds from 0.001 to 86400, got '{raw}'"
                         ))
                     }
                 },

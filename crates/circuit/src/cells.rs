@@ -25,13 +25,6 @@ impl InverterCell {
         }
     }
 
-    /// Returns a drive-strength-scaled copy (widths × `factor`).
-    pub fn scaled(mut self, factor: f64) -> Self {
-        self.nmos = self.nmos.with_width(self.nmos.width * factor);
-        self.pmos = self.pmos.with_width(self.pmos.width * factor);
-        self
-    }
-
     /// Effective switching resistance estimate `VDD / (2·I_on)` — used by
     /// Elmore-style delay estimates.
     pub fn drive_resistance(&self) -> f64 {
@@ -102,14 +95,6 @@ mod tests {
             tr.waveform("y").unwrap().last().unwrap().1 > 0.95,
             "y ends high"
         );
-    }
-
-    #[test]
-    fn scaling_raises_drive() {
-        let base = InverterCell::inv_45nm();
-        let strong = base.scaled(4.0);
-        assert!(strong.drive_resistance() < base.drive_resistance() / 3.5);
-        assert!(strong.input_capacitance() > base.input_capacitance() * 3.5);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod waveform;
 pub mod prelude {
     pub use crate::analysis::{DcResult, Integrator, TranOptions, TranResult};
     pub use crate::circuit::{Circuit, NodeId};
-    pub use crate::measure::{propagation_delay, rise_time};
+    pub use crate::measure::propagation_delay;
     pub use crate::mosfet::MosfetModel;
     pub use crate::waveform::Waveform;
     pub use crate::Error;

@@ -37,7 +37,7 @@ impl DenseMatrix {
 
     /// Writes entry `(r, c)`.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.n + c] = v;
     }
 

@@ -1,24 +1,15 @@
-//! Waveform measurements: propagation delay and rise time — the
-//! `.measure` cards of classic SPICE decks.
+//! Waveform measurements: propagation delay — the `.measure` card of
+//! classic SPICE decks.
 
 use crate::{Error, Result};
 
-/// Edge direction for threshold crossings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Edge {
-    /// Signal crosses the threshold upwards.
-    Rising,
-    /// Either direction.
-    Any,
-}
-
-/// First time `wave` crosses `threshold` in the given direction at or
+/// First time `wave` crosses `threshold`, in either direction, at or
 /// after `t_start`, linearly interpolated between samples.
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidOptions`] if no crossing exists.
-fn crossing_time(wave: &[(f64, f64)], threshold: f64, edge: Edge, t_start: f64) -> Result<f64> {
+fn crossing_time(wave: &[(f64, f64)], threshold: f64, t_start: f64) -> Result<f64> {
     for w in wave.windows(2) {
         let (t0, v0) = w[0];
         let (t1, v1) = w[1];
@@ -27,11 +18,7 @@ fn crossing_time(wave: &[(f64, f64)], threshold: f64, edge: Edge, t_start: f64) 
         }
         let rising = v0 < threshold && v1 >= threshold;
         let falling = v0 > threshold && v1 <= threshold;
-        let hit = match edge {
-            Edge::Rising => rising,
-            Edge::Any => rising || falling,
-        };
-        if hit {
+        if rising || falling {
             let frac = if (v1 - v0).abs() < f64::MIN_POSITIVE {
                 0.0
             } else {
@@ -62,22 +49,9 @@ pub fn propagation_delay(
     v_high: f64,
 ) -> Result<f64> {
     let mid = 0.5 * (v_low + v_high);
-    let t_in = crossing_time(input, mid, Edge::Any, 0.0)?;
-    let t_out = crossing_time(output, mid, Edge::Any, t_in)?;
+    let t_in = crossing_time(input, mid, 0.0)?;
+    let t_out = crossing_time(output, mid, t_in)?;
     Ok(t_out - t_in)
-}
-
-/// 10 %–90 % rise time of a waveform swinging from `v_low` to `v_high`.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidOptions`] when the waveform does not complete
-/// the transition.
-pub fn rise_time(wave: &[(f64, f64)], v_low: f64, v_high: f64) -> Result<f64> {
-    let swing = v_high - v_low;
-    let t10 = crossing_time(wave, v_low + 0.1 * swing, Edge::Rising, 0.0)?;
-    let t90 = crossing_time(wave, v_low + 0.9 * swing, Edge::Rising, t10)?;
-    Ok(t90 - t10)
 }
 
 #[cfg(test)]
@@ -94,9 +68,9 @@ mod tests {
     #[test]
     fn crossing_interpolates_linearly() {
         let w = ramp();
-        let t = crossing_time(&w, 0.55, Edge::Rising, 0.0).unwrap();
+        let t = crossing_time(&w, 0.55, 0.0).unwrap();
         assert!((t - 5.5e-9).abs() < 1e-15);
-        assert!(crossing_time(&w, 2.0, Edge::Any, 0.0).is_err());
+        assert!(crossing_time(&w, 2.0, 0.0).is_err());
     }
 
     #[test]
@@ -104,8 +78,8 @@ mod tests {
         // Triangle: up then down.
         let mut w = ramp();
         w.extend((1..=10).map(|k| (10e-9 + k as f64 * 1e-9, 1.0 - k as f64 * 0.1)));
-        let up = crossing_time(&w, 0.5, Edge::Any, 0.0).unwrap();
-        let down = crossing_time(&w, 0.5, Edge::Any, 11e-9).unwrap();
+        let up = crossing_time(&w, 0.5, 0.0).unwrap();
+        let down = crossing_time(&w, 0.5, 11e-9).unwrap();
         assert!(up < 6e-9);
         assert!(down > 14e-9);
     }
@@ -132,12 +106,13 @@ mod tests {
     #[test]
     fn rise_and_fall_times_of_ramp() {
         let w = ramp();
-        let tr = rise_time(&w, 0.0, 1.0).unwrap();
+        let t10 = crossing_time(&w, 0.1, 0.0).unwrap();
+        let tr = crossing_time(&w, 0.9, t10).unwrap() - t10;
         assert!((tr - 8e-9).abs() < 1e-12, "rise {tr}");
         let mut down: Vec<(f64, f64)> = ramp().into_iter().map(|(t, v)| (t, 1.0 - v)).collect();
         down.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let t90 = crossing_time(&down, 0.9, Edge::Any, 0.0).unwrap();
-        let tf = crossing_time(&down, 0.1, Edge::Any, t90).unwrap() - t90;
+        let t90 = crossing_time(&down, 0.9, 0.0).unwrap();
+        let tf = crossing_time(&down, 0.1, t90).unwrap() - t90;
         assert!((tf - 8e-9).abs() < 1e-12, "fall {tf}");
     }
 }

@@ -74,7 +74,7 @@ impl CompositeWire {
     }
 
     /// Effective axial conductivity (S/m) over the drawn cross-section.
-    pub fn conductivity(&self) -> f64 {
+    fn conductivity(&self) -> f64 {
         composite_conductivity(
             self.cnt_volume_fraction,
             self.fill_fraction,

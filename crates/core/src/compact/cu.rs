@@ -45,7 +45,7 @@ impl CuWire {
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] for out-of-domain parameters.
-    pub fn new(
+    fn new(
         width: Length,
         height: Length,
         specularity: f64,

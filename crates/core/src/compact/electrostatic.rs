@@ -1,9 +1,9 @@
 //! Electrostatic capacitance formulas shared by the compact models.
 //!
 //! The paper's Eq. 5 keeps the electrostatic capacitance `C_E` as a
-//! geometry-dependent quantity ("CE does not depend on doping"). These
-//! closed forms cover the benchmark configurations; full 3-D extraction
-//! lives in `cnt-fields`.
+//! geometry-dependent quantity ("CE does not depend on doping"). The
+//! wire-over-plane closed form covers the benchmark configuration; full
+//! 3-D extraction lives in `cnt-fields`.
 
 use crate::{Error, Result};
 use cnt_units::consts::EPS_0;
@@ -77,43 +77,6 @@ pub fn wire_over_plane_capacitance(diameter: Length, env: WireEnvironment) -> Re
     Ok(Capacitance::from_farads(c_per_m))
 }
 
-/// Per-length coupling capacitance between two parallel cylinders of equal
-/// `diameter` at centre-to-centre `pitch`:
-/// `C/L = πε / acosh(p/d)`.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] unless `pitch > diameter > 0` and
-/// `eps_r > 0`.
-pub fn parallel_wire_capacitance(
-    diameter: Length,
-    pitch: Length,
-    eps_r: f64,
-) -> Result<Capacitance> {
-    let d = diameter.meters();
-    let p = pitch.meters();
-    if d <= 0.0 {
-        return Err(Error::InvalidParameter {
-            name: "diameter",
-            value: d,
-        });
-    }
-    if p <= d {
-        return Err(Error::InvalidParameter {
-            name: "pitch (must exceed the diameter)",
-            value: p,
-        });
-    }
-    if eps_r <= 0.0 {
-        return Err(Error::InvalidParameter {
-            name: "eps_r",
-            value: eps_r,
-        });
-    }
-    let c_per_m = core::f64::consts::PI * EPS_0 * eps_r / (p / d).acosh();
-    Ok(Capacitance::from_farads(c_per_m))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,34 +103,5 @@ mod tests {
         assert!(
             wire_over_plane_capacitance(Length::ZERO, WireEnvironment::beol_default()).is_err()
         );
-        assert!(parallel_wire_capacitance(
-            Length::from_nanometers(10.0),
-            Length::from_nanometers(5.0),
-            3.9
-        )
-        .is_err());
-        assert!(parallel_wire_capacitance(
-            Length::from_nanometers(10.0),
-            Length::from_nanometers(30.0),
-            -1.0
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn closer_wires_couple_more() {
-        let near = parallel_wire_capacitance(
-            Length::from_nanometers(10.0),
-            Length::from_nanometers(20.0),
-            3.9,
-        )
-        .unwrap();
-        let far = parallel_wire_capacitance(
-            Length::from_nanometers(10.0),
-            Length::from_nanometers(100.0),
-            3.9,
-        )
-        .unwrap();
-        assert!(near.farads() > far.farads());
     }
 }

@@ -13,6 +13,6 @@ mod swcnt;
 pub use bundle::BundleInterconnect;
 pub use composite::CompositeWire;
 pub use cu::CuWire;
-pub use electrostatic::{parallel_wire_capacitance, wire_over_plane_capacitance, WireEnvironment};
+pub use electrostatic::{wire_over_plane_capacitance, WireEnvironment};
 pub use mwcnt::{DopedMwcnt, MfpModel, ShellChannelModel, ShellFillPolicy};
 pub use swcnt::SwcntInterconnect;

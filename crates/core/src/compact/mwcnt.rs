@@ -14,10 +14,8 @@
 
 use crate::compact::electrostatic::{wire_over_plane_capacitance, WireEnvironment};
 use crate::{Error, Result};
-use cnt_units::consts::{
-    CQ_PER_CHANNEL, G0_SIEMENS, LK_PER_CHANNEL, MFP_DIAMETER_RATIO, SHELL_SPACING,
-};
-use cnt_units::si::{Capacitance, Conductance, Inductance, Length, Resistance};
+use cnt_units::consts::{CQ_PER_CHANNEL, G0_SIEMENS, MFP_DIAMETER_RATIO, SHELL_SPACING};
+use cnt_units::si::{Capacitance, Conductance, Length, Resistance};
 
 /// How many conducting channels each shell carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,7 +227,7 @@ impl DopedMwcnt {
     /// channels with a shared or fixed MFP, the Fig. 12 model), the term
     /// is evaluated once and added once per shell in shell order, which is
     /// the per-shell sum bit for bit.
-    pub fn conductance(&self, l: Length) -> Conductance {
+    fn conductance(&self, l: Length) -> Conductance {
         let term = |d: Length| {
             let lambda = self.mfp.mfp_for(d, self.outer_diameter);
             self.channels.channels(d) * G0_SIEMENS / (1.0 + l.meters() / lambda.meters())
@@ -275,12 +273,6 @@ impl DopedMwcnt {
         let ce = self.electrostatic_capacitance_per_length()?.farads() * l.meters();
         let cq = self.total_channels() * CQ_PER_CHANNEL * l.meters();
         Ok(Capacitance::from_farads(ce * cq / (ce + cq)))
-    }
-
-    /// Total kinetic inductance (per the channel count; used by RLC
-    /// extensions of the benchmark).
-    pub fn kinetic_inductance(&self, l: Length) -> Inductance {
-        Inductance::from_henries(LK_PER_CHANNEL * l.meters() / self.total_channels())
     }
 
     /// Axial conductivity `σ(L) = L/(R·A)` over the tube footprint — the
@@ -387,15 +379,6 @@ mod tests {
         assert!((tiny - 2.0 / 3.0).abs() < 1e-9, "floor region: {tiny}");
         assert!((2.0 / 3.0..1.0).contains(&small), "5 nm shell: {small}");
         assert!(large > 5.0, "50 nm shell: {large}");
-    }
-
-    #[test]
-    fn kinetic_inductance_scales_inverse_channels() {
-        let p = DopedMwcnt::paper_model(nm(10.0), 2).unwrap();
-        let d = DopedMwcnt::paper_model(nm(10.0), 10).unwrap();
-        let lp = p.kinetic_inductance(um(1.0)).henries();
-        let ld = d.kinetic_inductance(um(1.0)).henries();
-        assert!((lp / ld - 5.0).abs() < 1e-9);
     }
 
     #[test]

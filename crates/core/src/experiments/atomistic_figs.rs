@@ -2,7 +2,7 @@
 //! structures, bands/transmission of pristine and doped CNT(7,7).
 
 use super::params::{ParamSpec, RunContext};
-use super::registry::Entry;
+use super::registry::Experiment;
 use super::Report;
 use crate::Result;
 use cnt_atomistic::chirality::Chirality;
@@ -18,11 +18,11 @@ const FIG08B_TITLE: &str = "Atomic structures of CNT(7,7), pristine and iodine-d
 const FIG08C_TITLE: &str = "Transmission T(E) of pristine vs iodine-doped CNT(7,7)";
 
 /// This module's registry rows.
-pub(super) fn entries() -> Vec<Entry> {
+pub(super) fn entries() -> Vec<Experiment> {
     vec![
-        Entry::new(80, "fig08a", FIG08A_TITLE, temp_spec(), fig08a_with),
-        Entry::new(81, "fig08b", FIG08B_TITLE, fig08b_spec(), fig08b_with),
-        Entry::new(82, "fig08c", FIG08C_TITLE, temp_spec(), fig08c_with),
+        Experiment::new(80, "fig08a", FIG08A_TITLE, temp_spec(), fig08a),
+        Experiment::new(81, "fig08b", FIG08B_TITLE, fig08b_spec(), fig08b),
+        Experiment::new(82, "fig08c", FIG08C_TITLE, temp_spec(), fig08c),
     ]
 }
 
@@ -36,15 +36,7 @@ fn fig08b_spec() -> ParamSpec {
 
 /// Fig. 8a: ballistic conductance versus diameter for the zigzag and
 /// armchair series at 300 K.
-///
-/// # Errors
-///
-/// Propagates atomistic sweep errors.
-pub fn fig08a() -> Result<Report> {
-    fig08a_with(&RunContext::defaults(&temp_spec()))
-}
-
-fn fig08a_with(ctx: &RunContext) -> Result<Report> {
+fn fig08a(ctx: &RunContext) -> Result<Report> {
     let temp = Temperature::from_kelvin(ctx.f64("temp_k"));
     let mut tubes = Chirality::zigzag_series(5, 26);
     tubes.extend(Chirality::armchair_series(3, 15));
@@ -86,15 +78,7 @@ fn fig08a_with(ctx: &RunContext) -> Result<Report> {
 /// Fig. 8b: atom counts of the generated CNT(7,7) structures (pristine
 /// and with the internal iodine chain). The XYZ text itself comes from
 /// [`fig08b_structures`].
-///
-/// # Errors
-///
-/// Propagates geometry-construction errors.
-pub fn fig08b() -> Result<Report> {
-    fig08b_with(&RunContext::defaults(&fig08b_spec()))
-}
-
-fn fig08b_with(ctx: &RunContext) -> Result<Report> {
+fn fig08b(ctx: &RunContext) -> Result<Report> {
     let tube = Chirality::new(7, 7)?;
     let length = Length::from_nanometers(ctx.f64("length_nm"));
     let pristine = geometry::tube_segment(tube, length)?;
@@ -131,15 +115,7 @@ pub fn fig08b_structures() -> Result<(String, String)> {
 
 /// Fig. 8c: transmission spectra of pristine and iodine-doped CNT(7,7),
 /// with the paper's two DFT anchors checked in the notes.
-///
-/// # Errors
-///
-/// Propagates atomistic errors.
-pub fn fig08c() -> Result<Report> {
-    fig08c_with(&RunContext::defaults(&temp_spec()))
-}
-
-fn fig08c_with(ctx: &RunContext) -> Result<Report> {
+fn fig08c(ctx: &RunContext) -> Result<Report> {
     let temp = Temperature::from_kelvin(ctx.f64("temp_k"));
     let doped = DopedCnt::new(Chirality::new(7, 7)?, DopingSpec::iodine_internal())?;
     let pristine_bands = doped.host_bands();
@@ -181,10 +157,11 @@ fn fig08c_with(ctx: &RunContext) -> Result<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run;
 
     #[test]
     fn fig08a_metallic_plateau() {
-        let rep = fig08a().unwrap();
+        let rep = run("fig08a").unwrap();
         let nc = rep.column("Nc").unwrap();
         let met = rep.column("metallic").unwrap();
         for (n, m) in nc.iter().zip(&met) {
@@ -202,8 +179,8 @@ mod tests {
         let hot =
             RunContext::with_overrides(&temp_spec(), &[("temp_k".to_string(), "500".to_string())])
                 .unwrap();
-        let base = fig08a().unwrap();
-        let heated = fig08a_with(&hot).unwrap();
+        let base = run("fig08a").unwrap();
+        let heated = fig08a(&hot).unwrap();
         // Thermal activation: total semiconducting conductance rises.
         let semi_g = |r: &Report| -> f64 {
             let g = r.column("G_mS").unwrap();
@@ -224,18 +201,18 @@ mod tests {
                 threads,
                 ..RunContext::defaults(&temp_spec())
             };
-            fig08a_with(&ctx).unwrap().render()
+            fig08a(&ctx).unwrap().render()
         };
         let serial = at_threads(1);
         let par = at_threads(8);
         assert_eq!(serial, par, "pool port changed output across thread counts");
         // And the default (threads = 0 = all cores) path matches too.
-        assert_eq!(serial, fig08a().unwrap().render());
+        assert_eq!(serial, run("fig08a").unwrap().render());
     }
 
     #[test]
     fn fig08b_structures_exist() {
-        let rep = fig08b().unwrap();
+        let rep = run("fig08b").unwrap();
         assert!(
             rep.column("atoms").unwrap()[2] > 5.0,
             "iodine chain present"
@@ -247,7 +224,7 @@ mod tests {
 
     #[test]
     fn fig08c_anchors_in_notes() {
-        let rep = fig08c().unwrap();
+        let rep = run("fig08c").unwrap();
         let text = rep.render();
         assert!(text.contains("0.155"), "pristine anchor: {text}");
         assert!(text.contains("0.387"), "doped anchor mention: {text}");

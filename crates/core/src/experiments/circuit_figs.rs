@@ -2,7 +2,7 @@
 //! the circuit benchmark and the delay-ratio study.
 
 use super::params::{ParamSpec, ParamValue, RunContext};
-use super::registry::Entry;
+use super::registry::Experiment;
 use super::sweep_figs;
 use super::Report;
 use crate::benchmark::{
@@ -24,12 +24,12 @@ const FIG11_TITLE: &str = "Circuit benchmark: driver + doped MWCNT line + 45 nm 
 const FIG12_TITLE: &str = "Delay ratio doped/pristine vs length and Nc per shell";
 
 /// This module's registry rows.
-pub(super) fn entries() -> Vec<Entry> {
+pub(super) fn entries() -> Vec<Experiment> {
     vec![
-        Entry::new(90, "fig09", FIG09_TITLE, ParamSpec::new(), |_| fig09()),
-        Entry::new(100, "fig10", FIG10_TITLE, ParamSpec::new(), |_| fig10()),
-        Entry::new(110, "fig11", FIG11_TITLE, fig11_spec(), fig11_with),
-        Entry::new(120, "fig12", FIG12_TITLE, fig12_spec(), fig12_with)
+        Experiment::new(90, "fig09", FIG09_TITLE, ParamSpec::new(), |_| fig09()),
+        Experiment::new(100, "fig10", FIG10_TITLE, ParamSpec::new(), |_| fig10()),
+        Experiment::new(110, "fig11", FIG11_TITLE, fig11_spec(), fig11),
+        Experiment::new(120, "fig12", FIG12_TITLE, fig12_spec(), fig12)
             .with_sweep(sweep_figs::fig12_kernel, &[]),
     ]
 }
@@ -44,11 +44,7 @@ fn um(v: f64) -> Length {
 
 /// Fig. 9: conductivity of SWCNT and MWCNT lines versus length and
 /// diameter, compared to size-effect copper.
-///
-/// # Errors
-///
-/// Propagates compact-model validation.
-pub fn fig09() -> Result<Report> {
+fn fig09() -> Result<Report> {
     let swcnt = SwcntInterconnect::metallic(nm(1.0))?;
     let mw10 = DopedMwcnt::paper_model(nm(10.0), 2)?;
     let mw20 = DopedMwcnt::paper_model(nm(20.0), 2)?;
@@ -90,11 +86,7 @@ pub fn fig09() -> Result<Report> {
 /// capacitance matrix with M1/M2 crosstalk, via-stack resistance with the
 /// current-density hot spot, and the SPICE netlist handshake with
 /// `cnt-circuit`.
-///
-/// # Errors
-///
-/// Propagates field-solver and netlist/parser errors.
-pub fn fig10() -> Result<Report> {
+fn fig10() -> Result<Report> {
     let geometry = InverterCellGeometry::default();
     let structure = inverter_cell_14nm(geometry).build([15, 11, 13])?;
     let cap = extract_capacitance(&structure, &SolverOptions::default())?;
@@ -154,15 +146,7 @@ fn fig11_spec() -> ParamSpec {
 /// Fig. 11: the benchmark circuit itself — 45 nm-node inverters connected
 /// by doped-MWCNT interconnects — exercised end to end (one transient per
 /// length).
-///
-/// # Errors
-///
-/// Propagates benchmark construction and simulation errors.
-pub fn fig11() -> Result<Report> {
-    fig11_with(&RunContext::defaults(&fig11_spec()))
-}
-
-fn fig11_with(ctx: &RunContext) -> Result<Report> {
+fn fig11(ctx: &RunContext) -> Result<Report> {
     let d = nm(ctx.f64("d_nm"));
     let nc = ctx.usize("nc");
     let mut rep = Report::new("fig11", FIG11_TITLE).with_columns(&[
@@ -218,15 +202,7 @@ fn fig12_spec() -> ParamSpec {
 /// width 1), rows in diameter, channel-count, length order. The
 /// `length_um`/`nc` knobs move the paper-anchor checks in the notes; the
 /// grid itself is the paper's.
-///
-/// # Errors
-///
-/// Propagates benchmark errors.
-pub fn fig12() -> Result<Report> {
-    fig12_with(&RunContext::defaults(&fig12_spec()))
-}
-
-fn fig12_with(ctx: &RunContext) -> Result<Report> {
+fn fig12(ctx: &RunContext) -> Result<Report> {
     let anchor_l = ctx.f64("length_um");
     let anchor_nc = ctx.usize("nc");
     let mut rep =
@@ -265,6 +241,7 @@ fn fig12_with(ctx: &RunContext) -> Result<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run;
 
     #[test]
     fn fig09_shapes() {
@@ -334,7 +311,7 @@ mod tests {
 
     #[test]
     fn fig11_simulation_and_estimate_agree() {
-        let rep = fig11().unwrap();
+        let rep = run("fig11").unwrap();
         let est = rep.column("delay_est_ns").unwrap();
         let sim = rep.column("delay_sim_ns").unwrap();
         for (e, s) in est.iter().zip(&sim) {
@@ -349,15 +326,15 @@ mod tests {
         let doped =
             RunContext::with_overrides(&fig11_spec(), &[("nc".to_string(), "10".to_string())])
                 .unwrap();
-        let base = fig11().unwrap();
-        let fast = fig11_with(&doped).unwrap();
+        let base = run("fig11").unwrap();
+        let fast = fig11(&doped).unwrap();
         let longest = |r: &Report| *r.column("delay_est_ns").unwrap().last().unwrap();
         assert!(longest(&fast) < longest(&base), "doping must cut the delay");
     }
 
     #[test]
     fn fig12_grid_and_anchors() {
-        let rep = fig12().unwrap();
+        let rep = run("fig12").unwrap();
         assert_eq!(rep.rows.len(), 3 * 5 * 5);
         let ratios = rep.column("delay_ratio").unwrap();
         assert!(ratios.iter().all(|r| *r <= 1.0 + 1e-12));
@@ -375,11 +352,11 @@ mod tests {
             ],
         )
         .unwrap();
-        let rep = fig12_with(&moved).unwrap();
+        let rep = fig12(&moved).unwrap();
         let text = rep.render();
         assert!(text.contains("L = 200 µm, Nc = 6"), "{text}");
-        assert_ne!(text, fig12().unwrap().render());
+        assert_ne!(text, run("fig12").unwrap().render());
         // The grid itself is still the paper's.
-        assert_eq!(rep.rows, fig12().unwrap().rows);
+        assert_eq!(rep.rows, run("fig12").unwrap().rows);
     }
 }

@@ -1,7 +1,7 @@
 //! Fig. 2d, TLM and self-heating regenerators (Section IV.B experiments).
 
 use super::params::{ParamSpec, RunContext};
-use super::registry::Entry;
+use super::registry::Experiment;
 use super::Report;
 use crate::compact::DopedMwcnt;
 use crate::Result;
@@ -19,17 +19,11 @@ const SELFHEAT_TITLE: &str =
     "Self-heating at 30 MA/cm²: MWCNT vs Cu line, with SThM scan of the CNT";
 
 /// This module's registry rows.
-pub(super) fn entries() -> Vec<Entry> {
+pub(super) fn entries() -> Vec<Experiment> {
     vec![
-        Entry::new(20, "fig02d", FIG02D_TITLE, fig02d_spec(), fig02d_with),
-        Entry::new(140, "tlm", TLM_TITLE, tlm_spec(), tlm_with),
-        Entry::new(
-            150,
-            "selfheat",
-            SELFHEAT_TITLE,
-            selfheat_spec(),
-            selfheat_with,
-        ),
+        Experiment::new(20, "fig02d", FIG02D_TITLE, fig02d_spec(), fig02d),
+        Experiment::new(140, "tlm", TLM_TITLE, tlm_spec(), tlm),
+        Experiment::new(150, "selfheat", SELFHEAT_TITLE, selfheat_spec(), selfheat),
     ]
 }
 
@@ -55,15 +49,7 @@ fn fig02d_spec() -> ParamSpec {
 /// per-shell channel count *and* thins the Pd/Au contact barrier (the
 /// paper lists "resistive metal-CNT contacts" among the problems doping
 /// counteracts).
-///
-/// # Errors
-///
-/// Propagates compact-model and sweep errors.
-pub fn fig02d() -> Result<Report> {
-    fig02d_with(&RunContext::defaults(&fig02d_spec()))
-}
-
-fn fig02d_with(ctx: &RunContext) -> Result<Report> {
+fn fig02d(ctx: &RunContext) -> Result<Report> {
     use crate::compact::{MfpModel, ShellChannelModel, ShellFillPolicy, WireEnvironment};
     let length = Length::from_micrometers(ctx.f64("length_um"));
     let seed = ctx.u64("seed");
@@ -121,15 +107,7 @@ fn tlm_spec() -> ParamSpec {
 
 /// The TLM experiment of Section IV.B: extract contact resistance and
 /// per-length resistance from multi-length MWCNT devices.
-///
-/// # Errors
-///
-/// Propagates TLM generation/fitting errors.
-pub fn tlm() -> Result<Report> {
-    tlm_with(&RunContext::defaults(&tlm_spec()))
-}
-
-fn tlm_with(ctx: &RunContext) -> Result<Report> {
+fn tlm(ctx: &RunContext) -> Result<Report> {
     let data = TlmExperiment::mwcnt_default().measure(ctx.u64("seed"))?;
     let fit = fit_tlm(&data)?;
 
@@ -163,18 +141,10 @@ fn selfheat_spec() -> ParamSpec {
 }
 
 /// Self-heating study of Section IV.B: temperature profiles of matched
-/// MWCNT and Cu lines, an SThM scan, and the Kth extraction.
-///
-/// # Errors
-///
-/// Propagates thermal-model errors. A scan from which Kth cannot be
-/// extracted is not one: its report keeps the profiles and says so in a
-/// note.
-pub fn selfheat() -> Result<Report> {
-    selfheat_with(&RunContext::defaults(&selfheat_spec()))
-}
-
-fn selfheat_with(ctx: &RunContext) -> Result<Report> {
+/// MWCNT and Cu lines, an SThM scan, and the Kth extraction. A scan from
+/// which Kth cannot be extracted is not an error: its report keeps the
+/// profiles and says so in a note.
+fn selfheat(ctx: &RunContext) -> Result<Report> {
     let length = Length::from_micrometers(ctx.f64("length_um"));
     let j = CurrentDensity::from_amps_per_square_centimeter(ctx.f64("j_ma_cm2") * 1e6);
     let cnt = SelfHeatingLine::mwcnt(length, j);
@@ -226,10 +196,11 @@ fn selfheat_with(ctx: &RunContext) -> Result<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run;
 
     #[test]
     fn fig02d_resistance_drop() {
-        let rep = fig02d().unwrap();
+        let rep = run("fig02d").unwrap();
         let ip = rep.column("I_pristine_uA").unwrap();
         let id = rep.column("I_doped_uA").unwrap();
         // At the sweep extremes the doped device carries clearly more.
@@ -244,15 +215,15 @@ mod tests {
         let long =
             RunContext::with_overrides(&spec, &[("length_um".to_string(), "10".to_string())])
                 .unwrap();
-        let base = fig02d().unwrap();
-        let stretched = fig02d_with(&long).unwrap();
+        let base = run("fig02d").unwrap();
+        let stretched = fig02d(&long).unwrap();
         let peak = |r: &Report| r.column("I_pristine_uA").unwrap().last().unwrap().abs();
         assert!(peak(&stretched) < peak(&base));
     }
 
     #[test]
     fn tlm_report_recovers_truth() {
-        let rep = tlm().unwrap();
+        let rep = run("tlm").unwrap();
         assert!(rep.render().contains("within 3σ: true"));
         // R(L) is increasing.
         let r = rep.column("R_kohm").unwrap();
@@ -261,7 +232,7 @@ mod tests {
 
     #[test]
     fn selfheat_cnt_much_cooler() {
-        let rep = selfheat().unwrap();
+        let rep = run("selfheat").unwrap();
         let cnt = rep.column("T_cnt_K").unwrap();
         let cu = rep.column("T_cu_K").unwrap();
         let peak = |v: &[f64]| v.iter().copied().fold(f64::MIN, f64::max);
@@ -293,7 +264,7 @@ mod tests {
             )
             .unwrap();
             let at = format!("L = {length_um} µm, j = {j_ma_cm2} MA/cm²");
-            let rep = selfheat_with(&ctx).unwrap_or_else(|e| panic!("{at}: {e}"));
+            let rep = selfheat(&ctx).unwrap_or_else(|e| panic!("{at}: {e}"));
             assert_eq!(rep.rows.len(), 101, "{at}");
             assert!(rep.rows.iter().flatten().all(|v| v.is_finite()), "{at}");
             let text = rep.render();

@@ -1,4 +1,4 @@
-//! One entry point per paper artefact, behind a trait-based registry.
+//! Every paper artefact, run by id through [`run`] and one registry.
 //!
 //! Every figure and quantitative prose claim of the paper is registered
 //! exactly once as an [`Experiment`]: an id, a title, a typed
@@ -15,9 +15,6 @@
 //! repro fig12 --set length_um=200 --set nc=6 --format json
 //! repro fig08a --threads 4
 //! ```
-//!
-//! The zero-argument functions ([`fig12()`], [`table1()`], …) remain as
-//! the stable shorthand for "run at the paper operating point".
 
 mod atomistic_figs;
 mod circuit_figs;
@@ -31,17 +28,12 @@ mod report;
 mod sweep_figs;
 mod technology_figs;
 
-pub use atomistic_figs::{fig08a, fig08b, fig08b_structures, fig08c};
-pub use circuit_figs::{fig09, fig10, fig11, fig12};
+pub use atomistic_figs::fig08b_structures;
 pub use format::OutputFormat;
-pub use measure_figs::{fig02d, selfheat, tlm};
 pub use params::{ParamSpec, ParamValue, Params, Preset, RunContext};
-pub use process_figs::{fig04, fig05, fig06, fig07};
 pub use registry::{registry, Experiment, Registry};
-pub use reliability_figs::{fig03, fig13a, fig13b, stability, table1};
 pub use report::Report;
 pub use sweep_figs::{SweepKernel, SweepOpts, SweepRun};
-pub use technology_figs::fig01;
 
 use crate::Result;
 
@@ -83,7 +75,7 @@ pub fn resolve_context(
     id: &str,
     preset: Option<&str>,
     sets: &[(String, String)],
-) -> Result<(&'static dyn Experiment, RunContext)> {
+) -> Result<(&'static Experiment, RunContext)> {
     let exp = registry().get(id)?;
     let mut ctx = RunContext::defaults(exp.params());
     if let Some(name) = preset {

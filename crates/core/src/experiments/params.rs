@@ -308,13 +308,8 @@ impl Params {
         &self.explicit
     }
 
-    /// Reads a numeric parameter as `f64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` was never declared — a bug in the experiment, not
-    /// a user error.
-    pub fn f64(&self, key: &str) -> f64 {
+    /// See [`RunContext::f64`].
+    fn f64(&self, key: &str) -> f64 {
         match self.require(key) {
             ParamValue::Float(v) => *v,
             ParamValue::Int(v) => *v as f64,
@@ -333,23 +328,13 @@ impl Params {
         }
     }
 
-    /// Reads a non-negative integer parameter as `usize`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` was never declared, is not an integer, or is
-    /// negative (declare a `min` of 0 or more to rule that out).
-    pub fn usize(&self, key: &str) -> usize {
+    /// See [`RunContext::usize`].
+    fn usize(&self, key: &str) -> usize {
         usize::try_from(self.i64(key)).unwrap_or_else(|_| panic!("parameter '{key}' is negative"))
     }
 
-    /// Reads a non-negative integer parameter as `u64` (seeds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` was never declared, is not an integer, or is
-    /// negative.
-    pub fn u64(&self, key: &str) -> u64 {
+    /// See [`RunContext::u64`].
+    fn u64(&self, key: &str) -> u64 {
         u64::try_from(self.i64(key)).unwrap_or_else(|_| panic!("parameter '{key}' is negative"))
     }
 
@@ -495,17 +480,32 @@ impl RunContext {
         }
     }
 
-    /// Shorthand for [`Params::f64`].
+    /// Reads a numeric parameter as `f64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` was never declared — a bug in the experiment, not
+    /// a user error.
     pub fn f64(&self, key: &str) -> f64 {
         self.params.f64(key)
     }
 
-    /// Shorthand for [`Params::usize`].
+    /// Reads a non-negative integer parameter as `usize`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` was never declared, is not an integer, or is
+    /// negative (declare a `min` of 0 or more to rule that out).
     pub fn usize(&self, key: &str) -> usize {
         self.params.usize(key)
     }
 
-    /// Shorthand for [`Params::u64`].
+    /// Reads a non-negative integer parameter as `u64` (seeds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` was never declared, is not an integer, or is
+    /// negative.
     pub fn u64(&self, key: &str) -> u64 {
         self.params.u64(key)
     }

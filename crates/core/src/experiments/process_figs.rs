@@ -2,7 +2,7 @@
 //! uniformity, and Cu–CNT composite filling.
 
 use super::params::{ParamSpec, RunContext};
-use super::registry::Entry;
+use super::registry::Experiment;
 use super::sweep_figs;
 use super::Report;
 use crate::Result;
@@ -17,17 +17,17 @@ const FIG06_TITLE: &str = "ELD Cu impregnation of VA-CNT carpets";
 const FIG07_TITLE: &str = "ECD Cu impregnation of HA-CNT bundles (void-free)";
 
 /// This module's registry rows.
-pub(super) fn entries() -> Vec<Entry> {
+pub(super) fn entries() -> Vec<Experiment> {
     vec![
-        Entry::new(40, "fig04", FIG04_TITLE, fig04_spec(), fig04_with)
+        Experiment::new(40, "fig04", FIG04_TITLE, fig04_spec(), fig04)
             .with_sweep(sweep_figs::fig04_kernel, &["temp_k"]),
-        Entry::new(50, "fig05", FIG05_TITLE, fig05_spec(), fig05_with)
+        Experiment::new(50, "fig05", FIG05_TITLE, fig05_spec(), fig05)
             .with_sweep(sweep_figs::fig05_kernel, &[]),
-        Entry::new(60, "fig06", FIG06_TITLE, fill_spec(), fig06_with).with_sweep(
+        Experiment::new(60, "fig06", FIG06_TITLE, fill_spec(), fig06).with_sweep(
             |ctx| sweep_figs::fill_kernel(ctx, sweep_figs::FillVariant::Eld),
             &[],
         ),
-        Entry::new(70, "fig07", FIG07_TITLE, fill_spec(), fig07_with).with_sweep(
+        Experiment::new(70, "fig07", FIG07_TITLE, fill_spec(), fig07).with_sweep(
             |ctx| sweep_figs::fill_kernel(ctx, sweep_figs::FillVariant::Ecd),
             &[],
         ),
@@ -84,15 +84,7 @@ fn fig04_spec() -> ParamSpec {
 
 /// Fig. 4: CNT growth with Co catalyst at different temperatures (Fe shown
 /// for contrast), pushing growth into the CMOS-compatible window.
-///
-/// # Errors
-///
-/// Propagates growth-model errors.
-pub fn fig04() -> Result<Report> {
-    fig04_with(&RunContext::defaults(&fig04_spec()))
-}
-
-fn fig04_with(ctx: &RunContext) -> Result<Report> {
+fn fig04(ctx: &RunContext) -> Result<Report> {
     let temps = fig04_temps(ctx.f64("temp_k"));
     let grow = |catalyst| {
         temps
@@ -160,15 +152,7 @@ fn fig05_spec() -> ParamSpec {
 
 /// Fig. 5: full 300 mm wafer growth with Co catalyst — uniformity map and
 /// statistics.
-///
-/// # Errors
-///
-/// Propagates wafer-map errors.
-pub fn fig05() -> Result<Report> {
-    fig05_with(&RunContext::defaults(&fig05_spec()))
-}
-
-fn fig05_with(ctx: &RunContext) -> Result<Report> {
+fn fig05(ctx: &RunContext) -> Result<Report> {
     let map = WaferMap::generate(0.3, ctx.usize("sites"), 1.0, 0.05, 0.015, ctx.u64("seed"))?;
     let rep_stats = map.uniformity()?;
     let mut rep = Report::new("fig05", FIG05_TITLE).with_columns(&[
@@ -205,15 +189,7 @@ fn fill_spec() -> ParamSpec {
 
 /// Fig. 6: ELD copper impregnation of vertically aligned CNTs — fill vs
 /// aspect ratio, with the characteristic Cu overburden.
-///
-/// # Errors
-///
-/// Propagates composite-model errors.
-pub fn fig06() -> Result<Report> {
-    fig06_with(&RunContext::defaults(&fill_spec()))
-}
-
-fn fig06_with(ctx: &RunContext) -> Result<Report> {
+fn fig06(ctx: &RunContext) -> Result<Report> {
     let mut rep = Report::new("fig06", FIG06_TITLE).with_columns(&[
         "aspect_ratio",
         "fill_fraction",
@@ -242,15 +218,7 @@ fn fig06_with(ctx: &RunContext) -> Result<Report> {
 
 /// Fig. 7: the developed ECD process achieves void-free filling of
 /// horizontally aligned CNT bundles.
-///
-/// # Errors
-///
-/// Propagates composite-model errors.
-pub fn fig07() -> Result<Report> {
-    fig07_with(&RunContext::defaults(&fill_spec()))
-}
-
-fn fig07_with(ctx: &RunContext) -> Result<Report> {
+fn fig07(ctx: &RunContext) -> Result<Report> {
     let vf = ctx.f64("vf");
     let mut rep = Report::new("fig07", FIG07_TITLE).with_columns(&[
         "aspect_ratio",
@@ -301,10 +269,11 @@ fn fig07_with(ctx: &RunContext) -> Result<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run;
 
     #[test]
     fn fig04_co_wins_the_budget_race() {
-        let rep = fig04().unwrap();
+        let rep = run("fig04").unwrap();
         let t = rep.column("T_C").unwrap();
         let co_v = rep.column("co_viable").unwrap();
         let fe_v = rep.column("fe_viable").unwrap();
@@ -318,8 +287,8 @@ mod tests {
         let spec = fig04_spec();
         let hot = RunContext::with_overrides(&spec, &[("temp_k".to_string(), "1000".to_string())])
             .unwrap();
-        let base = fig04().unwrap();
-        let moved = fig04_with(&hot).unwrap();
+        let base = run("fig04").unwrap();
+        let moved = fig04(&hot).unwrap();
         let t_base = base.column("T_C").unwrap();
         let t_moved = moved.column("T_C").unwrap();
         assert_eq!(&t_base[..6], &t_moved[..6], "fixed probes must not move");
@@ -330,7 +299,7 @@ mod tests {
 
     #[test]
     fn fig05_uniformity_is_good() {
-        let rep = fig05().unwrap();
+        let rep = run("fig05").unwrap();
         let text = rep.render();
         assert!(text.contains("CV ="));
         // Radial trend visible: edge band above centre band.
@@ -344,15 +313,15 @@ mod tests {
         let reseeded =
             RunContext::with_overrides(&spec, &[("seed".to_string(), "7".to_string())]).unwrap();
         assert_ne!(
-            fig05().unwrap().render(),
-            fig05_with(&reseeded).unwrap().render()
+            run("fig05").unwrap().render(),
+            fig05(&reseeded).unwrap().render()
         );
     }
 
     #[test]
     fn fig06_fig07_contrast() {
-        let eld = fig06().unwrap();
-        let ecd = fig07().unwrap();
+        let eld = run("fig06").unwrap();
+        let ecd = run("fig07").unwrap();
         let eld_fill = eld.column("fill_fraction").unwrap();
         let ecd_fill = ecd.column("fill_fraction").unwrap();
         for (a, b) in eld_fill.iter().zip(&ecd_fill) {
@@ -373,8 +342,8 @@ mod tests {
         let spec = fill_spec();
         let dense =
             RunContext::with_overrides(&spec, &[("vf".to_string(), "0.5".to_string())]).unwrap();
-        let base = fig06().unwrap();
-        let packed = fig06_with(&dense).unwrap();
+        let base = run("fig06").unwrap();
+        let packed = fig06(&dense).unwrap();
         let mean = |r: &Report| {
             let f = r.column("fill_fraction").unwrap();
             f.iter().sum::<f64>() / f.len() as f64

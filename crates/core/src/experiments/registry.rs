@@ -1,8 +1,8 @@
-//! The experiment registry: one table of trait objects from which
-//! listing, dispatch, alias resolution, and the sweep catalog all derive.
+//! The experiment registry: one table from which listing, dispatch,
+//! alias resolution, and the sweep catalog all derive.
 //!
 //! Every paper artefact (and every extra named study) is registered
-//! exactly once, in its figure module, as an [`Entry`] carrying its id,
+//! exactly once, in its figure module, as an [`Experiment`] carrying its id,
 //! title, paper-order rank, [`ParamSpec`], run function, and — when a
 //! Monte-Carlo variant exists — its sweep kernel constructor. [`registry`]
 //! builds the table once per process and asserts its invariants (unique
@@ -15,48 +15,12 @@ use super::sweep_figs::SweepKernel;
 use crate::{Error, Result};
 use std::sync::OnceLock;
 
-/// One runnable paper artefact or named study.
-///
-/// Implementations are registered in [`registry`]; the trait is the whole
-/// public contract the harness needs — identity, documentation, the
-/// declared parameter surface, and execution.
-pub trait Experiment: Sync {
-    /// Stable experiment id (`"fig12"`, `"table1"`, …).
-    fn id(&self) -> &'static str;
-
-    /// Human-readable title; equals the default report's title.
-    fn title(&self) -> &'static str;
-
-    /// True for extra named studies that back prose claims rather than
-    /// numbered paper artefacts (`"stability"`, `"variability"`).
-    fn is_extra(&self) -> bool {
-        false
-    }
-
-    /// The declared parameter surface (common knobs plus per-experiment
-    /// overrides).
-    fn params(&self) -> &ParamSpec;
-
-    /// Runs the experiment under `ctx`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the experiment's own model errors.
-    fn run(&self, ctx: &RunContext) -> Result<Report>;
-
-    /// True when a Monte-Carlo sweep variant exists
-    /// (see [`super::chunkable_sweep`]).
-    fn has_sweep(&self) -> bool {
-        false
-    }
-}
-
 /// Builds a sweep kernel at a parameter point.
 type KernelFn = fn(&RunContext) -> Result<SweepKernel>;
 
-/// A registry row: the data-driven [`Experiment`] implementation the
-/// figure modules instantiate.
-pub(super) struct Entry {
+/// One runnable paper artefact or named study: a registry row, which its
+/// figure module builds.
+pub struct Experiment {
     rank: u32,
     id: &'static str,
     title: &'static str,
@@ -68,7 +32,7 @@ pub(super) struct Entry {
     sweep: Option<(KernelFn, &'static [&'static str])>,
 }
 
-impl Entry {
+impl Experiment {
     /// A primary (paper-ordered) experiment. `rank` fixes catalog order.
     pub(super) fn new(
         rank: u32,
@@ -103,26 +67,35 @@ impl Entry {
         self.sweep = Some((kernel, honours));
         self
     }
-}
 
-impl Experiment for Entry {
-    fn id(&self) -> &'static str {
+    /// Stable experiment id (`"fig12"`, `"table1"`, …).
+    pub fn id(&self) -> &'static str {
         self.id
     }
 
-    fn title(&self) -> &'static str {
+    /// Human-readable title; equals the default report's title.
+    pub fn title(&self) -> &'static str {
         self.title
     }
 
-    fn is_extra(&self) -> bool {
+    /// True for extra named studies that back prose claims rather than
+    /// numbered paper artefacts (`"stability"`, `"variability"`).
+    pub fn is_extra(&self) -> bool {
         self.extra
     }
 
-    fn params(&self) -> &ParamSpec {
+    /// The declared parameter surface (common knobs plus per-experiment
+    /// overrides).
+    pub fn params(&self) -> &ParamSpec {
         &self.spec
     }
 
-    fn run(&self, ctx: &RunContext) -> Result<Report> {
+    /// Runs the experiment under `ctx`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the experiment's own model errors.
+    pub fn run(&self, ctx: &RunContext) -> Result<Report> {
         let mut report = (self.run_fn)(ctx)?;
         // Titles and prose describe the paper operating point; when the
         // context moved off it, say so in the report itself (default runs
@@ -138,19 +111,21 @@ impl Experiment for Entry {
         Ok(report)
     }
 
-    fn has_sweep(&self) -> bool {
+    /// True when a Monte-Carlo sweep variant exists
+    /// (see [`super::chunkable_sweep`]).
+    pub fn has_sweep(&self) -> bool {
         self.sweep.is_some()
     }
 }
 
 /// The experiment catalog, in paper order with extras at the end.
 pub struct Registry {
-    entries: Vec<Entry>,
+    entries: Vec<Experiment>,
 }
 
 impl Registry {
     fn build() -> Self {
-        let mut entries: Vec<Entry> = Vec::new();
+        let mut entries: Vec<Experiment> = Vec::new();
         entries.extend(super::reliability_figs::entries());
         entries.extend(super::technology_figs::entries());
         entries.extend(super::measure_figs::entries());
@@ -208,8 +183,8 @@ impl Registry {
     }
 
     /// All experiments, catalog order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Experiment> {
-        self.entries.iter().map(|e| e as &dyn Experiment)
+    pub fn iter(&self) -> impl Iterator<Item = &Experiment> {
+        self.entries.iter()
     }
 
     /// Every runnable id, catalog order (paper artefacts, then extras).
@@ -230,11 +205,7 @@ impl Registry {
     /// # Errors
     ///
     /// Returns [`Error::UnknownExperiment`] naming the bad id.
-    pub fn get(&self, id: &str) -> Result<&dyn Experiment> {
-        self.entry(id).map(|e| e as &dyn Experiment)
-    }
-
-    fn entry(&self, id: &str) -> Result<&Entry> {
+    pub fn get(&self, id: &str) -> Result<&Experiment> {
         self.entries
             .iter()
             .find(|e| e.id == id)
@@ -251,7 +222,7 @@ impl Registry {
     /// sweep variant, and [`Error::InvalidOverride`] for an explicitly set
     /// knob the sweep does not honour.
     pub(super) fn sweep_kernel(&self, id: &str, ctx: &RunContext) -> Result<KernelFn> {
-        let Some((kernel, honours)) = self.entry(id)?.sweep else {
+        let Some((kernel, honours)) = self.get(id)?.sweep else {
             return Err(Error::Layer(format!(
                 "'{id}' has no sweep variant (valid: {})",
                 self.sweep_ids().collect::<Vec<_>>().join(" ")

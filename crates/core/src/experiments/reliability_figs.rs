@@ -2,7 +2,7 @@
 //! dopant-stability study.
 
 use super::params::{ParamSpec, ParamValue, RunContext};
-use super::registry::Entry;
+use super::registry::Experiment;
 use super::sweep_figs;
 use super::Report;
 use crate::Result;
@@ -25,20 +25,20 @@ const FIG13B_TITLE: &str = "Full-wafer characterization: Cu reference vs Cu-CNT 
 const STABILITY_TITLE: &str = "Dopant retention under stress: internal vs external doping";
 
 /// This module's registry rows.
-pub(super) fn entries() -> Vec<Entry> {
+pub(super) fn entries() -> Vec<Experiment> {
     vec![
-        Entry::new(0, "table1", TABLE1_TITLE, table1_spec(), table1_with),
-        Entry::new(30, "fig03", FIG03_TITLE, fig03_spec(), fig03_with),
-        Entry::new(130, "fig13a", FIG13A_TITLE, fig13a_spec(), fig13a_with)
+        Experiment::new(0, "table1", TABLE1_TITLE, table1_spec(), table1),
+        Experiment::new(30, "fig03", FIG03_TITLE, fig03_spec(), fig03),
+        Experiment::new(130, "fig13a", FIG13A_TITLE, fig13a_spec(), fig13a)
             .with_sweep(sweep_figs::fig13a_kernel, &[]),
-        Entry::new(131, "fig13b", FIG13B_TITLE, fig13b_spec(), fig13b_with)
+        Experiment::new(131, "fig13b", FIG13B_TITLE, fig13b_spec(), fig13b)
             .with_sweep(sweep_figs::fig13b_kernel, &[]),
-        Entry::new(
+        Experiment::new(
             160,
             "stability",
             STABILITY_TITLE,
             stability_spec(),
-            stability_with,
+            stability,
         )
         .extra(),
     ]
@@ -65,15 +65,7 @@ fn table1_spec() -> ParamSpec {
 }
 
 /// "Table 1": the quantitative materials-comparison claims of Section I.
-///
-/// # Errors
-///
-/// Propagates ampacity-model validation.
-pub fn table1() -> Result<Report> {
-    table1_with(&RunContext::defaults(&table1_spec()))
-}
-
-fn table1_with(ctx: &RunContext) -> Result<Report> {
+fn table1(ctx: &RunContext) -> Result<Report> {
     let w = ctx.f64("width_nm");
     let t = ctx.f64("thickness_nm");
     let width = Length::from_nanometers(w);
@@ -130,15 +122,7 @@ fn fig03_spec() -> ParamSpec {
 
 /// Fig. 3: STEM radial histogram of Pt dopants — internal doping puts the
 /// atoms inside the tube.
-///
-/// # Errors
-///
-/// Propagates dopant-model errors.
-pub fn fig03() -> Result<Report> {
-    fig03_with(&RunContext::defaults(&fig03_spec()))
-}
-
-fn fig03_with(ctx: &RunContext) -> Result<Report> {
+fn fig03(ctx: &RunContext) -> Result<Report> {
     // The paper's d ≈ 7.5 nm MWCNT by default.
     let r_nm = ctx.f64("d_nm") / 2.0;
     let r = Length::from_nanometers(r_nm);
@@ -173,15 +157,7 @@ fn fig13a_spec() -> ParamSpec {
 
 /// Fig. 13a: the generated EM test layout and predicted electrical values
 /// of its structures.
-///
-/// # Errors
-///
-/// Propagates layout validation.
-pub fn fig13a() -> Result<Report> {
-    fig13a_with(&RunContext::defaults(&fig13a_spec()))
-}
-
-fn fig13a_with(ctx: &RunContext) -> Result<Report> {
+fn fig13a(ctx: &RunContext) -> Result<Report> {
     let layout = standard_em_layout();
     let mut rep = Report::new("fig13a", FIG13A_TITLE).with_columns(&["count"]);
     for kind in [
@@ -219,15 +195,7 @@ fn fig13b_spec() -> ParamSpec {
 
 /// Fig. 13b: full-wafer electrical characterization — the Cu reference
 /// against the Cu–CNT composite.
-///
-/// # Errors
-///
-/// Propagates wafer-characterization errors.
-pub fn fig13b() -> Result<Report> {
-    fig13b_with(&RunContext::defaults(&fig13b_spec()))
-}
-
-fn fig13b_with(ctx: &RunContext) -> Result<Report> {
+fn fig13b(ctx: &RunContext) -> Result<Report> {
     let line = TestStructure::SingleLine {
         width: Length::from_nanometers(100.0),
         length: Length::from_micrometers(ctx.f64("length_um")),
@@ -289,15 +257,7 @@ fn stability_spec() -> ParamSpec {
 
 /// The dopant-stability study behind Fig. 3 / Section II.A: internal vs
 /// external retention under operating stress.
-///
-/// # Errors
-///
-/// Propagates stress-test errors.
-pub fn stability() -> Result<Report> {
-    stability_with(&RunContext::defaults(&stability_spec()))
-}
-
-fn stability_with(ctx: &RunContext) -> Result<Report> {
+fn stability(ctx: &RunContext) -> Result<Report> {
     let temp = Temperature::from_celsius(ctx.f64("temp_c"));
     let j = CurrentDensity::from_amps_per_square_centimeter(ctx.f64("j_ma_cm2") * 1e6);
     let dopants = ctx.usize("dopants");
@@ -337,10 +297,11 @@ fn stability_with(ctx: &RunContext) -> Result<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run;
 
     #[test]
     fn table1_matches_paper_numbers() {
-        let rep = table1().unwrap();
+        let rep = run("table1").unwrap();
         let v = rep.column("value").unwrap();
         assert!((v[0] - 50.0).abs() < 1e-6, "Cu wire 50 µA");
         assert!((20.0..=25.0).contains(&v[1]), "CNT 20–25 µA");
@@ -354,7 +315,7 @@ mod tests {
         let spec = table1_spec();
         let sets = vec![("width_nm".to_string(), "200".to_string())];
         let ctx = RunContext::with_overrides(&spec, &sets).unwrap();
-        let rep = table1_with(&ctx).unwrap();
+        let rep = table1(&ctx).unwrap();
         assert_eq!(rep.row_labels[0], "cu_200x50nm_max_uA");
         let v = rep.column("value").unwrap();
         assert!(
@@ -366,7 +327,7 @@ mod tests {
 
     #[test]
     fn fig03_separation() {
-        let rep = fig03().unwrap();
+        let rep = run("fig03").unwrap();
         let r = rep.column("r_nm").unwrap();
         let int = rep.column("internal_count").unwrap();
         let ext = rep.column("external_count").unwrap();
@@ -391,7 +352,7 @@ mod tests {
 
     #[test]
     fn fig13a_inventory() {
-        let rep = fig13a().unwrap();
+        let rep = run("fig13a").unwrap();
         let counts = rep.column("count").unwrap();
         assert_eq!(counts[0], 45.0); // single lines
         assert!(counts.iter().all(|c| *c >= 1.0));
@@ -399,7 +360,7 @@ mod tests {
 
     #[test]
     fn fig13b_composite_wins() {
-        let rep = fig13b().unwrap();
+        let rep = run("fig13b").unwrap();
         let ttf = rep.column("median_ttf_h").unwrap();
         assert!(ttf[1] > 10.0 * ttf[0]);
         let em_yield = rep.column("em_yield").unwrap();
@@ -408,7 +369,7 @@ mod tests {
 
     #[test]
     fn stability_ordering_holds_at_every_duration() {
-        let rep = stability().unwrap();
+        let rep = run("stability").unwrap();
         let int = rep.column("internal_retention").unwrap();
         let ext = rep.column("external_retention").unwrap();
         for (i, e) in int.iter().zip(&ext) {
@@ -425,8 +386,8 @@ mod tests {
         let spec = stability_spec();
         let hot = RunContext::with_overrides(&spec, &[("temp_c".to_string(), "200".to_string())])
             .unwrap();
-        let base = stability().unwrap();
-        let stressed = stability_with(&hot).unwrap();
+        let base = run("stability").unwrap();
+        let stressed = stability(&hot).unwrap();
         // Even the stable internal dopants migrate at 200 °C.
         let last = |r: &Report| *r.column("internal_retention").unwrap().last().unwrap();
         assert!(

@@ -24,7 +24,7 @@
 //! entry; [`super::chunkable_sweep`] is the one way to call it.
 
 use super::params::{ParamSpec, RunContext};
-use super::registry::Entry;
+use super::registry::Experiment;
 use super::Report;
 use crate::benchmark::{delay_ratio, FIG12_CHANNEL_COUNTS, FIG12_DIAMETERS_NM, FIG12_LENGTHS_UM};
 use crate::Result;
@@ -56,8 +56,8 @@ const VARIABILITY_TITLE: &str =
 /// extra named study whose *plain* run is its own sweep, uncached. The
 /// per-figure sweep variants are attached to their figure entries by the
 /// figure modules.
-pub(super) fn entries() -> Vec<Entry> {
-    vec![Entry::new(
+pub(super) fn entries() -> Vec<Experiment> {
+    vec![Experiment::new(
         170,
         "variability",
         VARIABILITY_TITLE,

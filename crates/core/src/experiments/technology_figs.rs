@@ -3,7 +3,7 @@
 //! thermal claim.
 
 use super::params::ParamSpec;
-use super::registry::Entry;
+use super::registry::Experiment;
 use super::Report;
 use crate::compact::{BundleInterconnect, CuWire};
 use crate::technology::{assess, WireClass};
@@ -14,8 +14,8 @@ use cnt_units::si::{Area, Length, Power};
 const FIG01_TITLE: &str = "Technology assessment: Cu vs CNT options per interconnect tier";
 
 /// This module's registry rows.
-pub(super) fn entries() -> Vec<Entry> {
-    vec![Entry::new(
+pub(super) fn entries() -> Vec<Experiment> {
+    vec![Experiment::new(
         10,
         "fig01",
         FIG01_TITLE,
@@ -27,11 +27,7 @@ pub(super) fn entries() -> Vec<Entry> {
 /// Fig. 1: "doped CNTs for local interconnects and CNT-Cu-composite
 /// material for global interconnects" — assessed per tier, with the §I
 /// density floor and the CNT-via thermal advantage as supporting rows.
-///
-/// # Errors
-///
-/// Propagates model validation.
-pub fn fig01() -> Result<Report> {
+fn fig01() -> Result<Report> {
     let mut rep = Report::new("fig01", FIG01_TITLE).with_columns(&[
         "R_ohm",
         "Imax_uA",

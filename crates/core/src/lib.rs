@@ -16,11 +16,12 @@
 //! * [`benchmark`] — the Fig. 11 circuit benchmark: a driver, a
 //!   distributed MWCNT line, a load — with both an analytic (Elmore)
 //!   and a full SPICE-transient delay path;
-//! * [`experiments`] — a trait-based registry with one entry per paper
-//!   artefact (Fig. 2d … Fig. 13b, plus the prose "Table 1" and extra
-//!   named studies), each declaring a typed [`experiments::ParamSpec`]
-//!   and returning a structured [`experiments::Report`] that the
-//!   `cnt-bench` harness renders as text, JSON, or CSV.
+//! * [`experiments`] — a registry with one entry per paper artefact
+//!   (Fig. 2d … Fig. 13b, plus the prose "Table 1" and extra named
+//!   studies), each run by id through [`experiments::run`], declaring a
+//!   typed [`experiments::ParamSpec`] and returning a structured
+//!   [`experiments::Report`] that the `cnt-bench` harness renders as
+//!   text, JSON, or CSV.
 //!
 //! # Example
 //!

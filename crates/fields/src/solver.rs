@@ -182,7 +182,7 @@ impl StencilSystem {
     }
 
     /// Total node count.
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         self.nx * self.ny * self.nz
     }
 

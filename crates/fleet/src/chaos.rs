@@ -43,18 +43,6 @@ pub enum Fault {
     Latency,
 }
 
-impl Fault {
-    /// Lowercase metric/log label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Fault::Refuse => "refuse",
-            Fault::Hang => "hang",
-            Fault::Truncate => "truncate",
-            Fault::Latency => "latency",
-        }
-    }
-}
-
 /// Parsed `--chaos` spec: per-fault probabilities (per-mille) + seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfig {
@@ -188,11 +176,6 @@ impl ChaosInjector {
             config,
             draws: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration this injector draws from.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.config
     }
 
     /// Draws the next fault decision (advances the stream by one).

@@ -76,16 +76,6 @@ impl ChunkBoard {
         }
     }
 
-    /// Number of chunks on the board.
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("board poisoned").len()
-    }
-
-    /// Whether the board holds no chunks.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Claims the next runnable chunk: the lowest-indexed ready `Pending`
     /// first, else the lowest-indexed `Dispatched` whose owner has held it
     /// past `deadline` (stealing it). `None` means nothing is claimable
@@ -141,16 +131,6 @@ impl ChunkBoard {
         };
     }
 
-    /// How many chunks are `Done`.
-    pub fn done(&self) -> usize {
-        self.slots
-            .lock()
-            .expect("board poisoned")
-            .iter()
-            .filter(|s| matches!(s.state, ChunkState::Done))
-            .count()
-    }
-
     /// Whether every chunk is `Done`.
     pub fn all_done(&self) -> bool {
         self.slots
@@ -158,17 +138,6 @@ impl ChunkBoard {
             .expect("board poisoned")
             .iter()
             .all(|s| matches!(s.state, ChunkState::Done))
-    }
-
-    /// Total claim attempts across all chunks (≥ `len()` once every chunk
-    /// has run; the excess counts re-dispatches).
-    pub fn attempts(&self) -> u64 {
-        self.slots
-            .lock()
-            .expect("board poisoned")
-            .iter()
-            .map(|s| u64::from(s.attempts))
-            .sum()
     }
 }
 
@@ -182,10 +151,26 @@ mod tests {
         ChunkBoard::new(&[0..10, 10..20, 20..25])
     }
 
+    /// How many chunks are `Done`.
+    fn done(board: &ChunkBoard) -> usize {
+        let slots = board.slots.lock().unwrap();
+        slots
+            .iter()
+            .filter(|s| matches!(s.state, ChunkState::Done))
+            .count()
+    }
+
+    /// Total claim attempts across all chunks (the excess over the chunk
+    /// count once every chunk has run counts re-dispatches).
+    fn attempts(board: &ChunkBoard) -> u64 {
+        let slots = board.slots.lock().unwrap();
+        slots.iter().map(|s| u64::from(s.attempts)).sum()
+    }
+
     #[test]
     fn claims_cover_every_chunk_once_in_index_order() {
         let board = board3();
-        assert_eq!(board.len(), 3);
+        assert_eq!(board.slots.lock().unwrap().len(), 3);
         let now = Instant::now();
         let a = board.claim(now, DEADLINE).unwrap();
         let b = board.claim(now, DEADLINE).unwrap();
@@ -200,8 +185,8 @@ mod tests {
             assert!(board.complete(claim.index));
         }
         assert!(board.all_done());
-        assert_eq!(board.done(), 3);
-        assert_eq!(board.attempts(), 3);
+        assert_eq!(done(&board), 3);
+        assert_eq!(attempts(&board), 3);
     }
 
     #[test]
@@ -220,7 +205,7 @@ mod tests {
         // no-op.
         assert!(board.complete(stolen.index));
         assert!(!board.complete(original.index), "already done");
-        assert_eq!(board.done(), 1);
+        assert_eq!(done(&board), 1);
     }
 
     #[test]
@@ -252,9 +237,9 @@ mod tests {
         let b = board.claim(now, DEADLINE).unwrap();
         assert_eq!((a.index, b.index), (0, 2));
         assert!(board.claim(now, DEADLINE).is_none());
-        assert_eq!(board.done(), 1);
+        assert_eq!(done(&board), 1);
         let empty = ChunkBoard::new(&[]);
-        assert!(empty.is_empty());
+        assert!(empty.slots.lock().unwrap().is_empty());
         assert!(empty.all_done(), "an empty board is vacuously done");
     }
 }

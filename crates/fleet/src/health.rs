@@ -136,24 +136,14 @@ impl FleetHealth {
         }
     }
 
-    /// The detector's policy (read-only).
-    pub fn policy(&self) -> HealthPolicy {
-        self.policy
-    }
-
     /// Current state of peer `index`.
-    pub fn state(&self, index: usize) -> PeerState {
+    fn state(&self, index: usize) -> PeerState {
         self.peers.lock().unwrap()[index].state
     }
 
     /// Whether the router may target peer `index` (everything but Down).
     pub fn is_routable(&self, index: usize) -> bool {
         self.state(index) != PeerState::Down
-    }
-
-    /// Consecutive-failure count of peer `index` (0 when Up).
-    pub fn consecutive_failures(&self, index: usize) -> u32 {
-        self.peers.lock().unwrap()[index].consecutive_failures
     }
 
     /// `(state, consecutive_failures)` for every peer — one lock for a
@@ -314,7 +304,7 @@ mod tests {
         let t3 = health.record_failure(1, now).unwrap();
         assert_eq!((t3.from, t3.to), (PeerState::Suspect, PeerState::Down));
         assert!(!health.is_routable(1));
-        assert_eq!(health.consecutive_failures(1), 3);
+        assert_eq!(health.snapshot()[1].1, 3);
     }
 
     #[test]
@@ -325,7 +315,7 @@ mod tests {
         health.record_failure(1, now);
         let t = health.record_success(1).unwrap();
         assert_eq!((t.from, t.to), (PeerState::Suspect, PeerState::Up));
-        assert_eq!(health.consecutive_failures(1), 0);
+        assert_eq!(health.snapshot()[1].1, 0);
         // The streak restarts: two more failures are still only Suspect.
         health.record_failure(1, now);
         health.record_failure(1, now);

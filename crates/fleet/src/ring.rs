@@ -74,36 +74,20 @@ impl HashRing {
         Self { owners, peers: n }
     }
 
-    /// Number of peers the table was built over.
-    pub fn peers(&self) -> usize {
-        self.peers
-    }
-
     /// The cache shard a content hash lands in: its high byte, matching
     /// the `{:016x}`-prefix directory layout of the sweep disk cache.
-    pub fn shard_of(hash: u64) -> u8 {
+    fn shard_of(hash: u64) -> u8 {
         (hash >> 56) as u8
     }
 
     /// The peer index owning a given shard (`None` on an empty ring).
-    pub fn owner_of_shard(&self, shard: u8) -> Option<usize> {
+    fn owner_of_shard(&self, shard: u8) -> Option<usize> {
         (self.peers > 0).then(|| usize::from(self.owners[usize::from(shard)]))
     }
 
     /// The peer index owning a content hash (`None` on an empty ring).
     pub fn owner_of_hash(&self, hash: u64) -> Option<usize> {
         self.owner_of_shard(Self::shard_of(hash))
-    }
-
-    /// Shards owned per peer index — the load-balance profile.
-    pub fn shard_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.peers];
-        if self.peers > 0 {
-            for &owner in &self.owners {
-                counts[usize::from(owner)] += 1;
-            }
-        }
-        counts
     }
 }
 
@@ -113,6 +97,17 @@ mod tests {
 
     fn addrs(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect()
+    }
+
+    /// Shards owned per peer index — the load-balance profile.
+    fn shard_counts(ring: &HashRing) -> Vec<usize> {
+        let mut counts = vec![0usize; ring.peers];
+        if ring.peers > 0 {
+            for &owner in &ring.owners {
+                counts[usize::from(owner)] += 1;
+            }
+        }
+        counts
     }
 
     #[test]
@@ -125,10 +120,10 @@ mod tests {
     #[test]
     fn empty_ring_owns_nothing() {
         let ring = HashRing::new::<&str>(&[]);
-        assert_eq!(ring.peers(), 0);
+        assert_eq!(ring.peers, 0);
         assert_eq!(ring.owner_of_shard(0), None);
         assert_eq!(ring.owner_of_hash(u64::MAX), None);
-        assert!(ring.shard_counts().is_empty());
+        assert!(shard_counts(&ring).is_empty());
     }
 
     #[test]
@@ -137,7 +132,7 @@ mod tests {
         for shard in 0..=255u8 {
             assert_eq!(ring.owner_of_shard(shard), Some(0));
         }
-        assert_eq!(ring.shard_counts(), vec![256]);
+        assert_eq!(shard_counts(&ring), vec![256]);
     }
 
     #[test]
@@ -153,7 +148,7 @@ mod tests {
     fn shards_spread_uniformly_across_peers() {
         for n in [2usize, 3, 4, 5, 8] {
             let ring = HashRing::new(&addrs(n));
-            let counts = ring.shard_counts();
+            let counts = shard_counts(&ring);
             assert_eq!(counts.iter().sum::<usize>(), 256);
             let expect = 256.0 / n as f64;
             for (peer, &count) in counts.iter().enumerate() {
@@ -186,7 +181,7 @@ mod tests {
         }
         // Exactly the removed peer's share moves: ≤ 1/N of the key space
         // (plus slack for the finite 256-shard table).
-        assert_eq!(remapped, ring.shard_counts()[3]);
+        assert_eq!(remapped, shard_counts(&ring)[3]);
         assert!(
             remapped as f64 <= 256.0 / 4.0 * 1.7,
             "remap fraction too large: {remapped}/256"
@@ -202,7 +197,7 @@ mod tests {
         let full = addrs(5);
         let ring = HashRing::new(&full);
         let survivors = HashRing::new(&full[..3]);
-        let counts = ring.shard_counts();
+        let counts = shard_counts(&ring);
         let mut remapped = 0usize;
         for shard in 0..=255u8 {
             let before = ring.owner_of_shard(shard).unwrap();

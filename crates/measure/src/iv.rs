@@ -27,7 +27,7 @@ impl CntDevice {
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] for non-positive values.
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         if self.resistance.ohms() <= 0.0 {
             return Err(Error::InvalidParameter {
                 name: "resistance",

@@ -47,7 +47,7 @@ impl TlmExperiment {
     ///
     /// [`Error::TooFewPoints`] for fewer than 3 lengths,
     /// [`Error::InvalidParameter`] for negative truths/noise.
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         if self.lengths.len() < 3 {
             return Err(Error::TooFewPoints {
                 got: self.lengths.len(),

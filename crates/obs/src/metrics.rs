@@ -45,23 +45,8 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative) with a compare-and-swap loop.
-    pub fn add(&self, delta: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Current value.
-    pub fn get(&self) -> f64 {
+    fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -84,14 +69,14 @@ pub struct Histogram {
 }
 
 /// The default log2 bucket bounds, in seconds.
-pub fn default_seconds_bounds() -> Vec<f64> {
+fn default_seconds_bounds() -> Vec<f64> {
     (-20..=5).map(|e| (2.0f64).powi(e)).collect()
 }
 
 impl Histogram {
     /// A histogram over the given upper bounds (must be strictly
     /// increasing and non-empty); an `+Inf` bucket is added implicitly.
-    pub fn new(bounds: &[f64]) -> Self {
+    fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -134,40 +119,29 @@ impl Histogram {
     }
 
     /// Sum of observed values.
-    pub fn sum(&self) -> f64 {
+    fn sum(&self) -> f64 {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// The upper bucket bounds (without the implicit `+Inf`).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 
     /// Per-bucket counts, `+Inf` last (same snapshot caveat as any
     /// concurrent read: buckets are loaded one by one).
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Estimates the `q`-quantile (`0 ≤ q ≤ 1`) by linear interpolation
-    /// inside the bucket holding it — the same estimate Prometheus'
-    /// `histogram_quantile` computes. Returns `None` when empty.
-    ///
-    /// Observations beyond the last finite bound clamp to it, so the
-    /// estimate is a lower bound when the tail bucket is occupied.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        quantile_from_counts(&self.bounds, &self.bucket_counts(), q)
-    }
 }
 
-/// Quantile-by-interpolation over an explicit per-bucket count vector
-/// (`+Inf` last, `counts.len() == bounds.len() + 1`). This is
-/// [`Histogram::quantile`] factored out so windowed *count deltas* —
-/// the time-series layer's view of a histogram over the last N seconds
-/// — get the identical estimate the live histogram reports.
+/// Estimates the `q`-quantile (`0 ≤ q ≤ 1`) of a histogram given as its
+/// upper `bounds` and per-bucket `counts` (`+Inf` last,
+/// `counts.len() == bounds.len() + 1`) by linear interpolation inside the
+/// bucket holding it — the same estimate Prometheus' `histogram_quantile`
+/// computes. Returns `None` when empty. The time-series layer feeds it
+/// windowed *count deltas*, a histogram's view of the last N seconds.
+///
+/// Observations beyond the last finite bound clamp to it, so the
+/// estimate is a lower bound when the tail bucket is occupied.
 pub fn quantile_from_counts(bounds: &[f64], counts: &[u64], q: f64) -> Option<f64> {
     let total: u64 = counts.iter().sum();
     if total == 0 || bounds.is_empty() {
@@ -231,13 +205,8 @@ impl CounterVec {
         &self.base
     }
 
-    /// The label key the family was registered with.
-    pub fn label_key(&self) -> &str {
-        &self.label_key
-    }
-
     /// Sorted `(label value, count)` snapshot.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
+    fn snapshot(&self) -> Vec<(String, u64)> {
         self.children
             .lock()
             .expect("counter vec poisoned")
@@ -291,13 +260,8 @@ impl GaugeVec {
         g
     }
 
-    /// The label keys the family was registered with.
-    pub fn label_keys(&self) -> &[String] {
-        &self.label_keys
-    }
-
     /// Sorted `(label values, value)` snapshot.
-    pub fn snapshot(&self) -> Vec<(Vec<String>, f64)> {
+    fn snapshot(&self) -> Vec<(Vec<String>, f64)> {
         self.children
             .lock()
             .expect("gauge vec poisoned")
@@ -414,7 +378,7 @@ impl MetricRegistry {
 
     /// Registers (or fetches) a histogram over explicit bounds (the
     /// bounds of an existing registration win).
-    pub fn histogram_with(&self, name: &str, help: &str, bounds: &[f64]) -> Arc<Histogram> {
+    pub(crate) fn histogram_with(&self, name: &str, help: &str, bounds: &[f64]) -> Arc<Histogram> {
         self.register(
             name,
             help,
@@ -607,6 +571,11 @@ fn label_quote(v: &str) -> String {
 mod tests {
     use super::*;
 
+    /// A live histogram's quantile estimate.
+    fn quantile(h: &Histogram, q: f64) -> Option<f64> {
+        quantile_from_counts(&h.bounds, &h.bucket_counts(), q)
+    }
+
     #[test]
     fn counters_and_gauges_hold_values() {
         let r = MetricRegistry::new();
@@ -618,8 +587,7 @@ mod tests {
         assert_eq!(r.counter("t_total", "help").get(), 5);
 
         let g = r.gauge("t_gauge", "help");
-        g.set(2.5);
-        g.add(-1.0);
+        g.set(1.5);
         assert!((g.get() - 1.5).abs() < 1e-12);
     }
 
@@ -657,7 +625,7 @@ mod tests {
     #[test]
     fn quantile_interpolates_within_buckets() {
         let h = Histogram::new(&[1.0, 2.0, 4.0]);
-        assert_eq!(h.quantile(0.5), None, "empty histogram has no quantile");
+        assert_eq!(quantile(&h, 0.5), None, "empty histogram has no quantile");
         for _ in 0..50 {
             h.record(0.5); // bucket [0, 1]
         }
@@ -665,16 +633,16 @@ mod tests {
             h.record(3.0); // bucket (2, 4]
         }
         // Median sits exactly at the end of the first bucket.
-        let q50 = h.quantile(0.5).unwrap();
+        let q50 = quantile(&h, 0.5).unwrap();
         assert!((q50 - 1.0).abs() < 1e-9, "q50 = {q50}");
         // 75th percentile: halfway through the (2, 4] bucket.
-        let q75 = h.quantile(0.75).unwrap();
+        let q75 = quantile(&h, 0.75).unwrap();
         assert!((q75 - 3.0).abs() < 1e-9, "q75 = {q75}");
         // Quantiles clamp into the finite range.
-        assert!(h.quantile(1.0).unwrap() <= 4.0);
+        assert!(quantile(&h, 1.0).unwrap() <= 4.0);
         // Tail bucket clamps to the last finite bound.
         h.record(1e9);
-        assert!((h.quantile(1.0).unwrap() - 4.0).abs() < 1e-9);
+        assert!((quantile(&h, 1.0).unwrap() - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -682,7 +650,7 @@ mod tests {
         // Empty histogram: no quantile at any q, including the extremes.
         let empty = Histogram::new(&[1.0, 2.0]);
         for q in [0.0, 0.5, 0.9, 1.0] {
-            assert_eq!(empty.quantile(q), None, "q={q}");
+            assert_eq!(quantile(&empty, q), None, "q={q}");
         }
 
         // Single finite bucket: every quantile interpolates inside [0, 1].
@@ -690,13 +658,13 @@ mod tests {
         for _ in 0..10 {
             single.record(0.5);
         }
-        let q0 = single.quantile(0.0).unwrap();
+        let q0 = quantile(&single, 0.0).unwrap();
         assert!((0.0..=1.0).contains(&q0), "q0 = {q0}");
-        assert!((single.quantile(0.5).unwrap() - 0.5).abs() < 1e-9);
-        assert!((single.quantile(1.0).unwrap() - 1.0).abs() < 1e-9);
+        assert!((quantile(&single, 0.5).unwrap() - 0.5).abs() < 1e-9);
+        assert!((quantile(&single, 1.0).unwrap() - 1.0).abs() < 1e-9);
         // One observation past the only finite bound clamps to it.
         single.record(100.0);
-        assert!((single.quantile(1.0).unwrap() - 1.0).abs() < 1e-9);
+        assert!((quantile(&single, 1.0).unwrap() - 1.0).abs() < 1e-9);
 
         // Exact-boundary ranks: with every observation in one bucket the
         // cumulative count hits the rank exactly at the bucket edge.
@@ -704,16 +672,14 @@ mod tests {
         for _ in 0..4 {
             h.record(1.5); // all in (1, 2]
         }
-        assert!((h.quantile(1.0).unwrap() - 2.0).abs() < 1e-9, "q1 at edge");
-        assert!((h.quantile(0.5).unwrap() - 1.5).abs() < 1e-9);
-        // q = 0 never reaches below the occupied bucket's lower bound.
-        assert!(h.quantile(0.0).unwrap() >= 1.0);
-
-        // The free function agrees with the method on the same counts.
-        assert_eq!(
-            quantile_from_counts(h.bounds(), &h.bucket_counts(), 0.5),
-            h.quantile(0.5)
+        assert!(
+            (quantile(&h, 1.0).unwrap() - 2.0).abs() < 1e-9,
+            "q1 at edge"
         );
+        assert!((quantile(&h, 0.5).unwrap() - 1.5).abs() < 1e-9);
+        // q = 0 never reaches below the occupied bucket's lower bound.
+        assert!(quantile(&h, 0.0).unwrap() >= 1.0);
+
         // Degenerate inputs: no bounds or all-zero counts yield None.
         assert_eq!(quantile_from_counts(&[], &[0], 0.5), None);
         assert_eq!(quantile_from_counts(&[1.0], &[0, 0], 0.5), None);

@@ -93,7 +93,7 @@ pub enum SloState {
 
 impl SloState {
     /// Lowercase wire label.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             SloState::Ok => "ok",
             SloState::Warn => "warn",
@@ -160,7 +160,7 @@ fn burn(kind: &SloKind, store: &HistoryStore, window_s: f64) -> f64 {
 }
 
 /// Evaluates one spec against a store.
-pub fn evaluate(spec: &SloSpec, store: &HistoryStore) -> SloReport {
+fn evaluate(spec: &SloSpec, store: &HistoryStore) -> SloReport {
     let burn_fast = burn(&spec.kind, store, spec.fast_window_s);
     let burn_slow = burn(&spec.kind, store, spec.slow_window_s);
     let state = if burn_fast >= spec.page_burn && burn_slow >= spec.page_burn {

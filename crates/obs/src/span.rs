@@ -62,7 +62,7 @@ pub struct SpanNode {
 
 impl SpanNode {
     /// Time spent in this span but not in any child, clamped to ≥ 0.
-    pub fn self_s(&self) -> f64 {
+    fn self_s(&self) -> f64 {
         let child: f64 = self.children.iter().map(|c| c.total_s).sum();
         (self.total_s - child).max(0.0)
     }
@@ -362,7 +362,7 @@ impl Profile {
     }
 
     /// Merges one captured forest (a `Trace::end` result) into the
-    /// profile. Empty captures still count toward [`Profile::captures`].
+    /// profile. Empty captures still count toward the capture total.
     pub fn add(&self, roots: &[SpanNode]) {
         self.captures
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -373,12 +373,12 @@ impl Profile {
     }
 
     /// How many captures were folded in.
-    pub fn captures(&self) -> u64 {
+    fn captures(&self) -> u64 {
         self.captures.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// A clone of the merged forest.
-    pub fn snapshot(&self) -> Vec<SpanNode> {
+    fn snapshot(&self) -> Vec<SpanNode> {
         self.roots.lock().expect("profile poisoned").clone()
     }
 

@@ -118,11 +118,6 @@ impl HistoryStore {
         }
     }
 
-    /// Points retained per series.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Samples every series of `registry` into the rings; one point per
     /// series per call. Call from a scraper thread on a fixed interval
     /// (multiple registries may share one store as long as their metric
@@ -134,7 +129,7 @@ impl HistoryStore {
     /// Appends one pre-made snapshot (the testable core of [`sample`]).
     ///
     /// [`sample`]: HistoryStore::sample
-    pub fn ingest(&self, snapshot: Vec<(String, MetricSnapshot)>) {
+    pub(crate) fn ingest(&self, snapshot: Vec<(String, MetricSnapshot)>) {
         let at_s = self.started.elapsed().as_secs_f64();
         let unix_s = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
@@ -185,7 +180,7 @@ impl HistoryStore {
     /// Windowed min/max/rate of a scalar series over the trailing
     /// `window_s` seconds; `None` for unknown or histogram series, or
     /// when no point has been sampled yet.
-    pub fn windowed(&self, name: &str, window_s: f64) -> Option<WindowSummary> {
+    fn windowed(&self, name: &str, window_s: f64) -> Option<WindowSummary> {
         let series = self.series.lock().expect("history store poisoned");
         let entry = series.get(name)?;
         let SeriesData::Scalar(points) = &entry.data else {
@@ -483,7 +478,7 @@ mod tests {
     #[test]
     fn capacity_floor_is_two() {
         let store = HistoryStore::new(0);
-        assert_eq!(store.capacity(), 2);
+        assert_eq!(store.capacity, 2);
         for v in 0..5u64 {
             store.ingest(counter_snap("t_total", v));
         }

@@ -93,7 +93,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Appends this record as a flat JSON object (no children member).
-    pub fn push_json(&self, out: &mut String) {
+    fn push_json(&self, out: &mut String) {
         out.push_str(&format!(
             "{{\"trace_id\":\"{}\",\"span_id\":\"{}\"",
             id_hex(self.trace_id),
@@ -127,7 +127,7 @@ impl TraceRecord {
     /// `trace_id`, `span_id` or `name` is missing or malformed. Other
     /// members default when absent (a non-finite time, written as
     /// `null`, reads as zero), and malformed span nodes are skipped.
-    pub fn from_json(value: &JsonValue) -> Option<TraceRecord> {
+    fn from_json(value: &JsonValue) -> Option<TraceRecord> {
         let text = |key: &str| value.get(key).and_then(JsonValue::as_str);
         let number = |key: &str| value.get(key).and_then(JsonValue::as_f64);
         let roots = match value.get("spans") {
@@ -228,21 +228,6 @@ impl TraceStore {
             .filter(|e| e.record.trace_id == trace_id)
             .map(|e| Arc::clone(&e.record))
             .collect()
-    }
-
-    /// Live records currently held (expired entries excluded).
-    pub fn len(&self) -> usize {
-        let entries = self.entries.lock().expect("trace store poisoned");
-        let now = Instant::now();
-        entries
-            .iter()
-            .filter(|e| now.duration_since(e.stored) <= self.ttl)
-            .count()
-    }
-
-    /// Whether no live record is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -378,10 +363,9 @@ mod tests {
 
         let expiring = TraceStore::new(8, Duration::from_millis(5));
         expiring.record(record(1, None, "r", "a:1"));
-        assert_eq!(expiring.len(), 1);
+        assert_eq!(expiring.get(0xabc).len(), 1);
         std::thread::sleep(Duration::from_millis(20));
-        assert!(expiring.is_empty(), "TTL must expire records");
-        assert!(expiring.get(0xabc).is_empty());
+        assert!(expiring.get(0xabc).is_empty(), "TTL must expire records");
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct WaferSite {
 
 impl WaferSite {
     /// Radial position from wafer centre, metres.
-    pub fn radius(&self) -> f64 {
+    fn radius(&self) -> f64 {
         radius(self.x, self.y)
     }
 }
@@ -244,28 +244,6 @@ impl WaferMap {
         Ok(Self { diameter, sites })
     }
 
-    /// Wafer diameter, metres.
-    pub fn diameter(&self) -> f64 {
-        self.diameter
-    }
-
-    /// Applies a function to every site value, returning a derived map
-    /// (e.g. thickness → line resistance).
-    pub fn map_values(&self, f: impl Fn(f64) -> f64) -> WaferMap {
-        WaferMap {
-            diameter: self.diameter,
-            sites: self
-                .sites
-                .iter()
-                .map(|s| WaferSite {
-                    x: s.x,
-                    y: s.y,
-                    value: f(s.value),
-                })
-                .collect(),
-        }
-    }
-
     /// Computes the uniformity summary.
     ///
     /// # Errors
@@ -383,16 +361,6 @@ mod tests {
         let map = WaferMap::generate(0.3, 500, 1.0, 0.02, 0.01, 5).unwrap();
         for s in &map.sites {
             assert!(s.radius() <= 0.15, "site off-wafer at r = {}", s.radius());
-        }
-    }
-
-    #[test]
-    fn map_values_transforms_pointwise() {
-        let map = WaferMap::generate(0.3, 49, 2.0, 0.0, 0.0, 1).unwrap();
-        let doubled = map.map_values(|v| v * 2.0);
-        for (a, b) in map.sites.iter().zip(&doubled.sites) {
-            assert_eq!(b.value, a.value * 2.0);
-            assert_eq!((a.x, a.y), (b.x, b.y));
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the process models.
 
-use cnt_process::composite::{ampacity_boost, composite_conductivity};
+use cnt_process::composite::composite_conductivity;
 use cnt_process::growth::{Catalyst, GrowthRecipe};
 use cnt_process::variability::{resistance_stats, sample_devices, DevicePopulation, DopingState};
 use cnt_process::wafer::WaferMap;
@@ -50,11 +50,6 @@ proptest! {
         let s = composite_conductivity(vf, fill, sigma_cu, sigma_cnt);
         let hi = sigma_cu.max(sigma_cnt);
         prop_assert!(s >= 0.0 && s <= hi * (1.0 + 1e-12));
-    }
-
-    #[test]
-    fn ampacity_boost_monotone(v1 in 0.0_f64..0.7, dv in 0.001_f64..0.04) {
-        prop_assert!(ampacity_boost(v1 + dv) > ampacity_boost(v1));
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl StressTest {
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] naming the offending field.
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         if self.tube_length.meters() <= 0.0 {
             return Err(Error::InvalidParameter {
                 name: "tube_length",

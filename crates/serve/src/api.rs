@@ -51,7 +51,7 @@ pub fn experiment_json(id: &str) -> Option<String> {
     Some(out)
 }
 
-fn push_experiment(exp: &dyn Experiment, out: &mut String) {
+fn push_experiment(exp: &Experiment, out: &mut String) {
     out.push_str("{\"id\":");
     json::push_string(exp.id(), out);
     out.push_str(",\"title\":");

@@ -195,7 +195,7 @@ mod tests {
         ComputeGate::new(
             permits,
             capacity,
-            Arc::new(Histogram::new(&cnt_obs::metrics::default_seconds_bounds())),
+            cnt_obs::MetricRegistry::new().histogram("t_wait_seconds", "queue wait"),
         )
     }
 

@@ -65,7 +65,7 @@ mod imp {
         fn close(fd: i32) -> i32;
     }
 
-    pub fn bind_reuseaddr(addr: SocketAddrV4) -> std::io::Result<TcpListener> {
+    pub(super) fn bind_reuseaddr(addr: SocketAddrV4) -> std::io::Result<TcpListener> {
         // SAFETY: every pointer passed points to a live local of the
         // length passed with it; `fd` is closed on each error path and
         // otherwise handed to `TcpListener`, which owns it from then on.
@@ -104,7 +104,10 @@ mod imp {
         }
     }
 
-    pub fn set_accept_timeout(listener: &TcpListener, timeout: Duration) -> std::io::Result<()> {
+    pub(super) fn set_accept_timeout(
+        listener: &TcpListener,
+        timeout: Duration,
+    ) -> std::io::Result<()> {
         let tv = Timeval {
             tv_sec: timeout.as_secs() as c_long,
             tv_usec: c_long::from(timeout.subsec_micros()),
@@ -123,7 +126,7 @@ mod imp {
 
 #[cfg(not(target_os = "linux"))]
 mod imp {
-    pub fn set_accept_timeout(
+    pub(super) fn set_accept_timeout(
         _: &std::net::TcpListener,
         _: std::time::Duration,
     ) -> std::io::Result<()> {

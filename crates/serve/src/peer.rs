@@ -25,6 +25,7 @@
 //! [`cnt_fleet::chaos`].
 
 use crate::http::{self, ReadError};
+use crate::server::KEEP_ALIVE_IDLE;
 use cnt_fleet::chaos::{ChaosInjector, Fault};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -40,9 +41,10 @@ pub(crate) const MAX_PEER_BODY: usize = 4 * 1024 * 1024;
 const MAX_IDLE_PER_PEER: usize = 4;
 
 /// How long a parked socket stays reusable. Must sit well inside the
-/// serve layer's `keep_alive_idle` (5 s): a socket the *server* is
-/// about to reap is worse than no socket, so we evict first.
+/// server's idle window, [`KEEP_ALIVE_IDLE`] (5 s): a socket the
+/// *server* is about to reap is worse than no socket, so we evict first.
 const IDLE_TTL: Duration = Duration::from_millis(2_000);
+const _: () = assert!(IDLE_TTL.as_millis() < KEEP_ALIVE_IDLE.as_millis());
 
 /// A parsed peer response: status plus the framed body.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -73,12 +73,19 @@ const ACCEPT_WAIT: Duration = Duration::from_millis(20);
 /// The pause after a failed `accept` (such as `EMFILE`), so a persistent
 /// error does not spin the loop.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+/// How long a kept-alive connection may sit idle between requests
+/// before its thread closes it. A parked connection holds only its own
+/// thread, never a compute permit; the window bounds how long idle
+/// clients keep their slot under the connection cap. There is no
+/// per-connection request cap: a connection ends on client close,
+/// `Connection: close`, this idle window, shutdown, or an error.
+pub(crate) const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(5);
 
 /// How a run leader turns a resolved experiment + context into a report.
 /// Injectable so tests can slow computations down or fail them on
 /// purpose; production uses [`Experiment::run`].
 pub type Runner =
-    dyn Fn(&'static dyn Experiment, &RunContext) -> cnt_interconnect::Result<Report> + Send + Sync;
+    dyn Fn(&'static Experiment, &RunContext) -> cnt_interconnect::Result<Report> + Send + Sync;
 
 /// How the per-request access log renders each completed exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,14 +117,6 @@ pub struct Config {
     /// writing its response. A per-*request* deadline, not a per-read
     /// socket timeout: a slow-drip client cannot hold its thread past it.
     pub request_deadline: Duration,
-    /// How long a kept-alive connection may sit idle between requests
-    /// before its thread closes it. A parked connection holds only its
-    /// own thread, never a compute permit; the window bounds how long
-    /// idle clients keep their slot under the connection cap. There is
-    /// no per-connection request cap: a connection ends on client
-    /// close, `Connection: close`, this idle window, shutdown, or an
-    /// error.
-    pub keep_alive_idle: Duration,
     /// Also stop on `SIGINT`/`SIGTERM` (the `repro serve` front end
     /// installs the handlers via [`signal::install`]).
     pub watch_signals: bool,
@@ -133,11 +132,9 @@ pub struct Config {
     pub jobs_capacity: usize,
     /// How long a finished job's result stays pollable before GC.
     pub job_ttl: Duration,
-    /// Points each metric series keeps in the `GET /v1/metrics/history`
-    /// ring (oldest overwritten first).
-    pub history_points: usize,
     /// How often the self-scraper thread samples the registries into
-    /// the history rings.
+    /// the history rings (`repro serve` takes 1 ms to 1 day). One past
+    /// the clock's range samples once, at start.
     pub history_interval: Duration,
     /// SLOs `GET /v1/slo` and `repro slo` evaluate against the history
     /// rings (defaults to [`cnt_obs::slo::default_serve_slos`]).
@@ -160,13 +157,11 @@ impl Default for Config {
             queue_capacity: 64,
             cache_capacity: 256,
             request_deadline: Duration::from_secs(30),
-            keep_alive_idle: Duration::from_secs(5),
             watch_signals: false,
             access_log: None,
             fleet: None,
             jobs_capacity: 64,
             job_ttl: Duration::from_secs(600),
-            history_points: cnt_obs::timeseries::DEFAULT_HISTORY_POINTS,
             history_interval: Duration::from_secs(1),
             slos: slo::default_serve_slos(),
             data_dir: None,
@@ -477,7 +472,6 @@ struct Shared {
     /// Set once by [`Server::enable_fleet`]; `None` = single instance.
     fleet: OnceLock<routing::FleetState>,
     request_deadline: Duration,
-    keep_alive_idle: Duration,
     access_log: Option<AccessLogFormat>,
     /// Request-id prefix (per server) and sequence: every response
     /// carries `X-Request-Id: <prefix>-<seq>`.
@@ -538,12 +532,11 @@ impl Shared {
             jobs,
             fleet: OnceLock::new(),
             request_deadline: config.request_deadline,
-            keep_alive_idle: config.keep_alive_idle,
             access_log: config.access_log,
             rid_prefix,
             rid_seq: AtomicU64::new(0),
             span_seq: AtomicU64::new(0),
-            history: HistoryStore::new(config.history_points),
+            history: HistoryStore::new(cnt_obs::timeseries::DEFAULT_HISTORY_POINTS),
             slos: config.slos.clone(),
             traces: TraceStore::new(TRACE_CAPACITY, TRACE_TTL),
             profile: Profile::new(),
@@ -688,7 +681,7 @@ impl Server {
     /// Returns [`Error::Io`] when the address cannot be bound.
     pub fn bind_with_runner<F>(config: Config, runner: F) -> Result<Self>
     where
-        F: Fn(&'static dyn Experiment, &RunContext) -> cnt_interconnect::Result<Report>
+        F: Fn(&'static Experiment, &RunContext) -> cnt_interconnect::Result<Report>
             + Send
             + Sync
             + 'static,
@@ -800,7 +793,8 @@ impl Server {
             std::thread::spawn(move || loop {
                 sample_history(&shared);
                 shared.jobs.collect_expired();
-                if !shared.wake.wait(None, Some(Instant::now() + interval)) {
+                // An interval past the clock's range waits for stop.
+                if !shared.wake.wait(None, Instant::now().checked_add(interval)) {
                     break;
                 }
             })

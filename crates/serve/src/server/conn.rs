@@ -2,7 +2,7 @@
 //! routes and writes its requests back to back, each under its own
 //! read/write deadline, and the per-request access log.
 
-use super::{route, scope_for, AccessLogFormat, RequestScope, Shared};
+use super::{route, scope_for, AccessLogFormat, RequestScope, Shared, KEEP_ALIVE_IDLE};
 use crate::api;
 use crate::http::{self, ReadError, Response};
 use cnt_obs::json;
@@ -174,7 +174,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             return;
         }
         served += 1;
-        first_byte_within = shared.keep_alive_idle;
+        first_byte_within = KEEP_ALIVE_IDLE;
     }
 }
 

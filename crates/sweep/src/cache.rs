@@ -271,7 +271,7 @@ pub fn gc_by_age(dir: &Path, max_age: std::time::Duration) -> Result<GcStats> {
 
 /// [`gc_by_age`] against an explicit "now" — the testable core (unit
 /// tests feed synthetic mtimes and a pinned clock).
-pub fn gc_by_age_at(dir: &Path, max_age: std::time::Duration, now: SystemTime) -> Result<GcStats> {
+fn gc_by_age_at(dir: &Path, max_age: std::time::Duration, now: SystemTime) -> Result<GcStats> {
     let cutoff = now.checked_sub(max_age).unwrap_or(SystemTime::UNIX_EPOCH);
     let entries = list_entries(dir)?;
     let mut scanned = 0usize;

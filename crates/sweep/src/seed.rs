@@ -40,13 +40,14 @@ fn mix(mut z: u64) -> u64 {
 
 /// The 64-bit seed of job `index` under `root_seed` in the plan with the
 /// given `fingerprint`.
-pub fn job_seed(root_seed: u64, fingerprint: u64, index: usize) -> u64 {
+fn job_seed(root_seed: u64, fingerprint: u64, index: usize) -> u64 {
     let a = mix(root_seed ^ 0x9e37_79b9_7f4a_7c15);
     let b = mix(fingerprint.wrapping_add(0x6a09_e667_f3bc_c909));
     mix(a ^ b.rotate_left(31) ^ (index as u64).wrapping_mul(0xd134_2543_de82_ef95))
 }
 
-/// A fresh generator for job `index` (see [`job_seed`]).
+/// A fresh generator for job `index`, seeded by avalanche-mixing
+/// `(root_seed, fingerprint, index)`.
 pub fn job_rng(root_seed: u64, fingerprint: u64, index: usize) -> StdRng {
     StdRng::seed_from_u64(job_seed(root_seed, fingerprint, index))
 }

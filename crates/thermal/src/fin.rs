@@ -74,7 +74,7 @@ impl SelfHeatingLine {
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] naming the offending field.
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         let checks: [(&'static str, f64, bool); 5] = [
             ("length", self.length.meters(), self.length.meters() > 0.0),
             (

@@ -12,14 +12,14 @@
 //!   two contacts, analytic and finite-difference solutions;
 //! * [`sthm`] — a virtual SThM: probe-convolved, noisy temperature maps;
 //! * [`extract`] — the inverse problem: recover the thermal conductivity
-//!   from (noisy) measured profiles, as the paper plans on real hardware;
-//! * [`ampacity`] — thermally limited maximum current density (breakdown
-//!   when the peak temperature hits a critical value).
+//!   from (noisy) measured profiles, as the paper plans on real hardware.
+//!
+//! [`via`] adds the §I via claim: the thermal resistance of Cu and CNT
+//! via stacks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ampacity;
 pub mod extract;
 pub mod fin;
 pub mod sthm;

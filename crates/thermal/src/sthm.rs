@@ -41,7 +41,7 @@ impl SthmInstrument {
     ///
     /// Returns [`Error::InvalidParameter`] for non-positive FWHM/pitch or
     /// negative noise.
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         if self.probe_fwhm <= 0.0 {
             return Err(Error::InvalidParameter {
                 name: "probe_fwhm",

@@ -36,7 +36,7 @@ impl ViaStack {
     ///
     /// [`Error::InvalidParameter`] for empty stacks, non-positive areas,
     /// thicknesses or conductivities, or negative interface resistance.
-    pub fn new(
+    fn new(
         layers: Vec<StackLayer>,
         cross_section: Area,
         interface_resistance: f64,

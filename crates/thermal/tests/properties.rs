@@ -1,9 +1,8 @@
 //! Property-based tests of the thermal models.
 
-use cnt_thermal::ampacity::thermal_ampacity;
 use cnt_thermal::extract::kth_from_peak;
 use cnt_thermal::fin::SelfHeatingLine;
-use cnt_units::si::{CurrentDensity, Length, Temperature};
+use cnt_units::si::{CurrentDensity, Length};
 use proptest::prelude::*;
 
 fn line(k: f64, l_um: f64, j_ma_cm2: f64) -> SelfHeatingLine {
@@ -70,17 +69,5 @@ proptest! {
         let peak = ln.peak_temperature().kelvin();
         let k_back = kth_from_peak(&ln, peak).unwrap();
         prop_assert!((k_back - k).abs() / k < 1e-9);
-    }
-
-    #[test]
-    fn ampacity_limit_is_self_consistent(
-        k in 500.0_f64..10_000.0,
-        t_crit in 400.0_f64..900.0,
-    ) {
-        let ln = line(k, 2.0, 1.0);
-        let jmax = thermal_ampacity(&ln, Temperature::from_kelvin(t_crit)).unwrap();
-        let mut at = ln;
-        at.current_density = jmax;
-        prop_assert!((at.peak_temperature().kelvin() - t_crit).abs() < 1.0);
     }
 }

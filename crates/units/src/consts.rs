@@ -55,9 +55,6 @@ pub const SHELL_SPACING: f64 = 0.34e-9;
 /// Quantum capacitance per conducting channel, F/m (96.5 aF/µm, paper Eq. 5).
 pub const CQ_PER_CHANNEL: f64 = 96.5e-18 / 1.0e-6;
 
-/// Kinetic inductance per conducting channel, H/m (≈ 8 nH/µm, Li et al. 2008).
-pub const LK_PER_CHANNEL: f64 = 8.0e-9 / 1.0e-6;
-
 /// Mean-free-path-to-diameter ratio for metallic CNT shells at 300 K.
 ///
 /// λ ≈ 1000·d (Naeemi & Meindl, EDL 2006 — reference \[19\] of the paper).

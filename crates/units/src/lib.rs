@@ -43,6 +43,6 @@ pub mod rand_ext;
 pub mod si;
 
 pub use si::{
-    Area, Capacitance, Charge, Conductance, Current, CurrentDensity, Energy, Frequency, Inductance,
-    Length, Power, Resistance, Resistivity, Temperature, ThermalConductivity, Time, Voltage,
+    Area, Capacitance, Charge, Conductance, Current, CurrentDensity, Energy, Length, Power,
+    Resistance, Resistivity, Temperature, ThermalConductivity, Time, Voltage,
 };

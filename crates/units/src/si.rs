@@ -36,12 +36,6 @@ macro_rules! quantity {
             /// The zero quantity.
             pub const ZERO: Self = Self(0.0);
 
-            /// Creates a quantity directly from its SI base-unit value.
-            #[inline]
-            pub const fn new(base: f64) -> Self {
-                Self(base)
-            }
-
             /// Returns the smaller of two quantities.
             #[inline]
             pub fn min(self, other: Self) -> Self {
@@ -252,18 +246,6 @@ quantity! {
 }
 
 quantity! {
-    /// An inductance, stored in henries.
-    Inductance, "H" {
-        /// Creates an inductance from henries.
-        from_henries / henries => 1.0,
-        /// Creates an inductance from nanohenries.
-        from_nanohenries / nanohenries => 1e-9,
-        /// Creates an inductance from picohenries.
-        from_picohenries / picohenries => 1e-12,
-    }
-}
-
-quantity! {
     /// An electric potential, stored in volts.
     Voltage, "V" {
         /// Creates a voltage from volts.
@@ -322,16 +304,6 @@ quantity! {
         from_nanoseconds / nanoseconds => 1e-9,
         /// Creates a time from picoseconds.
         from_picoseconds / picoseconds => 1e-12,
-    }
-}
-
-quantity! {
-    /// A frequency, stored in hertz.
-    Frequency, "Hz" {
-        /// Creates a frequency from hertz.
-        from_hertz / hertz => 1.0,
-        /// Creates a frequency from gigahertz.
-        from_gigahertz / gigahertz => 1e9,
     }
 }
 

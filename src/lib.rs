@@ -16,7 +16,7 @@
 //! | TLM / I-V lab | [`measure`] | IV.B, Fig. 2d |
 //! | parallel sweep / Monte-Carlo engine | [`sweep`] | ensembles behind Figs. 5–7, 12, 13 |
 //! | compact models & experiments | [`interconnect`] | III.C, Figs. 9/12 |
-//! | experiment registry (trait catalog, typed params, JSON/CSV reports) | [`interconnect::experiments`] | every artefact |
+//! | experiment registry (one `run(id)` per artefact, typed params, JSON/CSV reports) | [`interconnect::experiments`] | every artefact |
 //! | observability (atomic counters/gauges/histograms, tracing spans, time-series rings + SLO burn rates, distributed-trace store, flamegraph folding, Prometheus render + validator, the one JSON codec) | [`obs`] | every layer, measured in-process |
 //! | HTTP experiment server (keep-alive, scheduling, coalescing, LRU result cache, `/v1/metrics` + history/SLO/trace/profile routes, async job API) | [`serve`] | every artefact, as a service |
 //! | fleet primitives (rendezvous hash ring, peer cache-fill client with trace-header propagation, bounded job table) | [`fleet`] | multi-instance serving |

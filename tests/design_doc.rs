@@ -3,22 +3,29 @@
 //! - every `DESIGN.md §N` citation under `crates/`, `src/` and `tests/`
 //!   (golden text included) names a `§N` heading of `DESIGN.md`;
 //! - §4 lists exactly the ids of `experiments::catalog()`;
-//! - every `pub fn` of the nine physics crates is named by production code
-//!   outside its own file, or by the §2 layer map.
+//! - every `pub fn` of the nine physics crates and the four
+//!   infrastructure libraries (`cnt-obs`, `cnt-sweep`, `cnt-fleet`,
+//!   `cnt-serve`) is named by production code outside its own file, or by
+//!   the §2 layer map.
 //!
 //! Production code is code outside `#[cfg(test)]` in `crates/*/src`,
-//! `src/`, `examples/` and `perfbench/probe/src`; comments (doc examples
-//! included) and string literals never count as a caller. Names are
-//! matched as whole words, so a function that shares its name with
-//! something production code names passes: the check catches functions
-//! no production code names at all.
+//! `src/`, `examples/` and `perfbench/probe/src`. Comments (doc examples
+//! included), string literals and `use` items (imports and `pub use`
+//! re-exports) never count as a caller: naming a function there does not
+//! call it. Names are matched as whole words, so a function that shares
+//! its name with something production code names passes: the check
+//! catches functions no production code names at all. Shared names take a
+//! compiler pass in a scratch copy: make each `pub fn` `pub(crate)`, build
+//! the lib, bin and example targets and the probe, and restore what fails.
 
 use cnt_beol::interconnect::experiments;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const PHYSICS_CRATES: [&str; 9] = [
+/// The nine physics crates, then the four infrastructure libraries
+/// (`crates/<dir>`).
+const CHECKED_CRATES: [&str; 13] = [
     "units",
     "atomistic",
     "fields",
@@ -28,6 +35,10 @@ const PHYSICS_CRATES: [&str; 9] = [
     "reliability",
     "measure",
     "core",
+    "obs",
+    "sweep",
+    "fleet",
+    "serve",
 ];
 
 fn root() -> &'static Path {
@@ -251,6 +262,23 @@ fn without_test_items(code: &str) -> String {
     String::from_utf8(out).expect("blanking keeps UTF-8 boundaries")
 }
 
+/// Blanks every `use` item (an import or a `pub use` re-export) of
+/// already-stripped source: naming a function there does not call it.
+fn without_use_items(code: &str) -> String {
+    let b = code.as_bytes();
+    let mut out = b.to_vec();
+    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    for (at, _) in code.match_indices("use") {
+        let word_start = at == 0 || !ident(b[at - 1]);
+        let word_end = b.get(at + 3).is_none_or(|&c| !ident(c));
+        if word_start && word_end {
+            let end = code[at..].find(';').map_or(b.len(), |k| at + k + 1);
+            blank(&mut out[at..end]);
+        }
+    }
+    String::from_utf8(out).expect("blanking keeps UTF-8 boundaries")
+}
+
 /// Overwrites with spaces, keeping newlines so line numbers hold.
 fn blank(bytes: &mut [u8]) {
     for c in bytes {
@@ -300,7 +328,10 @@ fn every_physics_pub_fn_runs_in_production_or_is_in_the_layer_map() {
     }
     let code: Vec<String> = production
         .iter()
-        .map(|p| without_test_items(&strip(&fs::read_to_string(p).expect("readable source"))))
+        .map(|p| {
+            let src = fs::read_to_string(p).expect("readable source");
+            without_use_items(&without_test_items(&strip(&src)))
+        })
         .collect();
     // Which files name each word.
     let mut named_in: HashMap<&str, HashSet<usize>> = HashMap::new();
@@ -322,10 +353,10 @@ fn every_physics_pub_fn_runs_in_production_or_is_in_the_layer_map() {
     for (i, path) in production.iter().enumerate() {
         let rel = path.strip_prefix(root()).expect("under the root");
         let mut parts = rel.iter().map(|s| s.to_str().expect("UTF-8 path"));
-        let in_physics = parts.next() == Some("crates")
-            && parts.next().is_some_and(|c| PHYSICS_CRATES.contains(&c))
+        let checked_crate = parts.next() == Some("crates")
+            && parts.next().is_some_and(|c| CHECKED_CRATES.contains(&c))
             && parts.next() == Some("src");
-        if !in_physics {
+        if !checked_crate {
             continue;
         }
         for (name, line) in pub_fns(&code[i]) {
@@ -371,4 +402,34 @@ pub const fn after_tests() {}
     let names: Vec<String> = pub_fns(&code).into_iter().map(|(n, _)| n).collect();
     assert_eq!(names, ["kept", "after_tests"]);
     assert!(code.contains("lifetime<'a>"));
+}
+
+#[test]
+fn use_items_never_count_as_callers() {
+    let src = r##"
+use crate::a::imported;
+pub use crate::b::reexported;
+pub(crate) use crate::c::{
+    braced_one,
+    nested::{braced_two, Type},
+};
+fn caller() {
+    use crate::d::local_import;
+    called(reexported_not);
+}
+"##;
+    let code = without_use_items(&without_test_items(&strip(src)));
+    let named: BTreeSet<&str> = words(&code).collect();
+    for gone in [
+        "imported",
+        "reexported",
+        "braced_one",
+        "braced_two",
+        "local_import",
+    ] {
+        assert!(!named.contains(gone), "`{gone}` counted from a use item");
+    }
+    for kept in ["caller", "called", "reexported_not"] {
+        assert!(named.contains(kept), "`{kept}` lost");
+    }
 }

@@ -27,11 +27,45 @@ fn fig12_headline_10_5_2_percent() {
 
 #[test]
 fn fig8_conductance_anchors() {
-    let rep = experiments::fig08c().unwrap();
+    let rep = experiments::run("fig08c").unwrap();
     let text = rep.render();
     assert!(text.contains("pristine G = 0.155 mS"), "{text}");
     assert!(text.contains("doped G = 0.387 mS"), "{text}");
     assert!(text.contains("-0.60 eV"), "{text}");
+}
+
+#[test]
+fn fig8b_xyz_exports_hold_the_atoms_fig08b_counts() {
+    // Fig. 8b draws the two structures; fig08b's note points at their XYZ
+    // exports, which must hold the atoms its rows count.
+    let rep = experiments::run("fig08b").unwrap();
+    assert!(rep
+        .notes
+        .iter()
+        .any(|n| n.contains("experiments::fig08b_structures()")));
+    let row = |label: &str| {
+        let i = rep.row_labels.iter().position(|l| l == label);
+        rep.rows[i.unwrap_or_else(|| panic!("no {label} row"))][0]
+    };
+    let (pristine, doped) = experiments::fig08b_structures().unwrap();
+    // An XYZ file: the atom count, a comment line, one line per atom.
+    let atoms = |xyz: &str| {
+        let count: usize = xyz.lines().next().unwrap().parse().unwrap();
+        assert_eq!(xyz.lines().count(), count + 2, "{xyz}");
+        count as f64
+    };
+    let iodine = doped
+        .lines()
+        .skip(2)
+        .filter(|l| l.starts_with("I "))
+        .count() as f64;
+    assert_eq!(atoms(&pristine), row("pristine_c_atoms"));
+    assert_eq!(atoms(&doped), row("doped_total_atoms"));
+    assert_eq!(iodine, row("iodine_atoms"));
+    assert_eq!(
+        (atoms(&pristine), atoms(&doped), iodine),
+        (252.0, 259.0, 7.0)
+    );
 }
 
 #[test]
@@ -58,7 +92,7 @@ fn every_figure_regenerates() {
 
 #[test]
 fn fig9_crossover_band() {
-    let rep = experiments::fig09().unwrap();
+    let rep = experiments::run("fig09").unwrap();
     let l = rep.column("L_um").unwrap();
     let mw = rep.column("mwcnt_d20").unwrap();
     let cu = rep.column("cu_w20").unwrap();
