@@ -31,9 +31,9 @@
 //!                         joins a consistent-hash fleet (cnt-fleet);
 //!                         --jobs/--job-ttl size the async job table
 //!                         behind POST /v1/sweeps/{id}; --data-dir DIR
-//!                         makes jobs crash-durable (append-only journal
-//!                         + chunk cache + spilled result bodies, all
-//!                         replayed on restart); --chaos SPEC
+//!                         makes jobs crash-durable (append-only journal,
+//!                         finished result bodies included, + chunk
+//!                         cache, both replayed on restart); --chaos SPEC
 //!                         (e.g. "seed=7,refuse=0.2,latency=0.1")
 //!                         injects deterministic faults on outbound
 //!                         peer hops for fault-tolerance testing
@@ -97,13 +97,6 @@ macro_rules! outln {
 
 /// The widest executor `--threads` accepts.
 const MAX_THREADS: usize = 4096;
-
-/// The `--history-interval`s `repro serve` accepts: 1 ms to 1 day.
-/// Shorter ones spin the scraper (`1e-300` s rounds to a zero
-/// `Duration`); longer ones leave the history and the job GC idle for
-/// days.
-const HISTORY_INTERVALS: std::ops::RangeInclusive<std::time::Duration> =
-    std::time::Duration::from_millis(1)..=std::time::Duration::from_secs(86_400);
 
 fn usage() {
     eprintln!(
@@ -657,7 +650,7 @@ fn run_serve_command(args: &[String]) -> ExitCode {
                     .parse::<f64>()
                     .ok()
                     .and_then(|secs| std::time::Duration::try_from_secs_f64(secs).ok())
-                    .filter(|d| HISTORY_INTERVALS.contains(d))
+                    .filter(|d| cnt_serve::HISTORY_INTERVALS.contains(d))
                 {
                     Some(interval) => config.history_interval = interval,
                     None => {

@@ -1,7 +1,8 @@
 //! A served sweep answers the bytes `repro sweep` prints for the same
-//! point: the server and the CLI start from one default seed, and a
-//! chunk store or cache that cannot be written costs crash resume or
-//! recall, not the sweep.
+//! point: the server and the CLI start from one default seed, a
+//! finished job replayed from its journal after a restart keeps those
+//! bytes, and a chunk store or cache that cannot be written costs crash
+//! resume or recall, not the sweep.
 
 use cnt_serve::{Config, PeerClient, Server, ShutdownHandle};
 use std::net::SocketAddr;
@@ -37,8 +38,8 @@ fn start(config: Config) -> (SocketAddr, ShutdownHandle, JoinHandle<()>) {
 }
 
 /// Submits `POST /v1/sweeps/{id}` with `body` and waits for the job's
-/// finished result body.
-fn served_sweep(addr: SocketAddr, id: &str, body: &str) -> String {
+/// finished result body: (job id, body).
+fn served_sweep(addr: SocketAddr, id: &str, body: &str) -> (String, String) {
     let (status, submit) = http(addr, &format!("/v1/sweeps/{id}"), Some(body));
     assert_eq!(status, 202, "{id}: {submit}");
     let rid = submit
@@ -49,19 +50,19 @@ fn served_sweep(addr: SocketAddr, id: &str, body: &str) -> String {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         match http(addr, &format!("/v1/jobs/{rid}/result"), None) {
-            (200, result) => return result,
+            (200, result) => return (rid.to_string(), result),
             (202, _) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
             (status, body) => panic!("{id} job {rid}: {status} {body}"),
         }
     }
 }
 
-/// What `repro sweep <id> --trials <trials> --format json` prints, with
-/// no seed given.
-fn repro_sweep(id: &str, trials: usize) -> String {
+/// What `repro sweep <id> --trials <trials> --format <format>` prints,
+/// with no seed given.
+fn repro_sweep(id: &str, trials: usize, format: &str) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["sweep", id, "--trials", &trials.to_string()])
-        .args(["--format", "json", "--no-cache"])
+        .args(["--format", format, "--no-cache"])
         .output()
         .expect("run repro sweep");
     assert!(
@@ -78,11 +79,44 @@ fn repro_sweep(id: &str, trials: usize) -> String {
 fn served_sweeps_without_a_seed_answer_the_clis_bytes() {
     let (addr, handle, thread) = start(Config::default());
     for id in ["fig05", "fig13b"] {
-        let served = served_sweep(addr, id, r#"{"params": {"trials": 8}}"#);
-        assert_eq!(served, repro_sweep(id, 8), "{id}");
+        let (_, served) = served_sweep(addr, id, r#"{"params": {"trials": 8}}"#);
+        assert_eq!(served, repro_sweep(id, 8, "json"), "{id}");
     }
     handle.shutdown();
     thread.join().unwrap();
+}
+
+/// A finished job's body lives in its journal record: after a graceful
+/// stop and a restart on the same data dir, the result route answers
+/// the CLI's bytes, JSON and CSV alike.
+#[test]
+fn a_finished_job_replays_the_clis_bytes_after_a_restart() {
+    let dir = std::env::temp_dir().join(format!("cnt-bench-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = || Config {
+        data_dir: Some(dir.clone()),
+        ..Config::default()
+    };
+    let (addr, handle, thread) = start(durable());
+    let finished: Vec<_> = ["json", "csv"]
+        .map(|format| {
+            let body = format!(r#"{{"params": {{"trials": 8}}, "format": "{format}"}}"#);
+            let (rid, _) = served_sweep(addr, "fig12", &body);
+            (rid, repro_sweep("fig12", 8, format))
+        })
+        .into();
+    handle.shutdown();
+    thread.join().unwrap();
+
+    let (addr, handle, thread) = start(durable());
+    for (rid, cli) in &finished {
+        let (status, replayed) = http(addr, &format!("/v1/jobs/{rid}/result"), None);
+        assert_eq!(status, 200, "{rid}: {replayed}");
+        assert_eq!(&replayed, cli, "{rid}");
+    }
+    handle.shutdown();
+    thread.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--data-dir D` with `D/sweep-cache` a plain file: every chunk write
@@ -99,8 +133,8 @@ fn an_unwritable_chunk_store_costs_resume_not_the_sweep() {
         ..Config::default()
     });
 
-    let served = served_sweep(addr, "fig12", r#"{"params": {"trials": 8}}"#);
-    assert_eq!(served, repro_sweep("fig12", 8));
+    let (_, served) = served_sweep(addr, "fig12", r#"{"params": {"trials": 8}}"#);
+    assert_eq!(served, repro_sweep("fig12", 8, "json"));
     let (_, metrics) = http(addr, "/v1/metrics", None);
     let failures: u64 = metrics
         .lines()
@@ -133,5 +167,5 @@ fn an_unwritable_cache_dir_costs_recall_not_the_sweep() {
         String::from_utf8_lossy(&out.stderr)
     );
     let printed = String::from_utf8(out.stdout).expect("utf-8 report");
-    assert_eq!(printed, repro_sweep("fig12", 8));
+    assert_eq!(printed, repro_sweep("fig12", 8, "json"));
 }

@@ -1,35 +1,38 @@
 //! The asynchronous sweep job and its durable lifecycle: a bounded,
-//! TTL-collected table of jobs, the journal records that let them
-//! survive a crash, and the disk spills of their results.
+//! TTL-collected table of jobs and the journal records that let them
+//! survive a crash.
 //!
 //! `POST /v1/sweeps/{id}` must return immediately, so the serve layer
 //! runs the work on a thread of its own and records a [`JobEntry`] here
 //! for clients to poll: `Queued` when submitted, `Running` once its
 //! thread holds a compute permit, then `Done` or `Failed`. Each
 //! transition that must survive a crash is one call that updates the
-//! table, the journal and the spill together: [`JobTable::submit`],
+//! table and the journal together: [`JobTable::submit`],
 //! [`JobTable::finish`], [`JobTable::fail`] and [`JobTable::withdraw`].
-//! With a data directory the table keeps `journal.log` (framed by
-//! [`crate::journal`]; the JSON records inside are this module's),
-//! finished bodies in `jobs/`, and the chunk store in `sweep-cache/`.
+//! A finished job is one journal record holding its rendered body, as a
+//! failed one is: every sweep family's final table has a row count fixed
+//! by its plan, so no body outgrows a record. With a data directory the
+//! table keeps `journal.log` (framed by [`crate::journal`]; the JSON
+//! records inside are this module's) and the chunk store in
+//! `sweep-cache/`.
 //!
 //! Two guards keep a long-lived server healthy:
 //!
 //! * **Bounded admission** — [`JobTable::submit`] refuses new jobs once
 //!   `capacity` entries exist (after a GC pass), turning runaway
 //!   submission into an explicit `503 + Retry-After` shed upstream.
-//! * **TTL GC** — finished jobs older than `ttl` are dropped, spill and
-//!   all, on the next submission, by [`JobTable::open`] and by
-//!   [`JobTable::collect_expired`], which also evicts chunk tables older
-//!   than `ttl`, so results are pollable for a grace window but never
-//!   accumulate forever. Between startups the journal still grows by two
-//!   records per job.
+//! * **TTL GC** — finished jobs older than `ttl` are dropped on the next
+//!   submission, by [`JobTable::open`] and by
+//!   [`JobTable::collect_expired`], which also compacts the journal to
+//!   the jobs still in the table and evicts chunk tables older than
+//!   `ttl`, so results are pollable for a grace window but never
+//!   accumulate, in memory or on disk.
 
 use crate::journal::{self, Journal};
 use cnt_obs::json::{self, JsonValue};
 use cnt_obs::Counter;
 use cnt_sweep::ResultStore;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,27 +76,6 @@ impl Progress {
     }
 }
 
-/// Where a finished job's result bytes live.
-///
-/// Without a data directory bodies stay `Inline`; with one, sweep
-/// reports spill to disk and only the path + size stay here, so a
-/// multi-MB report costs the job table a few dozen bytes and the result
-/// route can stream it chunk-by-chunk with bounded memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobBody {
-    /// The whole rendered body, held in memory.
-    Inline(String),
-    /// The body lives in a spill file; only its location and size are
-    /// table-resident.
-    Spilled {
-        /// Spill file holding the rendered bytes.
-        path: PathBuf,
-        /// Exact byte length of the spill file (the Content-Length the
-        /// result route advertises).
-        bytes: u64,
-    },
-}
-
 /// Where a job is in its life, plus the terminal payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobState {
@@ -105,9 +87,9 @@ pub enum JobState {
     Done {
         /// Content type of the stored body.
         content_type: String,
-        /// Rendered response body (inline or disk-spilled), byte-identical
-        /// to the synchronous endpoint's.
-        body: JobBody,
+        /// Rendered response body, byte-identical to the synchronous
+        /// endpoint's.
+        body: String,
         /// When the job finished (drives TTL GC).
         finished: Instant,
     },
@@ -319,11 +301,10 @@ impl JobTable {
     /// pollable for `ttl`, on `data_dir` (memory-only without one),
     /// counting journal appends in `journal_records`. Replay admits the
     /// journal's jobs newest first: jobs that finished `ttl` or more ago
-    /// are dropped, spill or not; other finished ones keep the TTL they
-    /// had left, unless their spill is gone, when they re-run. The
-    /// journal and `jobs/` are then cut down to the admitted jobs, which
-    /// are returned, submission order: the caller re-runs the `Queued`
-    /// ones, and a finished job's progress is the caller's to fill in.
+    /// are dropped, other finished ones keep the TTL they had left. The
+    /// journal is then compacted to the admitted jobs, which are
+    /// returned, submission order: the caller re-runs the `Queued` ones,
+    /// and a finished job's progress is the caller's to fill in.
     ///
     /// # Errors
     ///
@@ -346,40 +327,30 @@ impl JobTable {
             return Ok((table, Vec::new()));
         };
         let path = dir.join("journal.log");
+        let records = journal::replay(&path)?.records;
         let now = unix_now();
-        let mut live = Vec::new();
         let mut admitted = Vec::new();
-        for mut job in fold_journal(&journal::replay(&path)?.records, now)
-            .into_iter()
-            .rev()
-        {
-            let age = job.ended.as_ref().map(|(_, finished)| {
-                Duration::try_from_secs_f64((now - finished).max(0.0)).unwrap_or(Duration::MAX)
-            });
-            // Table GC deletes an expired job's spill and journals nothing,
-            // so age decides before a missing spill can mean "re-run".
-            if age.is_some_and(|age| age >= ttl) {
-                continue;
-            }
-            if matches!(&job.ended, Some((Outcome::Done { path, .. }, _)) if !path.exists()) {
-                job.ended = None; // the result cannot be served: re-run the job
-            }
-            let state = match (&job.ended, age) {
-                (Some((outcome, _)), Some(age)) => {
+        for job in fold_journal(&records).into_iter().rev() {
+            let state = match job.ended {
+                Some((outcome, finished)) => {
+                    let age = Duration::try_from_secs_f64((now - finished).max(0.0))
+                        .unwrap_or(Duration::MAX);
+                    if age >= ttl {
+                        continue;
+                    }
                     let at = Instant::now().checked_sub(age);
-                    outcome.clone().into_state(at.unwrap_or_else(Instant::now))
+                    outcome.into_state(at.unwrap_or_else(Instant::now))
                 }
-                _ => JobState::Queued,
+                None => JobState::Queued,
             };
-            if let Ok(entry) = table.insert(job.spec.clone(), state) {
+            if let Ok(entry) = table.insert(job.spec, state) {
                 admitted.push(entry);
-                live.push(job);
             }
         }
-        live.reverse();
         admitted.reverse();
+        let mut live = fold_journal(&records);
+        table.retain_held(&mut live);
         journal::rewrite(&path, &compact_records(&live))?;
-        remove_orphan_spills(&dir.join("jobs"), &live);
         table.durable = Some((dir.to_path_buf(), Mutex::new(Journal::open(&path)?)));
         Ok((table, admitted))
     }
@@ -400,33 +371,11 @@ impl JobTable {
         Ok(job)
     }
 
-    /// Publishes a finished job's body. With a data directory it spills
-    /// to `jobs/{id}.body` and the journal records where, so a restart
-    /// re-serves it without rerunning; without one, or when the spill
-    /// cannot be written, the body stays in memory and the job is not
-    /// crash-durable.
+    /// Journals a finished job's body and flips it `Done`, so a restart
+    /// re-serves the body without rerunning the job.
     pub fn finish(&self, job: &JobEntry, content_type: &str, body: String) {
         let content_type = content_type.to_string();
-        if let Some((dir, _)) = &self.durable {
-            let path = dir.join("jobs").join(format!("{}.body", job.spec.rid));
-            let written = std::fs::create_dir_all(dir.join("jobs"))
-                .and_then(|()| std::fs::write(&path, body.as_bytes()));
-            if written.is_ok() {
-                let bytes = body.len() as u64;
-                let outcome = Outcome::Done {
-                    content_type,
-                    path,
-                    bytes,
-                };
-                return self.settle(job, outcome);
-            }
-        }
-        let (body, finished) = (JobBody::Inline(body), Instant::now());
-        job.set(JobState::Done {
-            content_type,
-            body,
-            finished,
-        });
+        self.settle(job, Outcome::Done { content_type, body });
     }
 
     /// Journals a job's failure and flips it `Failed`.
@@ -450,22 +399,24 @@ impl JobTable {
         Some(ResultStore::new(dir.join("sweep-cache")))
     }
 
-    /// Drops the finished jobs whose TTL expired, deleting their
-    /// spills, and evicts the chunk tables in `sweep-cache/` older than
-    /// the TTL — the pass a server runs on a timer, so a quiet server's
-    /// data directory stays bounded too. A chunk table is written before
-    /// its job finishes, so it expires no later than the job; evicting
-    /// one that a running or resumed job would read costs a recompute,
-    /// as the store is content-addressed.
+    /// Drops the finished jobs whose TTL expired, compacts the journal
+    /// to the jobs still in the table, and evicts the chunk tables in
+    /// `sweep-cache/` older than the TTL — the pass a server runs on a
+    /// timer, so a quiet server's data directory stays bounded too. A
+    /// chunk table is written before its job finishes, so it expires no
+    /// later than the job; evicting one that a running or resumed job
+    /// would read costs a recompute, as the store is content-addressed.
     pub fn collect_expired(&self) {
-        let expired = Self::collect(
+        Self::collect(
             &mut self.jobs.lock().expect("job table poisoned"),
             self.ttl,
             Instant::now(),
         );
-        remove_spills(expired);
-        if let Some((dir, _)) = &self.durable {
-            // Best effort, like every other cache write and eviction.
+        if let Some((dir, journal)) = &self.durable {
+            // Best effort, like every other cache write and eviction: a
+            // journal that cannot be compacted now is compacted at the
+            // next tick or the next startup.
+            let _ = self.compact(&dir.join("journal.log"), journal);
             let _ = cnt_sweep::cache::gc_by_age(&dir.join("sweep-cache"), self.ttl);
         }
     }
@@ -505,25 +456,20 @@ impl JobTable {
     }
 
     /// Admits a job in `state` after a GC pass, unless the table is full.
-    /// Expired spills are deleted after the table lock is released.
     fn insert(&self, spec: JobSpec, state: JobState) -> Result<Arc<JobEntry>, ()> {
-        let (admitted, expired) = {
-            let mut jobs = self.jobs.lock().expect("job table poisoned");
-            let expired = Self::collect(&mut jobs, self.ttl, Instant::now());
-            let admitted = (jobs.len() < self.capacity).then(|| {
-                let id = spec.rid.clone();
-                let entry = Arc::new(JobEntry {
-                    spec,
-                    progress: Progress::default(),
-                    state: Mutex::new(state),
-                });
-                jobs.insert(id, Arc::clone(&entry));
-                entry
-            });
-            (admitted, expired)
-        };
-        remove_spills(expired);
-        admitted.ok_or(())
+        let mut jobs = self.jobs.lock().expect("job table poisoned");
+        Self::collect(&mut jobs, self.ttl, Instant::now());
+        if jobs.len() >= self.capacity {
+            return Err(());
+        }
+        let id = spec.rid.clone();
+        let entry = Arc::new(JobEntry {
+            spec,
+            progress: Progress::default(),
+            state: Mutex::new(state),
+        });
+        jobs.insert(id, Arc::clone(&entry));
+        Ok(entry)
     }
 
     fn remove(&self, id: &str) -> Option<Arc<JobEntry>> {
@@ -548,59 +494,39 @@ impl JobTable {
         }
     }
 
-    /// Removes the finished jobs whose TTL expired and returns them.
-    fn collect(
-        jobs: &mut HashMap<String, Arc<JobEntry>>,
-        ttl: Duration,
-        now: Instant,
-    ) -> Vec<Arc<JobEntry>> {
-        let mut expired = Vec::new();
-        jobs.retain(|_, entry| {
-            let keep = match *entry.state.lock().expect("job state poisoned") {
+    /// Rewrites the journal at `path` to the jobs still in the table.
+    /// The journal's lock is held from replay to reopen, so no append
+    /// lands in a file about to be replaced; a journal that names no job
+    /// the table has dropped is left alone.
+    fn compact(&self, path: &Path, journal: &Mutex<Journal>) -> std::io::Result<()> {
+        let mut journal = journal.lock().expect("journal poisoned");
+        let mut live = fold_journal(&journal::replay(path)?.records);
+        let folded = live.len();
+        self.retain_held(&mut live);
+        if live.len() < folded {
+            journal::rewrite(path, &compact_records(&live))?;
+            *journal = Journal::open(path)?;
+        }
+        Ok(())
+    }
+
+    /// Keeps the folded jobs the table holds.
+    fn retain_held(&self, jobs: &mut Vec<RecoveredJob>) {
+        let held = self.jobs.lock().expect("job table poisoned");
+        jobs.retain(|job| held.contains_key(&job.spec.rid));
+    }
+
+    /// Removes the finished jobs whose TTL expired.
+    fn collect(jobs: &mut HashMap<String, Arc<JobEntry>>, ttl: Duration, now: Instant) {
+        jobs.retain(
+            |_, entry| match *entry.state.lock().expect("job state poisoned") {
                 JobState::Done { finished, .. } | JobState::Failed { finished, .. } => {
                     now.duration_since(finished) < ttl
                 }
                 // Queued and running jobs never expire.
                 _ => true,
-            };
-            if !keep {
-                expired.push(Arc::clone(entry));
-            }
-            keep
-        });
-        expired
-    }
-}
-
-/// Deletes the spill files of collected jobs.
-fn remove_spills(expired: Vec<Arc<JobEntry>>) {
-    for entry in expired {
-        if let JobState::Done {
-            body: JobBody::Spilled { path, .. },
-            ..
-        } = entry.state()
-        {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// Deletes every `*.body` in `spill_dir` that no job in `live` names: the
-/// spills of expired, dropped and unfinished jobs.
-fn remove_orphan_spills(spill_dir: &Path, live: &[RecoveredJob]) {
-    let named: HashSet<_> = live
-        .iter()
-        .filter_map(|job| match &job.ended {
-            Some((Outcome::Done { path, .. }, _)) => path.file_name(),
-            _ => None,
-        })
-        .collect();
-    for entry in std::fs::read_dir(spill_dir).into_iter().flatten().flatten() {
-        let path = entry.path();
-        let spill = path.extension().is_some_and(|ext| ext == "body");
-        if spill && !named.contains(entry.file_name().as_os_str()) {
-            let _ = std::fs::remove_file(path);
-        }
+            },
+        );
     }
 }
 
@@ -615,27 +541,16 @@ fn unix_now() -> f64 {
 /// How a job ended, as its terminal journal record states it.
 #[derive(Debug, Clone, PartialEq)]
 enum Outcome {
-    Done {
-        content_type: String,
-        path: PathBuf,
-        bytes: u64,
-    },
-    Failed {
-        status: u16,
-        body: String,
-    },
+    Done { content_type: String, body: String },
+    Failed { status: u16, body: String },
 }
 
 impl Outcome {
     fn into_state(self, finished: Instant) -> JobState {
         match self {
-            Outcome::Done {
+            Outcome::Done { content_type, body } => JobState::Done {
                 content_type,
-                path,
-                bytes,
-            } => JobState::Done {
-                content_type,
-                body: JobBody::Spilled { path, bytes },
+                body,
                 finished,
             },
             Outcome::Failed { status, body } => JobState::Failed {
@@ -670,32 +585,26 @@ fn submitted_record(spec: &JobSpec) -> String {
     out
 }
 
-/// A terminal record — `job_done` with where the spilled body lives, or
-/// `job_failed` with the status and body the table held — stamped with
-/// the finish time in unix seconds.
+/// A terminal record — `job_done` with the content type and body, or
+/// `job_failed` with the status and body — stamped with the finish time
+/// in unix seconds.
 fn terminal_record(rid: &str, outcome: &Outcome, unix_s: f64) -> String {
-    let mut out = String::with_capacity(160);
+    let (event, body) = match outcome {
+        Outcome::Done { body, .. } => ("job_done", body),
+        Outcome::Failed { body, .. } => ("job_failed", body),
+    };
+    let mut out = String::with_capacity(body.len() + 128);
+    out.push_str(&format!("{{\"event\":\"{event}\",\"job\":"));
+    json::push_string(rid, &mut out);
     match outcome {
-        Outcome::Done {
-            content_type,
-            path,
-            bytes,
-        } => {
-            out.push_str("{\"event\":\"job_done\",\"job\":");
-            json::push_string(rid, &mut out);
+        Outcome::Done { content_type, .. } => {
             out.push_str(",\"content_type\":");
             json::push_string(content_type, &mut out);
-            out.push_str(",\"path\":");
-            json::push_string(&path.to_string_lossy(), &mut out);
-            out.push_str(&format!(",\"bytes\":{bytes}"));
         }
-        Outcome::Failed { status, body } => {
-            out.push_str("{\"event\":\"job_failed\",\"job\":");
-            json::push_string(rid, &mut out);
-            out.push_str(&format!(",\"status\":{status},\"body\":"));
-            json::push_string(body, &mut out);
-        }
+        Outcome::Failed { status, .. } => out.push_str(&format!(",\"status\":{status}")),
     }
+    out.push_str(",\"body\":");
+    json::push_string(body, &mut out);
     out.push_str(&format!(",\"unix_s\":{unix_s:.3}}}"));
     out
 }
@@ -703,9 +612,9 @@ fn terminal_record(rid: &str, outcome: &Outcome, unix_s: f64) -> String {
 /// Folds raw journal records into per-job state, submission order.
 /// Records that do not parse, reference unknown jobs, or carry unknown
 /// events are skipped — the journal is truncation-tolerant end to end.
-/// A terminal record without a finite time (older builds wrote none)
-/// counts as finished at `now`, which compaction then writes down.
-fn fold_journal(records: &[String], now: f64) -> Vec<RecoveredJob> {
+/// So is a terminal record without its body or a finite finish time,
+/// which leaves its job unfinished: it re-runs.
+fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
     let mut jobs: Vec<RecoveredJob> = Vec::new();
     let mut by_rid: HashMap<String, usize> = HashMap::new();
     for record in records {
@@ -720,8 +629,8 @@ fn fold_journal(records: &[String], now: f64) -> Vec<RecoveredJob> {
         let (Some(event), Some(rid)) = (text("event"), text("job")) else {
             continue;
         };
-        let outcome = match event {
-            "submitted" => {
+        let outcome = match (event, text("body")) {
+            ("submitted", _) => {
                 let JsonValue::Object(members) = &doc else {
                     continue;
                 };
@@ -733,13 +642,6 @@ fn fold_journal(records: &[String], now: f64) -> Vec<RecoveredJob> {
                 if spec.experiment.is_empty() || by_rid.contains_key(rid) {
                     continue;
                 }
-                // Older builds took the executor width and a cache
-                // directory as parameters, and their sweep bodies often
-                // sent `"cache_dir": ""`. Neither sets a sweep's bytes, and
-                // the current gate refuses both keys, so drop them rather
-                // than fail the recovered job.
-                spec.sets
-                    .retain(|(key, _)| key != "threads" && key != "cache_dir");
                 spec.rid = rid.to_string();
                 let format = text("format").filter(|f| matches!(*f, "csv" | "text"));
                 spec.format = format.unwrap_or("json").to_string();
@@ -747,46 +649,39 @@ fn fold_journal(records: &[String], now: f64) -> Vec<RecoveredJob> {
                 jobs.push(RecoveredJob { spec, ended: None });
                 continue;
             }
-            "job_done" => {
-                let (Some(content_type), Some(path)) = (text("content_type"), text("path")) else {
+            ("job_done", Some(body)) => {
+                let Some(content_type) = text("content_type") else {
                     continue;
                 };
                 Outcome::Done {
                     content_type: content_type.to_string(),
-                    path: PathBuf::from(path),
-                    bytes: number("bytes")
-                        .and_then(|raw| raw.parse().ok())
-                        .unwrap_or(0),
-                }
-            }
-            "job_failed" => {
-                let Some(body) = text("body") else {
-                    continue;
-                };
-                Outcome::Failed {
-                    status: number("status")
-                        .and_then(|raw| raw.parse().ok())
-                        .unwrap_or(500),
                     body: body.to_string(),
                 }
             }
-            // Older builds' chunk_done progress markers and anything
-            // newer: not state.
+            ("job_failed", Some(body)) => Outcome::Failed {
+                status: number("status")
+                    .and_then(|raw| raw.parse().ok())
+                    .unwrap_or(500),
+                body: body.to_string(),
+            },
+            // Older builds' bodiless `job_done` and `chunk_done` progress
+            // markers, and anything newer: not state.
             _ => continue,
         };
-        if let Some(&index) = by_rid.get(rid) {
-            let finished = number("unix_s").and_then(|raw| raw.parse().ok());
-            let finished = finished.filter(|t: &f64| t.is_finite()).unwrap_or(now);
+        let finished = number("unix_s")
+            .and_then(|raw| raw.parse::<f64>().ok())
+            .filter(|t| t.is_finite());
+        if let (Some(&index), Some(finished)) = (by_rid.get(rid), finished) {
             jobs[index].ended = Some((outcome, finished));
         }
     }
     jobs
 }
 
-/// The compacted journal for a recovered state: one submission record
-/// per job plus its terminal record, if it has one. Replaces the
-/// replayed log on startup, so the journal stays proportional to the
-/// job table rather than to history.
+/// The compacted journal for a folded state: one submission record per
+/// job plus its terminal record, if it has one. Replaces the journal at
+/// startup and at every history tick, so the journal stays proportional
+/// to the job table rather than to history.
 fn compact_records(jobs: &[RecoveredJob]) -> Vec<String> {
     let mut records = Vec::with_capacity(jobs.len() * 2);
     for job in jobs {
@@ -801,6 +696,7 @@ fn compact_records(jobs: &[RecoveredJob]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     /// A memory-only table.
     fn memory_table(capacity: usize, ttl: Duration) -> JobTable {
@@ -842,6 +738,38 @@ mod tests {
         }
     }
 
+    fn done(content_type: &str, body: &str) -> Outcome {
+        Outcome::Done {
+            content_type: content_type.to_string(),
+            body: body.to_string(),
+        }
+    }
+
+    /// Every job the journal in `dir` folds to, by id, with its outcome:
+    /// what a restart would re-admit.
+    fn journaled(dir: &Path) -> HashMap<String, Option<Outcome>> {
+        let records = journal::replay(&dir.join("journal.log")).unwrap().records;
+        fold_journal(&records)
+            .into_iter()
+            .map(|job| (job.spec.rid, job.ended.map(|(outcome, _)| outcome)))
+            .collect()
+    }
+
+    /// Every job `table` holds, by id, in [`journaled`]'s shape.
+    fn tabled(table: &JobTable) -> HashMap<String, Option<Outcome>> {
+        let jobs = table.jobs.lock().unwrap();
+        let outcome = |entry: &JobEntry| match entry.state() {
+            JobState::Done {
+                content_type, body, ..
+            } => Some(Outcome::Done { content_type, body }),
+            JobState::Failed { status, body, .. } => Some(Outcome::Failed { status, body }),
+            JobState::Queued | JobState::Running => None,
+        };
+        jobs.iter()
+            .map(|(rid, entry)| (rid.clone(), outcome(entry)))
+            .collect()
+    }
+
     #[test]
     fn counters_accumulate() {
         let p = Progress::default();
@@ -873,7 +801,7 @@ mod tests {
                 content_type, body, ..
             } => {
                 assert_eq!(content_type, "application/json");
-                assert_eq!(body, JobBody::Inline("{\"ok\":true}\n".to_string()));
+                assert_eq!(body, "{\"ok\":true}\n");
             }
             other => panic!("expected Done, got {other:?}"),
         }
@@ -882,35 +810,41 @@ mod tests {
     }
 
     #[test]
-    fn spilled_results_keep_only_the_location() {
-        // ttl = 0: the job expires, spill and all, at the next
-        // submission's GC pass.
-        let dir = temp_dir("spill");
-        let (table, _) = JobTable::open(4, Duration::ZERO, Some(&dir), Arc::default()).unwrap();
+    fn finished_bodies_round_trip_through_the_journal() {
+        // Quotes, backslashes, newlines, CSV commas, a tab, a control
+        // byte and non-ASCII text: the JSON escaping of a `job_done`
+        // record must hand every byte back, through append, replay and
+        // fold, and through the compaction a restart runs.
+        let body = "id,\"note\"\nfig12,\"a \\\"quoted\\\" \\\\ path, with commas\"\r\n\
+                    tab\there,\u{1}ctl,ρ = 1.7 µΩ·cm\n";
+        let dir = temp_dir("body");
+        let open = || JobTable::open(4, Duration::from_secs(600), Some(&dir), Arc::default());
+        let (table, _) = open().unwrap();
         let job = submit(&table, "j1").unwrap();
-        table.finish(&job, "text/csv", "a,b\n1,2\n".to_string());
-        match table.get("j1").unwrap().state() {
-            JobState::Done {
-                content_type, body, ..
-            } => {
-                assert_eq!(content_type, "text/csv");
-                match body {
-                    JobBody::Spilled { path, bytes } => {
-                        assert_eq!(path, dir.join("jobs").join("j1.body"));
-                        assert_eq!(bytes, 8);
-                        assert_eq!(std::fs::read_to_string(path).unwrap(), "a,b\n1,2\n");
-                    }
-                    other => panic!("expected Spilled, got {other:?}"),
-                }
-            }
-            other => panic!("expected Done, got {other:?}"),
-        }
-        submit(&table, "j2").unwrap();
-        assert!(table.get("j1").is_none());
+        table.finish(&job, "text/csv", body.to_string());
+        drop(table);
+        let records = journal::replay(&dir.join("journal.log")).unwrap().records;
+        assert_eq!(records.len(), 2, "{records:?}");
+        let folded = fold_journal(&records);
         assert!(
-            !dir.join("jobs").join("j1.body").exists(),
-            "GC left the spill"
+            matches!(&folded[0].ended, Some((Outcome::Done { body: b, .. }, _)) if b == body),
+            "{folded:?}"
         );
+        for _ in 0..2 {
+            let (table, admitted) = open().unwrap();
+            assert_eq!(admitted.len(), 1);
+            match table.get("j1").unwrap().state() {
+                JobState::Done {
+                    content_type,
+                    body: replayed,
+                    ..
+                } => {
+                    assert_eq!(content_type, "text/csv");
+                    assert_eq!(replayed.as_bytes(), body.as_bytes());
+                }
+                other => panic!("expected Done, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -967,7 +901,7 @@ mod tests {
                     progress: Progress::default(),
                     state: Mutex::new(JobState::Done {
                         content_type: "application/json".to_string(),
-                        body: JobBody::Inline("{}\n".to_string()),
+                        body: "{}\n".to_string(),
                         finished,
                     }),
                 }),
@@ -977,21 +911,18 @@ mod tests {
         // Just inside the window: nothing expires.
         let mut jobs: HashMap<_, _> = [make("young")].into_iter().collect();
         let just_inside = finished + ttl - Duration::from_millis(1);
-        assert_eq!(JobTable::collect(&mut jobs, ttl, just_inside).len(), 0);
+        JobTable::collect(&mut jobs, ttl, just_inside);
         assert!(jobs.contains_key("young"));
 
         // Exactly at the boundary: age == ttl fails `age < ttl`, evicted.
         let mut jobs: HashMap<_, _> = [make("boundary")].into_iter().collect();
-        assert_eq!(JobTable::collect(&mut jobs, ttl, finished + ttl).len(), 1);
+        JobTable::collect(&mut jobs, ttl, finished + ttl);
         assert!(jobs.is_empty());
 
         // A `now` *before* the finish instant (clock went backwards
         // between threads): duration_since saturates to zero, job stays.
         let mut jobs: HashMap<_, _> = [make("future")].into_iter().collect();
-        assert_eq!(
-            JobTable::collect(&mut jobs, ttl, finished - Duration::from_secs(1)).len(),
-            0
-        );
+        JobTable::collect(&mut jobs, ttl, finished - Duration::from_secs(1));
         assert!(jobs.contains_key("future"));
     }
 
@@ -1028,70 +959,68 @@ mod tests {
     fn journal_fold_round_trips_specs_and_outcomes() {
         // A submission record folds back into the exact spec that wrote
         // it — preset, sets, and format all survive the JSON hop.
-        let jobs = fold_journal(&[submitted_record(&spec("00aa-000001"))], 0.0);
+        let jobs = fold_journal(&[submitted_record(&spec("00aa-000001"))]);
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].spec, spec("00aa-000001"));
         assert_eq!(jobs[0].ended, None);
 
         // A terminal failure record attaches to its job by rid.
         let boom = failed(500, "{\"error\":\"boom\"}");
-        let jobs = fold_journal(
-            &[
-                submitted_record(&spec("00aa-000001")),
-                terminal_record("00aa-000001", &boom, 1.5),
-            ],
-            0.0,
-        );
+        let jobs = fold_journal(&[
+            submitted_record(&spec("00aa-000001")),
+            terminal_record("00aa-000001", &boom, 1.5),
+        ]);
         assert_eq!(jobs[0].ended, Some((boom, 1.5)));
 
-        // A done record whose spill file exists re-admits the job
-        // finished…
+        // A done record re-admits the job finished, body and all…
         let dir = temp_dir("fold");
-        let spill = dir.join("jobs").join("00aa-000001.body");
-        std::fs::create_dir_all(spill.parent().unwrap()).unwrap();
-        std::fs::write(&spill, b"result bytes").unwrap();
-        let done = Outcome::Done {
-            content_type: "text/csv".to_string(),
-            path: spill.clone(),
-            bytes: 12,
-        };
+        let path = dir.join("journal.log");
         let records = [
             submitted_record(&spec("00aa-000001")),
-            terminal_record("00aa-000001", &done, unix_now()),
+            terminal_record("00aa-000001", &done("text/csv", "a,b\n1,2\n"), unix_now()),
         ];
-        journal::rewrite(&dir.join("journal.log"), &records).unwrap();
+        journal::rewrite(&path, &records).unwrap();
         let open = || JobTable::open(4, Duration::from_secs(600), Some(&dir), Arc::default());
         let (_, admitted) = open().unwrap();
         assert_eq!(admitted.len(), 1);
         assert!(matches!(
             admitted[0].state(),
-            JobState::Done {
-                body: JobBody::Spilled { bytes: 12, .. },
-                ..
-            }
+            JobState::Done { body, .. } if body == "a,b\n1,2\n"
         ));
-        // …and one whose spill vanished inside its TTL demotes to
-        // "re-run the job".
-        std::fs::remove_file(&spill).unwrap();
+        // …and one in an older build's shape, naming a result file
+        // instead of holding the body, re-runs the job.
+        let records = [
+            submitted_record(&spec("00aa-000001")),
+            format!(
+                "{{\"event\":\"job_done\",\"job\":\"00aa-000001\",\"content_type\":\"text/csv\",\
+                 \"path\":\"{}\",\"bytes\":8,\"unix_s\":{:.3}}}",
+                dir.join("jobs").join("00aa-000001.body").display(),
+                unix_now()
+            ),
+        ];
+        journal::rewrite(&path, &records).unwrap();
         let (_, admitted) = open().unwrap();
         assert_eq!(admitted.len(), 1);
         assert_eq!(admitted[0].spec, spec("00aa-000001"));
         assert_eq!(admitted[0].state(), JobState::Queued);
+        assert_eq!(
+            journal::replay(&path).unwrap().records,
+            records[..1],
+            "compaction keeps the submission alone"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_collected_job_stays_gone_after_replay() {
-        // Table GC deletes an expired job's spill and journals nothing, so
-        // replay finds its `job_done` with the spill absent: the job is
-        // dropped for its age, not re-run for the missing spill.
+        // Table GC journals nothing, so replay finds an expired job's
+        // `job_done`: the job is dropped for its age, not re-run.
         let dir = temp_dir("collected");
         let open = || JobTable::open(4, Duration::ZERO, Some(&dir), Arc::default()).unwrap();
         let (table, _) = open();
         let old = submit(&table, "old").unwrap();
         table.finish(&old, "application/json", "{}\n".to_string());
-        submit(&table, "new").unwrap(); // collects "old", spill and all
-        assert!(!dir.join("jobs").join("old.body").exists());
+        submit(&table, "new").unwrap(); // collects "old"
         drop(table);
         let (table, admitted) = open();
         let ids: Vec<_> = admitted.iter().map(|job| job.spec.rid.as_str()).collect();
@@ -1101,127 +1030,154 @@ mod tests {
     }
 
     #[test]
-    fn journal_fold_skips_garbage_and_unknown_records() {
-        let jobs = fold_journal(
-            &[
-                "not json at all".to_string(),
-                "{\"event\":\"job_done\",\"job\":\"never-submitted\"}".to_string(),
-                "{\"event\":\"from_the_future\",\"job\":\"x\"}".to_string(),
-                submitted_record(&spec("00aa-000002")),
-                // A malformed set would re-run the job at another parameter
-                // point: the whole submission is skipped instead.
-                "{\"event\":\"submitted\",\"job\":\"00aa-000003\",\"experiment\":\"fig12\",\
-                 \"sets\":[[\"trials\",\"100\"],[\"nc\"]],\"format\":\"json\"}"
-                    .to_string(),
-                "{\"event\":\"submitted\",\"job\":\"00aa-000004\",\"experiment\":\"fig12\",\
-                 \"sets\":[[\"trials\",100]],\"format\":\"json\"}"
-                    .to_string(),
-                // An older build's chunk_done progress marker: folded state
-                // ignores it.
-                "{\"event\":\"chunk_done\",\"job\":\"00aa-000002\",\"chunk\":0,\"lo\":0,\"hi\":5}"
-                    .to_string(),
-            ],
-            0.0,
+    fn a_tick_drops_every_job_that_left_the_table_from_the_journal() {
+        // A job leaves the table by the tick's own GC pass, by a
+        // submission's GC pass or by withdrawal; after the next tick the
+        // journal names only the jobs the table still holds.
+        let dir = temp_dir("tick");
+        let (table, _) = JobTable::open(8, Duration::ZERO, Some(&dir), Arc::default()).unwrap();
+        let ticked = submit(&table, "ticked").unwrap();
+        table.finish(&ticked, "application/json", "{}\n".to_string());
+        let old = submit(&table, "old").unwrap();
+        table.fail(&old, 500, "{\"error\":\"boom\"}\n".to_string());
+        submit(&table, "queued").unwrap(); // collects "ticked" and "old"
+        let withdrawn = submit(&table, "withdrawn").unwrap();
+        table.withdraw(&withdrawn, 503, "{\"error\":\"busy\"}\n".to_string());
+        assert_eq!(journaled(&dir).len(), 4, "nothing compacts between ticks");
+        table.collect_expired();
+        assert_eq!(
+            journaled(&dir),
+            HashMap::from([("queued".to_string(), None)])
         );
+        assert_eq!(journaled(&dir), tabled(&table));
+        // Appends after a compaction land in the compacted journal.
+        let late = submit(&table, "late").unwrap();
+        table.finish(&late, "text/csv", "a\n".to_string());
+        assert_eq!(journaled(&dir), tabled(&table));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ticks_racing_transitions_keep_exactly_the_live_jobs_journaled() {
+        // Three threads submit, finish, fail and withdraw jobs while a
+        // fourth ticks without pause on a short TTL, so compactions
+        // interleave with appends and finished jobs expire mid-run.
+        // Afterwards one more tick leaves the journal folding to exactly
+        // the table: an append lost to a compaction would show as a
+        // missing job or a finished job that folds unfinished, a
+        // collected job kept as an extra one.
+        let dir = temp_dir("race");
+        let ttl = Duration::from_millis(20);
+        let (table, _) = JobTable::open(usize::MAX, ttl, Some(&dir), Arc::default()).unwrap();
+        let stop = AtomicBool::new(false);
+        let ticks = std::thread::scope(|scope| {
+            let ticker = scope.spawn(|| {
+                let mut ticks = 0;
+                while !stop.load(Ordering::SeqCst) {
+                    table.collect_expired();
+                    ticks += 1;
+                }
+                ticks
+            });
+            let workers: Vec<_> = (0..3)
+                .map(|worker| {
+                    let table = &table;
+                    scope.spawn(move || {
+                        for i in 0..120 {
+                            let job = submit(table, &format!("w{worker}-{i}")).unwrap();
+                            let body = format!("{{\"job\":\"w{worker}-{i}\"}}\n");
+                            match i % 4 {
+                                0 => table.finish(&job, "application/json", body),
+                                1 => table.fail(&job, 500, body),
+                                2 => table.withdraw(&job, 503, body),
+                                _ => job.mark_running(),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            stop.store(true, Ordering::SeqCst);
+            ticker.join().unwrap()
+        });
+        assert!(ticks > 1, "the ticker never raced the workers");
+        table.collect_expired();
+        let live = tabled(&table);
+        assert!(live.len() >= 90, "the running jobs never expire: {live:?}");
+        assert_eq!(journaled(&dir), live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_fold_skips_garbage_and_unknown_records() {
+        let jobs = fold_journal(&[
+            "not json at all".to_string(),
+            "{\"event\":\"job_done\",\"job\":\"never-submitted\"}".to_string(),
+            "{\"event\":\"from_the_future\",\"job\":\"x\"}".to_string(),
+            submitted_record(&spec("00aa-000002")),
+            // A malformed set would re-run the job at another parameter
+            // point: the whole submission is skipped instead.
+            "{\"event\":\"submitted\",\"job\":\"00aa-000003\",\"experiment\":\"fig12\",\
+             \"sets\":[[\"trials\",\"100\"],[\"nc\"]],\"format\":\"json\"}"
+                .to_string(),
+            "{\"event\":\"submitted\",\"job\":\"00aa-000004\",\"experiment\":\"fig12\",\
+             \"sets\":[[\"trials\",100]],\"format\":\"json\"}"
+                .to_string(),
+            // An older build's chunk_done progress marker: folded state
+            // ignores it.
+            "{\"event\":\"chunk_done\",\"job\":\"00aa-000002\",\"chunk\":0,\"lo\":0,\"hi\":5}"
+                .to_string(),
+        ]);
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].spec.rid, "00aa-000002");
         assert_eq!(jobs[0].ended, None);
     }
 
     #[test]
-    fn journal_fold_drops_the_retired_execution_keys() {
-        // Older builds took the executor width and a cache directory as
-        // parameters, and their sweep bodies sent `"cache_dir": ""`; this
-        // is such a submission, then its terminal record. What is left
-        // is `trials` and `seed`, which today's gate accepts.
-        let rid = "00feed-000001";
-        let jobs = fold_journal(
-            &[
-                format!(
-                    "{{\"event\":\"submitted\",\"job\":\"{rid}\",\"experiment\":\"fig12\",\
-                     \"sets\":[[\"trials\",\"48\"],[\"cache_dir\",\"\"]],\"format\":\"json\"}}"
-                ),
-                format!(
-                    "{{\"event\":\"job_done\",\"job\":\"{rid}\",\"content_type\":\
-                     \"application/json\",\"path\":\"jobs/x.body\",\"bytes\":9}}"
-                ),
-                "{\"event\":\"submitted\",\"job\":\"00feed-000002\",\"experiment\":\"fig12\",\
-                 \"sets\":[[\"threads\",\"4\"],[\"seed\",\"7\"]],\"format\":\"json\"}"
-                    .to_string(),
-            ],
-            0.0,
-        );
-        assert_eq!(jobs.len(), 2);
-        assert_eq!(
-            jobs[0].spec.sets,
-            [("trials".to_string(), "48".to_string())]
-        );
-        assert!(matches!(
-            jobs[0].ended,
-            Some((Outcome::Done { bytes: 9, .. }, _))
-        ));
-        assert_eq!(jobs[1].spec.sets, [("seed".to_string(), "7".to_string())]);
-    }
-
-    #[test]
     fn journal_fold_reads_finish_times() {
-        // A terminal record carries its finish time. One an older build
-        // wrote without a time, or one whose time is not finite, counts
-        // as finished at replay, and compaction writes that time down,
-        // so the job ages from there.
+        // A terminal record carries its finish time. One without a time,
+        // or with one that is not finite, leaves its job unfinished.
         let shed = failed(503, "{\"error\":\"shed\"}");
-        let jobs = fold_journal(
-            &[
-                submitted_record(&spec("00aa-000001")),
-                terminal_record("00aa-000001", &shed, 1_700_000_000.25),
-                submitted_record(&spec("00aa-000002")),
-                "{\"event\":\"job_failed\",\"job\":\"00aa-000002\",\"status\":503,\
-                 \"body\":\"{\\\"error\\\":\\\"shed\\\"}\"}"
-                    .to_string(),
-                submitted_record(&spec("00aa-000003")),
-                "{\"event\":\"job_failed\",\"job\":\"00aa-000003\",\"status\":503,\
-                 \"body\":\"{\\\"error\\\":\\\"shed\\\"}\",\"unix_s\":1e999}"
-                    .to_string(),
-            ],
-            1_800_000_000.0,
-        );
-        assert_eq!(jobs[0].ended, Some((shed.clone(), 1_700_000_000.25)));
-        assert_eq!(jobs[1].ended, Some((shed.clone(), 1_800_000_000.0)));
-        assert_eq!(jobs[2].ended, Some((shed, 1_800_000_000.0)));
+        let jobs = fold_journal(&[
+            submitted_record(&spec("00aa-000001")),
+            terminal_record("00aa-000001", &shed, 1_700_000_000.25),
+            submitted_record(&spec("00aa-000002")),
+            "{\"event\":\"job_failed\",\"job\":\"00aa-000002\",\"status\":503,\
+             \"body\":\"{\\\"error\\\":\\\"shed\\\"}\"}"
+                .to_string(),
+            submitted_record(&spec("00aa-000003")),
+            "{\"event\":\"job_failed\",\"job\":\"00aa-000003\",\"status\":503,\
+             \"body\":\"{\\\"error\\\":\\\"shed\\\"}\",\"unix_s\":1e999}"
+                .to_string(),
+        ]);
+        assert_eq!(jobs[0].ended, Some((shed, 1_700_000_000.25)));
+        assert_eq!(jobs[1].ended, None);
+        assert_eq!(jobs[2].ended, None);
         let compacted = compact_records(&jobs);
         assert!(
-            compacted[3].ends_with(",\"unix_s\":1800000000.000}"),
+            compacted[1].ends_with(",\"unix_s\":1700000000.250}"),
             "{}",
-            compacted[3]
+            compacted[1]
         );
-        assert_eq!(fold_journal(&compacted, 0.0), jobs);
+        assert_eq!(fold_journal(&compacted), jobs);
     }
 
     #[test]
     fn replay_admits_live_jobs_newest_first_and_clears_the_rest() {
         let dir = temp_dir("replay");
-        let spills = dir.join("jobs");
-        std::fs::create_dir_all(&spills).unwrap();
         let now = unix_now();
-        let done = |rid: &str| {
-            let path = spills.join(format!("{rid}.body"));
-            std::fs::write(&path, b"{}\n").unwrap();
-            Outcome::Done {
-                content_type: "application/json".to_string(),
-                path,
-                bytes: 3,
-            }
-        };
-        // An expired job, two live ones, and a spill nothing names.
+        let body = done("application/json", "{}\n");
+        // An expired job and two live ones.
         let records = [
             submitted_record(&spec("old")),
-            terminal_record("old", &done("old"), now - 20.0),
+            terminal_record("old", &body, now - 20.0),
             submitted_record(&spec("mid")),
-            terminal_record("mid", &done("mid"), now - 5.0),
+            terminal_record("mid", &body, now - 5.0),
             submitted_record(&spec("new")),
-            terminal_record("new", &done("new"), now - 5.0),
+            terminal_record("new", &body, now - 5.0),
         ];
-        std::fs::write(spills.join("orphan.body"), b"x").unwrap();
         let path = dir.join("journal.log");
         journal::rewrite(&path, &records).unwrap();
 
@@ -1234,13 +1190,8 @@ mod tests {
             panic!("the newest job is re-admitted finished");
         };
         assert!(finished.elapsed() >= Duration::from_secs(4), "{finished:?}");
-        // The journal and the spills hold only the admitted job.
+        // The journal holds only the admitted job.
         assert_eq!(journal::replay(&path).unwrap().records, records[4..]);
-        let left: Vec<_> = std::fs::read_dir(&spills)
-            .unwrap()
-            .map(|entry| entry.unwrap().file_name())
-            .collect();
-        assert_eq!(left, ["new.body"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1254,11 +1205,11 @@ mod tests {
             submitted_record(&spec("00aa-000002")),
             terminal_record("00aa-000001", &failed(503, "{\"error\":\"shed\"}"), 2.0),
         ];
-        let once = compact_records(&fold_journal(&records, 3.0));
-        let twice = compact_records(&fold_journal(&once, 4.0));
+        let once = compact_records(&fold_journal(&records));
+        let twice = compact_records(&fold_journal(&once));
         assert_eq!(once, twice);
         // Both jobs survive: one terminal, one unfinished.
-        let jobs = fold_journal(&once, 5.0);
+        let jobs = fold_journal(&once);
         assert_eq!(jobs.len(), 2);
         assert!(jobs[0].ended.is_some());
         assert!(jobs[1].ended.is_none());
@@ -1271,15 +1222,12 @@ mod tests {
         // and re-run. A submitted record followed by an older build's
         // chunk progress marker (Running) folds identically to a bare
         // submission (Queued).
-        let queued = fold_journal(&[submitted_record(&spec("00aa-000001"))], 0.0);
-        let running = fold_journal(
-            &[
-                submitted_record(&spec("00aa-000001")),
-                "{\"event\":\"chunk_done\",\"job\":\"00aa-000001\",\"chunk\":0,\"lo\":0,\"hi\":5}"
-                    .to_string(),
-            ],
-            0.0,
-        );
+        let queued = fold_journal(&[submitted_record(&spec("00aa-000001"))]);
+        let running = fold_journal(&[
+            submitted_record(&spec("00aa-000001")),
+            "{\"event\":\"chunk_done\",\"job\":\"00aa-000001\",\"chunk\":0,\"lo\":0,\"hi\":5}"
+                .to_string(),
+        ]);
         assert_eq!(queued, running);
         assert_eq!(queued[0].ended, None);
     }

@@ -1,7 +1,7 @@
 //! An append-only, checksummed job journal.
 //!
 //! The crash-safety story for asynchronous sweeps: every job-lifecycle
-//! event (submission, result location or failure) is appended here
+//! event (submission, finished body or failure) is appended here
 //! *before* it takes effect in memory, so a SIGKILL'd coordinator
 //! replays the journal on restart and resumes exactly the unfinished
 //! work. This module owns only the **framing** — records are opaque

@@ -14,7 +14,7 @@
 //! | [`ring`] | [`HashRing`] | static rendezvous-hash map from the 256 cache shards to owning instances |
 //! | [`health`] | [`FleetHealth`] | Up → Suspect → Down failure detector + jittered backoff re-probe schedule |
 //! | [`chaos`] | [`ChaosInjector`] | deterministic seeded fault injection on peer-facing paths |
-//! | [`jobs`] | [`JobTable`] | the async `POST /v1/sweeps/{id}` job's lifecycle: bounded, TTL-GC'd table, journal records, result spills, crash recovery |
+//! | [`jobs`] | [`JobTable`] | the async `POST /v1/sweeps/{id}` job's lifecycle: bounded, TTL-GC'd table, journal records holding finished bodies, crash recovery |
 //! | [`fanout`] | [`ChunkBoard`] | per-chunk dispatch/steal/requeue scoreboard for fleet-wide sweep fan-out |
 //! | [`journal`] | [`journal::Journal`] | append-only checksummed record framing under the job journal |
 //!
@@ -40,7 +40,7 @@ pub mod ring;
 pub use chaos::{ChaosConfig, ChaosInjector, Fault};
 pub use fanout::{ChunkBoard, ChunkClaim};
 pub use health::{FleetHealth, HealthPolicy, PeerState, Transition};
-pub use jobs::{ChunkRequest, JobBody, JobEntry, JobSpec, JobState, JobTable};
+pub use jobs::{ChunkRequest, JobEntry, JobSpec, JobState, JobTable};
 pub use ring::HashRing;
 
 use std::time::Duration;

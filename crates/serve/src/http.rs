@@ -14,7 +14,6 @@
 //! `400`/`405`/`413` by the server loop rather than a hang.
 
 use std::io::{BufRead, Read, Write};
-use std::path::PathBuf;
 
 /// Largest accepted message head (start line + headers), bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -193,12 +192,6 @@ pub struct Response {
     pub trace_id: Option<String>,
     /// The response body.
     pub body: String,
-    /// When set, the body is streamed from this file instead of `body`:
-    /// `(path, exact byte length)`. The length (recorded when the spill
-    /// file was written) becomes the `Content-Length`, and the writer
-    /// copies the file in fixed-size chunks — a multi-MB job result
-    /// never materializes in server memory.
-    pub file: Option<(PathBuf, u64)>,
 }
 
 impl Response {
@@ -212,26 +205,6 @@ impl Response {
             request_id: None,
             trace_id: None,
             body,
-            file: None,
-        }
-    }
-
-    /// A `200` whose body streams from a spill file of `bytes` bytes.
-    pub fn file(content_type: &'static str, path: PathBuf, bytes: u64) -> Self {
-        Self {
-            content_type,
-            file: Some((path, bytes)),
-            ..Self::json(200, String::new())
-        }
-    }
-
-    /// The advertised body length — the spill-file size for file-backed
-    /// responses, the in-memory body's length otherwise. This is what the
-    /// access log reports as bytes sent.
-    pub fn content_length(&self) -> u64 {
-        match &self.file {
-            Some((_, bytes)) => *bytes,
-            None => self.body.len() as u64,
         }
     }
 
@@ -243,32 +216,12 @@ impl Response {
     ///
     /// Propagates the stream's I/O error.
     pub fn write_to_with(&self, out: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        // A file-backed body is opened *before* the head is written: if
-        // the spill file vanished (cache GC, manual cleanup) the client
-        // gets a well-formed 500 instead of a truncated stream.
-        let spill = match &self.file {
-            Some((path, bytes)) => match std::fs::File::open(path) {
-                Ok(file) => Some((file, *bytes)),
-                Err(_) => {
-                    let gone = Response {
-                        request_id: self.request_id.clone(),
-                        trace_id: self.trace_id.clone(),
-                        ..Response::json(
-                            500,
-                            "{\"error\":\"job result spill file is gone\"}\n".to_string(),
-                        )
-                    };
-                    return gone.write_to_with(out, keep_alive);
-                }
-            },
-            None => None,
-        };
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
-            self.content_length(),
+            self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
         );
         if let Some(seconds) = self.retry_after {
@@ -285,29 +238,7 @@ impl Response {
         }
         head.push_str("\r\n");
         out.write_all(head.as_bytes())?;
-        match spill {
-            Some((file, bytes)) => {
-                // Exactly `bytes` go onto the wire even if the file grew
-                // or shrank since the length was recorded — the head
-                // already promised that Content-Length. A short file is
-                // zero-padded (visible corruption beats a silent hang on
-                // the client's blocking read).
-                let mut remaining = bytes;
-                let mut reader = std::io::BufReader::new(file);
-                let mut chunk = [0u8; 64 * 1024];
-                while remaining > 0 {
-                    let want = chunk.len().min(remaining as usize);
-                    let got = reader.read(&mut chunk[..want])?;
-                    if got == 0 {
-                        out.write_all(&vec![0u8; remaining as usize])?;
-                        break;
-                    }
-                    out.write_all(&chunk[..got])?;
-                    remaining -= got as u64;
-                }
-            }
-            None => out.write_all(self.body.as_bytes())?,
-        }
+        out.write_all(self.body.as_bytes())?;
         out.flush()
     }
 }
@@ -538,37 +469,6 @@ mod tests {
             text.contains("Location: http://127.0.0.1:9001/v1/experiments/fig12/run\r\n"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn file_backed_responses_stream_the_spill_bytes() {
-        let dir = std::env::temp_dir().join(format!("cnt-http-spill-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("result.body");
-        // Bigger than one copy chunk, so the loop takes several passes.
-        let payload: String = "0123456789abcdef".repeat(10_000);
-        std::fs::write(&path, &payload).unwrap();
-        let response = Response::file("text/csv", path.clone(), payload.len() as u64);
-        assert_eq!(response.content_length(), payload.len() as u64);
-        let mut out = Vec::new();
-        response.write_to_with(&mut out, true).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{}", &text[..40]);
-        assert!(text.contains(&format!("Content-Length: {}\r\n", payload.len())));
-        assert!(text.contains("Content-Type: text/csv\r\n"));
-        assert!(text.ends_with(&payload), "body must be the file bytes");
-
-        // A vanished spill file degrades to a clean 500, never a
-        // truncated or hung stream.
-        std::fs::remove_file(&path).unwrap();
-        let mut out = Vec::new();
-        Response::file("text/csv", path, 13)
-            .write_to_with(&mut out, false)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 500 "), "{text}");
-        assert!(text.contains("spill file is gone"), "{text}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -54,8 +54,9 @@
 //! ([`Params::content_hash`](cnt_interconnect::experiments::Params::content_hash)).
 //! `SIGTERM`/ctrl-c (or a [`ShutdownHandle`]) stops intake and drains
 //! in-flight requests and sweep jobs before the process exits. With
-//! [`Config::data_dir`], sweep jobs survive a restart: their journal,
-//! result spills and recovery belong to [`cnt_fleet::JobTable`].
+//! [`Config::data_dir`], sweep jobs survive a restart: their journal
+//! (finished bodies included) and recovery belong to
+//! [`cnt_fleet::JobTable`].
 //!
 //! The server is plain `std::net` — no external dependencies, matching
 //! the offline-build constraint the `crates/compat` shims document.
@@ -78,7 +79,7 @@ pub mod api;
 pub mod cache;
 mod gate;
 pub mod http;
-pub mod net;
+mod net;
 pub mod peer;
 pub mod server;
 pub mod signal;
@@ -88,7 +89,7 @@ pub use cnt_fleet as fleet;
 pub use cnt_fleet::{FleetConfig, RouteMode};
 pub use http::{Request, Response};
 pub use peer::{PeerClient, PeerError, PeerResponse};
-pub use server::{AccessLogFormat, Config, Server, ShutdownHandle};
+pub use server::{AccessLogFormat, Config, Server, ShutdownHandle, HISTORY_INTERVALS};
 
 use core::fmt;
 
@@ -104,7 +105,8 @@ pub enum Error {
         /// The OS error message.
         message: String,
     },
-    /// The server configuration is unusable (bad fleet topology).
+    /// The server configuration is unusable (bad fleet topology or
+    /// history interval).
     Config {
         /// What was wrong.
         message: String,

@@ -1,11 +1,4 @@
-//! Listener construction with `SO_REUSEADDR`, and the accept timeout.
-//!
-//! A SIGKILL'd server leaves its accepted connections in server-side
-//! `TIME_WAIT`, and a plain `TcpListener::bind` on the same port then
-//! fails with `EADDRINUSE` for up to a minute — exactly the window the
-//! fleet prober is trying to heal through. Setting `SO_REUSEADDR`
-//! before `bind` (what every production server does) lets the restarted
-//! instance take its old port back immediately.
+//! The accept timeout.
 //!
 //! The accept loop blocks in `accept` under a receive timeout
 //! (`SO_RCVTIMEO`), so a new connection is taken the moment it arrives
@@ -14,13 +7,16 @@
 //! `EAGAIN`. Accepted sockets inherit it, and every connection read sets
 //! its own timeout before it blocks.
 //!
+//! The listener itself comes from [`TcpListener::bind`], which on Unix
+//! sets `SO_REUSEADDR` before binding and listens with a backlog of 128:
+//! a restarted server takes its port back while the previous
+//! incarnation's accepted connections sit in `TIME_WAIT`.
+//!
 //! `std` exposes no socket-option API, and the offline build has no
-//! `libc`/`socket2`, so the calls are declared directly, following
+//! `libc`/`socket2`, so `setsockopt` is declared directly, following
 //! the [`crate::signal`] pattern — this is the crate's second and only
 //! other `unsafe` exemption, confined to socket setup before any data
-//! flows. Non-IPv4 addresses (and non-Linux targets) fall back to the
-//! std bind without `SO_REUSEADDR`; off Linux the accept timeout is
-//! unsupported.
+//! flows. Off Linux the accept timeout is unsupported.
 #![allow(unsafe_code)]
 
 use std::net::TcpListener;
@@ -29,26 +25,12 @@ use std::time::Duration;
 #[cfg(target_os = "linux")]
 mod imp {
     use core::ffi::{c_long, c_void};
-    use std::net::{SocketAddrV4, TcpListener};
-    use std::os::fd::{AsRawFd, FromRawFd};
+    use std::net::TcpListener;
+    use std::os::fd::AsRawFd;
     use std::time::Duration;
 
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
     const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
     const SO_RCVTIMEO: i32 = 20;
-    const BACKLOG: i32 = 128;
-
-    /// `struct sockaddr_in` (Linux layout; ports and addresses are
-    /// big-endian on the wire).
-    #[repr(C)]
-    struct SockaddrIn {
-        sin_family: u16,
-        sin_port: u16,
-        sin_addr: u32,
-        sin_zero: [u8; 8],
-    }
 
     /// `struct timeval`, the value of `SO_RCVTIMEO`.
     #[repr(C)]
@@ -58,50 +40,7 @@ mod imp {
     }
 
     extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const c_void, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    pub(super) fn bind_reuseaddr(addr: SocketAddrV4) -> std::io::Result<TcpListener> {
-        // SAFETY: every pointer passed points to a live local of the
-        // length passed with it; `fd` is closed on each error path and
-        // otherwise handed to `TcpListener`, which owns it from then on.
-        unsafe {
-            let fd = socket(AF_INET, SOCK_STREAM, 0);
-            if fd < 0 {
-                return Err(std::io::Error::last_os_error());
-            }
-            let fail = |fd: i32| {
-                let e = std::io::Error::last_os_error();
-                close(fd);
-                Err(e)
-            };
-            let one: i32 = 1;
-            let one_len = core::mem::size_of::<i32>() as u32;
-            let value = (&one as *const i32).cast();
-            if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, value, one_len) != 0 {
-                return fail(fd);
-            }
-            let sockaddr = SockaddrIn {
-                sin_family: AF_INET as u16,
-                sin_port: addr.port().to_be(),
-                sin_addr: u32::from(*addr.ip()).to_be(),
-                sin_zero: [0; 8],
-            };
-            let len = core::mem::size_of::<SockaddrIn>() as u32;
-            if bind(fd, &sockaddr, len) != 0 {
-                return fail(fd);
-            }
-            if listen(fd, BACKLOG) != 0 {
-                return fail(fd);
-            }
-            // The fd is a bound, listening TCP socket — exactly the
-            // state `TcpListener` expects to own.
-            Ok(TcpListener::from_raw_fd(fd))
-        }
     }
 
     pub(super) fn set_accept_timeout(
@@ -134,22 +73,6 @@ mod imp {
     }
 }
 
-/// Binds a listener like [`TcpListener::bind`], additionally setting
-/// `SO_REUSEADDR` so a restarted server can rebind its port while the
-/// previous incarnation's connections sit in `TIME_WAIT`.
-///
-/// # Errors
-///
-/// Any socket/bind/listen failure, as [`std::io::Error`] — the same
-/// errors (`EADDRINUSE`, `EACCES`, …) the std bind surfaces.
-pub fn bind_listener(addr: &str) -> std::io::Result<TcpListener> {
-    #[cfg(target_os = "linux")]
-    if let Ok(v4) = addr.parse::<std::net::SocketAddrV4>() {
-        return imp::bind_reuseaddr(v4);
-    }
-    TcpListener::bind(addr)
-}
-
 /// Makes `accept` on `listener` wait at most `timeout` (rounded down to
 /// whole microseconds, at least one), then fail with
 /// [`std::io::ErrorKind::WouldBlock`].
@@ -170,7 +93,11 @@ mod tests {
 
     #[test]
     fn bound_listener_accepts_and_exchanges_bytes() {
-        let listener = bind_listener("127.0.0.1:0").expect("bind ephemeral");
+        // The accept timeout bounds the wait for a connection, not the
+        // connection: one that arrives is taken and carries bytes both
+        // ways.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let _ = set_accept_timeout(&listener, Duration::from_secs(30));
         let addr = listener.local_addr().unwrap();
         let client = std::thread::spawn(move || {
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
@@ -192,8 +119,9 @@ mod tests {
         // The TIME_WAIT scenario in miniature: accept a connection, shut
         // everything down server-side, and rebind the identical port.
         // Without SO_REUSEADDR this intermittently fails with
-        // EADDRINUSE; with it the rebind must always succeed.
-        let listener = bind_listener("127.0.0.1:0").expect("bind ephemeral");
+        // EADDRINUSE; std's bind sets it, so the rebind must always
+        // succeed.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = listener.local_addr().unwrap();
         let client = std::thread::spawn(move || {
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
@@ -204,15 +132,15 @@ mod tests {
         drop(conn); // server closes first: the socket enters TIME_WAIT
         drop(listener);
         client.join().unwrap();
-        let rebound = bind_listener(&addr.to_string())
-            .expect("rebinding the same port must not hit EADDRINUSE");
+        let rebound =
+            TcpListener::bind(addr).expect("rebinding the same port must not hit EADDRINUSE");
         assert_eq!(rebound.local_addr().unwrap(), addr);
     }
 
     #[test]
     #[cfg(target_os = "linux")]
     fn accept_gives_up_after_its_timeout() {
-        let listener = bind_listener("127.0.0.1:0").expect("bind ephemeral");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         set_accept_timeout(&listener, Duration::from_millis(20)).expect("SO_RCVTIMEO");
         let started = std::time::Instant::now();
         let err = listener.accept().expect_err("no client ever connects");
@@ -221,11 +149,5 @@ mod tests {
         // It blocked rather than polled, and it woke up.
         assert!(waited >= Duration::from_millis(10), "{waited:?}");
         assert!(waited < Duration::from_secs(2), "{waited:?}");
-    }
-
-    #[test]
-    fn unparsable_addresses_error_like_std_bind() {
-        assert!(bind_listener("not-an-address").is_err());
-        assert!(bind_listener("256.0.0.1:80").is_err());
     }
 }

@@ -55,6 +55,7 @@ use cnt_obs::{
 use cnt_sweep::seed::fnv1a;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -80,6 +81,11 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 /// per-connection request cap: a connection ends on client close,
 /// `Connection: close`, this idle window, shutdown, or an error.
 pub(crate) const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(5);
+/// The [`Config::history_interval`]s a server accepts: 1 ms to 1 day.
+/// Shorter ones spin the scraper (a zero interval never waits); longer
+/// ones leave the history and the job GC idle for days.
+pub const HISTORY_INTERVALS: RangeInclusive<Duration> =
+    Duration::from_millis(1)..=Duration::from_secs(86_400);
 
 /// How a run leader turns a resolved experiment + context into a report.
 /// Injectable so tests can slow computations down or fail them on
@@ -133,19 +139,19 @@ pub struct Config {
     /// How long a finished job's result stays pollable before GC.
     pub job_ttl: Duration,
     /// How often the self-scraper thread samples the registries into
-    /// the history rings (`repro serve` takes 1 ms to 1 day). One past
-    /// the clock's range samples once, at start.
+    /// the history rings and collects expired jobs; within
+    /// [`HISTORY_INTERVALS`], or [`Server::bind`] refuses the config.
     pub history_interval: Duration,
     /// SLOs `GET /v1/slo` and `repro slo` evaluate against the history
     /// rings (defaults to [`cnt_obs::slo::default_serve_slos`]).
     pub slos: Vec<SloSpec>,
     /// Durable-state root, handed to [`JobTable::open`]: the job journal
-    /// (`journal.log`), spilled job result bodies (`jobs/`), and the
-    /// chunk result store (`sweep-cache/`) all live under it. A restart
-    /// on it resumes unfinished jobs and keeps finished ones pollable
-    /// for what is left of [`Config::job_ttl`]; expired jobs leave the
-    /// journal and `jobs/` then. `None` keeps job state in memory only —
-    /// jobs do not survive a restart.
+    /// (`journal.log`, finished result bodies included) and the chunk
+    /// result store (`sweep-cache/`) live under it. A restart on it
+    /// resumes unfinished jobs and keeps finished ones pollable for what
+    /// is left of [`Config::job_ttl`]; a job leaves the journal within
+    /// one history tick of leaving the table. `None` keeps job state in
+    /// memory only — jobs do not survive a restart.
     pub data_dir: Option<PathBuf>,
 }
 
@@ -667,7 +673,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when the address cannot be bound.
+    /// As [`Server::bind_with_runner`].
     pub fn bind(config: Config) -> Result<Self> {
         Self::bind_with_runner(config, |exp, ctx| exp.run(ctx))
     }
@@ -678,7 +684,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when the address cannot be bound.
+    /// Returns [`Error::Config`] for a [`Config::history_interval`]
+    /// outside [`HISTORY_INTERVALS`], before anything binds, and
+    /// [`Error::Io`] when the address cannot be bound.
     pub fn bind_with_runner<F>(config: Config, runner: F) -> Result<Self>
     where
         F: Fn(&'static Experiment, &RunContext) -> cnt_interconnect::Result<Report>
@@ -686,10 +694,18 @@ impl Server {
             + Sync
             + 'static,
     {
-        // SO_REUSEADDR bind: a restarted instance (crash recovery, the
-        // chaos smoke's SIGKILL) retakes its fleet port immediately
-        // instead of waiting out TIME_WAIT.
-        let listener = net::bind_listener(&config.addr).map_err(|e| Error::io("bind", e))?;
+        if !HISTORY_INTERVALS.contains(&config.history_interval) {
+            return Err(Error::Config {
+                message: format!(
+                    "history interval {:?} is outside 1 ms to 1 day",
+                    config.history_interval
+                ),
+            });
+        }
+        // std's bind sets SO_REUSEADDR: a restarted instance (crash
+        // recovery, the chaos smoke's SIGKILL) retakes its fleet port
+        // immediately instead of waiting out TIME_WAIT.
+        let listener = TcpListener::bind(&config.addr).map_err(|e| Error::io("bind", e))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| Error::io("local_addr", e))?;
@@ -793,8 +809,7 @@ impl Server {
             std::thread::spawn(move || loop {
                 sample_history(&shared);
                 shared.jobs.collect_expired();
-                // An interval past the clock's range waits for stop.
-                if !shared.wake.wait(None, Instant::now().checked_add(interval)) {
+                if !shared.wake.wait(None, Some(Instant::now() + interval)) {
                     break;
                 }
             })
@@ -1434,5 +1449,33 @@ mod tests {
         assert_ne!(span_a, 0);
         assert_ne!(span_a, span_b);
         assert_eq!(shared.next_request_id(), "00c0ffee-000002");
+    }
+
+    #[test]
+    fn history_intervals_outside_the_range_are_refused_before_binding() {
+        // A zero interval would spin the scraper. The address is not
+        // bindable, so a `Config` error shows the check comes first.
+        for interval in [
+            Duration::ZERO,
+            Duration::from_micros(999),
+            Duration::from_secs(86_401),
+        ] {
+            let config = Config {
+                addr: "not-an-address".to_string(),
+                history_interval: interval,
+                ..Config::default()
+            };
+            let refused = Server::bind(config).err();
+            assert!(
+                matches!(refused, Some(Error::Config { .. })),
+                "{interval:?}: {refused:?}"
+            );
+        }
+        let config = Config {
+            addr: "not-an-address".to_string(),
+            history_interval: *HISTORY_INTERVALS.start(),
+            ..Config::default()
+        };
+        assert!(matches!(Server::bind(config), Err(Error::Io { .. })));
     }
 }

@@ -250,7 +250,7 @@ fn send(
                     path,
                     experiment: experiment_of(path),
                     status: response.status,
-                    bytes: response.content_length() as usize,
+                    bytes: response.body.len(),
                     duration_s: started.elapsed().as_secs_f64(),
                 },
             )

@@ -9,7 +9,7 @@ use super::{render_report, retry_after_hint, static_content_type, RequestScope, 
 use crate::api;
 use crate::http::{Request, Response};
 use cnt_fleet::jobs::{self, Progress};
-use cnt_fleet::{ChunkBoard, ChunkClaim, JobBody, JobEntry, JobSpec, JobState};
+use cnt_fleet::{ChunkBoard, ChunkClaim, JobEntry, JobSpec, JobState};
 use cnt_interconnect::experiments::{self, SweepKernel};
 use cnt_obs::TraceContext;
 use cnt_sweep::{chunk_ranges, ResultStore};
@@ -451,11 +451,10 @@ fn job_status_json(job: &JobEntry, state: &JobState) -> String {
 
 /// `GET /v1/jobs/{rid}` and `GET /v1/jobs/{rid}/result`: the job's
 /// status, or its finished body, its failure, or — while it is still
-/// queued or running — `202` + the status body. Spilled bodies stream
-/// from disk in chunks instead of being loaded whole. A job this
-/// instance does not hold is asked of the rest of the fleet on the
-/// public routes (`fan_out`), so clients may poll any instance; the
-/// answer is `404` when nobody holds it.
+/// queued or running — `202` + the status body. A job this instance
+/// does not hold is asked of the rest of the fleet on the public routes
+/// (`fan_out`), so clients may poll any instance; the answer is `404`
+/// when nobody holds it.
 pub(super) fn job_route(rid: &str, shared: &Arc<Shared>, fan_out: bool, result: bool) -> Response {
     let Some(job) = shared.jobs.get(rid) else {
         return fan_out
@@ -472,14 +471,9 @@ pub(super) fn job_route(rid: &str, shared: &Arc<Shared>, fan_out: bool, result: 
         state if !result => Response::json(200, job_status_json(&job, &state)),
         JobState::Done {
             content_type, body, ..
-        } => match body {
-            JobBody::Inline(text) => Response {
-                content_type: static_content_type(&content_type),
-                ..Response::json(200, text)
-            },
-            JobBody::Spilled { path, bytes } => {
-                Response::file(static_content_type(&content_type), path, bytes)
-            }
+        } => Response {
+            content_type: static_content_type(&content_type),
+            ..Response::json(200, body)
         },
         JobState::Failed { status, body, .. } => Response::json(status, body),
         state @ (JobState::Queued | JobState::Running) => {

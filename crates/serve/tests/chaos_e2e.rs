@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 
 /// Boots one instance on a *specific* address and rejoins the fleet —
 /// the restart half of the kill/heal cycle. Only works because the
-/// listener binds with `SO_REUSEADDR` (see `cnt_serve::net`).
+/// listener binds with `SO_REUSEADDR`, which std's `TcpListener::bind`
+/// sets on Unix.
 fn restart_instance(
     addr: &str,
     peers: Vec<String>,

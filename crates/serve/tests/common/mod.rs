@@ -110,6 +110,23 @@ pub fn scrape(addr: SocketAddr) -> String {
     metrics
 }
 
+/// The entries of directory `dir`, sorted by name: what a data dir
+/// holds.
+pub fn dir_entries(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<_> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
 /// Extracts the `"job":"…"` id from a 202 submission body.
 pub fn job_id(body: &str) -> String {
     body.split("\"job\":\"")

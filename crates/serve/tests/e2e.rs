@@ -8,7 +8,7 @@ mod common;
 
 use cnt_interconnect::experiments::{self, registry};
 use cnt_serve::{Config, FleetConfig, Server, ShutdownHandle};
-use common::{counter, get, header, http, http_with, job_id, post};
+use common::{counter, dir_entries, get, header, http, http_with, job_id, post};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
@@ -1157,9 +1157,17 @@ fn files_with_extension(dir: &Path, ext: &str) -> usize {
         .sum()
 }
 
+/// Whether any record of the journal under `dir` names job `rid`.
+fn journal_names(dir: &Path, rid: &str) -> bool {
+    let journal = cnt_serve::fleet::journal::replay(&dir.join("journal.log")).unwrap();
+    let tag = format!("\"job\":\"{rid}\"");
+    journal.records.iter().any(|record| record.contains(&tag))
+}
+
 /// A server that gets no requests still collects expired results: the
-/// once-per-history-interval pass drops expired jobs with their spills
-/// and evicts chunk tables older than the job TTL.
+/// once-per-history-interval pass drops expired jobs, compacts them out
+/// of the journal that held their bodies, and evicts chunk tables older
+/// than the job TTL.
 #[test]
 fn a_quiet_server_collects_expired_spills_and_chunk_tables() {
     let dir = std::env::temp_dir().join(format!("cnt-serve-quiet-gc-{}", std::process::id()));
@@ -1181,15 +1189,22 @@ fn a_quiet_server_collects_expired_spills_and_chunk_tables() {
         assert!(Instant::now() < deadline, "job {rid} never finished");
         std::thread::sleep(Duration::from_millis(20));
     }
-    let (jobs, chunks) = (dir.join("jobs"), dir.join("sweep-cache"));
-    assert_eq!(files_with_extension(&jobs, "body"), 1, "no spill written");
+    assert_eq!(dir_entries(&dir), ["journal.log", "sweep-cache"]);
+    assert!(
+        journal_names(&dir, &rid),
+        "the finished job is not journaled"
+    );
+    let chunks = dir.join("sweep-cache");
     assert!(
         files_with_extension(&chunks, "json") > 0,
         "no chunk table written"
     );
     // No request for twice the TTL.
     std::thread::sleep(Duration::from_secs(2));
-    assert_eq!(files_with_extension(&jobs, "body"), 0, "spill kept");
+    assert!(
+        !journal_names(&dir, &rid),
+        "the expired job is still journaled"
+    );
     assert_eq!(
         files_with_extension(&chunks, "json"),
         0,

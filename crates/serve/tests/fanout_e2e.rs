@@ -14,7 +14,7 @@ use cnt_serve::{
     Config, RouteMode, Server,
 };
 use cnt_sweep::{chunk_ranges, ResultStore};
-use common::{fleet_with, get, job_id, post, sample, scrape, spawn, Instance};
+use common::{dir_entries, fleet_with, get, job_id, post, sample, scrape, spawn, Instance};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -98,16 +98,10 @@ fn expected_report() -> String {
 
 /// Fakes the first life of a coordinator that was SIGKILL'd mid-job on
 /// the data dir `dir`: the journal holds the accepted submission of job
-/// `rid` (sweep `id` at `trials`, plus the retired `extra` keys), and
-/// exactly the first of the 8 chunks made it into the durable chunk
-/// store before the kill. Returns the chunk ranges.
-fn seed_first_life(
-    dir: &Path,
-    rid: &str,
-    id: &str,
-    trials: &str,
-    extra: &str,
-) -> Vec<std::ops::Range<usize>> {
+/// `rid` (sweep `id` at `trials`), and exactly the first of the 8 chunks
+/// made it into the durable chunk store before the kill. Returns the
+/// chunk ranges.
+fn seed_first_life(dir: &Path, rid: &str, id: &str, trials: &str) -> Vec<std::ops::Range<usize>> {
     let sweep = kernel(id, trials);
     let n_jobs = sweep.jobs();
     let ranges = chunk_ranges(n_jobs, 8.clamp(1, n_jobs));
@@ -116,7 +110,7 @@ fn seed_first_life(
     sweep.run_chunk(Some(&store), &ranges[0]).unwrap();
     let submitted = format!(
         "{{\"event\":\"submitted\",\"job\":\"{rid}\",\"experiment\":\"{id}\",\
-         \"sets\":[[\"trials\",\"{trials}\"]{extra}],\"format\":\"json\"}}"
+         \"sets\":[[\"trials\",\"{trials}\"]],\"format\":\"json\"}}"
     );
     journal::Journal::open(&dir.join("journal.log"))
         .unwrap()
@@ -292,7 +286,7 @@ fn a_restarted_coordinator_resumes_a_seeded_fig13b_chunk() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let rid = "00feed-000013";
-    let ranges = seed_first_life(&dir, rid, "fig13b", "24", "");
+    let ranges = seed_first_life(&dir, rid, "fig13b", "24");
     let jobs = kernel("fig13b", "24").jobs() as u64;
 
     let coordinator = coordinator_on(&dir);
@@ -324,10 +318,8 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    // The first life journaled the submission with a retired execution
-    // key, which replay drops.
     let rid = "00feed-000001";
-    let ranges = seed_first_life(&dir, rid, "fig12", "48", r#",["cache_dir",""]"#);
+    let ranges = seed_first_life(&dir, rid, "fig12", "48");
     let n_jobs = sweep_jobs() as usize;
 
     // Restart: the journal replays, the unfinished job re-enters the
@@ -366,8 +358,8 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     coordinator.stop();
 
     // Second restart, after the job finished: the journal now folds to a
-    // terminal job, so the result serves straight from the spilled body
-    // with zero chunks touched.
+    // terminal job, so the result serves straight from the body its
+    // `job_done` record holds, with zero chunks touched.
     // The journal holds exactly the job's submission and its terminal
     // record: finished chunks live in the chunk store, not the journal.
     let replayed = journal::replay(&dir.join("journal.log")).unwrap();
@@ -379,7 +371,7 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     let coordinator = coordinator_on(&dir);
     let (status, body) = get(coordinator.addr, &format!("/v1/jobs/{rid}/result"));
     assert_eq!(status, 200, "{body}");
-    assert_eq!(body, expected, "spill-served result drifted");
+    assert_eq!(body, expected, "the replayed result drifted");
     // The journal holds no job count; the replayed job derives it from
     // its spec and reads finished, not 0/0.
     assert_eq!(
@@ -401,8 +393,9 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     coordinator.stop();
 
     // Third restart, once a 1 s TTL has passed since the job finished:
-    // replay drops the expired job, deletes its spill and compacts the
-    // journal to nothing, so the one-slot table admits a new job.
+    // replay drops the expired job and compacts the journal to nothing,
+    // so the one-slot table admits a new job. The data dir holds the
+    // journal and the chunk store, nothing else.
     std::thread::sleep(Duration::from_millis(1100));
     let server = Server::bind(Config {
         addr: "127.0.0.1:0".to_string(),
@@ -418,8 +411,7 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     let coordinator = spawn(server);
     let (status, body) = get(coordinator.addr, &format!("/v1/jobs/{rid}"));
     assert_eq!(status, 404, "an expired job came back: {body}");
-    let spills = std::fs::read_dir(dir.join("jobs")).unwrap().count();
-    assert_eq!(spills, 0, "the expired job's spill is still on disk");
+    assert_eq!(dir_entries(&dir), ["journal.log", "sweep-cache"]);
     let replayed = journal::replay(&dir.join("journal.log")).unwrap();
     assert!(replayed.records.is_empty(), "{:?}", replayed.records);
     let metrics = scrape(coordinator.addr);
@@ -428,18 +420,19 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     assert_eq!(status, 202, "{submit}");
     let collected = job_id(&submit);
     assert_eq!(await_result(coordinator.addr, &collected), expected);
-    // Once that job expires, the next submission's GC collects it and
-    // deletes its spill, journaling nothing.
+    // Once that job expires, the next submission's GC or a history
+    // tick collects it; its records leave the journal at a tick.
     std::thread::sleep(Duration::from_millis(1100));
     let (status, submit) = post(coordinator.addr, "/v1/sweeps/fig12", SWEEP_BODY);
     assert_eq!(status, 202, "{submit}");
     assert_eq!(await_result(coordinator.addr, &job_id(&submit)), expected);
-    assert!(!dir.join("jobs").join(format!("{collected}.body")).exists());
+    let (status, body) = get(coordinator.addr, &format!("/v1/jobs/{collected}"));
+    assert_eq!(status, 404, "an expired job is still pollable: {body}");
     coordinator.stop();
 
-    // Fourth restart, with room for every job: replay drops the
-    // collected job for its age instead of re-running it for its
-    // missing spill.
+    // Fourth restart, with room for every job: should a tick not have
+    // compacted the collected job away yet, replay drops it for its age
+    // instead of re-running it.
     let server = Server::bind(Config {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,

@@ -64,3 +64,29 @@ fn fig12_sweep_disk_cache_replays_byte_identical() {
     assert_eq!(first.report.render(), replay.report.render());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn every_sweep_family_has_a_row_count_fixed_by_its_plan() {
+    // A finished sweep job's body rides in one journal record, which
+    // holds only because no family's final table grows with its trials.
+    let rows = [
+        ("fig04", 14),
+        ("fig05", 5),
+        ("fig06", 5),
+        ("fig07", 5),
+        ("fig12", 75),
+        ("fig13a", 5),
+        ("fig13b", 2),
+        ("variability", 4),
+    ];
+    let ids: Vec<_> = cnt_beol::interconnect::experiments::registry()
+        .sweep_ids()
+        .collect();
+    assert_eq!(ids, rows.map(|(id, _)| id), "a sweep family is unlisted");
+    for (id, want) in rows {
+        for trials in [1, 64] {
+            let run = run_sweep(id, &opts(trials, 1, 7)).unwrap();
+            assert_eq!(run.report.rows.len(), want, "{id} at {trials} trials");
+        }
+    }
+}
